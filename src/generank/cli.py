@@ -18,6 +18,7 @@ import datetime
 import json
 import os
 import sys
+import tempfile
 
 import generank
 from generank import crossval, fgf, gaopt
@@ -32,10 +33,25 @@ from generank.dataio import (
 from generank.rankers import save_ranking
 
 
+def _umask() -> int:
+    """The process umask; it can only be read by setting it."""
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
+
+
 def _atomic_write(path, write_fn) -> None:
-    """Write through a sibling temp file so readers never see partials."""
-    tmp = f"{path}.tmp"
+    """Write through a sibling temp file so readers never see partials.
+
+    Every call gets its own temp file, so concurrent writers into one
+    directory never share or delete each other's. The file ends up with
+    the mode ``open()`` would give it under the current umask.
+    """
+    directory, name = os.path.split(os.path.abspath(path))
+    fd, tmp = tempfile.mkstemp(prefix=f".{name}.", suffix=".tmp", dir=directory)
+    os.close(fd)
     try:
+        os.chmod(tmp, 0o666 & ~_umask())  # mkstemp creates the file as 0600
         write_fn(tmp)
         os.replace(tmp, path)
     finally:
@@ -77,16 +93,13 @@ def _load(args):
 def _save_canonical(dataset, sample_ids, out_dir) -> None:
     matrix_path = os.path.join(out_dir, "matrix.tsv")
     labels_path = os.path.join(out_dir, "labels.tsv")
-    tmp_matrix = f"{matrix_path}.tmp"
-    tmp_labels = f"{labels_path}.tmp"
-    try:
-        save_dataset(dataset, tmp_matrix, tmp_labels, sample_ids)
-        os.replace(tmp_matrix, matrix_path)
-        os.replace(tmp_labels, labels_path)
-    finally:
-        for tmp in (tmp_matrix, tmp_labels):
-            if os.path.exists(tmp):
-                os.unlink(tmp)
+    _atomic_write(
+        matrix_path,
+        lambda tmp_matrix: _atomic_write(
+            labels_path,
+            lambda tmp_labels: save_dataset(dataset, tmp_matrix, tmp_labels, sample_ids),
+        ),
+    )
 
 
 def _cmd_ingest(args) -> None:

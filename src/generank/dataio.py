@@ -206,7 +206,9 @@ def quantile_normalize(matrix, use_median: bool = False) -> np.ndarray:
     The reference distribution is the per-rank mean (or median, with
     ``use_median``) of the column-sorted values. Ties within a column
     receive the mean of the reference values over their tied rank span,
-    which makes the operation deterministic and idempotent.
+    which makes the operation deterministic and idempotent. Ties are
+    averaged once per distinct rank span, bit for bit as a walk over every
+    element would average them.
     """
     X = np.asarray(matrix, dtype=np.float64)
     if X.ndim != 2 or X.size == 0:
@@ -220,18 +222,28 @@ def quantile_normalize(matrix, use_median: bool = False) -> np.ndarray:
     else:
         reference = sorted_cols.mean(axis=1)
 
+    n, n_cols = X.shape
+    order = np.argsort(X, axis=0, kind="stable")
+    # Tie runs are found by ``==`` on the values gathered through
+    # ``order``, so -0.0 and 0.0 form one run.
+    vals = np.take_along_axis(X, order, axis=0)
+    tied = vals[1:] == vals[:-1]
+    ranked = np.repeat(reference[:, None], n_cols, axis=1)
+    # A one-element run keeps its reference value (the mean of one value
+    # is that value); a longer run takes ``reference[start:stop].mean()``,
+    # memoized per span because every column shares ``reference``.
+    span_means = {}
+    for col in np.flatnonzero(tied.any(axis=0)):
+        starts = np.flatnonzero(np.concatenate(([True], ~tied[:, col])))
+        stops = np.append(starts[1:], n)
+        long_runs = stops - starts > 1
+        for start, stop in zip(starts[long_runs].tolist(), stops[long_runs].tolist()):
+            span = (start, stop)
+            if span not in span_means:
+                span_means[span] = reference[start:stop].mean()
+            ranked[start:stop, col] = span_means[span]
     out = np.empty_like(X)
-    n = X.shape[0]
-    for col in range(X.shape[1]):
-        order = np.argsort(X[:, col], kind="stable")
-        vals = X[order, col]
-        start = 0
-        while start < n:
-            stop = start + 1
-            while stop < n and vals[stop] == vals[start]:
-                stop += 1
-            out[order[start:stop], col] = reference[start:stop].mean()
-            start = stop
+    np.put_along_axis(out, order, ranked, axis=0)
     return out
 
 

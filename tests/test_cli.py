@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface and its artifacts."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -97,6 +98,59 @@ def test_normalize_equalizes_columns(tables, tmp_path):
     ref = np.sort(normalized.matrix[:, 0])
     for j in range(1, normalized.n_samples):
         np.testing.assert_allclose(np.sort(normalized.matrix[:, j]), ref, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# atomic writes
+
+
+def test_failed_write_leaves_no_temp_or_partial(tables, tmp_path, monkeypatch):
+    _, matrix_path, labels_path = tables
+
+    def failing_save(dataset, tmp_matrix, tmp_labels, sample_ids=None):
+        with open(tmp_matrix, "w", encoding="utf-8") as fh:
+            fh.write("gene_id\ts0\n")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli, "save_dataset", failing_save)
+    out = tmp_path / "norm"
+    code = cli.main(
+        ["normalize", "--matrix", matrix_path, "--labels", labels_path, "--out", str(out)]
+    )
+    assert code == 1
+    assert os.listdir(out) == []
+
+
+def test_interleaved_writers_both_complete(tmp_path):
+    path = tmp_path / "artifact.txt"
+    other = tmp_path / "other.txt"
+
+    def outer(tmp):
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write("a" * 1000)
+            # a second writer runs to completion while this one is mid-write
+            cli._atomic_text(path, "b" * 1000 + "\n")
+            cli._atomic_text(other, "c" * 1000 + "\n")
+            fh.write("\n")
+
+    cli._atomic_write(path, outer)
+    assert path.read_text(encoding="utf-8") == "a" * 1000 + "\n"
+    assert other.read_text(encoding="utf-8") == "c" * 1000 + "\n"
+    assert sorted(os.listdir(tmp_path)) == ["artifact.txt", "other.txt"]
+
+
+def test_artifact_mode_follows_umask(tables, tmp_path):
+    _, matrix_path, labels_path = tables
+    out = tmp_path / "out"
+    mask = os.umask(0o027)
+    try:
+        cli.main(
+            ["ingest", "--matrix", matrix_path, "--labels", labels_path, "--out", str(out)]
+        )
+    finally:
+        os.umask(mask)
+    for name in ("matrix.tsv", "labels.tsv", "manifest.json"):
+        assert os.stat(out / name).st_mode & 0o777 == 0o640, name
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Tests for table parsing, validation, normalization and standardization."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -229,6 +231,62 @@ def test_quantile_normalize_median_flag():
     out = quantile_normalize(matrix, use_median=True)
     ref = np.median(np.sort(matrix, axis=0), axis=1)
     np.testing.assert_allclose(np.sort(out[:, 0]), ref, atol=1e-12)
+
+
+def _quantile_normalize_loop(matrix, use_median=False):
+    """Reference: walk every column element by element, one tie run at a time."""
+    X = np.asarray(matrix, dtype=np.float64)
+    sorted_cols = np.sort(X, axis=0)
+    if use_median:
+        reference = np.median(sorted_cols, axis=1)
+    else:
+        reference = sorted_cols.mean(axis=1)
+    out = np.empty_like(X)
+    n = X.shape[0]
+    for col in range(X.shape[1]):
+        order = np.argsort(X[:, col], kind="stable")
+        vals = X[order, col]
+        start = 0
+        while start < n:
+            stop = start + 1
+            while stop < n and vals[stop] == vals[start]:
+                stop += 1
+            out[order[start:stop], col] = reference[start:stop].mean()
+            start = stop
+    return out
+
+
+def _bit_identity_cases():
+    rng = np.random.default_rng(13)
+    for trial in range(6):
+        n, m = rng.integers(1, 300), rng.integers(1, 40)
+        scale = rng.uniform(0.1, 10.0, m)
+        yield f"tie-free-{trial}", rng.normal(size=(n, m)) * scale
+        for step in (0.1, 1.0 / 3.0, 1.0):
+            yield f"rounded-{step:.2f}-{trial}", np.round(rng.normal(size=(n, m)) / step) * step
+    constant = rng.normal(size=(50, 6))
+    constant[:, 2] = 4.25
+    yield "constant-column", constant
+    yield "signed-zeros", rng.choice([-0.0, 0.0, -1.5, 2.0], size=(80, 7))
+    yield "single-row", rng.normal(size=(1, 9))
+    yield "single-column", np.round(rng.normal(size=(60, 1)))
+
+
+@pytest.mark.parametrize("use_median", [False, True])
+def test_quantile_normalize_bit_identical_to_loop(use_median):
+    for name, matrix in _bit_identity_cases():
+        got = quantile_normalize(matrix, use_median=use_median)
+        want = _quantile_normalize_loop(matrix, use_median=use_median)
+        assert got.tobytes() == want.tobytes(), name
+
+
+def test_quantile_normalize_realistic_size_within_budget():
+    matrix = np.random.default_rng(14).normal(size=(20_000, 100))
+    t0 = time.perf_counter()
+    out = quantile_normalize(matrix)
+    elapsed = time.perf_counter() - t0
+    assert out.shape == matrix.shape
+    assert elapsed < 5.0, f"20,000 x 100 took {elapsed:.2f} s"
 
 
 def test_quantile_normalize_rejects_bad_input():
