@@ -259,9 +259,10 @@ def loocv_accuracy(
                 cache[held_out] = _rank_on(fold_data, method, fold_params)
             ranking = cache[held_out]
         genes = np.sort(ranking.order[:k])
-        features = dataset.matrix[genes][:, keep].T
+        selected = dataset.matrix[genes]
+        features = selected[:, keep].T
         fold_labels = dataset.labels[keep]
-        query = dataset.matrix[genes][:, held_out]
+        query = selected[:, held_out]
 
         hyper, _ = inner_search(
             features, fold_labels, classifier, _derived_seed(seed, held_out, k)

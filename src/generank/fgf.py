@@ -18,8 +18,9 @@ from scipy.stats import rankdata
 
 from generank import kernels
 from generank.dataio import Dataset, standardize_genes
+from generank.rankers import GeneRanking, rank_sum_deviation, welch_p_values
 # welch_t_test stays importable from here: perfbench/tracer.py patches this name.
-from generank.rankers import GeneRanking, welch_p_values, welch_t_test  # noqa: F401
+from generank.rankers import welch_t_test  # noqa: F401
 
 # Smallest admissible ratio argument inside the fold-change log; keeps
 # the log finite when a class mean is nonpositive even after the shift.
@@ -170,19 +171,6 @@ def _minmax_scale(values: np.ndarray) -> np.ndarray:
     return np.zeros_like(values)
 
 
-def _rank_sum_deviation(matrix: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """|W - E[W]| per gene, W being the midrank sum of the smaller class
-    (class 0 on equal sizes)."""
-    n0 = int((labels == 0).sum())
-    n1 = int((labels == 1).sum())
-    w_class = 0 if n0 <= n1 else 1
-    n_w = n0 if w_class == 0 else n1
-    n = len(labels)
-    ranks = rankdata(matrix, axis=1)
-    w = ranks[:, labels == w_class].sum(axis=1)
-    return np.abs(w - n_w * (n + 1) / 2.0)
-
-
 def compute_fuzzy_inputs(dataset: Dataset) -> FuzzyInputs:
     """Raw statistics per gene, then min-max scaling of each to [0, 1].
 
@@ -211,7 +199,7 @@ def compute_fuzzy_inputs(dataset: Dataset) -> FuzzyInputs:
     s1 = Z[:, mask1].var(axis=1, ddof=1)
     raw_var = ((n0 - 1) * s0 + (n1 - 1) * s1) / (n0 + n1 - 2)
 
-    raw_rs = _rank_sum_deviation(X, labels)
+    raw_rs = rank_sum_deviation(rankdata(X, axis=1), labels)
 
     return FuzzyInputs(
         _minmax_scale(raw_fc), _minmax_scale(raw_var), _minmax_scale(raw_rs)

@@ -3,12 +3,20 @@
 Three classical rankers are provided: an unequal-variance t-test, a
 rank-sum test (exact for small pooled sizes, normal approximation with
 tie correction otherwise) and a ROC ranker scored by the area under the
-curve. Each returns a :class:`TestResult`; :func:`rank_genes` applies
-one test across all genes and orders them by ascending p-value.
+curve. Each returns a :class:`TestResult` for one gene.
+
+:func:`rank_genes` and :func:`welch_p_values` score every gene of a
+dataset in one pass over the whole matrix per method. They give the
+same bits as calling the scalar test on each gene: Welch sums follow
+NumPy's 1-D pairwise order (see :func:`_pairwise_column_sums`), midrank
+sums are half-integers and so exact in any order, and the scalar tails
+(``pow``, ``math.erfc``, the exact rank-sum null) stay per gene. The
+scalar tests are the oracles the test suite checks this against.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -58,15 +66,19 @@ class GeneRanking:
             raise ValueError("order must be a permutation of 0..n_genes-1")
 
 
+_TOO_FEW = "each sample needs at least two values"
+_NON_FINITE = "samples contain non-finite values"
+
+
 def _validate_pair(x, y):
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.ndim != 1 or y.ndim != 1:
         raise ValueError("samples must be 1-D")
     if len(x) < 2 or len(y) < 2:
-        raise ValueError("each sample needs at least two values")
+        raise ValueError(_TOO_FEW)
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
-        raise ValueError("samples contain non-finite values")
+        raise ValueError(_NON_FINITE)
     return x, y
 
 
@@ -109,19 +121,32 @@ def _exact_ranksum_p(doubled, n_w: int, dev2: int) -> float:
     comparisons are exact.
     """
     n = len(doubled)
-    total = int(doubled.sum())
+    counts = _ranksum_null_counts(tuple(sorted(doubled.tolist())), n_w)
+    sums = np.arange(len(counts))
+    expected2 = n_w * (n + 1)
+    hits = counts[np.abs(sums - expected2) >= dev2].sum()
+    return float(hits) / math.comb(n, n_w)
+
+
+@functools.lru_cache(maxsize=256)
+def _ranksum_null_counts(doubled: tuple, n_w: int) -> np.ndarray:
+    """Number of size-``n_w`` subsets of the doubled midranks ``doubled``
+    (sorted) by doubled rank sum, read-only.
+
+    The table depends only on the multiset of ranks, so every tie-free
+    gene of one pooled size shares one entry.
+    """
+    total = sum(doubled)
     # counts[j][s]: subsets of size j with doubled rank sum s; counts stay
-    # below C(25, 12) so float64 holds them exactly
+    # below C(25, 12) so float64 holds them exactly, in any order of adding
     counts = np.zeros((n_w + 1, total + 1))
     counts[0, 0] = 1.0
     for r in doubled:
-        r = int(r)
         for j in range(n_w - 1, -1, -1):
             counts[j + 1, r:] += counts[j, : total + 1 - r]
-    sums = np.arange(total + 1)
-    expected2 = n_w * (n + 1)
-    hits = counts[n_w, np.abs(sums - expected2) >= dev2].sum()
-    return float(hits) / math.comb(n, n_w)
+    row = counts[n_w].copy()
+    row.flags.writeable = False
+    return row
 
 
 def wilcoxon_test(x, y) -> TestResult:
@@ -193,45 +218,193 @@ def roc_test(x, y) -> TestResult:
     return TestResult(area, p, effect)
 
 
+def _checked_matrix(dataset: Dataset) -> np.ndarray:
+    """The expression matrix, after the checks the scalar tests make on
+    each gene; a failure names the first gene that fails them."""
+    matrix = dataset.matrix
+    too_few = min((dataset.labels == 0).sum(), (dataset.labels == 1).sum()) < 2
+    if too_few and dataset.n_genes:
+        raise ValueError(f"gene {dataset.gene_ids[0]!r}: {_TOO_FEW}")
+    finite = np.isfinite(matrix).all(axis=1)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise ValueError(f"gene {dataset.gene_ids[bad]!r}: {_NON_FINITE}")
+    return matrix
+
+
+def _pairwise_column_sums(a: np.ndarray) -> np.ndarray:
+    """Column sums of ``a`` (samples x genes), each equal bit for bit to
+    ``a[:, g].sum()`` of a contiguous copy of the column.
+
+    A plain ``axis=0`` reduction does not promise the order of additions
+    of NumPy's 1-D float64 sum, which :func:`_pairwise_sum` repeats.
+    ``ndarray.sum`` adds that total to the identity 0.0; this changes
+    only a negative-zero total.
+    """
+    return 0.0 + _pairwise_sum(a, 0, a.shape[0])
+
+
+def _pairwise_sum(a: np.ndarray, start: int, n: int) -> np.ndarray:
+    """Sum of rows ``start .. start + n - 1`` of ``a`` in NumPy's pairwise
+    order: sequential below 8 values; up to 128, 8 lanes combined as
+    ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))`` and then a sequential tail;
+    above 128, two halves split at ``n // 2`` rounded down to a multiple
+    of 8."""
+    if n < 8:
+        total = a[start]
+        for i in range(start + 1, start + n):
+            total = total + a[i]
+        return total
+    if n <= 128:
+        lanes = a[start : start + 8].copy()
+        blocked = n - n % 8
+        for i in range(start + 8, start + blocked, 8):
+            lanes += a[i : i + 8]
+        total = ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3])) + (
+            (lanes[4] + lanes[5]) + (lanes[6] + lanes[7])
+        )
+        for i in range(start + blocked, start + n):
+            total = total + a[i]
+        return total
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(a, start, half) + _pairwise_sum(a, start + half, n - half)
+
+
+def _mean_var(block: np.ndarray):
+    """Per-column mean and ``ddof=1`` variance of ``block`` (samples x
+    genes), computed as ``ndarray.mean`` and ``ndarray.var`` compute them."""
+    n = block.shape[0]
+    mean = _pairwise_column_sums(block) / n
+    dev = block - mean
+    return mean, _pairwise_column_sums(dev * dev) / (n - 1)
+
+
+def _welch_columns(matrix: np.ndarray, labels: np.ndarray):
+    """(p-values, effects) of :func:`welch_t_test` for every gene."""
+    x = np.ascontiguousarray(matrix[:, labels == 0].T)
+    y = np.ascontiguousarray(matrix[:, labels == 1].T)
+    nx, ny = len(x), len(y)
+    mx, vx = _mean_var(x)
+    my, vy = _mean_var(y)
+    # the scalar tail in Python floats: ``** 2`` on a float goes through
+    # pow(), as it does in welch_t_test; on an array it would square
+    se2 = np.empty(len(mx))
+    df = np.empty(len(mx))
+    for g, (ax, ay) in enumerate(zip((vx / nx).tolist(), (vy / ny).tolist())):
+        s = ax + ay
+        if s == 0.0:
+            s = VARIANCE_FLOOR
+        df_den = ax**2 / (nx - 1) + ay**2 / (ny - 1)
+        se2[g] = s
+        df[g] = s * s / df_den if df_den > 0.0 else nx + ny - 2
+    t = (mx - my) / np.sqrt(se2)
+    return betainc(df / 2.0, 0.5, df / (df + t * t)), mx - my
+
+
+def rank_sum_deviation(ranks: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """|W - E[W]| per row of midranks (genes x samples), W being the rank
+    sum of the smaller class (class 0 on equal sizes): the effect of
+    :func:`wilcoxon_test` for every gene."""
+    n0 = int((labels == 0).sum())
+    n1 = int((labels == 1).sum())
+    w_class, n_w = (0, n0) if n0 <= n1 else (1, n1)
+    n = len(labels)
+    w = ranks[:, labels == w_class].sum(axis=1)
+    return np.abs(w - n_w * (n + 1) / 2.0)
+
+
+def _erfc_tail(z: np.ndarray) -> np.ndarray:
+    """``math.erfc(z / sqrt(2))`` per value, as the scalar tests call it."""
+    return np.array([math.erfc(v) for v in (z / math.sqrt(2.0)).tolist()])
+
+
+def _tie_terms(matrix: np.ndarray) -> np.ndarray:
+    """Sum of ``t**3 - t`` over the runs of ``t`` equal values in each row."""
+    ordered = np.sort(matrix, axis=1)
+    starts = np.ones(ordered.shape, dtype=bool)
+    starts[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
+    # every row opens a run, so runs never span two rows
+    run_starts = np.flatnonzero(starts)
+    lengths = np.diff(np.append(run_starts, ordered.size))
+    first_run = np.flatnonzero(run_starts % ordered.shape[1] == 0)
+    return np.add.reduceat(lengths**3 - lengths, first_run)
+
+
+def _wilcoxon_columns(matrix: np.ndarray, labels: np.ndarray):
+    """(p-values, effects) of :func:`wilcoxon_test` for every gene."""
+    ranks = rankdata(matrix, axis=1)
+    effects = rank_sum_deviation(ranks, labels)
+    nx = int((labels == 0).sum())
+    ny = int((labels == 1).sum())
+    n = nx + ny
+    if n <= EXACT_RANKSUM_LIMIT:
+        n_w = min(nx, ny)
+        doubled = np.rint(2.0 * ranks).astype(np.int64)
+        dev2 = np.rint(2.0 * effects).astype(np.int64).tolist()
+        p = [_exact_ranksum_p(d, n_w, dev2[g]) for g, d in enumerate(doubled)]
+        return np.array(p, dtype=np.float64), effects
+    tie_term = _tie_terms(matrix).astype(np.float64) / (n * (n - 1))
+    sigma2 = nx * ny / 12.0 * ((n + 1) - tie_term)
+    p = np.ones(len(effects))
+    spread = sigma2 > 0.0
+    z = (effects[spread] - 0.5) / np.sqrt(sigma2[spread])
+    p[spread] = _erfc_tail(np.maximum(z, 0.0))
+    return p, effects
+
+
+def _roc_columns(matrix: np.ndarray, labels: np.ndarray):
+    """(p-values, effects) of :func:`roc_test` for every gene."""
+    ranks = rankdata(matrix, axis=1)
+    nx = int((labels == 0).sum())
+    ny = int((labels == 1).sum())
+    u = ranks[:, labels == 0].sum(axis=1) - nx * (nx + 1) / 2.0
+    area = u / (nx * ny)
+    effects = np.abs(area - 0.5)
+    q1 = area / (2.0 - area)
+    q2 = 2.0 * area * area / (1.0 + area)
+    se2 = (
+        area * (1.0 - area)
+        + (nx - 1) * (q1 - area * area)
+        + (ny - 1) * (q2 - area * area)
+    ) / (nx * ny)
+    p = np.where(effects == 0.0, 1.0, 0.0)
+    spread = se2 > 0.0
+    p[spread] = _erfc_tail(effects[spread] / np.sqrt(se2[spread]))
+    return p, effects
+
+
 def welch_p_values(dataset: Dataset) -> np.ndarray:
     """Welch t-test p-value of every gene, aligned to gene indices.
 
     The fuzzy rankers break score ties by these values.
     """
-    p_values = np.empty(dataset.n_genes)
-    for g in range(dataset.n_genes):
-        x, y = dataset.class_values(g)
-        p_values[g] = welch_t_test(x, y).p_value
-    return p_values
+    return _welch_columns(_checked_matrix(dataset), dataset.labels)[0]
 
 
-_TESTS = {
-    "ttest": welch_t_test,
-    "wilcoxon": wilcoxon_test,
-    "roc": roc_test,
+_COLUMN_TESTS = {
+    "ttest": _welch_columns,
+    "wilcoxon": _wilcoxon_columns,
+    "roc": _roc_columns,
 }
 
 
 def rank_genes(dataset: Dataset, method: str) -> GeneRanking:
     """Order all genes by one test: ascending p, then descending effect,
-    then gene index."""
+    then gene index.
+
+    Every gene is scored in one pass over the whole matrix, with the same
+    p-values and effects as the scalar test applied gene by gene; a gene
+    the scalar test would reject raises ``ValueError`` naming the first
+    such gene.
+    """
     try:
-        test = _TESTS[method]
+        test = _COLUMN_TESTS[method]
     except KeyError:
         raise ValueError(
             f"unknown method {method!r}, expected one of {', '.join(RANKER_METHODS)}"
         ) from None
-    n_genes = dataset.n_genes
-    p_values = np.empty(n_genes)
-    effects = np.empty(n_genes)
-    for g in range(n_genes):
-        x, y = dataset.class_values(g)
-        try:
-            result = test(x, y)
-        except ValueError as exc:
-            raise ValueError(f"gene {dataset.gene_ids[g]!r}: {exc}") from None
-        p_values[g] = result.p_value
-        effects[g] = result.effect
+    p_values, effects = test(_checked_matrix(dataset), dataset.labels)
     order = np.lexsort((-effects, p_values))
     return GeneRanking(method, order, p_values)
 

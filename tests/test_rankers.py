@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from generank import rankers
 from generank.dataio import Dataset
 from generank.rankers import (
     EXACT_RANKSUM_LIMIT,
@@ -14,6 +15,7 @@ from generank.rankers import (
     rank_genes,
     roc_test,
     save_ranking,
+    welch_p_values,
     welch_t_test,
     wilcoxon_test,
 )
@@ -321,3 +323,139 @@ def test_save_ranking_format(tmp_path):
         assert gene_id == dataset.gene_ids[g]
         # repr round-trip: the printed score parses back bit-equal
         assert float(score_str) == ranking.scores[g]
+
+
+# ---------------------------------------------------------------------------
+# whole-matrix rankers against the scalar tests, bit for bit
+
+_SCALAR_TESTS = {"ttest": welch_t_test, "wilcoxon": wilcoxon_test, "roc": roc_test}
+
+# (n0, n1): every branch of the pairwise sum (2-7, 8-128, above 128) on
+# either class, uneven classes both ways, both wilcoxon paths (pooled
+# n <= 25 exact, above it the normal approximation), and the shapes of a
+# LOOCV fold and of a wide matrix
+_CLASS_SIZES = [
+    (2, 3),
+    (3, 2),
+    (5, 4),
+    (5, 7),
+    (8, 12),
+    (12, 9),
+    (30, 17),
+    (17, 30),
+    (50, 50),
+    (128, 9),
+    (150, 3),
+    (3, 150),
+    (131, 136),
+]
+
+
+def _scalar_ranking(dataset, method):
+    """p-values, effects and order from the scalar test, gene by gene."""
+    results = [
+        _SCALAR_TESTS[method](*dataset.class_values(g)) for g in range(dataset.n_genes)
+    ]
+    p_values = np.array([r.p_value for r in results])
+    effects = np.array([r.effect for r in results])
+    return p_values, effects, np.lexsort((-effects, p_values))
+
+
+def _mixed_dataset(n0, n1, seed):
+    """Genes of varied scale and offset, tied genes, constant genes and an
+    all-zero gene holding negative zeros, with the classes interleaved."""
+    rng = np.random.default_rng(seed)
+    n = n0 + n1
+    matrix = rng.normal(0.0, 1.0, (24, n)) * rng.uniform(0.05, 50.0, (24, 1))
+    matrix += rng.normal(0.0, 100.0, (24, 1))
+    labels = rng.permutation(np.array([0] * n0 + [1] * n1))
+    matrix[:4, labels == 1] += rng.uniform(0.5, 30.0, (4, 1))
+    matrix[8:14] = np.round(matrix[8:14], 1)  # tied values
+    matrix[14:16] = np.round(rng.normal(0.0, 1.0, (2, n)))  # heavy ties
+    matrix[16] = 3.25  # constant: variance floor and df fallback
+    matrix[17] = np.where(labels == 0, -1.5, 2.0)  # constant per class
+    matrix[18] = 0.0
+    matrix[18, ::2] = -0.0
+    matrix[19, labels == 0] = 7.0  # one class constant
+    gene_ids = [f"g{i:02d}" for i in range(24)]
+    return Dataset(matrix, gene_ids, labels, ("a", "b"))
+
+
+@pytest.mark.parametrize("n0,n1", _CLASS_SIZES)
+@pytest.mark.parametrize("method", ["ttest", "wilcoxon", "roc"])
+def test_rank_genes_bit_identical_to_scalar_tests(method, n0, n1):
+    dataset = _mixed_dataset(n0, n1, seed=116 + n0 * 1000 + n1)
+    p_values, effects, order = _scalar_ranking(dataset, method)
+    ranking = rank_genes(dataset, method)
+    assert ranking.scores.tobytes() == p_values.tobytes()
+    assert ranking.order.tobytes() == order.tobytes()
+    # the order breaks p-value ties by effect, so check those bits too
+    _, matrix_effects = rankers._COLUMN_TESTS[method](dataset.matrix, dataset.labels)
+    assert matrix_effects.tobytes() == effects.tobytes()
+
+
+@pytest.mark.parametrize("n0,n1", _CLASS_SIZES)
+def test_welch_p_values_bit_identical_to_scalar_test(n0, n1):
+    dataset = _mixed_dataset(n0, n1, seed=117 + n0 * 1000 + n1)
+    p_values, _, _ = _scalar_ranking(dataset, "ttest")
+    assert welch_p_values(dataset).tobytes() == p_values.tobytes()
+
+
+@pytest.mark.parametrize("method", ["ttest", "wilcoxon", "roc"])
+def test_rank_genes_names_first_offending_gene(method):
+    dataset = planted_dataset(6, 1, 4, 4, 1.0, seed=120)
+    dataset.matrix[4, 1] = np.inf
+    dataset.matrix[2, 6] = np.nan
+    with pytest.raises(ValueError, match="gene 'g0002': samples contain non-finite"):
+        rank_genes(dataset, method)
+    with pytest.raises(ValueError, match="gene 'g0002'"):
+        welch_p_values(dataset)
+
+
+def test_rank_genes_without_genes():
+    dataset = Dataset(np.zeros((0, 30)), [], np.array([0, 1] * 15), ("a", "b"))
+    for method in ("ttest", "wilcoxon", "roc"):
+        ranking = rank_genes(dataset, method)
+        assert len(ranking.order) == 0 and len(ranking.scores) == 0
+
+
+def _unmemoized_exact_ranksum_p(doubled, n_w, dev2):
+    """The exact rank-sum tail with the count table built for this gene
+    alone, adding its ranks in the order given."""
+    n = len(doubled)
+    total = int(doubled.sum())
+    counts = np.zeros((n_w + 1, total + 1))
+    counts[0, 0] = 1.0
+    for r in doubled:
+        r = int(r)
+        for j in range(n_w - 1, -1, -1):
+            counts[j + 1, r:] += counts[j, : total + 1 - r]
+    sums = np.arange(total + 1)
+    hits = counts[n_w, np.abs(sums - n_w * (n + 1)) >= dev2].sum()
+    return float(hits) / math.comb(n, n_w)
+
+
+def test_exact_ranksum_memo_matches_unmemoized():
+    rng = np.random.default_rng(121)
+    for trial in range(300):
+        n = int(rng.integers(4, EXACT_RANKSUM_LIMIT + 1))
+        n_w = int(rng.integers(2, n // 2 + 1))
+        # integer draws tie often; some trials tie-free
+        values = rng.integers(0, int(rng.integers(2, 3 * n)), n).astype(float)
+        if trial % 3 == 0:
+            values = rng.permutation(n).astype(float)
+        doubled = np.rint(2.0 * stats.rankdata(values)).astype(np.int64)
+        subset_sum = int(doubled[rng.permutation(n)[:n_w]].sum())
+        dev2 = abs(subset_sum - n_w * (n + 1))
+        memo = rankers._exact_ranksum_p(doubled, n_w, dev2)
+        assert np.float64(memo).tobytes() == np.float64(
+            _unmemoized_exact_ranksum_p(doubled, n_w, dev2)
+        ).tobytes()
+
+
+def test_exact_ranksum_table_built_once_for_tie_free_genes():
+    dataset = planted_dataset(40, 5, 6, 5, 2.0, seed=122)
+    rankers._ranksum_null_counts.cache_clear()
+    rank_genes(dataset, "wilcoxon")
+    info = rankers._ranksum_null_counts.cache_info()
+    assert (info.misses, info.hits) == (1, 39)
