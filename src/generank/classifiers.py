@@ -266,8 +266,37 @@ def nbc_train(train: TrainSet, bandwidth_multiplier: float = 1.0) -> NbcModel:
     return NbcModel(tuple(values), bandwidths, np.log(priors))
 
 
+def _logsumexp(a, axis=None):
+    """``scipy.special.logsumexp(a, axis=axis)`` for a real float64 array.
+
+    Repeats SciPy's max-separated algorithm step for step in plain NumPy:
+    the maxima are taken out of the sum, which becomes ``log1p`` of the
+    rest scaled by their count. That skips the array-API dispatch that
+    dominates SciPy's call on tiny arrays, and fixes the bits whatever
+    SciPy release is installed. A non-finite maximum (an infinite or NaN
+    input) or result goes to SciPy, whose edge-case handling this does
+    not repeat.
+    """
+    a_max = a.max(axis=axis, keepdims=True)
+    if not np.isfinite(a_max).all():
+        return logsumexp(a, axis=axis)
+    at_max = a == a_max
+    m = at_max.sum(axis=axis, keepdims=True, dtype=np.float64)
+    s = np.exp(np.where(at_max, -np.inf, a) - a_max).sum(axis=axis, keepdims=True)
+    s = np.where(s == 0, s, s / m)
+    out = np.log1p(s) + np.log(m) + a_max
+    if not np.isfinite(out).all():
+        return logsumexp(a, axis=axis)
+    out = out.squeeze(axis=axis)
+    return out[()] if out.ndim == 0 else out
+
+
 def nbc_predict(model: NbcModel, query):
-    """Returns ``(label, posteriors)``; a posterior tie goes to class 0."""
+    """Returns ``(label, posteriors)``; a posterior tie goes to class 0.
+
+    The kernel sums go through :func:`_logsumexp`, so the results do not
+    depend on which SciPy release is installed.
+    """
     q = np.asarray(query, dtype=np.float64)
     if q.shape != (model.bandwidths.shape[1],):
         raise ValueError("query dimension does not match the model")
@@ -276,10 +305,10 @@ def nbc_predict(model: NbcModel, query):
         V = model.class_values[cls]
         h = model.bandwidths[cls]
         z = (q[None, :] - V) / h[None, :]
-        log_kde = logsumexp(-0.5 * z * z, axis=0)
+        log_kde = _logsumexp(-0.5 * z * z, axis=0)
         log_kde -= math.log(V.shape[0]) + np.log(h * math.sqrt(2.0 * math.pi))
         log_joint[cls] = model.log_priors[cls] + float(log_kde.sum())
-    posteriors = np.exp(log_joint - logsumexp(log_joint))
+    posteriors = np.exp(log_joint - _logsumexp(log_joint))
     # guard the unit-sum invariant against rounding when the shifted
     # log joints are huge in magnitude
     posteriors /= posteriors.sum()
@@ -314,6 +343,32 @@ def _unpack(wvec: np.ndarray, d: int, h: int):
     return w1, b1, w2, b2
 
 
+def _loss_and_grad(w, X, t, d, h, ridge, with_loss):
+    """Unchecked core of :func:`mlp_loss_and_grad` on float64 arrays.
+
+    Returns ``(loss, grad)``; ``loss`` is None unless ``with_loss``.
+    """
+    w1, b1, w2, b2 = _unpack(w, d, h)
+
+    hidden = expit(X @ w1 + b1)
+    out = expit(hidden @ w2 + b2)
+    loss = None
+    if with_loss:
+        safe = np.clip(out, 1e-12, 1.0 - 1e-12)
+        loss = -float((t * np.log(safe) + (1.0 - t) * np.log(1.0 - safe)).sum())
+        loss += 0.5 * ridge * (float((w1 * w1).sum()) + float((w2 * w2).sum()))
+
+    delta_out = out - t
+    g_w2 = hidden.T @ delta_out + ridge * w2
+    g_b2 = float(delta_out.sum())
+    delta_hidden = (delta_out[:, None] * w2[None, :]) * hidden * (1.0 - hidden)
+    g_w1 = X.T @ delta_hidden + ridge * w1
+    g_b1 = delta_hidden.sum(axis=0)
+
+    grad = np.concatenate([g_w1.ravel(), g_b1, g_w2, [g_b2]])
+    return loss, grad
+
+
 def mlp_loss_and_grad(wvec, features, targets, hidden_count, ridge):
     """Penalized cross-entropy and its exact gradient.
 
@@ -325,25 +380,7 @@ def mlp_loss_and_grad(wvec, features, targets, hidden_count, ridge):
     X = np.asarray(features, dtype=np.float64)
     t = np.asarray(targets, dtype=np.float64)
     w = np.asarray(wvec, dtype=np.float64)
-    d = X.shape[1]
-    h = int(hidden_count)
-    w1, b1, w2, b2 = _unpack(w, d, h)
-
-    hidden = expit(X @ w1 + b1)
-    out = expit(hidden @ w2 + b2)
-    safe = np.clip(out, 1e-12, 1.0 - 1e-12)
-    loss = -float((t * np.log(safe) + (1.0 - t) * np.log(1.0 - safe)).sum())
-    loss += 0.5 * ridge * (float((w1 * w1).sum()) + float((w2 * w2).sum()))
-
-    delta_out = out - t
-    g_w2 = hidden.T @ delta_out + ridge * w2
-    g_b2 = float(delta_out.sum())
-    delta_hidden = (delta_out[:, None] * w2[None, :]) * hidden * (1.0 - hidden)
-    g_w1 = X.T @ delta_hidden + ridge * w1
-    g_b1 = delta_hidden.sum(axis=0)
-
-    grad = np.concatenate([g_w1.ravel(), g_b1, g_w2, [g_b2]])
-    return loss, grad
+    return _loss_and_grad(w, X, t, X.shape[1], int(hidden_count), ridge, True)
 
 
 def mlp_train(
@@ -374,11 +411,8 @@ def mlp_train(
     X = train.features
     t = train.labels.astype(np.float64)
 
-    def f_and_g(vec):
-        return mlp_loss_and_grad(vec, X, t, h, ridge)
-
     n_params = len(w)
-    loss, grad = f_and_g(w)
+    loss, grad = _loss_and_grad(w, X, t, d, h, ridge, True)
     trace = [loss]
     r = -grad
     p = r.copy()
@@ -387,14 +421,15 @@ def mlp_train(
     lam_bar = 0.0
     delta = 0.0
     for k in range(1, max_iter + 1):
-        if np.linalg.norm(r) < grad_tol:
+        # the 2-norm exactly as np.linalg.norm computes it for 1-D input
+        if math.sqrt(float(r @ r)) < grad_tol:
             break
         p_sq = float(p @ p)
         if p_sq == 0.0:
             break
         if success:
             sigma = _SCG_SIGMA0 / math.sqrt(p_sq)
-            _, grad_probe = f_and_g(w + sigma * p)
+            _, grad_probe = _loss_and_grad(w + sigma * p, X, t, d, h, ridge, False)
             s = (grad_probe - grad) / sigma
             delta = float(p @ s)
         # Levenberg-style shift keeps the curvature estimate positive.
@@ -411,7 +446,7 @@ def mlp_train(
             success = True
             continue
         alpha = mu / delta
-        loss_new, grad_new = f_and_g(w + alpha * p)
+        loss_new, grad_new = _loss_and_grad(w + alpha * p, X, t, d, h, ridge, True)
         comparison = 2.0 * delta * (loss - loss_new) / (mu * mu)
         if comparison >= 0.0:
             w = w + alpha * p

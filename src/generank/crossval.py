@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 from scipy.special import betainc
@@ -112,15 +113,24 @@ def _hyper_grid(classifier: str, n_features: int):
     )
 
 
-def _fit_and_predict(classifier, hyper, train_x, train_y, queries, seed):
-    """Train one classifier on standardized features and label queries.
+def _scaled(train_x, train_y, queries):
+    """Standardize a train block and its queries by the block's own scale.
 
-    Feature scaling always comes from the training block, so held-out
-    samples never influence it.
+    Returns ``(train, scaled_queries)``: the validated :class:`TrainSet`
+    and the queries on the same scale. The scaling comes from the
+    training block only, so held-out samples never influence it.
     """
     mu, sd = _scale_fit(train_x)
     train = TrainSet((train_x - mu) / sd, train_y)
-    scaled = (np.asarray(queries, dtype=np.float64) - mu) / sd
+    return train, (np.asarray(queries, dtype=np.float64) - mu) / sd
+
+
+def _predict(classifier, hyper, train, scaled, seed):
+    """Train one classifier on a standardized block and label the queries.
+
+    ``seed`` is a zero-argument callable; only the perceptron calls it,
+    so the other classifiers never derive a seed they do not use.
+    """
     if classifier == "knn":
         k = min(int(hyper), train.n_samples)
         return np.array([knn_classify(train, q, k) for q in scaled])
@@ -131,7 +141,7 @@ def _fit_and_predict(classifier, hyper, train_x, train_y, queries, seed):
         model = nbc_train(train, hyper)
         return np.array([nbc_predict(model, q)[0] for q in scaled])
     if classifier == "mlp":
-        model = mlp_train(train, hyper, seed=seed)
+        model = mlp_train(train, hyper, seed=seed())
         return np.array([mlp_predict(model, q)[0] for q in scaled])
     raise ValueError(
         f"unknown classifier {classifier!r}, expected one of {', '.join(CLASSIFIERS)}"
@@ -143,7 +153,9 @@ def inner_search(features, labels, classifier: str, seed: int = 0):
 
     Uses up to ten folds, degraded to the smaller class count; pooled
     accuracy decides, ties going to the simpler candidate (smaller k or
-    C, bandwidth multiplier nearest 1, fewer hidden nodes). Returns
+    C, bandwidth multiplier nearest 1, fewer hidden nodes). Each fold is
+    standardized once and shared by every candidate; candidates are
+    tried in grid order, each over every fold. Returns
     ``(best_value, best_accuracy)``.
     """
     features = np.asarray(features, dtype=np.float64)
@@ -157,22 +169,27 @@ def inner_search(features, labels, classifier: str, seed: int = 0):
         return grid[0], float("nan")
 
     folds = stratified_folds(labels, n_folds, seed)
+    blocks = []
+    for fold in range(n_folds):
+        test_mask = folds == fold
+        train_mask = ~test_mask
+        train, scaled = _scaled(
+            features[train_mask], labels[train_mask], features[test_mask]
+        )
+        blocks.append((train, scaled, labels[test_mask]))
     best_value = None
     best_correct = -1
     for position, value in enumerate(grid):
         correct = 0
-        for fold in range(n_folds):
-            test_mask = folds == fold
-            train_mask = ~test_mask
-            predicted = _fit_and_predict(
+        for fold, (train, scaled, truth) in enumerate(blocks):
+            predicted = _predict(
                 classifier,
                 value,
-                features[train_mask],
-                labels[train_mask],
-                features[test_mask],
-                _derived_seed(seed, fold, position),
+                train,
+                scaled,
+                partial(_derived_seed, seed, fold, position),
             )
-            correct += int((predicted == labels[test_mask]).sum())
+            correct += int((predicted == truth).sum())
         if correct > best_correct:
             best_correct = correct
             best_value = value
@@ -267,13 +284,13 @@ def loocv_accuracy(
         hyper, _ = inner_search(
             features, fold_labels, classifier, _derived_seed(seed, held_out, k)
         )
-        predicted = _fit_and_predict(
+        train, scaled = _scaled(features, fold_labels, query[None, :])
+        predicted = _predict(
             classifier,
             hyper,
-            features,
-            fold_labels,
-            query[None, :],
-            _derived_seed(seed, held_out, k, 1),
+            train,
+            scaled,
+            partial(_derived_seed, seed, held_out, k, 1),
         )
         correct += int(predicted[0] == dataset.labels[held_out])
     return correct / n

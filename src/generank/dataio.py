@@ -83,6 +83,18 @@ class Dataset:
         return row[self.labels == 0], row[self.labels == 1]
 
 
+def _raise_non_numeric(path, lineno, sample_ids, cells):
+    """Name the first cell of a row that ``float()`` rejects."""
+    for sample_id, cell in zip(sample_ids, cells):
+        try:
+            float(cell)
+        except ValueError:
+            raise DataFormatError(
+                f"{path}: non-numeric cell at row {lineno}, "
+                f"column {sample_id!r}: {cell!r}"
+            ) from None
+
+
 def _parse_matrix(path):
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline()
@@ -106,16 +118,12 @@ def _parse_matrix(path):
                     f"expected {len(sample_ids)}"
                 )
             gene_ids.append(cells[0])
-            values = np.empty(len(sample_ids))
-            for col, cell in enumerate(cells[1:]):
-                try:
-                    values[col] = float(cell)
-                except ValueError:
-                    raise DataFormatError(
-                        f"{path}: non-numeric cell at row {lineno}, "
-                        f"column {sample_ids[col]!r}: {cell!r}"
-                    ) from None
-            rows.append(values)
+            try:
+                rows.append(
+                    np.fromiter(map(float, cells[1:]), np.float64, len(sample_ids))
+                )
+            except ValueError:
+                _raise_non_numeric(path, lineno, sample_ids, cells[1:])
     if not rows:
         raise DataFormatError(f"{path}: matrix has no gene rows")
     if len(set(gene_ids)) != len(gene_ids):
@@ -194,7 +202,7 @@ def save_dataset(dataset: Dataset, matrix_path, labels_path, sample_ids=None):
     with open(matrix_path, "w", encoding="utf-8") as fh:
         fh.write("gene_id\t" + "\t".join(sample_ids) + "\n")
         for gid, row in zip(dataset.gene_ids, dataset.matrix):
-            fh.write(gid + "\t" + "\t".join(repr(float(v)) for v in row) + "\n")
+            fh.write(gid + "\t" + "\t".join(map(repr, row.tolist())) + "\n")
     with open(labels_path, "w", encoding="utf-8") as fh:
         for sid, lab in zip(sample_ids, dataset.labels):
             fh.write(f"{sid}\t{dataset.class_names[lab]}\n")

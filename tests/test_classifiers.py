@@ -1,9 +1,11 @@
 """Tests for the four from-scratch classifiers."""
 
+import inspect
 import math
 
 import numpy as np
 import pytest
+import scipy.special
 
 from generank import classifiers
 from generank.classifiers import (
@@ -267,6 +269,117 @@ def test_nbc_constant_feature_stays_finite():
     assert label in (0, 1)
 
 
+def _scipy_separates_maxima():
+    """Whether the installed SciPy's logsumexp takes the maxima out of the sum.
+
+    ``classifiers._logsumexp`` repeats that form; older releases sum
+    ``exp(a - max)`` directly and differ from it in the last bits.
+    """
+    try:
+        import scipy.special._logsumexp as module
+
+        return "log1p" in inspect.getsource(module)
+    except (ImportError, OSError, TypeError):
+        return False
+
+
+needs_separated_logsumexp = pytest.mark.skipif(
+    not _scipy_separates_maxima(),
+    reason="installed SciPy's logsumexp predates the max-separated form",
+)
+
+
+def _logsumexp_cases():
+    rng = np.random.default_rng(520)
+    cases = [
+        (rng.normal(size=7), None),
+        (rng.normal(size=(9, 4)) * 30.0, 0),
+        (rng.normal(size=(3, 5)), 1),
+        (np.array([1.5, 1.5, -2.0, 1.5]), None),  # tied maxima
+        (np.array([[0.25, 0.25], [0.25, -1.0], [-3.0, 0.25]]), 0),
+        (rng.normal(size=(1, 6)), 0),  # one row
+        (np.array([-4.0]), None),  # one element
+        (np.array([[2.5]]), 0),
+        (-0.5 * rng.normal(size=(8, 2)) ** 2, 0),  # the shape nbc_predict sums
+    ]
+    for _ in range(40):
+        n, d = int(rng.integers(1, 12)), int(rng.integers(1, 4))
+        cases.append((-0.5 * (rng.normal(size=(n, d)) * rng.uniform(0.1, 40.0)) ** 2, 0))
+    return cases
+
+
+@needs_separated_logsumexp
+def test_logsumexp_bit_identical_to_scipy():
+    for a, axis in _logsumexp_cases():
+        mine = np.asarray(classifiers._logsumexp(a, axis=axis))
+        ref = np.asarray(scipy.special.logsumexp(a, axis=axis))
+        assert mine.shape == ref.shape
+        assert mine.tobytes() == ref.tobytes()
+
+
+def test_logsumexp_golden_values():
+    lse = classifiers._logsumexp
+    assert float(lse(np.zeros(2))).hex() == "0x1.62e42fefa39efp-1"
+    assert [float(v).hex() for v in lse(np.array([[0.0, 1.0], [0.0, 1.0]]), axis=0)] == [
+        "0x1.62e42fefa39efp-1",
+        "0x1.b17217f7d1cf8p+0",
+    ]
+    assert float(lse(np.array([0.0, math.log(0.5)]))).hex() == "0x1.9f323ecbf984cp-2"
+    assert float(lse(np.array([2.0, 2.0, 2.0]))).hex() == "0x1.8c9f53d568186p+1"
+    single = lse(np.array([[-3.0]]), axis=0)
+    assert single.shape == (1,) and single[0] == -3.0
+    assert np.ndim(lse(np.array([1.0, 2.0]))) == 0
+
+
+def test_logsumexp_non_finite_defers_to_scipy():
+    cases = [
+        np.array([-np.inf, -np.inf]),
+        np.array([np.inf, 1.0]),
+        np.array([np.nan, 1.0]),
+        np.array([[-np.inf, 0.0], [-np.inf, 1.0]]),
+    ]
+    with np.errstate(all="ignore"):
+        for a in cases:
+            mine = np.asarray(classifiers._logsumexp(a, axis=0))
+            ref = np.asarray(scipy.special.logsumexp(a, axis=0))
+            assert mine.tobytes() == ref.tobytes()
+
+
+def _scipy_nbc_predict(model, query):
+    """nbc_predict as it was when it called scipy.special.logsumexp."""
+    q = np.asarray(query, dtype=np.float64)
+    log_joint = np.empty(2)
+    for cls in (0, 1):
+        V = model.class_values[cls]
+        h = model.bandwidths[cls]
+        z = (q[None, :] - V) / h[None, :]
+        log_kde = scipy.special.logsumexp(-0.5 * z * z, axis=0)
+        log_kde -= math.log(V.shape[0]) + np.log(h * math.sqrt(2.0 * math.pi))
+        log_joint[cls] = model.log_priors[cls] + float(log_kde.sum())
+    posteriors = np.exp(log_joint - scipy.special.logsumexp(log_joint))
+    posteriors /= posteriors.sum()
+    return int(posteriors[1] > posteriors[0]), posteriors
+
+
+@needs_separated_logsumexp
+def test_nbc_predict_bit_identical_to_scipy_logsumexp():
+    rng = np.random.default_rng(521)
+    for trial in range(60):
+        n0, n1 = int(rng.integers(1, 8)), int(rng.integers(1, 8))
+        dim = int(rng.integers(1, 4))
+        features = rng.normal(size=(n0 + n1, dim))
+        features[n0:] += rng.uniform(0.0, 2.0)
+        if trial % 5 == 0:
+            features[:, 0] = 1.0  # constant feature: floored bandwidth
+        train = TrainSet(features, np.array([0] * n0 + [1] * n1))
+        model = nbc_train(train, float(rng.choice([0.25, 0.5, 1.0, 2.0, 4.0])))
+        for query in rng.normal(size=(5, dim)) * rng.uniform(0.5, 20.0):
+            label, posteriors = nbc_predict(model, query)
+            ref_label, ref_posteriors = _scipy_nbc_predict(model, query)
+            assert label == ref_label
+            assert posteriors.tobytes() == ref_posteriors.tobytes()
+
+
 def test_nbc_rejects_nonpositive_multiplier():
     train = TrainSet(np.ones((4, 1)) * np.arange(4)[:, None], np.array([0, 0, 1, 1]))
     with pytest.raises(ValueError):
@@ -298,6 +411,22 @@ def test_mlp_gradient_matches_finite_differences():
         denom = max(abs(numeric), abs(grad[i]), 1e-8)
         worst = max(worst, abs(numeric - grad[i]) / denom)
     assert worst < 1e-6
+
+
+def test_mlp_gradient_only_probe_matches_full_gradient():
+    rng = np.random.default_rng(522)
+    for trial in range(20):
+        d, h, n = int(rng.integers(1, 5)), int(rng.integers(1, 6)), int(rng.integers(2, 12))
+        features = rng.normal(size=(n, d))
+        targets = rng.integers(0, 2, n).astype(np.float64)
+        vec = rng.normal(0.0, 2.0, d * h + 2 * h + 1)
+        loss, grad = mlp_loss_and_grad(vec, features, targets, h, ridge=0.01)
+        none, probe = classifiers._loss_and_grad(vec, features, targets, d, h, 0.01, False)
+        assert none is None
+        assert probe.tobytes() == grad.tobytes()
+        full, again = classifiers._loss_and_grad(vec, features, targets, d, h, 0.01, True)
+        assert full == loss
+        assert again.tobytes() == grad.tobytes()
 
 
 def test_mlp_ridge_term_excludes_biases():

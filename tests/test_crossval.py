@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from generank import crossval
 from generank.crossval import (
     CLASSIFIERS,
     KNN_GRID,
@@ -115,6 +116,59 @@ def test_inner_search_prefers_first_best_on_ties():
     assert accuracy == 1.0
 
 
+def test_inner_search_scales_each_fold_once(monkeypatch):
+    rng = np.random.default_rng(616)
+    features = rng.normal(size=(16, 3))
+    labels = np.array([0] * 8 + [1] * 8)
+    calls = []
+    scale_fit = crossval._scale_fit
+
+    def counting(block):
+        calls.append(block.shape)
+        return scale_fit(block)
+
+    monkeypatch.setattr(crossval, "_scale_fit", counting)
+    for classifier in CLASSIFIERS:
+        calls.clear()
+        inner_search(features, labels, classifier, seed=1)
+        # eight folds, each scaled once however long the grid is
+        assert calls == [(14, 3)] * 8
+
+
+def _child_seed(*parts):
+    return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
+
+
+def test_inner_search_seeds_only_the_perceptron(monkeypatch):
+    rng = np.random.default_rng(617)
+    features = rng.normal(size=(8, 2))
+    labels = np.array([0] * 4 + [1] * 4)
+    seeds = []
+    mlp_train = crossval.mlp_train
+
+    def recording(train, hidden_count, seed):
+        seeds.append((hidden_count, seed))
+        return mlp_train(train, hidden_count, seed=seed)
+
+    monkeypatch.setattr(crossval, "mlp_train", recording)
+    derived = []
+    derive = crossval._derived_seed
+    monkeypatch.setattr(
+        crossval, "_derived_seed", lambda *parts: derived.append(parts) or derive(*parts)
+    )
+    for classifier in ("knn", "svm", "nbc"):
+        inner_search(features, labels, classifier, seed=5)
+    assert derived == []
+    inner_search(features, labels, "mlp", seed=5)
+    # candidates outer, folds inner, each fit on its own (seed, fold, position) stream
+    grid = _hyper_grid("mlp", 2)
+    assert seeds == [
+        (value, _child_seed(5, fold, position))
+        for position, value in enumerate(grid)
+        for fold in range(4)
+    ]
+
+
 # ---------------------------------------------------------------------------
 # leave-one-out evaluation
 
@@ -155,6 +209,22 @@ def test_loocv_rank_scope_full_ranks_once():
     dataset = planted_dataset(20, 3, 4, 4, 1.5, seed=606)
     full = loocv_accuracy(dataset, "ttest", "knn", k_genes=3, rank_scope="full", seed=0)
     assert 0.0 <= full <= 1.0
+
+
+def test_loocv_final_fit_seed_per_held_out_sample(monkeypatch):
+    dataset = planted_dataset(6, 2, 4, 4, 1.0, seed=618)
+    seeds = []
+    mlp_train = crossval.mlp_train
+
+    def recording(train, hidden_count, seed):
+        seeds.append(seed)
+        return mlp_train(train, hidden_count, seed=seed)
+
+    monkeypatch.setattr(crossval, "mlp_train", recording)
+    loocv_accuracy(dataset, "ttest", "mlp", k_genes=2, seed=4)
+    # three inner folds times three candidates (1, 2, 4 hidden), then the final fit
+    assert len(seeds) == 8 * (3 * 3 + 1)
+    assert seeds[9::10] == [_child_seed(4, held_out, 2, 1) for held_out in range(8)]
 
 
 def test_loocv_validates_arguments():
@@ -227,6 +297,26 @@ def test_sweep_caps_k_max_at_gene_count():
     dataset = planted_dataset(5, 2, 4, 4, 2.0, seed=613)
     result = sweep_gene_counts(dataset, "ttest", "knn", k_max=50, seed=0)
     assert sorted(result.accuracy_by_k) == [1, 2, 3, 4, 5]
+
+
+# Recorded from the implementation that rescaled every inner fold per
+# candidate and summed naive Bayes densities with SciPy's logsumexp.
+WEAK_SWEEP_GOLDEN = {
+    "knn": ({1: 0.6, 2: 0.5, 3: 0.7}, 3),
+    "svm": ({1: 0.6, 2: 0.4, 3: 0.6}, 1),
+    "nbc": ({1: 0.5, 2: 0.6, 3: 0.6}, 2),
+    "mlp": ({1: 0.6, 2: 0.5, 3: 0.7}, 3),
+}
+
+
+def test_sweep_golden_on_weak_effects():
+    # a weak effect keeps every accuracy below 1, so each prediction counts
+    dataset = planted_dataset(20, 3, 5, 5, 0.8, seed=620)
+    for classifier in CLASSIFIERS:
+        result = sweep_gene_counts(dataset, "ttest", classifier, k_max=3, seed=4)
+        accuracy_by_k, best_k = WEAK_SWEEP_GOLDEN[classifier]
+        assert result.accuracy_by_k == accuracy_by_k
+        assert result.best_k == best_k
 
 
 def test_save_sweep_format(tmp_path):

@@ -61,6 +61,14 @@ def test_non_numeric_cell_names_row_and_column(tmp_path):
     assert "abc" in str(err.value)
 
 
+def test_non_numeric_message_names_first_bad_cell(tmp_path):
+    matrix = tmp_path / "m.tsv"
+    _write(matrix, "gene_id\ts0\ts1\ts2\ng0\t1\t2\t3\ng1\t1\tx y\tnan1\n")
+    with pytest.raises(DataFormatError) as err:
+        load_tables(matrix, tmp_path / "unread.tsv")
+    assert str(err.value) == f"{matrix}: non-numeric cell at row 3, column 's1': 'x y'"
+
+
 def test_duplicate_gene_id_rejected(tmp_path):
     matrix = tmp_path / "m.tsv"
     labels = tmp_path / "l.tsv"
