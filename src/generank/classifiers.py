@@ -110,6 +110,16 @@ _SVM_STOP_TOL = 1e-3
 _SVM_SV_TOL = 1e-8
 
 
+def _violating_sets(y, alpha, c, grad):
+    """``-y * grad`` masked to the index sets I_up (``-inf`` outside) and
+    I_low (``+inf`` outside), from which each update takes its violating
+    pair; ``f_up.max() - f_low.min()`` is the violation gap."""
+    f = -y * grad
+    up = ((y > 0.0) & (alpha < c)) | ((y < 0.0) & (alpha > 0.0))
+    low = ((y < 0.0) & (alpha < c)) | ((y > 0.0) & (alpha > 0.0))
+    return np.where(up, f, -np.inf), np.where(low, f, np.inf)
+
+
 def svm_train(train: TrainSet, c: float) -> SvmModel:
     """Soft-margin linear SVM fitted on the dual.
 
@@ -130,11 +140,7 @@ def svm_train(train: TrainSet, c: float) -> SvmModel:
 
     gap = math.inf
     for _ in range(_SVM_MAX_ITER):
-        f = -y * grad
-        up = ((y > 0.0) & (alpha < c)) | ((y < 0.0) & (alpha > 0.0))
-        low = ((y < 0.0) & (alpha < c)) | ((y > 0.0) & (alpha > 0.0))
-        f_up = np.where(up, f, -np.inf)
-        f_low = np.where(low, f, np.inf)
+        f_up, f_low = _violating_sets(y, alpha, c, grad)
         i = int(np.argmax(f_up))
         j = int(np.argmin(f_low))
         gap = f_up[i] - f_low[j]
@@ -190,10 +196,8 @@ def svm_train(train: TrainSet, c: float) -> SvmModel:
                     alpha[j] = total
         grad += Q[:, i] * (alpha[i] - old_i) + Q[:, j] * (alpha[j] - old_j)
     else:
-        f = -y * grad
-        up = ((y > 0.0) & (alpha < c)) | ((y < 0.0) & (alpha > 0.0))
-        low = ((y < 0.0) & (alpha < c)) | ((y > 0.0) & (alpha > 0.0))
-        gap = float(np.where(up, f, -np.inf).max() - np.where(low, f, np.inf).min())
+        f_up, f_low = _violating_sets(y, alpha, c, grad)
+        gap = float(f_up.max() - f_low.min())
         raise ConvergenceError(
             f"dual optimization stalled: violation gap {gap:.3e} after "
             f"{_SVM_MAX_ITER} updates"
@@ -226,10 +230,8 @@ def svm_kkt_violation(model: SvmModel, train: TrainSet) -> float:
     alpha = model.dual_coefficients
     c = model.c
     grad = y * (train.features @ model.weights) - 1.0
-    f = -y * grad
-    up = ((y > 0.0) & (alpha < c)) | ((y < 0.0) & (alpha > 0.0))
-    low = ((y < 0.0) & (alpha < c)) | ((y > 0.0) & (alpha > 0.0))
-    return float(np.where(up, f, -np.inf).max() - np.where(low, f, np.inf).min())
+    f_up, f_low = _violating_sets(y, alpha, c, grad)
+    return float(f_up.max() - f_low.min())
 
 
 # --------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import rankdata
 
-from generank import kernels
+from generank import _mamdani_py, kernels
 from generank.dataio import Dataset, standardize_genes
 from generank.rankers import GeneRanking, rank_sum_deviation, welch_p_values
 # welch_t_test stays importable from here: perfbench/tracer.py patches this name.
@@ -151,16 +151,9 @@ def membership_grades(x: float, region: FuzzyRegion):
     if x < 0.0 or x > 1.0:
         _note_clamped(1)
         x = 0.0 if x < 0.0 else 1.0
-    m = 0.5 * (region.alpha + region.beta)
-    if x <= region.alpha:
-        return (1.0, 0.0, 0.0)
-    if x < m:
-        t = (x - region.alpha) / (m - region.alpha)
-        return (1.0 - t, t, 0.0)
-    if x < region.beta:
-        t = (x - m) / (region.beta - m)
-        return (0.0, 1.0 - t, t)
-    return (0.0, 0.0, 1.0)
+    x = np.array([x], dtype=np.float64)
+    grades = _mamdani_py._memberships(x, region.alpha, region.beta)
+    return tuple(float(g[0]) for g in grades)
 
 
 def _minmax_scale(values: np.ndarray) -> np.ndarray:

@@ -7,11 +7,12 @@ curve. Each returns a :class:`TestResult` for one gene.
 
 :func:`rank_genes` and :func:`welch_p_values` score every gene of a
 dataset in one pass over the whole matrix per method. They give the
-same bits as calling the scalar test on each gene: Welch sums follow
-NumPy's 1-D pairwise order (see :func:`_pairwise_column_sums`), midrank
-sums are half-integers and so exact in any order, and the scalar tails
-(``pow``, ``math.erfc``, the exact rank-sum null) stay per gene. The
-scalar tests are the oracles the test suite checks this against.
+same bits as calling the scalar test on each gene. Welch means and
+variances reduce each gene as one contiguous row, which NumPy sums in the
+same pairwise order as a 1-D sample; midrank sums are half-integers and
+so exact in any order; the scalar tails (``pow``, ``math.erfc``, the
+exact rank-sum null) stay per gene. The scalar tests are the oracles the
+test suite checks this against.
 """
 
 from __future__ import annotations
@@ -232,61 +233,16 @@ def _checked_matrix(dataset: Dataset) -> np.ndarray:
     return matrix
 
 
-def _pairwise_column_sums(a: np.ndarray) -> np.ndarray:
-    """Column sums of ``a`` (samples x genes), each equal bit for bit to
-    ``a[:, g].sum()`` of a contiguous copy of the column.
-
-    A plain ``axis=0`` reduction does not promise the order of additions
-    of NumPy's 1-D float64 sum, which :func:`_pairwise_sum` repeats.
-    ``ndarray.sum`` adds that total to the identity 0.0; this changes
-    only a negative-zero total.
-    """
-    return 0.0 + _pairwise_sum(a, 0, a.shape[0])
-
-
-def _pairwise_sum(a: np.ndarray, start: int, n: int) -> np.ndarray:
-    """Sum of rows ``start .. start + n - 1`` of ``a`` in NumPy's pairwise
-    order: sequential below 8 values; up to 128, 8 lanes combined as
-    ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))`` and then a sequential tail;
-    above 128, two halves split at ``n // 2`` rounded down to a multiple
-    of 8."""
-    if n < 8:
-        total = a[start]
-        for i in range(start + 1, start + n):
-            total = total + a[i]
-        return total
-    if n <= 128:
-        lanes = a[start : start + 8].copy()
-        blocked = n - n % 8
-        for i in range(start + 8, start + blocked, 8):
-            lanes += a[i : i + 8]
-        total = ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3])) + (
-            (lanes[4] + lanes[5]) + (lanes[6] + lanes[7])
-        )
-        for i in range(start + blocked, start + n):
-            total = total + a[i]
-        return total
-    half = n // 2
-    half -= half % 8
-    return _pairwise_sum(a, start, half) + _pairwise_sum(a, start + half, n - half)
-
-
-def _mean_var(block: np.ndarray):
-    """Per-column mean and ``ddof=1`` variance of ``block`` (samples x
-    genes), computed as ``ndarray.mean`` and ``ndarray.var`` compute them."""
-    n = block.shape[0]
-    mean = _pairwise_column_sums(block) / n
-    dev = block - mean
-    return mean, _pairwise_column_sums(dev * dev) / (n - 1)
-
-
 def _welch_columns(matrix: np.ndarray, labels: np.ndarray):
     """(p-values, effects) of :func:`welch_t_test` for every gene."""
-    x = np.ascontiguousarray(matrix[:, labels == 0].T)
-    y = np.ascontiguousarray(matrix[:, labels == 1].T)
-    nx, ny = len(x), len(y)
-    mx, vx = _mean_var(x)
-    my, vy = _mean_var(y)
+    # genes x samples with each gene a contiguous row: NumPy reduces a row
+    # along axis 1 in the same pairwise order as the 1-D sample in
+    # welch_t_test; an axis-0 reduction over samples x genes would not
+    x = np.ascontiguousarray(matrix[:, labels == 0])
+    y = np.ascontiguousarray(matrix[:, labels == 1])
+    nx, ny = x.shape[1], y.shape[1]
+    mx, vx = x.mean(axis=1), x.var(axis=1, ddof=1)
+    my, vy = y.mean(axis=1), y.var(axis=1, ddof=1)
     # the scalar tail in Python floats: ``** 2`` on a float goes through
     # pow(), as it does in welch_t_test; on an array it would square
     se2 = np.empty(len(mx))
