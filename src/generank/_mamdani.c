@@ -1,12 +1,19 @@
-/* Batch fuzzy-inference kernel, a plain-C port of generank._mamdani_py.
+/* Two compiled loops that mirror NumPy code expression for expression:
  *
- * Every floating-point expression mirrors the NumPy fallback and the
- * centroid accumulates in ascending grid order; the library is built
- * with -ffp-contract=off, so both backends produce identical bits. The
- * grid ordinates and output triangles are tabulated once per call, and
- * each output class only visits the grid points where its triangle is
- * positive: the skipped points contribute exact zeros, so skipping them
- * cannot change a bit of the result.
+ * mamdani_scores, the batch fuzzy-inference kernel, a plain-C port of
+ * generank._mamdani_py. The centroid accumulates in ascending grid
+ * order. The grid ordinates and output triangles are tabulated once per
+ * call, and each output class only visits the grid points where its
+ * triangle is positive: the skipped points contribute exact zeros, so
+ * skipping them cannot change a bit of the result.
+ *
+ * smo_solve, the update loop of the linear SVM's dual solver, a port of
+ * generank.classifiers._smo_loop.
+ *
+ * The library is built with -ffp-contract=off, so neither loop fuses a
+ * multiply and an add that NumPy rounds separately, and both produce
+ * the same bits as the Python code they port (smo_solve flags the one
+ * exception, a result holding a NaN).
  */
 
 #include <math.h>
@@ -128,4 +135,125 @@ int64_t mamdani_scores(const double *fc, const double *var, const double *rs,
         scores[g] = num / den;
     }
     return clamped;
+}
+
+static int holds_nan(const double *alpha, const double *grad, int64_t n)
+{
+    int64_t k;
+
+    for (k = 0; k < n; k++)
+        if (isnan(alpha[k]) || isnan(grad[k]))
+            return 1;
+    return 0;
+}
+
+/* Pairwise updates of the dual variables alpha of a linear SVM, from
+ * Q = (y y^T) * K (n x n, row-major), labels y = +-1 and box bound c,
+ * until the violation gap drops below tol. alpha and grad = Q alpha - 1
+ * are updated in place, and *gap_out receives the last gap computed.
+ * Returns the number of updates made, -1 if max_iter updates did not
+ * reach tol, or -2 if alpha, grad or the gap hold a NaN. Which NaN an
+ * operation on two NaNs returns depends on the order in which the
+ * compiler placed its operands, here and in NumPy alike, so only such a
+ * result can differ from the NumPy loop, and only in its NaN bits. */
+int64_t smo_solve(const double *Q, const double *y, double c, int64_t n,
+                  int64_t max_iter, double tol, double *alpha, double *grad,
+                  double *gap_out)
+{
+    int64_t it, k, i, j;
+    double f, up, low, f_i, f_j, gap, old_i, old_j, quad, delta, diff, total, di, dj;
+
+    for (it = 0; it < max_iter; it++) {
+        /* -y * grad masked to I_up (-inf outside) and I_low (+inf
+         * outside); i and j are the first index of the maximum and of
+         * the minimum, or of the first NaN, as numpy.argmax and argmin
+         * pick them. */
+        i = j = 0;
+        f_i = f_j = 0.0;
+        for (k = 0; k < n; k++) {
+            f = -y[k] * grad[k];
+            up = ((y[k] > 0.0 && alpha[k] < c) || (y[k] < 0.0 && alpha[k] > 0.0))
+                     ? f : -INFINITY;
+            low = ((y[k] < 0.0 && alpha[k] < c) || (y[k] > 0.0 && alpha[k] > 0.0))
+                      ? f : INFINITY;
+            if (k == 0 || (!isnan(f_i) && (isnan(up) || up > f_i))) {
+                i = k;
+                f_i = up;
+            }
+            if (k == 0 || (!isnan(f_j) && (isnan(low) || low < f_j))) {
+                j = k;
+                f_j = low;
+            }
+        }
+        gap = f_i - f_j;
+        *gap_out = gap;
+        if (gap < tol)
+            return holds_nan(alpha, grad, n) ? -2 : it;
+
+        old_i = alpha[i];
+        old_j = alpha[j];
+        if (y[i] != y[j]) {
+            quad = Q[i * n + i] + Q[j * n + j] + 2.0 * Q[i * n + j];
+            if (quad <= 0.0)
+                quad = 1e-12;
+            delta = (-grad[i] - grad[j]) / quad;
+            diff = old_i - old_j;
+            alpha[i] += delta;
+            alpha[j] += delta;
+            if (diff > 0.0 && alpha[j] < 0.0) {
+                alpha[j] = 0.0;
+                alpha[i] = diff;
+            } else if (diff <= 0.0 && alpha[i] < 0.0) {
+                alpha[i] = 0.0;
+                alpha[j] = -diff;
+            }
+            if (diff > 0.0) {
+                if (alpha[i] > c) {
+                    alpha[i] = c;
+                    alpha[j] = c - diff;
+                }
+            } else {
+                if (alpha[j] > c) {
+                    alpha[j] = c;
+                    alpha[i] = c + diff;
+                }
+            }
+        } else {
+            quad = Q[i * n + i] + Q[j * n + j] - 2.0 * Q[i * n + j];
+            if (quad <= 0.0)
+                quad = 1e-12;
+            delta = (grad[i] - grad[j]) / quad;
+            total = old_i + old_j;
+            alpha[i] -= delta;
+            alpha[j] += delta;
+            if (total > c) {
+                if (alpha[i] > c) {
+                    alpha[i] = c;
+                    alpha[j] = total - c;
+                }
+            } else {
+                if (alpha[j] < 0.0) {
+                    alpha[j] = 0.0;
+                    alpha[i] = total;
+                }
+            }
+            if (total > c) {
+                if (alpha[j] > c) {
+                    alpha[j] = c;
+                    alpha[i] = total - c;
+                }
+            } else {
+                if (alpha[i] < 0.0) {
+                    alpha[i] = 0.0;
+                    alpha[j] = total;
+                }
+            }
+        }
+        /* grad += Q[:, i] * di + Q[:, j] * dj, element by element */
+        di = alpha[i] - old_i;
+        dj = alpha[j] - old_j;
+        for (k = 0; k < n; k++)
+            grad[k] = grad[k] + (Q[k * n + i] * di + Q[k * n + j] * dj);
+    }
+    return isnan(*gap_out) || holds_nan(alpha, grad, n) ? -2 : -1;
 }

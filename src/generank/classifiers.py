@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit, logsumexp
 
+from generank import kernels
 from generank.dataio import VARIANCE_FLOOR
 
 
@@ -103,6 +104,7 @@ class SvmModel:
     support_indices: np.ndarray
     c: float
     kkt_gap: float
+    updates: int
 
 
 _SVM_MAX_ITER = 100_000
@@ -120,32 +122,22 @@ def _violating_sets(y, alpha, c, grad):
     return np.where(up, f, -np.inf), np.where(low, f, np.inf)
 
 
-def svm_train(train: TrainSet, c: float) -> SvmModel:
-    """Soft-margin linear SVM fitted on the dual.
-
-    Repeatedly optimizes the maximally violating pair of dual variables
-    until the violation gap drops below 1e-3; class 0 maps to y = -1.
-    Raises :class:`ConvergenceError` if the budget of 100000 updates is
-    exhausted first.
-    """
-    if c <= 0.0:
-        raise ValueError("c must be positive")
-    X = train.features
-    y = np.where(train.labels == 1, 1.0, -1.0)
-    n = train.n_samples
-    K = X @ X.T
-    Q = (y[:, None] * y[None, :]) * K
-    alpha = np.zeros(n)
-    grad = -np.ones(n)
-
+def _smo_loop(Q, y, c, alpha, grad, max_iter, tol):
+    """Pairwise updates of the dual variables until the violation gap
+    drops below ``tol``: each update optimizes the maximally violating
+    pair. ``alpha`` and ``grad`` (``Q @ alpha - 1``) are updated in
+    place. Returns ``(updates, gap)``: the number of updates made, or -1
+    when ``max_iter`` updates did not reach ``tol``, and the last gap
+    computed. ``kernels.smo_solve`` is the compiled port of this loop;
+    this one is its oracle and the path without a compiler."""
     gap = math.inf
-    for _ in range(_SVM_MAX_ITER):
+    for it in range(max_iter):
         f_up, f_low = _violating_sets(y, alpha, c, grad)
         i = int(np.argmax(f_up))
         j = int(np.argmin(f_low))
         gap = f_up[i] - f_low[j]
-        if gap < _SVM_STOP_TOL:
-            break
+        if gap < tol:
+            return it, gap
 
         old_i, old_j = alpha[i], alpha[j]
         if y[i] != y[j]:
@@ -195,7 +187,48 @@ def svm_train(train: TrainSet, c: float) -> SvmModel:
                     alpha[i] = 0.0
                     alpha[j] = total
         grad += Q[:, i] * (alpha[i] - old_i) + Q[:, j] * (alpha[j] - old_j)
-    else:
+    return -1, gap
+
+
+def _smo_compiled(Q, y, c, alpha, grad, max_iter, tol):
+    """:func:`_smo_loop` through ``kernels.smo_solve``, with the same
+    bits: a result holding a NaN, the one case where the two can differ,
+    is computed again by the Python loop from the same start."""
+    start = alpha.copy(), grad.copy()
+    updates, gap = kernels.smo_solve(Q, y, c, alpha, grad, max_iter, tol)
+    if updates != -2:
+        return updates, gap
+    alpha[:], grad[:] = start
+    return _smo_loop(Q, y, c, alpha, grad, max_iter, tol)
+
+
+_SMO = _smo_loop if kernels.smo_solve is None else _smo_compiled
+
+
+def svm_train(train: TrainSet, c: float) -> SvmModel:
+    """Soft-margin linear SVM fitted on the dual.
+
+    Repeatedly optimizes the maximally violating pair of dual variables
+    until the violation gap drops below 1e-3; class 0 maps to y = -1.
+    The update loop runs in the compiled library when it is loaded
+    (``kernels.smo_solve``) and in :func:`_smo_loop` otherwise, with the
+    same bits either way; ``SvmModel.updates`` counts its updates.
+    Raises :class:`ConvergenceError` if the budget of 100000 updates is
+    exhausted first.
+    """
+    if c <= 0.0:
+        raise ValueError("c must be positive")
+    X = train.features
+    y = np.where(train.labels == 1, 1.0, -1.0)
+    n = train.n_samples
+    K = X @ X.T
+    Q = (y[:, None] * y[None, :]) * K
+    alpha = np.zeros(n)
+    grad = -np.ones(n)
+
+    c = float(c)
+    updates, gap = _SMO(Q, y, c, alpha, grad, _SVM_MAX_ITER, _SVM_STOP_TOL)
+    if updates < 0:
         f_up, f_low = _violating_sets(y, alpha, c, grad)
         gap = float(f_up.max() - f_low.min())
         raise ConvergenceError(
@@ -214,7 +247,7 @@ def svm_train(train: TrainSet, c: float) -> SvmModel:
         bias = -0.5 * float(decisions[y < 0].max() + decisions[y > 0].min())
 
     support = np.flatnonzero(alpha > _SVM_SV_TOL)
-    return SvmModel(weights, bias, alpha, support, float(c), float(gap))
+    return SvmModel(weights, bias, alpha, support, c, float(gap), updates)
 
 
 def svm_predict(model: SvmModel, query) -> int:

@@ -218,6 +218,8 @@ def _load_evaluations(paths):
     for path in paths:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValueError(f"{path}: expected a JSON object")
         for key in ("method", "classifier", "best_k", "best_accuracy"):
             if key not in data:
                 raise ValueError(f"{path}: missing key {key!r}")

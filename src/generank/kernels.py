@@ -1,17 +1,21 @@
-"""Backend dispatch for the batch fuzzy-inference kernel.
+"""Backend dispatch for the compiled loops in ``_mamdani.c``.
 
-The plain-C kernel (``_mamdani.c``, loaded through ctypes) is preferred.
+The library holds two loops, each a port of NumPy code that stays as
+its oracle and fallback: the batch fuzzy-inference kernel
+(``_mamdani_py.mamdani_scores``) and the SVM's SMO update loop
+(``classifiers._smo_loop``). It is loaded through ctypes and preferred.
 On first import it is compiled when no build of the current source
 exists and a C compiler (``cc``) is on ``PATH``; see ``_cbuild``. Without
 a compiler, or if the build fails (which warns with the compiler's
-output), the NumPy fallback takes over. Both produce bit-identical
-scores, so the choice only affects speed; ``BACKEND`` names the kernel
-that runs.
+output), the NumPy code takes over. Both produce bit-identical results,
+so the choice only affects speed; ``BACKEND`` names the fuzzy kernel
+that runs, and ``smo_solve`` is None when the library is not loaded.
 """
 
 from __future__ import annotations
 
 import ctypes
+import math
 import warnings
 
 import numpy as np
@@ -19,25 +23,29 @@ import numpy as np
 from generank import _cbuild, _mamdani_py
 
 _ARRAY = np.ctypeslib.ndpointer(dtype=np.float64, ndim=1, flags="C_CONTIGUOUS")
+_MATRIX = np.ctypeslib.ndpointer(dtype=np.float64, ndim=2, flags="C_CONTIGUOUS")
 
 
-def _load_c_kernel():
-    """The C kernel's raw callable, building the library if needed, or
-    None when no compiler is present or the build or load fails."""
+def _load_library():
+    """The compiled library, building it if needed, or None when no
+    compiler is present or the build or load fails."""
     path = _cbuild.find_library()
     try:
         if path is None:
             if not _cbuild.compiler_present():
                 return None
             path = _cbuild.build_library()
-        lib = ctypes.CDLL(path)
+        return ctypes.CDLL(path)
     except (_cbuild.BuildError, OSError) as exc:
         warnings.warn(
-            f"C fuzzy kernel unavailable, using the NumPy fallback: {exc}",
+            f"C kernels unavailable, using the NumPy fallbacks: {exc}",
             RuntimeWarning,
             stacklevel=2,
         )
         return None
+
+
+def _bind_mamdani(lib):
     fn = lib.mamdani_scores
     fn.argtypes = (_ARRAY, _ARRAY, _ARRAY, _ARRAY, ctypes.c_int64, _ARRAY)
     fn.restype = ctypes.c_int64
@@ -54,11 +62,52 @@ def _load_c_kernel():
     return mamdani_scores
 
 
-_c_scores = _load_c_kernel()
-if _c_scores is not None:
+def _bind_smo(lib):
+    fn = lib.smo_solve
+    fn.argtypes = (
+        _MATRIX,
+        _ARRAY,
+        ctypes.c_double,
+        ctypes.c_int64,
+        ctypes.c_int64,
+        ctypes.c_double,
+        _ARRAY,
+        _ARRAY,
+        ctypes.POINTER(ctypes.c_double),
+    )
+    fn.restype = ctypes.c_int64
+
+    def smo_solve(Q, y, c, alpha, grad, max_iter, tol):
+        """``classifiers._smo_loop`` computed in C: updates ``alpha`` and
+        ``grad`` in place and returns ``(updates, gap)``, with ``updates
+        == -1`` when ``max_iter`` is exhausted, as there, and ``-2`` when
+        the result holds a NaN, whose bits may differ from the loop's."""
+        n = y.shape[0]
+        if Q.shape != (n, n) or alpha.shape != (n,) or grad.shape != (n,):
+            raise ValueError("Q must be n x n and y, alpha and grad of length n")
+        gap = ctypes.c_double(math.inf)
+        updates = fn(Q, y, c, n, max_iter, tol, alpha, grad, ctypes.byref(gap))
+        return updates, np.float64(gap.value)
+
+    return smo_solve
+
+
+def _load_c_kernel():
+    """The C fuzzy kernel's raw callable from a fresh load of the
+    library, or None; see :func:`_load_library`."""
+    lib = _load_library()
+    return None if lib is None else _bind_mamdani(lib)
+
+
+_LIB = _load_library()
+if _LIB is not None:
+    _c_scores = _bind_mamdani(_LIB)
+    smo_solve = _bind_smo(_LIB)
     _IMPL = _c_scores
     BACKEND = "c"
 else:
+    _c_scores = None
+    smo_solve = None
     _IMPL = _mamdani_py.mamdani_scores
     BACKEND = "numpy"
 

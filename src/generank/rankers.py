@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import betainc
-from scipy.stats import rankdata
 
 from generank.dataio import VARIANCE_FLOOR, Dataset
 
@@ -150,6 +149,32 @@ def _ranksum_null_counts(doubled: tuple, n_w: int) -> np.ndarray:
     return row
 
 
+def midranks(a, axis=-1) -> np.ndarray:
+    """Ranks 1..n of finite values along ``axis``, tied values sharing
+    the mean of their ranks: ``scipy.stats.rankdata(a, axis=axis)``.
+
+    One stable sort lines each slice up; a tie run spanning sorted
+    positions ``start..end`` gets ``(start + end + 2) / 2``, an exact
+    half-integer, so the result has the same bits as SciPy's.
+    """
+    a = np.moveaxis(np.asarray(a), axis, -1)
+    order = np.argsort(a, axis=-1, kind="stable")
+    ordered = np.take_along_axis(a, order, axis=-1)
+    n = ordered.shape[-1]
+    position = np.arange(n)
+    opens = np.ones(ordered.shape, dtype=bool)
+    opens[..., 1:] = ordered[..., 1:] != ordered[..., :-1]
+    closes = np.ones(ordered.shape, dtype=bool)
+    closes[..., :-1] = opens[..., 1:]
+    start = np.maximum.accumulate(np.where(opens, position, 0), axis=-1)
+    end = np.flip(
+        np.minimum.accumulate(np.flip(np.where(closes, position, n), -1), axis=-1), -1
+    )
+    ranks = np.empty(ordered.shape)
+    np.put_along_axis(ranks, order, (start + end + 2) / 2, axis=-1)
+    return np.moveaxis(ranks, -1, axis)
+
+
 def wilcoxon_test(x, y) -> TestResult:
     """Two-sample rank-sum test on midranks.
 
@@ -164,7 +189,7 @@ def wilcoxon_test(x, y) -> TestResult:
     nx, ny = len(x), len(y)
     n = nx + ny
     pooled = np.concatenate([x, y])
-    ranks = rankdata(pooled)
+    ranks = midranks(pooled)
     if nx <= ny:
         w_ranks, n_w = ranks[:nx], nx
     else:
@@ -199,7 +224,7 @@ def roc_test(x, y) -> TestResult:
     """
     x, y = _validate_pair(x, y)
     nx, ny = len(x), len(y)
-    ranks = rankdata(np.concatenate([x, y]))
+    ranks = midranks(np.concatenate([x, y]))
     u = float(ranks[:nx].sum()) - nx * (nx + 1) / 2.0
     area = u / (nx * ny)
     effect = abs(area - 0.5)
@@ -289,7 +314,7 @@ def _tie_terms(matrix: np.ndarray) -> np.ndarray:
 
 def _wilcoxon_columns(matrix: np.ndarray, labels: np.ndarray):
     """(p-values, effects) of :func:`wilcoxon_test` for every gene."""
-    ranks = rankdata(matrix, axis=1)
+    ranks = midranks(matrix, axis=1)
     effects = rank_sum_deviation(ranks, labels)
     nx = int((labels == 0).sum())
     ny = int((labels == 1).sum())
@@ -311,7 +336,7 @@ def _wilcoxon_columns(matrix: np.ndarray, labels: np.ndarray):
 
 def _roc_columns(matrix: np.ndarray, labels: np.ndarray):
     """(p-values, effects) of :func:`roc_test` for every gene."""
-    ranks = rankdata(matrix, axis=1)
+    ranks = midranks(matrix, axis=1)
     nx = int((labels == 0).sum())
     ny = int((labels == 1).sum())
     u = ranks[:, labels == 0].sum(axis=1) - nx * (nx + 1) / 2.0

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.special
 
-from generank import classifiers
+from generank import _cbuild, classifiers, kernels
 from generank.classifiers import (
     ConvergenceError,
     TrainSet,
@@ -189,6 +189,105 @@ def test_svm_rejects_nonpositive_c():
     train = TrainSet(np.array([[-1.0], [1.0]]), np.array([0, 1]))
     with pytest.raises(ValueError):
         svm_train(train, 0.0)
+
+
+needs_compiled_smo = pytest.mark.skipif(
+    not _cbuild.compiler_present() and _cbuild.find_library() is None,
+    reason="no C compiler on PATH and no built C library",
+)
+
+
+def _smo_problem(rng):
+    """(Q, y, c, budget) of a random dual, with rounded ties, one-class
+    label sets (an empty I_up or I_low), small budgets and overflowing
+    Gram matrices among them."""
+    n = int(rng.integers(2, 60))
+    d = int(rng.integers(1, 12))
+    X = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-1.5, 1.0)
+    if rng.random() < 0.3:
+        X = np.round(X, 1)
+    y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+    if rng.random() < 0.05:
+        y[:] = rng.choice([-1.0, 1.0])
+    budget = 1_000
+    if rng.random() < 0.3:
+        budget = int(rng.integers(0, 30))
+    if rng.random() < 0.05:
+        X = X * 1e200
+        budget = int(rng.integers(0, 200))
+    with np.errstate(over="ignore", invalid="ignore"):
+        Q = (y[:, None] * y[None, :]) * (X @ X.T)
+    return Q, y, float(10.0 ** rng.uniform(-2.0, 2.0)), budget
+
+
+def _run_smo(loop, Q, y, c, budget):
+    alpha = np.zeros(len(y))
+    grad = -np.ones(len(y))
+    with np.errstate(over="ignore", invalid="ignore"):
+        updates, gap = loop(Q, y, c, alpha, grad, budget, classifiers._SVM_STOP_TOL)
+    return alpha, grad, np.float64(gap), updates
+
+
+def _same_bits(a, b):
+    return all(np.asarray(u).tobytes() == np.asarray(v).tobytes() for u, v in zip(a, b))
+
+
+@needs_compiled_smo
+def test_smo_compiled_loop_bit_identical_to_python_loop():
+    assert classifiers._SMO is classifiers._smo_compiled
+    rng = np.random.default_rng(510)
+    seen = {"exhausted": 0, "one_class": 0, "nan": 0}
+    for trial in range(400):
+        Q, y, c, budget = _smo_problem(rng)
+        expected = _run_smo(classifiers._smo_loop, Q, y, c, budget)
+        got = _run_smo(classifiers._smo_compiled, Q, y, c, budget)
+        assert _same_bits(got, expected), f"trial {trial} diverged"
+        # the raw C loop gives the same bits, or -2 exactly where the
+        # result holds a NaN
+        raw = _run_smo(kernels.smo_solve, Q, y, c, budget)
+        holds_nan = np.isnan(np.concatenate([expected[0], expected[1], [expected[2]]]))
+        if holds_nan.any():
+            assert raw[3] == -2, f"trial {trial}"
+            seen["nan"] += 1
+        else:
+            assert _same_bits(raw, expected), f"trial {trial} diverged in C"
+        seen["exhausted"] += expected[3] == -1
+        seen["one_class"] += abs(y.sum()) == len(y)
+    assert min(seen.values()) >= 5, seen
+
+
+@needs_compiled_smo
+def test_svm_train_same_model_on_both_loops(monkeypatch):
+    rng = np.random.default_rng(511)
+    trains = [_separable(rng, dim=2, margin=0.5) for _ in range(20)]
+    models = []
+    for loop in (classifiers._smo_compiled, classifiers._smo_loop):
+        monkeypatch.setattr(classifiers, "_SMO", loop)
+        models.append([svm_train(train, 1.0) for train in trains])
+    for compiled, python in zip(*models):
+        assert compiled.updates == python.updates > 0
+        for field in ("weights", "bias", "dual_coefficients", "support_indices", "kkt_gap"):
+            assert _same_bits([getattr(compiled, field)], [getattr(python, field)]), field
+
+
+@pytest.mark.parametrize(
+    "loop",
+    [
+        pytest.param("_smo_compiled", marks=needs_compiled_smo),
+        "_smo_loop",
+    ],
+)
+def test_svm_budget_read_at_call_time(monkeypatch, loop):
+    monkeypatch.setattr(classifiers, "_SMO", getattr(classifiers, loop))
+    train = _separable(np.random.default_rng(512), dim=2, margin=0.5)
+    updates = svm_train(train, 1.0).updates
+    assert updates > 1
+    # the budget counts updates: the check after the last one is not made
+    monkeypatch.setattr(classifiers, "_SVM_MAX_ITER", updates)
+    with pytest.raises(ConvergenceError, match=f"after {updates} updates"):
+        svm_train(train, 1.0)
+    monkeypatch.setattr(classifiers, "_SVM_MAX_ITER", updates + 1)
+    assert svm_train(train, 1.0).updates == updates
 
 
 # ---------------------------------------------------------------------------

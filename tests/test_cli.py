@@ -393,6 +393,23 @@ def test_compare_rejects_malformed_evaluation(tmp_path, capsys):
     assert "missing key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["compare", "report"])
+@pytest.mark.parametrize(
+    "text", ["5", '"method classifier best_k best_accuracy"'], ids=["number", "string"]
+)
+def test_non_object_evaluation_exits_one(tmp_path, capsys, command, text):
+    # a JSON string holding every key name passes a bare membership test
+    bad = tmp_path / "bad.json"
+    bad.write_text(text, encoding="utf-8")
+    good = _fake_evaluation(tmp_path / "e1.json", "ttest", "knn", 20, 0.931)
+    out = tmp_path / "out"
+    code = cli.main([command, "--evaluations", good, str(bad), "--out", str(out)])
+    assert code == 1
+    assert f"{bad}: expected a JSON object" in capsys.readouterr().err
+    assert not (out / "summary.tsv").exists()
+    assert not (out / "anova.json").exists()
+
+
 def test_report_formats_cells(tmp_path):
     paths = [
         _fake_evaluation(tmp_path / "e1.json", "fgf", "knn", 9, 0.961),
@@ -411,6 +428,22 @@ def test_report_formats_cells(tmp_path):
     box = (out / "boxplot_data.tsv").read_text().splitlines()
     assert box[0] == "method\tclassifier\taccuracy"
     assert "fgf\tknn\t0.961" in box
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats takes about a second to import and the package needs
+    # only midranks from it, which rankers computes itself
+    completed = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, generank.cli; print('scipy.stats' in sys.modules)",
+        ],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert completed.stdout.strip() == "False"
 
 
 def test_console_entry_point_runs():

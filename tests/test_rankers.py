@@ -12,6 +12,7 @@ from generank.dataio import Dataset
 from generank.rankers import (
     EXACT_RANKSUM_LIMIT,
     GeneRanking,
+    midranks,
     rank_genes,
     roc_test,
     save_ranking,
@@ -21,6 +22,47 @@ from generank.rankers import (
 )
 
 from conftest import planted_dataset
+
+
+# ---------------------------------------------------------------------------
+# midranks
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [3.0],
+        [2.0, 2.0, 2.0, 2.0],
+        [0.0, -0.0, 1.0, -0.0, 0.0],
+        [3.0, 1.0, 1.0, 2.0, 3.0, 3.0],
+        [[5.0, 5.0, 5.0], [1.0, -1.0, 1.0], [0.0, -0.0, -1.0]],
+        [[7.0]],
+    ],
+)
+def test_midranks_known_cases_match_scipy(values):
+    values = np.asarray(values)
+    expected = stats.rankdata(values, axis=-1)
+    assert midranks(values).tobytes() == expected.tobytes()
+    assert midranks(values).shape == expected.shape
+
+
+def test_midranks_bit_identical_to_scipy():
+    rng = np.random.default_rng(130)
+    for trial in range(600):
+        if trial % 2:
+            shape = (int(rng.integers(1, 40)),)
+        else:
+            shape = (int(rng.integers(1, 9)), int(rng.integers(1, 40)))
+        values = rng.normal(size=shape)
+        if trial % 3 == 0:
+            values = np.round(values)  # ties, and -0.0 next to 0.0
+        if trial % 10 == 0:
+            values[...] = values.flat[0]  # constant rows
+        for axis in range(-1, values.ndim):
+            expected = stats.rankdata(values, axis=axis)
+            got = midranks(values, axis=axis)
+            assert got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes(), f"trial {trial}, axis {axis}"
 
 
 # ---------------------------------------------------------------------------
