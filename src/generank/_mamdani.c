@@ -12,8 +12,9 @@
  *
  * The library is built with -ffp-contract=off, so neither loop fuses a
  * multiply and an add that NumPy rounds separately, and both produce
- * the same bits as the Python code they port (smo_solve flags the one
- * exception, a result holding a NaN).
+ * the same bits as the Python code they port. The one exception is a
+ * NaN's bits in a smo_solve result that overflowed, which svm_train
+ * rejects.
  */
 
 #include <math.h>
@@ -137,25 +138,15 @@ int64_t mamdani_scores(const double *fc, const double *var, const double *rs,
     return clamped;
 }
 
-static int holds_nan(const double *alpha, const double *grad, int64_t n)
-{
-    int64_t k;
-
-    for (k = 0; k < n; k++)
-        if (isnan(alpha[k]) || isnan(grad[k]))
-            return 1;
-    return 0;
-}
-
 /* Pairwise updates of the dual variables alpha of a linear SVM, from
  * Q = (y y^T) * K (n x n, row-major), labels y = +-1 and box bound c,
  * until the violation gap drops below tol. alpha and grad = Q alpha - 1
  * are updated in place, and *gap_out receives the last gap computed.
- * Returns the number of updates made, -1 if max_iter updates did not
- * reach tol, or -2 if alpha, grad or the gap hold a NaN. Which NaN an
- * operation on two NaNs returns depends on the order in which the
- * compiler placed its operands, here and in NumPy alike, so only such a
- * result can differ from the NumPy loop, and only in its NaN bits. */
+ * Returns the number of updates made, or -1 if max_iter updates did not
+ * reach tol. Which NaN an operation on two NaNs returns depends on the
+ * order in which the compiler placed its operands, here and in NumPy
+ * alike, so a result that overflowed can differ from the NumPy loop in
+ * its NaN bits, though not in its update count or NaN positions. */
 int64_t smo_solve(const double *Q, const double *y, double c, int64_t n,
                   int64_t max_iter, double tol, double *alpha, double *grad,
                   double *gap_out)
@@ -188,7 +179,7 @@ int64_t smo_solve(const double *Q, const double *y, double c, int64_t n,
         gap = f_i - f_j;
         *gap_out = gap;
         if (gap < tol)
-            return holds_nan(alpha, grad, n) ? -2 : it;
+            return it;
 
         old_i = alpha[i];
         old_j = alpha[j];
@@ -255,5 +246,5 @@ int64_t smo_solve(const double *Q, const double *y, double c, int64_t n,
         for (k = 0; k < n; k++)
             grad[k] = grad[k] + (Q[k * n + i] * di + Q[k * n + j] * dj);
     }
-    return isnan(*gap_out) || holds_nan(alpha, grad, n) ? -2 : -1;
+    return -1;
 }

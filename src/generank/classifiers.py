@@ -129,7 +129,8 @@ def _smo_loop(Q, y, c, alpha, grad, max_iter, tol):
     place. Returns ``(updates, gap)``: the number of updates made, or -1
     when ``max_iter`` updates did not reach ``tol``, and the last gap
     computed. ``kernels.smo_solve`` is the compiled port of this loop;
-    this one is its oracle and the path without a compiler."""
+    this one is its oracle and the path without a compiler. The two give
+    the same bits except for which NaN an overflowed result holds."""
     gap = math.inf
     for it in range(max_iter):
         f_up, f_low = _violating_sets(y, alpha, c, grad)
@@ -190,19 +191,7 @@ def _smo_loop(Q, y, c, alpha, grad, max_iter, tol):
     return -1, gap
 
 
-def _smo_compiled(Q, y, c, alpha, grad, max_iter, tol):
-    """:func:`_smo_loop` through ``kernels.smo_solve``, with the same
-    bits: a result holding a NaN, the one case where the two can differ,
-    is computed again by the Python loop from the same start."""
-    start = alpha.copy(), grad.copy()
-    updates, gap = kernels.smo_solve(Q, y, c, alpha, grad, max_iter, tol)
-    if updates != -2:
-        return updates, gap
-    alpha[:], grad[:] = start
-    return _smo_loop(Q, y, c, alpha, grad, max_iter, tol)
-
-
-_SMO = _smo_loop if kernels.smo_solve is None else _smo_compiled
+_SMO = kernels.smo_solve or _smo_loop
 
 
 def svm_train(train: TrainSet, c: float) -> SvmModel:
@@ -213,8 +202,9 @@ def svm_train(train: TrainSet, c: float) -> SvmModel:
     The update loop runs in the compiled library when it is loaded
     (``kernels.smo_solve``) and in :func:`_smo_loop` otherwise, with the
     same bits either way; ``SvmModel.updates`` counts its updates.
-    Raises :class:`ConvergenceError` if the budget of 100000 updates is
-    exhausted first.
+    Raises :class:`ConvergenceError` if the duals overflow (features so
+    large that the Gram matrix is not finite) or if the budget of 100000
+    updates is exhausted first.
     """
     if c <= 0.0:
         raise ValueError("c must be positive")
@@ -228,6 +218,8 @@ def svm_train(train: TrainSet, c: float) -> SvmModel:
 
     c = float(c)
     updates, gap = _SMO(Q, y, c, alpha, grad, _SVM_MAX_ITER, _SVM_STOP_TOL)
+    if not (np.isfinite(alpha).all() and np.isfinite(grad).all()):
+        raise ConvergenceError("dual optimization overflowed: non-finite duals")
     if updates < 0:
         f_up, f_low = _violating_sets(y, alpha, c, grad)
         gap = float(f_up.max() - f_low.min())

@@ -79,7 +79,7 @@ def _write_manifest(args, inputs: dict) -> None:
         "command": args.command,
         "seed": getattr(args, "seed", None),
         "inputs": {name: str(path) for name, path in inputs.items()},
-        "options": {k: v for k, v in options.items()},
+        "options": options,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
     path = os.path.join(args.out, "manifest.json")
@@ -136,8 +136,7 @@ def _fgf_params_from(args):
 def _cmd_rank(args) -> None:
     dataset, _ = _load(args)
     if args.method == "fgf":
-        params = _fgf_params_from(args) or fgf.default_params()
-        ranking = fgf.fgf_rank(dataset, params)
+        ranking = fgf.fgf_rank(dataset, _fgf_params_from(args))
     else:
         from generank.rankers import rank_genes
 

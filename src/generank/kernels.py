@@ -10,6 +10,8 @@ a compiler, or if the build fails (which warns with the compiler's
 output), the NumPy code takes over. Both produce bit-identical results,
 so the choice only affects speed; ``BACKEND`` names the fuzzy kernel
 that runs, and ``smo_solve`` is None when the library is not loaded.
+The one difference is which NaN an overflowed SMO result holds, and
+``classifiers.svm_train`` rejects such a result on either path.
 """
 
 from __future__ import annotations
@@ -80,8 +82,7 @@ def _bind_smo(lib):
     def smo_solve(Q, y, c, alpha, grad, max_iter, tol):
         """``classifiers._smo_loop`` computed in C: updates ``alpha`` and
         ``grad`` in place and returns ``(updates, gap)``, with ``updates
-        == -1`` when ``max_iter`` is exhausted, as there, and ``-2`` when
-        the result holds a NaN, whose bits may differ from the loop's."""
+        == -1`` when ``max_iter`` is exhausted, as there."""
         n = y.shape[0]
         if Q.shape != (n, n) or alpha.shape != (n,) or grad.shape != (n,):
             raise ValueError("Q must be n x n and y, alpha and grad of length n")

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from generank import cli
+from generank import classifiers, cli, crossval
 from generank.dataio import load_dataset
 from generank.fgf import FgfParams, FuzzyRegion, load_params, save_params
 
@@ -336,6 +336,45 @@ def test_evaluate_artifacts(tables, tmp_path):
     assert summary["best_k"] in (1, 2, 3, 4)
     accuracies = [float(line.split("\t")[1]) for line in sweep_lines[1:]]
     assert summary["best_accuracy"] == max(accuracies)
+
+
+def test_evaluate_solver_failure_is_fatal(tables, tmp_path, capsys, monkeypatch):
+    # one SVM fit failing inside the sweep aborts the whole evaluation,
+    # and nothing is written
+    _, matrix_path, labels_path = tables
+    calls = []
+
+    def failing_on_seventh(train, c):
+        calls.append(c)
+        if len(calls) == 7:
+            raise classifiers.ConvergenceError("dual optimization stalled")
+        return classifiers.svm_train(train, c)
+
+    monkeypatch.setattr(crossval, "svm_train", failing_on_seventh)
+    out = tmp_path / "eval"
+    code = cli.main(
+        [
+            "evaluate",
+            "--matrix",
+            matrix_path,
+            "--labels",
+            labels_path,
+            "--out",
+            str(out),
+            "--method",
+            "ttest",
+            "--classifier",
+            "svm",
+            "--k-max",
+            "2",
+        ]
+    )
+    assert code == 1
+    assert len(calls) == 7
+    assert capsys.readouterr().err.startswith("error: dual optimization stalled")
+    assert not out.exists()
+    for pattern in ("sweep_*.tsv", "evaluate_*.json", "manifest.json"):
+        assert list(tmp_path.rglob(pattern)) == [], pattern
 
 
 def _fake_evaluation(path, method, classifier, best_k, best_accuracy):
