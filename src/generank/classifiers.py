@@ -211,13 +211,13 @@ def svm_train(train: TrainSet, c: float) -> SvmModel:
     X = train.features
     y = np.where(train.labels == 1, 1.0, -1.0)
     n = train.n_samples
-    K = X @ X.T
-    Q = (y[:, None] * y[None, :]) * K
     alpha = np.zeros(n)
     grad = -np.ones(n)
-
     c = float(c)
-    updates, gap = _SMO(Q, y, c, alpha, grad, _SVM_MAX_ITER, _SVM_STOP_TOL)
+    # Overflow shows up as non-finite duals, which the check below reports.
+    with np.errstate(over="ignore", invalid="ignore"):
+        Q = (y[:, None] * y[None, :]) * (X @ X.T)
+        updates, gap = _SMO(Q, y, c, alpha, grad, _SVM_MAX_ITER, _SVM_STOP_TOL)
     if not (np.isfinite(alpha).all() and np.isfinite(grad).all()):
         raise ConvergenceError("dual optimization overflowed: non-finite duals")
     if updates < 0:

@@ -1,9 +1,10 @@
 """Nested leave-one-out evaluation of ranking/classifier pairs.
 
-The outer loop is leave-one-out: genes are ranked on the training fold
-(or once on the full data, if asked), the top-k genes become features,
-and an inner stratified cross-validation picks the classifier's
-hyperparameter before the held-out sample is predicted. Sweeping k
+The outer loop is leave-one-out and fold-major: each held-out sample's
+training fold is ranked once (or the full data once, if asked), then at
+every gene count k the top-k genes become features and an inner
+stratified cross-validation picks the classifier's hyperparameter before
+the held-out sample is predicted. Counting correct predictions per k
 yields accuracy-versus-gene-count curves; a one-way ANOVA compares the
 resulting accuracy groups across ranking methods.
 """
@@ -140,12 +141,8 @@ def _predict(classifier, hyper, train, scaled, seed):
     if classifier == "nbc":
         model = nbc_train(train, hyper)
         return np.array([nbc_predict(model, q)[0] for q in scaled])
-    if classifier == "mlp":
-        model = mlp_train(train, hyper, seed=seed())
-        return np.array([mlp_predict(model, q)[0] for q in scaled])
-    raise ValueError(
-        f"unknown classifier {classifier!r}, expected one of {', '.join(CLASSIFIERS)}"
-    )
+    model = mlp_train(train, hyper, seed=seed())
+    return np.array([mlp_predict(model, q)[0] for q in scaled])
 
 
 def inner_search(features, labels, classifier: str, seed: int = 0):
@@ -196,28 +193,65 @@ def inner_search(features, labels, classifier: str, seed: int = 0):
     return best_value, best_correct / len(labels)
 
 
-def _rank_on(dataset: Dataset, method: str, fgf_params):
-    if method == "fgf":
-        return fgf_mod.fgf_rank(dataset, fgf_params)
-    return rank_genes(dataset, method)
+def _loocv_correct(
+    dataset, method, classifier, counts, fgf_params, rank_scope, seed, reoptimize_fgf,
+    ga_config, cache,
+) -> dict:
+    """Correct leave-one-out predictions at each gene count in ``counts``.
 
-
-def _train_fold_dataset(dataset: Dataset, keep: np.ndarray) -> Dataset:
-    return Dataset(
-        dataset.matrix[:, keep],
-        dataset.gene_ids,
-        dataset.labels[keep],
-        dataset.class_names,
-    )
-
-
-def _resolve_fgf_params(dataset, method, fgf_params, reoptimize, ga_config):
-    if method != "fgf" or reoptimize:
-        return fgf_params
-    if fgf_params is None:
-        config = ga_config if ga_config is not None else gaopt.GaConfig()
+    Fold-major: a held-out sample's training fold is ranked once (or the
+    full data once, with ``rank_scope="full"``), and every count is
+    scored on that ranking before the next sample is held out. Rankings
+    are stored in ``cache`` under the held-out index, or ``"full"``.
+    """
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}, expected one of {', '.join(METHODS)}")
+    if classifier not in CLASSIFIERS:
+        raise ValueError(
+            f"unknown classifier {classifier!r}, expected one of {', '.join(CLASSIFIERS)}"
+        )
+    if rank_scope not in ("train", "full"):
+        raise ValueError("rank_scope must be 'train' or 'full'")
+    config = ga_config if ga_config is not None else gaopt.GaConfig()
+    if method == "fgf" and fgf_params is None and not reoptimize_fgf:
         fgf_params, _ = gaopt.optimize_fgf(dataset, config)
-    return fgf_params
+
+    n = dataset.n_samples
+    correct = dict.fromkeys(counts, 0)
+    for held_out in range(n):
+        keep = np.arange(n) != held_out
+        key = "full" if rank_scope == "full" else held_out
+        if key not in cache:
+            data, params = dataset, fgf_params
+            if rank_scope == "train":
+                data = replace(
+                    dataset, matrix=dataset.matrix[:, keep], labels=dataset.labels[keep]
+                )
+                if method == "fgf" and reoptimize_fgf:
+                    fold_config = replace(config, seed=_derived_seed(config.seed, held_out))
+                    params, _ = gaopt.optimize_fgf(data, fold_config)
+            if method == "fgf":
+                cache[key] = fgf_mod.fgf_rank(data, params)
+            else:
+                cache[key] = rank_genes(data, method)
+        order = cache[key].order
+        fold_labels = dataset.labels[keep]
+        for k in correct:
+            selected = dataset.matrix[np.sort(order[:k])]
+            features = selected[:, keep].T
+            hyper, _ = inner_search(
+                features, fold_labels, classifier, _derived_seed(seed, held_out, k)
+            )
+            train, scaled = _scaled(features, fold_labels, selected[:, [held_out]].T)
+            predicted = _predict(
+                classifier,
+                hyper,
+                train,
+                scaled,
+                partial(_derived_seed, seed, held_out, k, 1),
+            )
+            correct[k] += int(predicted[0] == dataset.labels[held_out])
+    return correct
 
 
 def loocv_accuracy(
@@ -242,58 +276,14 @@ def loocv_accuracy(
     fold-derived seed. The top-k genes enter the classifier as a set, in
     gene-index order. The result is ``correct / n_samples``.
     """
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}, expected one of {', '.join(METHODS)}")
-    if classifier not in CLASSIFIERS:
-        raise ValueError(
-            f"unknown classifier {classifier!r}, expected one of {', '.join(CLASSIFIERS)}"
-        )
     if k_genes < 1:
         raise ValueError("k_genes must be >= 1")
-    if rank_scope not in ("train", "full"):
-        raise ValueError("rank_scope must be 'train' or 'full'")
     k = min(k_genes, dataset.n_genes)
-    fgf_params = _resolve_fgf_params(dataset, method, fgf_params, reoptimize_fgf, ga_config)
-    cache = _ranking_cache if _ranking_cache is not None else {}
-
-    n = dataset.n_samples
-    if rank_scope == "full" and "full" not in cache:
-        cache["full"] = _rank_on(dataset, method, fgf_params)
-
-    correct = 0
-    for held_out in range(n):
-        keep = np.arange(n) != held_out
-        if rank_scope == "full":
-            ranking = cache["full"]
-        else:
-            if held_out not in cache:
-                fold_data = _train_fold_dataset(dataset, keep)
-                fold_params = fgf_params
-                if method == "fgf" and reoptimize_fgf:
-                    config = ga_config if ga_config is not None else gaopt.GaConfig()
-                    config = replace(config, seed=_derived_seed(config.seed, held_out))
-                    fold_params, _ = gaopt.optimize_fgf(fold_data, config)
-                cache[held_out] = _rank_on(fold_data, method, fold_params)
-            ranking = cache[held_out]
-        genes = np.sort(ranking.order[:k])
-        selected = dataset.matrix[genes]
-        features = selected[:, keep].T
-        fold_labels = dataset.labels[keep]
-        query = selected[:, held_out]
-
-        hyper, _ = inner_search(
-            features, fold_labels, classifier, _derived_seed(seed, held_out, k)
-        )
-        train, scaled = _scaled(features, fold_labels, query[None, :])
-        predicted = _predict(
-            classifier,
-            hyper,
-            train,
-            scaled,
-            partial(_derived_seed, seed, held_out, k, 1),
-        )
-        correct += int(predicted[0] == dataset.labels[held_out])
-    return correct / n
+    correct = _loocv_correct(
+        dataset, method, classifier, (k,), fgf_params, rank_scope, seed, reoptimize_fgf,
+        ga_config, _ranking_cache if _ranking_cache is not None else {},
+    )
+    return correct[k] / dataset.n_samples
 
 
 def sweep_gene_counts(
@@ -309,28 +299,21 @@ def sweep_gene_counts(
 ) -> SweepResult:
     """Accuracy at every gene count from 1 to k_max (capped at n_genes).
 
-    Rankings are computed once per fold and shared across gene counts.
-    ``best_k`` is the smallest count reaching the best accuracy.
+    The loop is fold-major, as in nested LOOCV: each held-out sample's
+    training fold is ranked once, then scored at k = 1, 2, ... before the
+    next sample is held out. Every prediction equals the one
+    :func:`loocv_accuracy` makes alone, since seeds derive from
+    ``(seed, held_out, k)``. ``best_k`` is the smallest count reaching
+    the best accuracy.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    k_top = min(k_max, dataset.n_genes)
-    fgf_params = _resolve_fgf_params(dataset, method, fgf_params, reoptimize_fgf, ga_config)
-    cache = {}
-    accuracy_by_k = {}
-    for k in range(1, k_top + 1):
-        accuracy_by_k[k] = loocv_accuracy(
-            dataset,
-            method,
-            classifier,
-            k,
-            fgf_params=fgf_params,
-            rank_scope=rank_scope,
-            seed=seed,
-            reoptimize_fgf=reoptimize_fgf,
-            ga_config=ga_config,
-            _ranking_cache=cache,
-        )
+    counts = range(1, min(k_max, dataset.n_genes) + 1)
+    correct = _loocv_correct(
+        dataset, method, classifier, counts, fgf_params, rank_scope, seed, reoptimize_fgf,
+        ga_config, {},
+    )
+    accuracy_by_k = {k: c / dataset.n_samples for k, c in correct.items()}
     best_k = min(accuracy_by_k, key=lambda k: (-accuracy_by_k[k], k))
     return SweepResult(method, classifier, accuracy_by_k, best_k, accuracy_by_k[best_k])
 

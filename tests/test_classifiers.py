@@ -2,6 +2,7 @@
 
 import inspect
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -304,10 +305,12 @@ def test_svm_overflowing_features_raise(monkeypatch, loop):
     for _ in range(6):
         small = _separable(rng, n_per_class=6)
         train = TrainSet(small.features * 1e200, small.labels)
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
-            ConvergenceError, match="overflow"
-        ):
-            svm_train(train, 1.0)
+        # the error alone reports the overflow: no NumPy warning escapes
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ConvergenceError, match="overflow"):
+                svm_train(train, 1.0)
+        assert caught == []
 
 
 # ---------------------------------------------------------------------------

@@ -222,6 +222,9 @@ def test_loocv_rank_scope_full_ranks_once(monkeypatch):
     calls.clear()
     sweep_gene_counts(dataset, "ttest", "knn", k_max=3, rank_scope="train", seed=0)
     assert calls == [dataset.n_samples - 1] * dataset.n_samples
+    calls.clear()
+    sweep_gene_counts(dataset, "ttest", "knn", k_max=3, rank_scope="full", seed=0)
+    assert calls == [dataset.n_samples]
 
 
 def test_loocv_final_fit_seed_per_held_out_sample(monkeypatch):
@@ -304,6 +307,22 @@ def test_sweep_matches_individual_calls():
     for k, accuracy in result.accuracy_by_k.items():
         alone = loocv_accuracy(dataset, "roc", "knn", k_genes=k, seed=5)
         assert alone == accuracy
+
+
+def test_sweep_is_fold_major(monkeypatch):
+    # each held-out sample is scored at every gene count before the next
+    dataset = planted_dataset(8, 2, 4, 4, 2.0, seed=621)
+    seeds = []
+    search = crossval.inner_search
+
+    def recording(features, labels, classifier, seed):
+        seeds.append(seed)
+        return search(features, labels, classifier, seed)
+
+    monkeypatch.setattr(crossval, "inner_search", recording)
+    sweep_gene_counts(dataset, "ttest", "knn", k_max=3, seed=7)
+    n = dataset.n_samples
+    assert seeds == [_child_seed(7, h, k) for h in range(n) for k in (1, 2, 3)]
 
 
 def test_sweep_caps_k_max_at_gene_count():

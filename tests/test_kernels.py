@@ -150,7 +150,8 @@ def test_build_is_keyed_on_source_hash(monkeypatch, tmp_path):
     source.write_text(text + "/* edited */\n")
     assert _cbuild.find_library() is None
     assert kernels._load_c_kernel() is not None
-    assert len(list(source.parent.glob("*.so"))) == 2
+    # and the stale library is deleted
+    assert {p.name for p in source.parent.glob("*.so")} == {_cbuild.library_name()}
     assert not [p for p in source.parent.iterdir() if p.name.startswith(".")]
 
     rng = np.random.default_rng(202)
