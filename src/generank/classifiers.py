@@ -56,12 +56,11 @@ class TrainSet:
         return self.features.shape[1]
 
 
-def _validate_query(train: TrainSet, query) -> np.ndarray:
+def _validate_query(n_features: int, query) -> np.ndarray:
+    """The query as a finite float vector of ``n_features`` values."""
     q = np.asarray(query, dtype=np.float64)
-    if q.shape != (train.n_features,):
-        raise ValueError(
-            f"query must have {train.n_features} features, got shape {q.shape}"
-        )
+    if q.shape != (n_features,):
+        raise ValueError(f"query must have {n_features} features, got shape {q.shape}")
     if not np.isfinite(q).all():
         raise ValueError("query contains non-finite values")
     return q
@@ -80,7 +79,7 @@ def knn_classify(train: TrainSet, query, k: int) -> int:
     """
     if not 1 <= k <= train.n_samples:
         raise ValueError(f"k must be in [1, {train.n_samples}]")
-    q = _validate_query(train, query)
+    q = _validate_query(train.n_features, query)
     dist = np.sqrt(((train.features - q) ** 2).sum(axis=1))
     nearest = np.argsort(dist, kind="stable")[:k]
     votes = np.bincount(train.labels[nearest], minlength=2)
@@ -243,9 +242,7 @@ def svm_train(train: TrainSet, c: float) -> SvmModel:
 
 
 def svm_predict(model: SvmModel, query) -> int:
-    q = np.asarray(query, dtype=np.float64)
-    if q.shape != model.weights.shape:
-        raise ValueError("query dimension does not match the model")
+    q = _validate_query(model.weights.shape[0], query)
     return int(float(q @ model.weights + model.bias) > 0.0)
 
 
@@ -324,9 +321,7 @@ def nbc_predict(model: NbcModel, query):
     The kernel sums go through :func:`_logsumexp`, so the results do not
     depend on which SciPy release is installed.
     """
-    q = np.asarray(query, dtype=np.float64)
-    if q.shape != (model.bandwidths.shape[1],):
-        raise ValueError("query dimension does not match the model")
+    q = _validate_query(model.bandwidths.shape[1], query)
     log_joint = np.empty(2)
     for cls in (0, 1):
         V = model.class_values[cls]
@@ -415,14 +410,12 @@ def mlp_train(
     hidden_count: int,
     ridge: float = 0.01,
     seed: int = 0,
-    max_iter: int = _MLP_MAX_ITER,
-    grad_tol: float = _MLP_GRAD_TOL,
 ) -> MlpModel:
     """Fit by scaled conjugate gradients.
 
     Deterministic given the seed; stops when the gradient norm falls
-    below ``grad_tol`` or after ``max_iter`` iterations. Only accepted
-    steps extend the loss trace, so it is non-increasing.
+    below ``_MLP_GRAD_TOL`` or after ``_MLP_MAX_ITER`` iterations. Only
+    accepted steps extend the loss trace, so it is non-increasing.
     """
     if hidden_count < 1:
         raise ValueError("hidden_count must be >= 1")
@@ -447,9 +440,9 @@ def mlp_train(
     lam = 1e-6
     lam_bar = 0.0
     delta = 0.0
-    for k in range(1, max_iter + 1):
+    for k in range(1, _MLP_MAX_ITER + 1):
         # the 2-norm exactly as np.linalg.norm computes it for 1-D input
-        if math.sqrt(float(r @ r)) < grad_tol:
+        if math.sqrt(float(r @ r)) < _MLP_GRAD_TOL:
             break
         p_sq = float(p @ p)
         if p_sq == 0.0:
@@ -503,9 +496,7 @@ def mlp_train(
 
 def mlp_predict(model: MlpModel, query):
     """Returns ``(label, probability_of_class_1)``."""
-    q = np.asarray(query, dtype=np.float64)
-    if q.shape != (model.w1.shape[0],):
-        raise ValueError("query dimension does not match the model")
+    q = _validate_query(model.w1.shape[0], query)
     hidden = expit(q @ model.w1 + model.b1)
     prob = float(expit(hidden @ model.w2 + model.b2))
     return int(prob > 0.5), prob

@@ -5,8 +5,10 @@ canonicalizes a dataset, ``normalize`` applies quantile normalization,
 ``rank`` writes a gene ranking, ``optimize-fgf`` tunes the fuzzy filter,
 ``evaluate`` runs the leave-one-out sweep for one method/classifier
 pair, ``compare`` runs the ANOVA across methods and ``report`` renders
-the summary tables. Every run drops a ``manifest.json`` beside its
-artifacts; all files are written atomically (temp file + rename).
+the summary tables. A run publishes all of its files or none: they are
+written into a staging directory inside ``--out`` and renamed into
+place only once every one of them is complete, with ``manifest.json``
+last.
 
 Exit codes: 0 on success, 2 on usage errors, 1 on runtime failures.
 """
@@ -17,6 +19,7 @@ import argparse
 import datetime
 import json
 import os
+import shutil
 import sys
 import tempfile
 
@@ -33,80 +36,69 @@ from generank.dataio import (
 from generank.rankers import save_ranking
 
 
-def _umask() -> int:
-    """The process umask; it can only be read by setting it."""
-    mask = os.umask(0)
-    os.umask(mask)
-    return mask
+def _publish(args, write) -> None:
+    """Publish a command's files into ``args.out``: all of them or none.
 
-
-def _atomic_write(path, write_fn) -> None:
-    """Write through a sibling temp file so readers never see partials.
-
-    Every call gets its own temp file, so concurrent writers into one
-    directory never share or delete each other's. The file ends up with
-    the mode ``open()`` would give it under the current umask.
+    ``write(stage)`` writes the artifacts into a staging directory of its
+    own inside ``args.out``; the manifest joins them there, then each file
+    is renamed into ``args.out``, the manifest last. A failure before the
+    renames publishes nothing and leaves earlier files untouched, and
+    concurrent runs into one directory never share or delete each other's
+    staged files.
     """
-    directory, name = os.path.split(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(prefix=f".{name}.", suffix=".tmp", dir=directory)
-    os.close(fd)
+    os.makedirs(args.out, exist_ok=True)
+    stage = tempfile.mkdtemp(prefix=".staging.", dir=args.out)
     try:
-        os.chmod(tmp, 0o666 & ~_umask())  # mkstemp creates the file as 0600
-        write_fn(tmp)
-        os.replace(tmp, path)
+        write(stage)
+        if args.command in ("compare", "report"):
+            inputs = {f"evaluation_{i}": p for i, p in enumerate(args.evaluations)}
+        else:
+            inputs = {"matrix": args.matrix, "labels": args.labels}
+        manifest = {
+            "tool": "generank",
+            "version": generank.__version__,
+            "command": args.command,
+            "seed": getattr(args, "seed", None),
+            "inputs": {name: str(path) for name, path in inputs.items()},
+            "options": {
+                key: value
+                for key, value in sorted(vars(args).items())
+                if key != "func" and not callable(value)
+            },
+            "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+        }
+        _write_text(os.path.join(stage, "manifest.json"), _json_text(manifest))
+        names = sorted(os.listdir(stage), key=lambda name: name == "manifest.json")
+        for name in names:
+            os.replace(os.path.join(stage, name), os.path.join(args.out, name))
     finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        shutil.rmtree(stage, ignore_errors=True)
 
 
-def _atomic_text(path, text: str) -> None:
-    def writer(tmp):
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
-
-    _atomic_write(path, writer)
+def _write_text(path, text: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
-def _write_manifest(args, inputs: dict) -> None:
-    options = {
-        key: value
-        for key, value in sorted(vars(args).items())
-        if key != "func" and not callable(value)
-    }
-    manifest = {
-        "tool": "generank",
-        "version": generank.__version__,
-        "command": args.command,
-        "seed": getattr(args, "seed", None),
-        "inputs": {name: str(path) for name, path in inputs.items()},
-        "options": options,
-        "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-    }
-    path = os.path.join(args.out, "manifest.json")
-    _atomic_text(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+def _json_text(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 def _load(args):
     return load_tables(args.matrix, args.labels)
 
 
-def _save_canonical(dataset, sample_ids, out_dir) -> None:
-    matrix_path = os.path.join(out_dir, "matrix.tsv")
-    labels_path = os.path.join(out_dir, "labels.tsv")
-    _atomic_write(
-        matrix_path,
-        lambda tmp_matrix: _atomic_write(
-            labels_path,
-            lambda tmp_labels: save_dataset(dataset, tmp_matrix, tmp_labels, sample_ids),
-        ),
-    )
-
-
 def _cmd_ingest(args) -> None:
     dataset, sample_ids = _load(args)
-    os.makedirs(args.out, exist_ok=True)
-    _save_canonical(dataset, sample_ids, args.out)
-    _write_manifest(args, {"matrix": args.matrix, "labels": args.labels})
+    _publish(
+        args,
+        lambda stage: save_dataset(
+            dataset,
+            os.path.join(stage, "matrix.tsv"),
+            os.path.join(stage, "labels.tsv"),
+            sample_ids,
+        ),
+    )
     print(
         f"ingested {dataset.n_genes} genes x {dataset.n_samples} samples "
         f"({dataset.class_names[0]} vs {dataset.class_names[1]})"
@@ -121,9 +113,15 @@ def _cmd_normalize(args) -> None:
         dataset.labels,
         dataset.class_names,
     )
-    os.makedirs(args.out, exist_ok=True)
-    _save_canonical(normalized, sample_ids, args.out)
-    _write_manifest(args, {"matrix": args.matrix, "labels": args.labels})
+    _publish(
+        args,
+        lambda stage: save_dataset(
+            normalized,
+            os.path.join(stage, "matrix.tsv"),
+            os.path.join(stage, "labels.tsv"),
+            sample_ids,
+        ),
+    )
     print(f"normalized {dataset.n_genes} genes x {dataset.n_samples} samples")
 
 
@@ -141,11 +139,11 @@ def _cmd_rank(args) -> None:
         from generank.rankers import rank_genes
 
         ranking = rank_genes(dataset, args.method)
-    os.makedirs(args.out, exist_ok=True)
-    out_path = os.path.join(args.out, f"ranking_{args.method}.tsv")
-    _atomic_write(out_path, lambda tmp: save_ranking(ranking, dataset.gene_ids, tmp))
-    _write_manifest(args, {"matrix": args.matrix, "labels": args.labels})
-    print(f"wrote {out_path}")
+    name = f"ranking_{args.method}.tsv"
+    _publish(
+        args, lambda stage: save_ranking(ranking, dataset.gene_ids, os.path.join(stage, name))
+    )
+    print(f"wrote {os.path.join(args.out, name)}")
 
 
 def _cmd_optimize_fgf(args) -> None:
@@ -162,15 +160,15 @@ def _cmd_optimize_fgf(args) -> None:
         seed=args.seed,
     )
     params, trace = gaopt.optimize_fgf(dataset, config)
-    os.makedirs(args.out, exist_ok=True)
-    params_path = os.path.join(args.out, "fgf_params.json")
-    trace_path = os.path.join(args.out, "ga_trace.tsv")
-    _atomic_write(params_path, lambda tmp: fgf.save_params(params, tmp))
-    _atomic_write(trace_path, lambda tmp: gaopt.save_trace(trace, tmp))
-    _write_manifest(args, {"matrix": args.matrix, "labels": args.labels})
+
+    def write(stage):
+        fgf.save_params(params, os.path.join(stage, "fgf_params.json"))
+        gaopt.save_trace(trace, os.path.join(stage, "ga_trace.tsv"))
+
+    _publish(args, write)
     print(
-        f"best separability {trace.best_fitness[-1]!r} after "
-        f"{args.generations} generations; wrote {params_path}"
+        f"best separability {trace.best_fitness[-1]!r} after {args.generations} "
+        f"generations; wrote {os.path.join(args.out, 'fgf_params.json')}"
     )
 
 
@@ -193,19 +191,19 @@ def _cmd_evaluate(args) -> None:
         reoptimize_fgf=args.reoptimize_fgf,
         ga_config=ga_config,
     )
-    os.makedirs(args.out, exist_ok=True)
     stem = f"{args.method}_{args.classifier}"
-    sweep_path = os.path.join(args.out, f"sweep_{stem}.tsv")
-    _atomic_write(sweep_path, lambda tmp: crossval.save_sweep(result, tmp))
     summary = {
         "method": result.method,
         "classifier": result.classifier,
         "best_k": result.best_k,
         "best_accuracy": result.best_accuracy,
     }
-    json_path = os.path.join(args.out, f"evaluate_{stem}.json")
-    _atomic_text(json_path, json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    _write_manifest(args, {"matrix": args.matrix, "labels": args.labels})
+
+    def write(stage):
+        crossval.save_sweep(result, os.path.join(stage, f"sweep_{stem}.tsv"))
+        _write_text(os.path.join(stage, f"evaluate_{stem}.json"), _json_text(summary))
+
+    _publish(args, write)
     print(
         f"{args.method}/{args.classifier}: best accuracy "
         f"{result.best_accuracy:.4f} at k={result.best_k}"
@@ -236,16 +234,15 @@ def _cmd_compare(args) -> None:
     methods = [m for m in crossval.METHODS if m in by_method]
     methods += [m for m in by_method if m not in methods]
     result = crossval.anova_oneway([by_method[m] for m in methods])
-    os.makedirs(args.out, exist_ok=True)
     payload = {
         "F": result.f_statistic,
         "p": result.p_value,
         "df_between": result.df_between,
         "df_within": result.df_within,
     }
-    path = os.path.join(args.out, "anova.json")
-    _atomic_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    _write_manifest(args, {f"evaluation_{i}": p for i, p in enumerate(args.evaluations)})
+    _publish(
+        args, lambda stage: _write_text(os.path.join(stage, "anova.json"), _json_text(payload))
+    )
     print(f"ANOVA across {len(methods)} methods: F={result.f_statistic!r} p={result.p_value!r}")
 
 
@@ -266,14 +263,15 @@ def _cmd_report(args) -> None:
             e = cell.get((m, clf))
             row.append(f"{e['best_accuracy'] * 100:.1f}% ({e['best_k']})" if e else "")
         lines.append("\t".join(row))
-    os.makedirs(args.out, exist_ok=True)
-    _atomic_text(os.path.join(args.out, "summary.tsv"), "\n".join(lines) + "\n")
-
     box_lines = ["method\tclassifier\taccuracy"]
     for e in evaluations:
         box_lines.append(f"{e['method']}\t{e['classifier']}\t{e['best_accuracy']!r}")
-    _atomic_text(os.path.join(args.out, "boxplot_data.tsv"), "\n".join(box_lines) + "\n")
-    _write_manifest(args, {f"evaluation_{i}": p for i, p in enumerate(args.evaluations)})
+
+    def write(stage):
+        _write_text(os.path.join(stage, "summary.tsv"), "\n".join(lines) + "\n")
+        _write_text(os.path.join(stage, "boxplot_data.tsv"), "\n".join(box_lines) + "\n")
+
+    _publish(args, write)
     print(f"wrote summary for {len(evaluations)} evaluations to {args.out}")
 
 

@@ -609,3 +609,19 @@ def test_mlp_rejects_bad_shape_arguments():
     model = mlp_train(train, hidden_count=2)
     with pytest.raises(ValueError):
         mlp_predict(model, np.ones(3))
+
+
+@pytest.mark.parametrize("predictor", ["knn", "svm", "nbc", "mlp"])
+def test_predictors_reject_bad_queries(predictor):
+    train = _separable(np.random.default_rng(513), n_per_class=4, dim=2)
+    predict = {
+        "knn": lambda q: knn_classify(train, q, 3),
+        "svm": lambda q: svm_predict(svm_train(train, 1.0), q),
+        "nbc": lambda q: nbc_predict(nbc_train(train), q),
+        "mlp": lambda q: mlp_predict(mlp_train(train, hidden_count=2), q),
+    }[predictor]
+    predict(np.zeros(2))
+    with pytest.raises(ValueError, match="non-finite"):
+        predict(np.array([0.0, np.nan]))
+    with pytest.raises(ValueError, match="features"):
+        predict(np.zeros(3))

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from generank import classifiers, cli, crossval
+from generank import classifiers, cli, crossval, gaopt
 from generank.dataio import load_dataset
 from generank.fgf import FgfParams, FuzzyRegion, load_params, save_params
 
@@ -101,7 +101,7 @@ def test_normalize_equalizes_columns(tables, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# atomic writes
+# all-or-nothing publishing
 
 
 def test_failed_write_leaves_no_temp_or_partial(tables, tmp_path, monkeypatch):
@@ -121,22 +121,86 @@ def test_failed_write_leaves_no_temp_or_partial(tables, tmp_path, monkeypatch):
     assert os.listdir(out) == []
 
 
-def test_interleaved_writers_both_complete(tmp_path):
-    path = tmp_path / "artifact.txt"
-    other = tmp_path / "other.txt"
+def _optimize_argv(matrix_path, labels_path, out, seed):
+    return [
+        "optimize-fgf",
+        "--matrix",
+        matrix_path,
+        "--labels",
+        labels_path,
+        "--out",
+        str(out),
+        "--population",
+        "6",
+        "--generations",
+        "2",
+        "--top-n",
+        "4",
+        "--seed",
+        str(seed),
+    ]
 
-    def outer(tmp):
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write("a" * 1000)
-            # a second writer runs to completion while this one is mid-write
-            cli._atomic_text(path, "b" * 1000 + "\n")
-            cli._atomic_text(other, "c" * 1000 + "\n")
-            fh.write("\n")
 
-    cli._atomic_write(path, outer)
-    assert path.read_text(encoding="utf-8") == "a" * 1000 + "\n"
-    assert other.read_text(encoding="utf-8") == "c" * 1000 + "\n"
-    assert sorted(os.listdir(tmp_path)) == ["artifact.txt", "other.txt"]
+def _failing_save_trace(trace, path):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("generation\tbest_fitness\n")
+    raise OSError("disk full")
+
+
+def test_failed_second_artifact_publishes_nothing(tables, tmp_path, monkeypatch):
+    # fgf_params.json is complete when the trace write fails, and stays
+    # unpublished with it
+    _, matrix_path, labels_path = tables
+    monkeypatch.setattr(gaopt, "save_trace", _failing_save_trace)
+    out = tmp_path / "opt"
+    assert cli.main(_optimize_argv(matrix_path, labels_path, out, 11)) == 1
+    assert os.listdir(out) == []
+
+
+def test_failed_rerun_leaves_previous_files_unchanged(tables, tmp_path, monkeypatch):
+    _, matrix_path, labels_path = tables
+    out = tmp_path / "opt"
+    assert cli.main(_optimize_argv(matrix_path, labels_path, out, 11)) == 0
+    before = {name: (out / name).read_bytes() for name in os.listdir(out)}
+    assert sorted(before) == ["fgf_params.json", "ga_trace.tsv", "manifest.json"]
+
+    monkeypatch.setattr(gaopt, "save_trace", _failing_save_trace)
+    assert cli.main(_optimize_argv(matrix_path, labels_path, out, 12)) == 1
+    assert {name: (out / name).read_bytes() for name in os.listdir(out)} == before
+
+
+def test_interleaved_writers_both_complete(tables, tmp_path, monkeypatch):
+    # while rank is mid-write, ingest publishes into the same --out; each
+    # run stages its files apart, so both sets land whole and no staging
+    # entry is left behind
+    _, matrix_path, labels_path = tables
+    data = ["--matrix", matrix_path, "--labels", labels_path]
+    rank_argv = ["rank", *data, "--method", "ttest", "--out"]
+    ingest_argv = ["ingest", *data, "--out"]
+    ref = tmp_path / "ref"
+    assert cli.main(rank_argv + [str(ref)]) == 0
+    assert cli.main(ingest_argv + [str(ref)]) == 0
+
+    out = tmp_path / "out"
+    save_ranking = cli.save_ranking
+    seen = []
+
+    def interleaved(ranking, gene_ids, path):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("partial")
+        assert cli.main(ingest_argv + [str(out)]) == 0
+        seen.extend(name for name in os.listdir(out) if not name.startswith(".staging."))
+        save_ranking(ranking, gene_ids, path)
+
+    monkeypatch.setattr(cli, "save_ranking", interleaved)
+    assert cli.main(rank_argv + [str(out)]) == 0
+    # the rank run's files were invisible until it published
+    assert sorted(seen) == ["labels.tsv", "manifest.json", "matrix.tsv"]
+    names = ["labels.tsv", "manifest.json", "matrix.tsv", "ranking_ttest.tsv"]
+    assert sorted(os.listdir(out)) == names
+    for name in ("labels.tsv", "matrix.tsv", "ranking_ttest.tsv"):
+        assert (out / name).read_bytes() == (ref / name).read_bytes(), name
+    assert _manifest(out)["command"] == "rank"
 
 
 def test_artifact_mode_follows_umask(tables, tmp_path):
