@@ -1,6 +1,7 @@
-"""Build rule for the plain-C fuzzy kernel in ``_mamdani.c``.
+"""Build rule for the plain-C loops in ``_mamdani.c``: the fuzzy kernel
+and the SVM's SMO and the perceptron's SCG training loops.
 
-The kernel is compiled into a shared library whose file name carries a
+The source is compiled into a shared library whose file name carries a
 hash of the source, the compile command and the platform, so an edit to
 any of them names a new file and a stale build is never loaded. A build
 deletes the other ``_mamdani_*.so`` files in its directory, so checkouts

@@ -1,4 +1,5 @@
-/* Two compiled loops that mirror NumPy code expression for expression:
+/* Three compiled loops that mirror Python code expression for
+ * expression:
  *
  * mamdani_scores, the batch fuzzy-inference kernel, a plain-C port of
  * generank._mamdani_py. The centroid accumulates in ascending grid
@@ -10,15 +11,21 @@
  * smo_solve, the update loop of the linear SVM's dual solver, a port of
  * generank.classifiers._smo_loop.
  *
- * The library is built with -ffp-contract=off, so neither loop fuses a
- * multiply and an add that NumPy rounds separately, and both produce
- * the same bits as the Python code they port. The one exception is a
- * NaN's bits in a smo_solve result that overflowed, which svm_train
- * rejects.
+ * scg_solve, the scaled-conjugate-gradient loop that trains the
+ * perceptron, a port of generank.classifiers._scg_loop. Every sum runs
+ * left to right and exp and log come from the C library on both sides,
+ * so neither depends on BLAS or SIMD code paths.
+ *
+ * The library is built with -ffp-contract=off, so no loop fuses a
+ * multiply and an add that the Python code rounds separately, and each
+ * produces the same bits as the code it ports. The one exception is a
+ * NaN's bits in a result that overflowed, which svm_train rejects.
  */
 
 #include <math.h>
 #include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
 
 #define GRID 1001
 
@@ -247,4 +254,207 @@ int64_t smo_solve(const double *Q, const double *y, double c, int64_t n,
             grad[k] = grad[k] + (Q[k * n + i] * di + Q[k * n + j] * dj);
     }
     return -1;
+}
+
+#define SCG_SIGMA0 1e-4
+
+/* a[0] * b[0] + a[1] * b[1] + ..., added left to right. */
+static double dot(const double *a, const double *b, int64_t m)
+{
+    double acc = a[0] * b[0];
+    int64_t i;
+
+    for (i = 1; i < m; i++)
+        acc = acc + a[i] * b[i];
+    return acc;
+}
+
+/* Penalized cross-entropy of the perceptron with packed weights w
+ * (w1 as d x h row-major, b1, w2, b2) on X (n x d) and targets t, and
+ * its gradient into g; the loss is computed only when with_loss is set.
+ * hid and dh hold n x h values, out n values. Every sum over samples,
+ * features or hidden units starts at its first term and adds left to
+ * right, as in classifiers._fixed_loss_and_grad; the hidden axis is
+ * innermost so that those loops vectorize. */
+static double loss_and_grad(const double *restrict X, const double *restrict t,
+                            int64_t n, int64_t d, int64_t h, double ridge,
+                            const double *restrict w, int with_loss,
+                            double *restrict hid, double *restrict dh,
+                            double *restrict out, double *restrict g)
+{
+    const double *w1 = w, *b1 = w + d * h, *w2 = b1 + h;
+    double *g_w1 = g, *g_b1 = g + d * h, *g_w2 = g_b1 + h, *g_b2 = g_w2 + h;
+    double b2 = w2[h], loss = 0.0, o, safe, term;
+    int64_t i, j, k;
+
+    for (i = 0; i < n; i++) {
+        const double *x = X + i * d;
+        double *a = hid + i * h;
+
+        for (j = 0; j < h; j++)
+            a[j] = x[0] * w1[j];
+        for (k = 1; k < d; k++)
+            for (j = 0; j < h; j++)
+                a[j] = a[j] + x[k] * w1[k * h + j];
+        for (j = 0; j < h; j++)
+            a[j] = exp(-(a[j] + b1[j]));
+        for (j = 0; j < h; j++)
+            a[j] = 1.0 / (1.0 + a[j]);
+        o = dot(a, w2, h);
+        out[i] = 1.0 / (1.0 + exp(-(o + b2)));
+    }
+
+    if (with_loss) {
+        for (i = 0; i < n; i++) {
+            safe = out[i] < 1e-12 ? 1e-12 : out[i];
+            safe = safe > 1.0 - 1e-12 ? 1.0 - 1e-12 : safe;
+            term = t[i] * log(safe) + (1.0 - t[i]) * log(1.0 - safe);
+            loss = i == 0 ? term : loss + term;
+        }
+        loss = -loss;
+        loss += 0.5 * ridge * (dot(w1, w1, d * h) + dot(w2, w2, h));
+    }
+
+    /* out becomes delta_out */
+    for (i = 0; i < n; i++)
+        out[i] = out[i] - t[i];
+    *g_b2 = out[0];
+    for (i = 1; i < n; i++)
+        *g_b2 = *g_b2 + out[i];
+    for (i = 0; i < n; i++)
+        for (j = 0; j < h; j++)
+            dh[i * h + j] = out[i] * w2[j] * hid[i * h + j] * (1.0 - hid[i * h + j]);
+
+    for (j = 0; j < h; j++) {
+        g_w2[j] = hid[j] * out[0];
+        g_b1[j] = dh[j];
+    }
+    for (i = 1; i < n; i++)
+        for (j = 0; j < h; j++) {
+            g_w2[j] = g_w2[j] + hid[i * h + j] * out[i];
+            g_b1[j] = g_b1[j] + dh[i * h + j];
+        }
+    for (j = 0; j < h; j++)
+        g_w2[j] = g_w2[j] + ridge * w2[j];
+    /* one row of g_w1 at a time, so that it stays in cache */
+    for (k = 0; k < d; k++) {
+        double *g_k = g_w1 + k * h;
+
+        for (j = 0; j < h; j++)
+            g_k[j] = X[k] * dh[j];
+        for (i = 1; i < n; i++)
+            for (j = 0; j < h; j++)
+                g_k[j] = g_k[j] + X[i * d + k] * dh[i * h + j];
+        for (j = 0; j < h; j++)
+            g_k[j] = g_k[j] + ridge * w1[k * h + j];
+    }
+    return loss;
+}
+
+/* Train the perceptron by scaled conjugate gradients from the packed
+ * weights w (d * h + 2 * h + 1 values, updated in place) on X (n x d,
+ * row-major) and targets t, until the gradient norm falls below tol.
+ * trace receives the loss after each accepted step, the initial loss
+ * first (at most max_iter + 1 values), and *trace_len their count;
+ * *capped is set to 1 when max_iter iterations ran out first and to 0
+ * otherwise. Returns the number of iterations run, or -1 if the work
+ * arrays could not be allocated. */
+int64_t scg_solve(const double *X, const double *t, int64_t n, int64_t d,
+                  int64_t h, double ridge, int64_t max_iter, double tol,
+                  double *w, double *trace, int64_t *trace_len, int64_t *capped)
+{
+    int64_t m = d * h + 2 * h + 1, k, i, len = 1;
+    double *work = malloc(sizeof(double) * (size_t)(6 * m + 2 * n * h + n));
+    double *grad, *r, *p, *s, *trial, *grad_new, *hid, *dh, *out, *swap;
+    double loss, loss_new, lam = 1e-6, lam_bar = 0.0, delta = 0.0, p_sq, sigma,
+           mu, alpha, comparison, beta;
+    int success = 1;
+
+    if (work == NULL)
+        return -1;
+    grad = work;
+    r = grad + m;
+    p = r + m;
+    s = p + m;
+    trial = s + m;
+    grad_new = trial + m;
+    hid = grad_new + m;
+    dh = hid + n * h;
+    out = dh + n * h;
+
+    loss = loss_and_grad(X, t, n, d, h, ridge, w, 1, hid, dh, out, grad);
+    trace[0] = loss;
+    for (i = 0; i < m; i++) {
+        r[i] = -grad[i];
+        p[i] = r[i];
+    }
+    for (k = 1; k <= max_iter; k++) {
+        if (sqrt(dot(r, r, m)) < tol)
+            break;
+        p_sq = dot(p, p, m);
+        if (p_sq == 0.0)
+            break;
+        if (success) {
+            sigma = SCG_SIGMA0 / sqrt(p_sq);
+            for (i = 0; i < m; i++)
+                trial[i] = w[i] + sigma * p[i];
+            loss_and_grad(X, t, n, d, h, ridge, trial, 0, hid, dh, out, s);
+            for (i = 0; i < m; i++)
+                s[i] = (s[i] - grad[i]) / sigma;
+            delta = dot(p, s, m);
+        }
+        /* Levenberg-style shift keeps the curvature estimate positive. */
+        delta += (lam - lam_bar) * p_sq;
+        if (delta <= 0.0) {
+            lam_bar = 2.0 * (lam - delta / p_sq);
+            delta = -delta + lam * p_sq;
+            lam = lam_bar;
+        }
+        mu = dot(p, r, m);
+        if (mu == 0.0) {
+            memcpy(p, r, sizeof(double) * (size_t)m);
+            success = 1;
+            continue;
+        }
+        alpha = mu / delta;
+        for (i = 0; i < m; i++)
+            trial[i] = w[i] + alpha * p[i];
+        loss_new = loss_and_grad(X, t, n, d, h, ridge, trial, 1, hid, dh, out,
+                                 grad_new);
+        comparison = 2.0 * delta * (loss - loss_new) / (mu * mu);
+        if (comparison >= 0.0) {
+            memcpy(w, trial, sizeof(double) * (size_t)m);
+            loss = loss_new;
+            swap = grad;
+            grad = grad_new;
+            grad_new = swap;
+            /* s, free until the next probe, holds r_new = -grad */
+            for (i = 0; i < m; i++)
+                s[i] = -grad[i];
+            lam_bar = 0.0;
+            success = 1;
+            trace[len++] = loss;
+            if (k % m == 0) {
+                memcpy(p, s, sizeof(double) * (size_t)m);
+            } else {
+                beta = (dot(s, s, m) - dot(s, r, m)) / mu;
+                for (i = 0; i < m; i++)
+                    p[i] = s[i] + beta * p[i];
+            }
+            swap = r;
+            r = s;
+            s = swap;
+            if (comparison >= 0.75)
+                lam *= 0.25;
+        } else {
+            lam_bar = lam;
+            success = 0;
+        }
+        if (comparison < 0.25)
+            lam += delta * (1.0 - comparison) / p_sq;
+    }
+    *capped = k > max_iter;
+    *trace_len = len;
+    free(work);
+    return k - 1;
 }

@@ -11,7 +11,7 @@ on the ranking code; the cross-validation harness wires them together.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit, logsumexp
@@ -349,7 +349,9 @@ class MlpModel:
     w2: np.ndarray
     b2: float
     ridge: float
-    loss_trace: list = field(default_factory=list)
+    loss_trace: list
+    steps: int
+    capped: bool
 
 
 _MLP_GRAD_TOL = 1e-5
@@ -405,34 +407,91 @@ def mlp_loss_and_grad(wvec, features, targets, hidden_count, ridge):
     return _loss_and_grad(w, X, t, X.shape[1], int(hidden_count), ridge, True)
 
 
-def mlp_train(
-    train: TrainSet,
-    hidden_count: int,
-    ridge: float = 0.01,
-    seed: int = 0,
-) -> MlpModel:
-    """Fit by scaled conjugate gradients.
+def _sum(a, axis=0):
+    """The sum along ``axis``, added left to right: a cumulative sum adds
+    in order, where ``np.sum`` and BLAS choose their own order."""
+    return np.cumsum(a, axis=axis).take(-1, axis=axis)
 
-    Deterministic given the seed; stops when the gradient norm falls
-    below ``_MLP_GRAD_TOL`` or after ``_MLP_MAX_ITER`` iterations. Only
-    accepted steps extend the loss trace, so it is non-increasing.
-    """
-    if hidden_count < 1:
-        raise ValueError("hidden_count must be >= 1")
-    if ridge < 0.0:
-        raise ValueError("ridge must be >= 0")
-    rng = np.random.default_rng(seed)
-    d = train.n_features
-    h = int(hidden_count)
-    w1 = rng.uniform(-0.5, 0.5, (d, h)) / math.sqrt(d)
-    b1 = np.zeros(h)
-    w2 = rng.uniform(-0.5, 0.5, h) / math.sqrt(h)
-    w = np.concatenate([w1.ravel(), b1, w2, [0.0]])
-    X = train.features
-    t = train.labels.astype(np.float64)
 
+def _dot(a, b) -> float:
+    """``a @ b`` with the products added left to right."""
+    return float(_sum(a * b))
+
+
+def _exp_or_inf(v):
+    """``math.exp`` that overflows to ``inf``, as C's ``exp`` does,
+    instead of raising ``OverflowError``."""
+    try:
+        return math.exp(v)
+    except OverflowError:
+        return math.inf
+
+
+def _expit(x):
+    """``1 / (1 + exp(-x))`` elementwise, with the C library's ``exp``
+    (``math.exp``), as the compiled loop computes it."""
+    values = (-x).ravel().tolist()
+    try:
+        e = np.fromiter(map(math.exp, values), np.float64, len(values))
+    except OverflowError:
+        e = np.fromiter(map(_exp_or_inf, values), np.float64, len(values))
+    return 1.0 / (1.0 + e.reshape(x.shape))
+
+
+def _log(x):
+    """The C library's ``log`` of each element of a 1-D array."""
+    return np.fromiter(map(math.log, x.tolist()), np.float64, len(x))
+
+
+def _fixed_loss_and_grad(w, X, t, h, ridge, with_loss):
+    """:func:`_loss_and_grad` in the fixed order of ``kernels.scg_solve``:
+    every sum runs left to right and ``exp`` and ``log`` are the C
+    library's, so the bits do not depend on BLAS or NumPy's SIMD code."""
+    d = X.shape[1]
+    w1, b1, w2, b2 = _unpack(w, d, h)
+
+    # The sums over features and over samples loop in Python over the
+    # summed axis: cumulative sums of (samples, d, h) products cost more.
+    columns = X.T[:, :, None]
+    pre = columns[0] * w1[0]
+    for x, w1_k in zip(columns[1:], w1[1:]):
+        pre += x * w1_k
+    hidden = _expit(pre + b1)
+    out = _expit(_sum(hidden * w2[None, :], axis=1) + b2)
+    loss = None
+    if with_loss:
+        safe = np.clip(out, 1e-12, 1.0 - 1e-12)
+        loss = -float(_sum(t * _log(safe) + (1.0 - t) * _log(1.0 - safe)))
+        loss += 0.5 * ridge * (_dot(w1.ravel(), w1.ravel()) + _dot(w2, w2))
+
+    delta_out = out - t
+    g_w2 = _sum(hidden * delta_out[:, None]) + ridge * w2
+    g_b2 = float(_sum(delta_out))
+    delta_hidden = (delta_out[:, None] * w2[None, :]) * hidden * (1.0 - hidden)
+    rows = X[:, :, None]
+    g_w1 = rows[0] * delta_hidden[0]
+    for x, dh_i in zip(rows[1:], delta_hidden[1:]):
+        g_w1 += x * dh_i
+    g_w1 += ridge * w1
+    g_b1 = _sum(delta_hidden)
+
+    grad = np.concatenate([g_w1.ravel(), g_b1, g_w2, [g_b2]])
+    return loss, grad
+
+
+def _scg_loop(X, t, h, ridge, w, max_iter, tol):
+    """Scaled conjugate gradients on the network's weights ``w`` (packed
+    as ``_unpack`` reads them) until the gradient norm falls below
+    ``tol``. Returns ``(w, loss_trace, steps, capped)``: the final
+    weights, the loss after each accepted step (the first entry is the
+    initial loss), the iterations run, and whether ``max_iter`` ran out
+    first. ``kernels.scg_solve`` is the compiled port of this loop; this
+    one is its oracle and the path without a compiler. Both use
+    :func:`_fixed_loss_and_grad`'s order, and left-to-right dot
+    products, so they give the same bits on every host whose C library
+    computes ``exp`` and ``log`` alike."""
     n_params = len(w)
-    loss, grad = _loss_and_grad(w, X, t, d, h, ridge, True)
+    loss, grad = _fixed_loss_and_grad(w, X, t, h, ridge, True)
     trace = [loss]
     r = -grad
     p = r.copy()
@@ -440,25 +499,24 @@ def mlp_train(
     lam = 1e-6
     lam_bar = 0.0
     delta = 0.0
-    for k in range(1, _MLP_MAX_ITER + 1):
-        # the 2-norm exactly as np.linalg.norm computes it for 1-D input
-        if math.sqrt(float(r @ r)) < _MLP_GRAD_TOL:
-            break
-        p_sq = float(p @ p)
+    for k in range(1, max_iter + 1):
+        if math.sqrt(_dot(r, r)) < tol:
+            return w, trace, k - 1, False
+        p_sq = _dot(p, p)
         if p_sq == 0.0:
-            break
+            return w, trace, k - 1, False
         if success:
             sigma = _SCG_SIGMA0 / math.sqrt(p_sq)
-            _, grad_probe = _loss_and_grad(w + sigma * p, X, t, d, h, ridge, False)
+            _, grad_probe = _fixed_loss_and_grad(w + sigma * p, X, t, h, ridge, False)
             s = (grad_probe - grad) / sigma
-            delta = float(p @ s)
+            delta = _dot(p, s)
         # Levenberg-style shift keeps the curvature estimate positive.
         delta += (lam - lam_bar) * p_sq
         if delta <= 0.0:
             lam_bar = 2.0 * (lam - delta / p_sq)
             delta = -delta + lam * p_sq
             lam = lam_bar
-        mu = float(p @ r)
+        mu = _dot(p, r)
         if mu == 0.0:
             # Search direction orthogonal to the gradient: restart along
             # steepest descent rather than divide by zero below.
@@ -466,7 +524,7 @@ def mlp_train(
             success = True
             continue
         alpha = mu / delta
-        loss_new, grad_new = _loss_and_grad(w + alpha * p, X, t, d, h, ridge, True)
+        loss_new, grad_new = _fixed_loss_and_grad(w + alpha * p, X, t, h, ridge, True)
         comparison = 2.0 * delta * (loss - loss_new) / (mu * mu)
         if comparison >= 0.0:
             w = w + alpha * p
@@ -479,7 +537,7 @@ def mlp_train(
             if k % n_params == 0:
                 p = r_new.copy()
             else:
-                beta = float((r_new @ r_new - r_new @ r) / mu)
+                beta = (_dot(r_new, r_new) - _dot(r_new, r)) / mu
                 p = r_new + beta * p
             r = r_new
             if comparison >= 0.75:
@@ -489,9 +547,48 @@ def mlp_train(
             success = False
         if comparison < 0.25:
             lam += delta * (1.0 - comparison) / p_sq
+    return w, trace, max_iter, True
 
+
+_SCG = kernels.scg_solve or _scg_loop
+
+
+def mlp_train(
+    train: TrainSet,
+    hidden_count: int,
+    ridge: float = 0.01,
+    seed: int = 0,
+) -> MlpModel:
+    """Fit by scaled conjugate gradients.
+
+    Deterministic given the seed; stops when the gradient norm falls
+    below ``_MLP_GRAD_TOL`` or after ``_MLP_MAX_ITER`` iterations. Only
+    accepted steps extend the loss trace, so it is non-increasing.
+    ``MlpModel.steps`` counts the iterations, rejected steps included,
+    and ``MlpModel.capped`` is True when the budget ran out first. The
+    loop runs in the compiled library when it is loaded
+    (``kernels.scg_solve``) and in :func:`_scg_loop` otherwise, with the
+    same bits either way, whatever BLAS or SIMD code NumPy uses.
+    """
+    if hidden_count < 1:
+        raise ValueError("hidden_count must be >= 1")
+    if ridge < 0.0:
+        raise ValueError("ridge must be >= 0")
+    rng = np.random.default_rng(seed)
+    d = train.n_features
+    h = int(hidden_count)
+    w1 = rng.uniform(-0.5, 0.5, (d, h)) / math.sqrt(d)
+    b1 = np.zeros(h)
+    w2 = rng.uniform(-0.5, 0.5, h) / math.sqrt(h)
+    w = np.concatenate([w1.ravel(), b1, w2, [0.0]])
+    t = train.labels.astype(np.float64)
+    w, trace, steps, capped = _SCG(
+        train.features, t, h, ridge, w, _MLP_MAX_ITER, _MLP_GRAD_TOL
+    )
     w1, b1, w2, b2 = _unpack(w, d, h)
-    return MlpModel(w1.copy(), b1.copy(), w2.copy(), float(b2), ridge, trace)
+    return MlpModel(
+        w1.copy(), b1.copy(), w2.copy(), float(b2), ridge, trace, steps, capped
+    )
 
 
 def mlp_predict(model: MlpModel, query):

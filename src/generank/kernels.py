@@ -1,17 +1,19 @@
 """Backend dispatch for the compiled loops in ``_mamdani.c``.
 
-The library holds two loops, each a port of NumPy code that stays as
+The library holds three loops, each a port of Python code that stays as
 its oracle and fallback: the batch fuzzy-inference kernel
-(``_mamdani_py.mamdani_scores``) and the SVM's SMO update loop
-(``classifiers._smo_loop``). It is loaded through ctypes and preferred.
-On first import it is compiled when no build of the current source
-exists and a C compiler (``cc``) is on ``PATH``; see ``_cbuild``. Without
-a compiler, or if the build fails (which warns with the compiler's
-output), the NumPy code takes over. Both produce bit-identical results,
-so the choice only affects speed; ``BACKEND`` names the fuzzy kernel
-that runs, and ``smo_solve`` is None when the library is not loaded.
-The one difference is which NaN an overflowed SMO result holds, and
-``classifiers.svm_train`` rejects such a result on either path.
+(``_mamdani_py.mamdani_scores``), the SVM's SMO update loop
+(``classifiers._smo_loop``) and the perceptron's scaled-conjugate-gradient
+loop (``classifiers._scg_loop``). It is loaded through ctypes and
+preferred. On first import it is compiled when no build of the current
+source exists and a C compiler (``cc``) is on ``PATH``; see ``_cbuild``.
+Without a compiler, or if the build fails (which warns with the
+compiler's output), the Python code takes over. Both produce
+bit-identical results, so the choice only affects speed; ``BACKEND``
+names the fuzzy kernel that runs, and ``smo_solve`` and ``scg_solve``
+are None when the library is not loaded. The one difference is which
+NaN an overflowed SMO result holds, and ``classifiers.svm_train``
+rejects such a result on either path.
 """
 
 from __future__ import annotations
@@ -93,6 +95,45 @@ def _bind_smo(lib):
     return smo_solve
 
 
+def _bind_scg(lib):
+    fn = lib.scg_solve
+    fn.argtypes = (
+        _MATRIX,
+        _ARRAY,
+        ctypes.c_int64,
+        ctypes.c_int64,
+        ctypes.c_int64,
+        ctypes.c_double,
+        ctypes.c_int64,
+        ctypes.c_double,
+        _ARRAY,
+        _ARRAY,
+        ctypes.POINTER(ctypes.c_int64),
+        ctypes.POINTER(ctypes.c_int64),
+    )
+    fn.restype = ctypes.c_int64
+
+    def scg_solve(X, t, h, ridge, w, max_iter, tol):
+        """``classifiers._scg_loop`` computed in C: returns ``(w,
+        loss_trace, steps, capped)`` as there, and leaves ``w`` as given."""
+        X = np.ascontiguousarray(X, dtype=np.float64)
+        n, d = X.shape
+        if min(n, d, h) < 1 or max_iter < 0:
+            raise ValueError("X must be non-empty, h >= 1 and max_iter >= 0")
+        if t.shape != (n,) or w.shape != (d * h + 2 * h + 1,):
+            raise ValueError("t needs one value per row of X and w d*h + 2*h + 1")
+        w = np.array(w, dtype=np.float64)
+        trace = np.empty(max_iter + 1)
+        length, capped = ctypes.c_int64(0), ctypes.c_int64(0)
+        args = (X, t, n, d, h, ridge, max_iter, tol, w, trace)
+        steps = fn(*args, ctypes.byref(length), ctypes.byref(capped))
+        if steps < 0:
+            raise MemoryError("scg_solve could not allocate its work arrays")
+        return w, trace[: length.value].tolist(), int(steps), bool(capped.value)
+
+    return scg_solve
+
+
 def _load_c_kernel():
     """The C fuzzy kernel's raw callable from a fresh load of the
     library, or None; see :func:`_load_library`."""
@@ -104,11 +145,13 @@ _LIB = _load_library()
 if _LIB is not None:
     _c_scores = _bind_mamdani(_LIB)
     smo_solve = _bind_smo(_LIB)
+    scg_solve = _bind_scg(_LIB)
     _IMPL = _c_scores
     BACKEND = "c"
 else:
     _c_scores = None
     smo_solve = None
+    scg_solve = None
     _IMPL = _mamdani_py.mamdani_scores
     BACKEND = "numpy"
 

@@ -1,5 +1,6 @@
 """Tests for the four from-scratch classifiers."""
 
+import hashlib
 import inspect
 import math
 import warnings
@@ -192,7 +193,7 @@ def test_svm_rejects_nonpositive_c():
         svm_train(train, 0.0)
 
 
-needs_compiled_smo = pytest.mark.skipif(
+needs_compiled = pytest.mark.skipif(
     not _cbuild.compiler_present() and _cbuild.find_library() is None,
     reason="no C compiler on PATH and no built C library",
 )
@@ -234,16 +235,17 @@ def _same_bits(a, b):
 
 
 def _loop(name):
-    """An SMO loop by name: the compiled ``smo_solve`` or ``_smo_loop``."""
-    return getattr(kernels if name == "smo_solve" else classifiers, name)
+    """A solver loop by name: a compiled one (``smo_solve``, ``scg_solve``)
+    or its Python oracle (``_smo_loop``, ``_scg_loop``)."""
+    return getattr(kernels if name.endswith("_solve") else classifiers, name)
 
 
 both_loops = pytest.mark.parametrize(
-    "loop", [pytest.param("smo_solve", marks=needs_compiled_smo), "_smo_loop"]
+    "loop", [pytest.param("smo_solve", marks=needs_compiled), "_smo_loop"]
 )
 
 
-@needs_compiled_smo
+@needs_compiled
 def test_smo_compiled_loop_bit_identical_to_python_loop():
     assert classifiers._SMO is kernels.smo_solve
     rng = np.random.default_rng(510)
@@ -268,7 +270,7 @@ def test_smo_compiled_loop_bit_identical_to_python_loop():
     assert min(seen.values()) >= 5, seen
 
 
-@needs_compiled_smo
+@needs_compiled
 def test_svm_train_same_model_on_both_loops(monkeypatch):
     rng = np.random.default_rng(511)
     trains = [_separable(rng, dim=2, margin=0.5) for _ in range(20)]
@@ -609,6 +611,148 @@ def test_mlp_rejects_bad_shape_arguments():
     model = mlp_train(train, hidden_count=2)
     with pytest.raises(ValueError):
         mlp_predict(model, np.ones(3))
+
+
+def test_fixed_order_loss_and_grad_matches_numpy_oracle():
+    # the training loop's own arithmetic stays within round-off of
+    # mlp_loss_and_grad, the oracle the finite-difference checks cover
+    rng = np.random.default_rng(523)
+    for trial in range(200):
+        d, h, n = int(rng.integers(1, 21)), int(rng.integers(1, 41)), int(rng.integers(2, 60))
+        features = rng.normal(size=(n, d)) * 3.0
+        targets = rng.integers(0, 2, n).astype(np.float64)
+        vec = rng.normal(0.0, 2.0, d * h + 2 * h + 1)
+        ridge = float(rng.choice([0.0, 0.01, 1.0]))
+        loss, grad = mlp_loss_and_grad(vec, features, targets, h, ridge)
+        fixed_loss, fixed_grad = classifiers._fixed_loss_and_grad(
+            vec, features, targets, h, ridge, True
+        )
+        assert abs(fixed_loss - loss) <= 1e-12 * abs(loss), f"trial {trial}"
+        scale = np.abs(grad).max()
+        assert np.abs(fixed_grad - grad).max() <= 1e-12 * scale, f"trial {trial}"
+        none, probe = classifiers._fixed_loss_and_grad(vec, features, targets, h, ridge, False)
+        assert none is None
+        assert probe.tobytes() == fixed_grad.tobytes()
+
+
+@needs_compiled
+def test_scg_compiled_loop_bit_identical_to_python_loop():
+    assert classifiers._SCG is kernels.scg_solve
+    rng = np.random.default_rng(530)
+    seen = {"clipped": 0, "overflowed": 0, "converged": 0}
+    for d in (1, 2, 5, 20):
+        for h in (1, 3, 2 * d):
+            # ridge 0 on separable data, started with outputs past the
+            # 1e-12 log clip, and at the largest scale with exp(-x)
+            # overflowing to inf
+            for ridge, scale in ((0.01, 1.0), (0.0, 30.0), (0.0, 1000.0)):
+                train = _separable(rng, n_per_class=int(rng.integers(3, 10)), dim=d)
+                X, t = train.features, train.labels.astype(np.float64)
+                w = rng.uniform(-0.5, 0.5, d * h + 2 * h + 1) * scale
+                if ridge == 0.0:
+                    w[-1] = -40.0
+                    w1, b1, w2, b2 = classifiers._unpack(w, d, h)
+                    pre = X @ w1 + b1
+                    out = scipy.special.expit(scipy.special.expit(pre) @ w2 + b2)
+                    assert ((out < 1e-12) | (out > 1.0 - 1e-12)).any()
+                    seen["clipped"] += 1
+                    seen["overflowed"] += bool(pre.min() < -710.0)
+                expected = classifiers._scg_loop(X, t, h, ridge, w, 500, 1e-5)
+                got = kernels.scg_solve(X, t, h, ridge, w, 500, 1e-5)
+                case = f"d={d} h={h} ridge={ridge} scale={scale}"
+                assert got[0].tobytes() == expected[0].tobytes(), case
+                assert np.array(got[1]).tobytes() == np.array(expected[1]).tobytes(), case
+                assert got[2:] == expected[2:], case
+                seen["converged"] += not expected[3]
+    assert min(seen.values()) >= 5, seen
+
+
+@needs_compiled
+def test_scg_solve_checks_shapes_before_calling_c():
+    X, t = np.ones((4, 2)), np.array([0.0, 1.0, 0.0, 1.0])
+    w = np.zeros(2 * 3 + 2 * 3 + 1)
+    for features, targets, h, wvec, budget in (
+        (X, t, 0, w[:1], 10),
+        (X[:0], t[:0], 3, w, 10),
+        (X, t[:3], 3, w, 10),
+        (X, t, 3, w[:-1], 10),
+        (X, t, 3, w, -1),
+    ):
+        with pytest.raises(ValueError):
+            kernels.scg_solve(features, targets, h, 0.01, wvec, budget, 1e-5)
+
+
+@needs_compiled
+@pytest.mark.parametrize("budget", [None, 3])
+def test_mlp_train_same_model_on_both_loops(monkeypatch, budget):
+    if budget is not None:
+        monkeypatch.setattr(classifiers, "_MLP_MAX_ITER", budget)
+    rng = np.random.default_rng(531)
+    fits = [
+        (_separable(rng, n_per_class=6, dim=d, margin=0.4), h)
+        for d in (1, 2, 5, 20)
+        for h in (1, 3, 2 * d)
+    ]
+    models = []
+    for loop in (kernels.scg_solve, classifiers._scg_loop):
+        monkeypatch.setattr(classifiers, "_SCG", loop)
+        models.append([mlp_train(train, h, seed=i) for i, (train, h) in enumerate(fits)])
+    for compiled, python in zip(*models):
+        for field in ("w1", "b1", "w2", "b2", "loss_trace"):
+            assert _same_bits([getattr(compiled, field)], [getattr(python, field)]), field
+        assert (compiled.steps, compiled.capped) == (python.steps, python.capped)
+        if budget is not None:
+            assert compiled.capped and compiled.steps == budget
+
+
+@pytest.mark.parametrize(
+    "loop", [pytest.param("scg_solve", marks=needs_compiled), "_scg_loop"]
+)
+def test_mlp_reports_steps_and_cap(monkeypatch, loop):
+    monkeypatch.setattr(classifiers, "_SCG", _loop(loop))
+    train = _separable(np.random.default_rng(532), n_per_class=8, dim=3)
+    model = mlp_train(train, hidden_count=4, seed=1)
+    assert not model.capped
+    assert len(model.loss_trace) - 1 <= model.steps < classifiers._MLP_MAX_ITER
+    # the budget counts iterations: the check after the last one is not made
+    monkeypatch.setattr(classifiers, "_MLP_MAX_ITER", model.steps)
+    capped = mlp_train(train, hidden_count=4, seed=1)
+    assert capped.capped and capped.steps == model.steps
+    assert capped.loss_trace == model.loss_trace
+    monkeypatch.setattr(classifiers, "_MLP_MAX_ITER", model.steps + 1)
+    again = mlp_train(train, hidden_count=4, seed=1)
+    assert (again.steps, again.capped) == (model.steps, False)
+
+
+def test_mlp_model_bits_are_the_same_on_every_host():
+    """SHA-256 of the weights and loss trace of three seeded fits.
+
+    The training loop sums in a fixed order and takes ``exp`` and ``log``
+    from the C library on both of its paths, so these hashes hold with
+    and without the compiled library, on every OpenBLAS kernel and with
+    NumPy's SIMD code paths turned off. They were measured with glibc's
+    libm; a build against another libm (musl, macOS) may round ``exp`` or
+    ``log`` differently and is not covered.
+    """
+    fits = [
+        # (data seed, per class, features, hidden units, ridge, fit seed)
+        (541, 18, 5, 3, 0.01, 0),
+        (542, 10, 2, 4, 0.0, 7),
+        (543, 25, 20, 40, 0.1, 3),
+    ]
+    digests = []
+    for data_seed, per_class, dim, h, ridge, seed in fits:
+        train = _separable(np.random.default_rng(data_seed), per_class, dim, margin=0.3)
+        model = mlp_train(train, hidden_count=h, ridge=ridge, seed=seed)
+        digest = hashlib.sha256()
+        for part in (model.w1, model.b1, model.w2, [model.b2], model.loss_trace):
+            digest.update(np.asarray(part, dtype=np.float64).tobytes())
+        digests.append(digest.hexdigest())
+    assert digests == [
+        "f1f60bb2ab88adbce1bc414db331a43890bfb2fd6ee509f5a365d835c54c9fc5",
+        "8b8400bb3ef4c16254eb80aa5d83e21c9ee0fa87953d489c01d93fc3369b4351",
+        "7ec85711e660cef68d1697325147fc220004d91ce7964d82bfcd06882dc9025a",
+    ]
 
 
 @pytest.mark.parametrize("predictor", ["knn", "svm", "nbc", "mlp"])
