@@ -66,8 +66,48 @@ def _validate_query(n_features: int, query) -> np.ndarray:
     return q
 
 
+def _validate_queries(n_features: int, queries) -> np.ndarray:
+    """The queries as a finite (n_queries, ``n_features``) float array."""
+    q = np.asarray(queries, dtype=np.float64)
+    if q.ndim != 2 or q.shape[1] != n_features:
+        raise ValueError(f"queries must have {n_features} features, got shape {q.shape}")
+    if not np.isfinite(q).all():
+        raise ValueError("queries contain non-finite values")
+    return q
+
+
 # --------------------------------------------------------------------------
 # k nearest neighbours
+
+
+def _knn_labels(train: TrainSet, ks: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Unchecked core of :func:`knn_grid_labels`: (len(ks), n_queries) labels.
+
+    Each query's distances and stable neighbour order are computed once;
+    every k reads its votes and its per-class distance sums off cumulative
+    sums in neighbour order, which add in the order a per-neighbour loop
+    would.
+    """
+    dist = np.sqrt(((train.features[None, :, :] - queries[:, None, :]) ** 2).sum(axis=-1))
+    order = np.argsort(dist, axis=-1, kind="stable")
+    near_labels = train.labels[order]
+    near_dist = np.take_along_axis(dist, order, axis=-1)
+    at_k = ks - 1
+    votes1 = np.cumsum(near_labels, axis=-1)[:, at_k]
+    votes0 = ks - votes1
+    sums1 = np.cumsum(np.where(near_labels == 1, near_dist, 0.0), axis=-1)[:, at_k]
+    sums0 = np.cumsum(np.where(near_labels == 0, near_dist, 0.0), axis=-1)[:, at_k]
+    split = np.where(votes1 != votes0, votes1 > votes0, sums1 < sums0)
+    return split.T.astype(np.int64)
+
+
+def knn_grid_labels(train: TrainSet, ks, queries) -> np.ndarray:
+    """:func:`knn_classify` for every k in ``ks`` and every row of
+    ``queries`` at once: a (len(ks), n_queries) array of labels."""
+    ks = np.asarray(ks, dtype=np.int64).reshape(-1)
+    if ((ks < 1) | (ks > train.n_samples)).any():
+        raise ValueError(f"k must be in [1, {train.n_samples}]")
+    return _knn_labels(train, ks, _validate_queries(train.n_features, queries))
 
 
 def knn_classify(train: TrainSet, query, k: int) -> int:
@@ -80,15 +120,7 @@ def knn_classify(train: TrainSet, query, k: int) -> int:
     if not 1 <= k <= train.n_samples:
         raise ValueError(f"k must be in [1, {train.n_samples}]")
     q = _validate_query(train.n_features, query)
-    dist = np.sqrt(((train.features - q) ** 2).sum(axis=1))
-    nearest = np.argsort(dist, kind="stable")[:k]
-    votes = np.bincount(train.labels[nearest], minlength=2)
-    if votes[1] != votes[0]:
-        return int(votes[1] > votes[0])
-    sums = np.zeros(2)
-    for i in nearest:
-        sums[train.labels[i]] += dist[i]
-    return int(sums[1] < sums[0])
+    return int(_knn_labels(train, np.array([k]), q[None, :])[0, 0])
 
 
 # --------------------------------------------------------------------------
@@ -267,6 +299,34 @@ class NbcModel:
     log_priors: np.ndarray
 
 
+def _nbc_fit(train: TrainSet, multipliers: np.ndarray):
+    """Unchecked core of :func:`nbc_train` for every multiplier at once.
+
+    Returns ``(class_values, bandwidths, log_priors)``: each class's
+    sample block, the (len(multipliers), 2, n_features) bandwidths and
+    the two log priors. Each class's variance is computed once.
+    """
+    values = []
+    bandwidths = np.empty((len(multipliers), 2, train.n_features))
+    priors = np.empty(2)
+    for cls in (0, 1):
+        V = train.features[train.labels == cls]
+        n_c = V.shape[0]
+        var = V.var(axis=0, ddof=1) if n_c > 1 else np.zeros(train.n_features)
+        sigma = np.sqrt(np.maximum(var, VARIANCE_FLOOR))
+        bandwidths[:, cls] = multipliers[:, None] * 1.06 * sigma * n_c ** (-0.2)
+        priors[cls] = n_c / train.n_samples
+        values.append(V)
+    return tuple(values), bandwidths, np.log(priors)
+
+
+def _checked_multipliers(multipliers) -> np.ndarray:
+    m = np.asarray(multipliers, dtype=np.float64).reshape(-1)
+    if not (m > 0.0).all():
+        raise ValueError("bandwidth_multiplier must be positive")
+    return m
+
+
 def nbc_train(train: TrainSet, bandwidth_multiplier: float = 1.0) -> NbcModel:
     """Per class and feature, a Gaussian KDE with Silverman bandwidths.
 
@@ -274,20 +334,10 @@ def nbc_train(train: TrainSet, bandwidth_multiplier: float = 1.0) -> NbcModel:
     feature's standard deviation floored, so constant features stay
     usable.
     """
-    if bandwidth_multiplier <= 0.0:
-        raise ValueError("bandwidth_multiplier must be positive")
-    values = []
-    bandwidths = np.empty((2, train.n_features))
-    priors = np.empty(2)
-    for cls in (0, 1):
-        V = train.features[train.labels == cls]
-        n_c = V.shape[0]
-        var = V.var(axis=0, ddof=1) if n_c > 1 else np.zeros(train.n_features)
-        sigma = np.sqrt(np.maximum(var, VARIANCE_FLOOR))
-        bandwidths[cls] = bandwidth_multiplier * 1.06 * sigma * n_c ** (-0.2)
-        priors[cls] = n_c / train.n_samples
-        values.append(V)
-    return NbcModel(tuple(values), bandwidths, np.log(priors))
+    values, bandwidths, log_priors = _nbc_fit(
+        train, _checked_multipliers(bandwidth_multiplier)
+    )
+    return NbcModel(values, bandwidths[0], log_priors)
 
 
 def _logsumexp(a, axis=None):
@@ -297,22 +347,57 @@ def _logsumexp(a, axis=None):
     the maxima are taken out of the sum, which becomes ``log1p`` of the
     rest scaled by their count. That skips the array-API dispatch that
     dominates SciPy's call on tiny arrays, and fixes the bits whatever
-    SciPy release is installed. A non-finite maximum (an infinite or NaN
-    input) or result goes to SciPy, whose edge-case handling this does
-    not repeat.
+    SciPy release is installed. Each result whose slice has a non-finite
+    maximum (an infinite or NaN input), or that comes out non-finite
+    itself, is SciPy's instead, whose edge-case handling this does not
+    repeat; the other results do not depend on it.
     """
     a_max = a.max(axis=axis, keepdims=True)
-    if not np.isfinite(a_max).all():
-        return logsumexp(a, axis=axis)
-    at_max = a == a_max
-    m = at_max.sum(axis=axis, keepdims=True, dtype=np.float64)
-    s = np.exp(np.where(at_max, -np.inf, a) - a_max).sum(axis=axis, keepdims=True)
-    s = np.where(s == 0, s, s / m)
-    out = np.log1p(s) + np.log(m) + a_max
-    if not np.isfinite(out).all():
-        return logsumexp(a, axis=axis)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        at_max = a == a_max
+        m = at_max.sum(axis=axis, keepdims=True, dtype=np.float64)
+        s = np.exp(np.where(at_max, -np.inf, a) - a_max).sum(axis=axis, keepdims=True)
+        s = np.where(s == 0, s, s / m)
+        out = np.log1p(s) + np.log(m) + a_max
+    bad = ~np.isfinite(out)
+    if bad.any():
+        out = np.where(bad, logsumexp(a, axis=axis, keepdims=True), out)
     out = out.squeeze(axis=axis)
     return out[()] if out.ndim == 0 else out
+
+
+def _nbc_posteriors(class_values, bandwidths, log_priors, queries) -> np.ndarray:
+    """Unchecked core of :func:`nbc_predict`: the (n_multipliers,
+    n_queries, 2) posteriors for :func:`_nbc_fit`'s bandwidths.
+
+    The kernel terms of every (multiplier, query, sample, feature) go
+    through one :func:`_logsumexp` along the sample axis per class. Its
+    sums over samples, and the sums over features, add in the order they
+    do for one multiplier and one query, so each posterior has the same
+    bits either way.
+    """
+    log_joint = np.empty(bandwidths.shape[:1] + queries.shape[:1] + (2,))
+    for cls in (0, 1):
+        V = class_values[cls]
+        h = bandwidths[:, cls]
+        z = (queries[:, None, :] - V)[None] / h[:, None, None, :]
+        log_kde = _logsumexp(-0.5 * z * z, axis=2)
+        log_kde -= (math.log(V.shape[0]) + np.log(h * math.sqrt(2.0 * math.pi)))[:, None]
+        log_joint[..., cls] = log_priors[cls] + log_kde.sum(axis=-1)
+    posteriors = np.exp(log_joint - _logsumexp(log_joint, axis=-1)[..., None])
+    # guard the unit-sum invariant against rounding when the shifted
+    # log joints are huge in magnitude
+    posteriors /= posteriors.sum(axis=-1, keepdims=True)
+    return posteriors
+
+
+def nbc_grid_labels(train: TrainSet, multipliers, queries) -> np.ndarray:
+    """:func:`nbc_train` and :func:`nbc_predict` for every bandwidth
+    multiplier and every row of ``queries`` at once: a
+    (len(multipliers), n_queries) array of labels."""
+    fit = _nbc_fit(train, _checked_multipliers(multipliers))
+    posteriors = _nbc_posteriors(*fit, _validate_queries(train.n_features, queries))
+    return (posteriors[..., 1] > posteriors[..., 0]).astype(np.int64)
 
 
 def nbc_predict(model: NbcModel, query):
@@ -322,18 +407,9 @@ def nbc_predict(model: NbcModel, query):
     depend on which SciPy release is installed.
     """
     q = _validate_query(model.bandwidths.shape[1], query)
-    log_joint = np.empty(2)
-    for cls in (0, 1):
-        V = model.class_values[cls]
-        h = model.bandwidths[cls]
-        z = (q[None, :] - V) / h[None, :]
-        log_kde = _logsumexp(-0.5 * z * z, axis=0)
-        log_kde -= math.log(V.shape[0]) + np.log(h * math.sqrt(2.0 * math.pi))
-        log_joint[cls] = model.log_priors[cls] + float(log_kde.sum())
-    posteriors = np.exp(log_joint - _logsumexp(log_joint))
-    # guard the unit-sum invariant against rounding when the shifted
-    # log joints are huge in magnitude
-    posteriors /= posteriors.sum()
+    posteriors = _nbc_posteriors(
+        model.class_values, model.bandwidths[None], model.log_priors, q[None, :]
+    )[0, 0]
     label = int(posteriors[1] > posteriors[0])
     return label, posteriors
 

@@ -36,18 +36,48 @@ from generank.dataio import (
 from generank.rankers import save_ranking
 
 
+def _pid_is_gone(pid: int) -> bool:
+    """Whether no process has this id. A process of another user counts
+    as running, and an id too large for the system as unknown."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    except (OSError, OverflowError):
+        return False
+    return False
+
+
+def _remove_dead_stages(out) -> None:
+    """Remove the ``.staging.<pid>.*`` directories in ``out`` whose run
+    is gone, such as one killed mid-write. Directories of running pids,
+    and names that do not parse, stay. Pids are told apart on this host
+    only, and the check runs on POSIX systems only: on Windows
+    ``os.kill`` would end the process."""
+    if os.name != "posix":
+        return
+    for name in os.listdir(out):
+        parts = name.split(".")
+        if len(parts) == 4 and parts[1] == "staging" and parts[2].isdigit():
+            pid = int(parts[2])
+            if pid > 0 and _pid_is_gone(pid):
+                shutil.rmtree(os.path.join(out, name), ignore_errors=True)
+
+
 def _publish(args, write) -> None:
     """Publish a command's files into ``args.out``: all of them or none.
 
     ``write(stage)`` writes the artifacts into a staging directory of its
-    own inside ``args.out``; the manifest joins them there, then each file
-    is renamed into ``args.out``, the manifest last. A failure before the
-    renames publishes nothing and leaves earlier files untouched, and
-    concurrent runs into one directory never share or delete each other's
-    staged files.
+    own inside ``args.out``, named after the run's pid; the manifest joins
+    them there, then each file is renamed into ``args.out``, the manifest
+    last. A failure before the renames publishes nothing and leaves
+    earlier files untouched, and concurrent runs into one directory never
+    share or delete each other's staged files. Staging directories left
+    by runs that no longer exist are removed first.
     """
     os.makedirs(args.out, exist_ok=True)
-    stage = tempfile.mkdtemp(prefix=".staging.", dir=args.out)
+    _remove_dead_stages(args.out)
+    stage = tempfile.mkdtemp(prefix=f".staging.{os.getpid()}.", dir=args.out)
     try:
         write(stage)
         if args.command in ("compare", "report"):

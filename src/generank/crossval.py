@@ -22,14 +22,17 @@ from generank import fgf as fgf_mod
 from generank import gaopt
 from generank.classifiers import (
     TrainSet,
-    knn_classify,
+    knn_grid_labels,
     mlp_predict,
     mlp_train,
-    nbc_predict,
-    nbc_train,
+    nbc_grid_labels,
     svm_predict,
     svm_train,
 )
+
+# knn_classify, nbc_train and nbc_predict stay importable from here:
+# perfbench/tracer.py patches these names.
+from generank.classifiers import knn_classify, nbc_predict, nbc_train  # noqa: F401
 from generank.dataio import VARIANCE_FLOOR, Dataset
 from generank.rankers import rank_genes
 
@@ -126,23 +129,31 @@ def _scaled(train_x, train_y, queries):
     return train, (np.asarray(queries, dtype=np.float64) - mu) / sd
 
 
-def _predict(classifier, hyper, train, scaled, seed):
-    """Train one classifier on a standardized block and label the queries.
+def _grid_labels(classifier, grid, train, scaled, seed):
+    """Labels of the queries ``scaled`` by ``classifier`` trained on a
+    standardized block with each value of ``grid``: a (len(grid),
+    len(scaled)) array.
 
-    ``seed`` is a zero-argument callable; only the perceptron calls it,
-    so the other classifiers never derive a seed they do not use.
+    knn and nbc score the whole grid in one array pass (k is capped at
+    the block's sample count). svm and mlp fit one model per value;
+    ``seed`` is a zero-argument callable that only the perceptron calls,
+    once per fit, so the other classifiers never derive a seed they do
+    not use.
     """
     if classifier == "knn":
-        k = min(int(hyper), train.n_samples)
-        return np.array([knn_classify(train, q, k) for q in scaled])
-    if classifier == "svm":
-        model = svm_train(train, hyper)
-        return np.array([svm_predict(model, q) for q in scaled])
+        ks = [min(int(k), train.n_samples) for k in grid]
+        return knn_grid_labels(train, ks, scaled)
     if classifier == "nbc":
-        model = nbc_train(train, hyper)
-        return np.array([nbc_predict(model, q)[0] for q in scaled])
-    model = mlp_train(train, hyper, seed=seed())
-    return np.array([mlp_predict(model, q)[0] for q in scaled])
+        return nbc_grid_labels(train, grid, scaled)
+    rows = []
+    for value in grid:
+        if classifier == "svm":
+            model = svm_train(train, value)
+            rows.append([svm_predict(model, q) for q in scaled])
+        else:
+            model = mlp_train(train, value, seed=seed())
+            rows.append([mlp_predict(model, q)[0] for q in scaled])
+    return np.array(rows)
 
 
 def inner_search(features, labels, classifier: str, seed: int = 0):
@@ -151,8 +162,10 @@ def inner_search(features, labels, classifier: str, seed: int = 0):
     Uses up to ten folds, degraded to the smaller class count; pooled
     accuracy decides, ties going to the simpler candidate (smaller k or
     C, bandwidth multiplier nearest 1, fewer hidden nodes). Each fold is
-    standardized once and shared by every candidate; candidates are
-    tried in grid order, each over every fold. Returns
+    standardized once and shared by every candidate. knn and nbc score
+    every candidate of a fold in one pass; svm and mlp try the
+    candidates in grid order, each over every fold, so the first
+    :class:`ConvergenceError` raised is the first in that order. Returns
     ``(best_value, best_accuracy)``.
     """
     features = np.asarray(features, dtype=np.float64)
@@ -174,23 +187,26 @@ def inner_search(features, labels, classifier: str, seed: int = 0):
             features[train_mask], labels[train_mask], features[test_mask]
         )
         blocks.append((train, scaled, labels[test_mask]))
-    best_value = None
-    best_correct = -1
-    for position, value in enumerate(grid):
-        correct = 0
-        for fold, (train, scaled, truth) in enumerate(blocks):
-            predicted = _predict(
-                classifier,
-                value,
-                train,
-                scaled,
-                partial(_derived_seed, seed, fold, position),
-            )
-            correct += int((predicted == truth).sum())
-        if correct > best_correct:
-            best_correct = correct
-            best_value = value
-    return best_value, best_correct / len(labels)
+    if classifier in ("knn", "nbc"):
+        correct = sum(
+            (_grid_labels(classifier, grid, train, scaled, None) == truth).sum(axis=1)
+            for train, scaled, truth in blocks
+        )
+    else:
+        correct = [0] * len(grid)
+        for position, value in enumerate(grid):
+            for fold, (train, scaled, truth) in enumerate(blocks):
+                predicted = _grid_labels(
+                    classifier,
+                    [value],
+                    train,
+                    scaled,
+                    partial(_derived_seed, seed, fold, position),
+                )
+                correct[position] += int((predicted == truth).sum())
+    # argmax takes the first best, the simplest candidate
+    best = int(np.argmax(correct))
+    return grid[best], int(correct[best]) / len(labels)
 
 
 def _loocv_correct(
@@ -243,14 +259,14 @@ def _loocv_correct(
                 features, fold_labels, classifier, _derived_seed(seed, held_out, k)
             )
             train, scaled = _scaled(features, fold_labels, selected[:, [held_out]].T)
-            predicted = _predict(
+            predicted = _grid_labels(
                 classifier,
-                hyper,
+                [hyper],
                 train,
                 scaled,
                 partial(_derived_seed, seed, held_out, k, 1),
             )
-            correct[k] += int(predicted[0] == dataset.labels[held_out])
+            correct[k] += int(predicted[0, 0] == dataset.labels[held_out])
     return correct
 
 

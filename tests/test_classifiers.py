@@ -14,9 +14,11 @@ from generank.classifiers import (
     ConvergenceError,
     TrainSet,
     knn_classify,
+    knn_grid_labels,
     mlp_loss_and_grad,
     mlp_predict,
     mlp_train,
+    nbc_grid_labels,
     nbc_predict,
     nbc_train,
     svm_kkt_violation,
@@ -115,6 +117,132 @@ def test_knn_k_bounds():
         knn_classify(train, np.ones(2), 0)
     with pytest.raises(ValueError):
         knn_classify(train, np.ones(2), 5)
+
+
+# ---------------------------------------------------------------------------
+# batched knn and nbc cores
+
+
+def _core_cases():
+    """Seeded (train, queries) pairs: class sizes of 1, under 8 and 8 to
+    about 50; 1, 2, 9 and 50 features; each also rounded (distance ties
+    and split votes) and with a constant first feature."""
+    rng = np.random.default_rng(530)
+    cases = []
+    for d in (1, 2, 9, 50):
+        for n0, n1 in ((1, 1), (1, 6), (5, 7), (8, 3), (12, 9), (23, 50)):
+            features = rng.normal(size=(n0 + n1, d)) * rng.uniform(0.3, 4.0)
+            labels = np.array([0] * n0 + [1] * n1)
+            features[labels == 1] += rng.uniform(0.0, 1.5)
+            order = rng.permutation(n0 + n1)
+            features, labels = features[order], labels[order]
+            queries = rng.normal(size=(6, d)) * rng.uniform(0.5, 8.0)
+            constant = features.copy()
+            constant[:, 0] = 2.0
+            cases.append((TrainSet(features, labels), queries))
+            cases.append((TrainSet(np.round(features), labels), np.round(queries)))
+            cases.append((TrainSet(constant, labels), queries))
+    return cases
+
+
+def _knn_loop(train, query, k):
+    """knn_classify as a loop over the neighbours; also returns whether
+    the vote was split."""
+    dist = np.sqrt(((train.features - query) ** 2).sum(axis=1))
+    nearest = np.argsort(dist, kind="stable")[:k]
+    votes = np.bincount(train.labels[nearest], minlength=2)
+    if votes[1] != votes[0]:
+        return int(votes[1] > votes[0]), False
+    sums = np.zeros(2)
+    for i in nearest:
+        sums[train.labels[i]] += dist[i]
+    return int(sums[1] < sums[0]), True
+
+
+def test_knn_grid_labels_bit_identical_to_per_query_calls():
+    splits = 0
+    for train, queries in _core_cases():
+        n = train.n_samples
+        ks = sorted({k for k in (1, 2, 3, 4, 5, 7, 9, n // 2, n - 1, n) if 1 <= k <= n})
+        grid = knn_grid_labels(train, ks, queries)
+        assert grid.shape == (len(ks), len(queries))
+        for g, k in enumerate(ks):
+            for i, query in enumerate(queries):
+                label, split = _knn_loop(train, query, k)
+                assert grid[g, i] == knn_classify(train, query, k) == label
+                splits += split
+    assert splits > 100
+
+
+def test_knn_grid_labels_validates():
+    train = _separable(np.random.default_rng(531), n_per_class=3, dim=2)
+    with pytest.raises(ValueError, match="k must be"):
+        knn_grid_labels(train, [1, 7], np.zeros((1, 2)))
+    with pytest.raises(ValueError, match="features"):
+        knn_grid_labels(train, [1], np.zeros(2))
+    with pytest.raises(ValueError, match="non-finite"):
+        knn_grid_labels(train, [1], np.array([[0.0, np.inf]]))
+
+
+def _nbc_predict_loop(model, query):
+    """nbc_predict with one kernel sum per class over a (samples, features)
+    block, the sums' order as NumPy reduces that block."""
+    log_joint = np.empty(2)
+    for cls in (0, 1):
+        V = model.class_values[cls]
+        h = model.bandwidths[cls]
+        z = (query[None, :] - V) / h[None, :]
+        log_kde = classifiers._logsumexp(-0.5 * z * z, axis=0)
+        log_kde -= math.log(V.shape[0]) + np.log(h * math.sqrt(2.0 * math.pi))
+        log_joint[cls] = model.log_priors[cls] + float(log_kde.sum())
+    posteriors = np.exp(log_joint - classifiers._logsumexp(log_joint))
+    posteriors /= posteriors.sum()
+    return int(posteriors[1] > posteriors[0]), posteriors
+
+
+def test_nbc_grid_labels_bit_identical_to_per_query_calls(monkeypatch):
+    fallbacks = []
+    scipy_logsumexp = classifiers.logsumexp
+
+    def counting(*args, **kwargs):
+        fallbacks.append(args[0].shape)
+        return scipy_logsumexp(*args, **kwargs)
+
+    monkeypatch.setattr(classifiers, "logsumexp", counting)
+    multipliers = [1.0, 0.5, 0.25, 2.0, 4.0]
+    cases = _core_cases()
+    # a far query makes -0.5 * z * z infinite on its first feature, so that
+    # batch takes the SciPy fallback
+    far_train, far_queries = cases[7]
+    far_queries = far_queries.copy()
+    far_queries[2, 0] = 1e200
+    cases.append((far_train, far_queries))
+    # the far query's posteriors are NaN, as both classes' log joints are -inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        for train, queries in cases:
+            labels = nbc_grid_labels(train, multipliers, queries)
+            assert labels.shape == (len(multipliers), len(queries))
+            fit = classifiers._nbc_fit(train, np.array(multipliers))
+            posteriors = classifiers._nbc_posteriors(*fit, queries)
+            for g, multiplier in enumerate(multipliers):
+                model = nbc_train(train, multiplier)
+                assert model.bandwidths.tobytes() == fit[1][g].tobytes()
+                for i, query in enumerate(queries):
+                    label, one = nbc_predict(model, query)
+                    loop_label, loop = _nbc_predict_loop(model, query)
+                    assert labels[g, i] == label == loop_label
+                    assert posteriors[g, i].tobytes() == one.tobytes() == loop.tobytes()
+    assert fallbacks
+
+
+def test_nbc_grid_labels_validates():
+    train = _separable(np.random.default_rng(532), n_per_class=3, dim=2)
+    with pytest.raises(ValueError, match="positive"):
+        nbc_grid_labels(train, [1.0, 0.0], np.zeros((1, 2)))
+    with pytest.raises(ValueError, match="features"):
+        nbc_grid_labels(train, [1.0], np.zeros((1, 3)))
+    with pytest.raises(ValueError, match="non-finite"):
+        nbc_grid_labels(train, [1.0], np.array([[np.nan, 0.0]]))
 
 
 # ---------------------------------------------------------------------------

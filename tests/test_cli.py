@@ -169,6 +169,51 @@ def test_failed_rerun_leaves_previous_files_unchanged(tables, tmp_path, monkeypa
     assert {name: (out / name).read_bytes() for name in os.listdir(out)} == before
 
 
+def _dead_pid():
+    """The pid of a child that has exited and been reaped."""
+    child = subprocess.Popen([sys.executable, "-c", "pass"])
+    child.wait()
+    return child.pid
+
+
+@pytest.mark.skipif(os.name != "posix", reason="stale stages are found by pid on POSIX")
+def test_stale_staging_of_a_dead_run_is_removed(tables, tmp_path):
+    # a run killed mid-write leaves its stage; the next run into that
+    # --out removes it, and keeps a live run's stage and foreign names
+    _, matrix_path, labels_path = tables
+    out = tmp_path / "out"
+    dead = out / f".staging.{_dead_pid()}.k1ll3d00"
+    live = out / f".staging.{os.getpid()}.l1ve0000"
+    foreign = out / ".staging.notapid.x"
+    huge = out / f".staging.{2**70}.x"
+    for stage in (dead, live, foreign, huge):
+        stage.mkdir(parents=True)
+        (stage / "ranking_ttest.tsv").write_text("partial")
+    argv = ["rank", "--matrix", matrix_path, "--labels", labels_path, "--method", "ttest"]
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    assert not dead.exists()
+    assert (live / "ranking_ttest.tsv").read_text() == "partial"
+    assert (foreign / "ranking_ttest.tsv").read_text() == "partial"
+    assert (huge / "ranking_ttest.tsv").read_text() == "partial"
+    published = sorted(n for n in os.listdir(out) if not n.startswith(".staging."))
+    assert published == ["manifest.json", "ranking_ttest.tsv"]
+
+
+def test_staging_directory_named_after_the_pid(tables, tmp_path, monkeypatch):
+    _, matrix_path, labels_path = tables
+    seen = []
+    save_ranking = cli.save_ranking
+
+    def recording(ranking, gene_ids, path):
+        seen.append(os.path.basename(os.path.dirname(path)))
+        save_ranking(ranking, gene_ids, path)
+
+    monkeypatch.setattr(cli, "save_ranking", recording)
+    argv = ["rank", "--matrix", matrix_path, "--labels", labels_path, "--method", "ttest"]
+    assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 0
+    assert len(seen) == 1 and seen[0].startswith(f".staging.{os.getpid()}.")
+
+
 def test_interleaved_writers_both_complete(tables, tmp_path, monkeypatch):
     # while rank is mid-write, ingest publishes into the same --out; each
     # run stages its files apart, so both sets land whole and no staging

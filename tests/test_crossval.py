@@ -169,6 +169,65 @@ def test_inner_search_seeds_only_the_perceptron(monkeypatch):
     ]
 
 
+def _reference_inner_search(features, labels, classifier, seed):
+    """inner_search as a candidate-outer, fold-inner loop of one fit and
+    one prediction per query; also returns each candidate's hit count."""
+    grid = _hyper_grid(classifier, features.shape[1])
+    n_folds = min(crossval.MAX_INNER_FOLDS, int(np.bincount(labels, minlength=2).min()))
+    folds = stratified_folds(labels, n_folds, seed)
+    hits = []
+    for position, value in enumerate(grid):
+        total = 0
+        for fold in range(n_folds):
+            test = folds == fold
+            train, scaled = crossval._scaled(features[~test], labels[~test], features[test])
+            if classifier == "knn":
+                k = min(value, train.n_samples)
+                predicted = [crossval.knn_classify(train, q, k) for q in scaled]
+            elif classifier == "svm":
+                model = crossval.svm_train(train, value)
+                predicted = [crossval.svm_predict(model, q) for q in scaled]
+            elif classifier == "nbc":
+                model = crossval.nbc_train(train, value)
+                predicted = [crossval.nbc_predict(model, q)[0] for q in scaled]
+            else:
+                model = crossval.mlp_train(train, value, seed=_child_seed(seed, fold, position))
+                predicted = [crossval.mlp_predict(model, q)[0] for q in scaled]
+            total += int((np.array(predicted) == labels[test]).sum())
+        hits.append(total)
+    best = hits.index(max(hits))
+    return grid[best], hits[best] / len(labels), hits
+
+
+@pytest.mark.parametrize("classifier", CLASSIFIERS)
+def test_inner_search_matches_per_query_loop(classifier):
+    rng = np.random.default_rng(622)
+    for trial in range(4):
+        n0, n1 = int(rng.integers(3, 12)), int(rng.integers(3, 12))
+        features = rng.normal(size=(n0 + n1, int(rng.integers(1, 6))))
+        features[n0:] += rng.uniform(0.0, 1.5)
+        if trial == 1:
+            features = np.round(features, 1)  # distance ties
+        labels = np.array([0] * n0 + [1] * n1)
+        value, accuracy, _ = _reference_inner_search(features, labels, classifier, trial)
+        assert inner_search(features, labels, classifier, seed=trial) == (value, accuracy)
+
+
+@pytest.mark.parametrize("classifier, data_seed", [("nbc", 0), ("knn", 1)])
+def test_inner_search_tie_goes_to_the_simpler_candidate(classifier, data_seed):
+    # two candidates share the best pooled accuracy, neither of them the
+    # first in the grid
+    rng = np.random.default_rng(data_seed)
+    features = rng.normal(size=(16, 3))
+    features[8:] += 0.6
+    labels = np.array([0] * 8 + [1] * 8)
+    value, accuracy, hits = _reference_inner_search(features, labels, classifier, data_seed)
+    best = max(hits)
+    assert hits.count(best) >= 2 and hits[0] < best
+    assert value == _hyper_grid(classifier, 3)[hits.index(best)]
+    assert inner_search(features, labels, classifier, seed=data_seed) == (value, accuracy)
+
+
 # ---------------------------------------------------------------------------
 # leave-one-out evaluation
 
