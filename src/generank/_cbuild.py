@@ -1,5 +1,6 @@
-"""Build rule for the plain-C loops in ``_mamdani.c``: the fuzzy kernel
-and the SVM's SMO and the perceptron's SCG training loops.
+"""Build rule for the plain-C code in ``_mamdani.c``: the fuzzy kernel,
+the SVM's SMO and the perceptron's SCG training loops, and the
+expression-matrix reader.
 
 The source is compiled into a shared library whose file name carries a
 hash of the source, the compile command and the platform, so an edit to

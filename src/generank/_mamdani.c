@@ -1,5 +1,5 @@
 /* Three compiled loops that mirror Python code expression for
- * expression:
+ * expression, and a reader of the expression matrix's text:
  *
  * mamdani_scores, the batch fuzzy-inference kernel, a plain-C port of
  * generank._mamdani_py. The centroid accumulates in ascending grid
@@ -15,6 +15,9 @@
  * perceptron, a port of generank.classifiers._scg_loop. Every sum runs
  * left to right and exp and log come from the C library on both sides,
  * so neither depends on BLAS or SIMD code paths.
+ *
+ * parse_matrix_rows, the rows of an expression-matrix TSV in a strict
+ * form, to the bits generank.dataio's line-by-line reader gives them.
  *
  * The library is built with -ffp-contract=off, so no loop fuses a
  * multiply and an add that the Python code rounds separately, and each
@@ -457,4 +460,155 @@ int64_t scg_solve(const double *X, const double *t, int64_t n, int64_t d,
     *trace_len = len;
     free(work);
     return k - 1;
+}
+
+/* One slot of parse_matrix_rows' memo: the value of the cell text held
+ * in text[0, len). len == 0 marks an empty slot. The text is a copy, so a
+ * lookup does not reach back into the file: 24 bytes hold the longest
+ * repr of a double, and longer cells are converted every time. */
+typedef struct {
+    char text[24];
+    int64_t len;
+    double value;
+} memo_slot;
+
+static int is_digit(char c)
+{
+    return (unsigned char)(c - '0') < 10;
+}
+
+/* End of the number at data[i], or -1 unless data[i..] begins with
+ * [+-]?(d+(.d*)?|.d+)([eE][+-]?d+)?, the form every cell must take. */
+static int64_t number_end(const char *data, int64_t i, int64_t size)
+{
+    int64_t digits = 0;
+
+    if (i < size && (data[i] == '+' || data[i] == '-'))
+        i++;
+    for (; i < size && is_digit(data[i]); i++)
+        digits++;
+    if (i < size && data[i] == '.')
+        for (i++; i < size && is_digit(data[i]); i++)
+            digits++;
+    if (digits == 0)
+        return -1;
+    if (i < size && (data[i] == 'e' || data[i] == 'E')) {
+        i++;
+        if (i < size && (data[i] == '+' || data[i] == '-'))
+            i++;
+        if (i == size || !is_digit(data[i]))
+            return -1;
+        while (i < size && is_digit(data[i]))
+            i++;
+    }
+    return i;
+}
+
+/* FNV-1a hash of len bytes at s, its high half folded into the low one:
+ * a product's low bits depend only on its factors' low bits, and the memo
+ * takes its slot from the low bits. */
+static uint64_t hash_bytes(const char *s, int64_t len)
+{
+    uint64_t h = 0xcbf29ce484222325u;
+
+    while (len-- > 0)
+        h = (h ^ (unsigned char)*s++) * 0x100000001b3u;
+    return h ^ (h >> 32);
+}
+
+/* strtod of the len bytes at s, or -1 when strtod does not end exactly
+ * there (a locale whose decimal point is not '.'), or -2 when out of
+ * memory. */
+static int convert(const char *s, int64_t len, double *value)
+{
+    char small[64], *text = small, *end;
+    int ok;
+
+    if (len >= (int64_t)sizeof small && !(text = malloc(len + 1)))
+        return -2;
+    memcpy(text, s, len);
+    text[len] = '\0';
+    *value = strtod(text, &end);
+    ok = end == text + len;
+    if (text != small)
+        free(text);
+    return ok ? 0 : -1;
+}
+
+/* parse_matrix_rows, the body of an expression-matrix TSV, the bytes of
+ * data[pos, size) that follow the header line. Each line must be empty or
+ * "id\tv1\t...\tvn" with n = n_samples, ending in '\n' (the last line may
+ * lack it); the id may hold any bytes but '\t' and '\n', and each cell
+ * must match number_end's form exactly. Row r's values go to
+ * out[r * n_samples ...] and its id's byte span to id_spans[2r, 2r + 1].
+ * Returns the number of rows, -1 when the body is not in that form or
+ * holds more than max_rows rows, or -2 when out of memory.
+ *
+ * For this form glibc's strtod and Python's float() both round
+ * correctly, so the values match the line-by-line reader's bits. A
+ * normalized matrix repeats a few texts many times, so each distinct
+ * text is converted once: a table keyed on the cell's exact bytes, of
+ * the power of two >= 2 * max_rows slots, remembers values until it is
+ * half full. */
+int64_t parse_matrix_rows(const char *data, int64_t size, int64_t pos,
+                          int64_t n_samples, int64_t max_rows, double *out,
+                          int64_t *id_spans)
+{
+    memo_slot *memo, *slot;
+    uint64_t cap = 2, filled = 0;
+    int64_t rows = 0, j, start, end, status = 0;
+    double value;
+
+    if (n_samples < 1)
+        return -1;
+    while (cap < 2 * (uint64_t)max_rows)
+        cap *= 2;
+    memo = calloc(cap, sizeof *memo);
+    if (!memo)
+        return -2;
+    while (pos < size) {
+        if (data[pos] == '\n') {
+            pos++;
+            continue;
+        }
+        if (rows == max_rows) {
+            status = -1;
+            break;
+        }
+        start = pos;
+        while (pos < size && data[pos] != '\t' && data[pos] != '\n')
+            pos++;
+        id_spans[2 * rows] = start;
+        id_spans[2 * rows + 1] = pos;
+        for (j = 0; j < n_samples; j++) {
+            start = pos + 1;
+            end = pos < size && data[pos] == '\t' ? number_end(data, start, size) : -1;
+            if (end < 0 || (end < size && data[end] != (j + 1 < n_samples ? '\t' : '\n'))) {
+                status = -1;
+                break;
+            }
+            slot = memo + (hash_bytes(data + start, end - start) & (cap - 1));
+            while (slot->len != 0 && (slot->len != end - start ||
+                   memcmp(slot->text, data + start, end - start) != 0))
+                slot = slot + 1 == memo + cap ? memo : slot + 1;
+            if (slot->len != 0) {
+                value = slot->value;
+            } else if ((status = convert(data + start, end - start, &value)) != 0) {
+                break;
+            } else if (2 * filled < cap && end - start <= (int64_t)sizeof slot->text) {
+                memcpy(slot->text, data + start, end - start);
+                slot->len = end - start;
+                slot->value = value;
+                filled++;
+            }
+            out[rows * n_samples + j] = value;
+            pos = end;
+        }
+        if (status != 0)
+            break;
+        pos++; /* past the row's '\n', or past the end */
+        rows++;
+    }
+    free(memo);
+    return status == 0 ? rows : status;
 }

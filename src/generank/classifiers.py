@@ -41,7 +41,7 @@ class TrainSet:
             raise ValueError("labels must align with feature rows")
         if not np.isfinite(self.features).all():
             raise ValueError("features contain non-finite values")
-        if not np.isin(self.labels, (0, 1)).all():
+        if not ((self.labels == 0) | (self.labels == 1)).all():
             raise ValueError("labels must be 0 or 1")
         for cls in (0, 1):
             if not (self.labels == cls).any():

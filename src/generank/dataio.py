@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from generank import kernels
+
 # Floor added to a zero variance before any division by a spread estimate.
 VARIANCE_FLOOR = 1e-8
 
@@ -60,7 +62,7 @@ class Dataset:
             raise ValueError("exactly two class names required")
         if not np.isfinite(self.matrix).all():
             raise ValueError("expression matrix contains non-finite values")
-        if not np.isin(self.labels, (0, 1)).all():
+        if not ((self.labels == 0) | (self.labels == 1)).all():
             raise ValueError("labels must be 0 or 1")
         for cls in (0, 1):
             count = int((self.labels == cls).sum())
@@ -96,16 +98,72 @@ def _raise_non_numeric(path, lineno, sample_ids, cells):
 
 
 def _parse_matrix(path):
+    """Read a matrix TSV into ``(matrix, gene_ids, sample_ids)``.
+
+    The rows are parsed in C (``kernels.parse_matrix_rows``) when they are
+    in the strict form that reader takes, the file holds no carriage
+    return, and its header and gene ids are valid UTF-8. Otherwise, or
+    without the compiled library, the whole file goes through
+    :func:`_parse_matrix_lines`, the C reader's oracle. Both give the same
+    bits, and both raise through the same header and gene-id checks.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    parsed = _parse_matrix_strict(path, data)
+    del data
+    return _parse_matrix_lines(path) if parsed is None else parsed
+
+
+def _parse_matrix_strict(path, data):
+    """``_parse_matrix``'s result for the file's bytes, or None when the
+    C reader is missing or the file must go through the line reader."""
+    header_end = data.find(b"\n") + 1
+    if kernels.parse_matrix_rows is None or header_end == 0 or b"\r" in data:
+        return None
+    try:
+        sample_ids = _sample_ids(path, data[:header_end].decode("utf-8"))
+    except (UnicodeDecodeError, DataFormatError):
+        # The line reader decodes ahead of the header, so it may fail
+        # on a later line first; let it choose the error.
+        return None
+    parsed = kernels.parse_matrix_rows(data, header_end, len(sample_ids))
+    if parsed is None:
+        return None
+    matrix, id_spans = parsed
+    try:
+        gene_ids = [data[start:stop].decode("utf-8") for start, stop in id_spans.tolist()]
+    except UnicodeDecodeError:
+        return None
+    _check_gene_ids(path, gene_ids)
+    return matrix, gene_ids, sample_ids
+
+
+def _sample_ids(path, header):
+    """The sample ids a matrix file's header line names, checked."""
+    if not header.strip():
+        raise DataFormatError(f"{path}: empty matrix file")
+    sample_ids = header.rstrip("\n").split("\t")[1:]
+    if not sample_ids:
+        raise DataFormatError(f"{path}: header row names no samples")
+    if len(set(sample_ids)) != len(sample_ids):
+        raise DataFormatError(f"{path}: duplicate sample ids in header")
+    return sample_ids
+
+
+def _check_gene_ids(path, gene_ids):
+    """Reject a matrix without rows or with a repeated gene id."""
+    if not gene_ids:
+        raise DataFormatError(f"{path}: matrix has no gene rows")
+    if len(set(gene_ids)) != len(gene_ids):
+        seen = set()
+        dup = next(g for g in gene_ids if g in seen or seen.add(g))
+        raise DataFormatError(f"{path}: duplicate gene id {dup!r}")
+
+
+def _parse_matrix_lines(path):
+    """Line-by-line reader: the oracle and fallback of the C reader."""
     with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline()
-        if not header.strip():
-            raise DataFormatError(f"{path}: empty matrix file")
-        head_cells = header.rstrip("\n").split("\t")
-        sample_ids = head_cells[1:]
-        if not sample_ids:
-            raise DataFormatError(f"{path}: header row names no samples")
-        if len(set(sample_ids)) != len(sample_ids):
-            raise DataFormatError(f"{path}: duplicate sample ids in header")
+        sample_ids = _sample_ids(path, fh.readline())
         gene_ids = []
         rows = []
         for lineno, line in enumerate(fh, start=2):
@@ -124,12 +182,7 @@ def _parse_matrix(path):
                 )
             except ValueError:
                 _raise_non_numeric(path, lineno, sample_ids, cells[1:])
-    if not rows:
-        raise DataFormatError(f"{path}: matrix has no gene rows")
-    if len(set(gene_ids)) != len(gene_ids):
-        seen = set()
-        dup = next(g for g in gene_ids if g in seen or seen.add(g))
-        raise DataFormatError(f"{path}: duplicate gene id {dup!r}")
+    _check_gene_ids(path, gene_ids)
     return np.vstack(rows), gene_ids, sample_ids
 
 
@@ -191,18 +244,57 @@ def load_dataset(matrix_path, labels_path) -> Dataset:
     return dataset
 
 
+# Cells per block of rows that ``_cell_texts`` formats together.
+_BLOCK_CELLS = 8192
+
+
+def _cell_texts(matrix):
+    """Yield each row's cell texts, ``list(map(repr, row.tolist()))``.
+
+    Rows go in blocks: the distinct bit patterns of a block (so -0.0 and
+    0.0 stay apart) are looked up in a memo kept across blocks, only the
+    ones it lacks are formatted, and the texts are gathered. The memo is
+    a sorted array of bit patterns with their texts, searched in one
+    pass per block; it holds at most one text per row, all a
+    quantile-normalized matrix needs.
+    """
+    n_rows, n_cols = matrix.shape
+    step = max(1, _BLOCK_CELLS // max(1, n_cols))
+    known = np.empty(0, dtype=np.uint64)
+    known_texts = np.empty(0, dtype=object)
+    for lo in range(0, n_rows, step):
+        block = np.ascontiguousarray(matrix[lo : lo + step])
+        bits, inverse = np.unique(block.view(np.uint64).ravel(), return_inverse=True)
+        at = np.searchsorted(known, bits)
+        hit = np.zeros(len(bits), dtype=bool)
+        if len(known):
+            hit = known[np.minimum(at, len(known) - 1)] == bits
+        texts = np.empty(len(bits), dtype=object)
+        texts[hit] = known_texts[at[hit]]
+        new = np.flatnonzero(~hit)
+        texts[new] = np.fromiter(
+            map(repr, bits[new].view(np.float64).tolist()), dtype=object, count=len(new)
+        )
+        take = new[: n_rows - len(known)]
+        if len(take):
+            known = np.insert(known, at[take], bits[take])
+            known_texts = np.insert(known_texts, at[take], texts[take])
+        yield from texts[inverse].reshape(block.shape).tolist()
+
+
 def save_dataset(dataset: Dataset, matrix_path, labels_path, sample_ids=None):
     """Write a dataset back to the canonical TSV pair.
 
     Values are written with full round-trip precision so that
-    load -> save -> load reproduces bit-equal matrices.
+    load -> save -> load reproduces bit-equal matrices; each distinct
+    value of a normalized matrix is formatted once (see ``_cell_texts``).
     """
     if sample_ids is None:
         sample_ids = [f"s{i}" for i in range(dataset.n_samples)]
     with open(matrix_path, "w", encoding="utf-8") as fh:
         fh.write("gene_id\t" + "\t".join(sample_ids) + "\n")
-        for gid, row in zip(dataset.gene_ids, dataset.matrix):
-            fh.write(gid + "\t" + "\t".join(map(repr, row.tolist())) + "\n")
+        for gid, texts in zip(dataset.gene_ids, _cell_texts(dataset.matrix)):
+            fh.write(gid + "\t" + "\t".join(texts) + "\n")
     with open(labels_path, "w", encoding="utf-8") as fh:
         for sid, lab in zip(sample_ids, dataset.labels):
             fh.write(f"{sid}\t{dataset.class_names[lab]}\n")

@@ -1,19 +1,21 @@
-"""Backend dispatch for the compiled loops in ``_mamdani.c``.
+"""Backend dispatch for the compiled code in ``_mamdani.c``.
 
 The library holds three loops, each a port of Python code that stays as
 its oracle and fallback: the batch fuzzy-inference kernel
 (``_mamdani_py.mamdani_scores``), the SVM's SMO update loop
 (``classifiers._smo_loop``) and the perceptron's scaled-conjugate-gradient
-loop (``classifiers._scg_loop``). It is loaded through ctypes and
+loop (``classifiers._scg_loop``). It also holds a reader of the
+expression matrix's rows, whose oracle and fallback is the line-by-line
+reader ``dataio._parse_matrix_lines``. It is loaded through ctypes and
 preferred. On first import it is compiled when no build of the current
 source exists and a C compiler (``cc``) is on ``PATH``; see ``_cbuild``.
 Without a compiler, or if the build fails (which warns with the
 compiler's output), the Python code takes over. Both produce
 bit-identical results, so the choice only affects speed; ``BACKEND``
-names the fuzzy kernel that runs, and ``smo_solve`` and ``scg_solve``
-are None when the library is not loaded. The one difference is which
-NaN an overflowed SMO result holds, and ``classifiers.svm_train``
-rejects such a result on either path.
+names the fuzzy kernel that runs, and ``smo_solve``, ``scg_solve`` and
+``parse_matrix_rows`` are None when the library is not loaded. The one
+difference is which NaN an overflowed SMO result holds, and
+``classifiers.svm_train`` rejects such a result on either path.
 """
 
 from __future__ import annotations
@@ -134,6 +136,42 @@ def _bind_scg(lib):
     return scg_solve
 
 
+def _bind_parse(lib):
+    fn = lib.parse_matrix_rows
+    fn.argtypes = (
+        ctypes.c_char_p,
+        ctypes.c_int64,
+        ctypes.c_int64,
+        ctypes.c_int64,
+        ctypes.c_int64,
+        _MATRIX,
+        np.ctypeslib.ndpointer(dtype=np.int64, ndim=2, flags="C_CONTIGUOUS"),
+    )
+    fn.restype = ctypes.c_int64
+
+    def parse_matrix_rows(data, start, n_samples):
+        """The rows of the matrix TSV ``data`` (bytes) after its header,
+        which ends at offset ``start``, parsed in C: returns ``(matrix,
+        id_spans)``, row ``r``'s gene id being ``data[slice(*id_spans[r])]``,
+        or None when the rows are not in the strict form ``_mamdani.c``
+        describes."""
+        # A row holds n_samples tabs and at least as many digits, so the
+        # bytes bound the row count where blank lines inflate the
+        # newline count.
+        max_rows = min(
+            data.count(b"\n", start) + (not data.endswith(b"\n")),
+            (len(data) - start) // (2 * n_samples) + 1,
+        )
+        matrix = np.empty((max_rows, n_samples))
+        id_spans = np.empty((max_rows, 2), dtype=np.int64)
+        rows = fn(data, len(data), start, n_samples, max_rows, matrix, id_spans)
+        if rows == -2:
+            raise MemoryError("parse_matrix_rows could not allocate its memo")
+        return None if rows < 0 else (matrix[:rows], id_spans[:rows])
+
+    return parse_matrix_rows
+
+
 def _load_c_kernel():
     """The C fuzzy kernel's raw callable from a fresh load of the
     library, or None; see :func:`_load_library`."""
@@ -146,12 +184,14 @@ if _LIB is not None:
     _c_scores = _bind_mamdani(_LIB)
     smo_solve = _bind_smo(_LIB)
     scg_solve = _bind_scg(_LIB)
+    parse_matrix_rows = _bind_parse(_LIB)
     _IMPL = _c_scores
     BACKEND = "c"
 else:
     _c_scores = None
     smo_solve = None
     scg_solve = None
+    parse_matrix_rows = None
     _IMPL = _mamdani_py.mamdani_scores
     BACKEND = "numpy"
 

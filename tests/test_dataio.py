@@ -5,6 +5,7 @@ import time
 import numpy as np
 import pytest
 
+from generank import dataio, kernels
 from generank.dataio import (
     DataFormatError,
     Dataset,
@@ -97,6 +98,185 @@ def test_empty_matrix_rejected(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# the C reader against the line-by-line reader
+
+needs_reader = pytest.mark.skipif(
+    kernels.parse_matrix_rows is None, reason="C library not loaded"
+)
+
+_HEAD = b"gene_id\ts0\ts1\ts2\n"
+
+
+def _parse_both(path, monkeypatch):
+    """``_parse_matrix`` with the C reader, then with the line reader alone."""
+    fast = dataio._parse_matrix(path)
+    with monkeypatch.context() as patch:
+        patch.setattr(kernels, "parse_matrix_rows", None)
+        slow = dataio._parse_matrix(path)
+    return fast, slow
+
+
+def _assert_same(fast, slow):
+    assert fast[0].dtype == slow[0].dtype == np.float64
+    assert fast[0].shape == slow[0].shape
+    assert fast[0].tobytes() == slow[0].tobytes()
+    assert fast[1:] == slow[1:]
+
+
+def _fuzz_rows():
+    rng = np.random.default_rng(21)
+    bits = rng.integers(0, 2**64, size=(40, 3), dtype=np.uint64)
+    values = bits.view(np.float64)
+    values[~np.isfinite(values)] = 1.5
+    scaled = rng.normal(size=(40, 3)) * 10.0 ** rng.integers(-30, 30, size=(40, 3))
+    rows = np.vstack([values, scaled, rng.normal(size=(40, 3))])
+    return b"".join(
+        b"g%d\t" % i + "\t".join(map(repr, row)).encode() + b"\n"
+        for i, row in enumerate(rows.tolist())
+    )
+
+
+_LONG = "0." + "0" * 80 + "123456789"
+_WIDE_HEAD = b"gene_id\t" + b"\t".join(b"s%d" % j for j in range(200)) + b"\n"
+_READER_CASES = {
+    # name: (file bytes, whether the C reader takes the file)
+    "crlf": (b"gene_id\ts0\ts1\r\ng0\t1.5\t2\r\ng1\t3\t4\r\n", False),
+    "lone-cr": (b"gene_id\ts0\ts1\rg0\t1.5\t2\rg1\t3\t4\r", False),
+    "empty-lines": (_HEAD + b"\n\ng0\t1\t2\t3\n\n\ng1\t4\t5\t6\n\n", True),
+    "whitespace-line": (_HEAD + b"g0\t1\t2\t3\n   \ng1\t4\t5\t6\n", False),
+    "tab-only-line": (_HEAD + b"g0\t1\t2\t3\n\t\t\t\ng1\t4\t5\t6\n", False),
+    "no-final-newline": (_HEAD + b"g0\t1\t2\t3\ng1\t4\t5\t6", True),
+    "wide-row-then-blank-lines": (
+        _WIDE_HEAD + b"g0\t" + b"\t".join([b"1"] * 200) + b"\n" * 20000, True
+    ),
+    "ids-with-spaces-and-non-ascii": (
+        "gene_id\tsä\ts 1\tſ2\ngene one\t1\t2\t3\ngéne-β\t4\t5\t6\n \t7\t8\t9\n".encode(),
+        True,
+    ),
+    "empty-id": (_HEAD + b"\t1\t2\t3\n", True),
+    "underscore": (_HEAD + b"g0\t1_000\t2\t3\n", False),
+    "leading-space": (_HEAD + b"g0\t 1.5\t2\t3\n", False),
+    "trailing-space": (_HEAD + b"g0\t1.5 \t2\t3\n", False),
+    "nan-inf": (_HEAD + b"g0\tnan\tinf\t-Infinity\n", False),
+    "arabic-indic-digit": (_HEAD + "g0\t١\t2\t3\n".encode(), False),
+    "strict-forms": (_HEAD + b"g0\t1.\t.5\t+1\ng1\t1E5\t-2.5e-3\t7e+2\n", True),
+    "out-of-range": (_HEAD + b"g0\t1e999\t-1e-999\t-1e999\n", True),
+    "subnormals": (
+        _HEAD + b"g0\t5e-324\t2.2250738585072009e-308\t4.9406564584124654e-324\n"
+        b"g1\t2.4703282292062328e-324\t2.4703282292062327e-324\t1e-320\n",
+        True,
+    ),
+    "halfway": (
+        _HEAD + b"g0\t9007199254740993\t9007199254740993" + b"0" * 40 + b"1"
+        b"\t0.1000000000000000055511151231257827021181583404541015625\n",
+        True,
+    ),
+    "long-cells": (
+        _HEAD + f"g0\t{_LONG}\t-{_LONG}e2\t{'9' * 30}.5\n".encode()
+        + b"g1\t1.2345678901234567e-100\t-1.2345678901234567e-100\t1.23456789012345678e-10\n",
+        True,
+    ),
+    "repeated-texts": (
+        _HEAD
+        + b"".join(b"g%d\t-0.0\t%d.25\t1.00000000000000%d\n" % (i, i % 3, i % 4) for i in range(50)),
+        True,
+    ),
+    "fuzz": (b"gene_id\ta\tb\tc\n" + _fuzz_rows(), True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_READER_CASES))
+def test_c_reader_matches_line_reader(tmp_path, monkeypatch, name):
+    data, strict = _READER_CASES[name]
+    path = tmp_path / "m.tsv"
+    path.write_bytes(data)
+    fast, slow = _parse_both(path, monkeypatch)
+    _assert_same(fast, slow)
+    if kernels.parse_matrix_rows is not None:
+        assert (dataio._parse_matrix_strict(path, data) is not None) == strict
+
+
+@needs_reader
+def test_strict_file_never_reaches_line_reader(tmp_path, monkeypatch):
+    dataset = planted_dataset(30, 2, 4, 5, 1.0, seed=4)
+    matrix_path, _ = write_tables(dataset, tmp_path)
+
+    def unexpected(path):
+        raise AssertionError("the line reader ran on a strict file")
+
+    monkeypatch.setattr(dataio, "_parse_matrix_lines", unexpected)
+    matrix, gene_ids, _ = dataio._parse_matrix(matrix_path)
+    assert matrix.tobytes() == dataset.matrix.tobytes()
+    assert gene_ids == dataset.gene_ids
+
+
+@needs_reader
+def test_c_reader_memo_fills_and_keeps_converting(tmp_path, monkeypatch):
+    # 4 rows give the memo 8 slots, 4 of them filled; the other texts are
+    # converted each time they appear. The texts differ in their last
+    # digits only, and probes often pass over each other's slots.
+    rows = [[f"1.0000000000000{(i * 5 + j) % 11:02d}" for j in range(3)] for i in range(4)]
+    data = _HEAD + "".join(f"g{i}\t" + "\t".join(r) + "\n" for i, r in enumerate(rows)).encode()
+    path = tmp_path / "m.tsv"
+    path.write_bytes(data)
+    fast, slow = _parse_both(path, monkeypatch)
+    _assert_same(fast, slow)
+    want = np.array([[float(c) for c in r] for r in rows])
+    assert fast[0].tobytes() == want.tobytes()
+
+
+@needs_reader
+def test_c_reader_sizes_its_output_by_the_bytes():
+    # 20,000 blank lines under a 200-sample header hold at most 51 rows;
+    # sizing by the newline count would ask for 20,000.
+    matrix, id_spans = kernels.parse_matrix_rows(
+        _WIDE_HEAD + b"\n" * 20000, len(_WIDE_HEAD), 200
+    )
+    assert matrix.shape == (0, 200) and id_spans.shape == (0, 2)
+    assert len(matrix.base) <= 20000 // 400 + 1
+
+
+def _error_of(path):
+    try:
+        dataio._parse_matrix(path)
+    except (DataFormatError, UnicodeDecodeError) as exc:
+        return type(exc), str(exc)
+    raise AssertionError(f"{path} parsed")
+
+
+_ERROR_CASES = {
+    "row-width": _HEAD + b"g0\t1\t2\t3\ng1\t1\t2\n",
+    "row-too-wide": _HEAD + b"g0\t1\t2\t3\t4\n",
+    "non-numeric": _HEAD + b"g0\t1\t2\t3\ng1\t1\tx y\tnan1\n",
+    "non-numeric-empty-cell": _HEAD + b"g0\t1\t\t3\n",
+    "non-numeric-hex": _HEAD + b"g0\t0x1p3\t2\t3\n",
+    "cr-in-id": _HEAD + b"g\r0\t1\t2\t3\n",
+    "duplicate-gene": _HEAD + b"g0\t1\t2\t3\ng1\t4\t5\t6\ng0\t7\t8\t9\n",
+    "empty-file": b"",
+    "blank-header": b"\n\ng0\t1\t2\n",
+    "no-samples": b"gene_id\ng0\n",
+    "duplicate-samples": b"gene_id\ts0\ts0\ng0\t1\t2\n",
+    "no-gene-rows": _HEAD + b"\n\n",
+    "no-gene-rows-wide-many-blank-lines": _WIDE_HEAD + b"\n" * 20000,
+    "header-only-no-newline": b"gene_id\ts0\ts1",
+    "bad-utf8-cell": _HEAD + b"g0\t1\t\xff2\t3\n",
+    "bad-utf8-id": _HEAD + b"g\xc3\x280\t1\t2\t3\n",
+    "bad-utf8-header": b"gene_id\ts\xff0\ts1\ng0\t1\t2\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ERROR_CASES))
+def test_reader_errors_match_line_reader(tmp_path, monkeypatch, name):
+    path = tmp_path / "m.tsv"
+    path.write_bytes(_ERROR_CASES[name])
+    fast = _error_of(path)
+    with monkeypatch.context() as patch:
+        patch.setattr(kernels, "parse_matrix_rows", None)
+        slow = _error_of(path)
+    assert fast == slow
+
+
+# ---------------------------------------------------------------------------
 # label parsing
 
 
@@ -184,6 +364,69 @@ def test_save_dataset_default_sample_ids(tmp_path):
     save_dataset(dataset, matrix_path, labels_path)
     header = matrix_path.read_text(encoding="utf-8").splitlines()[0]
     assert header.split("\t")[1:] == ["s0", "s1", "s2", "s3"]
+
+
+# ---------------------------------------------------------------------------
+# matrix writer
+
+
+def _line_writer_bytes(dataset, sample_ids):
+    """The matrix file as a row-by-row ``repr`` writer produces it."""
+    lines = ["gene_id\t" + "\t".join(sample_ids) + "\n"]
+    for gid, row in zip(dataset.gene_ids, dataset.matrix):
+        lines.append(gid + "\t" + "\t".join(map(repr, row.tolist())) + "\n")
+    return "".join(lines).encode("utf-8")
+
+
+def _writer_cases():
+    rng = np.random.default_rng(31)
+    step = dataio._BLOCK_CELLS // 7  # rows per block at 7 columns
+    yield "signed-zeros", rng.choice([-0.0, 0.0, 1.0, -1.0], size=(2 * step + 5, 7))
+    edges = np.array(
+        [9999999999999998.0, 1e16, 1.0000000000000002e16, 1e17, 0.0001,
+         0.00009999999999999999, 0.00010000000000000002, 1e-5, 123456789012345680.0]
+    )
+    yield "exponent-switch", rng.choice(np.concatenate([edges, -edges]), size=(step + 3, 7))
+    yield "integers", rng.integers(-10**6, 10**6, size=(3 * step + 1, 7)).astype(float)
+    yield "powers-of-two", 2.0 ** rng.integers(-1074, 1024, size=(step - 1, 7))
+    subnormal = rng.integers(1, 2**52, size=(40, 7), dtype=np.uint64).view(np.float64)
+    yield "subnormals", np.vstack([subnormal, np.tile(subnormal[:3], (step, 1))])
+    yield "one-row", rng.normal(size=(1, 7))
+    distinct = rng.normal(size=(2 * step, 7))
+    repeating = np.round(rng.normal(size=(step + 9, 7)), 1)
+    yield "distinct-then-repeating", np.vstack([distinct, repeating, distinct[:50]])
+    yield "repeating-then-distinct", np.vstack([repeating, distinct, repeating])
+    yield "all-distinct", rng.normal(size=(3 * step + 2, 7)) * 1e3
+    wide = rng.normal(size=(3 * step, 14))
+    yield "non-contiguous", wide[:, ::2]
+    yield "transposed", np.round(rng.normal(size=(7, 2 * step + 3)), 2).T
+
+
+@pytest.mark.parametrize("block_cells", [None, 12])
+def test_save_dataset_bytes_match_line_writer(tmp_path, monkeypatch, block_cells):
+    if block_cells is not None:
+        monkeypatch.setattr(dataio, "_BLOCK_CELLS", block_cells)
+    labels = np.array([0, 0, 0, 1, 1, 1, 1])
+    sample_ids = [f"s{j}" for j in range(7)]
+    for name, matrix in _writer_cases():
+        dataset = Dataset(matrix, [f"g{i}" for i in range(len(matrix))], labels, ("a", "b"))
+        save_dataset(dataset, tmp_path / "m.tsv", tmp_path / "l.tsv", sample_ids)
+        want = _line_writer_bytes(dataset, sample_ids)
+        assert (tmp_path / "m.tsv").read_bytes() == want, name
+
+
+def test_quantile_normalized_round_trip(tmp_path, monkeypatch):
+    raw = planted_dataset(2000, 20, 25, 25, 1.0, seed=32)
+    normalized = Dataset(
+        quantile_normalize(raw.matrix), raw.gene_ids, raw.labels, raw.class_names
+    )
+    sample_ids = [f"s{j}" for j in range(normalized.n_samples)]
+    matrix_path, labels_path = write_tables(normalized, tmp_path, sample_ids)
+    assert matrix_path.read_bytes() == _line_writer_bytes(normalized, sample_ids)
+    fast, slow = _parse_both(matrix_path, monkeypatch)
+    _assert_same(fast, slow)
+    assert fast[0].tobytes() == normalized.matrix.tobytes()
+    assert fast[1] == normalized.gene_ids
 
 
 # ---------------------------------------------------------------------------
