@@ -1,4 +1,4 @@
-/* Three compiled loops that mirror Python code expression for
+/* Three compiled solvers that mirror Python code expression for
  * expression, and a reader of the expression matrix's text:
  *
  * mamdani_scores, the batch fuzzy-inference kernel, a plain-C port of
@@ -8,8 +8,11 @@
  * triangle is positive: the skipped points contribute exact zeros, so
  * skipping them cannot change a bit of the result.
  *
- * smo_solve, the update loop of the linear SVM's dual solver, a port of
- * generank.classifiers._smo_loop.
+ * svm_grid_solve, the linear SVM fits of a grid of box bounds on one
+ * training block, a port of generank.classifiers._svm_grid_loop: one
+ * Gram matrix, then smo_loop (a port of classifiers._smo_loop) and the
+ * weights, bias and query decisions for each bound. Every sum runs left
+ * to right, so none depends on BLAS.
  *
  * scg_solve, the scaled-conjugate-gradient loop that trains the
  * perceptron, a port of generank.classifiers._scg_loop. Every sum runs
@@ -22,7 +25,8 @@
  * The library is built with -ffp-contract=off, so no loop fuses a
  * multiply and an add that the Python code rounds separately, and each
  * produces the same bits as the code it ports. The one exception is a
- * NaN's bits in a result that overflowed, which svm_train rejects.
+ * NaN's bits in an SVM fit that overflowed, which svm_train and
+ * svm_grid_labels reject.
  */
 
 #include <math.h>
@@ -148,6 +152,20 @@ int64_t mamdani_scores(const double *fc, const double *var, const double *rs,
     return clamped;
 }
 
+/* a[0] * b[0] + a[1] * b[1] + ..., added left to right; 0 when m is 0. */
+static double dot(const double *a, const double *b, int64_t m)
+{
+    double acc;
+    int64_t i;
+
+    if (m == 0)
+        return 0.0;
+    acc = a[0] * b[0];
+    for (i = 1; i < m; i++)
+        acc = acc + a[i] * b[i];
+    return acc;
+}
+
 /* Pairwise updates of the dual variables alpha of a linear SVM, from
  * Q = (y y^T) * K (n x n, row-major), labels y = +-1 and box bound c,
  * until the violation gap drops below tol. alpha and grad = Q alpha - 1
@@ -157,9 +175,9 @@ int64_t mamdani_scores(const double *fc, const double *var, const double *rs,
  * order in which the compiler placed its operands, here and in NumPy
  * alike, so a result that overflowed can differ from the NumPy loop in
  * its NaN bits, though not in its update count or NaN positions. */
-int64_t smo_solve(const double *Q, const double *y, double c, int64_t n,
-                  int64_t max_iter, double tol, double *alpha, double *grad,
-                  double *gap_out)
+static int64_t smo_loop(const double *Q, const double *y, double c, int64_t n,
+                        int64_t max_iter, double tol, double *alpha, double *grad,
+                        double *gap_out)
 {
     int64_t it, k, i, j;
     double f, up, low, f_i, f_j, gap, old_i, old_j, quad, delta, diff, total, di, dj;
@@ -259,18 +277,101 @@ int64_t smo_solve(const double *Q, const double *y, double c, int64_t n,
     return -1;
 }
 
-#define SCG_SIGMA0 1e-4
-
-/* a[0] * b[0] + a[1] * b[1] + ..., added left to right. */
-static double dot(const double *a, const double *b, int64_t m)
+/* One linear SVM per box bound cs[r], r < n_c, on the samples X (n x d,
+ * row-major) with labels y = +-1, as generank.classifiers._svm_grid_loop
+ * fits them. Q = (y_i * y_j) * (X_i . X_j) is built once and shared; each
+ * bound's duals start at 0 and run through smo_loop into alpha[r * n ...],
+ * with grad[r * n ...], gaps[r] and updates[r] (-1 when max_iter ran out).
+ * A fit that converged with finite duals gets its weights (w = sum over
+ * samples of alpha_i y_i X_i), its bias and the decision w . q + bias of
+ * each of the n_q queries (n_q x d, row-major); the others get NaN there.
+ * The bias is the mean of y_i - w . X_i over the free support vectors
+ * (sv_tol < alpha_i < c - sv_tol), or else the midpoint between the
+ * innermost decisions of the two classes, -0.5 * (max over y = -1 plus
+ * min over y = +1). Every sum adds left to right. Returns 0, or -1 if
+ * the work arrays could not be allocated. */
+int64_t svm_grid_solve(const double *X, const double *y, int64_t n, int64_t d,
+                       const double *cs, int64_t n_c, const double *queries,
+                       int64_t n_q, int64_t max_iter, double tol, double sv_tol,
+                       double *alpha, double *grad, double *weights, double *bias,
+                       double *gaps, int64_t *updates, double *decisions)
 {
-    double acc = a[0] * b[0];
-    int64_t i;
+    double *Q = malloc(sizeof(double) * (size_t)(n * n + 2 * n));
+    double *coef, *dec, *a, *g, *w, c, v, acc, lo, hi;
+    int64_t r, i, j, f, count, n_neg, n_pos;
+    int finite;
 
-    for (i = 1; i < m; i++)
-        acc = acc + a[i] * b[i];
-    return acc;
+    if (Q == NULL)
+        return -1;
+    coef = Q + n * n;
+    dec = coef + n;
+    for (i = 0; i < n; i++)
+        for (j = i; j < n; j++)
+            Q[i * n + j] = Q[j * n + i] = (y[i] * y[j]) * dot(X + i * d, X + j * d, d);
+
+    for (r = 0; r < n_c; r++) {
+        c = cs[r];
+        a = alpha + r * n;
+        g = grad + r * n;
+        w = weights + r * d;
+        for (i = 0; i < n; i++) {
+            a[i] = 0.0;
+            g[i] = -1.0;
+        }
+        gaps[r] = INFINITY;
+        updates[r] = smo_loop(Q, y, c, n, max_iter, tol, a, g, &gaps[r]);
+        finite = updates[r] >= 0;
+        for (i = 0; i < n && finite; i++)
+            finite = isfinite(a[i]) && isfinite(g[i]);
+        if (!finite) {
+            for (f = 0; f < d; f++)
+                w[f] = NAN;
+            bias[r] = NAN;
+            for (i = 0; i < n_q; i++)
+                decisions[r * n_q + i] = NAN;
+            continue;
+        }
+
+        for (i = 0; i < n; i++)
+            coef[i] = a[i] * y[i];
+        for (f = 0; f < d; f++) {
+            w[f] = X[f] * coef[0];
+            for (i = 1; i < n; i++)
+                w[f] = w[f] + X[i * d + f] * coef[i];
+        }
+        for (i = 0; i < n; i++)
+            dec[i] = dot(X + i * d, w, d);
+
+        count = 0;
+        acc = 0.0;
+        for (i = 0; i < n; i++)
+            if (a[i] > sv_tol && a[i] < c - sv_tol) {
+                v = y[i] - dec[i];
+                acc = count++ == 0 ? v : acc + v;
+            }
+        if (count > 0) {
+            bias[r] = acc / (double)count;
+        } else {
+            /* hi: max over y < 0, lo: min over y > 0, each the first of
+             * equal values, as Python's max and min pick them */
+            hi = -INFINITY;
+            lo = INFINITY;
+            for (i = 0, n_neg = n_pos = 0; i < n; i++) {
+                if (y[i] < 0.0 && (n_neg++ == 0 || dec[i] > hi))
+                    hi = dec[i];
+                if (y[i] > 0.0 && (n_pos++ == 0 || dec[i] < lo))
+                    lo = dec[i];
+            }
+            bias[r] = -0.5 * (hi + lo);
+        }
+        for (i = 0; i < n_q; i++)
+            decisions[r * n_q + i] = dot(queries + i * d, w, d) + bias[r];
+    }
+    free(Q);
+    return 0;
 }
+
+#define SCG_SIGMA0 1e-4
 
 /* Penalized cross-entropy of the perceptron with packed weights w
  * (w1 as d x h row-major, b1, w2, b2) on X (n x d) and targets t, and

@@ -21,7 +21,15 @@ from generank.dataio import VARIANCE_FLOOR
 
 
 class ConvergenceError(RuntimeError):
-    """Raised when an iterative solver exhausts its iteration budget."""
+    """Raised when an iterative solver exhausts its iteration budget.
+
+    ``candidate`` is the position, among the hyperparameter values a grid
+    function was given, of the fit that failed (0 for a single fit).
+    """
+
+    def __init__(self, message, candidate=0):
+        super().__init__(message)
+        self.candidate = candidate
 
 
 @dataclass
@@ -159,9 +167,9 @@ def _smo_loop(Q, y, c, alpha, grad, max_iter, tol):
     pair. ``alpha`` and ``grad`` (``Q @ alpha - 1``) are updated in
     place. Returns ``(updates, gap)``: the number of updates made, or -1
     when ``max_iter`` updates did not reach ``tol``, and the last gap
-    computed. ``kernels.smo_solve`` is the compiled port of this loop;
-    this one is its oracle and the path without a compiler. The two give
-    the same bits except for which NaN an overflowed result holds."""
+    computed. :func:`_svm_grid_loop` runs it for each bound, and
+    ``_mamdani.c`` holds its compiled port, which ``kernels.svm_grid_solve``
+    runs."""
     gap = math.inf
     for it in range(max_iter):
         f_up, f_low = _violating_sets(y, alpha, c, grad)
@@ -222,7 +230,126 @@ def _smo_loop(Q, y, c, alpha, grad, max_iter, tol):
     return -1, gap
 
 
-_SMO = kernels.smo_solve or _smo_loop
+def _sum(a, axis=0):
+    """The sum along ``axis``, added left to right: a cumulative sum adds
+    in order, where ``np.sum`` and BLAS choose their own order. An empty
+    sum is 0."""
+    if a.shape[axis] == 0:
+        return a.sum(axis=axis)
+    return np.cumsum(a, axis=axis).take(-1, axis=axis)
+
+
+def _dot(a, b) -> float:
+    """``a @ b`` with the products added left to right."""
+    return float(_sum(a * b))
+
+
+def _svm_decisions(weights, bias, queries):
+    """``queries @ weights + bias``, each product sum added left to right."""
+    return _sum(queries * weights, axis=1) + bias
+
+
+def _svm_grid_loop(X, y, cs, queries, max_iter, tol, sv_tol):
+    """One linear SVM per box bound in ``cs`` on samples ``X`` with labels
+    ``y`` = +-1, and its decision on each row of ``queries``.
+
+    ``Q = (y_i * y_j) * (X_i . X_j)`` is built once; each bound's duals
+    start at 0 and run through :func:`_smo_loop`. Returns ``(alpha, grad,
+    weights, bias, gaps, updates, decisions)``, one row or value per bound:
+    the duals and ``Q @ alpha - 1``, the weights and bias, the last gap,
+    the update count (-1 when ``max_iter`` ran out) and the queries'
+    decision values. A fit that ran out or whose duals are not finite has
+    NaN weights, bias and decisions. The bias is the mean of ``y_i - w .
+    X_i`` over the free support vectors (``sv_tol < alpha_i < c -
+    sv_tol``), or else the midpoint between the innermost decisions of the
+    two classes. Every sum adds left to right, so the bits do not depend
+    on BLAS. ``kernels.svm_grid_solve`` is the compiled port of this
+    function; this one is its oracle and the path without a compiler. The
+    two give the same bits except for which NaN an overflowed result holds.
+    """
+    m, (n, d) = len(cs), X.shape
+    alpha = np.zeros((m, n))
+    grad = np.full((m, n), -1.0)
+    weights = np.full((m, d), np.nan)
+    bias = np.full(m, np.nan)
+    gaps = np.empty(m)
+    updates = np.empty(m, dtype=np.int64)
+    decisions = np.full((m, len(queries)), np.nan)
+    # Overflow shows up as non-finite duals, which the callers report.
+    with np.errstate(over="ignore", invalid="ignore"):
+        Q = (y[:, None] * y[None, :]) * _sum(X[:, None, :] * X[None, :, :], axis=2)
+        for r, c in enumerate(cs.tolist()):
+            updates[r], gaps[r] = _smo_loop(Q, y, c, alpha[r], grad[r], max_iter, tol)
+            if updates[r] < 0 or not (
+                np.isfinite(alpha[r]).all() and np.isfinite(grad[r]).all()
+            ):
+                continue
+            weights[r] = _sum(X * (alpha[r] * y)[:, None])
+            fitted = _sum(X * weights[r], axis=1)
+            on_margin = (alpha[r] > sv_tol) & (alpha[r] < c - sv_tol)
+            if on_margin.any():
+                bias[r] = float(_sum((y - fitted)[on_margin])) / int(on_margin.sum())
+            else:
+                # No free support vector: center the boundary between the
+                # innermost decision values of the two classes. Python's
+                # max and min keep the first of equal values (0.0 and
+                # -0.0), as the compiled port does.
+                hi = max(fitted[y < 0].tolist(), default=-math.inf)
+                lo = min(fitted[y > 0].tolist(), default=math.inf)
+                bias[r] = -0.5 * (hi + lo)
+            decisions[r] = _svm_decisions(weights[r], bias[r], queries)
+    return alpha, grad, weights, bias, gaps, updates, decisions
+
+
+_SVM_GRID = kernels.svm_grid_solve or _svm_grid_loop
+
+
+def _checked_positive(values, name) -> np.ndarray:
+    """``values`` as a flat float array, each of them positive."""
+    values = np.asarray(values, dtype=np.float64).reshape(-1)
+    if not (values > 0.0).all():
+        raise ValueError(f"{name} must be positive")
+    return values
+
+
+def _svm_grid(train: TrainSet, cs: np.ndarray, queries: np.ndarray):
+    """Unchecked core of :func:`svm_grid_labels` and :func:`svm_train`:
+    :func:`_svm_grid_loop`'s results through ``_SVM_GRID``, after
+    raising the :class:`ConvergenceError` of the first bound in ``cs``
+    whose fit failed."""
+    y = np.where(train.labels == 1, 1.0, -1.0)
+    fit = _SVM_GRID(
+        train.features, y, cs, queries, _SVM_MAX_ITER, _SVM_STOP_TOL, _SVM_SV_TOL
+    )
+    alpha, grad, _, bias, _, updates, _ = fit
+    # every failed fit has a NaN bias
+    if np.isnan(bias).any():
+        for r, c in enumerate(cs.tolist()):
+            if not (np.isfinite(alpha[r]).all() and np.isfinite(grad[r]).all()):
+                raise ConvergenceError("dual optimization overflowed: non-finite duals", r)
+            if updates[r] < 0:
+                f_up, f_low = _violating_sets(y, alpha[r], c, grad[r])
+                gap = float(f_up.max() - f_low.min())
+                raise ConvergenceError(
+                    f"dual optimization stalled: violation gap {gap:.3e} after "
+                    f"{_SVM_MAX_ITER} updates",
+                    r,
+                )
+    return fit
+
+
+def svm_grid_labels(train: TrainSet, cs, queries) -> np.ndarray:
+    """:func:`svm_train` and :func:`svm_predict` for every box bound in
+    ``cs`` and every row of ``queries`` at once: a (len(cs), n_queries)
+    array of labels.
+
+    The Gram matrix is built once for all bounds. A failed fit raises
+    the :class:`ConvergenceError` :func:`svm_train` would, for the first
+    such bound in ``cs``; its ``candidate`` is that bound's position.
+    """
+    queries = _validate_queries(train.n_features, queries)
+    decisions = _svm_grid(train, _checked_positive(cs, "c"), queries)[-1]
+    return (decisions > 0.0).astype(np.int64)
 
 
 def svm_train(train: TrainSet, c: float) -> SvmModel:
@@ -230,52 +357,31 @@ def svm_train(train: TrainSet, c: float) -> SvmModel:
 
     Repeatedly optimizes the maximally violating pair of dual variables
     until the violation gap drops below 1e-3; class 0 maps to y = -1.
-    The update loop runs in the compiled library when it is loaded
-    (``kernels.smo_solve``) and in :func:`_smo_loop` otherwise, with the
-    same bits either way; ``SvmModel.updates`` counts its updates.
-    Raises :class:`ConvergenceError` if the duals overflow (features so
-    large that the Gram matrix is not finite) or if the budget of 100000
+    This is :func:`svm_grid_labels` for one bound and no query: the fit
+    runs in the compiled library when it is loaded
+    (``kernels.svm_grid_solve``) and in :func:`_svm_grid_loop` otherwise,
+    with the same bits either way, whatever BLAS NumPy uses.
+    ``SvmModel.updates`` counts the updates. Raises
+    :class:`ConvergenceError` if the duals overflow (features so large
+    that the Gram matrix is not finite) or if the budget of 100000
     updates is exhausted first.
     """
-    if c <= 0.0:
-        raise ValueError("c must be positive")
-    X = train.features
-    y = np.where(train.labels == 1, 1.0, -1.0)
-    n = train.n_samples
-    alpha = np.zeros(n)
-    grad = -np.ones(n)
-    c = float(c)
-    # Overflow shows up as non-finite duals, which the check below reports.
-    with np.errstate(over="ignore", invalid="ignore"):
-        Q = (y[:, None] * y[None, :]) * (X @ X.T)
-        updates, gap = _SMO(Q, y, c, alpha, grad, _SVM_MAX_ITER, _SVM_STOP_TOL)
-    if not (np.isfinite(alpha).all() and np.isfinite(grad).all()):
-        raise ConvergenceError("dual optimization overflowed: non-finite duals")
-    if updates < 0:
-        f_up, f_low = _violating_sets(y, alpha, c, grad)
-        gap = float(f_up.max() - f_low.min())
-        raise ConvergenceError(
-            f"dual optimization stalled: violation gap {gap:.3e} after "
-            f"{_SVM_MAX_ITER} updates"
-        )
-
-    weights = X.T @ (alpha * y)
-    decisions = X @ weights
-    on_margin = (alpha > _SVM_SV_TOL) & (alpha < c - _SVM_SV_TOL)
-    if on_margin.any():
-        bias = float((y[on_margin] - decisions[on_margin]).mean())
-    else:
-        # No free support vector: center the boundary between the
-        # innermost decision values of the two classes.
-        bias = -0.5 * float(decisions[y < 0].max() + decisions[y > 0].min())
-
-    support = np.flatnonzero(alpha > _SVM_SV_TOL)
-    return SvmModel(weights, bias, alpha, support, c, float(gap), updates)
+    cs = _checked_positive(float(c), "c")
+    alpha, _, weights, bias, gaps, updates, _ = _svm_grid(
+        train, cs, np.empty((0, train.n_features))
+    )
+    support = np.flatnonzero(alpha[0] > _SVM_SV_TOL)
+    return SvmModel(
+        weights[0], float(bias[0]), alpha[0], support, float(cs[0]), float(gaps[0]),
+        int(updates[0]),
+    )
 
 
 def svm_predict(model: SvmModel, query) -> int:
+    """1 if the query's decision value ``w . q + bias`` is positive, else
+    0: :func:`svm_grid_labels`'s label for one query."""
     q = _validate_query(model.weights.shape[0], query)
-    return int(float(q @ model.weights + model.bias) > 0.0)
+    return int(_svm_decisions(model.weights, model.bias, q[None, :])[0] > 0.0)
 
 
 def svm_kkt_violation(model: SvmModel, train: TrainSet) -> float:
@@ -320,13 +426,6 @@ def _nbc_fit(train: TrainSet, multipliers: np.ndarray):
     return tuple(values), bandwidths, np.log(priors)
 
 
-def _checked_multipliers(multipliers) -> np.ndarray:
-    m = np.asarray(multipliers, dtype=np.float64).reshape(-1)
-    if not (m > 0.0).all():
-        raise ValueError("bandwidth_multiplier must be positive")
-    return m
-
-
 def nbc_train(train: TrainSet, bandwidth_multiplier: float = 1.0) -> NbcModel:
     """Per class and feature, a Gaussian KDE with Silverman bandwidths.
 
@@ -335,7 +434,7 @@ def nbc_train(train: TrainSet, bandwidth_multiplier: float = 1.0) -> NbcModel:
     usable.
     """
     values, bandwidths, log_priors = _nbc_fit(
-        train, _checked_multipliers(bandwidth_multiplier)
+        train, _checked_positive(bandwidth_multiplier, "bandwidth_multiplier")
     )
     return NbcModel(values, bandwidths[0], log_priors)
 
@@ -374,16 +473,24 @@ def _nbc_posteriors(class_values, bandwidths, log_priors, queries) -> np.ndarray
     through one :func:`_logsumexp` along the sample axis per class. Its
     sums over samples, and the sums over features, add in the order they
     do for one multiplier and one query, so each posterior has the same
-    bits either way.
+    bits either way. Where both classes' log joints are ``-inf`` (a query
+    far from every sample) the posteriors are the normalized priors.
     """
     log_joint = np.empty(bandwidths.shape[:1] + queries.shape[:1] + (2,))
-    for cls in (0, 1):
-        V = class_values[cls]
-        h = bandwidths[:, cls]
-        z = (queries[:, None, :] - V)[None] / h[:, None, None, :]
-        log_kde = _logsumexp(-0.5 * z * z, axis=2)
-        log_kde -= (math.log(V.shape[0]) + np.log(h * math.sqrt(2.0 * math.pi)))[:, None]
-        log_joint[..., cls] = log_priors[cls] + log_kde.sum(axis=-1)
+    # a far query's kernel terms overflow to -inf, which is handled below
+    with np.errstate(over="ignore"):
+        for cls in (0, 1):
+            V = class_values[cls]
+            h = bandwidths[:, cls]
+            z = (queries[:, None, :] - V)[None] / h[:, None, None, :]
+            log_kde = _logsumexp(-0.5 * z * z, axis=2)
+            log_kde -= (math.log(V.shape[0]) + np.log(h * math.sqrt(2.0 * math.pi)))[:, None]
+            log_joint[..., cls] = log_priors[cls] + log_kde.sum(axis=-1)
+    if log_joint.min() == -np.inf:
+        # A query so far from both classes that neither density is
+        # representable says nothing about its class: the priors decide.
+        lost = (log_joint == -np.inf).all(axis=-1)
+        log_joint[lost] = log_priors
     posteriors = np.exp(log_joint - _logsumexp(log_joint, axis=-1)[..., None])
     # guard the unit-sum invariant against rounding when the shifted
     # log joints are huge in magnitude
@@ -395,7 +502,7 @@ def nbc_grid_labels(train: TrainSet, multipliers, queries) -> np.ndarray:
     """:func:`nbc_train` and :func:`nbc_predict` for every bandwidth
     multiplier and every row of ``queries`` at once: a
     (len(multipliers), n_queries) array of labels."""
-    fit = _nbc_fit(train, _checked_multipliers(multipliers))
+    fit = _nbc_fit(train, _checked_positive(multipliers, "bandwidth_multiplier"))
     posteriors = _nbc_posteriors(*fit, _validate_queries(train.n_features, queries))
     return (posteriors[..., 1] > posteriors[..., 0]).astype(np.int64)
 
@@ -481,17 +588,6 @@ def mlp_loss_and_grad(wvec, features, targets, hidden_count, ridge):
     t = np.asarray(targets, dtype=np.float64)
     w = np.asarray(wvec, dtype=np.float64)
     return _loss_and_grad(w, X, t, X.shape[1], int(hidden_count), ridge, True)
-
-
-def _sum(a, axis=0):
-    """The sum along ``axis``, added left to right: a cumulative sum adds
-    in order, where ``np.sum`` and BLAS choose their own order."""
-    return np.cumsum(a, axis=axis).take(-1, axis=axis)
-
-
-def _dot(a, b) -> float:
-    """``a @ b`` with the products added left to right."""
-    return float(_sum(a * b))
 
 
 def _exp_or_inf(v):

@@ -21,18 +21,24 @@ from scipy.special import betainc
 from generank import fgf as fgf_mod
 from generank import gaopt
 from generank.classifiers import (
+    ConvergenceError,
     TrainSet,
     knn_grid_labels,
     mlp_predict,
     mlp_train,
     nbc_grid_labels,
+    svm_grid_labels,
+)
+
+# knn_classify, nbc_train, nbc_predict, svm_train and svm_predict stay
+# importable from here: perfbench/tracer.py patches these names.
+from generank.classifiers import (  # noqa: F401
+    knn_classify,
+    nbc_predict,
+    nbc_train,
     svm_predict,
     svm_train,
 )
-
-# knn_classify, nbc_train and nbc_predict stay importable from here:
-# perfbench/tracer.py patches these names.
-from generank.classifiers import knn_classify, nbc_predict, nbc_train  # noqa: F401
 from generank.dataio import VARIANCE_FLOOR, Dataset
 from generank.rankers import rank_genes
 
@@ -134,26 +140,20 @@ def _grid_labels(classifier, grid, train, scaled, seed):
     standardized block with each value of ``grid``: a (len(grid),
     len(scaled)) array.
 
-    knn and nbc score the whole grid in one array pass (k is capped at
-    the block's sample count). svm and mlp fit one model per value;
-    ``seed`` is a zero-argument callable that only the perceptron calls,
-    once per fit, so the other classifiers never derive a seed they do
-    not use.
+    knn, svm and nbc score the whole grid in one call (k is capped at
+    the block's sample count). mlp fits one model per value; ``seed`` is
+    a zero-argument callable that only the perceptron calls, once per
+    fit, so the other classifiers never derive a seed they do not use.
     """
     if classifier == "knn":
         ks = [min(int(k), train.n_samples) for k in grid]
         return knn_grid_labels(train, ks, scaled)
+    if classifier == "svm":
+        return svm_grid_labels(train, grid, scaled)
     if classifier == "nbc":
         return nbc_grid_labels(train, grid, scaled)
-    rows = []
-    for value in grid:
-        if classifier == "svm":
-            model = svm_train(train, value)
-            rows.append([svm_predict(model, q) for q in scaled])
-        else:
-            model = mlp_train(train, value, seed=seed())
-            rows.append([mlp_predict(model, q)[0] for q in scaled])
-    return np.array(rows)
+    models = [mlp_train(train, value, seed=seed()) for value in grid]
+    return np.array([[mlp_predict(model, q)[0] for q in scaled] for model in models])
 
 
 def inner_search(features, labels, classifier: str, seed: int = 0):
@@ -162,11 +162,12 @@ def inner_search(features, labels, classifier: str, seed: int = 0):
     Uses up to ten folds, degraded to the smaller class count; pooled
     accuracy decides, ties going to the simpler candidate (smaller k or
     C, bandwidth multiplier nearest 1, fewer hidden nodes). Each fold is
-    standardized once and shared by every candidate. knn and nbc score
-    every candidate of a fold in one pass; svm and mlp try the
-    candidates in grid order, each over every fold, so the first
-    :class:`ConvergenceError` raised is the first in that order. Returns
-    ``(best_value, best_accuracy)``.
+    standardized once and shared by every candidate. knn, svm and nbc
+    score every candidate of a fold in one call; mlp tries the
+    candidates in grid order, each over every fold. An SVM fit that fails
+    raises the :class:`ConvergenceError` of the first failure in that
+    candidate-outer, fold-inner order. Returns ``(best_value,
+    best_accuracy)``.
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
@@ -187,11 +188,18 @@ def inner_search(features, labels, classifier: str, seed: int = 0):
             features[train_mask], labels[train_mask], features[test_mask]
         )
         blocks.append((train, scaled, labels[test_mask]))
-    if classifier in ("knn", "nbc"):
-        correct = sum(
-            (_grid_labels(classifier, grid, train, scaled, None) == truth).sum(axis=1)
-            for train, scaled, truth in blocks
-        )
+    if classifier != "mlp":
+        correct, failures = 0, []
+        for fold, (train, scaled, truth) in enumerate(blocks):
+            try:
+                predicted = _grid_labels(classifier, grid, train, scaled, None)
+            except ConvergenceError as exc:
+                # a fold reports its first failing candidate
+                failures.append((exc.candidate, fold, exc))
+                continue
+            correct = correct + (predicted == truth).sum(axis=1)
+        if failures:
+            raise min(failures, key=lambda failure: failure[:2])[2]
     else:
         correct = [0] * len(grid)
         for position, value in enumerate(grid):

@@ -1,27 +1,29 @@
 """Backend dispatch for the compiled code in ``_mamdani.c``.
 
-The library holds three loops, each a port of Python code that stays as
-its oracle and fallback: the batch fuzzy-inference kernel
-(``_mamdani_py.mamdani_scores``), the SVM's SMO update loop
-(``classifiers._smo_loop``) and the perceptron's scaled-conjugate-gradient
-loop (``classifiers._scg_loop``). It also holds a reader of the
-expression matrix's rows, whose oracle and fallback is the line-by-line
-reader ``dataio._parse_matrix_lines``. It is loaded through ctypes and
+The library holds three solvers, each a port of Python code that stays
+as its oracle and fallback: the batch fuzzy-inference kernel
+(``_mamdani_py.mamdani_scores``), the SVM fits of a whole grid of box
+bounds, with their SMO update loop (``classifiers._svm_grid_loop``), and
+the perceptron's scaled-conjugate-gradient loop
+(``classifiers._scg_loop``). It also holds a reader of the expression
+matrix's rows, whose oracle and fallback is the line-by-line reader
+``dataio._parse_matrix_lines``. It is loaded through ctypes and
 preferred. On first import it is compiled when no build of the current
 source exists and a C compiler (``cc``) is on ``PATH``; see ``_cbuild``.
 Without a compiler, or if the build fails (which warns with the
 compiler's output), the Python code takes over. Both produce
 bit-identical results, so the choice only affects speed; ``BACKEND``
-names the fuzzy kernel that runs, and ``smo_solve``, ``scg_solve`` and
-``parse_matrix_rows`` are None when the library is not loaded. The one
-difference is which NaN an overflowed SMO result holds, and
-``classifiers.svm_train`` rejects such a result on either path.
+names the fuzzy kernel that runs, and ``svm_grid_solve``, ``scg_solve``
+and ``parse_matrix_rows`` are None when the library is not loaded. The
+one difference is which NaN an overflowed SVM fit holds, and
+``classifiers.svm_train`` and ``svm_grid_labels`` reject such a fit on
+either path.
 """
 
 from __future__ import annotations
 
 import ctypes
-import math
+import itertools
 import warnings
 
 import numpy as np
@@ -68,33 +70,50 @@ def _bind_mamdani(lib):
     return mamdani_scores
 
 
-def _bind_smo(lib):
-    fn = lib.smo_solve
+def _bind_svm_grid(lib):
+    fn = lib.svm_grid_solve
+    pointer, count, real = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
     fn.argtypes = (
-        _MATRIX,
-        _ARRAY,
-        ctypes.c_double,
-        ctypes.c_int64,
-        ctypes.c_int64,
-        ctypes.c_double,
-        _ARRAY,
-        _ARRAY,
-        ctypes.POINTER(ctypes.c_double),
+        (pointer, pointer, count, count, pointer, count, pointer, count, count, real, real)
+        + (pointer,) * 7
     )
     fn.restype = ctypes.c_int64
 
-    def smo_solve(Q, y, c, alpha, grad, max_iter, tol):
-        """``classifiers._smo_loop`` computed in C: updates ``alpha`` and
-        ``grad`` in place and returns ``(updates, gap)``, with ``updates
-        == -1`` when ``max_iter`` is exhausted, as there."""
-        n = y.shape[0]
-        if Q.shape != (n, n) or alpha.shape != (n,) or grad.shape != (n,):
-            raise ValueError("Q must be n x n and y, alpha and grad of length n")
-        gap = ctypes.c_double(math.inf)
-        updates = fn(Q, y, c, n, max_iter, tol, alpha, grad, ctypes.byref(gap))
-        return updates, np.float64(gap.value)
+    def svm_grid_solve(X, y, cs, queries, max_iter, tol, sv_tol):
+        """``classifiers._svm_grid_loop`` computed in C: returns ``(alpha,
+        grad, weights, bias, gaps, updates, decisions)`` as there."""
+        X, queries = np.asarray(X), np.asarray(queries)
+        if X.ndim != 2 or queries.ndim != 2 or np.ndim(cs) != 1:
+            raise ValueError("X and queries must be 2-D and cs 1-D")
+        (n, d), m, q = X.shape, len(cs), len(queries)
+        if np.shape(y) != (n,) or queries.shape[1] != d:
+            raise ValueError("y needs one value per row of X and queries X's columns")
+        # The arguments and the results share one buffer, in the order of
+        # the C arguments, so that one address serves them all; the
+        # results come back as views of it, the update counts as int64.
+        sizes = (n * d, n, m, q * d, m * n, m * n, m * d, m, m, m, m * q)
+        ends = list(itertools.accumulate(sizes))
+        starts = [0, *ends[:-1]]
+        buffer = np.concatenate(
+            (X.ravel(), y, cs, queries.ravel(), np.empty(ends[-1] - ends[3])),
+            dtype=np.float64,
+        )
+        base = buffer.ctypes.data
+        X_at, y_at, cs_at, queries_at, *out_at = (base + 8 * start for start in starts)
+        status = fn(
+            X_at, y_at, n, d, cs_at, m, queries_at, q, max_iter, tol, sv_tol, *out_at
+        )
+        if status < 0:
+            raise MemoryError("svm_grid_solve could not allocate its work arrays")
+        alpha, grad, weights, bias, gaps, updates, decisions = (
+            buffer[start:end] for start, end in zip(starts[4:], ends[4:])
+        )
+        return (
+            alpha.reshape(m, n), grad.reshape(m, n), weights.reshape(m, d), bias, gaps,
+            updates.view(np.int64), decisions.reshape(m, q),
+        )
 
-    return smo_solve
+    return svm_grid_solve
 
 
 def _bind_scg(lib):
@@ -182,14 +201,14 @@ def _load_c_kernel():
 _LIB = _load_library()
 if _LIB is not None:
     _c_scores = _bind_mamdani(_LIB)
-    smo_solve = _bind_smo(_LIB)
+    svm_grid_solve = _bind_svm_grid(_LIB)
     scg_solve = _bind_scg(_LIB)
     parse_matrix_rows = _bind_parse(_LIB)
     _IMPL = _c_scores
     BACKEND = "c"
 else:
     _c_scores = None
-    smo_solve = None
+    svm_grid_solve = None
     scg_solve = None
     parse_matrix_rows = None
     _IMPL = _mamdani_py.mamdani_scores

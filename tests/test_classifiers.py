@@ -21,6 +21,7 @@ from generank.classifiers import (
     nbc_grid_labels,
     nbc_predict,
     nbc_train,
+    svm_grid_labels,
     svm_kkt_violation,
     svm_predict,
     svm_train,
@@ -217,9 +218,12 @@ def test_nbc_grid_labels_bit_identical_to_per_query_calls(monkeypatch):
     far_queries = far_queries.copy()
     far_queries[2, 0] = 1e200
     cases.append((far_train, far_queries))
-    # the far query's posteriors are NaN, as both classes' log joints are -inf
-    with np.errstate(over="ignore", invalid="ignore"):
-        for train, queries in cases:
+    # both classes' log joints are -inf for the far query: its posteriors
+    # are the priors, with no warning, where the loop's are NaN
+    far = (len(cases) - 1, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for case, (train, queries) in enumerate(cases):
             labels = nbc_grid_labels(train, multipliers, queries)
             assert labels.shape == (len(multipliers), len(queries))
             fit = classifiers._nbc_fit(train, np.array(multipliers))
@@ -229,9 +233,18 @@ def test_nbc_grid_labels_bit_identical_to_per_query_calls(monkeypatch):
                 assert model.bandwidths.tobytes() == fit[1][g].tobytes()
                 for i, query in enumerate(queries):
                     label, one = nbc_predict(model, query)
-                    loop_label, loop = _nbc_predict_loop(model, query)
-                    assert labels[g, i] == label == loop_label
-                    assert posteriors[g, i].tobytes() == one.tobytes() == loop.tobytes()
+                    assert labels[g, i] == label
+                    assert posteriors[g, i].tobytes() == one.tobytes()
+                    if (case, i) == far:
+                        assert not np.isnan(one).any() and one.sum() == 1.0
+                        farther = nbc_predict(model, np.full_like(query, 1e300))[1]
+                        assert one.tobytes() == farther.tobytes()
+                        assert label == int(train.labels.mean() > 0.5)
+                        continue
+                    with np.errstate(over="ignore"):
+                        loop_label, loop = _nbc_predict_loop(model, query)
+                    assert label == loop_label
+                    assert one.tobytes() == loop.tobytes()
     assert fallbacks
 
 
@@ -327,10 +340,10 @@ needs_compiled = pytest.mark.skipif(
 )
 
 
-def _smo_problem(rng):
-    """(Q, y, c, budget) of a random dual, with rounded ties, one-class
-    label sets (an empty I_up or I_low), small budgets and overflowing
-    Gram matrices among them."""
+def _svm_problem(rng):
+    """(X, y, cs, queries, budget) of a random grid of duals, with rounded
+    ties, one-class label sets (an empty I_up or I_low), small budgets and
+    overflowing Gram matrices among them."""
     n = int(rng.integers(2, 60))
     d = int(rng.integers(1, 12))
     X = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-1.5, 1.0)
@@ -345,17 +358,15 @@ def _smo_problem(rng):
     if rng.random() < 0.05:
         X = X * 1e200
         budget = int(rng.integers(0, 200))
-    with np.errstate(over="ignore", invalid="ignore"):
-        Q = (y[:, None] * y[None, :]) * (X @ X.T)
-    return Q, y, float(10.0 ** rng.uniform(-2.0, 2.0)), budget
+    cs = 10.0 ** rng.uniform(-2.0, 2.0, int(rng.integers(1, 4)))
+    queries = rng.normal(size=(int(rng.integers(0, 4)), d)) * 3.0
+    return X, y, cs, queries, budget
 
 
-def _run_smo(loop, Q, y, c, budget):
-    alpha = np.zeros(len(y))
-    grad = -np.ones(len(y))
-    with np.errstate(over="ignore", invalid="ignore"):
-        updates, gap = loop(Q, y, c, alpha, grad, budget, classifiers._SVM_STOP_TOL)
-    return alpha, grad, np.float64(gap), updates
+def _run_grid(grid, X, y, cs, queries, budget):
+    return grid(
+        X, y, cs, queries, budget, classifiers._SVM_STOP_TOL, classifiers._SVM_SV_TOL
+    )
 
 
 def _same_bits(a, b):
@@ -363,39 +374,57 @@ def _same_bits(a, b):
 
 
 def _loop(name):
-    """A solver loop by name: a compiled one (``smo_solve``, ``scg_solve``)
-    or its Python oracle (``_smo_loop``, ``_scg_loop``)."""
+    """A solver by name: a compiled one (``svm_grid_solve``, ``scg_solve``)
+    or its Python oracle (``_svm_grid_loop``, ``_scg_loop``)."""
     return getattr(kernels if name.endswith("_solve") else classifiers, name)
 
 
 both_loops = pytest.mark.parametrize(
-    "loop", [pytest.param("smo_solve", marks=needs_compiled), "_smo_loop"]
+    "loop", [pytest.param("svm_grid_solve", marks=needs_compiled), "_svm_grid_loop"]
 )
 
 
 @needs_compiled
 def test_smo_compiled_loop_bit_identical_to_python_loop():
-    assert classifiers._SMO is kernels.smo_solve
+    assert classifiers._SVM_GRID is kernels.svm_grid_solve
     rng = np.random.default_rng(510)
     seen = {"exhausted": 0, "one_class": 0, "nan": 0}
     for trial in range(400):
-        Q, y, c, budget = _smo_problem(rng)
-        expected = _run_smo(classifiers._smo_loop, Q, y, c, budget)
-        got = _run_smo(kernels.smo_solve, Q, y, c, budget)
-        nan_mask = [np.isnan(part) for part in expected[:3]]
-        if any(mask.any() for mask in nan_mask):
+        problem = _svm_problem(rng)
+        expected = _run_grid(classifiers._svm_grid_loop, *problem)
+        got = _run_grid(kernels.svm_grid_solve, *problem)
+        # alpha, grad, weights, bias, gaps, updates, decisions
+        assert [part.shape for part in got] == [part.shape for part in expected]
+        updates = expected[5]
+        assert got[5].tobytes() == updates.tobytes(), f"trial {trial}"
+        if np.isnan(expected[0]).any() or np.isnan(expected[1]).any():
             # an overflowed result: which NaN an operation returns follows
-            # the compiler's operand order, but the updates and the NaN
-            # positions do not
-            assert got[3] == expected[3], f"trial {trial}"
-            for mask, part in zip(nan_mask, got[:3]):
+            # the compiler's operand order, but the updates, the NaN
+            # positions and the other values do not
+            for part, want in zip(got[:5] + got[6:], expected[:5] + expected[6:]):
+                mask = np.isnan(want)
                 np.testing.assert_array_equal(np.isnan(part), mask, f"trial {trial}")
+                assert _same_bits([np.where(mask, 0.0, part)], [np.where(mask, 0.0, want)])
             seen["nan"] += 1
         else:
             assert _same_bits(got, expected), f"trial {trial} diverged"
-        seen["exhausted"] += expected[3] == -1
-        seen["one_class"] += abs(y.sum()) == len(y)
+        seen["exhausted"] += bool((updates == -1).any())
+        seen["one_class"] += abs(problem[1].sum()) == len(problem[1])
     assert min(seen.values()) >= 5, seen
+
+
+@needs_compiled
+def test_svm_grid_solve_checks_shapes_before_calling_c():
+    X, y, cs, queries = np.ones((4, 2)), np.array([-1.0, 1.0, -1.0, 1.0]), [1.0], np.ones((1, 2))
+    for args in (
+        (X[0], y, cs, queries, 10),
+        (X, y[:3], cs, queries, 10),
+        (X, y, [cs], queries, 10),
+        (X, y, cs, queries[0], 10),
+        (X, y, cs, np.ones((1, 3)), 10),
+    ):
+        with pytest.raises(ValueError):
+            kernels.svm_grid_solve(*args, 1e-3, 1e-8)
 
 
 @needs_compiled
@@ -403,8 +432,8 @@ def test_svm_train_same_model_on_both_loops(monkeypatch):
     rng = np.random.default_rng(511)
     trains = [_separable(rng, dim=2, margin=0.5) for _ in range(20)]
     models = []
-    for loop in (kernels.smo_solve, classifiers._smo_loop):
-        monkeypatch.setattr(classifiers, "_SMO", loop)
+    for loop in (kernels.svm_grid_solve, classifiers._svm_grid_loop):
+        monkeypatch.setattr(classifiers, "_SVM_GRID", loop)
         models.append([svm_train(train, 1.0) for train in trains])
     for compiled, python in zip(*models):
         assert compiled.updates == python.updates > 0
@@ -412,9 +441,80 @@ def test_svm_train_same_model_on_both_loops(monkeypatch):
             assert _same_bits([getattr(compiled, field)], [getattr(python, field)]), field
 
 
+def test_svm_model_bits_are_the_same_on_every_host():
+    """SHA-256 of the weights, bias, duals, update count and final gap of
+    three seeded fits.
+
+    The Gram matrix, the weights and the bias are summed left to right on
+    both paths, compiled and Python, so these hashes hold with and without
+    the compiled library, on every OpenBLAS kernel and with NumPy's SIMD
+    code paths turned off.
+    """
+    fits = [
+        # (data seed, per class, features, margin, C)
+        (551, 12, 3, 0.3, 1.0),
+        (552, 20, 8, 0.1, 10.0),
+        (553, 35, 40, 0.05, 0.1),
+    ]
+    digests = []
+    for data_seed, per_class, dim, margin, c in fits:
+        train = _separable(np.random.default_rng(data_seed), per_class, dim, margin)
+        model = svm_train(train, c)
+        digest = hashlib.sha256()
+        for part in (model.weights, [model.bias], model.dual_coefficients, [model.kkt_gap]):
+            digest.update(np.asarray(part, dtype=np.float64).tobytes())
+        digest.update(np.int64(model.updates).tobytes())
+        digests.append(digest.hexdigest())
+    assert digests == [
+        "ac09e12cb4dfbc5870dbebcdbcf83206f1212b808452c51c9053e98ac4358389",
+        "4166bb211663d2aa04e5d59daa54e961ad9d0dc0eafc4898b8de7ca712a02855",
+        "8e4b9148a1af3b77ee8815ff87c9ed19c47b9cb2275d9a86aed01b492b36b80f",
+    ]
+
+
+@both_loops
+def test_svm_grid_labels_bit_identical_to_per_candidate_fits(monkeypatch, loop):
+    monkeypatch.setattr(classifiers, "_SVM_GRID", _loop(loop))
+    cs = [0.01, 0.1, 1.0, 10.0, 100.0]
+    for train, queries in _core_cases()[::3]:
+        labels = svm_grid_labels(train, cs, queries)
+        assert labels.shape == (len(cs), len(queries))
+        for g, c in enumerate(cs):
+            model = svm_train(train, c)
+            assert labels[g].tolist() == [svm_predict(model, q) for q in queries]
+
+
+def test_svm_grid_labels_validates():
+    train = _separable(np.random.default_rng(533), n_per_class=3, dim=2)
+    with pytest.raises(ValueError, match="positive"):
+        svm_grid_labels(train, [1.0, 0.0], np.zeros((1, 2)))
+    with pytest.raises(ValueError, match="features"):
+        svm_grid_labels(train, [1.0], np.zeros((1, 3)))
+    with pytest.raises(ValueError, match="non-finite"):
+        svm_grid_labels(train, [1.0], np.array([[np.nan, 0.0]]))
+
+
+@both_loops
+def test_svm_grid_labels_raises_for_the_first_failing_bound(monkeypatch, loop):
+    monkeypatch.setattr(classifiers, "_SVM_GRID", _loop(loop))
+    train = _separable(np.random.default_rng(534), dim=2, margin=0.2)
+    cs = [0.01, 1.0, 100.0]
+    updates = [svm_train(train, c).updates for c in cs]
+    assert updates[0] < updates[1] and updates[2] > updates[1]
+    # a budget that the first bound's fit meets and the others do not
+    monkeypatch.setattr(classifiers, "_SVM_MAX_ITER", updates[0] + 1)
+    with pytest.raises(ConvergenceError, match="stalled") as caught:
+        svm_grid_labels(train, cs, train.features)
+    assert caught.value.candidate == 1
+    with pytest.raises(ConvergenceError) as single:
+        svm_train(train, cs[1])
+    assert single.value.candidate == 0
+    assert str(single.value) == str(caught.value)
+
+
 @both_loops
 def test_svm_budget_read_at_call_time(monkeypatch, loop):
-    monkeypatch.setattr(classifiers, "_SMO", _loop(loop))
+    monkeypatch.setattr(classifiers, "_SVM_GRID", _loop(loop))
     train = _separable(np.random.default_rng(512), dim=2, margin=0.5)
     updates = svm_train(train, 1.0).updates
     assert updates > 1
@@ -430,7 +530,7 @@ def test_svm_budget_read_at_call_time(monkeypatch, loop):
 def test_svm_overflowing_features_raise(monkeypatch, loop):
     # finite features whose Gram matrix overflows: the duals turn NaN,
     # and no model may come back from them
-    monkeypatch.setattr(classifiers, "_SMO", _loop(loop))
+    monkeypatch.setattr(classifiers, "_SVM_GRID", _loop(loop))
     rng = np.random.default_rng(513)
     for _ in range(6):
         small = _separable(rng, n_per_class=6)
@@ -440,6 +540,8 @@ def test_svm_overflowing_features_raise(monkeypatch, loop):
             warnings.simplefilter("always")
             with pytest.raises(ConvergenceError, match="overflow"):
                 svm_train(train, 1.0)
+            with pytest.raises(ConvergenceError, match="overflow"):
+                svm_grid_labels(train, [0.1, 1.0], small.features[:2])
         assert caught == []
 
 

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from generank import classifiers, cli, crossval, gaopt
+from generank import classifiers, cli, gaopt
 from generank.dataio import load_dataset
 from generank.fgf import FgfParams, FuzzyRegion, load_params, save_params
 
@@ -449,17 +449,20 @@ def test_evaluate_artifacts(tables, tmp_path):
 
 def test_evaluate_solver_failure_is_fatal(tables, tmp_path, capsys, monkeypatch):
     # one SVM fit failing inside the sweep aborts the whole evaluation,
-    # and nothing is written
+    # and nothing is written: from the seventh grid of fits on, the
+    # solver's budget is one update, which no fit of two classes meets
     _, matrix_path, labels_path = tables
     calls = []
+    solve = classifiers._SVM_GRID
 
-    def failing_on_seventh(train, c):
-        calls.append(c)
+    def failing_from_seventh(X, y, cs, queries, max_iter, tol, sv_tol):
+        calls.append(len(cs))
         if len(calls) == 7:
-            raise classifiers.ConvergenceError("dual optimization stalled")
-        return classifiers.svm_train(train, c)
+            monkeypatch.setattr(classifiers, "_SVM_MAX_ITER", 1)
+            max_iter = 1
+        return solve(X, y, cs, queries, max_iter, tol, sv_tol)
 
-    monkeypatch.setattr(crossval, "svm_train", failing_on_seventh)
+    monkeypatch.setattr(classifiers, "_SVM_GRID", failing_from_seventh)
     out = tmp_path / "eval"
     code = cli.main(
         [
@@ -479,8 +482,10 @@ def test_evaluate_solver_failure_is_fatal(tables, tmp_path, capsys, monkeypatch)
         ]
     )
     assert code == 1
-    assert len(calls) == 7
-    assert capsys.readouterr().err.startswith("error: dual optimization stalled")
+    assert len(calls) >= 7
+    err = capsys.readouterr().err
+    assert err.startswith("error: dual optimization stalled")
+    assert "after 1 updates" in err
     assert not out.exists()
     for pattern in ("sweep_*.tsv", "evaluate_*.json", "manifest.json"):
         assert list(tmp_path.rglob(pattern)) == [], pattern

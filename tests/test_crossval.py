@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from generank import crossval
+from generank import classifiers, crossval
+from generank.classifiers import ConvergenceError
 from generank.crossval import (
     CLASSIFIERS,
     KNN_GRID,
@@ -226,6 +227,51 @@ def test_inner_search_tie_goes_to_the_simpler_candidate(classifier, data_seed):
     assert hits.count(best) >= 2 and hits[0] < best
     assert value == _hyper_grid(classifier, 3)[hits.index(best)]
     assert inner_search(features, labels, classifier, seed=data_seed) == (value, accuracy)
+
+
+def test_inner_search_raises_the_first_svm_failure_in_candidate_order(monkeypatch):
+    # fold 0's fit of the fourth C and fold 2's fit of the second get a
+    # budget of one update and fail; a candidate-by-candidate search meets
+    # fold 2's failure first, though fold 0 is scored first
+    rng = np.random.default_rng(630)
+    features = rng.normal(size=(16, 3))
+    features[8:] += 0.8
+    labels = np.array([0] * 8 + [1] * 8)
+    solve = classifiers._SVM_GRID
+
+    def starving(failing):
+        """_SVM_GRID with a one-update budget for the fit of position
+        failing[call] in the call-th call."""
+        calls = []
+
+        def grid(X, y, cs, queries, max_iter, tol, sv_tol):
+            fold = len(calls)
+            calls.append(fold)
+            fits = [
+                solve(X, y, cs[[r]], queries, 1 if failing.get(fold) == r else max_iter,
+                      tol, sv_tol)
+                for r in range(len(cs))
+            ]
+            return tuple(np.concatenate(parts) for parts in zip(*fits))
+
+        return grid
+
+    monkeypatch.setattr(classifiers, "_SVM_GRID", starving({0: 3, 2: 1}))
+    with pytest.raises(ConvergenceError, match="stalled") as caught:
+        inner_search(features, labels, "svm", seed=4)
+    assert caught.value.candidate == 1
+
+    folds = stratified_folds(labels, 8, 4)
+    messages = {}
+    for fold, position in ((0, 3), (2, 1)):
+        test = folds == fold
+        train, scaled = crossval._scaled(features[~test], labels[~test], features[test])
+        monkeypatch.setattr(classifiers, "_SVM_GRID", starving({0: 0}))
+        with pytest.raises(ConvergenceError) as alone:
+            classifiers.svm_grid_labels(train, [SVM_GRID[position]], scaled)
+        messages[fold] = str(alone.value)
+    assert messages[0] != messages[2]
+    assert str(caught.value) == messages[2]
 
 
 # ---------------------------------------------------------------------------
