@@ -231,12 +231,12 @@ def _smo_loop(Q, y, c, alpha, grad, max_iter, tol):
 
 
 def _sum(a, axis=0):
-    """The sum along ``axis``, added left to right: a cumulative sum adds
-    in order, where ``np.sum`` and BLAS choose their own order. An empty
-    sum is 0."""
+    """The sum along ``axis``, added left to right: a cumulative sum
+    (``np.add.accumulate``, which ``np.cumsum`` calls) adds in order,
+    where ``np.sum`` and BLAS choose their own order. An empty sum is 0."""
     if a.shape[axis] == 0:
         return a.sum(axis=axis)
-    return np.cumsum(a, axis=axis).take(-1, axis=axis)
+    return np.add.accumulate(a, axis=axis).take(-1, axis=axis)
 
 
 def _dot(a, b) -> float:
@@ -550,20 +550,25 @@ def _unpack(wvec: np.ndarray, d: int, h: int):
     return w1, b1, w2, b2
 
 
-def _loss_and_grad(w, X, t, d, h, ridge, with_loss):
-    """Unchecked core of :func:`mlp_loss_and_grad` on float64 arrays.
+def mlp_loss_and_grad(wvec, features, targets, hidden_count, ridge):
+    """Penalized cross-entropy and its exact gradient.
 
-    Returns ``(loss, grad)``; ``loss`` is None unless ``with_loss``.
+    Logistic activations on both layers; the ridge penalty covers the
+    weight matrices but not the biases. The log arguments are clipped,
+    which leaves the gradient untouched anywhere the outputs are not
+    saturated past 1e-12. This is the NumPy oracle of the training
+    loop's :func:`_fixed_loss_and_grad`.
     """
-    w1, b1, w2, b2 = _unpack(w, d, h)
+    X = np.asarray(features, dtype=np.float64)
+    t = np.asarray(targets, dtype=np.float64)
+    w = np.asarray(wvec, dtype=np.float64)
+    w1, b1, w2, b2 = _unpack(w, X.shape[1], int(hidden_count))
 
     hidden = expit(X @ w1 + b1)
     out = expit(hidden @ w2 + b2)
-    loss = None
-    if with_loss:
-        safe = np.clip(out, 1e-12, 1.0 - 1e-12)
-        loss = -float((t * np.log(safe) + (1.0 - t) * np.log(1.0 - safe)).sum())
-        loss += 0.5 * ridge * (float((w1 * w1).sum()) + float((w2 * w2).sum()))
+    safe = np.clip(out, 1e-12, 1.0 - 1e-12)
+    loss = -float((t * np.log(safe) + (1.0 - t) * np.log(1.0 - safe)).sum())
+    loss += 0.5 * ridge * (float((w1 * w1).sum()) + float((w2 * w2).sum()))
 
     delta_out = out - t
     g_w2 = hidden.T @ delta_out + ridge * w2
@@ -574,20 +579,6 @@ def _loss_and_grad(w, X, t, d, h, ridge, with_loss):
 
     grad = np.concatenate([g_w1.ravel(), g_b1, g_w2, [g_b2]])
     return loss, grad
-
-
-def mlp_loss_and_grad(wvec, features, targets, hidden_count, ridge):
-    """Penalized cross-entropy and its exact gradient.
-
-    Logistic activations on both layers; the ridge penalty covers the
-    weight matrices but not the biases. The log arguments are clipped,
-    which leaves the gradient untouched anywhere the outputs are not
-    saturated past 1e-12.
-    """
-    X = np.asarray(features, dtype=np.float64)
-    t = np.asarray(targets, dtype=np.float64)
-    w = np.asarray(wvec, dtype=np.float64)
-    return _loss_and_grad(w, X, t, X.shape[1], int(hidden_count), ridge, True)
 
 
 def _exp_or_inf(v):
@@ -616,7 +607,7 @@ def _log(x):
 
 
 def _fixed_loss_and_grad(w, X, t, h, ridge, with_loss):
-    """:func:`_loss_and_grad` in the fixed order of ``kernels.scg_solve``:
+    """:func:`mlp_loss_and_grad` in the fixed order of ``kernels.scg_solve``:
     every sum runs left to right and ``exp`` and ``log`` are the C
     library's, so the bits do not depend on BLAS or NumPy's SIMD code."""
     d = X.shape[1]
@@ -763,9 +754,25 @@ def mlp_train(
     )
 
 
+def _mlp_outputs(model: MlpModel, queries: np.ndarray) -> np.ndarray:
+    """Unchecked core of :func:`mlp_probabilities`. Its sums, over features
+    and over hidden units, add left to right, so a row's bits depend
+    neither on the block it comes in nor on BLAS."""
+    pre = _sum(queries[:, :, None] * model.w1[None, :, :], axis=1)
+    hidden = expit(pre + model.b1)
+    return expit(_sum(hidden * model.w2, axis=1) + model.b2)
+
+
+def mlp_probabilities(model: MlpModel, queries) -> np.ndarray:
+    """:func:`mlp_predict`'s probability of class 1 for every row of
+    ``queries`` at once."""
+    return _mlp_outputs(model, _validate_queries(model.w1.shape[0], queries))
+
+
 def mlp_predict(model: MlpModel, query):
-    """Returns ``(label, probability_of_class_1)``."""
+    """Returns ``(label, probability_of_class_1)``, the label 1 when the
+    probability exceeds 0.5. The probability sums in a fixed order, so it
+    equals :func:`mlp_probabilities`' for the same row bit for bit."""
     q = _validate_query(model.w1.shape[0], query)
-    hidden = expit(q @ model.w1 + model.b1)
-    prob = float(expit(hidden @ model.w2 + model.b2))
+    prob = float(_mlp_outputs(model, q[None, :])[0])
     return int(prob > 0.5), prob

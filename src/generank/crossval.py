@@ -4,9 +4,11 @@ The outer loop is leave-one-out and fold-major: each held-out sample's
 training fold is ranked once (or the full data once, if asked), then at
 every gene count k the top-k genes become features and an inner
 stratified cross-validation picks the classifier's hyperparameter before
-the held-out sample is predicted. Counting correct predictions per k
-yields accuracy-versus-gene-count curves; a one-way ANOVA compares the
-resulting accuracy groups across ranking methods.
+the held-out sample is predicted. The inner loop is fold-major too, for
+all four classifiers: each inner fold scores every candidate value at
+once. Counting correct predictions per k yields accuracy-versus-gene-count
+curves; a one-way ANOVA compares the resulting accuracy groups across
+ranking methods.
 """
 
 from __future__ import annotations
@@ -24,16 +26,18 @@ from generank.classifiers import (
     ConvergenceError,
     TrainSet,
     knn_grid_labels,
-    mlp_predict,
+    mlp_probabilities,
     mlp_train,
     nbc_grid_labels,
     svm_grid_labels,
 )
 
-# knn_classify, nbc_train, nbc_predict, svm_train and svm_predict stay
-# importable from here: perfbench/tracer.py patches these names.
+# knn_classify, nbc_train, nbc_predict, svm_train, svm_predict and
+# mlp_predict stay importable from here: perfbench/tracer.py patches
+# these names.
 from generank.classifiers import (  # noqa: F401
     knn_classify,
+    mlp_predict,
     nbc_predict,
     nbc_train,
     svm_predict,
@@ -141,9 +145,11 @@ def _grid_labels(classifier, grid, train, scaled, seed):
     len(scaled)) array.
 
     knn, svm and nbc score the whole grid in one call (k is capped at
-    the block's sample count). mlp fits one model per value; ``seed`` is
-    a zero-argument callable that only the perceptron calls, once per
-    fit, so the other classifiers never derive a seed they do not use.
+    the block's sample count). mlp fits one model per value and labels
+    all queries with each in one :func:`mlp_probabilities` call; ``seed``
+    maps a value's position in ``grid`` to its fit's seed, and only the
+    perceptron calls it, so the other classifiers never derive a seed
+    they do not use.
     """
     if classifier == "knn":
         ks = [min(int(k), train.n_samples) for k in grid]
@@ -152,8 +158,8 @@ def _grid_labels(classifier, grid, train, scaled, seed):
         return svm_grid_labels(train, grid, scaled)
     if classifier == "nbc":
         return nbc_grid_labels(train, grid, scaled)
-    models = [mlp_train(train, value, seed=seed()) for value in grid]
-    return np.array([[mlp_predict(model, q)[0] for q in scaled] for model in models])
+    fits = [mlp_train(train, value, seed=seed(p)) for p, value in enumerate(grid)]
+    return np.array([mlp_probabilities(fit, scaled) > 0.5 for fit in fits], dtype=np.int64)
 
 
 def inner_search(features, labels, classifier: str, seed: int = 0):
@@ -161,12 +167,12 @@ def inner_search(features, labels, classifier: str, seed: int = 0):
 
     Uses up to ten folds, degraded to the smaller class count; pooled
     accuracy decides, ties going to the simpler candidate (smaller k or
-    C, bandwidth multiplier nearest 1, fewer hidden nodes). Each fold is
-    standardized once and shared by every candidate. knn, svm and nbc
-    score every candidate of a fold in one call; mlp tries the
-    candidates in grid order, each over every fold. An SVM fit that fails
-    raises the :class:`ConvergenceError` of the first failure in that
-    candidate-outer, fold-inner order. Returns ``(best_value,
+    C, bandwidth multiplier nearest 1, fewer hidden nodes). Folds run in
+    order, and each is standardized once and scores every candidate in
+    one :func:`_grid_labels` call; the perceptron fit of candidate
+    position ``p`` in fold ``f`` is seeded from ``(seed, f, p)``. An SVM
+    fit that fails raises the :class:`ConvergenceError` of the first
+    failure in candidate-outer, fold-inner order. Returns ``(best_value,
     best_accuracy)``.
     """
     features = np.asarray(features, dtype=np.float64)
@@ -180,38 +186,21 @@ def inner_search(features, labels, classifier: str, seed: int = 0):
         return grid[0], float("nan")
 
     folds = stratified_folds(labels, n_folds, seed)
-    blocks = []
+    correct, failures = 0, []
     for fold in range(n_folds):
-        test_mask = folds == fold
-        train_mask = ~test_mask
-        train, scaled = _scaled(
-            features[train_mask], labels[train_mask], features[test_mask]
-        )
-        blocks.append((train, scaled, labels[test_mask]))
-    if classifier != "mlp":
-        correct, failures = 0, []
-        for fold, (train, scaled, truth) in enumerate(blocks):
-            try:
-                predicted = _grid_labels(classifier, grid, train, scaled, None)
-            except ConvergenceError as exc:
-                # a fold reports its first failing candidate
-                failures.append((exc.candidate, fold, exc))
-                continue
-            correct = correct + (predicted == truth).sum(axis=1)
-        if failures:
-            raise min(failures, key=lambda failure: failure[:2])[2]
-    else:
-        correct = [0] * len(grid)
-        for position, value in enumerate(grid):
-            for fold, (train, scaled, truth) in enumerate(blocks):
-                predicted = _grid_labels(
-                    classifier,
-                    [value],
-                    train,
-                    scaled,
-                    partial(_derived_seed, seed, fold, position),
-                )
-                correct[position] += int((predicted == truth).sum())
+        test = folds == fold
+        train, scaled = _scaled(features[~test], labels[~test], features[test])
+        try:
+            predicted = _grid_labels(
+                classifier, grid, train, scaled, partial(_derived_seed, seed, fold)
+            )
+        except ConvergenceError as exc:
+            # a fold reports its first failing candidate
+            failures.append((exc.candidate, fold, exc))
+            continue
+        correct = correct + (predicted == labels[test]).sum(axis=1)
+    if failures:
+        raise min(failures, key=lambda failure: failure[:2])[2]
     # argmax takes the first best, the simplest candidate
     best = int(np.argmax(correct))
     return grid[best], int(correct[best]) / len(labels)
@@ -272,7 +261,7 @@ def _loocv_correct(
                 [hyper],
                 train,
                 scaled,
-                partial(_derived_seed, seed, held_out, k, 1),
+                lambda _: _derived_seed(seed, held_out, k, 1),
             )
             correct[k] += int(predicted[0, 0] == dataset.labels[held_out])
     return correct

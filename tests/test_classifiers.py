@@ -17,6 +17,7 @@ from generank.classifiers import (
     knn_grid_labels,
     mlp_loss_and_grad,
     mlp_predict,
+    mlp_probabilities,
     mlp_train,
     nbc_grid_labels,
     nbc_predict,
@@ -767,22 +768,6 @@ def test_mlp_gradient_matches_finite_differences():
     assert worst < 1e-6
 
 
-def test_mlp_gradient_only_probe_matches_full_gradient():
-    rng = np.random.default_rng(522)
-    for trial in range(20):
-        d, h, n = int(rng.integers(1, 5)), int(rng.integers(1, 6)), int(rng.integers(2, 12))
-        features = rng.normal(size=(n, d))
-        targets = rng.integers(0, 2, n).astype(np.float64)
-        vec = rng.normal(0.0, 2.0, d * h + 2 * h + 1)
-        loss, grad = mlp_loss_and_grad(vec, features, targets, h, ridge=0.01)
-        none, probe = classifiers._loss_and_grad(vec, features, targets, d, h, 0.01, False)
-        assert none is None
-        assert probe.tobytes() == grad.tobytes()
-        full, again = classifiers._loss_and_grad(vec, features, targets, d, h, 0.01, True)
-        assert full == loss
-        assert again.tobytes() == grad.tobytes()
-
-
 def test_mlp_ridge_term_excludes_biases():
     rng = np.random.default_rng(509)
     d, h, n = 3, 2, 8
@@ -841,6 +826,37 @@ def test_mlp_rejects_bad_shape_arguments():
     model = mlp_train(train, hidden_count=2)
     with pytest.raises(ValueError):
         mlp_predict(model, np.ones(3))
+
+
+def test_mlp_probabilities_bit_identical_to_per_query_calls(monkeypatch):
+    # a short budget keeps the fits cheap without a compiler; the
+    # property does not depend on how far a fit trained
+    monkeypatch.setattr(classifiers, "_MLP_MAX_ITER", 10)
+    rng = np.random.default_rng(545)
+    rows = 0
+    for fit in range(300):
+        d = fit % 50 + 1
+        h = int(rng.choice([1, math.ceil(d / 2), d, 2 * d]))
+        n0, n1 = (int(n) for n in rng.integers(3, 9, 2))
+        features = rng.normal(size=(n0 + n1, d))
+        features[n0:] += rng.uniform(0.0, 1.5)
+        train = TrainSet(features, np.array([0] * n0 + [1] * n1))
+        model = mlp_train(train, h, seed=fit)
+        # blocks of 0, 1 and many rows, some far enough out to saturate
+        size = (0, 1, int(rng.integers(2, 40)))[fit % 3]
+        queries = rng.normal(size=(size, d)) * rng.choice([1.0, 3.0, 30.0])
+        probabilities = mlp_probabilities(model, queries)
+        assert probabilities.shape == (size,)
+        for query, probability in zip(queries, probabilities):
+            label, prob = mlp_predict(model, query)
+            assert np.float64(prob).tobytes() == probability.tobytes()
+            assert label == int(probability > 0.5)
+        # within round-off of the network evaluated by BLAS
+        hidden = scipy.special.expit(queries @ model.w1 + model.b1)
+        expected = scipy.special.expit(hidden @ model.w2 + model.b2)
+        np.testing.assert_allclose(probabilities, expected, rtol=1e-12, atol=1e-300)
+        rows += size
+    assert rows > 1000
 
 
 def test_fixed_order_loss_and_grad_matches_numpy_oracle():
@@ -985,7 +1001,9 @@ def test_mlp_model_bits_are_the_same_on_every_host():
     ]
 
 
-@pytest.mark.parametrize("predictor", ["knn", "svm", "nbc", "mlp"])
+@pytest.mark.parametrize(
+    "predictor", ["knn", "svm", "nbc", "mlp", "mlp_probabilities"]
+)
 def test_predictors_reject_bad_queries(predictor):
     train = _separable(np.random.default_rng(513), n_per_class=4, dim=2)
     predict = {
@@ -993,6 +1011,9 @@ def test_predictors_reject_bad_queries(predictor):
         "svm": lambda q: svm_predict(svm_train(train, 1.0), q),
         "nbc": lambda q: nbc_predict(nbc_train(train), q),
         "mlp": lambda q: mlp_predict(mlp_train(train, hidden_count=2), q),
+        "mlp_probabilities": lambda q: mlp_probabilities(
+            mlp_train(train, hidden_count=2), q[None, :]
+        ),
     }[predictor]
     predict(np.zeros(2))
     with pytest.raises(ValueError, match="non-finite"):

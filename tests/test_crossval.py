@@ -161,13 +161,14 @@ def test_inner_search_seeds_only_the_perceptron(monkeypatch):
         inner_search(features, labels, classifier, seed=5)
     assert derived == []
     inner_search(features, labels, "mlp", seed=5)
-    # candidates outer, folds inner, each fit on its own (seed, fold, position) stream
+    # folds outer, candidates inner, each fit on its own (seed, fold, position) stream
     grid = _hyper_grid("mlp", 2)
     assert seeds == [
         (value, _child_seed(5, fold, position))
-        for position, value in enumerate(grid)
         for fold in range(4)
+        for position, value in enumerate(grid)
     ]
+    assert derived == [(5, fold, p) for fold in range(4) for p in range(len(grid))]
 
 
 def _reference_inner_search(features, labels, classifier, seed):
