@@ -80,7 +80,7 @@ def _publish(args, write) -> None:
     stage = tempfile.mkdtemp(prefix=f".staging.{os.getpid()}.", dir=args.out)
     try:
         write(stage)
-        if args.command in ("compare", "report"):
+        if hasattr(args, "evaluations"):
             inputs = {f"evaluation_{i}": p for i, p in enumerate(args.evaluations)}
         else:
             inputs = {"matrix": args.matrix, "labels": args.labels}
@@ -88,12 +88,12 @@ def _publish(args, write) -> None:
             "tool": "generank",
             "version": generank.__version__,
             "command": args.command,
-            "seed": getattr(args, "seed", None),
+            "seed": args.seed,
             "inputs": {name: str(path) for name, path in inputs.items()},
             "options": {
                 key: value
                 for key, value in sorted(vars(args).items())
-                if key != "func" and not callable(value)
+                if not callable(value)
             },
             "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         }
@@ -114,12 +114,7 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _load(args):
-    return load_tables(args.matrix, args.labels)
-
-
-def _cmd_ingest(args) -> None:
-    dataset, sample_ids = _load(args)
+def _publish_dataset(args, dataset, sample_ids) -> None:
     _publish(
         args,
         lambda stage: save_dataset(
@@ -129,6 +124,11 @@ def _cmd_ingest(args) -> None:
             sample_ids,
         ),
     )
+
+
+def _cmd_ingest(args) -> None:
+    dataset, sample_ids = load_tables(args.matrix, args.labels)
+    _publish_dataset(args, dataset, sample_ids)
     print(
         f"ingested {dataset.n_genes} genes x {dataset.n_samples} samples "
         f"({dataset.class_names[0]} vs {dataset.class_names[1]})"
@@ -136,33 +136,23 @@ def _cmd_ingest(args) -> None:
 
 
 def _cmd_normalize(args) -> None:
-    dataset, sample_ids = _load(args)
+    dataset, sample_ids = load_tables(args.matrix, args.labels)
     normalized = Dataset(
         quantile_normalize(dataset.matrix, use_median=args.median),
         dataset.gene_ids,
         dataset.labels,
         dataset.class_names,
     )
-    _publish(
-        args,
-        lambda stage: save_dataset(
-            normalized,
-            os.path.join(stage, "matrix.tsv"),
-            os.path.join(stage, "labels.tsv"),
-            sample_ids,
-        ),
-    )
+    _publish_dataset(args, normalized, sample_ids)
     print(f"normalized {dataset.n_genes} genes x {dataset.n_samples} samples")
 
 
 def _fgf_params_from(args):
-    if getattr(args, "fgf_params", None):
-        return fgf.load_params(args.fgf_params)
-    return None
+    return fgf.load_params(args.fgf_params) if args.fgf_params else None
 
 
 def _cmd_rank(args) -> None:
-    dataset, _ = _load(args)
+    dataset, _ = load_tables(args.matrix, args.labels)
     if args.method == "fgf":
         ranking = fgf.fgf_rank(dataset, _fgf_params_from(args))
     else:
@@ -176,20 +166,41 @@ def _cmd_rank(args) -> None:
     print(f"wrote {os.path.join(args.out, name)}")
 
 
+# optimize-fgf's genetic-search flags (without the leading "--") and the
+# GaConfig fields they set; evaluate takes the first two as --ga-<flag>.
+# Defaults and types are read from GaConfig.
+_GA_FLAGS = (
+    ("population", "population_size"),
+    ("generations", "generations"),
+    ("tournament-size", "tournament_size"),
+    ("crossover-rate", "crossover_rate"),
+    ("mutation-rate", "mutation_rate"),
+    ("mutation-sigma", "mutation_sigma"),
+    ("elite-count", "elite_count"),
+    ("top-n", "top_n_genes"),
+)
+_EVALUATE_GA_FLAGS = _GA_FLAGS[:2]
+
+
+def _add_ga_arguments(parser, flags, prefix: str) -> None:
+    defaults = gaopt.GaConfig()
+    for flag, field in flags:
+        default = getattr(defaults, field)
+        parser.add_argument(f"--{prefix}{flag}", type=type(default), default=default)
+
+
+def _ga_config(args, flags, prefix: str):
+    """The GaConfig set by ``flags`` (as added by :func:`_add_ga_arguments`)
+    and ``--seed``."""
+    values = {
+        field: getattr(args, (prefix + flag).replace("-", "_")) for flag, field in flags
+    }
+    return gaopt.GaConfig(seed=args.seed, **values)
+
+
 def _cmd_optimize_fgf(args) -> None:
-    dataset, _ = _load(args)
-    config = gaopt.GaConfig(
-        population_size=args.population,
-        generations=args.generations,
-        tournament_size=args.tournament_size,
-        crossover_rate=args.crossover_rate,
-        mutation_rate=args.mutation_rate,
-        mutation_sigma=args.mutation_sigma,
-        elite_count=args.elite_count,
-        top_n_genes=args.top_n,
-        seed=args.seed,
-    )
-    params, trace = gaopt.optimize_fgf(dataset, config)
+    dataset, _ = load_tables(args.matrix, args.labels)
+    params, trace = gaopt.optimize_fgf(dataset, _ga_config(args, _GA_FLAGS, ""))
 
     def write(stage):
         fgf.save_params(params, os.path.join(stage, "fgf_params.json"))
@@ -202,32 +213,32 @@ def _cmd_optimize_fgf(args) -> None:
     )
 
 
+# Each key of an evaluation summary, what its value must be, and the test.
+# JSON numbers load as int or float exactly, and true/false as bool.
+_EVALUATION_RULES = (
+    ("method", "a non-empty string", lambda v: isinstance(v, str) and v != ""),
+    ("classifier", "a non-empty string", lambda v: isinstance(v, str) and v != ""),
+    ("best_k", "an integer >= 1", lambda v: type(v) is int and v >= 1),
+    ("best_accuracy", "a real number in [0, 1]",
+     lambda v: type(v) in (int, float) and 0.0 <= v <= 1.0),
+)
+
+
 def _cmd_evaluate(args) -> None:
-    dataset, _ = _load(args)
-    fgf_params = _fgf_params_from(args)
-    ga_config = gaopt.GaConfig(
-        population_size=args.ga_population,
-        generations=args.ga_generations,
-        seed=args.seed,
-    )
+    dataset, _ = load_tables(args.matrix, args.labels)
     result = crossval.sweep_gene_counts(
         dataset,
         args.method,
         args.classifier,
         k_max=args.k_max,
-        fgf_params=fgf_params,
+        fgf_params=_fgf_params_from(args),
         rank_scope=args.rank_scope,
         seed=args.seed,
         reoptimize_fgf=args.reoptimize_fgf,
-        ga_config=ga_config,
+        ga_config=_ga_config(args, _EVALUATE_GA_FLAGS, "ga-"),
     )
     stem = f"{args.method}_{args.classifier}"
-    summary = {
-        "method": result.method,
-        "classifier": result.classifier,
-        "best_k": result.best_k,
-        "best_accuracy": result.best_accuracy,
-    }
+    summary = {key: getattr(result, key) for key, _, _ in _EVALUATION_RULES}
 
     def write(stage):
         crossval.save_sweep(result, os.path.join(stage, f"sweep_{stem}.tsv"))
@@ -247,11 +258,20 @@ def _load_evaluations(paths):
             data = json.load(fh)
         if not isinstance(data, dict):
             raise ValueError(f"{path}: expected a JSON object")
-        for key in ("method", "classifier", "best_k", "best_accuracy"):
+        for key, what, valid in _EVALUATION_RULES:
             if key not in data:
                 raise ValueError(f"{path}: missing key {key!r}")
+            if not valid(data[key]):
+                raise ValueError(f"{path}: {key!r} must be {what}, got {data[key]!r}")
         evaluations.append(data)
     return evaluations
+
+
+def _ordered(names, known):
+    """Distinct ``names``: those in ``known`` in its order, then the rest
+    sorted."""
+    names = set(names)
+    return [n for n in known if n in names] + sorted(names - set(known))
 
 
 def _cmd_compare(args) -> None:
@@ -261,8 +281,7 @@ def _cmd_compare(args) -> None:
         by_method.setdefault(ev["method"], []).append(ev["best_accuracy"])
     if len(by_method) < 2:
         raise ValueError("compare needs evaluations from at least two methods")
-    methods = [m for m in crossval.METHODS if m in by_method]
-    methods += [m for m in by_method if m not in methods]
+    methods = _ordered(by_method, crossval.METHODS)
     result = crossval.anova_oneway([by_method[m] for m in methods])
     payload = {
         "F": result.f_statistic,
@@ -278,12 +297,8 @@ def _cmd_compare(args) -> None:
 
 def _cmd_report(args) -> None:
     evaluations = _load_evaluations(args.evaluations)
-    methods = [m for m in crossval.METHODS if any(e["method"] == m for e in evaluations)]
-    methods += sorted({e["method"] for e in evaluations} - set(methods))
-    classifiers = [
-        c for c in crossval.CLASSIFIERS if any(e["classifier"] == c for e in evaluations)
-    ]
-    classifiers += sorted({e["classifier"] for e in evaluations} - set(classifiers))
+    methods = _ordered((e["method"] for e in evaluations), crossval.METHODS)
+    classifiers = _ordered((e["classifier"] for e in evaluations), crossval.CLASSIFIERS)
     cell = {(e["method"], e["classifier"]): e for e in evaluations}
 
     lines = ["classifier\t" + "\t".join(methods)]
@@ -305,9 +320,20 @@ def _cmd_report(args) -> None:
     print(f"wrote summary for {len(evaluations)} evaluations to {args.out}")
 
 
-def _add_data_arguments(parser) -> None:
-    parser.add_argument("--matrix", required=True, help="expression matrix TSV")
-    parser.add_argument("--labels", required=True, help="sample label TSV")
+def _command(sub, name: str, help: str, func, evaluations: bool = False):
+    """Add subcommand ``name`` with its inputs (``--matrix``/``--labels``,
+    or ``--evaluations``), ``--out`` and ``--seed``; returns its parser
+    for the command's own flags."""
+    p = sub.add_parser(name, help=help)
+    if evaluations:
+        p.add_argument("--evaluations", required=True, nargs="+", help="evaluate_*.json files")
+    else:
+        p.add_argument("--matrix", required=True, help="expression matrix TSV")
+        p.add_argument("--labels", required=True, help="sample label TSV")
+    p.add_argument("--out", required=True, help="output directory")
+    p.add_argument("--seed", type=int, default=42)
+    p.set_defaults(func=func)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -320,47 +346,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("ingest", help="validate a dataset and write canonical copies")
-    _add_data_arguments(p)
-    p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int, default=42)
-    p.set_defaults(func=_cmd_ingest)
+    _command(sub, "ingest", "validate a dataset and write canonical copies", _cmd_ingest)
 
-    p = sub.add_parser("normalize", help="quantile-normalize the expression matrix")
-    _add_data_arguments(p)
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=42)
+    p = _command(sub, "normalize", "quantile-normalize the expression matrix", _cmd_normalize)
     p.add_argument(
         "--median", action="store_true", help="use the median reference distribution"
     )
-    p.set_defaults(func=_cmd_normalize)
 
-    p = sub.add_parser("rank", help="write one gene ranking")
-    _add_data_arguments(p)
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=42)
+    p = _command(sub, "rank", "write one gene ranking", _cmd_rank)
     p.add_argument("--method", required=True, choices=crossval.METHODS)
     p.add_argument("--fgf-params", help="fuzzy filter parameter JSON (fgf only)")
-    p.set_defaults(func=_cmd_rank)
 
-    p = sub.add_parser("optimize-fgf", help="tune the fuzzy filter by genetic search")
-    _add_data_arguments(p)
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--population", type=int, default=50)
-    p.add_argument("--generations", type=int, default=100)
-    p.add_argument("--tournament-size", type=int, default=3)
-    p.add_argument("--crossover-rate", type=float, default=0.8)
-    p.add_argument("--mutation-rate", type=float, default=0.1)
-    p.add_argument("--mutation-sigma", type=float, default=0.05)
-    p.add_argument("--elite-count", type=int, default=2)
-    p.add_argument("--top-n", type=int, default=20)
-    p.set_defaults(func=_cmd_optimize_fgf)
+    p = _command(sub, "optimize-fgf", "tune the fuzzy filter by genetic search", _cmd_optimize_fgf)
+    _add_ga_arguments(p, _GA_FLAGS, "")
 
-    p = sub.add_parser("evaluate", help="leave-one-out sweep for one method/classifier")
-    _add_data_arguments(p)
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=42)
+    p = _command(sub, "evaluate", "leave-one-out sweep for one method/classifier", _cmd_evaluate)
     p.add_argument("--method", required=True, choices=crossval.METHODS)
     p.add_argument("--classifier", required=True, choices=crossval.CLASSIFIERS)
     p.add_argument("--k-max", type=int, default=crossval.DEFAULT_K_MAX)
@@ -371,22 +371,10 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="rerun the genetic search inside every fold (slow)",
     )
-    p.add_argument("--ga-population", type=int, default=50)
-    p.add_argument("--ga-generations", type=int, default=100)
-    p.set_defaults(func=_cmd_evaluate)
+    _add_ga_arguments(p, _EVALUATE_GA_FLAGS, "ga-")
 
-    p = sub.add_parser("compare", help="one-way ANOVA of accuracies across methods")
-    p.add_argument("--evaluations", required=True, nargs="+", help="evaluate_*.json files")
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=42)
-    p.set_defaults(func=_cmd_compare)
-
-    p = sub.add_parser("report", help="summary table and long-format accuracy data")
-    p.add_argument("--evaluations", required=True, nargs="+", help="evaluate_*.json files")
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=42)
-    p.set_defaults(func=_cmd_report)
-
+    _command(sub, "compare", "one-way ANOVA of accuracies across methods", _cmd_compare, True)
+    _command(sub, "report", "summary table and long-format accuracy data", _cmd_report, True)
     return parser
 
 
@@ -395,6 +383,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "fgf_params", None) and args.method != "fgf":
         parser.error("--fgf-params is only valid with --method fgf")
+    if getattr(args, "reoptimize_fgf", False):
+        if args.rank_scope == "full":
+            parser.error("--reoptimize-fgf needs --rank-scope train")
+        if args.fgf_params:
+            parser.error("--reoptimize-fgf and --fgf-params exclude each other")
     try:
         args.func(args)
     except (

@@ -225,6 +225,11 @@ def _loocv_correct(
         )
     if rank_scope not in ("train", "full"):
         raise ValueError("rank_scope must be 'train' or 'full'")
+    # The per-fold search needs per-fold rankings, and would drop given anchors.
+    if reoptimize_fgf and rank_scope == "full":
+        raise ValueError("reoptimize_fgf needs rank_scope='train'")
+    if reoptimize_fgf and fgf_params is not None:
+        raise ValueError("reoptimize_fgf and fgf_params exclude each other")
     config = ga_config if ga_config is not None else gaopt.GaConfig()
     if method == "fgf" and fgf_params is None and not reoptimize_fgf:
         fgf_params, _ = gaopt.optimize_fgf(dataset, config)
@@ -286,8 +291,10 @@ def loocv_accuracy(
     ``rank_scope="full"`` ranks once on all samples. Fuzzy-filter
     parameters default to one optimization on the full data; with
     ``reoptimize_fgf`` the genetic search reruns per fold on a
-    fold-derived seed. The top-k genes enter the classifier as a set, in
-    gene-index order. The result is ``correct / n_samples``.
+    fold-derived seed, so it needs ``rank_scope="train"`` and no
+    ``fgf_params`` (either raises ``ValueError``). The top-k genes enter
+    the classifier as a set, in gene-index order. The result is
+    ``correct / n_samples``.
     """
     if k_genes < 1:
         raise ValueError("k_genes must be >= 1")

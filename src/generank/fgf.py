@@ -25,6 +25,9 @@ from generank.rankers import welch_t_test  # noqa: F401
 # the log finite when a class mean is nonpositive even after the shift.
 _MIN_RATIO_ARG = 1e-300
 
+# The three fuzzy inputs, in parameter-vector order.
+_INPUTS = ("fold_change", "variance", "rank_sum")
+
 # Running count of inputs that arrived outside [0, 1] and were clamped.
 _clamp_total = 0
 
@@ -71,42 +74,27 @@ class FgfParams:
     rank_sum: FuzzyRegion
 
     def to_vector(self) -> np.ndarray:
-        return np.array(
-            [
-                self.fold_change.alpha,
-                self.fold_change.beta,
-                self.variance.alpha,
-                self.variance.beta,
-                self.rank_sum.alpha,
-                self.rank_sum.beta,
-            ]
-        )
+        regions = [getattr(self, name) for name in _INPUTS]
+        return np.array([v for r in regions for v in (r.alpha, r.beta)])
 
     @classmethod
     def from_vector(cls, vec) -> "FgfParams":
         v = np.asarray(vec, dtype=np.float64)
         if v.shape != (6,):
             raise ValueError("parameter vector must hold six values")
-        return cls(
-            FuzzyRegion(float(v[0]), float(v[1])),
-            FuzzyRegion(float(v[2]), float(v[3])),
-            FuzzyRegion(float(v[4]), float(v[5])),
-        )
+        pairs = v.reshape(len(_INPUTS), 2)
+        return cls(**{n: FuzzyRegion(float(a), float(b)) for n, (a, b) in zip(_INPUTS, pairs)})
 
     def to_dict(self) -> dict:
         return {
-            name: {"alpha": region.alpha, "beta": region.beta}
-            for name, region in (
-                ("fold_change", self.fold_change),
-                ("variance", self.variance),
-                ("rank_sum", self.rank_sum),
-            )
+            name: {"alpha": getattr(self, name).alpha, "beta": getattr(self, name).beta}
+            for name in _INPUTS
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "FgfParams":
         regions = {}
-        for name in ("fold_change", "variance", "rank_sum"):
+        for name in _INPUTS:
             try:
                 entry = data[name]
                 regions[name] = FuzzyRegion(
@@ -208,18 +196,26 @@ def mamdani_infer(inputs, params: FgfParams) -> float:
     return float(scores[0])
 
 
-def fgf_rank(dataset: Dataset, params: FgfParams = None) -> GeneRanking:
-    """Order genes by descending fuzzy score.
+def _fuzzy_order(inputs: FuzzyInputs, vector, tie_p):
+    """``(scores, n_clamped, order)`` of genes under the anchors ``vector``.
 
-    Ties break by ascending t-test p-value, then gene index, so equal
-    scores (common once inputs saturate a plateau) stay deterministic.
+    The order is by descending fuzzy score, ties by ascending t-test
+    p-value ``tie_p``, then gene index, so equal scores (common once
+    inputs saturate a plateau) stay deterministic. :func:`fgf_rank` and
+    the genetic search's fitness both rank this way.
     """
+    scores, clamped = kernels.mamdani_scores(
+        inputs.fold_change, inputs.variance, inputs.rank_sum, vector
+    )
+    return scores, clamped, np.lexsort((tie_p, -scores))
+
+
+def fgf_rank(dataset: Dataset, params: FgfParams = None) -> GeneRanking:
+    """Order genes by descending fuzzy score (see :func:`_fuzzy_order`)."""
     if params is None:
         params = default_params()
-    inputs = compute_fuzzy_inputs(dataset)
-    scores, clamped = kernels.mamdani_scores(
-        inputs.fold_change, inputs.variance, inputs.rank_sum, params.to_vector()
+    scores, clamped, order = _fuzzy_order(
+        compute_fuzzy_inputs(dataset), params.to_vector(), welch_p_values(dataset)
     )
     _note_clamped(clamped)
-    order = np.lexsort((welch_p_values(dataset), -scores))
     return GeneRanking("fgf", order, scores)

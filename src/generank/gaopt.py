@@ -12,9 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from generank import kernels
 from generank.dataio import Dataset, standardize_genes
-from generank.fgf import FgfParams, compute_fuzzy_inputs
+from generank.fgf import FgfParams, _fuzzy_order, compute_fuzzy_inputs
 # welch_t_test stays importable from here: perfbench/tracer.py patches this name.
 from generank.rankers import GeneRanking, welch_p_values, welch_t_test  # noqa: F401
 
@@ -105,9 +104,8 @@ def optimize_fgf(dataset: Dataset, config: GaConfig = None):
     """Search the anchor space; returns ``(best_params, trace)``.
 
     Fitness of a chromosome is the separability index of the top-n genes
-    it ranks first (ties broken by t-test p-value, then index, matching
-    the production ranking). Elites keep the best fitness monotone
-    across the trace.
+    it ranks first, in :func:`generank.fgf.fgf_rank`'s order. Elites keep
+    the best fitness monotone across the trace.
     """
     if config is None:
         config = GaConfig()
@@ -121,10 +119,7 @@ def optimize_fgf(dataset: Dataset, config: GaConfig = None):
     labels = dataset.labels
 
     def fitness_of(chrom: np.ndarray) -> float:
-        scores, _ = kernels.mamdani_scores(
-            inputs.fold_change, inputs.variance, inputs.rank_sum, chrom
-        )
-        order = np.lexsort((tie_p, -scores))
+        _, _, order = _fuzzy_order(inputs, chrom, tie_p)
         return _si_of_block(Z[order[:top_n]], labels)
 
     pop_n = config.population_size

@@ -563,6 +563,68 @@ def test_non_object_evaluation_exits_one(tmp_path, capsys, command, text):
     assert not (out / "anova.json").exists()
 
 
+_BAD_VALUES = [
+    ("method", ""),
+    ("method", 7),
+    ("classifier", None),
+    ("classifier", ["knn"]),
+    ("best_k", 0),
+    ("best_k", True),
+    ("best_k", 2.0),
+    ("best_k", "3"),
+    ("best_accuracy", None),
+    ("best_accuracy", "0.5"),
+    ("best_accuracy", True),
+    ("best_accuracy", 1.5),
+    ("best_accuracy", -0.1),
+    ("best_accuracy", float("nan")),
+    ("best_accuracy", float("inf")),
+]
+
+
+@pytest.mark.parametrize("command", ["compare", "report"])
+@pytest.mark.parametrize(
+    "key, value", _BAD_VALUES, ids=[f"{k}={v!r}" for k, v in _BAD_VALUES]
+)
+def test_invalid_evaluation_value_exits_one(tmp_path, capsys, command, key, value):
+    payload = {"method": "fgf", "classifier": "knn", "best_k": 9, "best_accuracy": 0.9}
+    payload[key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload), encoding="utf-8")
+    paths = [
+        _fake_evaluation(tmp_path / "e1.json", "ttest", "knn", 20, 0.931),
+        _fake_evaluation(tmp_path / "e2.json", "ttest", "svm", 25, 0.941),
+        _fake_evaluation(tmp_path / "e3.json", "fgf", "svm", 12, 0.950),
+    ]
+    out = tmp_path / "out"
+    code = cli.main([command, "--evaluations", *paths, str(bad), "--out", str(out)])
+    assert code == 1
+    assert f"error: {bad}: {key!r} must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["compare", "report"])
+def test_unknown_names_order_ignores_file_order(tmp_path, command):
+    # known methods and classifiers keep crossval's order, the rest sort
+    paths = [
+        _fake_evaluation(tmp_path / "e1.json", "zeta", "tree", 3, 0.70),
+        _fake_evaluation(tmp_path / "e2.json", "alpha", "knn", 4, 0.80),
+        _fake_evaluation(tmp_path / "e3.json", "fgf", "forest", 5, 0.95),
+        _fake_evaluation(tmp_path / "e4.json", "ttest", "knn", 6, 0.85),
+        _fake_evaluation(tmp_path / "e5.json", "zeta", "knn", 7, 0.75),
+        _fake_evaluation(tmp_path / "e6.json", "alpha", "tree", 8, 0.90),
+    ]
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert cli.main([command, "--evaluations", *paths, "--out", str(first)]) == 0
+    assert cli.main([command, "--evaluations", *paths[::-1], "--out", str(second)]) == 0
+    name = "anova.json" if command == "compare" else "summary.tsv"
+    assert (first / name).read_bytes() == (second / name).read_bytes()
+    if command == "report":
+        lines = (first / name).read_text().splitlines()
+        assert lines[0] == "classifier\tttest\tfgf\talpha\tzeta"
+        assert [line.split("\t")[0] for line in lines[1:]] == ["knn", "forest", "tree"]
+
+
 def test_report_formats_cells(tmp_path):
     paths = [
         _fake_evaluation(tmp_path / "e1.json", "fgf", "knn", 9, 0.961),
@@ -608,3 +670,98 @@ def test_console_entry_point_runs():
     assert completed.returncode == 0
     assert "ingest" in completed.stdout
     assert "optimize-fgf" in completed.stdout
+
+
+# ---------------------------------------------------------------------------
+# argument declarations
+
+
+def _argv_of_each_command(tmp_path, matrix_path, labels_path):
+    data = ["--matrix", matrix_path, "--labels", labels_path]
+    evaluations = [
+        _fake_evaluation(tmp_path / "e1.json", "fgf", "knn", 9, 0.961),
+        _fake_evaluation(tmp_path / "e2.json", "ttest", "knn", 20, 0.931),
+        _fake_evaluation(tmp_path / "e3.json", "ttest", "svm", 25, 0.941),
+    ]
+    ga = ["--population", "4", "--generations", "1", "--top-n", "4"]
+    eval_flags = ["--method", "ttest", "--classifier", "knn", "--k-max", "2"]
+    return {
+        "ingest": (data, {"matrix": matrix_path, "labels": labels_path}),
+        "normalize": (data, {"matrix": matrix_path, "labels": labels_path}),
+        "rank": (data + ["--method", "roc"], {"matrix": matrix_path, "labels": labels_path}),
+        "optimize-fgf": (data + ga, {"matrix": matrix_path, "labels": labels_path}),
+        "evaluate": (data + eval_flags, {"matrix": matrix_path, "labels": labels_path}),
+        "compare": (
+            ["--evaluations", *evaluations],
+            {f"evaluation_{i}": p for i, p in enumerate(evaluations)},
+        ),
+        "report": (
+            ["--evaluations", *evaluations],
+            {f"evaluation_{i}": p for i, p in enumerate(evaluations)},
+        ),
+    }
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["ingest", "normalize", "rank", "optimize-fgf", "evaluate", "compare", "report"],
+)
+def test_manifest_names_the_inputs_and_seed(tables, tmp_path, command):
+    _, matrix_path, labels_path = tables
+    args, inputs = _argv_of_each_command(tmp_path, matrix_path, labels_path)[command]
+    out = tmp_path / "out"
+    assert cli.main([command, *args, "--out", str(out), "--seed", "7"]) == 0
+    manifest = _manifest(out)
+    assert manifest["command"] == command
+    assert manifest["inputs"] == inputs
+    assert manifest["seed"] == 7
+    assert manifest["options"]["seed"] == 7
+
+
+def test_ga_defaults_come_from_ga_config(tables, tmp_path, monkeypatch):
+    _, matrix_path, labels_path = tables
+    data = ["--matrix", matrix_path, "--labels", labels_path, "--out", str(tmp_path / "o")]
+    seen = []
+
+    def stop(*args, **kwargs):
+        seen.append(kwargs.get("ga_config", args[-1]))
+        raise ValueError("stopped")
+
+    monkeypatch.setattr(gaopt, "optimize_fgf", stop)
+    monkeypatch.setattr(cli.crossval, "sweep_gene_counts", stop)
+    assert cli.main(["optimize-fgf", *data]) == 1
+    assert cli.main(["evaluate", *data, "--method", "ttest", "--classifier", "knn"]) == 1
+    assert seen == [gaopt.GaConfig(), gaopt.GaConfig()]
+    args = cli.build_parser().parse_args(
+        ["evaluate", *data, "--method", "ttest", "--classifier", "knn"]
+    )
+    defaults = gaopt.GaConfig()
+    assert (args.ga_population, args.ga_generations) == (
+        defaults.population_size,
+        defaults.generations,
+    )
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--rank-scope", "full"],
+        ["--fgf-params", "params.json"],
+        ["--rank-scope", "full", "--fgf-params", "params.json"],
+    ],
+    ids=["full-scope", "fgf-params", "both"],
+)
+def test_reoptimize_fgf_contradictions_exit_two(tables, tmp_path, capsys, flags):
+    # --rank-scope full would rank once with the default anchors, and given
+    # anchors would be dropped for the per-fold search
+    _, matrix_path, labels_path = tables
+    argv = [
+        "evaluate", "--matrix", matrix_path, "--labels", labels_path,
+        "--out", str(tmp_path / "out"), "--method", "fgf", "--classifier", "knn",
+        "--reoptimize-fgf", *flags,
+    ]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "--reoptimize-fgf" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

@@ -384,6 +384,25 @@ def test_loocv_fgf_reoptimized_per_fold_runs():
     assert 0.0 <= accuracy <= 1.0
 
 
+def test_loocv_reoptimize_fgf_rejects_contradictions(monkeypatch):
+    # a full-scope ranking runs no per-fold search, and given anchors would
+    # be dropped by it: both raise before any genetic search runs
+    dataset = planted_dataset(15, 3, 4, 4, 3.0, seed=609)
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("the genetic search ran")
+
+    monkeypatch.setattr(crossval.gaopt, "optimize_fgf", no_search)
+    with pytest.raises(ValueError, match="rank_scope='train'"):
+        loocv_accuracy(dataset, "fgf", "knn", 3, rank_scope="full", reoptimize_fgf=True)
+    with pytest.raises(ValueError, match="exclude each other"):
+        loocv_accuracy(
+            dataset, "fgf", "knn", 3, fgf_params=default_params(), reoptimize_fgf=True
+        )
+    with pytest.raises(ValueError, match="rank_scope='train'"):
+        sweep_gene_counts(dataset, "fgf", "knn", 2, rank_scope="full", reoptimize_fgf=True)
+
+
 def test_loocv_each_classifier_runs():
     dataset = planted_dataset(16, 3, 5, 5, 4.0, seed=610)
     for classifier in CLASSIFIERS:
