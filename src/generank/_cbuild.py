@@ -1,6 +1,6 @@
 """Build rule for the plain-C code in ``_mamdani.c``: the fuzzy kernel,
-the SVM's grid of fits with its SMO loop, the perceptron's SCG training
-loop, and the expression-matrix reader.
+the SVM's grid of fits with its SMO loop, the perceptron's grid of fits
+with its SCG training loop, and the expression-matrix reader.
 
 The source is compiled into a shared library whose file name carries a
 hash of the source, the compile command and the platform, so an edit to

@@ -14,10 +14,12 @@
  * weights, bias and query decisions for each bound. Every sum runs left
  * to right, so none depends on BLAS.
  *
- * scg_solve, the scaled-conjugate-gradient loop that trains the
- * perceptron, a port of generank.classifiers._scg_loop. Every sum runs
- * left to right and exp and log come from the C library on both sides,
- * so neither depends on BLAS or SIMD code paths.
+ * mlp_grid_solve, the perceptron fits of a grid of hidden widths on one
+ * training block, a port of generank.classifiers._mlp_grid_loop: for
+ * each width, scg_loop (a port of classifiers._scg_loop, the
+ * scaled-conjugate-gradient training loop) and the class-1 output of
+ * each query. Every sum runs left to right and exp and log come from the
+ * C library on both sides, so neither depends on BLAS or SIMD code paths.
  *
  * parse_matrix_rows, the rows of an expression-matrix TSV in a strict
  * form, to the bits generank.dataio's line-by-line reader gives them.
@@ -457,15 +459,17 @@ static double loss_and_grad(const double *restrict X, const double *restrict t,
 
 /* Train the perceptron by scaled conjugate gradients from the packed
  * weights w (d * h + 2 * h + 1 values, updated in place) on X (n x d,
- * row-major) and targets t, until the gradient norm falls below tol.
- * trace receives the loss after each accepted step, the initial loss
- * first (at most max_iter + 1 values), and *trace_len their count;
- * *capped is set to 1 when max_iter iterations ran out first and to 0
- * otherwise. Returns the number of iterations run, or -1 if the work
- * arrays could not be allocated. */
-int64_t scg_solve(const double *X, const double *t, int64_t n, int64_t d,
-                  int64_t h, double ridge, int64_t max_iter, double tol,
-                  double *w, double *trace, int64_t *trace_len, int64_t *capped)
+ * row-major) and targets t, until the gradient norm falls below tol, as
+ * generank.classifiers._scg_loop does. trace receives the loss after
+ * each accepted step, the initial loss first (at most max_iter + 1
+ * values), and *trace_len their count; *capped is set to 1 when
+ * max_iter iterations ran out first and to 0 otherwise. Returns the
+ * number of iterations run, or -1 if the work arrays could not be
+ * allocated. */
+static int64_t scg_loop(const double *X, const double *t, int64_t n, int64_t d,
+                        int64_t h, double ridge, int64_t max_iter, double tol,
+                        double *w, double *trace, int64_t *trace_len,
+                        int64_t *capped)
 {
     int64_t m = d * h + 2 * h + 1, k, i, len = 1;
     double *work = malloc(sizeof(double) * (size_t)(6 * m + 2 * n * h + n));
@@ -561,6 +565,55 @@ int64_t scg_solve(const double *X, const double *t, int64_t n, int64_t d,
     *trace_len = len;
     free(work);
     return k - 1;
+}
+
+/* One perceptron per hidden width hs[r], r < n_h, on X (n x d, row-major)
+ * and targets t, as generank.classifiers._mlp_grid_loop fits them: w holds
+ * the fits' packed initial weights one after another (d * h + 2 * h + 1
+ * values each) and receives their final weights. Fit r runs scg_loop with
+ * its loss trace in traces[r * (max_iter + 1) ...], and trace_lens[r],
+ * steps[r] and capped[r] as scg_loop reports them. probabilities[r * n_q
+ * + i] receives the class-1 output of fit r on query i (n_q x d,
+ * row-major): each hidden unit sums its products over features left to
+ * right, then the output sums over hidden units left to right, with
+ * 1 / (1 + exp(-x)) at both layers. Returns 0, or -1 if a fit's work
+ * arrays could not be allocated. */
+int64_t mlp_grid_solve(const double *X, const double *t, int64_t n, int64_t d,
+                       const int64_t *hs, int64_t n_h, double ridge, double *w,
+                       const double *queries, int64_t n_q, int64_t max_iter,
+                       double tol, double *traces, int64_t *trace_lens,
+                       int64_t *steps, int64_t *capped, double *probabilities)
+{
+    int64_t r, h, i, j, k;
+    double pre, hidden, o;
+
+    for (r = 0; r < n_h; r++) {
+        const double *w1, *b1, *w2;
+
+        h = hs[r];
+        steps[r] = scg_loop(X, t, n, d, h, ridge, max_iter, tol, w,
+                            traces + r * (max_iter + 1), &trace_lens[r], &capped[r]);
+        if (steps[r] < 0)
+            return -1;
+        w1 = w;
+        b1 = w + d * h;
+        w2 = b1 + h;
+        for (i = 0; i < n_q; i++) {
+            const double *q = queries + i * d;
+
+            o = 0.0;
+            for (j = 0; j < h; j++) {
+                pre = q[0] * w1[j];
+                for (k = 1; k < d; k++)
+                    pre = pre + q[k] * w1[k * h + j];
+                hidden = 1.0 / (1.0 + exp(-(pre + b1[j])));
+                o = j == 0 ? hidden * w2[0] : o + hidden * w2[j];
+            }
+            probabilities[r * n_q + i] = 1.0 / (1.0 + exp(-(o + w2[h])));
+        }
+        w += d * h + 2 * h + 1;
+    }
+    return 0;
 }
 
 /* One slot of parse_matrix_rows' memo: the value of the cell text held

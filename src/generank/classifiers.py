@@ -607,7 +607,7 @@ def _log(x):
 
 
 def _fixed_loss_and_grad(w, X, t, h, ridge, with_loss):
-    """:func:`mlp_loss_and_grad` in the fixed order of ``kernels.scg_solve``:
+    """:func:`mlp_loss_and_grad` in the fixed order of ``kernels.mlp_grid_solve``:
     every sum runs left to right and ``exp`` and ``log`` are the C
     library's, so the bits do not depend on BLAS or NumPy's SIMD code."""
     d = X.shape[1]
@@ -648,11 +648,11 @@ def _scg_loop(X, t, h, ridge, w, max_iter, tol):
     ``tol``. Returns ``(w, loss_trace, steps, capped)``: the final
     weights, the loss after each accepted step (the first entry is the
     initial loss), the iterations run, and whether ``max_iter`` ran out
-    first. ``kernels.scg_solve`` is the compiled port of this loop; this
-    one is its oracle and the path without a compiler. Both use
-    :func:`_fixed_loss_and_grad`'s order, and left-to-right dot
-    products, so they give the same bits on every host whose C library
-    computes ``exp`` and ``log`` alike."""
+    first. :func:`_mlp_grid_loop` runs it for each hidden width, and
+    ``_mamdani.c`` holds its compiled port, which ``kernels.mlp_grid_solve``
+    runs. Both use :func:`_fixed_loss_and_grad`'s order, and
+    left-to-right dot products, so they give the same bits on every host
+    whose C library computes ``exp`` and ``log`` alike."""
     n_params = len(w)
     loss, grad = _fixed_loss_and_grad(w, X, t, h, ridge, True)
     trace = [loss]
@@ -713,7 +713,92 @@ def _scg_loop(X, t, h, ridge, w, max_iter, tol):
     return w, trace, max_iter, True
 
 
-_SCG = kernels.scg_solve or _scg_loop
+def _mlp_outputs(w1, b1, w2, b2, queries: np.ndarray) -> np.ndarray:
+    """The network's probability of class 1 for each row of ``queries``.
+    Its sums, over features and over hidden units, add left to right, so
+    a row's bits depend neither on the block it comes in nor on BLAS."""
+    pre = _sum(queries[:, :, None] * w1[None, :, :], axis=1)
+    hidden = expit(pre + b1)
+    return expit(_sum(hidden * w2, axis=1) + b2)
+
+
+def _mlp_grid_loop(X, t, hs, ridge, w, queries, max_iter, tol):
+    """One perceptron per hidden width in ``hs`` on samples ``X`` with
+    0/1 targets ``t``, and its class-1 probability for each row of
+    ``queries``.
+
+    ``w`` holds the fits' packed initial weights one after another
+    (``d * h + 2 * h + 1`` values each, as :func:`_unpack` reads them);
+    each fit runs :func:`_scg_loop` from its own. Returns ``(w, traces,
+    steps, capped, probabilities)``: the final weights packed the same
+    way, then per width the loss trace, the iterations run and whether
+    ``max_iter`` ran out, and the (len(hs), n_queries) probabilities
+    that :func:`_mlp_outputs` gives. ``kernels.mlp_grid_solve`` is the
+    compiled port of this function; this one is its oracle and the path
+    without a compiler."""
+    d = X.shape[1]
+    parts = np.split(w, np.cumsum([(d + 2) * h + 1 for h in hs])[:-1])
+    weights, traces, steps, capped = zip(*(
+        _scg_loop(X, t, h, ridge, part, max_iter, tol) for h, part in zip(hs, parts)
+    ))
+    probabilities = np.array(
+        [_mlp_outputs(*_unpack(fit, d, h), queries) for fit, h in zip(weights, hs)]
+    )
+    return (
+        np.concatenate(weights), list(traces), np.array(steps, dtype=np.int64),
+        np.array(capped), probabilities,
+    )
+
+
+_MLP_GRID = kernels.mlp_grid_solve or _mlp_grid_loop
+
+
+def _initial_weights(d: int, h: int, seed: int) -> np.ndarray:
+    """A fit's packed starting weights, drawn from its own seed: both
+    weight layers uniform in +-0.5 over the root of their fan-in, the
+    biases 0."""
+    rng = np.random.default_rng(seed)
+    w1 = rng.uniform(-0.5, 0.5, (d, h)) / math.sqrt(d)
+    w2 = rng.uniform(-0.5, 0.5, h) / math.sqrt(h)
+    return np.concatenate([w1.ravel(), np.zeros(h), w2, [0.0]])
+
+
+def _mlp_grid(train: TrainSet, hs: list, queries: np.ndarray, seeds, ridge: float):
+    """Unchecked core of :func:`mlp_grid_labels` and :func:`mlp_train`:
+    :func:`_mlp_grid_loop`'s results through ``_MLP_GRID``, each width
+    started from the weights its seed draws."""
+    d = train.n_features
+    w = np.concatenate([_initial_weights(d, h, s) for h, s in zip(hs, seeds)])
+    t = train.labels.astype(np.float64)
+    return _MLP_GRID(
+        train.features, t, hs, ridge, w, queries, _MLP_MAX_ITER, _MLP_GRAD_TOL
+    )
+
+
+def _checked_mlp_arguments(hidden_counts, ridge) -> list:
+    """``hidden_counts`` as a non-empty list of ints, each at least 1,
+    after checking that ``ridge`` is not negative."""
+    hs = [int(h) for h in np.asarray(hidden_counts).reshape(-1).tolist()]
+    if min(hs, default=0) < 1:
+        raise ValueError("hidden_count must be >= 1")
+    if ridge < 0.0:
+        raise ValueError("ridge must be >= 0")
+    return hs
+
+
+def mlp_grid_labels(train: TrainSet, hidden_counts, queries, seeds, ridge=0.01):
+    """:func:`mlp_train` and :func:`mlp_predict` for every hidden width in
+    ``hidden_counts`` and every row of ``queries`` at once: a
+    (len(hidden_counts), n_queries) array of labels. The fit of width
+    ``hidden_counts[i]`` is seeded with ``seeds[i]``, so each label equals
+    the one a separate fit with that seed gives, bit for bit."""
+    hs = _checked_mlp_arguments(hidden_counts, ridge)
+    seeds = list(seeds)
+    if len(seeds) != len(hs):
+        raise ValueError("seeds needs one seed per hidden width")
+    queries = _validate_queries(train.n_features, queries)
+    probabilities = _mlp_grid(train, hs, queries, seeds, ridge)[-1]
+    return (probabilities > 0.5).astype(np.int64)
 
 
 def mlp_train(
@@ -728,45 +813,27 @@ def mlp_train(
     below ``_MLP_GRAD_TOL`` or after ``_MLP_MAX_ITER`` iterations. Only
     accepted steps extend the loss trace, so it is non-increasing.
     ``MlpModel.steps`` counts the iterations, rejected steps included,
-    and ``MlpModel.capped`` is True when the budget ran out first. The
-    loop runs in the compiled library when it is loaded
-    (``kernels.scg_solve``) and in :func:`_scg_loop` otherwise, with the
-    same bits either way, whatever BLAS or SIMD code NumPy uses.
+    and ``MlpModel.capped`` is True when the budget ran out first. This
+    is :func:`mlp_grid_labels` for one width and no query: the loop runs
+    in the compiled library when it is loaded (``kernels.mlp_grid_solve``)
+    and in :func:`_mlp_grid_loop` otherwise, with the same bits either
+    way, whatever BLAS or SIMD code NumPy uses.
     """
-    if hidden_count < 1:
-        raise ValueError("hidden_count must be >= 1")
-    if ridge < 0.0:
-        raise ValueError("ridge must be >= 0")
-    rng = np.random.default_rng(seed)
+    (h,) = _checked_mlp_arguments(hidden_count, ridge)
     d = train.n_features
-    h = int(hidden_count)
-    w1 = rng.uniform(-0.5, 0.5, (d, h)) / math.sqrt(d)
-    b1 = np.zeros(h)
-    w2 = rng.uniform(-0.5, 0.5, h) / math.sqrt(h)
-    w = np.concatenate([w1.ravel(), b1, w2, [0.0]])
-    t = train.labels.astype(np.float64)
-    w, trace, steps, capped = _SCG(
-        train.features, t, h, ridge, w, _MLP_MAX_ITER, _MLP_GRAD_TOL
-    )
+    w, traces, steps, capped, _ = _mlp_grid(train, [h], np.empty((0, d)), [seed], ridge)
     w1, b1, w2, b2 = _unpack(w, d, h)
     return MlpModel(
-        w1.copy(), b1.copy(), w2.copy(), float(b2), ridge, trace, steps, capped
+        w1.copy(), b1.copy(), w2.copy(), float(b2), ridge, traces[0], int(steps[0]),
+        bool(capped[0]),
     )
-
-
-def _mlp_outputs(model: MlpModel, queries: np.ndarray) -> np.ndarray:
-    """Unchecked core of :func:`mlp_probabilities`. Its sums, over features
-    and over hidden units, add left to right, so a row's bits depend
-    neither on the block it comes in nor on BLAS."""
-    pre = _sum(queries[:, :, None] * model.w1[None, :, :], axis=1)
-    hidden = expit(pre + model.b1)
-    return expit(_sum(hidden * model.w2, axis=1) + model.b2)
 
 
 def mlp_probabilities(model: MlpModel, queries) -> np.ndarray:
     """:func:`mlp_predict`'s probability of class 1 for every row of
     ``queries`` at once."""
-    return _mlp_outputs(model, _validate_queries(model.w1.shape[0], queries))
+    queries = _validate_queries(model.w1.shape[0], queries)
+    return _mlp_outputs(model.w1, model.b1, model.w2, model.b2, queries)
 
 
 def mlp_predict(model: MlpModel, query):
@@ -774,5 +841,5 @@ def mlp_predict(model: MlpModel, query):
     probability exceeds 0.5. The probability sums in a fixed order, so it
     equals :func:`mlp_probabilities`' for the same row bit for bit."""
     q = _validate_query(model.w1.shape[0], query)
-    prob = float(_mlp_outputs(model, q[None, :])[0])
+    prob = float(_mlp_outputs(model.w1, model.b1, model.w2, model.b2, q[None, :])[0])
     return int(prob > 0.5), prob

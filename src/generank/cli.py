@@ -299,7 +299,15 @@ def _cmd_report(args) -> None:
     evaluations = _load_evaluations(args.evaluations)
     methods = _ordered((e["method"] for e in evaluations), crossval.METHODS)
     classifiers = _ordered((e["classifier"] for e in evaluations), crossval.CLASSIFIERS)
-    cell = {(e["method"], e["classifier"]): e for e in evaluations}
+    cell, source = {}, {}
+    for path, e in zip(args.evaluations, evaluations):
+        key = (e["method"], e["classifier"])
+        if key in cell:
+            raise ValueError(
+                f"{source[key]} and {path} both hold {key[0]}/{key[1]}; "
+                "report takes one evaluation per method and classifier"
+            )
+        cell[key], source[key] = e, path
 
     lines = ["classifier\t" + "\t".join(methods)]
     for clf in classifiers:
@@ -384,6 +392,8 @@ def main(argv=None) -> int:
     if getattr(args, "fgf_params", None) and args.method != "fgf":
         parser.error("--fgf-params is only valid with --method fgf")
     if getattr(args, "reoptimize_fgf", False):
+        if args.method != "fgf":
+            parser.error("--reoptimize-fgf is only valid with --method fgf")
         if args.rank_scope == "full":
             parser.error("--reoptimize-fgf needs --rank-scope train")
         if args.fgf_params:

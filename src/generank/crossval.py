@@ -26,18 +26,18 @@ from generank.classifiers import (
     ConvergenceError,
     TrainSet,
     knn_grid_labels,
-    mlp_probabilities,
-    mlp_train,
+    mlp_grid_labels,
     nbc_grid_labels,
     svm_grid_labels,
 )
 
-# knn_classify, nbc_train, nbc_predict, svm_train, svm_predict and
-# mlp_predict stay importable from here: perfbench/tracer.py patches
-# these names.
+# knn_classify, nbc_train, nbc_predict, svm_train, svm_predict,
+# mlp_train and mlp_predict stay importable from here:
+# perfbench/tracer.py patches these names.
 from generank.classifiers import (  # noqa: F401
     knn_classify,
     mlp_predict,
+    mlp_train,
     nbc_predict,
     nbc_train,
     svm_predict,
@@ -144,12 +144,10 @@ def _grid_labels(classifier, grid, train, scaled, seed):
     standardized block with each value of ``grid``: a (len(grid),
     len(scaled)) array.
 
-    knn, svm and nbc score the whole grid in one call (k is capped at
-    the block's sample count). mlp fits one model per value and labels
-    all queries with each in one :func:`mlp_probabilities` call; ``seed``
-    maps a value's position in ``grid`` to its fit's seed, and only the
-    perceptron calls it, so the other classifiers never derive a seed
-    they do not use.
+    Each classifier scores the whole grid in one call (k is capped at
+    the block's sample count). ``seed`` maps a value's position in
+    ``grid`` to its perceptron fit's seed; only the perceptron calls it,
+    so the other classifiers never derive a seed they do not use.
     """
     if classifier == "knn":
         ks = [min(int(k), train.n_samples) for k in grid]
@@ -158,8 +156,7 @@ def _grid_labels(classifier, grid, train, scaled, seed):
         return svm_grid_labels(train, grid, scaled)
     if classifier == "nbc":
         return nbc_grid_labels(train, grid, scaled)
-    fits = [mlp_train(train, value, seed=seed(p)) for p, value in enumerate(grid)]
-    return np.array([mlp_probabilities(fit, scaled) > 0.5 for fit in fits], dtype=np.int64)
+    return mlp_grid_labels(train, grid, scaled, [seed(p) for p in range(len(grid))])
 
 
 def inner_search(features, labels, classifier: str, seed: int = 0):
@@ -225,7 +222,10 @@ def _loocv_correct(
         )
     if rank_scope not in ("train", "full"):
         raise ValueError("rank_scope must be 'train' or 'full'")
-    # The per-fold search needs per-fold rankings, and would drop given anchors.
+    # The per-fold search tunes the fuzzy filter only, needs per-fold
+    # rankings, and would drop given anchors.
+    if reoptimize_fgf and method != "fgf":
+        raise ValueError("reoptimize_fgf needs method 'fgf'")
     if reoptimize_fgf and rank_scope == "full":
         raise ValueError("reoptimize_fgf needs rank_scope='train'")
     if reoptimize_fgf and fgf_params is not None:
@@ -291,8 +291,9 @@ def loocv_accuracy(
     ``rank_scope="full"`` ranks once on all samples. Fuzzy-filter
     parameters default to one optimization on the full data; with
     ``reoptimize_fgf`` the genetic search reruns per fold on a
-    fold-derived seed, so it needs ``rank_scope="train"`` and no
-    ``fgf_params`` (either raises ``ValueError``). The top-k genes enter
+    fold-derived seed, so it needs ``method="fgf"``,
+    ``rank_scope="train"`` and no ``fgf_params`` (anything else raises
+    ``ValueError``). The top-k genes enter
     the classifier as a set, in gene-index order. The result is
     ``correct / n_samples``.
     """

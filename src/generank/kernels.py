@@ -4,20 +4,20 @@ The library holds three solvers, each a port of Python code that stays
 as its oracle and fallback: the batch fuzzy-inference kernel
 (``_mamdani_py.mamdani_scores``), the SVM fits of a whole grid of box
 bounds, with their SMO update loop (``classifiers._svm_grid_loop``), and
-the perceptron's scaled-conjugate-gradient loop
-(``classifiers._scg_loop``). It also holds a reader of the expression
-matrix's rows, whose oracle and fallback is the line-by-line reader
-``dataio._parse_matrix_lines``. It is loaded through ctypes and
-preferred. On first import it is compiled when no build of the current
-source exists and a C compiler (``cc``) is on ``PATH``; see ``_cbuild``.
-Without a compiler, or if the build fails (which warns with the
-compiler's output), the Python code takes over. Both produce
-bit-identical results, so the choice only affects speed; ``BACKEND``
-names the fuzzy kernel that runs, and ``svm_grid_solve``, ``scg_solve``
-and ``parse_matrix_rows`` are None when the library is not loaded. The
-one difference is which NaN an overflowed SVM fit holds, and
-``classifiers.svm_train`` and ``svm_grid_labels`` reject such a fit on
-either path.
+the perceptron fits of a whole grid of hidden widths, with their
+scaled-conjugate-gradient loop (``classifiers._mlp_grid_loop``). It also
+holds a reader of the expression matrix's rows, whose oracle and
+fallback is the line-by-line reader ``dataio._parse_matrix_lines``. It
+is loaded through ctypes and preferred. On first import it is compiled
+when no build of the current source exists and a C compiler (``cc``) is
+on ``PATH``; see ``_cbuild``. Without a compiler, or if the build fails
+(which warns with the compiler's output), the Python code takes over.
+Both produce bit-identical results, so the choice only affects speed;
+``BACKEND`` names the fuzzy kernel that runs, and ``svm_grid_solve``,
+``mlp_grid_solve`` and ``parse_matrix_rows`` are None when the library
+is not loaded. The one difference is which NaN an overflowed SVM fit
+holds, and ``classifiers.svm_train`` and ``svm_grid_labels`` reject
+such a fit on either path.
 """
 
 from __future__ import annotations
@@ -116,43 +116,59 @@ def _bind_svm_grid(lib):
     return svm_grid_solve
 
 
-def _bind_scg(lib):
-    fn = lib.scg_solve
+def _bind_mlp_grid(lib):
+    fn = lib.mlp_grid_solve
+    pointer, count, real = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
     fn.argtypes = (
-        _MATRIX,
-        _ARRAY,
-        ctypes.c_int64,
-        ctypes.c_int64,
-        ctypes.c_int64,
-        ctypes.c_double,
-        ctypes.c_int64,
-        ctypes.c_double,
-        _ARRAY,
-        _ARRAY,
-        ctypes.POINTER(ctypes.c_int64),
-        ctypes.POINTER(ctypes.c_int64),
+        (pointer, pointer, count, count, pointer, count, real, pointer, pointer, count)
+        + (count, real)
+        + (pointer,) * 5
     )
     fn.restype = ctypes.c_int64
 
-    def scg_solve(X, t, h, ridge, w, max_iter, tol):
-        """``classifiers._scg_loop`` computed in C: returns ``(w,
-        loss_trace, steps, capped)`` as there, and leaves ``w`` as given."""
-        X = np.ascontiguousarray(X, dtype=np.float64)
-        n, d = X.shape
-        if min(n, d, h) < 1 or max_iter < 0:
-            raise ValueError("X must be non-empty, h >= 1 and max_iter >= 0")
-        if t.shape != (n,) or w.shape != (d * h + 2 * h + 1,):
-            raise ValueError("t needs one value per row of X and w d*h + 2*h + 1")
-        w = np.array(w, dtype=np.float64)
-        trace = np.empty(max_iter + 1)
-        length, capped = ctypes.c_int64(0), ctypes.c_int64(0)
-        args = (X, t, n, d, h, ridge, max_iter, tol, w, trace)
-        steps = fn(*args, ctypes.byref(length), ctypes.byref(capped))
-        if steps < 0:
-            raise MemoryError("scg_solve could not allocate its work arrays")
-        return w, trace[: length.value].tolist(), int(steps), bool(capped.value)
+    def mlp_grid_solve(X, t, hs, ridge, w, queries, max_iter, tol):
+        """``classifiers._mlp_grid_loop`` computed in C: returns ``(w,
+        traces, steps, capped, probabilities)`` as there, and leaves ``w``
+        as given."""
+        X, queries = np.asarray(X), np.asarray(queries)
+        hs = np.asarray(hs, dtype=np.int64)
+        if X.ndim != 2 or queries.ndim != 2 or hs.ndim != 1:
+            raise ValueError("X and queries must be 2-D and hs 1-D")
+        (n, d), m, q = X.shape, len(hs), len(queries)
+        if min(n, d) < 1 or (hs < 1).any() or max_iter < 0:
+            raise ValueError("X must be non-empty, every h >= 1 and max_iter >= 0")
+        if np.shape(t) != (n,) or queries.shape[1] != d:
+            raise ValueError("t needs one value per row of X and queries X's columns")
+        if np.shape(w) != (int(((d + 2) * hs + 1).sum()),):
+            raise ValueError("w needs d*h + 2*h + 1 values per width")
+        # One buffer in the order of the C arguments, as for
+        # svm_grid_solve; the widths go in as int64 bits, and the weights
+        # are trained in the buffer's copy.
+        sizes = (n * d, n, m, len(w), q * d, m * (max_iter + 1), m, m, m, m * q)
+        ends = list(itertools.accumulate(sizes))
+        starts = [0, *ends[:-1]]
+        buffer = np.concatenate(
+            (X.ravel(), t, hs.view(np.float64), w, queries.ravel(),
+             np.empty(ends[-1] - ends[4])),
+            dtype=np.float64,
+        )
+        base = buffer.ctypes.data
+        X_at, t_at, hs_at, w_at, queries_at, *out_at = (base + 8 * start for start in starts)
+        status = fn(
+            X_at, t_at, n, d, hs_at, m, ridge, w_at, queries_at, q, max_iter, tol, *out_at
+        )
+        if status < 0:
+            raise MemoryError("mlp_grid_solve could not allocate its work arrays")
+        w, _, traces, lengths, steps, capped, probabilities = (
+            buffer[start:end] for start, end in zip(starts[3:], ends[3:])
+        )
+        traces = traces.reshape(m, max_iter + 1)
+        return (
+            w, [row[:k].tolist() for row, k in zip(traces, lengths.view(np.int64).tolist())],
+            steps.view(np.int64), capped.view(np.int64) != 0, probabilities.reshape(m, q),
+        )
 
-    return scg_solve
+    return mlp_grid_solve
 
 
 def _bind_parse(lib):
@@ -202,14 +218,14 @@ _LIB = _load_library()
 if _LIB is not None:
     _c_scores = _bind_mamdani(_LIB)
     svm_grid_solve = _bind_svm_grid(_LIB)
-    scg_solve = _bind_scg(_LIB)
+    mlp_grid_solve = _bind_mlp_grid(_LIB)
     parse_matrix_rows = _bind_parse(_LIB)
     _IMPL = _c_scores
     BACKEND = "c"
 else:
     _c_scores = None
     svm_grid_solve = None
-    scg_solve = None
+    mlp_grid_solve = None
     parse_matrix_rows = None
     _IMPL = _mamdani_py.mamdani_scores
     BACKEND = "numpy"

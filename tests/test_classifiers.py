@@ -15,6 +15,7 @@ from generank.classifiers import (
     TrainSet,
     knn_classify,
     knn_grid_labels,
+    mlp_grid_labels,
     mlp_loss_and_grad,
     mlp_predict,
     mlp_probabilities,
@@ -375,8 +376,9 @@ def _same_bits(a, b):
 
 
 def _loop(name):
-    """A solver by name: a compiled one (``svm_grid_solve``, ``scg_solve``)
-    or its Python oracle (``_svm_grid_loop``, ``_scg_loop``)."""
+    """A solver by name: a compiled one (``svm_grid_solve``,
+    ``mlp_grid_solve``) or its Python oracle (``_svm_grid_loop``,
+    ``_mlp_grid_loop``)."""
     return getattr(kernels if name.endswith("_solve") else classifiers, name)
 
 
@@ -881,20 +883,35 @@ def test_fixed_order_loss_and_grad_matches_numpy_oracle():
         assert probe.tobytes() == fixed_grad.tobytes()
 
 
+def _same_mlp_grid(got, expected, case):
+    """Two ``(w, traces, steps, capped, probabilities)`` results, bit for
+    bit."""
+    w, traces, steps, capped, probabilities = got
+    assert w.tobytes() == expected[0].tobytes(), case
+    assert len(traces) == len(expected[1]), case
+    for trace, want in zip(traces, expected[1]):
+        assert np.array(trace).tobytes() == np.array(want).tobytes(), case
+    assert steps.tolist() == expected[2].tolist(), case
+    assert capped.tolist() == expected[3].tolist(), case
+    assert probabilities.shape == expected[4].shape, case
+    assert probabilities.tobytes() == expected[4].tobytes(), case
+
+
 @needs_compiled
-def test_scg_compiled_loop_bit_identical_to_python_loop():
-    assert classifiers._SCG is kernels.scg_solve
+def test_mlp_grid_compiled_loop_bit_identical_to_python_loop():
+    assert classifiers._MLP_GRID is kernels.mlp_grid_solve
     rng = np.random.default_rng(530)
     seen = {"clipped": 0, "overflowed": 0, "converged": 0}
     for d in (1, 2, 5, 20):
-        for h in (1, 3, 2 * d):
-            # ridge 0 on separable data, started with outputs past the
-            # 1e-12 log clip, and at the largest scale with exp(-x)
-            # overflowing to inf
-            for ridge, scale in ((0.01, 1.0), (0.0, 30.0), (0.0, 1000.0)):
-                train = _separable(rng, n_per_class=int(rng.integers(3, 10)), dim=d)
-                X, t = train.features, train.labels.astype(np.float64)
-                w = rng.uniform(-0.5, 0.5, d * h + 2 * h + 1) * scale
+        hs = [1, 3, 2 * d]
+        # ridge 0 on separable data, started with outputs past the
+        # 1e-12 log clip, and at the largest scale with exp(-x)
+        # overflowing to inf
+        for ridge, scale in ((0.01, 1.0), (0.0, 30.0), (0.0, 1000.0)):
+            train = _separable(rng, n_per_class=int(rng.integers(3, 10)), dim=d)
+            X, t = train.features, train.labels.astype(np.float64)
+            parts = [rng.uniform(-0.5, 0.5, d * h + 2 * h + 1) * scale for h in hs]
+            for h, w in zip(hs, parts):
                 if ridge == 0.0:
                     w[-1] = -40.0
                     w1, b1, w2, b2 = classifiers._unpack(w, d, h)
@@ -903,29 +920,33 @@ def test_scg_compiled_loop_bit_identical_to_python_loop():
                     assert ((out < 1e-12) | (out > 1.0 - 1e-12)).any()
                     seen["clipped"] += 1
                     seen["overflowed"] += bool(pre.min() < -710.0)
-                expected = classifiers._scg_loop(X, t, h, ridge, w, 500, 1e-5)
-                got = kernels.scg_solve(X, t, h, ridge, w, 500, 1e-5)
-                case = f"d={d} h={h} ridge={ridge} scale={scale}"
-                assert got[0].tobytes() == expected[0].tobytes(), case
-                assert np.array(got[1]).tobytes() == np.array(expected[1]).tobytes(), case
-                assert got[2:] == expected[2:], case
-                seen["converged"] += not expected[3]
+            w = np.concatenate(parts)
+            # none, one or several queries, some far enough out to saturate
+            queries = rng.normal(size=(int(rng.integers(0, 4)), d)) * rng.choice([1.0, 30.0])
+            expected = classifiers._mlp_grid_loop(X, t, hs, ridge, w, queries, 500, 1e-5)
+            got = kernels.mlp_grid_solve(X, t, hs, ridge, w, queries, 500, 1e-5)
+            _same_mlp_grid(got, expected, f"d={d} ridge={ridge} scale={scale}")
+            seen["converged"] += int((~expected[3]).sum())
     assert min(seen.values()) >= 5, seen
 
 
 @needs_compiled
-def test_scg_solve_checks_shapes_before_calling_c():
-    X, t = np.ones((4, 2)), np.array([0.0, 1.0, 0.0, 1.0])
+def test_mlp_grid_solve_checks_shapes_before_calling_c():
+    X, t, q = np.ones((4, 2)), np.array([0.0, 1.0, 0.0, 1.0]), np.ones((1, 2))
     w = np.zeros(2 * 3 + 2 * 3 + 1)
-    for features, targets, h, wvec, budget in (
-        (X, t, 0, w[:1], 10),
-        (X[:0], t[:0], 3, w, 10),
-        (X, t[:3], 3, w, 10),
-        (X, t, 3, w[:-1], 10),
-        (X, t, 3, w, -1),
+    for features, targets, hs, wvec, queries, budget in (
+        (X, t, [0], w[:1], q, 10),
+        (X[:0], t[:0], [3], w, q, 10),
+        (X, t[:3], [3], w, q, 10),
+        (X, t, [3], w[:-1], q, 10),
+        (X, t, [3, 1], w, q, 10),
+        (X, t, [[3]], w, q, 10),
+        (X, t, [3], w, q[0], 10),
+        (X, t, [3], w, np.ones((1, 3)), 10),
+        (X, t, [3], w, q, -1),
     ):
         with pytest.raises(ValueError):
-            kernels.scg_solve(features, targets, h, 0.01, wvec, budget, 1e-5)
+            kernels.mlp_grid_solve(features, targets, hs, 0.01, wvec, queries, budget, 1e-5)
 
 
 @needs_compiled
@@ -940,8 +961,8 @@ def test_mlp_train_same_model_on_both_loops(monkeypatch, budget):
         for h in (1, 3, 2 * d)
     ]
     models = []
-    for loop in (kernels.scg_solve, classifiers._scg_loop):
-        monkeypatch.setattr(classifiers, "_SCG", loop)
+    for loop in (kernels.mlp_grid_solve, classifiers._mlp_grid_loop):
+        monkeypatch.setattr(classifiers, "_MLP_GRID", loop)
         models.append([mlp_train(train, h, seed=i) for i, (train, h) in enumerate(fits)])
     for compiled, python in zip(*models):
         for field in ("w1", "b1", "w2", "b2", "loss_trace"):
@@ -951,11 +972,14 @@ def test_mlp_train_same_model_on_both_loops(monkeypatch, budget):
             assert compiled.capped and compiled.steps == budget
 
 
-@pytest.mark.parametrize(
-    "loop", [pytest.param("scg_solve", marks=needs_compiled), "_scg_loop"]
+both_mlp_loops = pytest.mark.parametrize(
+    "loop", [pytest.param("mlp_grid_solve", marks=needs_compiled), "_mlp_grid_loop"]
 )
+
+
+@both_mlp_loops
 def test_mlp_reports_steps_and_cap(monkeypatch, loop):
-    monkeypatch.setattr(classifiers, "_SCG", _loop(loop))
+    monkeypatch.setattr(classifiers, "_MLP_GRID", _loop(loop))
     train = _separable(np.random.default_rng(532), n_per_class=8, dim=3)
     model = mlp_train(train, hidden_count=4, seed=1)
     assert not model.capped
@@ -968,6 +992,55 @@ def test_mlp_reports_steps_and_cap(monkeypatch, loop):
     monkeypatch.setattr(classifiers, "_MLP_MAX_ITER", model.steps + 1)
     again = mlp_train(train, hidden_count=4, seed=1)
     assert (again.steps, again.capped) == (model.steps, False)
+
+
+@both_mlp_loops
+@pytest.mark.parametrize("budget", [None, 3])
+def test_mlp_grid_labels_bit_identical_to_per_width_fits(monkeypatch, loop, budget):
+    monkeypatch.setattr(classifiers, "_MLP_GRID", _loop(loop))
+    if budget is not None:
+        monkeypatch.setattr(classifiers, "_MLP_MAX_ITER", budget)
+    rng = np.random.default_rng(546)
+    rows = 0
+    for case in range(12 if loop == "_mlp_grid_loop" else 36):
+        d = int(rng.integers(1, 12))
+        hs = sorted({1, math.ceil(d / 2), d, 2 * d})
+        n0, n1 = (int(n) for n in rng.integers(3, 9, 2))
+        features = rng.normal(size=(n0 + n1, d))
+        features[n0:] += rng.uniform(0.0, 1.5)
+        train = TrainSet(features, np.array([0] * n0 + [1] * n1))
+        seeds = [int(s) for s in rng.integers(0, 2**32, len(hs))]
+        # blocks of 0, 1 and many rows, some far enough out to saturate
+        size = (0, 1, int(rng.integers(2, 20)))[case % 3]
+        queries = rng.normal(size=(size, d)) * (1.0, 30.0)[case // 3 % 2]
+        labels = mlp_grid_labels(train, hs, queries, seeds)
+        probabilities = classifiers._mlp_grid(train, hs, queries, seeds, 0.01)[-1]
+        assert labels.shape == probabilities.shape == (len(hs), size)
+        for g, (h, seed) in enumerate(zip(hs, seeds)):
+            model = mlp_train(train, h, seed=seed)
+            expected = mlp_probabilities(model, queries)
+            assert probabilities[g].tobytes() == expected.tobytes(), (case, h)
+            assert labels[g].tolist() == (expected > 0.5).astype(np.int64).tolist()
+            if budget is not None:
+                assert model.capped and model.steps == budget
+        rows += size
+    assert rows > 20
+
+
+def test_mlp_grid_labels_validates():
+    train = _separable(np.random.default_rng(547), n_per_class=3, dim=2)
+    with pytest.raises(ValueError, match="hidden_count"):
+        mlp_grid_labels(train, [1, 0], np.zeros((1, 2)), [0, 1])
+    with pytest.raises(ValueError, match="hidden_count"):
+        mlp_grid_labels(train, [], np.zeros((1, 2)), [])
+    with pytest.raises(ValueError, match="ridge"):
+        mlp_grid_labels(train, [1], np.zeros((1, 2)), [0], ridge=-0.1)
+    with pytest.raises(ValueError, match="one seed per"):
+        mlp_grid_labels(train, [1, 2], np.zeros((1, 2)), [0])
+    with pytest.raises(ValueError, match="features"):
+        mlp_grid_labels(train, [1], np.zeros((1, 3)), [0])
+    with pytest.raises(ValueError, match="non-finite"):
+        mlp_grid_labels(train, [1], np.array([[np.nan, 0.0]]), [0])
 
 
 def test_mlp_model_bits_are_the_same_on_every_host():

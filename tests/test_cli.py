@@ -645,6 +645,27 @@ def test_report_formats_cells(tmp_path):
     assert "fgf\tknn\t0.961" in box
 
 
+def test_report_rejects_duplicate_cells(tmp_path, capsys):
+    # one method x classifier cell per report: the summary could show only
+    # one of them while the box data listed both
+    paths = [
+        _fake_evaluation(tmp_path / "e1.json", "fgf", "knn", 9, 0.9),
+        _fake_evaluation(tmp_path / "e2.json", "ttest", "knn", 20, 0.8),
+        _fake_evaluation(tmp_path / "e3.json", "fgf", "knn", 3, 0.6),
+    ]
+    out = tmp_path / "rep"
+    code = cli.main(["report", "--evaluations", *paths, "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"{paths[0]} and {paths[2]} both hold fgf/knn" in err
+    assert not out.exists()
+    # compare pools them: a pair appears once per dataset
+    code = cli.main(["compare", "--evaluations", *paths, "--out", str(tmp_path / "cmp")])
+    assert code == 0
+    payload = json.loads((tmp_path / "cmp" / "anova.json").read_text())
+    assert (payload["df_between"], payload["df_within"]) == (1, 1)
+
+
 def test_cli_import_leaves_scipy_stats_unloaded():
     # scipy.stats takes about a second to import and the package needs
     # only midranks from it, which rankers computes itself
@@ -740,6 +761,22 @@ def test_ga_defaults_come_from_ga_config(tables, tmp_path, monkeypatch):
         defaults.population_size,
         defaults.generations,
     )
+
+
+@pytest.mark.parametrize("method", ["ttest", "wilcoxon", "roc"])
+def test_reoptimize_fgf_needs_method_fgf(tables, tmp_path, capsys, method):
+    # the per-fold search tunes the fuzzy filter, which other methods ignore
+    _, matrix_path, labels_path = tables
+    argv = [
+        "evaluate", "--matrix", matrix_path, "--labels", labels_path,
+        "--out", str(tmp_path / "out"), "--method", method, "--classifier", "knn",
+        "--reoptimize-fgf",
+    ]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "--reoptimize-fgf is only valid with --method fgf" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(

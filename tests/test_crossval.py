@@ -145,13 +145,13 @@ def test_inner_search_seeds_only_the_perceptron(monkeypatch):
     features = rng.normal(size=(8, 2))
     labels = np.array([0] * 4 + [1] * 4)
     seeds = []
-    mlp_train = crossval.mlp_train
+    mlp_grid_labels = crossval.mlp_grid_labels
 
-    def recording(train, hidden_count, seed):
-        seeds.append((hidden_count, seed))
-        return mlp_train(train, hidden_count, seed=seed)
+    def recording(train, hidden_counts, queries, fit_seeds):
+        seeds.extend(zip(hidden_counts, fit_seeds))
+        return mlp_grid_labels(train, hidden_counts, queries, fit_seeds)
 
-    monkeypatch.setattr(crossval, "mlp_train", recording)
+    monkeypatch.setattr(crossval, "mlp_grid_labels", recording)
     derived = []
     derive = crossval._derived_seed
     monkeypatch.setattr(
@@ -336,13 +336,13 @@ def test_loocv_rank_scope_full_ranks_once(monkeypatch):
 def test_loocv_final_fit_seed_per_held_out_sample(monkeypatch):
     dataset = planted_dataset(6, 2, 4, 4, 1.0, seed=618)
     seeds = []
-    mlp_train = crossval.mlp_train
+    mlp_grid_labels = crossval.mlp_grid_labels
 
-    def recording(train, hidden_count, seed):
-        seeds.append(seed)
-        return mlp_train(train, hidden_count, seed=seed)
+    def recording(train, hidden_counts, queries, fit_seeds):
+        seeds.extend(fit_seeds)
+        return mlp_grid_labels(train, hidden_counts, queries, fit_seeds)
 
-    monkeypatch.setattr(crossval, "mlp_train", recording)
+    monkeypatch.setattr(crossval, "mlp_grid_labels", recording)
     loocv_accuracy(dataset, "ttest", "mlp", k_genes=2, seed=4)
     # three inner folds times three candidates (1, 2, 4 hidden), then the final fit
     assert len(seeds) == 8 * (3 * 3 + 1)
@@ -401,6 +401,21 @@ def test_loocv_reoptimize_fgf_rejects_contradictions(monkeypatch):
         )
     with pytest.raises(ValueError, match="rank_scope='train'"):
         sweep_gene_counts(dataset, "fgf", "knn", 2, rank_scope="full", reoptimize_fgf=True)
+
+
+def test_loocv_reoptimize_fgf_needs_method_fgf(monkeypatch):
+    # another method's ranking never reads the tuned anchors
+    dataset = planted_dataset(15, 3, 4, 4, 3.0, seed=609)
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("the genetic search ran")
+
+    monkeypatch.setattr(crossval.gaopt, "optimize_fgf", no_search)
+    for method in ("ttest", "wilcoxon", "roc"):
+        with pytest.raises(ValueError, match="method 'fgf'"):
+            loocv_accuracy(dataset, method, "knn", 3, reoptimize_fgf=True)
+        with pytest.raises(ValueError, match="method 'fgf'"):
+            sweep_gene_counts(dataset, method, "knn", 2, reoptimize_fgf=True)
 
 
 def test_loocv_each_classifier_runs():
