@@ -64,16 +64,6 @@ class TrainSet:
         return self.features.shape[1]
 
 
-def _validate_query(n_features: int, query) -> np.ndarray:
-    """The query as a finite float vector of ``n_features`` values."""
-    q = np.asarray(query, dtype=np.float64)
-    if q.shape != (n_features,):
-        raise ValueError(f"query must have {n_features} features, got shape {q.shape}")
-    if not np.isfinite(q).all():
-        raise ValueError("query contains non-finite values")
-    return q
-
-
 def _validate_queries(n_features: int, queries) -> np.ndarray:
     """The queries as a finite (n_queries, ``n_features``) float array."""
     q = np.asarray(queries, dtype=np.float64)
@@ -112,10 +102,12 @@ def _knn_labels(train: TrainSet, ks: np.ndarray, queries: np.ndarray) -> np.ndar
 def knn_grid_labels(train: TrainSet, ks, queries) -> np.ndarray:
     """:func:`knn_classify` for every k in ``ks`` and every row of
     ``queries`` at once: a (len(ks), n_queries) array of labels."""
-    ks = np.asarray(ks, dtype=np.int64).reshape(-1)
-    if ((ks < 1) | (ks > train.n_samples)).any():
-        raise ValueError(f"k must be in [1, {train.n_samples}]")
-    return _knn_labels(train, ks, _validate_queries(train.n_features, queries))
+    ks = np.asarray(ks, dtype=np.float64).reshape(-1)
+    n = train.n_samples
+    if not ((ks >= 1.0) & (ks <= n) & (np.floor(ks) == ks)).all():
+        raise ValueError(f"k must be a whole number in [1, {n}]")
+    queries = _validate_queries(train.n_features, queries)
+    return _knn_labels(train, ks.astype(np.int64), queries)
 
 
 def knn_classify(train: TrainSet, query, k: int) -> int:
@@ -125,10 +117,7 @@ def knn_classify(train: TrainSet, query, k: int) -> int:
     goes to the class with the smaller summed neighbour distance, and
     class 0 if even that ties.
     """
-    if not 1 <= k <= train.n_samples:
-        raise ValueError(f"k must be in [1, {train.n_samples}]")
-    q = _validate_query(train.n_features, query)
-    return int(_knn_labels(train, np.array([k]), q[None, :])[0, 0])
+    return int(knn_grid_labels(train, [k], [query])[0, 0])
 
 
 # --------------------------------------------------------------------------
@@ -380,8 +369,8 @@ def svm_train(train: TrainSet, c: float) -> SvmModel:
 def svm_predict(model: SvmModel, query) -> int:
     """1 if the query's decision value ``w . q + bias`` is positive, else
     0: :func:`svm_grid_labels`'s label for one query."""
-    q = _validate_query(model.weights.shape[0], query)
-    return int(_svm_decisions(model.weights, model.bias, q[None, :])[0] > 0.0)
+    queries = _validate_queries(model.weights.shape[0], [query])
+    return int(_svm_decisions(model.weights, model.bias, queries)[0] > 0.0)
 
 
 def svm_kkt_violation(model: SvmModel, train: TrainSet) -> float:
@@ -486,7 +475,7 @@ def _nbc_posteriors(class_values, bandwidths, log_priors, queries) -> np.ndarray
             log_kde = _logsumexp(-0.5 * z * z, axis=2)
             log_kde -= (math.log(V.shape[0]) + np.log(h * math.sqrt(2.0 * math.pi)))[:, None]
             log_joint[..., cls] = log_priors[cls] + log_kde.sum(axis=-1)
-    if log_joint.min() == -np.inf:
+    if log_joint.min(initial=np.inf) == -np.inf:
         # A query so far from both classes that neither density is
         # representable says nothing about its class: the priors decide.
         lost = (log_joint == -np.inf).all(axis=-1)
@@ -513,9 +502,9 @@ def nbc_predict(model: NbcModel, query):
     The kernel sums go through :func:`_logsumexp`, so the results do not
     depend on which SciPy release is installed.
     """
-    q = _validate_query(model.bandwidths.shape[1], query)
+    queries = _validate_queries(model.bandwidths.shape[1], [query])
     posteriors = _nbc_posteriors(
-        model.class_values, model.bandwidths[None], model.log_priors, q[None, :]
+        model.class_values, model.bandwidths[None], model.log_priors, queries
     )[0, 0]
     label = int(posteriors[1] > posteriors[0])
     return label, posteriors
@@ -581,26 +570,6 @@ def mlp_loss_and_grad(wvec, features, targets, hidden_count, ridge):
     return loss, grad
 
 
-def _exp_or_inf(v):
-    """``math.exp`` that overflows to ``inf``, as C's ``exp`` does,
-    instead of raising ``OverflowError``."""
-    try:
-        return math.exp(v)
-    except OverflowError:
-        return math.inf
-
-
-def _expit(x):
-    """``1 / (1 + exp(-x))`` elementwise, with the C library's ``exp``
-    (``math.exp``), as the compiled loop computes it."""
-    values = (-x).ravel().tolist()
-    try:
-        e = np.fromiter(map(math.exp, values), np.float64, len(values))
-    except OverflowError:
-        e = np.fromiter(map(_exp_or_inf, values), np.float64, len(values))
-    return 1.0 / (1.0 + e.reshape(x.shape))
-
-
 def _log(x):
     """The C library's ``log`` of each element of a 1-D array."""
     return np.fromiter(map(math.log, x.tolist()), np.float64, len(x))
@@ -608,8 +577,10 @@ def _log(x):
 
 def _fixed_loss_and_grad(w, X, t, h, ridge, with_loss):
     """:func:`mlp_loss_and_grad` in the fixed order of ``kernels.mlp_grid_solve``:
-    every sum runs left to right and ``exp`` and ``log`` are the C
-    library's, so the bits do not depend on BLAS or NumPy's SIMD code."""
+    every sum runs left to right, ``log`` is the C library's and the
+    sigmoid is SciPy's ``expit``, which is ``1 / (1 + exp(-x))`` with the
+    C library's ``exp``, so the bits do not depend on BLAS or NumPy's
+    SIMD code."""
     d = X.shape[1]
     w1, b1, w2, b2 = _unpack(w, d, h)
 
@@ -619,8 +590,8 @@ def _fixed_loss_and_grad(w, X, t, h, ridge, with_loss):
     pre = columns[0] * w1[0]
     for x, w1_k in zip(columns[1:], w1[1:]):
         pre += x * w1_k
-    hidden = _expit(pre + b1)
-    out = _expit(_sum(hidden * w2[None, :], axis=1) + b2)
+    hidden = expit(pre + b1)
+    out = expit(_sum(hidden * w2[None, :], axis=1) + b2)
     loss = None
     if with_loss:
         safe = np.clip(out, 1e-12, 1.0 - 1e-12)
@@ -781,7 +752,7 @@ def _checked_mlp_arguments(hidden_counts, ridge) -> list:
     hs = [int(h) for h in np.asarray(hidden_counts).reshape(-1).tolist()]
     if min(hs, default=0) < 1:
         raise ValueError("hidden_count must be >= 1")
-    if ridge < 0.0:
+    if not ridge >= 0.0:
         raise ValueError("ridge must be >= 0")
     return hs
 
@@ -838,8 +809,6 @@ def mlp_probabilities(model: MlpModel, queries) -> np.ndarray:
 
 def mlp_predict(model: MlpModel, query):
     """Returns ``(label, probability_of_class_1)``, the label 1 when the
-    probability exceeds 0.5. The probability sums in a fixed order, so it
-    equals :func:`mlp_probabilities`' for the same row bit for bit."""
-    q = _validate_query(model.w1.shape[0], query)
-    prob = float(_mlp_outputs(model.w1, model.b1, model.w2, model.b2, q[None, :])[0])
+    probability exceeds 0.5: :func:`mlp_probabilities` for one query."""
+    prob = float(mlp_probabilities(model, [query])[0])
     return int(prob > 0.5), prob

@@ -43,7 +43,7 @@ from generank.classifiers import (  # noqa: F401
     svm_predict,
     svm_train,
 )
-from generank.dataio import VARIANCE_FLOOR, Dataset
+from generank.dataio import Dataset, floored_scale
 from generank.rankers import rank_genes
 
 METHODS = ("ttest", "wilcoxon", "roc", "fgf")
@@ -103,14 +103,6 @@ def stratified_folds(labels, n_folds: int, seed: int) -> np.ndarray:
     return assignment
 
 
-def _scale_fit(features: np.ndarray):
-    """Per-feature mean and floored standard deviation of a train block."""
-    mu = features.mean(axis=0)
-    var = features.var(axis=0, ddof=1)
-    var = np.where(var > 0.0, var, var + VARIANCE_FLOOR)
-    return mu, np.sqrt(var)
-
-
 def _hyper_grid(classifier: str, n_features: int):
     """Candidate values in tie-break preference order (simplest first)."""
     if classifier == "knn":
@@ -134,7 +126,7 @@ def _scaled(train_x, train_y, queries):
     and the queries on the same scale. The scaling comes from the
     training block only, so held-out samples never influence it.
     """
-    mu, sd = _scale_fit(train_x)
+    mu, sd = floored_scale(train_x, axis=0)
     train = TrainSet((train_x - mu) / sd, train_y)
     return train, (np.asarray(queries, dtype=np.float64) - mu) / sd
 

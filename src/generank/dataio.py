@@ -347,6 +347,16 @@ def quantile_normalize(matrix, use_median: bool = False) -> np.ndarray:
     return out
 
 
+def floored_scale(X: np.ndarray, axis: int):
+    """``(mean, sd)`` of ``X`` along ``axis``, each keeping that axis with
+    length 1: ``sd`` is the sample standard deviation, a zero variance
+    being raised to the variance floor."""
+    means = X.mean(axis=axis, keepdims=True)
+    var = X.var(axis=axis, ddof=1, keepdims=True)
+    var = np.where(var > 0.0, var, var + VARIANCE_FLOOR)
+    return means, np.sqrt(var)
+
+
 def standardize_genes(matrix) -> np.ndarray:
     """Scale every row to mean 0 and unit sample standard deviation.
 
@@ -355,7 +365,5 @@ def standardize_genes(matrix) -> np.ndarray:
     X = np.asarray(matrix, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] < 2:
         raise ValueError("matrix must be 2-D with >= 2 columns")
-    means = X.mean(axis=1, keepdims=True)
-    var = X.var(axis=1, ddof=1, keepdims=True)
-    var = np.where(var > 0.0, var, var + VARIANCE_FLOOR)
-    return (X - means) / np.sqrt(var)
+    means, sd = floored_scale(X, axis=1)
+    return (X - means) / sd

@@ -47,7 +47,7 @@ class GaConfig:
             rate = getattr(self, name)
             if not 0.0 <= rate <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1]")
-        if self.mutation_sigma <= 0.0:
+        if not self.mutation_sigma > 0.0:
             raise ValueError("mutation_sigma must be positive")
         if not 0 <= self.elite_count < self.population_size:
             raise ValueError("elite_count must be in [0, population_size)")

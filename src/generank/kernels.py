@@ -18,6 +18,15 @@ Both produce bit-identical results, so the choice only affects speed;
 is not loaded. The one difference is which NaN an overflowed SVM fit
 holds, and ``classifiers.svm_train`` and ``svm_grid_labels`` reject
 such a fit on either path.
+
+Every library function is declared by ``_declare`` with one calling
+convention: arrays go in as addresses (``c_void_p``), sizes as
+``c_int64`` and reals as ``c_double``, and an int64 comes back. The
+fuzzy kernel and the two grid solvers get their inputs and their results
+in one float64 buffer that ``_pack`` lays out in the order of the C
+arguments, so a call allocates once and its results are views of that
+buffer. The matrix reader writes into a float64 matrix and an int64
+array of its own.
 """
 
 from __future__ import annotations
@@ -30,8 +39,7 @@ import numpy as np
 
 from generank import _cbuild, _mamdani_py
 
-_ARRAY = np.ctypeslib.ndpointer(dtype=np.float64, ndim=1, flags="C_CONTIGUOUS")
-_MATRIX = np.ctypeslib.ndpointer(dtype=np.float64, ndim=2, flags="C_CONTIGUOUS")
+_POINTER, _COUNT, _REAL = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
 
 
 def _load_library():
@@ -53,61 +61,70 @@ def _load_library():
         return None
 
 
-def _bind_mamdani(lib):
-    fn = lib.mamdani_scores
-    fn.argtypes = (_ARRAY, _ARRAY, _ARRAY, _ARRAY, ctypes.c_int64, _ARRAY)
+def _declare(lib, name, *argtypes):
+    """``lib``'s function ``name``, declared to take ``argtypes`` and to
+    return an int64."""
+    fn = getattr(lib, name)
+    fn.argtypes = argtypes
     fn.restype = ctypes.c_int64
+    return fn
+
+
+def _pack(inputs, out_sizes):
+    """One new float64 buffer holding the arrays ``inputs``, flattened,
+    then room for outputs of ``out_sizes`` values, in the order of the C
+    arguments, so that one allocation serves a whole call. Returns the
+    address in the buffer of each input and output, and a view of each."""
+    inputs = [a.ravel() for a in inputs]
+    sizes = [a.size for a in inputs] + list(out_sizes)
+    ends = list(itertools.accumulate(sizes))
+    starts = [0, *ends[:-1]]
+    buffer = np.concatenate((*inputs, np.empty(sum(out_sizes))), dtype=np.float64)
+    base = buffer.ctypes.data
+    addresses = [base + 8 * start for start in starts]
+    return addresses, [buffer[start:end] for start, end in zip(starts, ends)]
+
+
+def _bind_mamdani(lib):
+    fn = _declare(lib, "mamdani_scores", *(_POINTER,) * 4, _COUNT, _POINTER)
 
     def mamdani_scores(fc, var, rs, params):
         """Same contract as the NumPy fallback, computed in C."""
-        n = fc.shape[0]
-        if var.shape != (n,) or rs.shape != (n,) or params.shape != (6,):
+        if fc.ndim != 1 or not var.shape == fc.shape == rs.shape or params.shape != (6,):
             raise ValueError("fc, var and rs need equal length, params six values")
-        scores = np.empty(n)
-        clamped = fn(fc, var, rs, params, n, scores)
-        return scores, clamped
+        n = len(fc)
+        addresses, views = _pack((fc, var, rs, params), (n,))
+        clamped = fn(*addresses[:4], n, addresses[4])
+        return views[4], clamped
 
     return mamdani_scores
 
 
 def _bind_svm_grid(lib):
-    fn = lib.svm_grid_solve
-    pointer, count, real = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
-    fn.argtypes = (
-        (pointer, pointer, count, count, pointer, count, pointer, count, count, real, real)
-        + (pointer,) * 7
+    fn = _declare(
+        lib, "svm_grid_solve",
+        _POINTER, _POINTER, _COUNT, _COUNT, _POINTER, _COUNT, _POINTER, _COUNT, _COUNT,
+        _REAL, _REAL, *(_POINTER,) * 7,
     )
-    fn.restype = ctypes.c_int64
 
     def svm_grid_solve(X, y, cs, queries, max_iter, tol, sv_tol):
         """``classifiers._svm_grid_loop`` computed in C: returns ``(alpha,
         grad, weights, bias, gaps, updates, decisions)`` as there."""
-        X, queries = np.asarray(X), np.asarray(queries)
-        if X.ndim != 2 or queries.ndim != 2 or np.ndim(cs) != 1:
+        X, y, cs, queries = np.asarray(X), np.asarray(y), np.asarray(cs), np.asarray(queries)
+        if X.ndim != 2 or queries.ndim != 2 or cs.ndim != 1:
             raise ValueError("X and queries must be 2-D and cs 1-D")
         (n, d), m, q = X.shape, len(cs), len(queries)
-        if np.shape(y) != (n,) or queries.shape[1] != d:
+        if y.shape != (n,) or queries.shape[1] != d:
             raise ValueError("y needs one value per row of X and queries X's columns")
-        # The arguments and the results share one buffer, in the order of
-        # the C arguments, so that one address serves them all; the
-        # results come back as views of it, the update counts as int64.
-        sizes = (n * d, n, m, q * d, m * n, m * n, m * d, m, m, m, m * q)
-        ends = list(itertools.accumulate(sizes))
-        starts = [0, *ends[:-1]]
-        buffer = np.concatenate(
-            (X.ravel(), y, cs, queries.ravel(), np.empty(ends[-1] - ends[3])),
-            dtype=np.float64,
+        (X_at, y_at, cs_at, queries_at, *out_at), views = _pack(
+            (X, y, cs, queries), (m * n, m * n, m * d, m, m, m, m * q)
         )
-        base = buffer.ctypes.data
-        X_at, y_at, cs_at, queries_at, *out_at = (base + 8 * start for start in starts)
         status = fn(
             X_at, y_at, n, d, cs_at, m, queries_at, q, max_iter, tol, sv_tol, *out_at
         )
         if status < 0:
             raise MemoryError("svm_grid_solve could not allocate its work arrays")
-        alpha, grad, weights, bias, gaps, updates, decisions = (
-            buffer[start:end] for start, end in zip(starts[4:], ends[4:])
-        )
+        alpha, grad, weights, bias, gaps, updates, decisions = views[4:]
         return (
             alpha.reshape(m, n), grad.reshape(m, n), weights.reshape(m, d), bias, gaps,
             updates.view(np.int64), decisions.reshape(m, q),
@@ -117,51 +134,38 @@ def _bind_svm_grid(lib):
 
 
 def _bind_mlp_grid(lib):
-    fn = lib.mlp_grid_solve
-    pointer, count, real = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
-    fn.argtypes = (
-        (pointer, pointer, count, count, pointer, count, real, pointer, pointer, count)
-        + (count, real)
-        + (pointer,) * 5
+    fn = _declare(
+        lib, "mlp_grid_solve",
+        _POINTER, _POINTER, _COUNT, _COUNT, _POINTER, _COUNT, _REAL, _POINTER, _POINTER,
+        _COUNT, _COUNT, _REAL, *(_POINTER,) * 5,
     )
-    fn.restype = ctypes.c_int64
 
     def mlp_grid_solve(X, t, hs, ridge, w, queries, max_iter, tol):
         """``classifiers._mlp_grid_loop`` computed in C: returns ``(w,
         traces, steps, capped, probabilities)`` as there, and leaves ``w``
         as given."""
-        X, queries = np.asarray(X), np.asarray(queries)
+        X, t, w, queries = np.asarray(X), np.asarray(t), np.asarray(w), np.asarray(queries)
         hs = np.asarray(hs, dtype=np.int64)
         if X.ndim != 2 or queries.ndim != 2 or hs.ndim != 1:
             raise ValueError("X and queries must be 2-D and hs 1-D")
         (n, d), m, q = X.shape, len(hs), len(queries)
         if min(n, d) < 1 or (hs < 1).any() or max_iter < 0:
             raise ValueError("X must be non-empty, every h >= 1 and max_iter >= 0")
-        if np.shape(t) != (n,) or queries.shape[1] != d:
+        if t.shape != (n,) or queries.shape[1] != d:
             raise ValueError("t needs one value per row of X and queries X's columns")
-        if np.shape(w) != (int(((d + 2) * hs + 1).sum()),):
+        if w.shape != (int(((d + 2) * hs + 1).sum()),):
             raise ValueError("w needs d*h + 2*h + 1 values per width")
-        # One buffer in the order of the C arguments, as for
-        # svm_grid_solve; the widths go in as int64 bits, and the weights
-        # are trained in the buffer's copy.
-        sizes = (n * d, n, m, len(w), q * d, m * (max_iter + 1), m, m, m, m * q)
-        ends = list(itertools.accumulate(sizes))
-        starts = [0, *ends[:-1]]
-        buffer = np.concatenate(
-            (X.ravel(), t, hs.view(np.float64), w, queries.ravel(),
-             np.empty(ends[-1] - ends[4])),
-            dtype=np.float64,
+        # the widths go in as int64 bits, and the weights are trained in
+        # the buffer's copy
+        (X_at, t_at, hs_at, w_at, queries_at, *out_at), views = _pack(
+            (X, t, hs.view(np.float64), w, queries), (m * (max_iter + 1), m, m, m, m * q)
         )
-        base = buffer.ctypes.data
-        X_at, t_at, hs_at, w_at, queries_at, *out_at = (base + 8 * start for start in starts)
         status = fn(
             X_at, t_at, n, d, hs_at, m, ridge, w_at, queries_at, q, max_iter, tol, *out_at
         )
         if status < 0:
             raise MemoryError("mlp_grid_solve could not allocate its work arrays")
-        w, _, traces, lengths, steps, capped, probabilities = (
-            buffer[start:end] for start, end in zip(starts[3:], ends[3:])
-        )
+        w, _, traces, lengths, steps, capped, probabilities = views[3:]
         traces = traces.reshape(m, max_iter + 1)
         return (
             w, [row[:k].tolist() for row, k in zip(traces, lengths.view(np.int64).tolist())],
@@ -172,17 +176,10 @@ def _bind_mlp_grid(lib):
 
 
 def _bind_parse(lib):
-    fn = lib.parse_matrix_rows
-    fn.argtypes = (
-        ctypes.c_char_p,
-        ctypes.c_int64,
-        ctypes.c_int64,
-        ctypes.c_int64,
-        ctypes.c_int64,
-        _MATRIX,
-        np.ctypeslib.ndpointer(dtype=np.int64, ndim=2, flags="C_CONTIGUOUS"),
+    fn = _declare(
+        lib, "parse_matrix_rows",
+        ctypes.c_char_p, _COUNT, _COUNT, _COUNT, _COUNT, _POINTER, _POINTER,
     )
-    fn.restype = ctypes.c_int64
 
     def parse_matrix_rows(data, start, n_samples):
         """The rows of the matrix TSV ``data`` (bytes) after its header,
@@ -197,9 +194,14 @@ def _bind_parse(lib):
             data.count(b"\n", start) + (not data.endswith(b"\n")),
             (len(data) - start) // (2 * n_samples) + 1,
         )
+        # two arrays of their own rather than views of one buffer, so that
+        # neither result keeps the other's memory alive
         matrix = np.empty((max_rows, n_samples))
         id_spans = np.empty((max_rows, 2), dtype=np.int64)
-        rows = fn(data, len(data), start, n_samples, max_rows, matrix, id_spans)
+        rows = fn(
+            data, len(data), start, n_samples, max_rows, matrix.ctypes.data,
+            id_spans.ctypes.data,
+        )
         if rows == -2:
             raise MemoryError("parse_matrix_rows could not allocate its memo")
         return None if rows < 0 else (matrix[:rows], id_spans[:rows])

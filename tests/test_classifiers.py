@@ -122,6 +122,29 @@ def test_knn_k_bounds():
         knn_classify(train, np.ones(2), 5)
 
 
+def test_knn_k_must_be_a_whole_number_on_both_entry_points():
+    train = _separable(np.random.default_rng(514), n_per_class=3, dim=2)
+    queries = np.array([[0.1, -0.2], [2.0, 1.5]])
+    for k in (2.5, math.nan, math.inf, 0.999):
+        with pytest.raises(ValueError, match="k must be"):
+            knn_classify(train, queries[0], k)
+        with pytest.raises(ValueError, match="k must be"):
+            knn_grid_labels(train, [1, k], queries)
+    # a whole float is the same k as the int
+    assert knn_classify(train, queries[0], 2.0) == knn_classify(train, queries[0], 2)
+    np.testing.assert_array_equal(
+        knn_grid_labels(train, [2.0, 3.0], queries), knn_grid_labels(train, [2, 3], queries)
+    )
+
+
+def test_empty_grids_give_no_rows():
+    train = _separable(np.random.default_rng(515), n_per_class=3, dim=2)
+    queries = np.zeros((4, 2))
+    for grid_labels in (knn_grid_labels, svm_grid_labels, nbc_grid_labels):
+        labels = grid_labels(train, [], queries)
+        assert labels.shape == (0, 4) and labels.dtype == np.int64
+
+
 # ---------------------------------------------------------------------------
 # batched knn and nbc cores
 
@@ -861,6 +884,41 @@ def test_mlp_probabilities_bit_identical_to_per_query_calls(monkeypatch):
     assert rows > 1000
 
 
+def test_mlp_rejects_nan_ridge():
+    # NaN passes a `ridge < 0` test and would train a NaN network
+    train = _separable(np.random.default_rng(549), n_per_class=3, dim=2)
+    with pytest.raises(ValueError, match="ridge"):
+        mlp_train(train, hidden_count=2, ridge=math.nan)
+    with pytest.raises(ValueError, match="ridge"):
+        mlp_grid_labels(train, [1, 2], np.zeros((1, 2)), [0, 1], ridge=math.nan)
+
+
+def _exp_or_inf(v):
+    """``math.exp``, overflowing to ``inf`` as C's ``exp`` does."""
+    try:
+        return math.exp(v)
+    except OverflowError:
+        return math.inf
+
+
+def test_expit_is_one_over_one_plus_libm_exp():
+    # the Python training loop takes its sigmoid from SciPy's expit on
+    # the premise that it computes 1 / (1 + exp(-x)) with the C library's
+    # exp, as the compiled loop does; this pins that premise, bit for bit
+    rng = np.random.default_rng(550)
+    x = np.concatenate(
+        [scale * rng.normal(size=5000) for scale in (1.0, 10.0, 100.0, 800.0)]
+        + [[1e300, -1e300, -800.0, -746.0, -745.0, -709.0, -708.0, 0.0, -0.0, 1e-300,
+            36.0, 37.0, 709.0, 710.0]]
+    )
+    e = np.array([_exp_or_inf(-v) for v in x.tolist()])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = scipy.special.expit(x)
+        want = 1.0 / (1.0 + e)
+    assert got.tobytes() == want.tobytes()
+
+
 def test_fixed_order_loss_and_grad_matches_numpy_oracle():
     # the training loop's own arithmetic stays within round-off of
     # mlp_loss_and_grad, the oracle the finite-difference checks cover
@@ -1085,7 +1143,7 @@ def test_predictors_reject_bad_queries(predictor):
         "nbc": lambda q: nbc_predict(nbc_train(train), q),
         "mlp": lambda q: mlp_predict(mlp_train(train, hidden_count=2), q),
         "mlp_probabilities": lambda q: mlp_probabilities(
-            mlp_train(train, hidden_count=2), q[None, :]
+            mlp_train(train, hidden_count=2), q[None]
         ),
     }[predictor]
     predict(np.zeros(2))
@@ -1093,3 +1151,7 @@ def test_predictors_reject_bad_queries(predictor):
         predict(np.array([0.0, np.nan]))
     with pytest.raises(ValueError, match="features"):
         predict(np.zeros(3))
+    with pytest.raises(ValueError, match="features"):
+        predict(np.zeros((1, 2)))
+    with pytest.raises(ValueError, match="features"):
+        predict(np.zeros(()))

@@ -147,6 +147,15 @@ def _failing_save_trace(trace, path):
     raise OSError("disk full")
 
 
+def test_nan_mutation_sigma_exits_one_before_writing(tables, tmp_path, capsys):
+    _, matrix_path, labels_path = tables
+    out = tmp_path / "opt"
+    argv = _optimize_argv(matrix_path, labels_path, out, 11)
+    assert cli.main([*argv, "--mutation-sigma", "nan", "--mutation-rate", "1"]) == 1
+    assert "mutation_sigma must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_failed_second_artifact_publishes_nothing(tables, tmp_path, monkeypatch):
     # fgf_params.json is complete when the trace write fails, and stays
     # unpublished with it

@@ -122,13 +122,13 @@ def test_inner_search_scales_each_fold_once(monkeypatch):
     features = rng.normal(size=(16, 3))
     labels = np.array([0] * 8 + [1] * 8)
     calls = []
-    scale_fit = crossval._scale_fit
+    floored_scale = crossval.floored_scale
 
-    def counting(block):
+    def counting(block, axis):
         calls.append(block.shape)
-        return scale_fit(block)
+        return floored_scale(block, axis)
 
-    monkeypatch.setattr(crossval, "_scale_fit", counting)
+    monkeypatch.setattr(crossval, "floored_scale", counting)
     for classifier in CLASSIFIERS:
         calls.clear()
         inner_search(features, labels, classifier, seed=1)

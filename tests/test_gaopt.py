@@ -50,6 +50,13 @@ def test_config_validation():
 # chromosome repair
 
 
+def test_config_rejects_nan_sigma():
+    # NaN passes a `sigma <= 0` test, and the search would then fail on
+    # non-finite anchors only after running
+    with pytest.raises(ValueError, match="mutation_sigma"):
+        GaConfig(mutation_sigma=float("nan"))
+
+
 def test_repair_output_always_valid():
     rng = np.random.default_rng(400)
     for trial in range(500):

@@ -55,6 +55,26 @@ def test_backends_bit_identical():
             assert clamped == base_clamped
 
 
+def test_raw_c_kernel_copies_strided_inputs_and_checks_shapes():
+    impls = kernels.available_backends()
+    if "c" not in impls:
+        pytest.skip("the C kernel is not loaded")
+    c_scores = impls["c"]
+    rng = np.random.default_rng(202)
+    fc, var, rs = rng.random((3, 2 * 150))
+    params = np.repeat(_random_params(rng), 2)[::2]
+    # views that step over every other value
+    want_scores, want_clamped = _mamdani_py.mamdani_scores(fc[::2], var[::2], rs[::2], params)
+    scores, clamped = c_scores(fc[::2], var[::2], rs[::2], params)
+    assert scores.tobytes() == want_scores.tobytes()
+    assert int(clamped) == int(want_clamped)
+    good = np.full(4, 0.5)
+    with pytest.raises(ValueError):
+        c_scores(np.full((4, 2), 0.5), good, good, DEFAULT)
+    with pytest.raises(ValueError):
+        c_scores(good, good, good, DEFAULT[:4])
+
+
 def test_extreme_corner_scores():
     # all rules point at the lowest / highest output class in these corners
     scores, _ = kernels.mamdani_scores(
