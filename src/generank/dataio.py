@@ -323,9 +323,11 @@ def quantile_normalize(matrix, use_median: bool = False) -> np.ndarray:
         reference = sorted_cols.mean(axis=1)
 
     n, n_cols = X.shape
-    order = np.argsort(X, axis=0, kind="stable")
+    order = np.argsort(X, axis=0)
     # Tie runs are found by ``==`` on the values gathered through
-    # ``order``, so -0.0 and 0.0 form one run.
+    # ``order``, so -0.0 and 0.0 form one run. Any sort puts equal values
+    # side by side, so the runs are the same spans whatever order a run's
+    # elements take, and each element of a run gets that span's one value.
     vals = np.take_along_axis(X, order, axis=0)
     tied = vals[1:] == vals[:-1]
     ranked = np.repeat(reference[:, None], n_cols, axis=1)

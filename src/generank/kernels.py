@@ -203,7 +203,7 @@ def _bind_parse(lib):
             id_spans.ctypes.data,
         )
         if rows == -2:
-            raise MemoryError("parse_matrix_rows could not allocate its memo")
+            raise MemoryError("parse_matrix_rows could not copy a cell of 64 bytes or more")
         return None if rows < 0 else (matrix[:rows], id_spans[:rows])
 
     return parse_matrix_rows

@@ -1,11 +1,14 @@
 """Tests for table parsing, validation, normalization and standardization."""
 
+import importlib.util
+import pathlib
+import re
 import time
 
 import numpy as np
 import pytest
 
-from generank import dataio, kernels
+from generank import _cbuild, dataio, kernels
 from generank.dataio import (
     DataFormatError,
     Dataset,
@@ -182,7 +185,37 @@ _READER_CASES = {
         True,
     ),
     "fuzz": (b"gene_id\ta\tb\tc\n" + _fuzz_rows(), True),
+    "19-and-20-digits": (
+        _HEAD + b"g0\t1234567890123456789\t12345678901234567890\t9999999999999999999\n"
+        b"g1\t0.1234567890123456789\t1.2345678901234567891e-5\t18446744073709551616\n",
+        True,
+    ),
+    "leading-zeros": (
+        _HEAD + b"g0\t" + b"0" * 40 + b"1.5\t0." + b"0" * 40 + b"1234567890123456789\t-"
+        + b"0" * 30 + b"." + b"0" * 30 + b"12345678901234567890e35\n"
+        b"g1\t" + b"0" * 30 + b"\t-0." + b"0" * 30 + b"\t00.00e-5\n",
+        True,
+    ),
+    "range-edges": (
+        _HEAD + b"g0\t1e-342\t1e-343\t1e308\n"
+        b"g1\t1e309\t1.7976931348623157e308\t1.7976931348623158e308\n"
+        b"g2\t1.7976931348623159e308\t-1.7976931348623159e308\t2.2250738585072014e-308\n",
+        True,
+    ),
+    "signed-zeros-and-2^53+1": (_HEAD + b"g0\t-0\t-0.0e-400\t9007199254740993\n", True),
+    "long-exponents": (
+        _HEAD + b"g0\t1e" + b"0" * 24 + b"1\t1e-" + b"9" * 25 + b"\t0e" + b"9" * 25 + b"\n"
+        b"g1\t-1e+" + b"9" * 25 + b"\t1" + b"0" * 30 + b"e-" + b"0" * 24 + b"30\t.5e"
+        + b"0" * 30 + b"\n",
+        True,
+    ),
 }
+
+
+def _float_matrix(data):
+    """The cells of a matrix file's rows, each read by ``float()``."""
+    lines = data.decode().split("\n")[1:]
+    return np.array([[float(c) for c in line.split("\t")[1:]] for line in lines if line])
 
 
 @pytest.mark.parametrize("name", sorted(_READER_CASES))
@@ -192,6 +225,8 @@ def test_c_reader_matches_line_reader(tmp_path, monkeypatch, name):
     path.write_bytes(data)
     fast, slow = _parse_both(path, monkeypatch)
     _assert_same(fast, slow)
+    if strict:
+        assert fast[0].tobytes() == _float_matrix(data).tobytes()
     if kernels.parse_matrix_rows is not None:
         assert (dataio._parse_matrix_strict(path, data) is not None) == strict
 
@@ -211,10 +246,9 @@ def test_strict_file_never_reaches_line_reader(tmp_path, monkeypatch):
 
 
 @needs_reader
-def test_c_reader_memo_fills_and_keeps_converting(tmp_path, monkeypatch):
-    # 4 rows give the memo 8 slots, 4 of them filled; the other texts are
-    # converted each time they appear. The texts differ in their last
-    # digits only, and probes often pass over each other's slots.
+def test_c_reader_converts_texts_differing_in_last_digits(tmp_path, monkeypatch):
+    # The texts share their first 15 digits, and texts that repeat come
+    # back in other rows and columns.
     rows = [[f"1.0000000000000{(i * 5 + j) % 11:02d}" for j in range(3)] for i in range(4)]
     data = _HEAD + "".join(f"g{i}\t" + "\t".join(r) + "\n" for i, r in enumerate(rows)).encode()
     path = tmp_path / "m.tsv"
@@ -223,6 +257,53 @@ def test_c_reader_memo_fills_and_keeps_converting(tmp_path, monkeypatch):
     _assert_same(fast, slow)
     want = np.array([[float(c) for c in r] for r in rows])
     assert fast[0].tobytes() == want.tobytes()
+
+
+def _load_bench_reader():
+    path = pathlib.Path(__file__).resolve().parents[1] / "benchmarks" / "bench_reader.py"
+    spec = importlib.util.spec_from_file_location("bench_reader", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_c_reader_sweep_matches_float(tmp_path, monkeypatch):
+    # 100,000 seeded cells in one file: the reprs of random bit patterns
+    # and random texts in every strict form, exponents up to +-400.
+    bench = _load_bench_reader()
+    rng = np.random.default_rng(23)
+    texts = bench.bit_patterns(rng, 50_000) + bench.strict_forms(rng, 50_000)
+    head = "gene_id\t" + "\t".join(f"s{j}" for j in range(bench.WIDTH)) + "\n"
+    path = tmp_path / "m.tsv"
+    path.write_bytes(head.encode() + bench.matrix_body(texts))
+    fast, slow = _parse_both(path, monkeypatch)
+    _assert_same(fast, slow)
+    want = np.array([float(t) for t in texts])
+    assert fast[0].ravel()[: len(texts)].tobytes() == want.tobytes()
+
+
+def _power_of_five_rows():
+    """The 128-bit rows of 5^q for -342 <= q <= 308 by fast_float's rule,
+    as ``_mamdani.c``'s POW5 comment states it."""
+    words = []
+    for q in range(-342, 309):
+        if q >= 0:
+            row = 5**q << 128
+        else:
+            power = 5**-q
+            z = (power - 1).bit_length()
+            row = 2 ** (z + 127 if q >= -27 else 2 * z + 128) // power + 1
+        row >>= row.bit_length() - 128
+        words += [row >> 64, row & (2**64 - 1)]
+    return words
+
+
+def test_power_of_five_table_matches_its_rule():
+    source = pathlib.Path(_cbuild.SOURCE).read_text()
+    body = source.split("static const uint64_t POW5[2 * 651] = {", 1)[1].split("};", 1)[0]
+    words = [int(word, 16) for word in re.findall(r"0x([0-9a-f]{16})u", body)]
+    assert len(words) == 2 * 651
+    assert words == _power_of_five_rows()
 
 
 @needs_reader
@@ -529,6 +610,39 @@ def test_quantile_normalize_bit_identical_to_loop(use_median):
         got = quantile_normalize(matrix, use_median=use_median)
         want = _quantile_normalize_loop(matrix, use_median=use_median)
         assert got.tobytes() == want.tobytes(), name
+
+
+_ARGSORT = np.argsort
+
+
+def _argsort_reversing_ties(X, axis=0):
+    """An argsort of ``X`` along axis 0 that reverses every run of equal
+    values from the stable sort's order."""
+    order = _ARGSORT(X, axis=axis, kind="stable")
+    vals = np.take_along_axis(X, order, axis=0)
+    for col in range(X.shape[1]):
+        starts = np.flatnonzero(np.concatenate(([True], vals[1:, col] != vals[:-1, col])))
+        for start, stop in zip(starts.tolist(), [*starts[1:].tolist(), len(X)]):
+            order[start:stop, col] = order[start:stop, col][::-1]
+    return order
+
+
+@pytest.mark.parametrize("use_median", [False, True])
+def test_quantile_normalize_bytes_do_not_depend_on_tie_order(monkeypatch, use_median):
+    # Integer values with heavy ties, each zero signed at random.
+    rng = np.random.default_rng(15)
+    matrices = [
+        rng.integers(-3, 4, size=shape) * rng.choice([-1.0, 1.0], size=shape)
+        for shape in ((1, 5), (40, 7), (301, 12))
+    ]
+    want = [quantile_normalize(X, use_median=use_median).tobytes() for X in matrices]
+    for argsort in (
+        lambda X, axis=0: _ARGSORT(X, axis=axis, kind="stable"),
+        _argsort_reversing_ties,
+    ):
+        monkeypatch.setattr(np, "argsort", argsort)
+        got = [quantile_normalize(X, use_median=use_median).tobytes() for X in matrices]
+        assert got == want
 
 
 def test_quantile_normalize_realistic_size_within_budget():
