@@ -1,5 +1,6 @@
 /* Three compiled solvers that mirror Python code expression for
- * expression, and a reader of the expression matrix's text:
+ * expression, a reader of the expression matrix's text, and NumPy's
+ * seeding and uniform draws:
  *
  * mamdani_scores, the batch fuzzy-inference kernel, a plain-C port of
  * generank._mamdani_py. The centroid accumulates in ascending grid
@@ -25,6 +26,12 @@
  * form, to the bits generank.dataio's line-by-line reader gives them:
  * each cell is converted by the Eisel-Lemire algorithm, exact and
  * several times faster than strtod, which takes the rare cells it leaves.
+ *
+ * derived_seed and initial_weights, ports of NumPy's SeedSequence and
+ * PCG64 that give generank.crossval._derived_seed's seeds and
+ * generank.classifiers._initial_weights' starting weights with
+ * numpy.random's bits. The 128-bit LCG step multiplies 64-bit halves
+ * (multiply_128), so no compiler's 128-bit type is needed.
  *
  * The library is built with -ffp-contract=off, so no loop fuses a
  * multiply and an add that the Python code rounds separately, and each
@@ -1182,4 +1189,167 @@ int64_t parse_matrix_rows(const char *data, int64_t size, int64_t pos,
         rows++;
     }
     return status == 0 ? rows : status;
+}
+
+/* NumPy's SeedSequence (pool size 4) and PCG64, bit for bit, so that the
+ * perceptron's seeds and starting weights are drawn here instead of by
+ * numpy.random. Entropy comes in as little-endian uint32 words packed in
+ * bytes, the words NumPy's _int_to_uint32_array makes of each int. The
+ * constants and the order of every step are those of NumPy's
+ * bit_generator.pyx and pcg64.h. */
+
+static const uint32_t INIT_A = 0x43b0d7e5u, MULT_A = 0x931e8875u;
+static const uint32_t INIT_B = 0x8b51f9ddu, MULT_B = 0x58f38dedu;
+static const uint32_t MIX_MULT_L = 0xca01f9ddu, MIX_MULT_R = 0x4973f715u;
+static const uint64_t PCG_MULT_HIGH = 2549297995355413924u;
+static const uint64_t PCG_MULT_LOW = 4865540595714422341u;
+
+static uint32_t hashmix(uint32_t value, uint32_t *hash_const)
+{
+    value ^= *hash_const;
+    *hash_const *= MULT_A;
+    value *= *hash_const;
+    return value ^ (value >> 16);
+}
+
+static uint32_t mix(uint32_t x, uint32_t y)
+{
+    uint32_t result = MIX_MULT_L * x - MIX_MULT_R * y;
+
+    return result ^ (result >> 16);
+}
+
+/* Word i of the little-endian words in bytes, on any host. */
+static uint32_t word_at(const unsigned char *bytes, int64_t i)
+{
+    const unsigned char *b = bytes + 4 * i;
+
+    return (uint32_t)b[0] | (uint32_t)b[1] << 8 | (uint32_t)b[2] << 16 | (uint32_t)b[3] << 24;
+}
+
+/* SeedSequence(entropy).pool for n words of entropy: mix_entropy. */
+static void seed_pool(const unsigned char *entropy, int64_t n, uint32_t pool[4])
+{
+    uint32_t hash_const = INIT_A;
+    int64_t src, dst;
+
+    for (dst = 0; dst < 4; dst++)
+        pool[dst] = hashmix(dst < n ? word_at(entropy, dst) : 0, &hash_const);
+    for (src = 0; src < 4; src++)
+        for (dst = 0; dst < 4; dst++)
+            if (src != dst)
+                pool[dst] = mix(pool[dst], hashmix(pool[src], &hash_const));
+    for (src = 4; src < n; src++)
+        for (dst = 0; dst < 4; dst++)
+            pool[dst] = mix(pool[dst], hashmix(word_at(entropy, src), &hash_const));
+}
+
+/* SeedSequence.generate_state(n_words) of the pool, as uint32 words. */
+static void seed_state(const uint32_t pool[4], int64_t n_words, uint32_t *state)
+{
+    uint32_t hash_const = INIT_B, value;
+    int64_t i;
+
+    for (i = 0; i < n_words; i++) {
+        value = pool[i % 4] ^ hash_const;
+        hash_const *= MULT_B;
+        value *= hash_const;
+        state[i] = value ^ (value >> 16);
+    }
+}
+
+/* A 128-bit PCG64 state or increment. */
+typedef struct {
+    uint64_t high, low;
+} pcg128;
+
+/* One step of the 128-bit LCG, state * multiplier + inc modulo 2^128,
+ * with multiply_128 rather than a compiler's 128-bit type. */
+static void pcg_step(pcg128 *state, pcg128 inc)
+{
+    uint64_t high, low;
+
+    multiply_128(state->low, PCG_MULT_LOW, &high, &low);
+    high += state->high * PCG_MULT_LOW + state->low * PCG_MULT_HIGH;
+    state->low = low + inc.low;
+    state->high = high + inc.high + (state->low < low);
+}
+
+/* PCG64(seed)'s state and increment for a seed of n entropy words: the
+ * four uint64 of generate_state(4, uint64) are the initial state's high
+ * and low halves, then the stream's, as pcg64_set_seed reads them. */
+static void pcg_seed(const unsigned char *entropy, int64_t n, pcg128 *state, pcg128 *inc)
+{
+    uint32_t pool[4], words[8];
+    uint64_t v[4];
+    int64_t k;
+
+    seed_pool(entropy, n, pool);
+    seed_state(pool, 8, words);
+    for (k = 0; k < 4; k++)
+        v[k] = (uint64_t)words[2 * k] | (uint64_t)words[2 * k + 1] << 32;
+    inc->high = v[2] << 1 | v[3] >> 63;
+    inc->low = v[3] << 1 | 1u;
+    state->high = state->low = 0;
+    pcg_step(state, *inc);
+    state->low += v[1];
+    state->high += v[0] + (state->low < v[1]);
+    pcg_step(state, *inc);
+}
+
+/* Generator.uniform(low, low + range)'s next value: PCG64's next 64 bits
+ * (XSL-RR output of the stepped state), their top 53 as a double in
+ * [0, 1), then low + range * that. */
+static double pcg_uniform(pcg128 *state, pcg128 inc, double low, double range)
+{
+    uint64_t x;
+    unsigned rot;
+
+    pcg_step(state, inc);
+    x = state->high ^ state->low;
+    rot = (unsigned)(state->high >> 58);
+    x = x >> rot | x << ((64 - rot) & 63);
+    return low + range * ((double)(x >> 11) * (1.0 / 9007199254740992.0));
+}
+
+/* SeedSequence(entropy).generate_state(1)[0] for n little-endian words
+ * of entropy: generank.crossval._derived_seed's value. */
+int64_t derived_seed(const unsigned char *entropy, int64_t n)
+{
+    uint32_t pool[4], state;
+
+    seed_pool(entropy, n, pool);
+    seed_state(pool, 1, &state);
+    return state;
+}
+
+/* Every hidden width's starting weights, as generank.classifiers.
+ * _initial_weights draws them from default_rng(seed): fit r, of width
+ * hs[r], takes the next n_words[r] words of entropy as its seed, and
+ * writes its d * h + 2 * h + 1 packed values after the previous fit's.
+ * w1 is d * h draws of uniform(-0.5, 0.5) over sqrt(d) in row-major
+ * order, then h zero biases, then w2, h draws over sqrt(h), then a zero
+ * bias. Returns 0. */
+int64_t initial_weights(int64_t d, const int64_t *hs, int64_t n_h,
+                        const unsigned char *entropy, const int64_t *n_words, double *w)
+{
+    pcg128 state, inc;
+    double scale;
+    int64_t r, h, i;
+
+    for (r = 0; r < n_h; r++) {
+        h = hs[r];
+        pcg_seed(entropy, n_words[r], &state, &inc);
+        entropy += 4 * n_words[r];
+        scale = sqrt((double)d);
+        for (i = 0; i < d * h; i++)
+            *w++ = pcg_uniform(&state, inc, -0.5, 1.0) / scale;
+        for (i = 0; i < h; i++)
+            *w++ = 0.0;
+        scale = sqrt((double)h);
+        for (i = 0; i < h; i++)
+            *w++ = pcg_uniform(&state, inc, -0.5, 1.0) / scale;
+        *w++ = 0.0;
+    }
+    return 0;
 }

@@ -727,7 +727,9 @@ _MLP_GRID = kernels.mlp_grid_solve or _mlp_grid_loop
 def _initial_weights(d: int, h: int, seed: int) -> np.ndarray:
     """A fit's packed starting weights, drawn from its own seed: both
     weight layers uniform in +-0.5 over the root of their fan-in, the
-    biases 0."""
+    biases 0. ``kernels.initial_weights`` is its compiled port, which
+    draws a whole grid's weights in one call; this is its oracle and the
+    path without a compiler."""
     rng = np.random.default_rng(seed)
     w1 = rng.uniform(-0.5, 0.5, (d, h)) / math.sqrt(d)
     w2 = rng.uniform(-0.5, 0.5, h) / math.sqrt(h)
@@ -737,9 +739,15 @@ def _initial_weights(d: int, h: int, seed: int) -> np.ndarray:
 def _mlp_grid(train: TrainSet, hs: list, queries: np.ndarray, seeds, ridge: float):
     """Unchecked core of :func:`mlp_grid_labels` and :func:`mlp_train`:
     :func:`_mlp_grid_loop`'s results through ``_MLP_GRID``, each width
-    started from the weights its seed draws."""
+    started from the weights its seed draws. The library draws every
+    width's weights in one call when it is loaded and the seeds are ints
+    (``kernels.initial_weights``); :func:`_initial_weights`, its oracle,
+    draws them otherwise, with the same bits."""
     d = train.n_features
-    w = np.concatenate([_initial_weights(d, h, s) for h, s in zip(hs, seeds)])
+    if kernels.initial_weights is not None and kernels.seed_ints(seeds):
+        w = kernels.initial_weights(d, hs, seeds)
+    else:
+        w = np.concatenate([_initial_weights(d, h, s) for h, s in zip(hs, seeds)])
     t = train.labels.astype(np.float64)
     return _MLP_GRID(
         train.features, t, hs, ridge, w, queries, _MLP_MAX_ITER, _MLP_GRAD_TOL
@@ -747,11 +755,12 @@ def _mlp_grid(train: TrainSet, hs: list, queries: np.ndarray, seeds, ridge: floa
 
 
 def _checked_mlp_arguments(hidden_counts, ridge) -> list:
-    """``hidden_counts`` as a non-empty list of ints, each at least 1,
-    after checking that ``ridge`` is not negative."""
-    hs = [int(h) for h in np.asarray(hidden_counts).reshape(-1).tolist()]
-    if min(hs, default=0) < 1:
-        raise ValueError("hidden_count must be >= 1")
+    """``hidden_counts`` as a non-empty list of ints, each a whole number
+    of at least 1, after checking that ``ridge`` is not negative."""
+    hs = np.asarray(hidden_counts).reshape(-1).tolist()
+    if not hs or not all(h >= 1 and float(h).is_integer() for h in hs):
+        raise ValueError("hidden_count must be a whole number >= 1")
+    hs = [int(h) for h in hs]
     if not ridge >= 0.0:
         raise ValueError("ridge must be >= 0")
     return hs

@@ -21,7 +21,7 @@ import numpy as np
 from scipy.special import betainc
 
 from generank import fgf as fgf_mod
-from generank import gaopt
+from generank import gaopt, kernels
 from generank.classifiers import (
     ConvergenceError,
     TrainSet,
@@ -77,8 +77,14 @@ class AnovaResult:
 
 
 def _derived_seed(*parts) -> int:
-    """Independent child stream for one (seed, fold, ...) coordinate."""
-    return int(np.random.SeedSequence([int(p) for p in parts]).generate_state(1)[0])
+    """Independent child stream for one (seed, fold, ...) coordinate: the
+    first 32-bit word of NumPy's ``SeedSequence(parts)`` state. The
+    library's port (``kernels.derived_seed``) computes it when it is
+    loaded and every part is an int; ``SeedSequence``, its oracle, does
+    otherwise, so a part it rejects raises its own error."""
+    if kernels.derived_seed is not None and kernels.seed_ints(parts):
+        return kernels.derived_seed(parts)
+    return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
 
 
 def stratified_folds(labels, n_folds: int, seed: int) -> np.ndarray:

@@ -7,15 +7,20 @@ bounds, with their SMO update loop (``classifiers._svm_grid_loop``), and
 the perceptron fits of a whole grid of hidden widths, with their
 scaled-conjugate-gradient loop (``classifiers._mlp_grid_loop``). It also
 holds a reader of the expression matrix's rows, whose oracle and
-fallback is the line-by-line reader ``dataio._parse_matrix_lines``. It
-is loaded through ctypes and preferred. On first import it is compiled
-when no build of the current source exists and a C compiler (``cc``) is
-on ``PATH``; see ``_cbuild``. Without a compiler, or if the build fails
-(which warns with the compiler's output), the Python code takes over.
-Both produce bit-identical results, so the choice only affects speed;
-``BACKEND`` names the fuzzy kernel that runs, and ``svm_grid_solve``,
-``mlp_grid_solve`` and ``parse_matrix_rows`` are None when the library
-is not loaded. The one difference is which NaN an overflowed SVM fit
+fallback is the line-by-line reader ``dataio._parse_matrix_lines``, and
+a bit-exact port of NumPy's ``SeedSequence`` and ``PCG64`` that draws
+the perceptron's seeds (``derived_seed``, for
+``crossval._derived_seed``) and starting weights (``initial_weights``,
+for ``classifiers._initial_weights``), whose oracle and fallback is
+``numpy.random``. It is loaded through ctypes and preferred. On first
+import it is compiled when no build of the current source exists and a
+C compiler (``cc``) is on ``PATH``; see ``_cbuild``. Without a compiler,
+or if the build fails (which warns with the compiler's output), the
+Python code takes over. Both produce bit-identical results, so the
+choice only affects speed; ``BACKEND`` names the fuzzy kernel that runs,
+and ``svm_grid_solve``, ``mlp_grid_solve``, ``parse_matrix_rows``,
+``derived_seed`` and ``initial_weights`` are None when the library is
+not loaded. The one difference is which NaN an overflowed SVM fit
 holds, and ``classifiers.svm_train`` and ``svm_grid_labels`` reject
 such a fit on either path.
 
@@ -26,7 +31,9 @@ fuzzy kernel and the two grid solvers get their inputs and their results
 in one float64 buffer that ``_pack`` lays out in the order of the C
 arguments, so a call allocates once and its results are views of that
 buffer. The matrix reader writes into a float64 matrix and an int64
-array of its own.
+array of its own. The matrix text and the seeds' entropy go in as bytes
+(``c_char_p``); the entropy is each seed's little-endian uint32 words,
+which ``_seed_words`` makes.
 """
 
 from __future__ import annotations
@@ -143,7 +150,10 @@ def _bind_mlp_grid(lib):
     def mlp_grid_solve(X, t, hs, ridge, w, queries, max_iter, tol):
         """``classifiers._mlp_grid_loop`` computed in C: returns ``(w,
         traces, steps, capped, probabilities)`` as there, and leaves ``w``
-        as given."""
+        as given. It takes starting weights rather than seeds, so that it
+        can be started from any point, such as the saturated and
+        overflowing ones no seed draws that its tests compare with the
+        Python loop; ``initial_weights`` draws the seeded ones."""
         X, t, w, queries = np.asarray(X), np.asarray(t), np.asarray(w), np.asarray(queries)
         hs = np.asarray(hs, dtype=np.int64)
         if X.ndim != 2 or queries.ndim != 2 or hs.ndim != 1:
@@ -209,6 +219,54 @@ def _bind_parse(lib):
     return parse_matrix_rows
 
 
+def seed_ints(values) -> bool:
+    """Whether every value is an int or a NumPy integer, the seeds that
+    ``derived_seed`` and ``initial_weights`` take. NumPy's
+    ``SeedSequence``, their oracle, takes every other seed, and raises its
+    own error for one it rejects."""
+    return all(isinstance(v, (int, np.integer)) for v in values)
+
+
+def _seed_words(n) -> bytes:
+    """The non-negative int ``n`` as little-endian uint32 words, in bytes:
+    the words NumPy's ``_int_to_uint32_array`` makes of a seed (one word
+    for 0), with its error for a negative one."""
+    n = int(n)
+    if n < 0:
+        raise ValueError("expected non-negative integer")
+    return n.to_bytes(4 * max(1, -(-n.bit_length() // 32)), "little")
+
+
+def _bind_seeds(lib):
+    seed_fn = _declare(lib, "derived_seed", ctypes.c_char_p, _COUNT)
+    weights_fn = _declare(
+        lib, "initial_weights", _COUNT, _POINTER, _COUNT, ctypes.c_char_p, _POINTER, _POINTER
+    )
+
+    def derived_seed(parts):
+        """``int(SeedSequence(list(parts)).generate_state(1)[0])`` for
+        non-negative int ``parts``, computed in C."""
+        entropy = b"".join(map(_seed_words, parts))
+        return seed_fn(entropy, len(entropy) // 4)
+
+    def initial_weights(d, hs, seeds):
+        """``classifiers._initial_weights(d, h, seed)`` for each width of
+        ``hs`` and its non-negative int seed, concatenated, drawn in C."""
+        if len(hs) != len(seeds) or d < 0 or min(hs, default=0) < 0:
+            raise ValueError("initial_weights needs d >= 0 and one seed per width h >= 0")
+        # a handful of small ints each: ctypes arrays cost less than _pack
+        entropy = [_seed_words(s) for s in seeds]
+        m = len(entropy)
+        counts = (ctypes.c_int64 * m)(*(len(words) // 4 for words in entropy))
+        w = np.empty(sum((d + 2) * h + 1 for h in hs))
+        weights_fn(
+            d, (ctypes.c_int64 * m)(*hs), m, b"".join(entropy), counts, w.ctypes.data
+        )
+        return w
+
+    return derived_seed, initial_weights
+
+
 def _load_c_kernel():
     """The C fuzzy kernel's raw callable from a fresh load of the
     library, or None; see :func:`_load_library`."""
@@ -222,6 +280,7 @@ if _LIB is not None:
     svm_grid_solve = _bind_svm_grid(_LIB)
     mlp_grid_solve = _bind_mlp_grid(_LIB)
     parse_matrix_rows = _bind_parse(_LIB)
+    derived_seed, initial_weights = _bind_seeds(_LIB)
     _IMPL = _c_scores
     BACKEND = "c"
 else:
@@ -229,6 +288,7 @@ else:
     svm_grid_solve = None
     mlp_grid_solve = None
     parse_matrix_rows = None
+    derived_seed = initial_weights = None
     _IMPL = _mamdani_py.mamdani_scores
     BACKEND = "numpy"
 

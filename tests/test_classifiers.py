@@ -1101,6 +1101,44 @@ def test_mlp_grid_labels_validates():
         mlp_grid_labels(train, [1], np.array([[np.nan, 0.0]]), [0])
 
 
+@both_mlp_loops
+def test_mlp_rejects_a_width_that_is_not_a_whole_number(monkeypatch, loop):
+    monkeypatch.setattr(classifiers, "_MLP_GRID", _loop(loop))
+    train = _separable(np.random.default_rng(548), n_per_class=3, dim=2)
+    for width in (2.5, 1.9, 0.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="hidden_count"):
+            mlp_train(train, width)
+        with pytest.raises(ValueError, match="hidden_count"):
+            mlp_grid_labels(train, [width, 2], np.zeros((1, 2)), [0, 1])
+    # a whole float is the width it names
+    whole, int_width = mlp_train(train, 2.0, seed=3), mlp_train(train, 2, seed=3)
+    assert _same_bits([whole.w1, whole.w2], [int_width.w1, int_width.w2])
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**32 - 1, 2**32, 2**64 + 5, np.int64(9)])
+def test_mlp_train_same_model_from_either_weight_draw(monkeypatch, seed):
+    train = _separable(np.random.default_rng(549), n_per_class=5, dim=3)
+    models = []
+    for port in (kernels.initial_weights, None):
+        monkeypatch.setattr(kernels, "initial_weights", port)
+        models.append(mlp_train(train, 4, seed=seed))
+    ported, oracle = models
+    for field in ("w1", "b1", "w2", "b2", "loss_trace"):
+        assert _same_bits([getattr(ported, field)], [getattr(oracle, field)]), field
+
+
+@pytest.mark.parametrize("seed, error", [(-1, ValueError), (1.5, TypeError)])
+def test_mlp_seed_errors_are_numpys_on_both_paths(monkeypatch, seed, error):
+    train = _separable(np.random.default_rng(550), n_per_class=3, dim=2)
+    with pytest.raises(error) as numpys:
+        np.random.default_rng(seed)
+    for port in (kernels.initial_weights, None):
+        monkeypatch.setattr(kernels, "initial_weights", port)
+        with pytest.raises(error) as raised:
+            mlp_train(train, 2, seed=seed)
+        assert str(raised.value) == str(numpys.value)
+
+
 def test_mlp_model_bits_are_the_same_on_every_host():
     """SHA-256 of the weights and loss trace of three seeded fits.
 

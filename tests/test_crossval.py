@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from generank import classifiers, crossval
+from generank import classifiers, crossval, kernels
 from generank.classifiers import ConvergenceError
 from generank.crossval import (
     CLASSIFIERS,
@@ -138,6 +138,26 @@ def test_inner_search_scales_each_fold_once(monkeypatch):
 
 def _child_seed(*parts):
     return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
+
+
+def test_derived_seed_same_on_both_paths(monkeypatch):
+    coordinates = [(), (0,), (5, 0, 1), (3, 2**32 - 1, 7, 1), (2**40, 3), (np.int64(4), 2)]
+    values = []
+    for port in (kernels.derived_seed, None):
+        monkeypatch.setattr(kernels, "derived_seed", port)
+        values.append([crossval._derived_seed(*parts) for parts in coordinates])
+    assert values[0] == values[1] == [_child_seed(*parts) for parts in coordinates]
+
+
+@pytest.mark.parametrize("part, error", [(-1, ValueError), (1.5, TypeError)])
+def test_derived_seed_errors_are_numpys_on_both_paths(monkeypatch, part, error):
+    with pytest.raises(error) as numpys:
+        np.random.SeedSequence([3, part])
+    for port in (kernels.derived_seed, None):
+        monkeypatch.setattr(kernels, "derived_seed", port)
+        with pytest.raises(error) as raised:
+            crossval._derived_seed(3, part)
+        assert str(raised.value) == str(numpys.value)
 
 
 def test_inner_search_seeds_only_the_perceptron(monkeypatch):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from generank import _cbuild, _mamdani_py, kernels
+from generank import _cbuild, _mamdani_py, classifiers, kernels
 
 
 DEFAULT = np.array([0.25, 0.75, 0.25, 0.75, 0.25, 0.75])
@@ -193,3 +193,66 @@ def test_build_falls_back_to_cache_dir(monkeypatch, tmp_path):
     path = _cbuild.build_library()
     assert path == str(cache / _cbuild.library_name())
     assert _cbuild.find_library() == path
+
+
+needs_library = pytest.mark.skipif(
+    not _cbuild.compiler_present() and _cbuild.find_library() is None,
+    reason="no C compiler on PATH and no built C library",
+)
+
+
+def _random_seed(rng, words):
+    """A non-negative int whose NumPy entropy is ``words`` uint32 words,
+    its top word non-zero unless it is 0, with runs of zero and one bits."""
+    if words == 1 and rng.random() < 0.1:
+        return int(rng.choice([0, 1, 2**32 - 1]))
+    value = 0
+    for _ in range(words):
+        value = value << 32 | int(rng.choice([0, 2**32 - 1, int(rng.integers(0, 2**32))]))
+    return value | 1 << (32 * words - 1 - int(rng.integers(0, 32)))
+
+
+@needs_library
+def test_derived_seed_port_matches_numpy_seed_sequence():
+    rng = np.random.default_rng(210)
+    cases = [(), (0,), (2**32 - 1,), (2**32,), (2**64,), (0, 0, 0, 0, 0, 0)]
+    while len(cases) < 20_000:
+        parts, left = [], int(rng.integers(0, 7))
+        while left:
+            words = int(rng.integers(1, left + 1))
+            parts.append(_random_seed(rng, words))
+            left -= words
+        cases.append(tuple(parts))
+    for parts in cases:
+        want = int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
+        assert kernels.derived_seed(parts) == want, parts
+    # NumPy integers are the same entropy as ints of their value
+    assert kernels.derived_seed((np.int64(5), np.uint64(2**63), 7)) == int(
+        np.random.SeedSequence([5, 2**63, 7]).generate_state(1)[0]
+    )
+
+
+@needs_library
+def test_initial_weights_port_matches_numpy_default_rng():
+    rng = np.random.default_rng(211)
+    fits = 0
+    while fits < 2_000:
+        d = int(rng.integers(1, 60))
+        hs = [int(h) for h in rng.integers(1, 120, int(rng.integers(1, 5)))]
+        seeds = [_random_seed(rng, int(rng.choice([1, 1, 1, 2, 3]))) for _ in hs]
+        want = np.concatenate(
+            [classifiers._initial_weights(d, h, s) for h, s in zip(hs, seeds)]
+        )
+        got = kernels.initial_weights(d, hs, seeds)
+        assert got.tobytes() == want.tobytes(), (d, hs, seeds)
+        fits += len(hs)
+    assert kernels.initial_weights(3, [], []).shape == (0,)
+    with pytest.raises(ValueError):
+        kernels.initial_weights(3, [2, 4], [1])
+
+
+def test_seed_ints_takes_ints_only():
+    assert kernels.seed_ints([0, 2**70, True, np.int64(3), np.uint32(4)])
+    assert kernels.seed_ints([])
+    for other in (1.5, np.float64(2.0), "3", None, [1], np.array(5)):
+        assert not kernels.seed_ints([1, other])
