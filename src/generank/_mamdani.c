@@ -19,8 +19,10 @@
  * training block, a port of generank.classifiers._mlp_grid_loop: for
  * each width, scg_loop (a port of classifiers._scg_loop, the
  * scaled-conjugate-gradient training loop) and the class-1 output of
- * each query. Every sum runs left to right and exp and log come from the
- * C library on both sides, so neither depends on BLAS or SIMD code paths.
+ * each query, in one work area per call. One forward pass (a port of
+ * classifiers._mlp_forward) serves the training loss and the queries.
+ * Every sum runs left to right and exp and log come from the C library
+ * on both sides, so neither depends on BLAS or SIMD code paths.
  *
  * parse_matrix_rows, the rows of an expression-matrix TSV in a strict
  * form, to the bits generank.dataio's line-by-line reader gives them:
@@ -384,22 +386,16 @@ int64_t svm_grid_solve(const double *X, const double *y, int64_t n, int64_t d,
 
 #define SCG_SIGMA0 1e-4
 
-/* Penalized cross-entropy of the perceptron with packed weights w
- * (w1 as d x h row-major, b1, w2, b2) on X (n x d) and targets t, and
- * its gradient into g; the loss is computed only when with_loss is set.
- * hid and dh hold n x h values, out n values. Every sum over samples,
- * features or hidden units starts at its first term and adds left to
- * right, as in classifiers._fixed_loss_and_grad; the hidden axis is
- * innermost so that those loops vectorize. */
-static double loss_and_grad(const double *restrict X, const double *restrict t,
-                            int64_t n, int64_t d, int64_t h, double ridge,
-                            const double *restrict w, int with_loss,
-                            double *restrict hid, double *restrict dh,
-                            double *restrict out, double *restrict g)
+/* The perceptron with packed weights w (w1 as d x h row-major, b1, w2,
+ * b2) on X (n x d, row-major), as classifiers._mlp_forward: hid receives
+ * the n x h hidden activations and out the n class-1 outputs, every sum
+ * adding left to right, with 1 / (1 + exp(-x)) at both layers. The
+ * hidden axis is innermost so that those loops vectorize. */
+static void forward(const double *restrict X, int64_t n, int64_t d, int64_t h,
+                    const double *restrict w, double *restrict hid,
+                    double *restrict out)
 {
     const double *w1 = w, *b1 = w + d * h, *w2 = b1 + h;
-    double *g_w1 = g, *g_b1 = g + d * h, *g_w2 = g_b1 + h, *g_b2 = g_w2 + h;
-    double b2 = w2[h], loss = 0.0, o, safe, term;
     int64_t i, j, k;
 
     for (i = 0; i < n; i++) {
@@ -415,9 +411,26 @@ static double loss_and_grad(const double *restrict X, const double *restrict t,
             a[j] = exp(-(a[j] + b1[j]));
         for (j = 0; j < h; j++)
             a[j] = 1.0 / (1.0 + a[j]);
-        o = dot(a, w2, h);
-        out[i] = 1.0 / (1.0 + exp(-(o + b2)));
+        out[i] = 1.0 / (1.0 + exp(-(dot(a, w2, h) + w2[h])));
     }
+}
+
+/* Penalized cross-entropy of forward's outputs against targets t, and
+ * its gradient into g; the loss is computed only when with_loss is set.
+ * hid and dh hold n x h values, out n values. Every sum adds left to
+ * right from its first term, as in classifiers._fixed_loss_and_grad. */
+static double loss_and_grad(const double *restrict X, const double *restrict t,
+                            int64_t n, int64_t d, int64_t h, double ridge,
+                            const double *restrict w, int with_loss,
+                            double *restrict hid, double *restrict dh,
+                            double *restrict out, double *restrict g)
+{
+    const double *w1 = w, *w2 = w + d * h + h;
+    double *g_w1 = g, *g_b1 = g + d * h, *g_w2 = g_b1 + h, *g_b2 = g_w2 + h;
+    double loss = 0.0, safe, term;
+    int64_t i, j, k;
+
+    forward(X, n, d, h, w, hid, out);
 
     if (with_loss) {
         for (i = 0; i < n; i++) {
@@ -472,23 +485,20 @@ static double loss_and_grad(const double *restrict X, const double *restrict t,
  * generank.classifiers._scg_loop does. trace receives the loss after
  * each accepted step, the initial loss first (at most max_iter + 1
  * values), and *trace_len their count; *capped is set to 1 when
- * max_iter iterations ran out first and to 0 otherwise. Returns the
- * number of iterations run, or -1 if the work arrays could not be
- * allocated. */
+ * max_iter iterations ran out first and to 0 otherwise. work holds
+ * 6 * m + 2 * n * h + n values, m = d * h + 2 * h + 1. Returns the
+ * number of iterations run. */
 static int64_t scg_loop(const double *X, const double *t, int64_t n, int64_t d,
                         int64_t h, double ridge, int64_t max_iter, double tol,
                         double *w, double *trace, int64_t *trace_len,
-                        int64_t *capped)
+                        int64_t *capped, double *work)
 {
     int64_t m = d * h + 2 * h + 1, k, i, len = 1;
-    double *work = malloc(sizeof(double) * (size_t)(6 * m + 2 * n * h + n));
     double *grad, *r, *p, *s, *trial, *grad_new, *hid, *dh, *out, *swap;
     double loss, loss_new, lam = 1e-6, lam_bar = 0.0, delta = 0.0, p_sq, sigma,
            mu, alpha, comparison, beta;
     int success = 1;
 
-    if (work == NULL)
-        return -1;
     grad = work;
     r = grad + m;
     p = r + m;
@@ -572,7 +582,6 @@ static int64_t scg_loop(const double *X, const double *t, int64_t n, int64_t d,
     }
     *capped = k > max_iter;
     *trace_len = len;
-    free(work);
     return k - 1;
 }
 
@@ -582,46 +591,34 @@ static int64_t scg_loop(const double *X, const double *t, int64_t n, int64_t d,
  * values each) and receives their final weights. Fit r runs scg_loop with
  * its loss trace in traces[r * (max_iter + 1) ...], and trace_lens[r],
  * steps[r] and capped[r] as scg_loop reports them. probabilities[r * n_q
- * + i] receives the class-1 output of fit r on query i (n_q x d,
- * row-major): each hidden unit sums its products over features left to
- * right, then the output sums over hidden units left to right, with
- * 1 / (1 + exp(-x)) at both layers. Returns 0, or -1 if a fit's work
- * arrays could not be allocated. */
+ * + i] receives forward's class-1 output of fit r on query i (n_q x d,
+ * row-major). One work area, sized for the widest fit and for the larger
+ * of the training and query blocks, serves every fit's training and
+ * queries. Returns 0, or -1 if the work area could not be allocated. */
 int64_t mlp_grid_solve(const double *X, const double *t, int64_t n, int64_t d,
                        const int64_t *hs, int64_t n_h, double ridge, double *w,
                        const double *queries, int64_t n_q, int64_t max_iter,
                        double tol, double *traces, int64_t *trace_lens,
                        int64_t *steps, int64_t *capped, double *probabilities)
 {
-    int64_t r, h, i, j, k;
-    double pre, hidden, o;
+    int64_t r, h, h_max = 0, rows = n > n_q ? n : n_q;
+    double *work;
 
+    for (r = 0; r < n_h; r++)
+        h_max = hs[r] > h_max ? hs[r] : h_max;
+    work = malloc(sizeof(double)
+                  * (size_t)(6 * ((d + 2) * h_max + 1) + 2 * rows * h_max + rows));
+    if (work == NULL)
+        return -1;
     for (r = 0; r < n_h; r++) {
-        const double *w1, *b1, *w2;
-
         h = hs[r];
         steps[r] = scg_loop(X, t, n, d, h, ridge, max_iter, tol, w,
-                            traces + r * (max_iter + 1), &trace_lens[r], &capped[r]);
-        if (steps[r] < 0)
-            return -1;
-        w1 = w;
-        b1 = w + d * h;
-        w2 = b1 + h;
-        for (i = 0; i < n_q; i++) {
-            const double *q = queries + i * d;
-
-            o = 0.0;
-            for (j = 0; j < h; j++) {
-                pre = q[0] * w1[j];
-                for (k = 1; k < d; k++)
-                    pre = pre + q[k] * w1[k * h + j];
-                hidden = 1.0 / (1.0 + exp(-(pre + b1[j])));
-                o = j == 0 ? hidden * w2[0] : o + hidden * w2[j];
-            }
-            probabilities[r * n_q + i] = 1.0 / (1.0 + exp(-(o + w2[h])));
-        }
+                            traces + r * (max_iter + 1), &trace_lens[r], &capped[r],
+                            work);
+        forward(queries, n_q, d, h, w, work, probabilities + r * n_q);
         w += d * h + 2 * h + 1;
     }
+    free(work);
     return 0;
 }
 

@@ -575,23 +575,28 @@ def _log(x):
     return np.fromiter(map(math.log, x.tolist()), np.float64, len(x))
 
 
-def _fixed_loss_and_grad(w, X, t, h, ridge, with_loss):
-    """:func:`mlp_loss_and_grad` in the fixed order of ``kernels.mlp_grid_solve``:
-    every sum runs left to right, ``log`` is the C library's and the
-    sigmoid is SciPy's ``expit``, which is ``1 / (1 + exp(-x))`` with the
-    C library's ``exp``, so the bits do not depend on BLAS or NumPy's
-    SIMD code."""
-    d = X.shape[1]
-    w1, b1, w2, b2 = _unpack(w, d, h)
-
-    # The sums over features and over samples loop in Python over the
-    # summed axis: cumulative sums of (samples, d, h) products cost more.
+def _mlp_forward(w1, b1, w2, b2, X):
+    """``(hidden, out)``: the network's hidden activations and class-1
+    probability for each row of ``X``. The sums, over features (a Python
+    loop, cheaper than a cumulative sum of (rows, d, h) products) and
+    then over hidden units, add left to right, and SciPy's ``expit`` is
+    ``1 / (1 + exp(-x))`` with the C library's ``exp``, so a row's bits
+    depend neither on its block nor on BLAS or NumPy's SIMD code."""
     columns = X.T[:, :, None]
     pre = columns[0] * w1[0]
     for x, w1_k in zip(columns[1:], w1[1:]):
         pre += x * w1_k
     hidden = expit(pre + b1)
-    out = expit(_sum(hidden * w2[None, :], axis=1) + b2)
+    return hidden, expit(_sum(hidden * w2, axis=1) + b2)
+
+
+def _fixed_loss_and_grad(w, X, t, h, ridge, with_loss):
+    """:func:`mlp_loss_and_grad` in the fixed order of ``kernels.mlp_grid_solve``:
+    the forward pass is :func:`_mlp_forward`'s, every other sum runs left
+    to right and ``log`` is the C library's, so the bits do not depend on
+    BLAS or NumPy's SIMD code."""
+    w1, b1, w2, b2 = _unpack(w, X.shape[1], h)
+    hidden, out = _mlp_forward(w1, b1, w2, b2, X)
     loss = None
     if with_loss:
         safe = np.clip(out, 1e-12, 1.0 - 1e-12)
@@ -602,6 +607,7 @@ def _fixed_loss_and_grad(w, X, t, h, ridge, with_loss):
     g_w2 = _sum(hidden * delta_out[:, None]) + ridge * w2
     g_b2 = float(_sum(delta_out))
     delta_hidden = (delta_out[:, None] * w2[None, :]) * hidden * (1.0 - hidden)
+    # a Python loop over samples, as _mlp_forward's over features
     rows = X[:, :, None]
     g_w1 = rows[0] * delta_hidden[0]
     for x, dh_i in zip(rows[1:], delta_hidden[1:]):
@@ -684,15 +690,6 @@ def _scg_loop(X, t, h, ridge, w, max_iter, tol):
     return w, trace, max_iter, True
 
 
-def _mlp_outputs(w1, b1, w2, b2, queries: np.ndarray) -> np.ndarray:
-    """The network's probability of class 1 for each row of ``queries``.
-    Its sums, over features and over hidden units, add left to right, so
-    a row's bits depend neither on the block it comes in nor on BLAS."""
-    pre = _sum(queries[:, :, None] * w1[None, :, :], axis=1)
-    hidden = expit(pre + b1)
-    return expit(_sum(hidden * w2, axis=1) + b2)
-
-
 def _mlp_grid_loop(X, t, hs, ridge, w, queries, max_iter, tol):
     """One perceptron per hidden width in ``hs`` on samples ``X`` with
     0/1 targets ``t``, and its class-1 probability for each row of
@@ -704,7 +701,7 @@ def _mlp_grid_loop(X, t, hs, ridge, w, queries, max_iter, tol):
     steps, capped, probabilities)``: the final weights packed the same
     way, then per width the loss trace, the iterations run and whether
     ``max_iter`` ran out, and the (len(hs), n_queries) probabilities
-    that :func:`_mlp_outputs` gives. ``kernels.mlp_grid_solve`` is the
+    that :func:`_mlp_forward` gives. ``kernels.mlp_grid_solve`` is the
     compiled port of this function; this one is its oracle and the path
     without a compiler."""
     d = X.shape[1]
@@ -713,7 +710,7 @@ def _mlp_grid_loop(X, t, hs, ridge, w, queries, max_iter, tol):
         _scg_loop(X, t, h, ridge, part, max_iter, tol) for h, part in zip(hs, parts)
     ))
     probabilities = np.array(
-        [_mlp_outputs(*_unpack(fit, d, h), queries) for fit, h in zip(weights, hs)]
+        [_mlp_forward(*_unpack(fit, d, h), queries)[1] for fit, h in zip(weights, hs)]
     )
     return (
         np.concatenate(weights), list(traces), np.array(steps, dtype=np.int64),
@@ -813,7 +810,7 @@ def mlp_probabilities(model: MlpModel, queries) -> np.ndarray:
     """:func:`mlp_predict`'s probability of class 1 for every row of
     ``queries`` at once."""
     queries = _validate_queries(model.w1.shape[0], queries)
-    return _mlp_outputs(model.w1, model.b1, model.w2, model.b2, queries)
+    return _mlp_forward(model.w1, model.b1, model.w2, model.b2, queries)[1]
 
 
 def mlp_predict(model: MlpModel, query):

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import json
 import os
 import shutil
@@ -344,7 +345,9 @@ def _command(sub, name: str, help: str, func, evaluations: bool = False):
     return p
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once and shared by every :func:`main`."""
     parser = argparse.ArgumentParser(
         prog="generank",
         description="Gene ranking and benchmarking for two-class expression data.",

@@ -220,8 +220,10 @@ def _loocv_correct(
         )
     if rank_scope not in ("train", "full"):
         raise ValueError("rank_scope must be 'train' or 'full'")
-    # The per-fold search tunes the fuzzy filter only, needs per-fold
-    # rankings, and would drop given anchors.
+    # Anchors and their per-fold search belong to the fuzzy filter only;
+    # the search needs per-fold rankings and would drop given anchors.
+    if fgf_params is not None and method != "fgf":
+        raise ValueError("fgf_params needs method 'fgf'")
     if reoptimize_fgf and method != "fgf":
         raise ValueError("reoptimize_fgf needs method 'fgf'")
     if reoptimize_fgf and rank_scope == "full":
@@ -287,9 +289,9 @@ def loocv_accuracy(
     ``rank_scope="train"`` re-ranks genes inside every fold (each class
     then needs at least three samples so folds stay valid);
     ``rank_scope="full"`` ranks once on all samples. Fuzzy-filter
-    parameters default to one optimization on the full data; with
-    ``reoptimize_fgf`` the genetic search reruns per fold on a
-    fold-derived seed, so it needs ``method="fgf"``,
+    parameters, which need ``method="fgf"``, default to one optimization
+    on the full data; with ``reoptimize_fgf`` the genetic search reruns
+    per fold on a fold-derived seed, so it needs ``method="fgf"``,
     ``rank_scope="train"`` and no ``fgf_params`` (anything else raises
     ``ValueError``). The top-k genes enter
     the classifier as a set, in gene-index order. The result is

@@ -130,25 +130,23 @@ def optimize_fgf(dataset: Dataset, config: GaConfig = None):
         population[i] = _repair(population[i])
     fitness = np.array([fitness_of(chrom) for chrom in population])
 
-    def best_index() -> int:
-        return int(np.lexsort((np.arange(pop_n), -fitness))[0])
-
     trace = GaTrace()
 
-    def record_best() -> None:
-        b = best_index()
-        trace.best_fitness.append(float(fitness[b]))
-        trace.best_params.append(FgfParams.from_vector(population[b]))
+    def record_best() -> np.ndarray:
+        """Record the best; returns all indices best first, lower index first."""
+        order = np.lexsort((np.arange(pop_n), -fitness))
+        trace.best_fitness.append(float(fitness[order[0]]))
+        trace.best_params.append(FgfParams.from_vector(population[order[0]]))
+        return order
 
     def tournament() -> int:
         cand = rng.integers(0, pop_n, size=config.tournament_size)
         return min(cand, key=lambda i: (-fitness[i], i))
 
-    record_best()
+    order = record_best()
     for _ in range(config.generations):
-        elite_order = np.lexsort((np.arange(pop_n), -fitness))
-        elites = [population[i].copy() for i in elite_order[: config.elite_count]]
-        elite_fitness = [float(fitness[i]) for i in elite_order[: config.elite_count]]
+        elites = [population[i].copy() for i in order[: config.elite_count]]
+        elite_fitness = [float(fitness[i]) for i in order[: config.elite_count]]
 
         children = []
         while len(children) < pop_n - config.elite_count:
@@ -170,7 +168,7 @@ def optimize_fgf(dataset: Dataset, config: GaConfig = None):
         fitness = np.concatenate(
             [elite_fitness, [fitness_of(chrom) for chrom in children]]
         )
-        record_best()
+        order = record_best()
 
     return trace.best_params[-1], trace
 

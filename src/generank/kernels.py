@@ -174,7 +174,7 @@ def _bind_mlp_grid(lib):
             X_at, t_at, n, d, hs_at, m, ridge, w_at, queries_at, q, max_iter, tol, *out_at
         )
         if status < 0:
-            raise MemoryError("mlp_grid_solve could not allocate its work arrays")
+            raise MemoryError("mlp_grid_solve could not allocate its work area")
         w, _, traces, lengths, steps, capped, probabilities = views[3:]
         traces = traces.reshape(m, max_iter + 1)
         return (

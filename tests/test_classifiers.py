@@ -986,6 +986,17 @@ def test_mlp_grid_compiled_loop_bit_identical_to_python_loop():
             _same_mlp_grid(got, expected, f"d={d} ridge={ridge} scale={scale}")
             seen["converged"] += int((~expected[3]).sum())
     assert min(seen.values()) >= 5, seen
+    # one work area serves the whole grid: widths out of order, and more
+    # queries than training rows
+    for d in (1, 2, 5, 20):
+        hs = [2 * d, 1, d, 2 * d]
+        train = _separable(rng, n_per_class=int(rng.integers(3, 10)), dim=d)
+        X, t = train.features, train.labels.astype(np.float64)
+        w = rng.uniform(-0.5, 0.5, sum((d + 2) * h + 1 for h in hs))
+        queries = rng.normal(size=(5 * len(X), d)) * 3.0
+        expected = classifiers._mlp_grid_loop(X, t, hs, 0.01, w, queries, 500, 1e-5)
+        got = kernels.mlp_grid_solve(X, t, hs, 0.01, w, queries, 500, 1e-5)
+        _same_mlp_grid(got, expected, f"d={d} widths {hs}")
 
 
 @needs_compiled

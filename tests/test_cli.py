@@ -79,6 +79,18 @@ def test_unknown_subcommand_exits_two():
     assert exc.value.code == 2
 
 
+def test_parser_is_built_once_and_reused():
+    parser = cli.build_parser()
+    assert cli.build_parser() is parser
+    # a usage error leaves nothing behind in the shared parser
+    with pytest.raises(SystemExit):
+        cli.main(["rank", "--matrix", "m.tsv", "--labels", "l.tsv", "--out", "o"])
+    args = parser.parse_args(
+        ["rank", "--matrix", "m.tsv", "--labels", "l.tsv", "--out", "o", "--method", "roc"]
+    )
+    assert (args.command, args.method, args.fgf_params, args.seed) == ("rank", "roc", None, 42)
+
+
 def test_normalize_equalizes_columns(tables, tmp_path):
     _, matrix_path, labels_path = tables
     out = tmp_path / "norm"

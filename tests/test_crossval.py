@@ -438,6 +438,17 @@ def test_loocv_reoptimize_fgf_needs_method_fgf(monkeypatch):
             sweep_gene_counts(dataset, method, "knn", 2, reoptimize_fgf=True)
 
 
+def test_loocv_fgf_params_needs_method_fgf():
+    # another method's ranking never reads the anchors, so passing them
+    # is a mistake to report rather than to ignore
+    dataset = planted_dataset(15, 3, 4, 4, 3.0, seed=609)
+    for method in ("ttest", "wilcoxon", "roc"):
+        with pytest.raises(ValueError, match="fgf_params needs method 'fgf'"):
+            loocv_accuracy(dataset, method, "knn", 3, fgf_params=default_params())
+        with pytest.raises(ValueError, match="fgf_params needs method 'fgf'"):
+            sweep_gene_counts(dataset, method, "knn", 2, fgf_params=default_params())
+
+
 def test_loocv_each_classifier_runs():
     dataset = planted_dataset(16, 3, 5, 5, 4.0, seed=610)
     for classifier in CLASSIFIERS:
