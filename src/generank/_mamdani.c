@@ -182,12 +182,14 @@ static double dot(const double *a, const double *b, int64_t m)
 /* Pairwise updates of the dual variables alpha of a linear SVM, from
  * Q = (y y^T) * K (n x n, row-major), labels y = +-1 and box bound c,
  * until the violation gap drops below tol. alpha and grad = Q alpha - 1
- * are updated in place, and *gap_out receives the last gap computed.
- * Returns the number of updates made, or -1 if max_iter updates did not
- * reach tol. Which NaN an operation on two NaNs returns depends on the
- * order in which the compiler placed its operands, here and in NumPy
- * alike, so a result that overflowed can differ from the NumPy loop in
- * its NaN bits, though not in its update count or NaN positions. */
+ * are updated in place, and *gap_out receives the gap of the last scan,
+ * which follows the last update even when max_iter ran out. Returns the
+ * number of updates made, -1 if max_iter updates did not reach tol, or
+ * -2 if alpha or grad ended up not finite. Which NaN an operation on two
+ * NaNs returns depends on the order in which the compiler placed its
+ * operands, here and in NumPy alike, so a result that overflowed can
+ * differ from the NumPy loop in its NaN bits, though not in its update
+ * count or NaN positions. */
 static int64_t smo_loop(const double *Q, const double *y, double c, int64_t n,
                         int64_t max_iter, double tol, double *alpha, double *grad,
                         double *gap_out)
@@ -195,7 +197,7 @@ static int64_t smo_loop(const double *Q, const double *y, double c, int64_t n,
     int64_t it, k, i, j;
     double f, up, low, f_i, f_j, gap, old_i, old_j, quad, delta, diff, total, di, dj;
 
-    for (it = 0; it < max_iter; it++) {
+    for (it = 0;; it++) {
         /* -y * grad masked to I_up (-inf outside) and I_low (+inf
          * outside); i and j are the first index of the maximum and of
          * the minimum, or of the first NaN, as numpy.argmax and argmin
@@ -218,9 +220,8 @@ static int64_t smo_loop(const double *Q, const double *y, double c, int64_t n,
             }
         }
         gap = f_i - f_j;
-        *gap_out = gap;
-        if (gap < tol)
-            return it;
+        if (it >= max_iter || gap < tol)
+            break;
 
         old_i = alpha[i];
         old_j = alpha[j];
@@ -287,37 +288,41 @@ static int64_t smo_loop(const double *Q, const double *y, double c, int64_t n,
         for (k = 0; k < n; k++)
             grad[k] = grad[k] + (Q[k * n + i] * di + Q[k * n + j] * dj);
     }
-    return -1;
+    *gap_out = gap;
+    for (k = 0; k < n; k++)
+        if (!isfinite(alpha[k]) || !isfinite(grad[k]))
+            return -2;
+    return it < max_iter ? it : -1;
 }
 
 /* One linear SVM per box bound cs[r], r < n_c, on the samples X (n x d,
  * row-major) with labels y = +-1, as generank.classifiers._svm_grid_loop
  * fits them. Q = (y_i * y_j) * (X_i . X_j) is built once and shared; each
  * bound's duals start at 0 and run through smo_loop into alpha[r * n ...],
- * with grad[r * n ...], gaps[r] and updates[r] (-1 when max_iter ran out).
- * A fit that converged with finite duals gets its weights (w = sum over
- * samples of alpha_i y_i X_i), its bias and the decision w . q + bias of
- * each of the n_q queries (n_q x d, row-major); the others get NaN there.
- * The bias is the mean of y_i - w . X_i over the free support vectors
- * (sv_tol < alpha_i < c - sv_tol), or else the midpoint between the
- * innermost decisions of the two classes, -0.5 * (max over y = -1 plus
- * min over y = +1). Every sum adds left to right. Returns 0, or -1 if
- * the work arrays could not be allocated. */
+ * with gaps[r] and updates[r] as smo_loop reports them (-1 when max_iter
+ * ran out, -2 when the fit overflowed). A fit that converged gets its
+ * weights (w = sum over samples of alpha_i y_i X_i), its bias and the
+ * decision w . q + bias of each of the n_q queries (n_q x d, row-major);
+ * the others get NaN there. The bias is the mean of y_i - w . X_i over
+ * the free support vectors (sv_tol < alpha_i < c - sv_tol), or else the
+ * midpoint between the innermost decisions of the two classes, -0.5 *
+ * (max over y = -1 plus min over y = +1). Every sum adds left to right.
+ * Returns 0, or -1 if the work arrays could not be allocated. */
 int64_t svm_grid_solve(const double *X, const double *y, int64_t n, int64_t d,
                        const double *cs, int64_t n_c, const double *queries,
                        int64_t n_q, int64_t max_iter, double tol, double sv_tol,
-                       double *alpha, double *grad, double *weights, double *bias,
-                       double *gaps, int64_t *updates, double *decisions)
+                       double *alpha, double *weights, double *bias, double *gaps,
+                       int64_t *updates, double *decisions)
 {
-    double *Q = malloc(sizeof(double) * (size_t)(n * n + 2 * n));
-    double *coef, *dec, *a, *g, *w, c, v, acc, lo, hi;
+    double *Q = malloc(sizeof(double) * (size_t)(n * n + 3 * n));
+    double *coef, *dec, *grad, *a, *w, c, v, acc, lo, hi;
     int64_t r, i, j, f, count, n_neg, n_pos;
-    int finite;
 
     if (Q == NULL)
         return -1;
     coef = Q + n * n;
     dec = coef + n;
+    grad = dec + n;
     for (i = 0; i < n; i++)
         for (j = i; j < n; j++)
             Q[i * n + j] = Q[j * n + i] = (y[i] * y[j]) * dot(X + i * d, X + j * d, d);
@@ -325,18 +330,13 @@ int64_t svm_grid_solve(const double *X, const double *y, int64_t n, int64_t d,
     for (r = 0; r < n_c; r++) {
         c = cs[r];
         a = alpha + r * n;
-        g = grad + r * n;
         w = weights + r * d;
         for (i = 0; i < n; i++) {
             a[i] = 0.0;
-            g[i] = -1.0;
+            grad[i] = -1.0;
         }
-        gaps[r] = INFINITY;
-        updates[r] = smo_loop(Q, y, c, n, max_iter, tol, a, g, &gaps[r]);
-        finite = updates[r] >= 0;
-        for (i = 0; i < n && finite; i++)
-            finite = isfinite(a[i]) && isfinite(g[i]);
-        if (!finite) {
+        updates[r] = smo_loop(Q, y, c, n, max_iter, tol, a, grad, &gaps[r]);
+        if (updates[r] < 0) {
             for (f = 0; f < d; f++)
                 w[f] = NAN;
             bias[r] = NAN;
@@ -484,14 +484,13 @@ static double loss_and_grad(const double *restrict X, const double *restrict t,
  * row-major) and targets t, until the gradient norm falls below tol, as
  * generank.classifiers._scg_loop does. trace receives the loss after
  * each accepted step, the initial loss first (at most max_iter + 1
- * values), and *trace_len their count; *capped is set to 1 when
- * max_iter iterations ran out first and to 0 otherwise. work holds
- * 6 * m + 2 * n * h + n values, m = d * h + 2 * h + 1. Returns the
- * number of iterations run. */
+ * values), and *trace_len their count. work holds 6 * m + 2 * n * h + n
+ * values, m = d * h + 2 * h + 1. Returns the number of iterations run,
+ * which is max_iter exactly when the budget ran out: the loop only stops
+ * early before spending it. */
 static int64_t scg_loop(const double *X, const double *t, int64_t n, int64_t d,
                         int64_t h, double ridge, int64_t max_iter, double tol,
-                        double *w, double *trace, int64_t *trace_len,
-                        int64_t *capped, double *work)
+                        double *w, double *trace, int64_t *trace_len, double *work)
 {
     int64_t m = d * h + 2 * h + 1, k, i, len = 1;
     double *grad, *r, *p, *s, *trial, *grad_new, *hid, *dh, *out, *swap;
@@ -580,7 +579,6 @@ static int64_t scg_loop(const double *X, const double *t, int64_t n, int64_t d,
         if (comparison < 0.25)
             lam += delta * (1.0 - comparison) / p_sq;
     }
-    *capped = k > max_iter;
     *trace_len = len;
     return k - 1;
 }
@@ -589,17 +587,18 @@ static int64_t scg_loop(const double *X, const double *t, int64_t n, int64_t d,
  * and targets t, as generank.classifiers._mlp_grid_loop fits them: w holds
  * the fits' packed initial weights one after another (d * h + 2 * h + 1
  * values each) and receives their final weights. Fit r runs scg_loop with
- * its loss trace in traces[r * (max_iter + 1) ...], and trace_lens[r],
- * steps[r] and capped[r] as scg_loop reports them. probabilities[r * n_q
- * + i] receives forward's class-1 output of fit r on query i (n_q x d,
- * row-major). One work area, sized for the widest fit and for the larger
- * of the training and query blocks, serves every fit's training and
- * queries. Returns 0, or -1 if the work area could not be allocated. */
+ * its loss trace in traces[r * (max_iter + 1) ...], and trace_lens[r] and
+ * steps[r] as scg_loop reports them (max_iter for a capped fit).
+ * probabilities[r * n_q + i] receives forward's class-1 output of fit r
+ * on query i (n_q x d, row-major). One work area, sized for the widest
+ * fit and for the larger of the training and query blocks, serves every
+ * fit's training and queries. Returns 0, or -1 if the work area could
+ * not be allocated. */
 int64_t mlp_grid_solve(const double *X, const double *t, int64_t n, int64_t d,
                        const int64_t *hs, int64_t n_h, double ridge, double *w,
                        const double *queries, int64_t n_q, int64_t max_iter,
                        double tol, double *traces, int64_t *trace_lens,
-                       int64_t *steps, int64_t *capped, double *probabilities)
+                       int64_t *steps, double *probabilities)
 {
     int64_t r, h, h_max = 0, rows = n > n_q ? n : n_q;
     double *work;
@@ -613,8 +612,7 @@ int64_t mlp_grid_solve(const double *X, const double *t, int64_t n, int64_t d,
     for (r = 0; r < n_h; r++) {
         h = hs[r];
         steps[r] = scg_loop(X, t, n, d, h, ridge, max_iter, tol, w,
-                            traces + r * (max_iter + 1), &trace_lens[r], &capped[r],
-                            work);
+                            traces + r * (max_iter + 1), &trace_lens[r], work);
         forward(queries, n_q, d, h, w, work, probabilities + r * n_q);
         w += d * h + 2 * h + 1;
     }

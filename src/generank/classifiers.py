@@ -10,6 +10,7 @@ on the ranking code; the cross-validation harness wires them together.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -138,6 +139,8 @@ class SvmModel:
 _SVM_MAX_ITER = 100_000
 _SVM_STOP_TOL = 1e-3
 _SVM_SV_TOL = 1e-8
+# the update count of a fit whose duals or gradient are not finite
+_SVM_OVERFLOWED = -2
 
 
 def _violating_sets(y, alpha, c, grad):
@@ -150,23 +153,24 @@ def _violating_sets(y, alpha, c, grad):
     return np.where(up, f, -np.inf), np.where(low, f, np.inf)
 
 
-def _smo_loop(Q, y, c, alpha, grad, max_iter, tol):
-    """Pairwise updates of the dual variables until the violation gap
-    drops below ``tol``: each update optimizes the maximally violating
-    pair. ``alpha`` and ``grad`` (``Q @ alpha - 1``) are updated in
-    place. Returns ``(updates, gap)``: the number of updates made, or -1
-    when ``max_iter`` updates did not reach ``tol``, and the last gap
-    computed. :func:`_svm_grid_loop` runs it for each bound, and
-    ``_mamdani.c`` holds its compiled port, which ``kernels.svm_grid_solve``
-    runs."""
-    gap = math.inf
-    for it in range(max_iter):
+def _smo_loop(Q, y, c, alpha, max_iter, tol):
+    """Pairwise updates of the dual variables ``alpha``, in place, until
+    the violation gap drops below ``tol``: each update optimizes the
+    maximally violating pair. Returns ``(updates, gap)``: the number of
+    updates made, -1 when ``max_iter`` updates did not reach ``tol``, or
+    ``_SVM_OVERFLOWED`` when ``alpha`` or the gradient ``Q @ alpha - 1``
+    ended up not finite, and the gap of the last scan, which follows the
+    last update even when ``max_iter`` ran out. :func:`_svm_grid_loop`
+    runs it for each bound, and ``_mamdani.c`` holds its compiled port,
+    which ``kernels.svm_grid_solve`` runs."""
+    grad = np.full(len(y), -1.0)
+    for it in itertools.count():
         f_up, f_low = _violating_sets(y, alpha, c, grad)
         i = int(np.argmax(f_up))
         j = int(np.argmin(f_low))
         gap = f_up[i] - f_low[j]
-        if gap < tol:
-            return it, gap
+        if it >= max_iter or gap < tol:
+            break
 
         old_i, old_j = alpha[i], alpha[j]
         if y[i] != y[j]:
@@ -216,7 +220,9 @@ def _smo_loop(Q, y, c, alpha, grad, max_iter, tol):
                     alpha[i] = 0.0
                     alpha[j] = total
         grad += Q[:, i] * (alpha[i] - old_i) + Q[:, j] * (alpha[j] - old_j)
-    return -1, gap
+    if not (np.isfinite(alpha).all() and np.isfinite(grad).all()):
+        return _SVM_OVERFLOWED, gap
+    return (it if it < max_iter else -1), gap
 
 
 def _sum(a, axis=0):
@@ -243,35 +249,32 @@ def _svm_grid_loop(X, y, cs, queries, max_iter, tol, sv_tol):
     ``y`` = +-1, and its decision on each row of ``queries``.
 
     ``Q = (y_i * y_j) * (X_i . X_j)`` is built once; each bound's duals
-    start at 0 and run through :func:`_smo_loop`. Returns ``(alpha, grad,
-    weights, bias, gaps, updates, decisions)``, one row or value per bound:
-    the duals and ``Q @ alpha - 1``, the weights and bias, the last gap,
-    the update count (-1 when ``max_iter`` ran out) and the queries'
-    decision values. A fit that ran out or whose duals are not finite has
-    NaN weights, bias and decisions. The bias is the mean of ``y_i - w .
-    X_i`` over the free support vectors (``sv_tol < alpha_i < c -
-    sv_tol``), or else the midpoint between the innermost decisions of the
-    two classes. Every sum adds left to right, so the bits do not depend
-    on BLAS. ``kernels.svm_grid_solve`` is the compiled port of this
-    function; this one is its oracle and the path without a compiler. The
-    two give the same bits except for which NaN an overflowed result holds.
+    start at 0 and run through :func:`_smo_loop`. Returns ``(alpha,
+    weights, bias, gaps, updates, decisions)``, one row or value per
+    bound: the duals, the weights and bias, :func:`_smo_loop`'s gap and
+    update count, and the queries' decision values. A fit that failed (a
+    negative count) has NaN weights, bias and decisions. The bias is the
+    mean of ``y_i - w . X_i`` over the free support vectors (``sv_tol <
+    alpha_i < c - sv_tol``), or else the midpoint between the innermost
+    decisions of the two classes. Every sum adds left to right, so the
+    bits do not depend on BLAS. ``kernels.svm_grid_solve`` is the compiled
+    port of this function; this one is its oracle and the path without a
+    compiler. The two give the same bits except for which NaN an
+    overflowed result holds.
     """
     m, (n, d) = len(cs), X.shape
     alpha = np.zeros((m, n))
-    grad = np.full((m, n), -1.0)
     weights = np.full((m, d), np.nan)
     bias = np.full(m, np.nan)
     gaps = np.empty(m)
     updates = np.empty(m, dtype=np.int64)
     decisions = np.full((m, len(queries)), np.nan)
-    # Overflow shows up as non-finite duals, which the callers report.
+    # Overflow shows up as non-finite duals, which the update count reports.
     with np.errstate(over="ignore", invalid="ignore"):
         Q = (y[:, None] * y[None, :]) * _sum(X[:, None, :] * X[None, :, :], axis=2)
         for r, c in enumerate(cs.tolist()):
-            updates[r], gaps[r] = _smo_loop(Q, y, c, alpha[r], grad[r], max_iter, tol)
-            if updates[r] < 0 or not (
-                np.isfinite(alpha[r]).all() and np.isfinite(grad[r]).all()
-            ):
+            updates[r], gaps[r] = _smo_loop(Q, y, c, alpha[r], max_iter, tol)
+            if updates[r] < 0:
                 continue
             weights[r] = _sum(X * (alpha[r] * y)[:, None])
             fitted = _sum(X * weights[r], axis=1)
@@ -287,7 +290,7 @@ def _svm_grid_loop(X, y, cs, queries, max_iter, tol, sv_tol):
                 lo = min(fitted[y > 0].tolist(), default=math.inf)
                 bias[r] = -0.5 * (hi + lo)
             decisions[r] = _svm_decisions(weights[r], bias[r], queries)
-    return alpha, grad, weights, bias, gaps, updates, decisions
+    return alpha, weights, bias, gaps, updates, decisions
 
 
 _SVM_GRID = kernels.svm_grid_solve or _svm_grid_loop
@@ -305,25 +308,22 @@ def _svm_grid(train: TrainSet, cs: np.ndarray, queries: np.ndarray):
     """Unchecked core of :func:`svm_grid_labels` and :func:`svm_train`:
     :func:`_svm_grid_loop`'s results through ``_SVM_GRID``, after
     raising the :class:`ConvergenceError` of the first bound in ``cs``
-    whose fit failed."""
+    whose fit failed, as its update count and gap report it."""
     y = np.where(train.labels == 1, 1.0, -1.0)
     fit = _SVM_GRID(
         train.features, y, cs, queries, _SVM_MAX_ITER, _SVM_STOP_TOL, _SVM_SV_TOL
     )
-    alpha, grad, _, bias, _, updates, _ = fit
-    # every failed fit has a NaN bias
-    if np.isnan(bias).any():
-        for r, c in enumerate(cs.tolist()):
-            if not (np.isfinite(alpha[r]).all() and np.isfinite(grad[r]).all()):
-                raise ConvergenceError("dual optimization overflowed: non-finite duals", r)
-            if updates[r] < 0:
-                f_up, f_low = _violating_sets(y, alpha[r], c, grad[r])
-                gap = float(f_up.max() - f_low.min())
-                raise ConvergenceError(
-                    f"dual optimization stalled: violation gap {gap:.3e} after "
-                    f"{_SVM_MAX_ITER} updates",
-                    r,
-                )
+    _, _, _, gaps, updates, _ = fit
+    failed = np.flatnonzero(updates < 0)
+    if failed.size:
+        r = int(failed[0])
+        if updates[r] == _SVM_OVERFLOWED:
+            raise ConvergenceError("dual optimization overflowed: non-finite duals", r)
+        raise ConvergenceError(
+            f"dual optimization stalled: violation gap {gaps[r]:.3e} after "
+            f"{_SVM_MAX_ITER} updates",
+            r,
+        )
     return fit
 
 
@@ -356,7 +356,7 @@ def svm_train(train: TrainSet, c: float) -> SvmModel:
     updates is exhausted first.
     """
     cs = _checked_positive(float(c), "c")
-    alpha, _, weights, bias, gaps, updates, _ = _svm_grid(
+    alpha, weights, bias, gaps, updates, _ = _svm_grid(
         train, cs, np.empty((0, train.n_features))
     )
     support = np.flatnonzero(alpha[0] > _SVM_SV_TOL)
@@ -622,10 +622,11 @@ def _fixed_loss_and_grad(w, X, t, h, ridge, with_loss):
 def _scg_loop(X, t, h, ridge, w, max_iter, tol):
     """Scaled conjugate gradients on the network's weights ``w`` (packed
     as ``_unpack`` reads them) until the gradient norm falls below
-    ``tol``. Returns ``(w, loss_trace, steps, capped)``: the final
-    weights, the loss after each accepted step (the first entry is the
-    initial loss), the iterations run, and whether ``max_iter`` ran out
-    first. :func:`_mlp_grid_loop` runs it for each hidden width, and
+    ``tol``. Returns ``(w, loss_trace, steps)``: the final weights, an
+    array of the loss after each accepted step (the first entry is the
+    initial loss), and the iterations run, which is ``max_iter`` exactly
+    when the budget ran out, since the loop only stops early before
+    spending it. :func:`_mlp_grid_loop` runs it for each hidden width, and
     ``_mamdani.c`` holds its compiled port, which ``kernels.mlp_grid_solve``
     runs. Both use :func:`_fixed_loss_and_grad`'s order, and
     left-to-right dot products, so they give the same bits on every host
@@ -641,10 +642,10 @@ def _scg_loop(X, t, h, ridge, w, max_iter, tol):
     delta = 0.0
     for k in range(1, max_iter + 1):
         if math.sqrt(_dot(r, r)) < tol:
-            return w, trace, k - 1, False
+            return w, np.array(trace), k - 1
         p_sq = _dot(p, p)
         if p_sq == 0.0:
-            return w, trace, k - 1, False
+            return w, np.array(trace), k - 1
         if success:
             sigma = _SCG_SIGMA0 / math.sqrt(p_sq)
             _, grad_probe = _fixed_loss_and_grad(w + sigma * p, X, t, h, ridge, False)
@@ -687,7 +688,7 @@ def _scg_loop(X, t, h, ridge, w, max_iter, tol):
             success = False
         if comparison < 0.25:
             lam += delta * (1.0 - comparison) / p_sq
-    return w, trace, max_iter, True
+    return w, np.array(trace), max_iter
 
 
 def _mlp_grid_loop(X, t, hs, ridge, w, queries, max_iter, tol):
@@ -698,24 +699,22 @@ def _mlp_grid_loop(X, t, hs, ridge, w, queries, max_iter, tol):
     ``w`` holds the fits' packed initial weights one after another
     (``d * h + 2 * h + 1`` values each, as :func:`_unpack` reads them);
     each fit runs :func:`_scg_loop` from its own. Returns ``(w, traces,
-    steps, capped, probabilities)``: the final weights packed the same
-    way, then per width the loss trace, the iterations run and whether
-    ``max_iter`` ran out, and the (len(hs), n_queries) probabilities
-    that :func:`_mlp_forward` gives. ``kernels.mlp_grid_solve`` is the
+    steps, probabilities)``: the final weights packed the same way, then
+    per width the loss trace (an array) and the iterations run
+    (``max_iter`` for a fit that ran out), and the (len(hs), n_queries)
+    probabilities that :func:`_mlp_forward` gives. ``kernels.mlp_grid_solve`` is the
     compiled port of this function; this one is its oracle and the path
     without a compiler."""
     d = X.shape[1]
     parts = np.split(w, np.cumsum([(d + 2) * h + 1 for h in hs])[:-1])
-    weights, traces, steps, capped = zip(*(
+    weights, traces, steps = zip(*(
         _scg_loop(X, t, h, ridge, part, max_iter, tol) for h, part in zip(hs, parts)
     ))
     probabilities = np.array(
         [_mlp_forward(*_unpack(fit, d, h), queries)[1] for fit, h in zip(weights, hs)]
     )
-    return (
-        np.concatenate(weights), list(traces), np.array(steps, dtype=np.int64),
-        np.array(capped), probabilities,
-    )
+    steps = np.array(steps, dtype=np.int64)
+    return np.concatenate(weights), list(traces), steps, probabilities
 
 
 _MLP_GRID = kernels.mlp_grid_solve or _mlp_grid_loop
@@ -798,11 +797,12 @@ def mlp_train(
     """
     (h,) = _checked_mlp_arguments(hidden_count, ridge)
     d = train.n_features
-    w, traces, steps, capped, _ = _mlp_grid(train, [h], np.empty((0, d)), [seed], ridge)
+    w, traces, steps, _ = _mlp_grid(train, [h], np.empty((0, d)), [seed], ridge)
     w1, b1, w2, b2 = _unpack(w, d, h)
+    steps = int(steps[0])
     return MlpModel(
-        w1.copy(), b1.copy(), w2.copy(), float(b2), ridge, traces[0], int(steps[0]),
-        bool(capped[0]),
+        w1.copy(), b1.copy(), w2.copy(), float(b2), ridge, traces[0].tolist(), steps,
+        steps == _MLP_MAX_ITER,
     )
 
 

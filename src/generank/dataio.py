@@ -189,7 +189,7 @@ def _parse_matrix_lines(path):
 def _parse_labels(path):
     label_of = {}
     class_order = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue

@@ -80,13 +80,15 @@ def _declare(lib, name, *argtypes):
 def _pack(inputs, out_sizes):
     """One new float64 buffer holding the arrays ``inputs``, flattened,
     then room for outputs of ``out_sizes`` values, in the order of the C
-    arguments, so that one allocation serves a whole call. Returns the
-    address in the buffer of each input and output, and a view of each."""
-    inputs = [a.ravel() for a in inputs]
+    arguments, so that one allocation serves a whole call. Only the input
+    slots are written. Returns the address in the buffer of each input
+    and output, and a view of each."""
     sizes = [a.size for a in inputs] + list(out_sizes)
     ends = list(itertools.accumulate(sizes))
     starts = [0, *ends[:-1]]
-    buffer = np.concatenate((*inputs, np.empty(sum(out_sizes))), dtype=np.float64)
+    buffer = np.empty(ends[-1])
+    for a, start, end in zip(inputs, starts, ends):
+        buffer[start:end] = a.ravel()
     base = buffer.ctypes.data
     addresses = [base + 8 * start for start in starts]
     return addresses, [buffer[start:end] for start, end in zip(starts, ends)]
@@ -111,12 +113,12 @@ def _bind_svm_grid(lib):
     fn = _declare(
         lib, "svm_grid_solve",
         _POINTER, _POINTER, _COUNT, _COUNT, _POINTER, _COUNT, _POINTER, _COUNT, _COUNT,
-        _REAL, _REAL, *(_POINTER,) * 7,
+        _REAL, _REAL, *(_POINTER,) * 6,
     )
 
     def svm_grid_solve(X, y, cs, queries, max_iter, tol, sv_tol):
         """``classifiers._svm_grid_loop`` computed in C: returns ``(alpha,
-        grad, weights, bias, gaps, updates, decisions)`` as there."""
+        weights, bias, gaps, updates, decisions)`` as there."""
         X, y, cs, queries = np.asarray(X), np.asarray(y), np.asarray(cs), np.asarray(queries)
         if X.ndim != 2 or queries.ndim != 2 or cs.ndim != 1:
             raise ValueError("X and queries must be 2-D and cs 1-D")
@@ -124,17 +126,17 @@ def _bind_svm_grid(lib):
         if y.shape != (n,) or queries.shape[1] != d:
             raise ValueError("y needs one value per row of X and queries X's columns")
         (X_at, y_at, cs_at, queries_at, *out_at), views = _pack(
-            (X, y, cs, queries), (m * n, m * n, m * d, m, m, m, m * q)
+            (X, y, cs, queries), (m * n, m * d, m, m, m, m * q)
         )
         status = fn(
             X_at, y_at, n, d, cs_at, m, queries_at, q, max_iter, tol, sv_tol, *out_at
         )
         if status < 0:
             raise MemoryError("svm_grid_solve could not allocate its work arrays")
-        alpha, grad, weights, bias, gaps, updates, decisions = views[4:]
+        alpha, weights, bias, gaps, updates, decisions = views[4:]
         return (
-            alpha.reshape(m, n), grad.reshape(m, n), weights.reshape(m, d), bias, gaps,
-            updates.view(np.int64), decisions.reshape(m, q),
+            alpha.reshape(m, n), weights.reshape(m, d), bias, gaps, updates.view(np.int64),
+            decisions.reshape(m, q),
         )
 
     return svm_grid_solve
@@ -144,16 +146,17 @@ def _bind_mlp_grid(lib):
     fn = _declare(
         lib, "mlp_grid_solve",
         _POINTER, _POINTER, _COUNT, _COUNT, _POINTER, _COUNT, _REAL, _POINTER, _POINTER,
-        _COUNT, _COUNT, _REAL, *(_POINTER,) * 5,
+        _COUNT, _COUNT, _REAL, *(_POINTER,) * 4,
     )
 
     def mlp_grid_solve(X, t, hs, ridge, w, queries, max_iter, tol):
         """``classifiers._mlp_grid_loop`` computed in C: returns ``(w,
-        traces, steps, capped, probabilities)`` as there, and leaves ``w``
-        as given. It takes starting weights rather than seeds, so that it
-        can be started from any point, such as the saturated and
-        overflowing ones no seed draws that its tests compare with the
-        Python loop; ``initial_weights`` draws the seeded ones."""
+        traces, steps, probabilities)`` as there, each trace a view of the
+        call's buffer, and leaves ``w`` as given. It takes starting weights
+        rather than seeds, so that it can be started from any point, such
+        as the saturated and overflowing ones no seed draws that its tests
+        compare with the Python loop; ``initial_weights`` draws the seeded
+        ones."""
         X, t, w, queries = np.asarray(X), np.asarray(t), np.asarray(w), np.asarray(queries)
         hs = np.asarray(hs, dtype=np.int64)
         if X.ndim != 2 or queries.ndim != 2 or hs.ndim != 1:
@@ -168,18 +171,18 @@ def _bind_mlp_grid(lib):
         # the widths go in as int64 bits, and the weights are trained in
         # the buffer's copy
         (X_at, t_at, hs_at, w_at, queries_at, *out_at), views = _pack(
-            (X, t, hs.view(np.float64), w, queries), (m * (max_iter + 1), m, m, m, m * q)
+            (X, t, hs.view(np.float64), w, queries), (m * (max_iter + 1), m, m, m * q)
         )
         status = fn(
             X_at, t_at, n, d, hs_at, m, ridge, w_at, queries_at, q, max_iter, tol, *out_at
         )
         if status < 0:
             raise MemoryError("mlp_grid_solve could not allocate its work area")
-        w, _, traces, lengths, steps, capped, probabilities = views[3:]
+        w, _, traces, lengths, steps, probabilities = views[3:]
         traces = traces.reshape(m, max_iter + 1)
         return (
-            w, [row[:k].tolist() for row, k in zip(traces, lengths.view(np.int64).tolist())],
-            steps.view(np.int64), capped.view(np.int64) != 0, probabilities.reshape(m, q),
+            w, [row[:k] for row, k in zip(traces, lengths.view(np.int64).tolist())],
+            steps.view(np.int64), probabilities.reshape(m, q),
         )
 
     return mlp_grid_solve

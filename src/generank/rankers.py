@@ -82,10 +82,10 @@ def _validate_pair(x, y):
     return x, y
 
 
-def _student_t_two_sided(t: float, df: float) -> float:
+def _student_t_two_sided(t, df):
     """Two-sided tail probability of Student's t via the regularized
-    incomplete beta function."""
-    return float(betainc(df / 2.0, 0.5, df / (df + t * t)))
+    incomplete beta function, for scalars or arrays alike."""
+    return betainc(df / 2.0, 0.5, df / (df + t * t))
 
 
 def welch_t_test(x, y) -> TestResult:
@@ -109,7 +109,7 @@ def welch_t_test(x, y) -> TestResult:
         df = se2 * se2 / df_den
     else:
         df = nx + ny - 2
-    return TestResult(float(t), _student_t_two_sided(t, df), float(mx - my))
+    return TestResult(float(t), float(_student_t_two_sided(t, df)), float(mx - my))
 
 
 def _exact_ranksum_p(doubled, n_w: int, dev2: int) -> float:
@@ -149,15 +149,10 @@ def _ranksum_null_counts(doubled: tuple, n_w: int) -> np.ndarray:
     return row
 
 
-def midranks(a, axis=-1) -> np.ndarray:
-    """Ranks 1..n of finite values along ``axis``, tied values sharing
-    the mean of their ranks: ``scipy.stats.rankdata(a, axis=axis)``.
-
-    One stable sort lines each slice up; a tie run spanning sorted
-    positions ``start..end`` gets ``(start + end + 2) / 2``, an exact
-    half-integer, so the result has the same bits as SciPy's.
-    """
-    a = np.moveaxis(np.asarray(a), axis, -1)
+def _tie_ranks(a: np.ndarray):
+    """``(ranks, start, end)`` along the last axis of ``a``: the midranks
+    of :func:`midranks`, and for each sorted position the first and last
+    sorted position of the run of equal values that holds it."""
     order = np.argsort(a, axis=-1, kind="stable")
     ordered = np.take_along_axis(a, order, axis=-1)
     n = ordered.shape[-1]
@@ -172,7 +167,19 @@ def midranks(a, axis=-1) -> np.ndarray:
     )
     ranks = np.empty(ordered.shape)
     np.put_along_axis(ranks, order, (start + end + 2) / 2, axis=-1)
-    return np.moveaxis(ranks, -1, axis)
+    return ranks, start, end
+
+
+def midranks(a, axis=-1) -> np.ndarray:
+    """Ranks 1..n of finite values along ``axis``, tied values sharing
+    the mean of their ranks: ``scipy.stats.rankdata(a, axis=axis)``.
+
+    One stable sort lines each slice up; a tie run spanning sorted
+    positions ``start..end`` gets ``(start + end + 2) / 2``, an exact
+    half-integer, so the result has the same bits as SciPy's.
+    """
+    a = np.moveaxis(np.asarray(a), axis, -1)
+    return np.moveaxis(_tie_ranks(a)[0], -1, axis)
 
 
 def wilcoxon_test(x, y) -> TestResult:
@@ -280,7 +287,7 @@ def _welch_columns(matrix: np.ndarray, labels: np.ndarray):
         se2[g] = s
         df[g] = s * s / df_den if df_den > 0.0 else nx + ny - 2
     t = (mx - my) / np.sqrt(se2)
-    return betainc(df / 2.0, 0.5, df / (df + t * t)), mx - my
+    return _student_t_two_sided(t, df), mx - my
 
 
 def rank_sum_deviation(ranks: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -300,21 +307,9 @@ def _erfc_tail(z: np.ndarray) -> np.ndarray:
     return np.array([math.erfc(v) for v in (z / math.sqrt(2.0)).tolist()])
 
 
-def _tie_terms(matrix: np.ndarray) -> np.ndarray:
-    """Sum of ``t**3 - t`` over the runs of ``t`` equal values in each row."""
-    ordered = np.sort(matrix, axis=1)
-    starts = np.ones(ordered.shape, dtype=bool)
-    starts[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
-    # every row opens a run, so runs never span two rows
-    run_starts = np.flatnonzero(starts)
-    lengths = np.diff(np.append(run_starts, ordered.size))
-    first_run = np.flatnonzero(run_starts % ordered.shape[1] == 0)
-    return np.add.reduceat(lengths**3 - lengths, first_run)
-
-
 def _wilcoxon_columns(matrix: np.ndarray, labels: np.ndarray):
     """(p-values, effects) of :func:`wilcoxon_test` for every gene."""
-    ranks = midranks(matrix, axis=1)
+    ranks, start, end = _tie_ranks(matrix)
     effects = rank_sum_deviation(ranks, labels)
     nx = int((labels == 0).sum())
     ny = int((labels == 1).sum())
@@ -325,7 +320,10 @@ def _wilcoxon_columns(matrix: np.ndarray, labels: np.ndarray):
         dev2 = np.rint(2.0 * effects).astype(np.int64).tolist()
         p = [_exact_ranksum_p(d, n_w, dev2[g]) for g, d in enumerate(doubled)]
         return np.array(p, dtype=np.float64), effects
-    tie_term = _tie_terms(matrix).astype(np.float64) / (n * (n - 1))
+    # sum of t**3 - t over each row's tie runs of length t: each of a
+    # run's t positions adds t**2 - 1, an integer sum that is exact
+    runs = end - start + 1
+    tie_term = (runs * runs - 1).sum(axis=1).astype(np.float64) / (n * (n - 1))
     sigma2 = nx * ny / 12.0 * ((n + 1) - tie_term)
     p = np.ones(len(effects))
     spread = sigma2 > 0.0

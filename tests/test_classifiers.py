@@ -419,15 +419,15 @@ def test_smo_compiled_loop_bit_identical_to_python_loop():
         problem = _svm_problem(rng)
         expected = _run_grid(classifiers._svm_grid_loop, *problem)
         got = _run_grid(kernels.svm_grid_solve, *problem)
-        # alpha, grad, weights, bias, gaps, updates, decisions
+        # alpha, weights, bias, gaps, updates, decisions
         assert [part.shape for part in got] == [part.shape for part in expected]
-        updates = expected[5]
-        assert got[5].tobytes() == updates.tobytes(), f"trial {trial}"
-        if np.isnan(expected[0]).any() or np.isnan(expected[1]).any():
+        updates = expected[4]
+        assert got[4].tobytes() == updates.tobytes(), f"trial {trial}"
+        if (updates == classifiers._SVM_OVERFLOWED).any():
             # an overflowed result: which NaN an operation returns follows
             # the compiler's operand order, but the updates, the NaN
             # positions and the other values do not
-            for part, want in zip(got[:5] + got[6:], expected[:5] + expected[6:]):
+            for part, want in zip(got[:4] + got[5:], expected[:4] + expected[5:]):
                 mask = np.isnan(want)
                 np.testing.assert_array_equal(np.isnan(part), mask, f"trial {trial}")
                 assert _same_bits([np.where(mask, 0.0, part)], [np.where(mask, 0.0, want)])
@@ -544,7 +544,8 @@ def test_svm_budget_read_at_call_time(monkeypatch, loop):
     train = _separable(np.random.default_rng(512), dim=2, margin=0.5)
     updates = svm_train(train, 1.0).updates
     assert updates > 1
-    # the budget counts updates: the check after the last one is not made
+    # the budget counts updates: a gap below tol after the last one does
+    # not count
     monkeypatch.setattr(classifiers, "_SVM_MAX_ITER", updates)
     with pytest.raises(ConvergenceError, match=f"after {updates} updates"):
         svm_train(train, 1.0)
@@ -568,7 +569,50 @@ def test_svm_overflowing_features_raise(monkeypatch, loop):
                 svm_train(train, 1.0)
             with pytest.raises(ConvergenceError, match="overflow"):
                 svm_grid_labels(train, [0.1, 1.0], small.features[:2])
+            y = np.where(train.labels == 1, 1.0, -1.0)
+            updates = _run_grid(
+                _loop(loop), train.features, y, np.array([0.1, 1.0]), small.features[:2],
+                classifiers._SVM_MAX_ITER,
+            )[4]
         assert caught == []
+        assert updates.tolist() == [classifiers._SVM_OVERFLOWED] * 2
+
+
+def test_svm_stalled_fit_reports_the_gap_of_its_final_duals(monkeypatch):
+    # the Python loop's scans, recorded, give each fit's final duals and
+    # gradient: a stalled fit's gap is the one they leave, not the one
+    # before its last update, on each loop that is loaded
+    loops = [g for g in (kernels.svm_grid_solve, classifiers._svm_grid_loop) if g]
+    scans = []
+    violating_sets = classifiers._violating_sets
+
+    def recorded(y, alpha, c, grad):
+        scans.append((alpha.copy(), grad.copy()))
+        return violating_sets(y, alpha, c, grad)
+
+    monkeypatch.setattr(classifiers, "_violating_sets", recorded)
+    rng = np.random.default_rng(514)
+    stalled = 0
+    for _ in range(40):
+        n, d = int(rng.integers(4, 30)), int(rng.integers(1, 6))
+        X = rng.normal(size=(n, d))
+        y = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+        cs = np.array([10.0 ** rng.uniform(-1.0, 2.0)])
+        budget = int(rng.integers(0, 25))
+        fits = [_run_grid(loop, X, y, cs, X[:0], budget) for loop in loops]
+        scans.clear()
+        _run_grid(classifiers._svm_grid_loop, X, y, cs, X[:0], budget)
+        if fits[-1][4][0] != -1:
+            continue
+        assert len(scans) == budget + 1
+        final_alpha, final_grad = scans[-1]
+        f_up, f_low = violating_sets(y, final_alpha, cs[0], final_grad)
+        for alpha, _, _, gaps, updates, _ in fits:
+            assert updates[0] == -1
+            assert alpha[0].tobytes() == final_alpha.tobytes()
+            assert gaps[0] == f_up.max() - f_low.min()
+        stalled += 1
+    assert stalled >= 10
 
 
 # ---------------------------------------------------------------------------
@@ -942,17 +986,15 @@ def test_fixed_order_loss_and_grad_matches_numpy_oracle():
 
 
 def _same_mlp_grid(got, expected, case):
-    """Two ``(w, traces, steps, capped, probabilities)`` results, bit for
-    bit."""
-    w, traces, steps, capped, probabilities = got
+    """Two ``(w, traces, steps, probabilities)`` results, bit for bit."""
+    w, traces, steps, probabilities = got
     assert w.tobytes() == expected[0].tobytes(), case
     assert len(traces) == len(expected[1]), case
     for trace, want in zip(traces, expected[1]):
-        assert np.array(trace).tobytes() == np.array(want).tobytes(), case
+        assert trace.tobytes() == want.tobytes(), case
     assert steps.tolist() == expected[2].tolist(), case
-    assert capped.tolist() == expected[3].tolist(), case
-    assert probabilities.shape == expected[4].shape, case
-    assert probabilities.tobytes() == expected[4].tobytes(), case
+    assert probabilities.shape == expected[3].shape, case
+    assert probabilities.tobytes() == expected[3].tobytes(), case
 
 
 @needs_compiled
@@ -984,7 +1026,7 @@ def test_mlp_grid_compiled_loop_bit_identical_to_python_loop():
             expected = classifiers._mlp_grid_loop(X, t, hs, ridge, w, queries, 500, 1e-5)
             got = kernels.mlp_grid_solve(X, t, hs, ridge, w, queries, 500, 1e-5)
             _same_mlp_grid(got, expected, f"d={d} ridge={ridge} scale={scale}")
-            seen["converged"] += int((~expected[3]).sum())
+            seen["converged"] += int((expected[2] < 500).sum())
     assert min(seen.values()) >= 5, seen
     # one work area serves the whole grid: widths out of order, and more
     # queries than training rows

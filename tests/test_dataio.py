@@ -396,6 +396,20 @@ def test_labels_duplicate_sample_rejected(tmp_path):
         load_dataset(matrix, labels)
 
 
+def test_labels_with_byte_order_mark_load_the_same_dataset(tmp_path):
+    # spreadsheet exports often start a UTF-8 file with a byte-order mark
+    dataset = planted_dataset(4, 1, 3, 3, 1.0, seed=2)
+    matrix_path, labels_path = write_tables(dataset, tmp_path)
+    plain = load_dataset(matrix_path, labels_path)
+    marked = tmp_path / "labels_bom.tsv"
+    marked.write_bytes(b"\xef\xbb\xbf" + labels_path.read_bytes())
+    loaded = load_dataset(matrix_path, marked)
+    assert loaded.gene_ids == plain.gene_ids
+    assert loaded.class_names == plain.class_names
+    np.testing.assert_array_equal(loaded.labels, plain.labels)
+    assert loaded.matrix.tobytes() == plain.matrix.tobytes()
+
+
 def test_class_one_is_second_name_in_file_order(tmp_path):
     # class order comes from first appearance, not lexicographic order
     matrix = tmp_path / "m.tsv"
