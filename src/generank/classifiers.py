@@ -629,8 +629,9 @@ def _scg_loop(X, t, h, ridge, w, max_iter, tol):
     spending it. :func:`_mlp_grid_loop` runs it for each hidden width, and
     ``_mamdani.c`` holds its compiled port, which ``kernels.mlp_grid_solve``
     runs. Both use :func:`_fixed_loss_and_grad`'s order, and
-    left-to-right dot products, so they give the same bits on every host
-    whose C library computes ``exp`` and ``log`` alike."""
+    left-to-right dot products, so their bits follow only the C library's
+    ``exp`` and ``log``; glibc picks those by CPU, and its builds for CPUs
+    with and without FMA round differently."""
     n_params = len(w)
     loss, grad = _fixed_loss_and_grad(w, X, t, h, ridge, True)
     trace = [loss]

@@ -154,12 +154,7 @@ def _fgf_params_from(args):
 
 def _cmd_rank(args) -> None:
     dataset, _ = load_tables(args.matrix, args.labels)
-    if args.method == "fgf":
-        ranking = fgf.fgf_rank(dataset, _fgf_params_from(args))
-    else:
-        from generank.rankers import rank_genes
-
-        ranking = rank_genes(dataset, args.method)
+    ranking = crossval.rank(dataset, args.method, _fgf_params_from(args))
     name = f"ranking_{args.method}.tsv"
     _publish(
         args, lambda stage: save_ranking(ranking, dataset.gene_ids, os.path.join(stage, name))

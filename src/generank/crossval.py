@@ -44,9 +44,9 @@ from generank.classifiers import (  # noqa: F401
     svm_train,
 )
 from generank.dataio import Dataset, floored_scale
-from generank.rankers import rank_genes
+from generank.rankers import RANKER_METHODS, rank_genes
 
-METHODS = ("ttest", "wilcoxon", "roc", "fgf")
+METHODS = (*RANKER_METHODS, "fgf")
 CLASSIFIERS = ("knn", "svm", "nbc", "mlp")
 
 KNN_GRID = (1, 3, 5, 7, 9)
@@ -201,6 +201,18 @@ def inner_search(features, labels, classifier: str, seed: int = 0):
     return grid[best], int(correct[best]) / len(labels)
 
 
+def rank(dataset: Dataset, method: str, fgf_params=None):
+    """Rank every gene of ``dataset`` by ``method``: the fuzzy filter
+    (:func:`fgf.fgf_rank`, with ``fgf_params`` or its default anchors)
+    for ``"fgf"``, one classical test (:func:`rankers.rank_genes`)
+    otherwise. Anchors belong to the fuzzy filter only."""
+    if method == "fgf":
+        return fgf_mod.fgf_rank(dataset, fgf_params)
+    if fgf_params is not None:
+        raise ValueError("fgf_params needs method 'fgf'")
+    return rank_genes(dataset, method)
+
+
 def _loocv_correct(
     dataset, method, classifier, counts, fgf_params, rank_scope, seed, reoptimize_fgf,
     ga_config, cache,
@@ -220,10 +232,8 @@ def _loocv_correct(
         )
     if rank_scope not in ("train", "full"):
         raise ValueError("rank_scope must be 'train' or 'full'")
-    # Anchors and their per-fold search belong to the fuzzy filter only;
-    # the search needs per-fold rankings and would drop given anchors.
-    if fgf_params is not None and method != "fgf":
-        raise ValueError("fgf_params needs method 'fgf'")
+    # The per-fold anchor search belongs to the fuzzy filter only; it needs
+    # per-fold rankings and would drop given anchors.
     if reoptimize_fgf and method != "fgf":
         raise ValueError("reoptimize_fgf needs method 'fgf'")
     if reoptimize_fgf and rank_scope == "full":
@@ -245,13 +255,10 @@ def _loocv_correct(
                 data = replace(
                     dataset, matrix=dataset.matrix[:, keep], labels=dataset.labels[keep]
                 )
-                if method == "fgf" and reoptimize_fgf:
+                if reoptimize_fgf:
                     fold_config = replace(config, seed=_derived_seed(config.seed, held_out))
                     params, _ = gaopt.optimize_fgf(data, fold_config)
-            if method == "fgf":
-                cache[key] = fgf_mod.fgf_rank(data, params)
-            else:
-                cache[key] = rank_genes(data, method)
+            cache[key] = rank(data, method, params)
         order = cache[key].order
         fold_labels = dataset.labels[keep]
         for k in correct:

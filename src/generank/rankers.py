@@ -9,10 +9,11 @@ curve. Each returns a :class:`TestResult` for one gene.
 dataset in one pass over the whole matrix per method. They give the
 same bits as calling the scalar test on each gene. Welch means and
 variances reduce each gene as one contiguous row, which NumPy sums in the
-same pairwise order as a 1-D sample; midrank sums are half-integers and
-so exact in any order; the scalar tails (``pow``, ``math.erfc``, the
-exact rank-sum null) stay per gene. The scalar tests are the oracles the
-test suite checks this against.
+same pairwise order as a 1-D sample, and both Welch paths square with a
+multiply, one IEEE operation, not with ``pow``, whose build glibc picks by
+CPU; midrank sums are half-integers and so exact in any order; the scalar
+tails (``math.erfc``, the exact rank-sum null) stay per gene. The scalar
+tests are the oracles the test suite checks this against.
 """
 
 from __future__ import annotations
@@ -25,8 +26,6 @@ import numpy as np
 from scipy.special import betainc
 
 from generank.dataio import VARIANCE_FLOOR, Dataset
-
-RANKER_METHODS = ("ttest", "wilcoxon", "roc")
 
 # Pooled sizes up to this run the exact rank-sum null distribution.
 EXACT_RANKSUM_LIMIT = 25
@@ -98,13 +97,12 @@ def welch_t_test(x, y) -> TestResult:
     x, y = _validate_pair(x, y)
     nx, ny = len(x), len(y)
     mx, my = x.mean(), y.mean()
-    vx = x.var(ddof=1)
-    vy = y.var(ddof=1)
-    se2 = vx / nx + vy / ny
+    ax, ay = x.var(ddof=1) / nx, y.var(ddof=1) / ny
+    se2 = ax + ay
     if se2 == 0.0:
         se2 = VARIANCE_FLOOR
     t = (mx - my) / math.sqrt(se2)
-    df_den = (vx / nx) ** 2 / (nx - 1) + (vy / ny) ** 2 / (ny - 1)
+    df_den = ax * ax / (nx - 1) + ay * ay / (ny - 1)
     if df_den > 0.0:
         df = se2 * se2 / df_den
     else:
@@ -275,17 +273,12 @@ def _welch_columns(matrix: np.ndarray, labels: np.ndarray):
     nx, ny = x.shape[1], y.shape[1]
     mx, vx = x.mean(axis=1), x.var(axis=1, ddof=1)
     my, vy = y.mean(axis=1), y.var(axis=1, ddof=1)
-    # the scalar tail in Python floats: ``** 2`` on a float goes through
-    # pow(), as it does in welch_t_test; on an array it would square
-    se2 = np.empty(len(mx))
-    df = np.empty(len(mx))
-    for g, (ax, ay) in enumerate(zip((vx / nx).tolist(), (vy / ny).tolist())):
-        s = ax + ay
-        if s == 0.0:
-            s = VARIANCE_FLOOR
-        df_den = ax**2 / (nx - 1) + ay**2 / (ny - 1)
-        se2[g] = s
-        df[g] = s * s / df_den if df_den > 0.0 else nx + ny - 2
+    ax, ay = vx / nx, vy / ny
+    se2 = ax + ay
+    se2[se2 == 0.0] = VARIANCE_FLOOR
+    df_den = ax * ax / (nx - 1) + ay * ay / (ny - 1)
+    df = np.full(len(se2), float(nx + ny - 2))
+    np.divide(se2 * se2, df_den, out=df, where=df_den > 0.0)
     t = (mx - my) / np.sqrt(se2)
     return _student_t_two_sided(t, df), mx - my
 
@@ -366,6 +359,7 @@ _COLUMN_TESTS = {
     "wilcoxon": _wilcoxon_columns,
     "roc": _roc_columns,
 }
+RANKER_METHODS = tuple(_COLUMN_TESTS)
 
 
 def rank_genes(dataset: Dataset, method: str) -> GeneRanking:

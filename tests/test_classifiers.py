@@ -1198,9 +1198,12 @@ def test_mlp_model_bits_are_the_same_on_every_host():
     The training loop sums in a fixed order and takes ``exp`` and ``log``
     from the C library on both of its paths, so these hashes hold with
     and without the compiled library, on every OpenBLAS kernel and with
-    NumPy's SIMD code paths turned off. They were measured with glibc's
-    libm; a build against another libm (musl, macOS) may round ``exp`` or
-    ``log`` differently and is not covered.
+    NumPy's SIMD code paths turned off. They hold only where the C library
+    rounds ``exp`` and ``log`` as it did where they were measured: glibc on
+    an x86-64 CPU with FMA and AVX2. glibc picks its builds of these by
+    CPU, and with FMA and AVX2 masked
+    (``GLIBC_TUNABLES=glibc.cpu.hwcaps=-AVX2,-FMA,-FMA4``) the hashes
+    change. Another libm (musl, macOS) is not measured either.
     """
     fits = [
         # (data seed, per class, features, hidden units, ridge, fit seed)

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from generank import classifiers, cli, gaopt
+from generank import classifiers, cli, crossval, gaopt
 from generank.dataio import load_dataset
 from generank.fgf import FgfParams, FuzzyRegion, load_params, save_params
 
@@ -466,6 +466,27 @@ def test_evaluate_artifacts(tables, tmp_path):
     assert summary["best_k"] in (1, 2, 3, 4)
     accuracies = [float(line.split("\t")[1]) for line in sweep_lines[1:]]
     assert summary["best_accuracy"] == max(accuracies)
+
+
+def test_evaluate_fgf_without_anchors_tunes_them_on_the_full_data(tables, tmp_path):
+    _, matrix_path, labels_path = tables
+    out = tmp_path / "eval"
+    ga_flags = ["--ga-population", "4", "--ga-generations", "1"]
+    code = cli.main(
+        ["evaluate", "--matrix", matrix_path, "--labels", labels_path, "--out", str(out),
+         "--method", "fgf", "--classifier", "knn", "--k-max", "2", "--seed", "5", *ga_flags]
+    )
+    assert code == 0
+    expected = crossval.sweep_gene_counts(
+        load_dataset(matrix_path, labels_path), "fgf", "knn", k_max=2, seed=5,
+        ga_config=gaopt.GaConfig(population_size=4, generations=1, seed=5),
+    )
+    crossval.save_sweep(expected, tmp_path / "expected.tsv")
+    sweep = (out / "sweep_fgf_knn.tsv").read_bytes()
+    assert sweep == (tmp_path / "expected.tsv").read_bytes()
+    assert len(sweep.splitlines()) == 3
+    with open(out / "evaluate_fgf_knn.json", "r", encoding="utf-8") as fh:
+        assert json.load(fh)["best_k"] == expected.best_k
 
 
 def test_evaluate_solver_failure_is_fatal(tables, tmp_path, capsys, monkeypatch):

@@ -19,8 +19,9 @@ from generank.crossval import (
     sweep_gene_counts,
     _hyper_grid,
 )
-from generank.fgf import default_params
+from generank.fgf import default_params, fgf_rank
 from generank.gaopt import GaConfig
+from generank.rankers import rank_genes
 
 from conftest import planted_dataset
 
@@ -447,6 +448,44 @@ def test_loocv_fgf_params_needs_method_fgf():
             loocv_accuracy(dataset, method, "knn", 3, fgf_params=default_params())
         with pytest.raises(ValueError, match="fgf_params needs method 'fgf'"):
             sweep_gene_counts(dataset, method, "knn", 2, fgf_params=default_params())
+
+
+def test_sweep_fgf_without_anchors_searches_once_on_the_full_data(monkeypatch):
+    # with neither anchors nor a per-fold search, one genetic search on
+    # all samples picks the anchors every fold ranks by
+    dataset = planted_dataset(15, 3, 4, 4, 3.0, seed=609)
+    config = GaConfig(population_size=4, generations=1, seed=2)
+    calls = []
+
+    def recording(data, ga_config):
+        calls.append((data, ga_config))
+        return default_params(), None
+
+    monkeypatch.setattr(crossval.gaopt, "optimize_fgf", recording)
+    sweep_gene_counts(dataset, "fgf", "knn", 2, ga_config=config)
+    assert len(calls) == 1
+    assert calls[0][0] is dataset
+    assert calls[0][1] is config
+
+
+def test_rank_picks_the_ranker_by_method():
+    dataset = planted_dataset(15, 3, 4, 4, 3.0, seed=610)
+    params = default_params()
+    fuzzy = crossval.rank(dataset, "fgf", params)
+    expected = fgf_rank(dataset, params)
+    assert fuzzy.method == "fgf"
+    assert fuzzy.order.tobytes() == expected.order.tobytes()
+    assert fuzzy.scores.tobytes() == expected.scores.tobytes()
+    for method in ("ttest", "wilcoxon", "roc"):
+        ranking = crossval.rank(dataset, method)
+        expected = rank_genes(dataset, method)
+        assert ranking.method == method
+        assert ranking.order.tobytes() == expected.order.tobytes()
+        assert ranking.scores.tobytes() == expected.scores.tobytes()
+        with pytest.raises(ValueError, match="fgf_params needs method 'fgf'"):
+            crossval.rank(dataset, method, params)
+    with pytest.raises(ValueError, match="unknown method"):
+        crossval.rank(dataset, "pca")
 
 
 def test_loocv_each_classifier_runs():

@@ -392,7 +392,23 @@ def test_labels_duplicate_sample_rejected(tmp_path):
     labels = tmp_path / "l.tsv"
     _write(matrix, "gene_id\ts0\ts1\ts2\ts3\ng0\t1\t2\t3\t4\n")
     _write(labels, "s0\ta\ns0\ta\ns2\tb\ns3\tb\n")
-    with pytest.raises(DataFormatError, match="duplicate"):
+    with pytest.raises(DataFormatError, match=re.escape(f"{labels}: duplicate label for 's0'")):
+        load_dataset(matrix, labels)
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("s0\ta\ns1\ta\textra\ns2\tb\ns3\tb\n", "line 2 must be 'sample_id<TAB>class_name'"),
+        ("s0\ta\ns2\tb\n", "no label for sample(s): s1, s3"),
+    ],
+)
+def test_labels_file_faults_are_named(tmp_path, text, message):
+    matrix = tmp_path / "m.tsv"
+    labels = tmp_path / "l.tsv"
+    _write(matrix, "gene_id\ts0\ts1\ts2\ts3\ng0\t1\t2\t3\t4\n")
+    _write(labels, text)
+    with pytest.raises(DataFormatError, match=re.escape(f"{labels}: {message}")):
         load_dataset(matrix, labels)
 
 
@@ -436,6 +452,20 @@ def test_dataset_rejects_nan():
     matrix[0, 2] = np.nan
     with pytest.raises(ValueError):
         Dataset(matrix, ["g0"], np.array([0, 0, 1, 1]), ("a", "b"))
+
+
+@pytest.mark.parametrize(
+    "matrix,gene_ids,labels,class_names,message",
+    [
+        (np.ones(4), ["g0"], [0, 0, 1, 1], ("a", "b"), "expression matrix must be 2-D"),
+        (np.ones((2, 4)), ["g0"], [0, 0, 1, 1], ("a", "b"), "gene id count 1 != matrix rows 2"),
+        (np.ones((1, 4)), ["g0"], [0, 0, 1], ("a", "b"), "label count 3 != matrix columns 4"),
+        (np.ones((1, 4)), ["g0"], [0, 0, 1, 1], ("a",), "exactly two class names required"),
+    ],
+)
+def test_dataset_rejects_inconsistent_parts(matrix, gene_ids, labels, class_names, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Dataset(matrix, gene_ids, np.array(labels), class_names)
 
 
 def test_dataset_rejects_bad_label_values():

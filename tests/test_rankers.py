@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import betainc
 
 from generank import rankers
 from generank.dataio import Dataset
@@ -140,6 +141,22 @@ def test_welch_rejects_bad_input():
         welch_t_test([1.0, np.nan], [2.0, 3.0])
     with pytest.raises(ValueError):
         welch_t_test(np.ones((2, 2)), [2.0, 3.0])
+
+
+def test_welch_squares_its_variance_terms_exactly():
+    # ``a ** 2`` goes through libm's pow(), which glibc picks by CPU; on an
+    # FMA host it rounds this sample's class-1 term differently from
+    # ``a * a``, a single IEEE multiply that rounds alike anywhere
+    rng = np.random.default_rng(646)
+    x = rng.normal(size=5)
+    y = rng.normal(size=6)
+    ax = x.var(ddof=1) / 5
+    ay = y.var(ddof=1) / 6
+    se2 = ax + ay
+    t = (x.mean() - y.mean()) / math.sqrt(se2)
+    df = se2 * se2 / (ax * ax / 4 + ay * ay / 5)
+    expected = float(betainc(df / 2.0, 0.5, df / (df + t * t)))
+    assert welch_t_test(x, y).p_value == expected
 
 
 # ---------------------------------------------------------------------------
