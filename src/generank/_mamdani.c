@@ -1,6 +1,6 @@
 /* Three compiled solvers that mirror Python code expression for
- * expression, a reader of the expression matrix's text, and NumPy's
- * seeding and uniform draws:
+ * expression, a pass over the tie runs of sorted rows, a reader of the
+ * expression matrix's text, and NumPy's seeding and uniform draws:
  *
  * mamdani_scores, the batch fuzzy-inference kernel, a plain-C port of
  * generank._mamdani_py. The centroid accumulates in ascending grid
@@ -8,6 +8,14 @@
  * call, and each output class only visits the grid points where its
  * triangle is positive: the skipped points contribute exact zeros, so
  * skipping them cannot change a bit of the result.
+ *
+ * rank_sums, each row's midranks, the rank sum of one class and the tie
+ * term sum(t^3 - t), from the row's values and an order that sorts it: a
+ * port of generank.rankers._tie_ranks and the sums taken of it. Any order
+ * that sorts a row puts equal values side by side (-0.0 equals 0.0), so
+ * the runs, and with them every output, do not depend on how the sort
+ * orders ties; the rank sums are half-integers and the tie terms
+ * integers, both exact.
  *
  * svm_grid_solve, the linear SVM fits of a grid of box bounds on one
  * training block, a port of generank.classifiers._svm_grid_loop: one
@@ -163,6 +171,49 @@ int64_t mamdani_scores(const double *fc, const double *var, const double *rs,
         scores[g] = num / den;
     }
     return clamped;
+}
+
+/* The rank-sum statistics of each row of the rows x n matrix X, a port of
+ * generank.rankers._tie_ranks and the sums generank.rankers._rank_sums
+ * takes of it. Row r of order holds the positions that sort row r of X
+ * ascending, in any order among equal values. A run of equal values at
+ * sorted positions s..e shares the midrank (s + e + 2) / 2: w[r] gets the
+ * sum of the midranks of the samples whose in_class is 1, tie[r] the sum
+ * of t * t * t - t over the row's runs of t values, and, when ranks is
+ * not NULL, ranks[r * n + j] the midrank of sample j. Returns 0, or -1
+ * when order holds a position outside 0..n-1 or does not sort its row. */
+int64_t rank_sums(const double *X, const int64_t *order, int64_t rows, int64_t n,
+                  const unsigned char *in_class, double *w, int64_t *tie, double *ranks)
+{
+    const double *x;
+    const int64_t *o;
+    int64_t r, s, e, t, k, members, twice_w, ties;
+
+    for (r = 0; r < rows; r++) {
+        x = X + r * n;
+        o = order + r * n;
+        for (k = 0; k < n; k++)
+            if (o[k] < 0 || o[k] >= n)
+                return -1;
+        twice_w = 0;
+        ties = 0;
+        for (s = 0; s < n; s = e + 1) {
+            members = in_class[o[s]];
+            for (e = s; e + 1 < n && x[o[e + 1]] == x[o[e]]; e++)
+                members += in_class[o[e + 1]];
+            if (e + 1 < n && x[o[e + 1]] < x[o[e]])
+                return -1;
+            t = e - s + 1;
+            twice_w += members * (s + e + 2);
+            ties += t * t * t - t;
+            if (ranks != NULL)
+                for (k = s; k <= e; k++)
+                    ranks[r * n + o[k]] = (double)(s + e + 2) / 2.0;
+        }
+        w[r] = (double)twice_w / 2.0;
+        tie[r] = ties;
+    }
+    return 0;
 }
 
 /* a[0] * b[0] + a[1] * b[1] + ..., added left to right; 0 when m is 0. */

@@ -17,7 +17,7 @@ import numpy as np
 
 from generank import _mamdani_py, kernels
 from generank.dataio import Dataset, standardize_genes
-from generank.rankers import GeneRanking, midranks, rank_sum_deviation, welch_p_values
+from generank.rankers import GeneRanking, rank_sum_deviation, welch_p_values
 # welch_t_test stays importable from here: perfbench/tracer.py patches this name.
 from generank.rankers import welch_t_test  # noqa: F401
 
@@ -179,7 +179,7 @@ def compute_fuzzy_inputs(dataset: Dataset) -> FuzzyInputs:
     s1 = Z[:, mask1].var(axis=1, ddof=1)
     raw_var = ((n0 - 1) * s0 + (n1 - 1) * s1) / (n0 + n1 - 2)
 
-    raw_rs = rank_sum_deviation(midranks(X, axis=1), labels)
+    raw_rs = rank_sum_deviation(X, labels)[0]
 
     return FuzzyInputs(
         _minmax_scale(raw_fc), _minmax_scale(raw_var), _minmax_scale(raw_rs)

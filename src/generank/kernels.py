@@ -6,23 +6,26 @@ as its oracle and fallback: the batch fuzzy-inference kernel
 bounds, with their SMO update loop (``classifiers._svm_grid_loop``), and
 the perceptron fits of a whole grid of hidden widths, with their
 scaled-conjugate-gradient loop (``classifiers._mlp_grid_loop``). It also
-holds a reader of the expression matrix's rows, whose oracle and
-fallback is the line-by-line reader ``dataio._parse_matrix_lines``, and
-a bit-exact port of NumPy's ``SeedSequence`` and ``PCG64`` that draws
-the perceptron's seeds (``derived_seed``, for
-``crossval._derived_seed``) and starting weights (``initial_weights``,
-for ``classifiers._initial_weights``), whose oracle and fallback is
-``numpy.random``. It is loaded through ctypes and preferred. On first
-import it is compiled when no build of the current source exists and a
-C compiler (``cc``) is on ``PATH``; see ``_cbuild``. Without a compiler,
+holds a pass over the tie runs of sorted rows that gives their rank-sum
+statistics and midranks (``rank_sums``, for ``rankers._rank_sums``,
+whose oracle and fallback is ``rankers._tie_ranks``), a reader of the
+expression matrix's rows, whose oracle and fallback is the line-by-line
+reader ``dataio._parse_matrix_lines``, and a bit-exact port of NumPy's
+``SeedSequence`` and ``PCG64`` that draws the perceptron's seeds
+(``derived_seed``, for ``crossval._derived_seed``) and starting weights
+(``initial_weights``, for ``classifiers._initial_weights``), whose
+oracle and fallback is ``numpy.random``. It is loaded through ctypes
+and preferred. On first import it is compiled when no build of the
+current source exists and a C compiler (``cc``) is on ``PATH``; see
+``_cbuild``. Without a compiler,
 or if the build fails (which warns with the compiler's output), the
 Python code takes over. Both produce bit-identical results, so the
 choice only affects speed; ``BACKEND`` names the fuzzy kernel that runs,
-and ``svm_grid_solve``, ``mlp_grid_solve``, ``parse_matrix_rows``,
-``derived_seed`` and ``initial_weights`` are None when the library is
-not loaded. The one difference is which NaN an overflowed SVM fit
-holds, and ``classifiers.svm_train`` and ``svm_grid_labels`` reject
-such a fit on either path.
+and ``rank_sums``, ``svm_grid_solve``, ``mlp_grid_solve``,
+``parse_matrix_rows``, ``derived_seed`` and ``initial_weights`` are None
+when the library is not loaded. The one difference is which NaN an
+overflowed SVM fit holds, and ``classifiers.svm_train`` and
+``svm_grid_labels`` reject such a fit on either path.
 
 Every library function is declared by ``_declare`` with one calling
 convention: arrays go in as addresses (``c_void_p``), sizes as
@@ -30,10 +33,11 @@ convention: arrays go in as addresses (``c_void_p``), sizes as
 fuzzy kernel and the two grid solvers get their inputs and their results
 in one float64 buffer that ``_pack`` lays out in the order of the C
 arguments, so a call allocates once and its results are views of that
-buffer. The matrix reader writes into a float64 matrix and an int64
-array of its own. The matrix text and the seeds' entropy go in as bytes
-(``c_char_p``); the entropy is each seed's little-endian uint32 words,
-which ``_seed_words`` makes.
+buffer. The rank-sum pass reads its matrix, order and class flags in
+place and writes arrays of its own, as the matrix reader writes into a
+float64 matrix and an int64 array of its own. The matrix text and the
+seeds' entropy go in as bytes (``c_char_p``); the entropy is each
+seed's little-endian uint32 words, which ``_seed_words`` makes.
 """
 
 from __future__ import annotations
@@ -107,6 +111,34 @@ def _bind_mamdani(lib):
         return views[4], clamped
 
     return mamdani_scores
+
+
+def _bind_rank_sums(lib):
+    fn = _declare(lib, "rank_sums", _POINTER, _POINTER, _COUNT, _COUNT, *(_POINTER,) * 4)
+
+    def rank_sums(X, order, in_class, with_ranks=False):
+        """``rankers._rank_sums`` computed in C from ``order``, positions
+        that sort each row of ``X`` (``np.argsort(X, axis=-1)``'s): returns
+        ``(w, tie_term, ranks)`` as there, ``ranks`` None unless
+        ``with_ranks``."""
+        X = np.ascontiguousarray(X, dtype=np.float64)
+        order = np.ascontiguousarray(order, dtype=np.int64)
+        in_class = np.ascontiguousarray(in_class, dtype=np.bool_)
+        if X.ndim != 2 or order.shape != X.shape or in_class.shape != X.shape[1:]:
+            raise ValueError("X must be 2-D, order of X's shape, in_class a flag a column")
+        rows, n = X.shape
+        w = np.empty(rows)
+        tie_term = np.empty(rows, dtype=np.int64)
+        ranks = np.empty((rows, n)) if with_ranks else None
+        status = fn(
+            X.ctypes.data, order.ctypes.data, rows, n, in_class.ctypes.data, w.ctypes.data,
+            tie_term.ctypes.data, None if ranks is None else ranks.ctypes.data,
+        )
+        if status < 0:
+            raise ValueError("order does not sort the rows of X")
+        return w, tie_term, ranks
+
+    return rank_sums
 
 
 def _bind_svm_grid(lib):
@@ -280,6 +312,7 @@ def _load_c_kernel():
 _LIB = _load_library()
 if _LIB is not None:
     _c_scores = _bind_mamdani(_LIB)
+    rank_sums = _bind_rank_sums(_LIB)
     svm_grid_solve = _bind_svm_grid(_LIB)
     mlp_grid_solve = _bind_mlp_grid(_LIB)
     parse_matrix_rows = _bind_parse(_LIB)
@@ -288,6 +321,7 @@ if _LIB is not None:
     BACKEND = "c"
 else:
     _c_scores = None
+    rank_sums = None
     svm_grid_solve = None
     mlp_grid_solve = None
     parse_matrix_rows = None

@@ -14,6 +14,18 @@ multiply, one IEEE operation, not with ``pow``, whose build glibc picks by
 CPU; midrank sums are half-integers and so exact in any order; the scalar
 tails (``math.erfc``, the exact rank-sum null) stay per gene. The scalar
 tests are the oracles the test suite checks this against.
+
+The rank-sum statistics (the Wilcoxon and ROC rankers' rank sums, the tie
+term of the Wilcoxon variance and the fuzzy filter's rank-sum deviation)
+come from one default, unstable argsort of each gene's row and one pass
+over the runs of equal values it lines up, compiled when the C library
+is loaded (``kernels.rank_sums``) and :func:`_tie_ranks` otherwise. How
+the sort orders equal values cannot matter: any order that sorts a row
+puts equal values side by side (``-0.0`` equals ``0.0``), so the runs are
+the same, and a run at sorted positions ``s..e`` gives each member the
+midrank ``(s + e + 2) / 2`` whichever member sits where. The rank sums
+are sums of half-integers no larger than ``n(n + 1)/2`` and the tie terms
+sums of integers, so both are exact in any order too.
 """
 
 from __future__ import annotations
@@ -25,6 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import betainc
 
+from generank import kernels
 from generank.dataio import VARIANCE_FLOOR, Dataset
 
 # Pooled sizes up to this run the exact rank-sum null distribution.
@@ -147,11 +160,11 @@ def _ranksum_null_counts(doubled: tuple, n_w: int) -> np.ndarray:
     return row
 
 
-def _tie_ranks(a: np.ndarray):
-    """``(ranks, start, end)`` along the last axis of ``a``: the midranks
-    of :func:`midranks`, and for each sorted position the first and last
-    sorted position of the run of equal values that holds it."""
-    order = np.argsort(a, axis=-1, kind="stable")
+def _tie_ranks(a: np.ndarray, order: np.ndarray):
+    """``(ranks, start, end)`` along the last axis of ``a``, which
+    ``order`` sorts: the midranks of :func:`midranks`, and for each sorted
+    position the first and last sorted position of the run of equal
+    values that holds it."""
     ordered = np.take_along_axis(a, order, axis=-1)
     n = ordered.shape[-1]
     position = np.arange(n)
@@ -168,16 +181,39 @@ def _tie_ranks(a: np.ndarray):
     return ranks, start, end
 
 
+def _rank_sums(matrix: np.ndarray, in_class: np.ndarray, with_ranks=False):
+    """``(w, tie_term, ranks)`` for each row of the 2-D ``matrix``: the sum
+    of the midranks of the samples that the boolean ``in_class`` marks,
+    the int64 sum of ``t**3 - t`` over the row's runs of ``t`` equal
+    values, and the midranks themselves when ``with_ranks`` (else None).
+
+    One default argsort orders the rows; the compiled pass
+    (``kernels.rank_sums``) walks their runs, and without it, or for a
+    matrix that is not float64, :func:`_tie_ranks` does.
+    """
+    order = np.argsort(matrix, axis=-1)
+    if kernels.rank_sums is not None and matrix.dtype == np.float64:
+        return kernels.rank_sums(matrix, order, in_class, with_ranks)
+    ranks, start, end = _tie_ranks(matrix, order)
+    # each of a run's t positions adds t**2 - 1, an integer sum that is exact
+    runs = end - start + 1
+    w = ranks[:, in_class].sum(axis=1)
+    return w, (runs * runs - 1).sum(axis=1), ranks if with_ranks else None
+
+
 def midranks(a, axis=-1) -> np.ndarray:
     """Ranks 1..n of finite values along ``axis``, tied values sharing
     the mean of their ranks: ``scipy.stats.rankdata(a, axis=axis)``.
 
-    One stable sort lines each slice up; a tie run spanning sorted
-    positions ``start..end`` gets ``(start + end + 2) / 2``, an exact
-    half-integer, so the result has the same bits as SciPy's.
+    A tie run spanning sorted positions ``start..end`` gets
+    ``(start + end + 2) / 2``, an exact half-integer, so the result has
+    the same bits as SciPy's.
     """
     a = np.moveaxis(np.asarray(a), axis, -1)
-    return np.moveaxis(_tie_ranks(a)[0], -1, axis)
+    n = a.shape[-1]
+    rows = a.reshape(math.prod(a.shape[:-1]), n)
+    ranks = _rank_sums(rows, np.zeros(n, dtype=bool), with_ranks=True)[2]
+    return np.moveaxis(ranks.reshape(a.shape), -1, axis)
 
 
 def wilcoxon_test(x, y) -> TestResult:
@@ -283,16 +319,16 @@ def _welch_columns(matrix: np.ndarray, labels: np.ndarray):
     return _student_t_two_sided(t, df), mx - my
 
 
-def rank_sum_deviation(ranks: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """|W - E[W]| per row of midranks (genes x samples), W being the rank
-    sum of the smaller class (class 0 on equal sizes): the effect of
-    :func:`wilcoxon_test` for every gene."""
+def rank_sum_deviation(matrix: np.ndarray, labels: np.ndarray, with_ranks=False):
+    """``(deviation, tie_term, ranks)`` per row of ``matrix`` (genes x
+    samples): |W - E[W]|, W being the rank sum of the smaller class (class
+    0 on equal sizes), which is the effect of :func:`wilcoxon_test` for
+    every gene, then the tie term and midranks of :func:`_rank_sums`."""
     n0 = int((labels == 0).sum())
     n1 = int((labels == 1).sum())
     w_class, n_w = (0, n0) if n0 <= n1 else (1, n1)
-    n = len(labels)
-    w = ranks[:, labels == w_class].sum(axis=1)
-    return np.abs(w - n_w * (n + 1) / 2.0)
+    w, tie_term, ranks = _rank_sums(matrix, labels == w_class, with_ranks)
+    return np.abs(w - n_w * (len(labels) + 1) / 2.0), tie_term, ranks
 
 
 def _erfc_tail(z: np.ndarray) -> np.ndarray:
@@ -302,22 +338,18 @@ def _erfc_tail(z: np.ndarray) -> np.ndarray:
 
 def _wilcoxon_columns(matrix: np.ndarray, labels: np.ndarray):
     """(p-values, effects) of :func:`wilcoxon_test` for every gene."""
-    ranks, start, end = _tie_ranks(matrix)
-    effects = rank_sum_deviation(ranks, labels)
     nx = int((labels == 0).sum())
     ny = int((labels == 1).sum())
     n = nx + ny
-    if n <= EXACT_RANKSUM_LIMIT:
+    exact = n <= EXACT_RANKSUM_LIMIT
+    effects, tie_term, ranks = rank_sum_deviation(matrix, labels, with_ranks=exact)
+    if exact:
         n_w = min(nx, ny)
         doubled = np.rint(2.0 * ranks).astype(np.int64)
         dev2 = np.rint(2.0 * effects).astype(np.int64).tolist()
         p = [_exact_ranksum_p(d, n_w, dev2[g]) for g, d in enumerate(doubled)]
         return np.array(p, dtype=np.float64), effects
-    # sum of t**3 - t over each row's tie runs of length t: each of a
-    # run's t positions adds t**2 - 1, an integer sum that is exact
-    runs = end - start + 1
-    tie_term = (runs * runs - 1).sum(axis=1).astype(np.float64) / (n * (n - 1))
-    sigma2 = nx * ny / 12.0 * ((n + 1) - tie_term)
+    sigma2 = nx * ny / 12.0 * ((n + 1) - tie_term.astype(np.float64) / (n * (n - 1)))
     p = np.ones(len(effects))
     spread = sigma2 > 0.0
     z = (effects[spread] - 0.5) / np.sqrt(sigma2[spread])
@@ -327,10 +359,9 @@ def _wilcoxon_columns(matrix: np.ndarray, labels: np.ndarray):
 
 def _roc_columns(matrix: np.ndarray, labels: np.ndarray):
     """(p-values, effects) of :func:`roc_test` for every gene."""
-    ranks = midranks(matrix, axis=1)
     nx = int((labels == 0).sum())
     ny = int((labels == 1).sum())
-    u = ranks[:, labels == 0].sum(axis=1) - nx * (nx + 1) / 2.0
+    u = _rank_sums(matrix, labels == 0)[0] - nx * (nx + 1) / 2.0
     area = u / (nx * ny)
     effects = np.abs(area - 0.5)
     q1 = area / (2.0 - area)
@@ -386,5 +417,6 @@ def save_ranking(ranking: GeneRanking, gene_ids, path):
     """Write ``rank<TAB>gene_id<TAB>score`` rows, best gene first."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("rank\tgene_id\tscore\n")
-        for pos, g in enumerate(ranking.order, start=1):
-            fh.write(f"{pos}\t{gene_ids[g]}\t{float(ranking.scores[g])!r}\n")
+        scores = ranking.scores.tolist()
+        for pos, g in enumerate(ranking.order.tolist(), start=1):
+            fh.write(f"{pos}\t{gene_ids[g]}\t{scores[g]!r}\n")

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from generank import _cbuild, _mamdani_py, classifiers, kernels
+from generank import _cbuild, _mamdani_py, classifiers, kernels, rankers
 
 
 DEFAULT = np.array([0.25, 0.75, 0.25, 0.75, 0.25, 0.75])
@@ -73,6 +73,65 @@ def test_raw_c_kernel_copies_strided_inputs_and_checks_shapes():
         c_scores(np.full((4, 2), 0.5), good, good, DEFAULT)
     with pytest.raises(ValueError):
         c_scores(good, good, good, DEFAULT[:4])
+
+
+needs_rank_sums = pytest.mark.skipif(
+    kernels.rank_sums is None, reason="the C library is not loaded"
+)
+
+
+def _shuffle_tie_runs(rng, values, order):
+    """``order`` with the positions of each run of equal values in each
+    row shuffled: another order that sorts the rows."""
+    shuffled = order.copy()
+    for r, row in enumerate(np.take_along_axis(values, order, axis=-1)):
+        cuts = [0, *np.flatnonzero(row[1:] != row[:-1]) + 1, len(row)]
+        for s, e in zip(cuts[:-1], cuts[1:]):
+            shuffled[r, s:e] = rng.permutation(order[r, s:e])
+    return shuffled
+
+
+@needs_rank_sums
+def test_rank_sums_do_not_depend_on_the_order_among_ties():
+    rng = np.random.default_rng(244)
+    for trial in range(200):
+        rows, n = int(rng.integers(1, 6)), int(rng.integers(1, 60))
+        values = np.round(rng.normal(size=(rows, n)) * rng.uniform(0.5, 3.0))
+        values[values == 0.0] = rng.choice([0.0, -0.0], int((values == 0.0).sum()))
+        in_class = rng.random(n) < 0.4
+        order = np.argsort(values, axis=-1, kind="stable")
+        shuffled = _shuffle_tie_runs(rng, values, order)
+        expected = kernels.rank_sums(values, order, in_class, with_ranks=True)
+        for other in (shuffled, np.argsort(values, axis=-1)):
+            got = kernels.rank_sums(values, other, in_class, with_ranks=True)
+            for a, b in zip(got, expected):
+                assert a.tobytes() == b.tobytes(), f"trial {trial}"
+            # the NumPy pass that is its oracle, on the same order
+            ranks = rankers._tie_ranks(values, other)[0]
+            assert ranks.tobytes() == expected[2].tobytes(), f"trial {trial}"
+
+
+@needs_rank_sums
+def test_rank_sums_copies_strided_inputs_and_checks_them():
+    rng = np.random.default_rng(245)
+    values = np.round(rng.normal(size=(6, 40)), 1)
+    in_class = rng.random(40) < 0.5
+    view = values[::2, ::2]
+    order = np.argsort(view, axis=-1)
+    got = kernels.rank_sums(view, order, in_class[::2], with_ranks=True)
+    expected = kernels.rank_sums(view.copy(), order.copy(), in_class[::2].copy(), True)
+    for a, b in zip(got, expected):
+        assert a.tobytes() == b.tobytes()
+    row, flags = np.array([[3.0, 1.0, 2.0]]), np.array([True, False, False])
+    for bad in ([[0, 1, 2]], [[1, 2, 3]], [[-1, 2, 0]]):
+        with pytest.raises(ValueError, match="does not sort"):
+            kernels.rank_sums(row, np.array(bad), flags)
+    with pytest.raises(ValueError, match="2-D"):
+        kernels.rank_sums(row[0], np.array([1, 2, 0]), flags)
+    with pytest.raises(ValueError, match="2-D"):
+        kernels.rank_sums(row, np.array([[1, 2, 0, 0]]), flags)
+    with pytest.raises(ValueError, match="2-D"):
+        kernels.rank_sums(row, np.array([[1, 2, 0]]), flags[:2])
 
 
 def test_extreme_corner_scores():

@@ -8,8 +8,9 @@ import pytest
 from scipy import stats
 from scipy.special import betainc
 
-from generank import rankers
+from generank import kernels, rankers
 from generank.dataio import Dataset
+from generank.fgf import compute_fuzzy_inputs, fgf_rank
 from generank.rankers import (
     EXACT_RANKSUM_LIMIT,
     GeneRanking,
@@ -64,6 +65,57 @@ def test_midranks_bit_identical_to_scipy():
             got = midranks(values, axis=axis)
             assert got.shape == expected.shape
             assert got.tobytes() == expected.tobytes(), f"trial {trial}, axis {axis}"
+
+
+def test_midranks_bit_identical_to_scipy_without_the_library(monkeypatch):
+    monkeypatch.setattr(kernels, "rank_sums", None)
+    test_midranks_bit_identical_to_scipy()
+
+
+def _tied_rows(rng, trial):
+    """A seeded rows x n matrix and class mask: ties made by rounding,
+    -0.0 next to 0.0, constant rows, n = 1, no rows, unequal classes."""
+    rows = 0 if trial % 25 == 0 else int(rng.integers(1, 9))
+    n = 1 if trial % 20 == 1 else int(rng.integers(1, 40))
+    values = rng.normal(size=(rows, n)) * rng.uniform(0.5, 4.0)
+    if trial % 3 == 0:
+        values = np.round(values)  # ties, and -0.0 next to 0.0
+    elif trial % 3 == 1:
+        values = np.round(values, 1)
+    if trial % 10 == 0:
+        values[...] = values.flat[0] if values.size else 0.0  # constant rows
+    values[values == 0.0] = rng.choice([0.0, -0.0], int((values == 0.0).sum()))
+    in_class = rng.random(n) < rng.uniform(0.0, 1.0)
+    return values, in_class
+
+
+def _reference_rank_sums(values, in_class):
+    """``(w, tie_term, ranks)`` from SciPy's midranks and np.unique's runs."""
+    ranks = stats.rankdata(values, axis=-1)
+    tie_term = []
+    for row in values:
+        _, sizes = np.unique(row, return_counts=True)
+        tie_term.append(int((sizes**3 - sizes).sum()))
+    return ranks[:, in_class].sum(axis=1), np.array(tie_term, dtype=np.int64), ranks
+
+
+@pytest.mark.parametrize("backend", ["c", "numpy"])
+def test_rank_sums_bit_identical_to_scipy(backend, monkeypatch):
+    if backend == "numpy":
+        monkeypatch.setattr(kernels, "rank_sums", None)
+    elif kernels.rank_sums is None:
+        pytest.skip("the C library is not loaded")
+    rng = np.random.default_rng(240)
+    for trial in range(600):
+        values, in_class = _tied_rows(rng, trial)
+        expected = _reference_rank_sums(values, in_class)
+        got = rankers._rank_sums(values, in_class, with_ranks=True)
+        for name, a, b in zip(("w", "tie term", "ranks"), got, expected):
+            assert a.dtype == b.dtype and a.shape == b.shape, f"trial {trial}, {name}"
+            assert a.tobytes() == b.tobytes(), f"trial {trial}, {name}"
+        w, tie_term, ranks = rankers._rank_sums(values, in_class)
+        assert ranks is None
+        assert w.tobytes() == got[0].tobytes() and tie_term.tobytes() == got[1].tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -384,6 +436,20 @@ def test_save_ranking_format(tmp_path):
         assert float(score_str) == ranking.scores[g]
 
 
+def test_save_ranking_writes_each_scores_repr(tmp_path):
+    rng = np.random.default_rng(242)
+    scores = rng.random(1000) ** 8
+    ranking = GeneRanking("roc", rng.permutation(1000), scores)
+    gene_ids = [f"g{i:04d}" for i in range(1000)]
+    path = tmp_path / "ranking.tsv"
+    save_ranking(ranking, gene_ids, path)
+    expected = "rank\tgene_id\tscore\n" + "".join(
+        f"{pos}\t{gene_ids[g]}\t{float(ranking.scores[g])!r}\n"
+        for pos, g in enumerate(ranking.order, start=1)
+    )
+    assert path.read_bytes() == expected.encode()
+
+
 # ---------------------------------------------------------------------------
 # whole-matrix rankers against the scalar tests, bit for bit
 
@@ -451,6 +517,25 @@ def test_rank_genes_bit_identical_to_scalar_tests(method, n0, n1):
     # the order breaks p-value ties by effect, so check those bits too
     _, matrix_effects = rankers._COLUMN_TESTS[method](dataset.matrix, dataset.labels)
     assert matrix_effects.tobytes() == effects.tobytes()
+
+
+@pytest.mark.parametrize("n0,n1", [(5, 4), (12, 9), (30, 17), (9, 40), (50, 50)])
+def test_rank_sum_rankers_same_bits_without_the_library(n0, n1, monkeypatch):
+    if kernels.rank_sums is None:
+        pytest.skip("the C library is not loaded")
+    dataset = _mixed_dataset(n0, n1, seed=243 + n0 * 1000 + n1)
+
+    def rankings():
+        return [rank_genes(dataset, m) for m in ("wilcoxon", "roc")] + [fgf_rank(dataset)]
+
+    compiled = rankings()
+    inputs = compute_fuzzy_inputs(dataset)
+    monkeypatch.setattr(kernels, "rank_sums", None)
+    fallback = rankings()
+    for c_ranking, numpy_ranking in zip(compiled, fallback):
+        assert c_ranking.order.tobytes() == numpy_ranking.order.tobytes()
+        assert c_ranking.scores.tobytes() == numpy_ranking.scores.tobytes()
+    assert compute_fuzzy_inputs(dataset).rank_sum.tobytes() == inputs.rank_sum.tobytes()
 
 
 @pytest.mark.parametrize("n0,n1", _CLASS_SIZES)
