@@ -2,9 +2,12 @@
 
 Writes N seeded cell texts of each class in ``CELL_CLASSES`` into matrix
 rows, parses them with the C reader (``kernels.parse_matrix_rows``) and
-exits 1 on any cell whose bits differ from ``float()``'s. Then reports
-the reader's time per cell on a raw and on a quantile-normalized
-1,000 x 100 matrix. Invoke from the repository root:
+exits 1 on any cell whose bits differ from ``float()``'s. The classes are
+the reprs of random bit patterns, of normal and of lognormal draws,
+random texts in every strict form, exact halfway points between doubles,
+and digit runs that end on either side of the reader's eight-digit steps.
+Then reports the reader's time per cell on a raw and on a
+quantile-normalized 1,000 x 100 matrix. Invoke from the repository root:
 
     PYTHONPATH=src python3 benchmarks/bench_reader.py --cells 2000000
 """
@@ -86,12 +89,44 @@ def halfway_points(rng, n):
     return texts
 
 
+def digit_runs(rng, n):
+    """Texts whose digit runs end near a multiple of eight digits, where
+    the reader's eight-digit steps give way to single ones: integer and
+    fraction runs of 7-9, 15-17 or 23-25 random digits or none, behind
+    no zeros or a run of 7 to 40, with a sign and an exponent or none.
+    About half of them hold at most 19 significant digits, so that
+    Eisel-Lemire and not strtod converts them."""
+    r = random.Random(int(rng.integers(2**63)))
+    lengths = (0, 7, 8, 9, 15, 16, 17, 23, 24, 25)
+    zeros = (0, 0, 0, 7, 8, 9, 16, 17, 40)
+    texts = []
+    for _ in range(n):
+        whole, fraction, lead = r.choice(lengths), r.choice(lengths), r.choice(zeros)
+        if r.random() < 0.5:
+            whole = r.choice(lengths[:7])
+            fraction = r.choice([k for k in lengths if whole + k <= 19])
+            # zeros after the point are significant behind a nonzero whole part
+            lead = lead if whole == 0 else 0
+        text = "0" * r.choice(zeros)
+        if whole:
+            text += r.choice("123456789") + "".join(r.choices("0123456789", k=whole - 1))
+        if fraction or r.random() < 0.8:
+            text += "." + "0" * lead + "".join(r.choices("0123456789", k=fraction))
+        if text.strip(".") == "":
+            text = "0" + text
+        if r.random() < 0.3:
+            text += "e%d" % r.randint(-300, 300)
+        texts.append(r.choice(("", "", "+", "-")) + text)
+    return texts
+
+
 CELL_CLASSES = {
     "bit-patterns": bit_patterns,
     "normal": normal_reprs,
     "lognormal": lognormal_reprs,
     "strict-forms": strict_forms,
     "halfway": halfway_points,
+    "digit-runs": digit_runs,
 }
 
 

@@ -33,9 +33,13 @@
  * on both sides, so neither depends on BLAS or SIMD code paths.
  *
  * parse_matrix_rows, the rows of an expression-matrix TSV in a strict
- * form, to the bits generank.dataio's line-by-line reader gives them:
- * each cell is converted by the Eisel-Lemire algorithm, exact and
- * several times faster than strtod, which takes the rare cells it leaves.
+ * form, to the bits generank.dataio's line-by-line reader gives them.
+ * Each cell is read in one pass (read_cell) that checks its form and
+ * gathers its digits, eight per step where eight are there (fast_float's
+ * SWAR test and combine on a little-endian load), and is converted by
+ * the Eisel-Lemire algorithm, exact and several times faster than
+ * strtod, which takes the rare cells it leaves. count_lines, a memchr
+ * count of the newlines, bounds the rows the caller allocates for.
  *
  * derived_seed and initial_weights, ports of NumPy's SeedSequence and
  * PCG64 that give generank.crossval._derived_seed's seeds and
@@ -676,33 +680,6 @@ static int is_digit(char c)
     return (unsigned char)(c - '0') < 10;
 }
 
-/* End of the number at data[i], or -1 unless data[i..] begins with
- * [+-]?(d+(.d*)?|.d+)([eE][+-]?d+)?, the form every cell must take. */
-static int64_t number_end(const char *data, int64_t i, int64_t size)
-{
-    int64_t digits = 0;
-
-    if (i < size && (data[i] == '+' || data[i] == '-'))
-        i++;
-    for (; i < size && is_digit(data[i]); i++)
-        digits++;
-    if (i < size && data[i] == '.')
-        for (i++; i < size && is_digit(data[i]); i++)
-            digits++;
-    if (digits == 0)
-        return -1;
-    if (i < size && (data[i] == 'e' || data[i] == 'E')) {
-        i++;
-        if (i < size && (data[i] == '+' || data[i] == '-'))
-            i++;
-        if (i == size || !is_digit(data[i]))
-            return -1;
-        while (i < size && is_digit(data[i]))
-            i++;
-    }
-    return i;
-}
-
 /* strtod of the len bytes at s, or -1 when strtod does not end exactly
  * there (a locale whose decimal point is not '.'), or -2 when out of
  * memory. */
@@ -1129,78 +1106,154 @@ static uint64_t eisel_lemire(uint64_t w, int64_t q)
     return (mantissa & ~((uint64_t)1 << 52)) | (uint64_t)power2 << 52;
 }
 
-/* The value of the len bytes at s, a number in number_end's form, as
- * strtod and Python's float() both round it: correctly, ties to even.
- * Up to 19 significant digits (leading zeros do not count) and an
- * exponent whose digits saturate at 2^52, beyond any cell's length, make
- * w * 10^q; eisel_lemire converts it unless the result is subnormal. A
- * longer mantissa or a subnormal goes to convert(). Returns as convert()
- * does. */
-static int to_double(const char *s, int64_t len, double *value)
+/* The 8 bytes at s as a little-endian word: s[0] is the low byte. */
+static uint64_t load_word(const char *s)
 {
-    const char *p = s, *end = s + len, *first, *mark;
-    uint64_t w = 0, bits;
-    int64_t digits, q = 0, e = 0;
-    int negative = 0, negative_e;
+    const unsigned char *u = (const unsigned char *)s;
 
-    if (*p == '+' || *p == '-')
-        negative = *p++ == '-';
-    while (p < end && *p == '0')
-        p++;
-    for (first = p; p < end && is_digit(*p); p++)
-        w = 10 * w + (uint64_t)(*p - '0');
-    digits = p - first;
-    if (p < end && *p == '.') {
-        first = ++p;
-        if (digits == 0)
-            while (p < end && *p == '0')
-                p++;
-        for (mark = p; p < end && is_digit(*p); p++)
-            w = 10 * w + (uint64_t)(*p - '0');
-        digits += p - mark;
-        q = first - p;
+    return (uint64_t)u[0] | (uint64_t)u[1] << 8 | (uint64_t)u[2] << 16 | (uint64_t)u[3] << 24
+           | (uint64_t)u[4] << 32 | (uint64_t)u[5] << 40 | (uint64_t)u[6] << 48
+           | (uint64_t)u[7] << 56;
+}
+
+/* Whether every byte of word is an ASCII digit. A byte below '0' or
+ * above 0xb9 sets bit 7 of its lane in word - 0x30.., and one from ':'
+ * to 0xb9 sets it in word + 0x46..; a carry or borrow between lanes
+ * starts only at such a byte, so the lowest one is always seen. */
+static int eight_digits(uint64_t word)
+{
+    return (((word + 0x4646464646464646u) | (word - 0x3030303030303030u))
+            & 0x8080808080808080u) == 0;
+}
+
+/* The value of the eight digits in word, the first in its low byte:
+ * pairs, then quadruples, then the two halves, each step one multiply
+ * (fast_float's parse_eight_digits_unrolled). */
+static uint64_t eight_digit_value(uint64_t word)
+{
+    const uint64_t mask = 0x000000ff000000ffu;
+
+    word -= 0x3030303030303030u;
+    word = word * 10 + (word >> 8);
+    return ((word & mask) * 0x000f424000000064u + ((word >> 16) & mask) * 0x0000271000000001u)
+           >> 32 & 0xffffffffu;
+}
+
+/* The end of the digits at data[i, size), each appended to *w: eight per
+ * step while eight remain, then one per step. *w wraps past 2^64, and
+ * the caller then counts more than 19 digits. Inline, so that *w stays
+ * in a register: out of line, with two calls a cell, the parse took
+ * about a fifth longer. */
+static inline int64_t digit_run(const char *data, int64_t i, int64_t size, uint64_t *w)
+{
+    uint64_t word;
+
+    while (size - i >= 8 && eight_digits(word = load_word(data + i))) {
+        *w = *w * 100000000u + eight_digit_value(word);
+        i += 8;
     }
-    if (digits > 19)
-        return convert(s, len, value);
-    if (p < end) { /* the exponent */
-        p++;
-        negative_e = *p == '-';
-        if (*p == '+' || *p == '-')
-            p++;
-        for (; p < end; p++)
+    for (; i < size && is_digit(data[i]); i++)
+        *w = 10 * *w + (uint64_t)(data[i] - '0');
+    return i;
+}
+
+/* Reads the cell at data[i, size) into *value in one pass. The cell must
+ * be [+-]?(d+(.d*)?|.d+)([eE][+-]?d+)? and end at size or at the byte
+ * stop. Returns the offset after the cell, -1 when the bytes are not in
+ * that form, or else as convert() does.
+ *
+ * The value is rounded as strtod and Python's float() round it:
+ * correctly, ties to even. Up to 19 significant digits (leading zeros do
+ * not count) and an exponent whose digits saturate at 2^52, beyond any
+ * cell's length, make w * 10^q; eisel_lemire converts it unless the
+ * result is subnormal. A longer mantissa or a subnormal goes to
+ * convert(). */
+static int64_t read_cell(const char *data, int64_t i, int64_t size, char stop, double *value)
+{
+    int64_t start = i, first, frac, mark, digits, q = 0, e = 0;
+    uint64_t w = 0, bits;
+    int negative = 0, negative_e, status;
+
+    if (i < size && (data[i] == '+' || data[i] == '-'))
+        negative = data[i++] == '-';
+    first = i;
+    while (i < size && data[i] == '0')
+        i++;
+    mark = i;
+    i = digit_run(data, i, size, &w);
+    digits = i - mark;
+    if (i < size && data[i] == '.') {
+        frac = ++i;
+        if (digits == 0)
+            while (i < size && data[i] == '0')
+                i++;
+        mark = i;
+        i = digit_run(data, i, size, &w);
+        digits += i - mark;
+        q = frac - i;
+    }
+    /* the mantissa data[first, i) holds no digit: it is "" or "." */
+    if (i - first <= 1 && (i == first || data[first] == '.'))
+        return -1;
+    if (i < size && (data[i] == 'e' || data[i] == 'E')) {
+        i++;
+        negative_e = i < size && data[i] == '-';
+        if (i < size && (data[i] == '+' || data[i] == '-'))
+            i++;
+        if (i == size || !is_digit(data[i]))
+            return -1;
+        for (; i < size && is_digit(data[i]); i++)
             if (e < (int64_t)1 << 52)
-                e = 10 * e + (*p - '0');
+                e = 10 * e + (data[i] - '0');
         q += negative_e ? -e : e;
     }
-    if (w == 0 || q < -342) {
+    if (i < size && data[i] != stop)
+        return -1;
+    if (digits <= 19 && (w == 0 || q < -342)) {
         bits = 0; /* zero, or below half the least subnormal */
-    } else if (q > 308) {
+    } else if (digits <= 19 && q > 308) {
         bits = (uint64_t)0x7ff << 52; /* infinity */
-    } else if ((bits = eisel_lemire(w, q)) == 0) {
-        return convert(s, len, value);
+    } else if (digits > 19 || (bits = eisel_lemire(w, q)) == 0) {
+        status = convert(data + start, i - start, value);
+        return status == 0 ? i : status;
     }
     bits |= (uint64_t)negative << 63;
     memcpy(value, &bits, sizeof bits);
-    return 0;
+    return i;
+}
+
+/* The number of '\n' bytes in data[pos, size), which bounds the rows
+ * that parse_matrix_rows can find there. */
+int64_t count_lines(const char *data, int64_t size, int64_t pos)
+{
+    const char *p = data + pos, *end = data + size;
+    int64_t n = 0;
+
+    while (p < end && (p = memchr(p, '\n', (size_t)(end - p))) != NULL) {
+        n++;
+        p++;
+    }
+    return n;
 }
 
 /* parse_matrix_rows, the body of an expression-matrix TSV, the bytes of
  * data[pos, size) that follow the header line. Each line must be empty or
  * "id\tv1\t...\tvn" with n = n_samples, ending in '\n' (the last line may
  * lack it); the id may hold any bytes but '\t' and '\n', and each cell
- * must match number_end's form exactly. Row r's values go to
+ * must be in read_cell's form. Row r's values go to
  * out[r * n_samples ...] and its id's byte span to id_spans[2r, 2r + 1].
  * Returns the number of rows, -1 when the body is not in that form or
- * holds more than max_rows rows, or -2 when out of memory.
+ * holds more than max_rows rows, or -2 when out of memory. No byte at or
+ * past size is read.
  *
- * Each cell is converted by to_double, correctly rounded as glibc's
- * strtod and Python's float() round it, so the values match the
- * line-by-line reader's bits. */
+ * Each cell is read by read_cell, in one pass that checks its form and
+ * converts it, correctly rounded as glibc's strtod and Python's float()
+ * round it, so the values match the line-by-line reader's bits. */
 int64_t parse_matrix_rows(const char *data, int64_t size, int64_t pos,
                           int64_t n_samples, int64_t max_rows, double *out,
                           int64_t *id_spans)
 {
-    int64_t rows = 0, j, start, end, status = 0;
+    int64_t rows = 0, j;
 
     if (n_samples < 1)
         return -1;
@@ -1209,32 +1262,24 @@ int64_t parse_matrix_rows(const char *data, int64_t size, int64_t pos,
             pos++;
             continue;
         }
-        if (rows == max_rows) {
-            status = -1;
-            break;
-        }
-        start = pos;
+        if (rows == max_rows)
+            return -1;
+        id_spans[2 * rows] = pos;
         while (pos < size && data[pos] != '\t' && data[pos] != '\n')
             pos++;
-        id_spans[2 * rows] = start;
         id_spans[2 * rows + 1] = pos;
         for (j = 0; j < n_samples; j++) {
-            start = pos + 1;
-            end = pos < size && data[pos] == '\t' ? number_end(data, start, size) : -1;
-            if (end < 0 || (end < size && data[end] != (j + 1 < n_samples ? '\t' : '\n'))) {
-                status = -1;
-                break;
-            }
-            if ((status = to_double(data + start, end - start, &out[rows * n_samples + j])) != 0)
-                break;
-            pos = end;
+            if (pos == size || data[pos] != '\t')
+                return -1;
+            pos = read_cell(data, pos + 1, size, j + 1 < n_samples ? '\t' : '\n',
+                            &out[rows * n_samples + j]);
+            if (pos < 0)
+                return pos;
         }
-        if (status != 0)
-            break;
         pos++; /* past the row's '\n', or past the end */
         rows++;
     }
-    return status == 0 ? rows : status;
+    return rows;
 }
 
 /* NumPy's SeedSequence (pool size 4) and PCG64, bit for bit, so that the

@@ -35,9 +35,11 @@ in one float64 buffer that ``_pack`` lays out in the order of the C
 arguments, so a call allocates once and its results are views of that
 buffer. The rank-sum pass reads its matrix, order and class flags in
 place and writes arrays of its own, as the matrix reader writes into a
-float64 matrix and an int64 array of its own. The matrix text and the
-seeds' entropy go in as bytes (``c_char_p``); the entropy is each
-seed's little-endian uint32 words, which ``_seed_words`` makes.
+float64 matrix and an int64 array of its own, sized by the library's
+newline count (``count_lines``) so that no Python pass scans the text.
+The matrix text and the seeds' entropy go in as bytes (``c_char_p``);
+the entropy is each seed's little-endian uint32 words, which
+``_seed_words`` makes.
 """
 
 from __future__ import annotations
@@ -225,6 +227,7 @@ def _bind_parse(lib):
         lib, "parse_matrix_rows",
         ctypes.c_char_p, _COUNT, _COUNT, _COUNT, _COUNT, _POINTER, _POINTER,
     )
+    count_lines = _declare(lib, "count_lines", ctypes.c_char_p, _COUNT, _COUNT)
 
     def parse_matrix_rows(data, start, n_samples):
         """The rows of the matrix TSV ``data`` (bytes) after its header,
@@ -236,7 +239,7 @@ def _bind_parse(lib):
         # bytes bound the row count where blank lines inflate the
         # newline count.
         max_rows = min(
-            data.count(b"\n", start) + (not data.endswith(b"\n")),
+            count_lines(data, len(data), start) + (not data.endswith(b"\n")),
             (len(data) - start) // (2 * n_samples) + 1,
         )
         # two arrays of their own rather than views of one buffer, so that

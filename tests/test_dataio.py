@@ -1,8 +1,12 @@
 """Tests for table parsing, validation, normalization and standardization."""
 
 import importlib.util
+import json
 import pathlib
+import random
 import re
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -315,6 +319,170 @@ def test_c_reader_sizes_its_output_by_the_bytes():
     )
     assert matrix.shape == (0, 200) and id_spans.shape == (0, 2)
     assert len(matrix.base) <= 20000 // 400 + 1
+
+
+def _read_cell_at_end(cell):
+    """The raw C reader's value of the bytes ``cell`` as the last cell of
+    a text that ends right after it, with digits lying beyond that end,
+    or None when the reader rejects the text."""
+    text = b"g\t" + cell
+    out, id_spans = np.empty(1), np.empty(2, dtype=np.int64)
+    rows = kernels._LIB.parse_matrix_rows(
+        text + b"12345678\n", len(text), 0, 1, 1, out.ctypes.data, id_spans.ctypes.data
+    )
+    return out[0].item() if rows == 1 else None
+
+
+def _digit_run_cells():
+    """Cells whose integer and fraction runs hold 0 to 24 digits, behind
+    no zeros, 8 or 13 of them."""
+    rng = random.Random(25)
+
+    def digits(k):
+        return "".join(rng.choices("0123456789", k=k))
+
+    cells = []
+    for zeros in ("", "0" * 8, "0" * 13):
+        for a in range(25):
+            whole = zeros + digits(a)
+            cells += [whole, "." + whole] + [whole + "." + digits(b) for b in range(25)]
+    return [cell for cell in cells if cell.strip(".")]
+
+
+@needs_reader
+def test_c_reader_digit_runs_of_every_length(tmp_path, monkeypatch):
+    # Runs that end anywhere in or after an eight-digit step, last in the
+    # text, so that the eight-byte window meets the end of the bytes.
+    cells = _digit_run_cells()
+    for cell in cells:
+        assert _read_cell_at_end(cell.encode()).hex() == float(cell).hex(), cell
+    data = b"gene_id\ts0\n" + "\n".join(f"g{i}\t{c}" for i, c in enumerate(cells)).encode()
+    path = tmp_path / "m.tsv"
+    path.write_bytes(data)
+    assert dataio._parse_matrix_strict(path, data) is not None
+    fast, slow = _parse_both(path, monkeypatch)
+    _assert_same(fast, slow)
+    assert fast[0].ravel().tobytes() == np.array([float(c) for c in cells]).tobytes()
+
+
+@needs_reader
+def test_c_reader_rejects_non_digits_in_digit_runs(tmp_path, monkeypatch):
+    # '/' and ':' are the bytes next to '0' and '9'; the others are >= 0x80.
+    # Each lands at every offset of an eight-byte window.
+    for lead in (b"", b"-", b"98765432", b"0" * 8, b"0.", b".98765432", b"1e"):
+        for bad in (b"/", b":", "é".encode(), b"\xff"):
+            for k in range(9):
+                cell = lead + b"12345678"[:k] + bad + b"87654321"
+                assert _read_cell_at_end(cell) is None, cell
+                for text in (b"g0\t" + cell + b"\t1\n", b"g0\t1\t" + cell):
+                    assert kernels.parse_matrix_rows(text, 0, 2) is None, text
+                    path = tmp_path / "m.tsv"
+                    path.write_bytes(b"gene_id\ts0\ts1\n" + text)
+                    fast = _error_of(path)
+                    with monkeypatch.context() as patch:
+                        patch.setattr(kernels, "parse_matrix_rows", None)
+                        assert _error_of(path) == fast, text
+
+
+_STRICT_CELL = re.compile(rb"[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?")
+_MUTATION_BYTES = [bytes([b]) for b in b"0123456789.eE+-\t/: x"] + ["é".encode(), b"\xff"]
+
+
+@needs_reader
+def test_c_reader_accepts_exactly_the_strict_form():
+    # Rows of three seeded cells with up to three bytes inserted, replaced
+    # or deleted: the reader takes a row exactly when it has three cells
+    # that each match the strict form, and gives them float()'s bits.
+    bench = _load_bench_reader()
+    rng = np.random.default_rng(27)
+    r = random.Random(27)
+    texts = bench.strict_forms(rng, 6000) + bench.digit_runs(rng, 6000)
+    r.shuffle(texts)
+    accepted = 0
+    for k in range(0, len(texts), 3):
+        row = bytearray("\t".join(texts[k : k + 3]).encode())
+        for _ in range(r.randint(0, 3)):
+            at, byte = r.randrange(len(row) + 1), r.choice(_MUTATION_BYTES)
+            row[at : at + r.randrange(2)] = byte if r.random() < 0.7 else b""
+        cells = bytes(row).split(b"\t")
+        strict = len(cells) == 3 and all(_STRICT_CELL.fullmatch(c) for c in cells)
+        text = b"g\t" + bytes(row) + b"\n" * (k % 2)
+        parsed = kernels.parse_matrix_rows(text, 0, 3)
+        assert (parsed is not None) == strict, text
+        if strict:
+            accepted += 1
+            assert parsed[0].tobytes() == np.array([float(c) for c in cells]).tobytes(), text
+    assert 1000 < accepted < 3000
+
+
+# Reads each (text, n_samples) of a JSON list on stdin with the C reader,
+# the text placed to end where a PROT_NONE page begins, and prints each
+# result: the row count, the newline count and the cells' float.hex().
+_GUARDED_READ = r"""
+import ctypes, json, mmap, sys
+from generank import kernels
+
+page = mmap.PAGESIZE
+buf = mmap.mmap(-1, 2 * page)
+base = ctypes.addressof(ctypes.c_char.from_buffer(buf))
+libc = ctypes.CDLL(None, use_errno=True)
+libc.mprotect.argtypes = (ctypes.c_void_p, ctypes.c_size_t, ctypes.c_int)
+if libc.mprotect(base + page, page, 0) != 0:
+    raise OSError(ctypes.get_errno(), "mprotect failed")
+i64, ptr = ctypes.c_int64, ctypes.c_void_p
+parse = ctypes.CFUNCTYPE(i64, ptr, i64, i64, i64, i64, ptr, ptr)(
+    ("parse_matrix_rows", kernels._LIB)
+)
+count_lines = ctypes.CFUNCTYPE(i64, ptr, i64, i64)(("count_lines", kernels._LIB))
+out, id_spans = (ctypes.c_double * 2)(), (i64 * 4)()
+results = []
+for text, n_samples in json.loads(sys.stdin.read()):
+    data = text.encode("latin-1")
+    buf[page - len(data) : page] = data
+    at = base + page - len(data)
+    rows = parse(at, len(data), 0, n_samples, 1, out, id_spans)
+    cells = [out[j].hex() for j in range(n_samples)] if rows == 1 else []
+    results.append([rows, count_lines(at, len(data), 0), cells])
+print(json.dumps(results))
+"""
+
+
+def _guarded_cases():
+    """(text, n_samples, its cells or None when the reader must reject
+    it), each text ending in a cell, a number's part or a newline."""
+    digits = "1234567890" * 3
+    cases = []
+    for k in range(1, 26):
+        for cell in (digits[:k], "-0." + digits[:k], "." + "0" * k + "5", "1e" + digits[:k]):
+            cases += [
+                ("g\t" + cell, 1, [cell]),
+                ("g\t1\t" + cell, 2, ["1", cell]),
+                ("g\t" + cell + "\n", 1, [cell]),
+                ("g\t" + cell + "\n" * 3, 1, [cell]),
+            ]
+    for text in ("g", "g\t", "g\t-", "g\t.", "g\t1e", "g\t1e-", "g\t1\t", "g\t1\n\t"):
+        cases.append((text, 1, None))
+    return cases
+
+
+@needs_reader
+@pytest.mark.skipif(sys.platform == "win32", reason="needs mmap and mprotect")
+def test_c_reader_reads_no_byte_past_the_end():
+    # A read past the text faults on the protected page; the reader runs
+    # in a child process, so that a fault fails this test alone.
+    cases = _guarded_cases()
+    completed = subprocess.run(
+        [sys.executable, "-c", _GUARDED_READ],
+        input=json.dumps([[text, n] for text, n, _ in cases]),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr
+    for (text, _, cells), (rows, lines, values) in zip(cases, json.loads(completed.stdout)):
+        assert lines == text.count("\n"), text
+        assert rows == (-1 if cells is None else 1), text
+        assert values == [float(c).hex() for c in cells or []], text
 
 
 def _error_of(path):
