@@ -7,7 +7,13 @@
  * order. The grid ordinates and output triangles are tabulated once per
  * call, and each output class only visits the grid points where its
  * triangle is positive: the skipped points contribute exact zeros, so
- * skipping them cannot change a bit of the result.
+ * skipping them cannot change a bit of the result. A gene's centroid
+ * depends on nothing but its five class heights, so each call keeps a
+ * memo of the distinct tuples of heights it meets, keyed on their bits,
+ * in a table it allocates and frees itself, so that calls share no
+ * state; past MEMO_ENTRIES tuples, or if the table cannot be allocated,
+ * the rest are computed without it. Equal keys feed the same operations
+ * in the same order, so a remembered score is the score.
  *
  * rank_sums, each row's midranks, the rank sum of one class and the tie
  * term sum(t^3 - t), from the row's values and an order that sorts it: a
@@ -61,6 +67,10 @@
 
 #define GRID 1001
 
+/* The most distinct tuples of class heights one call of mamdani_scores
+ * remembers. */
+#define MEMO_ENTRIES 16384
+
 /* Goodness points per input grade and the output class of each total,
  * matching the fallback's rule construction. */
 static const int FC_POINTS[3] = {0, 1, 2};
@@ -95,6 +105,56 @@ static void grade(double x, double a, double b, double mu[3], int64_t *clamped)
     }
 }
 
+/* The centroid memo of one call: the score of each distinct tuple of
+ * class heights met so far, keyed on the heights' bits. slot[k] holds 0
+ * for an empty slot or 1 + the index of its entry, and slots is a power
+ * of two at least twice capacity, so that a probe always ends. */
+typedef struct {
+    uint64_t key[5];
+    double score;
+} memo_entry;
+
+typedef struct {
+    int32_t *slot;
+    memo_entry *entry;
+    int64_t slots, count, capacity;
+} memo_table;
+
+static uint64_t hash_key(const uint64_t key[5])
+{
+    uint64_t x = 0;
+    int k;
+
+    for (k = 0; k < 5; k++) {
+        x = (x ^ key[k]) * 0x9e3779b97f4a7c15u;
+        x ^= x >> 32;
+    }
+    return x;
+}
+
+/* The entry of the heights h, added with its score still to come (and
+ * *added set) when they are new; NULL when they are new and the table
+ * is full or was never allocated. */
+static memo_entry *memo_find(memo_table *memo, const double h[5], int *added)
+{
+    uint64_t key[5];
+    int64_t k, mask = memo->slots - 1;
+
+    *added = 0;
+    if (memo->capacity == 0)
+        return NULL;
+    memcpy(key, h, sizeof key);
+    for (k = (int64_t)(hash_key(key) & (uint64_t)mask); memo->slot[k] != 0; k = (k + 1) & mask)
+        if (memcmp(memo->entry[memo->slot[k] - 1].key, key, sizeof key) == 0)
+            return &memo->entry[memo->slot[k] - 1];
+    if (memo->count == memo->capacity)
+        return NULL;
+    memcpy(memo->entry[memo->count].key, key, sizeof key);
+    memo->slot[k] = (int32_t)++memo->count;
+    *added = 1;
+    return &memo->entry[memo->count - 1];
+}
+
 /* Score n genes into scores[0..n); returns the number of clamped inputs.
  * params holds (alpha, beta) for fold change, variance and rank sum. */
 int64_t mamdani_scores(const double *fc, const double *var, const double *rs,
@@ -104,8 +164,10 @@ int64_t mamdani_scores(const double *fc, const double *var, const double *rs,
     int lo[5], hi[5];
     double mu_fc[3], mu_var[3], mu_rs[3], h[5];
     double fire, num, den, c;
+    memo_table memo;
+    memo_entry *e;
     int64_t g, clamped = 0;
-    int i, f, v, s, cls, span_lo, span_hi;
+    int i, f, v, s, cls, span_lo, span_hi, added;
 
     for (i = 0; i < GRID; i++)
         ygrid[i] = i / 1000.0;
@@ -121,6 +183,14 @@ int64_t mamdani_scores(const double *fc, const double *var, const double *rs,
             }
         }
     }
+    memo.capacity = n < MEMO_ENTRIES ? n : MEMO_ENTRIES;
+    for (memo.slots = 2; memo.slots < 2 * memo.capacity; memo.slots *= 2)
+        ;
+    memo.count = 0;
+    memo.slot = calloc((size_t)memo.slots, sizeof *memo.slot);
+    memo.entry = malloc(sizeof *memo.entry * (size_t)memo.capacity);
+    if (memo.slot == NULL || memo.entry == NULL)
+        memo.capacity = 0;
 
     for (g = 0; g < n; g++) {
         grade(fc[g], params[0], params[1], mu_fc, &clamped);
@@ -142,6 +212,12 @@ int64_t mamdani_scores(const double *fc, const double *var, const double *rs,
                     if (fire > h[cls])
                         h[cls] = fire;
                 }
+
+        e = memo_find(&memo, h, &added);
+        if (e != NULL && !added) {
+            scores[g] = e->score;
+            continue;
+        }
 
         /* A class of zero height never raises the aggregate, which is
          * zero outside the support of every active class. */
@@ -173,7 +249,11 @@ int64_t mamdani_scores(const double *fc, const double *var, const double *rs,
             den += agg[i];
         }
         scores[g] = num / den;
+        if (e != NULL)
+            e->score = scores[g];
     }
+    free(memo.slot);
+    free(memo.entry);
     return clamped;
 }
 
@@ -1241,7 +1321,11 @@ int64_t count_lines(const char *data, int64_t size, int64_t pos)
  * "id\tv1\t...\tvn" with n = n_samples, ending in '\n' (the last line may
  * lack it); the id may hold any bytes but '\t' and '\n', and each cell
  * must be in read_cell's form. Row r's values go to
- * out[r * n_samples ...] and its id's byte span to id_spans[2r, 2r + 1].
+ * out[r * n_samples ...], and its id, followed by '\n', to ids after the
+ * ids of the rows before it, so that one decode and split gives them all;
+ * *ids_size receives the bytes written there, at most size - pos: a row's
+ * id is written only once its cells have been read, and such a row takes
+ * two bytes or more per cell past its id and gives one for its '\n'.
  * Returns the number of rows, -1 when the body is not in that form or
  * holds more than max_rows rows, or -2 when out of memory. No byte at or
  * past size is read.
@@ -1251,10 +1335,11 @@ int64_t count_lines(const char *data, int64_t size, int64_t pos)
  * round it, so the values match the line-by-line reader's bits. */
 int64_t parse_matrix_rows(const char *data, int64_t size, int64_t pos,
                           int64_t n_samples, int64_t max_rows, double *out,
-                          int64_t *id_spans)
+                          char *ids, int64_t *ids_size)
 {
-    int64_t rows = 0, j;
+    int64_t rows = 0, j, start, end;
 
+    *ids_size = 0;
     if (n_samples < 1)
         return -1;
     while (pos < size) {
@@ -1264,10 +1349,10 @@ int64_t parse_matrix_rows(const char *data, int64_t size, int64_t pos,
         }
         if (rows == max_rows)
             return -1;
-        id_spans[2 * rows] = pos;
+        start = pos;
         while (pos < size && data[pos] != '\t' && data[pos] != '\n')
             pos++;
-        id_spans[2 * rows + 1] = pos;
+        end = pos;
         for (j = 0; j < n_samples; j++) {
             if (pos == size || data[pos] != '\t')
                 return -1;
@@ -1276,6 +1361,9 @@ int64_t parse_matrix_rows(const char *data, int64_t size, int64_t pos,
             if (pos < 0)
                 return pos;
         }
+        memcpy(ids + *ids_size, data + start, (size_t)(end - start));
+        *ids_size += end - start;
+        ids[(*ids_size)++] = '\n';
         pos++; /* past the row's '\n', or past the end */
         rows++;
     }

@@ -129,9 +129,11 @@ def _parse_matrix_strict(path, data):
     parsed = kernels.parse_matrix_rows(data, header_end, len(sample_ids))
     if parsed is None:
         return None
-    matrix, id_spans = parsed
+    matrix, ids = parsed
     try:
-        gene_ids = [data[start:stop].decode("utf-8") for start, stop in id_spans.tolist()]
+        # no id holds a newline, and no UTF-8 sequence spans one, so the
+        # block decodes exactly when every id does
+        gene_ids = ids.decode("utf-8").split("\n")[:-1]
     except UnicodeDecodeError:
         return None
     _check_gene_ids(path, gene_ids)

@@ -196,18 +196,28 @@ def mamdani_infer(inputs, params: FgfParams) -> float:
     return float(scores[0])
 
 
-def _fuzzy_order(inputs: FuzzyInputs, vector, tie_p):
+def _fuzzy_order(inputs: FuzzyInputs, vector, tie_p, top_n=None):
     """``(scores, n_clamped, order)`` of genes under the anchors ``vector``.
 
     The order is by descending fuzzy score, ties by ascending t-test
     p-value ``tie_p``, then gene index, so equal scores (common once
     inputs saturate a plateau) stay deterministic. :func:`fgf_rank` and
-    the genetic search's fitness both rank this way.
+    the genetic search's fitness both rank this way; with ``top_n`` the
+    order holds only its first ``top_n`` genes, which are found by
+    sorting only the genes scored at or above the ``top_n``-th largest
+    score. Those genes, kept in index order, include every gene of the
+    full order's first ``top_n``, and the stable sort leaves the rest of
+    each tie in index order, so the two agree gene for gene.
     """
     scores, clamped = kernels.mamdani_scores(
         inputs.fold_change, inputs.variance, inputs.rank_sum, vector
     )
-    return scores, clamped, np.lexsort((tie_p, -scores))
+    if top_n is None or top_n >= len(scores):
+        return scores, clamped, np.lexsort((tie_p, -scores))[:top_n]
+    cut = np.partition(scores, len(scores) - top_n)[len(scores) - top_n]
+    kept = np.flatnonzero(scores >= cut)
+    order = kept[np.lexsort((tie_p[kept], -scores[kept]))]
+    return scores, clamped, order[:top_n]
 
 
 def fgf_rank(dataset: Dataset, params: FgfParams = None) -> GeneRanking:

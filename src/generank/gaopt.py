@@ -4,6 +4,15 @@ A real-coded GA tunes the six anchors (three alpha/beta pairs) to
 maximize a between/within-class separability index of the standardized
 top-n genes under the resulting ranking. All randomness flows from one
 ``numpy.random.default_rng(seed)`` stream, so runs are reproducible.
+
+A fitness evaluation repeats no work whose result is known. The
+separability terms of every gene are computed once per run, and the
+index of the top-n genes sums their rows in the order a direct
+computation on those genes' block would. Only the top-n genes are
+sorted (see :func:`generank.fgf._fuzzy_order`). A chromosome seen before
+is answered from a memo keyed on its bytes. Fitness draws no random
+numbers, so none of this moves the random stream, and each shortcut
+gives the very bits of the work it skips.
 """
 
 from __future__ import annotations
@@ -57,10 +66,14 @@ class GaConfig:
 
 @dataclass
 class GaTrace:
-    """Best individual per generation, including the initial population."""
+    """Best individual per generation, including the initial population,
+    and the work behind them: ``evaluations`` chromosomes scored, and
+    ``repeats`` chromosomes the fitness memo answered instead."""
 
     best_fitness: list = field(default_factory=list)
     best_params: list = field(default_factory=list)
+    evaluations: int = 0
+    repeats: int = 0
 
 
 def _si_of_block(block: np.ndarray, labels: np.ndarray) -> float:
@@ -76,13 +89,49 @@ def _si_of_block(block: np.ndarray, labels: np.ndarray) -> float:
     return tr_between / (tr_within + _SI_RIDGE)
 
 
+def _separability(Z: np.ndarray, labels: np.ndarray):
+    """``si(rows)``, :func:`_si_of_block` of ``Z[rows]`` bit for bit, from
+    terms computed once for every gene.
+
+    A row's terms depend on that row alone: per class, the squared
+    between-class term ``(mu_c - grand) ** 2`` and the squared
+    within-class deviations ``(Z_c - mu_c) ** 2``. One class's columns of
+    a block of two rows or more, picked by mask, are laid out sample by
+    sample, and NumPy takes their row means column by column; ``Z[:, mask]``
+    is laid out so too, so its means are the block's. The deviations are
+    gathered sample by sample as well, so each trace's pairwise sum adds
+    the block's values in the block's order. A one-row block is laid out
+    both ways and its means are summed pairwise, so it takes
+    :func:`_si_of_block` itself.
+    """
+    grand = Z.mean(axis=1)
+    terms = []
+    for cls in (0, 1):
+        sub = Z[:, labels == cls]
+        mu = sub.mean(axis=1)
+        within = np.ascontiguousarray(((sub - mu[:, None]) ** 2).T)
+        terms.append((sub.shape[1], (mu - grand) ** 2, within))
+
+    def si(rows: np.ndarray) -> float:
+        if len(rows) < 2:
+            return _si_of_block(Z[rows], labels)
+        tr_between = 0.0
+        tr_within = 0.0
+        for size, between, within in terms:
+            tr_between += size * float(between[rows].sum())
+            tr_within += float(within.take(rows, axis=1).sum())
+        return tr_between / (tr_within + _SI_RIDGE)
+
+    return si
+
+
 def separability_index(dataset: Dataset, ranking: GeneRanking, top_n: int) -> float:
     """How cleanly the standardized top-n genes split the two classes."""
     if top_n < 1:
         raise ValueError("top_n must be >= 1")
     top_n = min(top_n, dataset.n_genes)
-    Z = standardize_genes(dataset.matrix)
-    return _si_of_block(Z[ranking.order[:top_n]], dataset.labels)
+    si = _separability(standardize_genes(dataset.matrix), dataset.labels)
+    return si(ranking.order[:top_n])
 
 
 def _repair(chrom: np.ndarray) -> np.ndarray:
@@ -115,12 +164,19 @@ def optimize_fgf(dataset: Dataset, config: GaConfig = None):
     # Everything fitness needs, computed once per run.
     inputs = compute_fuzzy_inputs(dataset)
     tie_p = welch_p_values(dataset)
-    Z = standardize_genes(dataset.matrix)
-    labels = dataset.labels
+    si = _separability(standardize_genes(dataset.matrix), dataset.labels)
+    trace = GaTrace()
+    memo = {}
 
     def fitness_of(chrom: np.ndarray) -> float:
-        _, _, order = _fuzzy_order(inputs, chrom, tie_p)
-        return _si_of_block(Z[order[:top_n]], labels)
+        key = chrom.tobytes()
+        if key in memo:
+            trace.repeats += 1
+        else:
+            _, _, order = _fuzzy_order(inputs, chrom, tie_p, top_n)
+            memo[key] = si(order)
+            trace.evaluations += 1
+        return memo[key]
 
     pop_n = config.population_size
     population = np.empty((pop_n, 6))
@@ -129,8 +185,6 @@ def optimize_fgf(dataset: Dataset, config: GaConfig = None):
         population[i, 1::2] = rng.uniform(0.51, ANCHOR_MAX, 3)
         population[i] = _repair(population[i])
     fitness = np.array([fitness_of(chrom) for chrom in population])
-
-    trace = GaTrace()
 
     def record_best() -> np.ndarray:
         """Record the best; returns all indices best first, lower index first."""

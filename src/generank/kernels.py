@@ -20,10 +20,14 @@ current source exists and a C compiler (``cc``) is on ``PATH``; see
 ``_cbuild``. Without a compiler,
 or if the build fails (which warns with the compiler's output), the
 Python code takes over. Both produce bit-identical results, so the
-choice only affects speed; ``BACKEND`` names the fuzzy kernel that runs,
-and ``rank_sums``, ``svm_grid_solve``, ``mlp_grid_solve``,
-``parse_matrix_rows``, ``derived_seed`` and ``initial_weights`` are None
-when the library is not loaded. The one difference is which NaN an
+choice only affects speed. The C fuzzy kernel remembers, within one call,
+the score of each distinct tuple of class heights it meets; a centroid
+is a function of the heights alone, and each is summed in the NumPy
+kernel's order, so the memo cannot change a bit (``_mamdani.c`` says
+why). ``BACKEND`` names the fuzzy
+kernel that runs, and ``rank_sums``, ``svm_grid_solve``,
+``mlp_grid_solve``, ``parse_matrix_rows``, ``derived_seed`` and
+``initial_weights`` are None when the library is not loaded. The one difference is which NaN an
 overflowed SVM fit holds, and ``classifiers.svm_train`` and
 ``svm_grid_labels`` reject such a fit on either path.
 
@@ -35,8 +39,9 @@ in one float64 buffer that ``_pack`` lays out in the order of the C
 arguments, so a call allocates once and its results are views of that
 buffer. The rank-sum pass reads its matrix, order and class flags in
 place and writes arrays of its own, as the matrix reader writes into a
-float64 matrix and an int64 array of its own, sized by the library's
-newline count (``count_lines``) so that no Python pass scans the text.
+float64 matrix, sized by the library's newline count (``count_lines``)
+so that no Python pass scans the text, and into a byte array that gets
+the gene ids, each followed by a newline, for one decode and split.
 The matrix text and the seeds' entropy go in as bytes (``c_char_p``);
 the entropy is each seed's little-endian uint32 words, which
 ``_seed_words`` makes.
@@ -225,16 +230,16 @@ def _bind_mlp_grid(lib):
 def _bind_parse(lib):
     fn = _declare(
         lib, "parse_matrix_rows",
-        ctypes.c_char_p, _COUNT, _COUNT, _COUNT, _COUNT, _POINTER, _POINTER,
+        ctypes.c_char_p, _COUNT, _COUNT, _COUNT, _COUNT, *(_POINTER,) * 3,
     )
     count_lines = _declare(lib, "count_lines", ctypes.c_char_p, _COUNT, _COUNT)
 
     def parse_matrix_rows(data, start, n_samples):
         """The rows of the matrix TSV ``data`` (bytes) after its header,
         which ends at offset ``start``, parsed in C: returns ``(matrix,
-        id_spans)``, row ``r``'s gene id being ``data[slice(*id_spans[r])]``,
-        or None when the rows are not in the strict form ``_mamdani.c``
-        describes."""
+        ids)``, ``ids`` the rows' gene ids as bytes, each followed by a
+        newline, or None when the rows are not in the strict form
+        ``_mamdani.c`` describes."""
         # A row holds n_samples tabs and at least as many digits, so the
         # bytes bound the row count where blank lines inflate the
         # newline count.
@@ -242,17 +247,18 @@ def _bind_parse(lib):
             count_lines(data, len(data), start) + (not data.endswith(b"\n")),
             (len(data) - start) // (2 * n_samples) + 1,
         )
-        # two arrays of their own rather than views of one buffer, so that
-        # neither result keeps the other's memory alive
+        # arrays of their own rather than views of one buffer, so that
+        # no result keeps another's memory alive
         matrix = np.empty((max_rows, n_samples))
-        id_spans = np.empty((max_rows, 2), dtype=np.int64)
+        ids = np.empty(max(len(data) - start, 1), dtype=np.uint8)
+        ids_size = np.zeros(1, dtype=np.int64)
         rows = fn(
             data, len(data), start, n_samples, max_rows, matrix.ctypes.data,
-            id_spans.ctypes.data,
+            ids.ctypes.data, ids_size.ctypes.data,
         )
         if rows == -2:
             raise MemoryError("parse_matrix_rows could not copy a cell of 64 bytes or more")
-        return None if rows < 0 else (matrix[:rows], id_spans[:rows])
+        return None if rows < 0 else (matrix[:rows], ids[: ids_size[0]].tobytes())
 
     return parse_matrix_rows
 

@@ -161,6 +161,11 @@ _READER_CASES = {
         True,
     ),
     "empty-id": (_HEAD + b"\t1\t2\t3\n", True),
+    # characters str.splitlines() would split at, inside and between ids
+    "ids-with-unicode-line-breaks": (
+        _HEAD + "g\u2028a\t1\t2\t3\n\x1c\t4\t5\t6\n\x85\u2029\t7\t8\t9\n".encode(),
+        True,
+    ),
     "underscore": (_HEAD + b"g0\t1_000\t2\t3\n", False),
     "leading-space": (_HEAD + b"g0\t 1.5\t2\t3\n", False),
     "trailing-space": (_HEAD + b"g0\t1.5 \t2\t3\n", False),
@@ -314,10 +319,10 @@ def test_power_of_five_table_matches_its_rule():
 def test_c_reader_sizes_its_output_by_the_bytes():
     # 20,000 blank lines under a 200-sample header hold at most 51 rows;
     # sizing by the newline count would ask for 20,000.
-    matrix, id_spans = kernels.parse_matrix_rows(
+    matrix, ids = kernels.parse_matrix_rows(
         _WIDE_HEAD + b"\n" * 20000, len(_WIDE_HEAD), 200
     )
-    assert matrix.shape == (0, 200) and id_spans.shape == (0, 2)
+    assert matrix.shape == (0, 200) and ids == b""
     assert len(matrix.base) <= 20000 // 400 + 1
 
 
@@ -326,9 +331,10 @@ def _read_cell_at_end(cell):
     a text that ends right after it, with digits lying beyond that end,
     or None when the reader rejects the text."""
     text = b"g\t" + cell
-    out, id_spans = np.empty(1), np.empty(2, dtype=np.int64)
+    out, ids, ids_size = np.empty(1), np.empty(len(text), np.uint8), np.empty(1, np.int64)
     rows = kernels._LIB.parse_matrix_rows(
-        text + b"12345678\n", len(text), 0, 1, 1, out.ctypes.data, id_spans.ctypes.data
+        text + b"12345678\n", len(text), 0, 1, 1, out.ctypes.data, ids.ctypes.data,
+        ids_size.ctypes.data,
     )
     return out[0].item() if rows == 1 else None
 
@@ -416,31 +422,35 @@ def test_c_reader_accepts_exactly_the_strict_form():
 
 
 # Reads each (text, n_samples) of a JSON list on stdin with the C reader,
-# the text placed to end where a PROT_NONE page begins, and prints each
-# result: the row count, the newline count and the cells' float.hex().
+# the text placed to end where a PROT_NONE page begins, and its ids
+# buffer, as many bytes as the text like the binding's, likewise, and
+# prints each result: the row count, the newline count and the cells'
+# float.hex().
 _GUARDED_READ = r"""
 import ctypes, json, mmap, sys
 from generank import kernels
 
 page = mmap.PAGESIZE
-buf = mmap.mmap(-1, 2 * page)
+buf = mmap.mmap(-1, 4 * page)
 base = ctypes.addressof(ctypes.c_char.from_buffer(buf))
 libc = ctypes.CDLL(None, use_errno=True)
 libc.mprotect.argtypes = (ctypes.c_void_p, ctypes.c_size_t, ctypes.c_int)
-if libc.mprotect(base + page, page, 0) != 0:
-    raise OSError(ctypes.get_errno(), "mprotect failed")
+for guard in (base + page, base + 3 * page):
+    if libc.mprotect(guard, page, 0) != 0:
+        raise OSError(ctypes.get_errno(), "mprotect failed")
 i64, ptr = ctypes.c_int64, ctypes.c_void_p
-parse = ctypes.CFUNCTYPE(i64, ptr, i64, i64, i64, i64, ptr, ptr)(
+parse = ctypes.CFUNCTYPE(i64, ptr, i64, i64, i64, i64, ptr, ptr, ptr)(
     ("parse_matrix_rows", kernels._LIB)
 )
 count_lines = ctypes.CFUNCTYPE(i64, ptr, i64, i64)(("count_lines", kernels._LIB))
-out, id_spans = (ctypes.c_double * 2)(), (i64 * 4)()
+out, ids_size = (ctypes.c_double * 2)(), (i64 * 1)()
 results = []
 for text, n_samples in json.loads(sys.stdin.read()):
     data = text.encode("latin-1")
     buf[page - len(data) : page] = data
     at = base + page - len(data)
-    rows = parse(at, len(data), 0, n_samples, 1, out, id_spans)
+    ids = base + 3 * page - len(data)
+    rows = parse(at, len(data), 0, n_samples, 1, out, ids, ids_size)
     cells = [out[j].hex() for j in range(n_samples)] if rows == 1 else []
     results.append([rows, count_lines(at, len(data), 0), cells])
 print(json.dumps(results))
@@ -449,7 +459,7 @@ print(json.dumps(results))
 
 def _guarded_cases():
     """(text, n_samples, its cells or None when the reader must reject
-    it), each text ending in a cell, a number's part or a newline."""
+    it), each text ending in a cell, a number's part, an id or a newline."""
     digits = "1234567890" * 3
     cases = []
     for k in range(1, 26):
@@ -460,7 +470,7 @@ def _guarded_cases():
                 ("g\t" + cell + "\n", 1, [cell]),
                 ("g\t" + cell + "\n" * 3, 1, [cell]),
             ]
-    for text in ("g", "g\t", "g\t-", "g\t.", "g\t1e", "g\t1e-", "g\t1\t", "g\t1\n\t"):
+    for text in ("g", "g" * 40, "g\t", "g\t-", "g\t.", "g\t1e", "g\t1e-", "g\t1\t", "g\t1\n\t"):
         cases.append((text, 1, None))
     return cases
 
@@ -468,8 +478,9 @@ def _guarded_cases():
 @needs_reader
 @pytest.mark.skipif(sys.platform == "win32", reason="needs mmap and mprotect")
 def test_c_reader_reads_no_byte_past_the_end():
-    # A read past the text faults on the protected page; the reader runs
-    # in a child process, so that a fault fails this test alone.
+    # A read past the text or a write past the ids buffer faults on a
+    # protected page; the reader runs in a child process, so that a fault
+    # fails this test alone.
     cases = _guarded_cases()
     completed = subprocess.run(
         [sys.executable, "-c", _GUARDED_READ],
@@ -510,7 +521,11 @@ _ERROR_CASES = {
     "header-only-no-newline": b"gene_id\ts0\ts1",
     "bad-utf8-cell": _HEAD + b"g0\t1\t\xff2\t3\n",
     "bad-utf8-id": _HEAD + b"g\xc3\x280\t1\t2\t3\n",
+    # a sequence cut short at the id's end, where the ids' block puts a newline
+    "bad-utf8-id-end": _HEAD + b"g0\t1\t2\t3\ng\xc3\t4\t5\t6\n",
     "bad-utf8-header": b"gene_id\ts\xff0\ts1\ng0\t1\t2\n",
+    # an id with no cells that runs to the end of the text
+    "id-only-at-end": _HEAD + b"g0",
 }
 
 

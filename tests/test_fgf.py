@@ -7,7 +7,9 @@ from generank import kernels
 from generank.dataio import Dataset
 from generank.fgf import (
     FgfParams,
+    FuzzyInputs,
     FuzzyRegion,
+    _fuzzy_order,
     clamp_count,
     compute_fuzzy_inputs,
     default_params,
@@ -311,3 +313,29 @@ def test_fgf_rank_ties_break_by_t_test_p():
             pa = welch_t_test(*dataset.class_values(a)).p_value
             pb = welch_t_test(*dataset.class_values(b)).p_value
             assert pa <= pb
+
+
+def test_top_n_order_is_the_full_orders_head_across_plateaus():
+    # inputs on a few levels give runs of equal scores, and p-values on a
+    # few levels ties within them, so the cut at top_n falls inside runs
+    # that only the gene index orders; the top-n order must still be the
+    # full order's first top_n genes
+    rng = np.random.default_rng(310)
+    cut_in_a_run = 0
+    for trial in range(60):
+        n = int(rng.integers(1, 300))
+        levels = rng.choice([0.0, 0.1, 0.5, 0.9, 1.0], size=(3, n))
+        drawn = rng.random((3, n)) < 0.05
+        levels[drawn] = rng.random(int(drawn.sum()))
+        inputs = FuzzyInputs(*levels)
+        tie_p = rng.choice([0.01, 0.2, 0.7], size=n)
+        vec = _random_params(rng).to_vector()
+        scores, _, full = _fuzzy_order(inputs, vec, tie_p)
+        counts = {1, 2, n // 3, n - 1, n, n + 4, *rng.integers(1, n + 1, 5).tolist()}
+        for top_n in sorted(c for c in counts if c >= 1):
+            top_scores, _, top = _fuzzy_order(inputs, vec, tie_p, top_n)
+            assert top_scores.tobytes() == scores.tobytes()
+            assert top.tolist() == full[:top_n].tolist(), (trial, top_n)
+            if top_n < n and scores[full[top_n - 1]] == scores[full[top_n]]:
+                cut_in_a_run += 1
+    assert cut_in_a_run > 100

@@ -13,7 +13,8 @@ from generank.gaopt import (
     save_trace,
     separability_index,
 )
-from generank.rankers import rank_genes
+from generank import kernels
+from generank.rankers import GeneRanking, rank_genes
 
 from conftest import planted_dataset, uneven_planted_dataset
 
@@ -121,6 +122,24 @@ def test_separability_index_matches_direct_formula():
         )
 
 
+def test_separability_index_bit_identical_to_block_formula():
+    # the index sums per-gene terms computed once for every gene; it must
+    # give the very bits of the formula on the top genes' own block, at
+    # sizes where NumPy's pairwise sum runs straight, unrolled and split
+    from generank.dataio import standardize_genes
+
+    rng = np.random.default_rng(412)
+    for trial in range(60):
+        n0, n1 = (int(v) for v in rng.integers(2, 40, 2))
+        dataset = uneven_planted_dataset(60, 8, n0, n1, seed=int(rng.integers(1 << 30)))
+        Z = standardize_genes(dataset.matrix)
+        order = rng.permutation(dataset.n_genes)
+        ranking = GeneRanking("ttest", order, np.zeros(dataset.n_genes))
+        for top_n in (1, 2, int(rng.integers(3, 61))):
+            want = _oracle_si(Z[order[:top_n]], dataset.labels)
+            assert separability_index(dataset, ranking, top_n) == want, (trial, top_n)
+
+
 def test_separability_index_orders_obvious_cases():
     # strong markers first beats noise first
     dataset = planted_dataset(40, 10, 10, 10, 3.0, seed=402)
@@ -190,6 +209,44 @@ def test_optimize_improves_on_default_for_uneven_markers():
     si_optimized = separability_index(dataset, fgf_rank(dataset, best), 15)
     assert si_optimized >= si_default
     assert trace.best_fitness[-1] >= trace.best_fitness[0]
+
+
+def test_optimize_scores_each_distinct_chromosome_once(monkeypatch):
+    # a repeated chromosome is answered by the fitness memo: the kernel
+    # runs once for each distinct chromosome the search makes (every one
+    # leaves _repair), and the counters add up to all of them
+    from generank import gaopt
+
+    dataset = uneven_planted_dataset(80, 12, 9, 9, seed=413)
+    config = GaConfig(population_size=12, generations=8, top_n_genes=10, seed=5,
+                      crossover_rate=0.5, mutation_rate=0.05)
+    made, called = [], []
+    repair, kernel = gaopt._repair, kernels.mamdani_scores
+
+    def recorded_repair(chrom):
+        out = repair(chrom)
+        made.append(out.tobytes())
+        return out
+
+    def counted(fc, var, rs, params):
+        called.append(np.asarray(params).tobytes())
+        return kernel(fc, var, rs, params)
+
+    monkeypatch.setattr(gaopt, "_repair", recorded_repair)
+    monkeypatch.setattr(kernels, "mamdani_scores", counted)
+    _, trace = optimize_fgf(dataset, config)
+    assert len(made) == config.population_size + config.generations * (
+        config.population_size - config.elite_count
+    )
+    assert sorted(called) == sorted(set(made))
+    assert trace.evaluations == len(called)
+    assert trace.evaluations + trace.repeats == len(made)
+    assert trace.repeats > 0
+    # every generation's best holds its own chromosome's fitness
+    monkeypatch.setattr(kernels, "mamdani_scores", kernel)
+    for fit, params in zip(trace.best_fitness, trace.best_params):
+        ranking = fgf_rank(dataset, params)
+        assert fit == separability_index(dataset, ranking, config.top_n_genes)
 
 
 def test_optimize_runs_without_elites():

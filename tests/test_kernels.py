@@ -1,5 +1,9 @@
 """Backend dispatch and parity tests for the fuzzy-inference kernel."""
 
+import re
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -73,6 +77,70 @@ def test_raw_c_kernel_copies_strided_inputs_and_checks_shapes():
         c_scores(np.full((4, 2), 0.5), good, good, DEFAULT)
     with pytest.raises(ValueError):
         c_scores(good, good, good, DEFAULT[:4])
+
+
+def _plateau_inputs(rng, n):
+    """fc, var and rs of n genes, most of them on a few levels, below 0
+    and above 1 among them, so that many genes share their class heights
+    and the C kernel's memo answers them; one input in ten is drawn at
+    random."""
+    values = rng.choice([-0.1, 0.0, 0.02, 0.5, 0.98, 1.0, 1.2], size=(3, n))
+    drawn = rng.random((3, n)) < 0.1
+    values[drawn] = rng.random(int(drawn.sum()))
+    return values
+
+
+def test_kernel_is_reentrant():
+    # ctypes releases the GIL for the C kernel's call, so threads run it at
+    # once; each must see only its own work, as in a serial call
+    rng = np.random.default_rng(203)
+    batches = [(*_plateau_inputs(rng, 20000), _random_params(rng)) for _ in range(4)]
+    serial = [kernels.mamdani_scores(*batch) for batch in batches]
+    results = [[] for _ in batches]
+
+    def work(i):
+        for _ in range(5):
+            results[i].append(kernels.mamdani_scores(*batches[i]))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(batches))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for (want_scores, want_clamped), got in zip(serial, results):
+        assert len(got) == 5
+        for scores, clamped in got:
+            assert scores.tobytes() == want_scores.tobytes()
+            assert clamped == want_clamped
+
+
+def test_c_kernel_memo_hits_and_full_table_agree_with_numpy():
+    # more distinct tuples of class heights than the memo's table has
+    # slots, between plateau genes that repeat tuples before and after the
+    # table fills: remembered, computed and unremembered scores must all
+    # be the NumPy kernel's
+    impls = kernels.available_backends()
+    if "c" not in impls:
+        pytest.skip("the C kernel is not loaded")
+    with open(_cbuild.SOURCE, encoding="utf-8") as fh:
+        entries = int(re.search(r"#define MEMO_ENTRIES (\d+)", fh.read()).group(1))
+    slots = 1 << (2 * entries - 1).bit_length()
+    rng = np.random.default_rng(204)
+    # inside every ramp of the default anchors, so that heights vary freely
+    ramps = rng.uniform(0.26, 0.74, (3, slots + 1000))
+    plateaus = _plateau_inputs(rng, 4000)
+    fc, var, rs = np.concatenate([plateaus[:, :2000], ramps, plateaus[:, 2000:]], axis=1)
+    want_scores, want_clamped = _mamdani_py.mamdani_scores(fc, var, rs, DEFAULT)
+    assert np.unique(want_scores).size > slots
+    scores, clamped = impls["c"](fc, var, rs, DEFAULT)
+    assert scores.tobytes() == want_scores.tobytes()
+    assert int(clamped) == int(want_clamped)
 
 
 needs_rank_sums = pytest.mark.skipif(
