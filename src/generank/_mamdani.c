@@ -1,6 +1,7 @@
 /* Three compiled solvers that mirror Python code expression for
- * expression, a pass over the tie runs of sorted rows, a reader of the
- * expression matrix's text, and NumPy's seeding and uniform draws:
+ * expression, a pass over the tie runs of sorted rows, a reader and a
+ * writer of the expression matrix's text, and NumPy's seeding and
+ * uniform draws:
  *
  * mamdani_scores, the batch fuzzy-inference kernel, a plain-C port of
  * generank._mamdani_py. The centroid accumulates in ascending grid
@@ -46,6 +47,14 @@
  * the Eisel-Lemire algorithm, exact and several times faster than
  * strtod, which takes the rare cells it leaves. count_lines, a memchr
  * count of the newlines, bounds the rows the caller allocates for.
+ *
+ * format_rows, rows of float64 values as text, each value as Python's
+ * repr writes it, byte for byte: the shortest digits that read back as
+ * the value, by Schubfach (Giulietti, 2020) on POW5's powers of ten,
+ * built in registers eight at a time and laid out in repr's fixed or
+ * exponent form. Each row starts with its line of a block of prefixes
+ * (gene ids), and the caller's buffer is checked against the most the
+ * rows can take before a byte is written.
  *
  * derived_seed and initial_weights, ports of NumPy's SeedSequence and
  * PCG64 that give generank.crossval._derived_seed's seeds and
@@ -780,12 +789,16 @@ static int convert(const char *s, int64_t len, double *value)
 }
 
 /* POW5[2 * (q + 342) ...] holds the 128 leading bits of 5^q for
- * -342 <= q <= 308, high word first: for q >= 0, 5^q shifted until its
+ * -342 <= q <= 324, high word first: for q >= 0, 5^q shifted until its
  * top bit is bit 127 and truncated; for q < 0, floor(2^b / 5^-q) + 1,
  * where b is z + 127 for q >= -27 and 2z + 128 (the sum then truncated
  * to 128 bits) below, z being the least integer with 2^z >= 5^-q. This
- * is fast_float's table; a test recomputes every row. */
-static const uint64_t POW5[2 * 651] = {
+ * is fast_float's table, which the reader uses up to q = 308, extended
+ * to the q = 324 the writer needs; a test recomputes every row. The
+ * rows are also the 128 leading bits of 10^q (10^q = 5^q 2^q), and a
+ * test checks that each is that value's floor, plus one exactly for
+ * -27 <= q < 0. */
+static const uint64_t POW5[2 * 667] = {
     0xeef453d6923bd65au, 0x113faa2906a13b3fu, 0x9558b4661b6565f8u, 0x4ac7ca59a424c507u,
     0xbaaee17fa23ebf76u, 0x5d79bcf00d2df649u, 0xe95a99df8ace6f53u, 0xf4d82c2c107973dcu,
     0x91d8a02bb6c10594u, 0x79071b9b8a4be869u, 0xb64ec836a47146f9u, 0x9748e2826cdee284u,
@@ -1111,7 +1124,15 @@ static const uint64_t POW5[2 * 651] = {
     0x95527a5202df0ccbu, 0x0f37801e0c43ebc8u, 0xbaa718e68396cffdu, 0xd30560258f54e6bau,
     0xe950df20247c83fdu, 0x47c6b82ef32a2069u, 0x91d28b7416cdd27eu, 0x4cdc331d57fa5441u,
     0xb6472e511c81471du, 0xe0133fe4adf8e952u, 0xe3d8f9e563a198e5u, 0x58180fddd97723a6u,
-    0x8e679c2f5e44ff8fu, 0x570f09eaa7ea7648u,
+    0x8e679c2f5e44ff8fu, 0x570f09eaa7ea7648u, 0xb201833b35d63f73u, 0x2cd2cc6551e513dau,
+    0xde81e40a034bcf4fu, 0xf8077f7ea65e58d1u, 0x8b112e86420f6191u, 0xfb04afaf27faf782u,
+    0xadd57a27d29339f6u, 0x79c5db9af1f9b563u, 0xd94ad8b1c7380874u, 0x18375281ae7822bcu,
+    0x87cec76f1c830548u, 0x8f2293910d0b15b5u, 0xa9c2794ae3a3c69au, 0xb2eb3875504ddb22u,
+    0xd433179d9c8cb841u, 0x5fa60692a46151ebu, 0x849feec281d7f328u, 0xdbc7c41ba6bcd333u,
+    0xa5c7ea73224deff3u, 0x12b9b522906c0800u, 0xcf39e50feae16befu, 0xd768226b34870a00u,
+    0x81842f29f2cce375u, 0xe6a1158300d46640u, 0xa1e53af46f801c53u, 0x60495ae3c1097fd0u,
+    0xca5e89b18b602368u, 0x385bb19cb14bdfc4u, 0xfcf62c1dee382c42u, 0x46729e03dd9ed7b5u,
+    0x9e19db92b4e31ba9u, 0x6c07a2c26a8346d1u,
 };
 
 /* The 128-bit product a * b as *hi and *lo, from 32-bit halves. */
@@ -1125,9 +1146,14 @@ static void multiply_128(uint64_t a, uint64_t b, uint64_t *hi, uint64_t *lo)
     *hi = a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32);
 }
 
-/* The number of zero bits above w's highest set bit, for w > 0. */
+/* The number of zero bits above w's highest set bit, for w > 0: one
+ * instruction where the compiler has it, else a binary search, whose
+ * branches the writer's digits would mispredict. */
 static int leading_zeros(uint64_t w)
 {
+#if defined(__GNUC__)
+    return __builtin_clzll(w);
+#else
     int n = 0, step;
 
     for (step = 32; step > 0; step /= 2)
@@ -1136,6 +1162,7 @@ static int leading_zeros(uint64_t w)
             w <<= step;
         }
     return n;
+#endif
 }
 
 /* The bits of the double nearest w * 10^q, ties to even, for
@@ -1368,6 +1395,333 @@ int64_t parse_matrix_rows(const char *data, int64_t size, int64_t pos,
         rows++;
     }
     return rows;
+}
+
+/* format_rows, the text of the rows of a float64 matrix, each value as
+ * Python's repr writes it.
+ *
+ * repr prints the shortest digits that read back as the double, the
+ * nearest to it when several are that short, and the even one of two
+ * equally near (David Gay's dtoa in its shortest mode). Schubfach
+ * (R. Giulietti, "The Schubfach way to render doubles", 2020) finds the
+ * same digits; shortest_decimal follows its reference code, the JDK's
+ * DoubleToDecimal, step for step, but leaves out what Java's rule of two
+ * digits at least adds: a ten times larger significand for the two
+ * smallest subnormals, and no one-digit candidate while s < 100 (Java
+ * prints 4.9E-324 and 4.9E-323 where repr prints 5e-324 and 5e-323).
+ * It also takes the products at the interval's ends from the value's by
+ * shifts and adds, exactly, rather than by two more multiplications.
+ * Its powers of ten are POW5's rows, so the formatter has no table of
+ * its own. put_double lays the digits out as repr does. */
+
+#define Q_MIN (-1074)
+#define C_MIN ((uint64_t)1 << 52)
+#define MASK_63 (((uint64_t)1 << 63) - 1)
+
+/* The most bytes one cell takes in format_rows' output: a tab and
+ * "-1.2345678901234567e-308". */
+#define FORMAT_CELL_BYTES 25
+
+/* floor(q log10(2)), floor(log10(3/4 2^q)) and floor(q log2(10)), each
+ * one multiply and shift (Giulietti's), exact far beyond the exponents
+ * of a double. Each shift is made on a sum kept positive, then the bias
+ * is taken off, so that no negative number is shifted. */
+static int64_t floor_log10_pow2(int64_t q)
+{
+    return ((q * 661971961083 + ((int64_t)1 << 51)) >> 41) - 1024;
+}
+
+static int64_t floor_log10_three_quarters_pow2(int64_t q)
+{
+    return ((q * 661971961083 - 274743187321 + ((int64_t)1 << 51)) >> 41) - 1024;
+}
+
+static int64_t floor_log2_pow10(int64_t q)
+{
+    return ((q * 913124641741 + ((int64_t)1 << 50)) >> 38) - 4096;
+}
+
+/* Schubfach's g for 10^-k, -324 <= k <= 292, in 63-bit halves: g =
+ * floor(b) + 1, where 10^-k = b 2^r and 2^125 <= b < 2^126. POW5's row
+ * of q = -k is floor(4b), or floor(4b) + 1 for -27 <= q < 0. */
+static void ten_power(int64_t k, uint64_t *g1, uint64_t *g0)
+{
+    const uint64_t *row = POW5 + 2 * (342 - k);
+    uint64_t hi = row[0], lo = row[1];
+
+    if (k >= 1 && k <= 27) {
+        if (lo == 0)
+            hi--;
+        lo--;
+    }
+    lo = (lo >> 2 | hi << 62) + 1;
+    hi = (hi >> 2) + (lo == 0);
+    *g1 = hi << 1 | lo >> 63;
+    *g0 = lo & MASK_63;
+}
+
+/* cp g 2^-127 rounded to odd, for cp < 2^63 and g = g1 2^63 + g0, from
+ * the products g1 cp = y1 2^64 + y0 and g0 cp = x1 2^64 + x0: the floor,
+ * its lowest bit set when the bits below it are not all zero
+ * (Schubfach's r_o, with its shortcut of leaving out x0 and the lowest
+ * bit of y0). */
+static uint64_t round_odd(uint64_t y1, uint64_t y0, uint64_t x1)
+{
+    uint64_t z = (y0 >> 1) + x1;
+
+    return (y1 + (z >> 63)) | (((z & MASK_63) + MASK_63) >> 63);
+}
+
+/* hi 2^64 + lo plus, or less, w 2^s, for 0 < s < 64: the product of w
+ * and cp + 2^s, or cp - 2^s, from that of w and cp. */
+static void add_shifted(uint64_t *hi, uint64_t *lo, uint64_t w, int64_t s)
+{
+    uint64_t low = w << s;
+
+    *lo += low;
+    *hi += (w >> (64 - s)) + (*lo < low);
+}
+
+static void subtract_shifted(uint64_t *hi, uint64_t *lo, uint64_t w, int64_t s)
+{
+    uint64_t low = w << s;
+
+    *hi -= (w >> (64 - s)) + (*lo < low);
+    *lo -= low;
+}
+
+/* The decimal f 10^e that repr's digits spell for the double c 2^q,
+ * 1 <= c < 2^53 and Q_MIN <= q: the shortest in the interval of reals
+ * that read back as the double, the nearest to it of two that short, the
+ * even one of two equally near. Returns f, which may end in zeros. The
+ * interval is closed when c is even, as ties round to even, and its
+ * lower half is half as wide at a power of two past the subnormals. */
+static uint64_t shortest_decimal(uint64_t c, int64_t q, int64_t *e)
+{
+    int out = (int)(c & 1), uin, win;
+    uint64_t g1, g0, y1, y0, x1, x0, ry1, ry0, rx1, rx0, vb, vbl, vbr, s, t, sp10;
+    int64_t k, h, left;
+
+    if (c != C_MIN || q == Q_MIN) {
+        left = 1; /* the lower end, (4c - 2) 2^h, lies 2^(h+1) below */
+        k = floor_log10_pow2(q);
+    } else {
+        left = 0; /* (4c - 1) 2^h, 2^h below */
+        k = floor_log10_three_quarters_pow2(q);
+    }
+    h = q + floor_log2_pow10(-k) + 2;
+    ten_power(k, &g1, &g0);
+    /* 4 v 10^-k and the interval's ends, rounded to odd, from the
+     * products of g with 4c 2^h, (4c + 2) 2^h and the lower end; the
+     * latter two are the first plus or less g shifted, each exact, so
+     * each end rounds as if multiplied out */
+    multiply_128(g1, c << (h + 2), &y1, &y0);
+    multiply_128(g0, c << (h + 2), &x1, &x0);
+    vb = round_odd(y1, y0, x1);
+    ry1 = y1;
+    ry0 = y0;
+    rx1 = x1;
+    rx0 = x0;
+    add_shifted(&ry1, &ry0, g1, h + 1);
+    add_shifted(&rx1, &rx0, g0, h + 1);
+    vbr = round_odd(ry1, ry0, rx1);
+    subtract_shifted(&y1, &y0, g1, h + left);
+    subtract_shifted(&x1, &x0, g0, h + left);
+    vbl = round_odd(y1, y0, x1);
+    s = vb >> 2;
+    *e = k;
+    /* The interval is narrower than 10^(k+1), so it holds at most one
+     * multiple of it, 10 floor(s / 10) or the next; that one, if there,
+     * is the shortest. */
+    sp10 = s / 10 * 10;
+    uin = vbl + out <= sp10 << 2;
+    win = ((sp10 + 10) << 2) + out <= vbr;
+    if (uin != win)
+        return uin ? sp10 : sp10 + 10;
+    /* Otherwise s 10^k or (s + 1) 10^k, whichever lies in the interval,
+     * or the nearer of the two if both do. */
+    t = s + 1;
+    uin = vbl + out <= s << 2;
+    win = (t << 2) + out <= vbr;
+    if (uin != win)
+        return uin ? s : t;
+    return vb < (s + t) << 1 || (vb == (s + t) << 1 && (s & 1) == 0) ? s : t;
+}
+
+/* The bytes of "00000000", and of "0.000000". */
+#define ZERO_CHARS 0x3030303030303030u
+#define ZERO_POINT_CHARS 0x3030303030302e30u
+
+/* Stores the 8 bytes of w at p, the low byte first; compilers make it
+ * one store. */
+static void store_word(char *p, uint64_t w)
+{
+    int i;
+
+    for (i = 0; i < 8; i++)
+        p[i] = (char)(w >> 8 * i & 0xff);
+}
+
+/* The eight digits of x < 10^8 as characters, the first in the low
+ * byte: the number is split into halves, quarters and digits, each
+ * split one multiply for all lanes (/ 100 is * 10486 >> 20 below 10^4,
+ * / 10 is * 103 >> 10 below 100), so the characters are built in a
+ * register. Stored bytes read back by a wider load would stall it. */
+static uint64_t eight_digit_chars(uint32_t x)
+{
+    uint64_t z = x / 10000 | (uint64_t)(x % 10000) << 32, y;
+
+    y = (z * 10486 >> 20) & 0x0000007f0000007fu;
+    z = (z - y * 100) << 16 | y;
+    y = (z * 103 >> 10) & 0x000f000f000f000fu;
+    z = (z - y * 10) << 8 | y;
+    return z | ZERO_CHARS;
+}
+
+/* w with the byte '.' put in before its byte j (0 <= j < 8), the bytes
+ * from there on moved up one and the top one lost. */
+static uint64_t insert_point(uint64_t w, int j)
+{
+    uint64_t before = ((uint64_t)1 << 8 * j) - 1;
+
+    return (w & before) | (uint64_t)'.' << 8 * j | (w << 8 & ~(before << 8 | 0xff));
+}
+
+/* The 17 characters h, w1 and w2 at p. */
+static void store_digits(char *p, char h, uint64_t w1, uint64_t w2)
+{
+    p[0] = h;
+    store_word(p + 1, w1);
+    store_word(p + 9, w2);
+}
+
+/* Writes repr(x) at p and returns its end. It is at most 24 bytes, but
+ * the digits go in whole words, so up to 24 bytes from p may be
+ * overwritten. */
+static char *put_double(char *p, double x)
+{
+    uint64_t bits, c, f, high, w1, w2, nonzero;
+    int64_t q, e, point, end;
+    int exponent, n;
+    char h;
+
+    memcpy(&bits, &x, sizeof bits);
+    exponent = (int)(bits >> 52 & 0x7ff);
+    c = bits & (C_MIN - 1);
+    if (exponent == 0x7ff && c != 0) {
+        memcpy(p, "nan", 3);
+        return p + 3;
+    }
+    if (bits >> 63)
+        *p++ = '-';
+    if (exponent == 0x7ff || (exponent == 0 && c == 0)) {
+        memcpy(p, exponent ? "inf" : "0.0", 3);
+        return p + 3;
+    }
+    if (exponent != 0) {
+        c |= C_MIN;
+        q = exponent - 1075;
+    } else {
+        q = Q_MIN;
+    }
+    if (q < 0 && q > -53 && (c & (((uint64_t)1 << -q) - 1)) == 0) {
+        f = c >> -q; /* an integer: its own digits */
+        e = 0;
+    } else {
+        f = shortest_decimal(c, q, &e);
+    }
+    /* Scale f, below 10^17 here, to 17 digits and spell them as h, w1
+     * and w2. The n digits up to the last one not 0 are repr's, and
+     * x = 0.d1...dn 10^point. */
+    for (; f < 10000000000000000u; e--)
+        f *= 10;
+    high = f / 100000000;
+    h = (char)('0' + high / 100000000);
+    w1 = eight_digit_chars((uint32_t)(high % 100000000));
+    w2 = eight_digit_chars((uint32_t)(f % 100000000));
+    if ((nonzero = w2 ^ ZERO_CHARS) != 0)
+        n = 17 - leading_zeros(nonzero) / 8;
+    else if ((nonzero = w1 ^ ZERO_CHARS) != 0)
+        n = 9 - leading_zeros(nonzero) / 8;
+    else
+        n = 1;
+    point = e + 17;
+    if (point <= -4 || point > 16) {
+        /* d1.d2...dne-XX, d1e+XX: the decimal exponent point - 1 */
+        store_digits(p + 1, h, w1, w2);
+        p[0] = h;
+        p[1] = '.';
+        p += n > 1 ? n + 1 : 1;
+        e = point - 1;
+        *p++ = 'e';
+        *p++ = e < 0 ? '-' : '+';
+        e = e < 0 ? -e : e;
+        if (e >= 100)
+            *p++ = (char)('0' + e / 100);
+        *p++ = (char)('0' + e / 10 % 10);
+        *p++ = (char)('0' + e % 10);
+        return p;
+    }
+    if (point >= n) {
+        /* d1...dn0...0.0, the digits past dn being '0' */
+        store_digits(p, h, w1, w2);
+        p[point] = '.';
+        p[point + 1] = '0';
+        return p + point + 2;
+    }
+    if (point <= 0) {
+        /* 0.0...0d1...dn */
+        store_word(p, ZERO_POINT_CHARS);
+        p += 2 - point;
+        end = n;
+    } else {
+        /* d1...dk.d(k+1)...dn for k = point: the digits from d(k+1) on
+         * move up one byte */
+        p[17] = (char)(w2 >> 56);
+        if (point <= 8) {
+            w2 = w1 >> 56 | w2 << 8;
+            w1 = insert_point(w1, (int)point - 1);
+        } else {
+            w2 = insert_point(w2, (int)point - 9);
+        }
+        end = n + 1;
+    }
+    store_digits(p, h, w1, w2);
+    return p + end;
+}
+
+/* format_rows, the text of rows 0 .. rows - 1 of the row-major rows x
+ * cols matrix values: row r's prefix, the r-th line of
+ * prefixes[0, prefixes_size), then a tab and repr of each value, then
+ * '\n'. The prefixes must be exactly rows lines, each ended by '\n' and
+ * holding no other, as parse_matrix_rows returns gene ids. Returns the
+ * bytes written to out, -1 when out_size is below prefixes_size +
+ * FORMAT_CELL_BYTES * rows * cols, the most the rows can take (nothing
+ * is then written), or -2 when the prefixes are not rows lines. */
+int64_t format_rows(const double *values, int64_t rows, int64_t cols,
+                    const char *prefixes, int64_t prefixes_size, char *out,
+                    int64_t out_size)
+{
+    const char *line = prefixes, *stop = prefixes + prefixes_size, *end;
+    char *p = out;
+    int64_t r, j;
+
+    if (out_size - prefixes_size < FORMAT_CELL_BYTES * rows * cols)
+        return -1;
+    for (r = 0; r < rows; r++) {
+        end = line < stop ? memchr(line, '\n', (size_t)(stop - line)) : NULL;
+        if (end == NULL)
+            return -2;
+        memcpy(p, line, (size_t)(end - line));
+        p += end - line;
+        line = end + 1;
+        for (j = 0; j < cols; j++) {
+            *p++ = '\t';
+            p = put_double(p, values[r * cols + j]);
+        }
+        *p++ = '\n';
+    }
+    return line == stop ? p - out : -2;
 }
 
 /* NumPy's SeedSequence (pool size 4) and PCG64, bit for bit, so that the

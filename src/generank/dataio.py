@@ -246,57 +246,59 @@ def load_dataset(matrix_path, labels_path) -> Dataset:
     return dataset
 
 
-# Cells per block of rows that ``_cell_texts`` formats together.
+# Cells per block of rows that ``write_rows`` formats together.
 _BLOCK_CELLS = 8192
 
 
-def _cell_texts(matrix):
-    """Yield each row's cell texts, ``list(map(repr, row.tolist()))``.
+def check_tsv_ids(kind, ids):
+    """Raise ValueError naming the first of the ``kind`` ids ``ids`` that
+    holds a tab, newline or carriage return: no TSV cell can hold one, and
+    the reader would split the row at it."""
+    text = "".join(ids)
+    if "\t" in text or "\n" in text or "\r" in text:
+        bad = next(i for i in ids if "\t" in i or "\n" in i or "\r" in i)
+        raise ValueError(f"{kind} id {bad!r} holds a tab, newline or carriage return")
 
-    Rows go in blocks: the distinct bit patterns of a block (so -0.0 and
-    0.0 stay apart) are looked up in a memo kept across blocks, only the
-    ones it lacks are formatted, and the texts are gathered. The memo is
-    a sorted array of bit patterns with their texts, searched in one
-    pass per block; it holds at most one text per row, all a
-    quantile-normalized matrix needs.
-    """
+
+def write_rows(fh, prefixes, matrix):
+    """Write one line per row of ``matrix`` to the binary file ``fh``: its
+    string of ``prefixes``, then a tab and ``repr`` of each value, tab
+    separated. No prefix may hold a newline.
+
+    The C library's ``format_rows`` writes the text, with ``repr``'s
+    digits and layout, in blocks of at most ``_BLOCK_CELLS`` cells (one
+    row at least), so that its buffer stays small. Without the library
+    each row's values go through ``repr``, its oracle."""
+    if kernels.format_rows is None:
+        for prefix, row in zip(prefixes, matrix):
+            fh.write((prefix + "\t" + "\t".join(map(repr, row.tolist())) + "\n").encode())
+        return
     n_rows, n_cols = matrix.shape
     step = max(1, _BLOCK_CELLS // max(1, n_cols))
-    known = np.empty(0, dtype=np.uint64)
-    known_texts = np.empty(0, dtype=object)
+    out = np.empty(0, dtype=np.uint8)
     for lo in range(0, n_rows, step):
-        block = np.ascontiguousarray(matrix[lo : lo + step])
-        bits, inverse = np.unique(block.view(np.uint64).ravel(), return_inverse=True)
-        at = np.searchsorted(known, bits)
-        hit = np.zeros(len(bits), dtype=bool)
-        if len(known):
-            hit = known[np.minimum(at, len(known) - 1)] == bits
-        texts = np.empty(len(bits), dtype=object)
-        texts[hit] = known_texts[at[hit]]
-        new = np.flatnonzero(~hit)
-        texts[new] = np.fromiter(
-            map(repr, bits[new].view(np.float64).tolist()), dtype=object, count=len(new)
-        )
-        take = new[: n_rows - len(known)]
-        if len(take):
-            known = np.insert(known, at[take], bits[take])
-            known_texts = np.insert(known_texts, at[take], texts[take])
-        yield from texts[inverse].reshape(block.shape).tolist()
+        block = ("\n".join(prefixes[lo : lo + step]) + "\n").encode()
+        size = len(block) + kernels.CELL_BYTES * n_cols * min(step, n_rows - lo)
+        if out.size < size:
+            out = np.empty(size, dtype=np.uint8)
+        fh.write(out[: kernels.format_rows(matrix[lo : lo + step], block, out)])
 
 
 def save_dataset(dataset: Dataset, matrix_path, labels_path, sample_ids=None):
     """Write a dataset back to the canonical TSV pair.
 
-    Values are written with full round-trip precision so that
-    load -> save -> load reproduces bit-equal matrices; each distinct
-    value of a normalized matrix is formatted once (see ``_cell_texts``).
+    Values are written as ``repr`` writes them, with full round-trip
+    precision, so that load -> save -> load reproduces bit-equal matrices
+    (see :func:`write_rows`). A sample or gene id that holds a tab,
+    newline or carriage return raises ValueError before a file is opened.
     """
     if sample_ids is None:
         sample_ids = [f"s{i}" for i in range(dataset.n_samples)]
-    with open(matrix_path, "w", encoding="utf-8") as fh:
-        fh.write("gene_id\t" + "\t".join(sample_ids) + "\n")
-        for gid, texts in zip(dataset.gene_ids, _cell_texts(dataset.matrix)):
-            fh.write(gid + "\t" + "\t".join(texts) + "\n")
+    check_tsv_ids("sample", sample_ids)
+    check_tsv_ids("gene", dataset.gene_ids)
+    with open(matrix_path, "wb") as fh:
+        fh.write(("gene_id\t" + "\t".join(sample_ids) + "\n").encode())
+        write_rows(fh, dataset.gene_ids, dataset.matrix)
     with open(labels_path, "w", encoding="utf-8") as fh:
         for sid, lab in zip(sample_ids, dataset.labels):
             fh.write(f"{sid}\t{dataset.class_names[lab]}\n")

@@ -10,7 +10,9 @@ holds a pass over the tie runs of sorted rows that gives their rank-sum
 statistics and midranks (``rank_sums``, for ``rankers._rank_sums``,
 whose oracle and fallback is ``rankers._tie_ranks``), a reader of the
 expression matrix's rows, whose oracle and fallback is the line-by-line
-reader ``dataio._parse_matrix_lines``, and a bit-exact port of NumPy's
+reader ``dataio._parse_matrix_lines``, a writer of rows of float64
+values as text (``format_rows``, for ``dataio.write_rows``), whose
+oracle and fallback is ``repr``, and a bit-exact port of NumPy's
 ``SeedSequence`` and ``PCG64`` that draws the perceptron's seeds
 (``derived_seed``, for ``crossval._derived_seed``) and starting weights
 (``initial_weights``, for ``classifiers._initial_weights``), whose
@@ -26,8 +28,9 @@ is a function of the heights alone, and each is summed in the NumPy
 kernel's order, so the memo cannot change a bit (``_mamdani.c`` says
 why). ``BACKEND`` names the fuzzy
 kernel that runs, and ``rank_sums``, ``svm_grid_solve``,
-``mlp_grid_solve``, ``parse_matrix_rows``, ``derived_seed`` and
-``initial_weights`` are None when the library is not loaded. The one difference is which NaN an
+``mlp_grid_solve``, ``parse_matrix_rows``, ``format_rows``,
+``derived_seed`` and ``initial_weights`` are None when the library is not
+loaded. The one difference is which NaN an
 overflowed SVM fit holds, and ``classifiers.svm_train`` and
 ``svm_grid_labels`` reject such a fit on either path.
 
@@ -41,7 +44,9 @@ buffer. The rank-sum pass reads its matrix, order and class flags in
 place and writes arrays of its own, as the matrix reader writes into a
 float64 matrix, sized by the library's newline count (``count_lines``)
 so that no Python pass scans the text, and into a byte array that gets
-the gene ids, each followed by a newline, for one decode and split.
+the gene ids, each followed by a newline, for one decode and split. The
+row writer takes row prefixes in that form, as bytes, and fills a uint8
+array that its caller sizes and reuses.
 The matrix text and the seeds' entropy go in as bytes (``c_char_p``);
 the entropy is each seed's little-endian uint32 words, which
 ``_seed_words`` makes.
@@ -263,6 +268,48 @@ def _bind_parse(lib):
     return parse_matrix_rows
 
 
+# The most bytes format_rows writes for one cell: a tab and
+# "-1.2345678901234567e-308" (_mamdani.c's FORMAT_CELL_BYTES).
+CELL_BYTES = 25
+
+
+def _bind_format(lib):
+    fn = _declare(
+        lib, "format_rows",
+        _POINTER, _COUNT, _COUNT, ctypes.c_char_p, _COUNT, _POINTER, _COUNT,
+    )
+
+    def format_rows(values, prefixes, out):
+        """Write the rows of the 2-D ``values`` into the uint8 array
+        ``out`` as text, each as its prefix, a tab and ``repr`` of each
+        value, tab-separated, and a newline: returns the bytes written.
+        ``prefixes`` (bytes) holds one line per row, each ended by a
+        newline, as ``parse_matrix_rows`` returns gene ids. ``out`` must
+        hold ``len(prefixes) + CELL_BYTES * values.size`` bytes, the most
+        the rows can take; a smaller one is refused before a byte is
+        written."""
+        values = np.ascontiguousarray(values, dtype=np.float64)
+        if values.ndim != 2 or values.shape[1] < 1:
+            raise ValueError("values must be 2-D with at least one column")
+        if out.dtype != np.uint8 or out.ndim != 1 or not out.flags.c_contiguous:
+            raise ValueError("out must be a contiguous 1-D uint8 array")
+        rows, cols = values.shape
+        size = fn(
+            values.ctypes.data, rows, cols, prefixes, len(prefixes), out.ctypes.data,
+            out.size,
+        )
+        if size == -1:
+            raise ValueError(
+                f"out holds {out.size} bytes, fewer than the "
+                f"{len(prefixes) + CELL_BYTES * values.size} the rows may take"
+            )
+        if size < 0:
+            raise ValueError(f"prefixes must hold one line per row, {rows} lines")
+        return size
+
+    return format_rows
+
+
 def seed_ints(values) -> bool:
     """Whether every value is an int or a NumPy integer, the seeds that
     ``derived_seed`` and ``initial_weights`` take. NumPy's
@@ -325,6 +372,7 @@ if _LIB is not None:
     svm_grid_solve = _bind_svm_grid(_LIB)
     mlp_grid_solve = _bind_mlp_grid(_LIB)
     parse_matrix_rows = _bind_parse(_LIB)
+    format_rows = _bind_format(_LIB)
     derived_seed, initial_weights = _bind_seeds(_LIB)
     _IMPL = _c_scores
     BACKEND = "c"
@@ -334,6 +382,7 @@ else:
     svm_grid_solve = None
     mlp_grid_solve = None
     parse_matrix_rows = None
+    format_rows = None
     derived_seed = initial_weights = None
     _IMPL = _mamdani_py.mamdani_scores
     BACKEND = "numpy"

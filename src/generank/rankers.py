@@ -38,7 +38,7 @@ import numpy as np
 from scipy.special import betainc
 
 from generank import kernels
-from generank.dataio import VARIANCE_FLOOR, Dataset
+from generank.dataio import VARIANCE_FLOOR, Dataset, check_tsv_ids, write_rows
 
 # Pooled sizes up to this run the exact rank-sum null distribution.
 EXACT_RANKSUM_LIMIT = 25
@@ -414,9 +414,15 @@ def rank_genes(dataset: Dataset, method: str) -> GeneRanking:
 
 
 def save_ranking(ranking: GeneRanking, gene_ids, path):
-    """Write ``rank<TAB>gene_id<TAB>score`` rows, best gene first."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("rank\tgene_id\tscore\n")
-        scores = ranking.scores.tolist()
-        for pos, g in enumerate(ranking.order.tolist(), start=1):
-            fh.write(f"{pos}\t{gene_ids[g]}\t{scores[g]!r}\n")
+    """Write ``rank<TAB>gene_id<TAB>score`` rows, best gene first, each
+    score as ``repr`` writes it (see ``dataio.write_rows``). A gene id
+    that holds a tab, newline or carriage return raises ValueError before
+    the file is opened."""
+    ids = [gene_ids[g] for g in ranking.order.tolist()]
+    check_tsv_ids("gene", ids)
+    with open(path, "wb") as fh:
+        fh.write(b"rank\tgene_id\tscore\n")
+        write_rows(
+            fh, list(map("{}\t{}".format, range(1, len(ids) + 1), ids)),
+            ranking.scores[ranking.order][:, None],
+        )

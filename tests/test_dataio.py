@@ -110,6 +110,7 @@ def test_empty_matrix_rejected(tmp_path):
 needs_reader = pytest.mark.skipif(
     kernels.parse_matrix_rows is None, reason="C library not loaded"
 )
+needs_writer = pytest.mark.skipif(kernels.format_rows is None, reason="C library not loaded")
 
 _HEAD = b"gene_id\ts0\ts1\ts2\n"
 
@@ -292,10 +293,10 @@ def test_c_reader_sweep_matches_float(tmp_path, monkeypatch):
 
 
 def _power_of_five_rows():
-    """The 128-bit rows of 5^q for -342 <= q <= 308 by fast_float's rule,
+    """The 128-bit rows of 5^q for -342 <= q <= 324 by fast_float's rule,
     as ``_mamdani.c``'s POW5 comment states it."""
     words = []
-    for q in range(-342, 309):
+    for q in range(-342, 325):
         if q >= 0:
             row = 5**q << 128
         else:
@@ -307,12 +308,32 @@ def _power_of_five_rows():
     return words
 
 
-def test_power_of_five_table_matches_its_rule():
+def _power_of_five_table():
     source = pathlib.Path(_cbuild.SOURCE).read_text()
-    body = source.split("static const uint64_t POW5[2 * 651] = {", 1)[1].split("};", 1)[0]
-    words = [int(word, 16) for word in re.findall(r"0x([0-9a-f]{16})u", body)]
-    assert len(words) == 2 * 651
+    body = source.split("static const uint64_t POW5[2 * 667] = {", 1)[1].split("};", 1)[0]
+    return [int(word, 16) for word in re.findall(r"0x([0-9a-f]{16})u", body)]
+
+
+def test_power_of_five_table_matches_its_rule():
+    words = _power_of_five_table()
+    assert len(words) == 2 * 667
     assert words == _power_of_five_rows()
+
+
+def test_power_of_five_rows_bound_powers_of_ten():
+    # The writer takes Schubfach's g, floor(b) + 1 for 10^q = b 2^r with
+    # 2^125 <= b < 2^126, as (row >> 2) + 1 from the row of q, less one
+    # for -27 <= q < 0; that needs each row to be floor(4b) there and
+    # floor(4b) + 1 for -27 <= q < 0.
+    words = _power_of_five_table()
+    for q in range(-342, 325):
+        row = words[2 * (q + 342)] << 64 | words[2 * (q + 342) + 1]
+        num, den = (10**q, 1) if q >= 0 else (1, 10**-q)
+        # floor(2^s 10^q) for the s that gives it 128 bits
+        s = 128 - num.bit_length() + den.bit_length()
+        while (floor := (num << max(s, 0)) // (den << max(-s, 0))).bit_length() != 128:
+            s += 1 if floor.bit_length() < 128 else -1
+        assert row == floor + (-27 <= q < 0), q
 
 
 @needs_reader
@@ -686,14 +707,19 @@ def _line_writer_bytes(dataset, sample_ids):
     return "".join(lines).encode("utf-8")
 
 
+# Values on either side of repr's switches between fixed and exponent
+# notation, at decimal exponents -4 and 16.
+_EXPONENT_SWITCH_EDGES = np.array(
+    [9999999999999998.0, 1e16, 1.0000000000000002e16, 1e17, 0.0001,
+     0.00009999999999999999, 0.00010000000000000002, 1e-5, 123456789012345680.0]
+)
+
+
 def _writer_cases():
     rng = np.random.default_rng(31)
     step = dataio._BLOCK_CELLS // 7  # rows per block at 7 columns
     yield "signed-zeros", rng.choice([-0.0, 0.0, 1.0, -1.0], size=(2 * step + 5, 7))
-    edges = np.array(
-        [9999999999999998.0, 1e16, 1.0000000000000002e16, 1e17, 0.0001,
-         0.00009999999999999999, 0.00010000000000000002, 1e-5, 123456789012345680.0]
-    )
+    edges = _EXPONENT_SWITCH_EDGES
     yield "exponent-switch", rng.choice(np.concatenate([edges, -edges]), size=(step + 3, 7))
     yield "integers", rng.integers(-10**6, 10**6, size=(3 * step + 1, 7)).astype(float)
     yield "powers-of-two", 2.0 ** rng.integers(-1074, 1024, size=(step - 1, 7))
@@ -735,6 +761,150 @@ def test_quantile_normalized_round_trip(tmp_path, monkeypatch):
     _assert_same(fast, slow)
     assert fast[0].tobytes() == normalized.matrix.tobytes()
     assert fast[1] == normalized.gene_ids
+
+
+@needs_writer
+@pytest.mark.parametrize("block_cells", [None, 12])
+def test_save_dataset_bytes_match_line_writer_without_library(tmp_path, monkeypatch, block_cells):
+    monkeypatch.setattr(kernels, "format_rows", None)
+    test_save_dataset_bytes_match_line_writer(tmp_path, monkeypatch, block_cells)
+
+
+@needs_writer
+def test_quantile_normalized_round_trip_without_library(tmp_path, monkeypatch):
+    monkeypatch.setattr(kernels, "format_rows", None)
+    test_quantile_normalized_round_trip(tmp_path, monkeypatch)
+
+
+@pytest.mark.parametrize(
+    "gene_ids, sample_ids, named",
+    [
+        (["g0", "g\t1", "g2\n"], None, "gene id 'g\\t1'"),
+        (["g0", "g1", "g2\r"], None, "gene id 'g2\\r'"),
+        (["g0", "g1", "g2"], ["s0", "s1", "s\n2", "s3\t"], "sample id 's\\n2'"),
+    ],
+)
+def test_save_dataset_refuses_ids_a_row_cannot_hold(tmp_path, gene_ids, sample_ids, named):
+    dataset = Dataset(np.ones((3, 4)), gene_ids, np.array([0, 0, 1, 1]), ("a", "b"))
+    with pytest.raises(ValueError, match=re.escape(named)):
+        save_dataset(dataset, tmp_path / "m.tsv", tmp_path / "l.tsv", sample_ids)
+    assert list(tmp_path.iterdir()) == []
+
+
+# ---------------------------------------------------------------------------
+# the C row writer against repr
+
+
+def _assert_formats_as_repr(values):
+    """format_rows' text of ``values`` as a column is repr's, byte for byte."""
+    values = np.asarray(values, dtype=np.float64).ravel()
+    out = np.empty(len(values) * (1 + kernels.CELL_BYTES), dtype=np.uint8)
+    size = kernels.format_rows(values[:, None], b"\n" * len(values), out)
+    lines = out[:size].tobytes().split(b"\n")
+    assert lines == [f"\t{v!r}".encode() for v in values.tolist()] + [b""]
+
+
+def _bits(words):
+    return np.array(words, dtype=np.uint64).view(np.float64)
+
+
+@needs_writer
+def test_writer_extremes_match_repr():
+    _assert_formats_as_repr(
+        np.concatenate(
+            [
+                [0.0, -0.0],
+                _bits([1, 2, 3, 2**52 - 1, 2**52, 0x7FEFFFFFFFFFFFFF]),
+                -_bits([1, 2, 2**52 - 1, 2**52, 0x7FEFFFFFFFFFFFFF]),
+            ]
+        )
+    )
+
+
+@needs_writer
+def test_writer_powers_of_two_and_ten_match_repr():
+    powers = np.ldexp(1.0, np.arange(-1074, 1024))
+    decades = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    for values in (powers, decades):
+        # each power with its neighbours, where the interval is uneven
+        _assert_formats_as_repr(
+            np.concatenate([values, np.nextafter(values, 0), np.nextafter(values, np.inf)])
+        )
+
+
+@needs_writer
+def test_writer_exponent_switch_edges_match_repr():
+    edges = np.concatenate([_EXPONENT_SWITCH_EDGES, [1e-4, 1e15, 1e-4 / 3, 1e16 / 3]])
+    _assert_formats_as_repr(
+        np.concatenate([edges, -edges, np.nextafter(edges, 0), np.nextafter(edges, np.inf)])
+    )
+
+
+@needs_writer
+def test_writer_integers_and_seventeen_digits_match_repr():
+    near = 2**53 + np.arange(-300, 300)
+    rng = np.random.default_rng(17)
+    _assert_formats_as_repr(
+        np.concatenate(
+            [
+                near.astype(float), np.arange(-1000, 1001), 10.0 ** np.arange(23),
+                # values that need all 17 significant digits to round-trip
+                [0.1 + 0.2, 2 / 3, 1 / 3, 5e-324 * 3, 1.0000000000000002, 9007199254740993.0],
+                rng.uniform(1, 2, 2000), rng.normal(6.0, 1.0, 2000),
+            ]
+        )
+    )
+
+
+@needs_writer
+def test_writer_non_finite_values_match_repr():
+    _assert_formats_as_repr(
+        np.concatenate(
+            [[np.inf, -np.inf, np.nan, -np.nan], _bits([0x7FF0000000000001, 0xFFF8000000000001])]
+        )
+    )
+
+
+@needs_writer
+def test_writer_random_bit_patterns_match_repr():
+    rng = np.random.default_rng(2025)
+    _assert_formats_as_repr(rng.integers(0, 2**64, 200_000, dtype=np.uint64).view(np.float64))
+
+
+@needs_writer
+def test_writer_rows_with_prefixes_match_repr():
+    rng = np.random.default_rng(5)
+    values = rng.normal(size=(6, 3))
+    prefixes = ["", "g1", "gène\twith tab", "3", "x" * 70, "last"]
+    out = np.empty(200 + kernels.CELL_BYTES * values.size, dtype=np.uint8)
+    size = kernels.format_rows(values, ("\n".join(prefixes) + "\n").encode(), out)
+    want = "".join(
+        p + "".join(f"\t{v!r}" for v in row) + "\n" for p, row in zip(prefixes, values.tolist())
+    )
+    assert out[:size].tobytes() == want.encode()
+
+
+@needs_writer
+def test_writer_refuses_a_buffer_too_small():
+    values = np.full((4, 3), -1.2345678901234567e-308)
+    prefixes = b"a\nbb\n\nccc\n"
+    need = len(prefixes) + kernels.CELL_BYTES * values.size
+    guarded = np.full(need + 64, 0xAB, dtype=np.uint8)
+    with pytest.raises(ValueError, match="fewer than"):
+        kernels.format_rows(values, prefixes, guarded[: need - 1])
+    assert (guarded == 0xAB).all()
+    size = kernels.format_rows(values, prefixes, guarded[:need])
+    assert (guarded[need:] == 0xAB).all()
+    want = "".join(p + "\t-1.2345678901234567e-308" * 3 + "\n" for p in ("a", "bb", "", "ccc"))
+    assert guarded[:size].tobytes() == want.encode()
+
+
+@pytest.mark.parametrize("prefixes", [b"a\nb\n", b"a\nb\nc", b"a\nb\nc\nd\n"])
+@needs_writer
+def test_writer_refuses_prefixes_not_one_line_a_row(prefixes):
+    out = np.empty(1000, dtype=np.uint8)
+    with pytest.raises(ValueError, match="one line per row"):
+        kernels.format_rows(np.zeros((3, 2)), prefixes, out)
 
 
 # ---------------------------------------------------------------------------

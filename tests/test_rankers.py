@@ -450,6 +450,22 @@ def test_save_ranking_writes_each_scores_repr(tmp_path):
     assert path.read_bytes() == expected.encode()
 
 
+@pytest.mark.skipif(kernels.format_rows is None, reason="C library not loaded")
+def test_save_ranking_writes_each_scores_repr_without_library(tmp_path, monkeypatch):
+    monkeypatch.setattr(kernels, "format_rows", None)
+    test_save_ranking_writes_each_scores_repr(tmp_path)
+
+
+def test_save_ranking_refuses_ids_a_row_cannot_hold(tmp_path):
+    ranking = GeneRanking("roc", np.array([2, 0, 1, 3]), np.array([0.1, 0.2, 0.3, 0.4]))
+    gene_ids = ["g0", "g1\n", "g\t2", "g3"]
+    path = tmp_path / "ranking.tsv"
+    # the first such id in the file's order, best gene first
+    with pytest.raises(ValueError, match=r"gene id 'g\\t2'"):
+        save_ranking(ranking, gene_ids, path)
+    assert not path.exists()
+
+
 # ---------------------------------------------------------------------------
 # whole-matrix rankers against the scalar tests, bit for bit
 
