@@ -26,9 +26,8 @@ from generank import dataio, kernels
 
 def _format_column(values):
     """The C writer's text of ``values``, one row each with no prefix."""
-    out = np.empty(len(values) * (1 + kernels.CELL_BYTES), dtype=np.uint8)
-    size = kernels.format_rows(values[:, None], b"\n" * len(values), out)
-    return out[:size].tobytes()
+    text, _ = kernels.format_rows(values[:, None], b"\n" * len(values))
+    return text.tobytes()
 
 
 def mismatches(values):
@@ -56,7 +55,7 @@ def _ns_per_cell(matrix, repeats):
     ``write_rows`` without the library (timed once)."""
     prefixes = [f"g{i}" for i in range(len(matrix))]
     block = ("\n".join(prefixes) + "\n").encode()
-    out = np.empty(len(block) + kernels.CELL_BYTES * matrix.size, dtype=np.uint8)
+    _, out = kernels.format_rows(matrix, block)
     with open(os.devnull, "wb") as sink:
         times = [
             _best(lambda: kernels.format_rows(matrix, block, out), repeats),

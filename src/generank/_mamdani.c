@@ -51,8 +51,7 @@
  * format_rows, rows of float64 values as text, each value as Python's
  * repr writes it, byte for byte: the shortest digits that read back as
  * the value, by Schubfach (Giulietti, 2020) on POW5's powers of ten,
- * built in registers eight at a time and laid out in repr's fixed or
- * exponent form. Each row starts with its line of a block of prefixes
+ * laid out in repr's fixed or exponent form. Each row starts with its line of a block of prefixes
  * (gene ids), and the caller's buffer is checked against the most the
  * rows can take before a byte is written.
  *
@@ -1146,14 +1145,9 @@ static void multiply_128(uint64_t a, uint64_t b, uint64_t *hi, uint64_t *lo)
     *hi = a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32);
 }
 
-/* The number of zero bits above w's highest set bit, for w > 0: one
- * instruction where the compiler has it, else a binary search, whose
- * branches the writer's digits would mispredict. */
+/* The number of zero bits above w's highest set bit, for w > 0. */
 static int leading_zeros(uint64_t w)
 {
-#if defined(__GNUC__)
-    return __builtin_clzll(w);
-#else
     int n = 0, step;
 
     for (step = 32; step > 0; step /= 2)
@@ -1162,7 +1156,6 @@ static int leading_zeros(uint64_t w)
             w <<= step;
         }
     return n;
-#endif
 }
 
 /* The bits of the double nearest w * 10^q, ties to even, for
@@ -1409,8 +1402,6 @@ int64_t parse_matrix_rows(const char *data, int64_t size, int64_t pos,
  * digits at least adds: a ten times larger significand for the two
  * smallest subnormals, and no one-digit candidate while s < 100 (Java
  * prints 4.9E-324 and 4.9E-323 where repr prints 5e-324 and 5e-323).
- * It also takes the products at the interval's ends from the value's by
- * shifts and adds, exactly, rather than by two more multiplications.
  * Its powers of ten are POW5's rows, so the formatter has no table of
  * its own. put_double lays the digits out as repr does. */
 
@@ -1419,8 +1410,8 @@ int64_t parse_matrix_rows(const char *data, int64_t size, int64_t pos,
 #define MASK_63 (((uint64_t)1 << 63) - 1)
 
 /* The most bytes one cell takes in format_rows' output: a tab and
- * "-1.2345678901234567e-308". */
-#define FORMAT_CELL_BYTES 25
+ * "-1.2345678901234567e-308". The binding sizes its buffers by it. */
+const int64_t format_cell_bytes = 25;
 
 /* floor(q log10(2)), floor(log10(3/4 2^q)) and floor(q log2(10)), each
  * one multiply and shift (Giulietti's), exact far beyond the exponents
@@ -1460,34 +1451,18 @@ static void ten_power(int64_t k, uint64_t *g1, uint64_t *g0)
     *g0 = lo & MASK_63;
 }
 
-/* cp g 2^-127 rounded to odd, for cp < 2^63 and g = g1 2^63 + g0, from
- * the products g1 cp = y1 2^64 + y0 and g0 cp = x1 2^64 + x0: the floor,
- * its lowest bit set when the bits below it are not all zero
- * (Schubfach's r_o, with its shortcut of leaving out x0 and the lowest
- * bit of y0). */
-static uint64_t round_odd(uint64_t y1, uint64_t y0, uint64_t x1)
+/* cp g 2^-127 rounded to odd, for cp < 2^63 and g = g1 2^63 + g0: the
+ * floor, its lowest bit set when the bits below it are not all zero
+ * (Schubfach's r_o, with its shortcut of leaving out the low word of
+ * g0 cp and the lowest bit of g1 cp). */
+static uint64_t round_odd(uint64_t g1, uint64_t g0, uint64_t cp)
 {
-    uint64_t z = (y0 >> 1) + x1;
+    uint64_t x1, x0, y1, y0, z;
 
+    multiply_128(g0, cp, &x1, &x0);
+    multiply_128(g1, cp, &y1, &y0);
+    z = (y0 >> 1) + x1;
     return (y1 + (z >> 63)) | (((z & MASK_63) + MASK_63) >> 63);
-}
-
-/* hi 2^64 + lo plus, or less, w 2^s, for 0 < s < 64: the product of w
- * and cp + 2^s, or cp - 2^s, from that of w and cp. */
-static void add_shifted(uint64_t *hi, uint64_t *lo, uint64_t w, int64_t s)
-{
-    uint64_t low = w << s;
-
-    *lo += low;
-    *hi += (w >> (64 - s)) + (*lo < low);
-}
-
-static void subtract_shifted(uint64_t *hi, uint64_t *lo, uint64_t w, int64_t s)
-{
-    uint64_t low = w << s;
-
-    *hi -= (w >> (64 - s)) + (*lo < low);
-    *lo -= low;
 }
 
 /* The decimal f 10^e that repr's digits spell for the double c 2^q,
@@ -1499,35 +1474,22 @@ static void subtract_shifted(uint64_t *hi, uint64_t *lo, uint64_t w, int64_t s)
 static uint64_t shortest_decimal(uint64_t c, int64_t q, int64_t *e)
 {
     int out = (int)(c & 1), uin, win;
-    uint64_t g1, g0, y1, y0, x1, x0, ry1, ry0, rx1, rx0, vb, vbl, vbr, s, t, sp10;
-    int64_t k, h, left;
+    uint64_t g1, g0, cbl, vb, vbl, vbr, s, t, sp10;
+    int64_t k, h;
 
     if (c != C_MIN || q == Q_MIN) {
-        left = 1; /* the lower end, (4c - 2) 2^h, lies 2^(h+1) below */
+        cbl = 4 * c - 2;
         k = floor_log10_pow2(q);
     } else {
-        left = 0; /* (4c - 1) 2^h, 2^h below */
+        cbl = 4 * c - 1;
         k = floor_log10_three_quarters_pow2(q);
     }
     h = q + floor_log2_pow10(-k) + 2;
     ten_power(k, &g1, &g0);
-    /* 4 v 10^-k and the interval's ends, rounded to odd, from the
-     * products of g with 4c 2^h, (4c + 2) 2^h and the lower end; the
-     * latter two are the first plus or less g shifted, each exact, so
-     * each end rounds as if multiplied out */
-    multiply_128(g1, c << (h + 2), &y1, &y0);
-    multiply_128(g0, c << (h + 2), &x1, &x0);
-    vb = round_odd(y1, y0, x1);
-    ry1 = y1;
-    ry0 = y0;
-    rx1 = x1;
-    rx0 = x0;
-    add_shifted(&ry1, &ry0, g1, h + 1);
-    add_shifted(&rx1, &rx0, g0, h + 1);
-    vbr = round_odd(ry1, ry0, rx1);
-    subtract_shifted(&y1, &y0, g1, h + left);
-    subtract_shifted(&x1, &x0, g0, h + left);
-    vbl = round_odd(y1, y0, x1);
+    /* 4 v 10^-k and the interval's ends, rounded to odd */
+    vb = round_odd(g1, g0, c << (h + 2));
+    vbl = round_odd(g1, g0, cbl << h);
+    vbr = round_odd(g1, g0, (4 * c + 2) << h);
     s = vb >> 2;
     *e = k;
     /* The interval is narrower than 10^(k+1), so it holds at most one
@@ -1548,62 +1510,14 @@ static uint64_t shortest_decimal(uint64_t c, int64_t q, int64_t *e)
     return vb < (s + t) << 1 || (vb == (s + t) << 1 && (s & 1) == 0) ? s : t;
 }
 
-/* The bytes of "00000000", and of "0.000000". */
-#define ZERO_CHARS 0x3030303030303030u
-#define ZERO_POINT_CHARS 0x3030303030302e30u
-
-/* Stores the 8 bytes of w at p, the low byte first; compilers make it
- * one store. */
-static void store_word(char *p, uint64_t w)
-{
-    int i;
-
-    for (i = 0; i < 8; i++)
-        p[i] = (char)(w >> 8 * i & 0xff);
-}
-
-/* The eight digits of x < 10^8 as characters, the first in the low
- * byte: the number is split into halves, quarters and digits, each
- * split one multiply for all lanes (/ 100 is * 10486 >> 20 below 10^4,
- * / 10 is * 103 >> 10 below 100), so the characters are built in a
- * register. Stored bytes read back by a wider load would stall it. */
-static uint64_t eight_digit_chars(uint32_t x)
-{
-    uint64_t z = x / 10000 | (uint64_t)(x % 10000) << 32, y;
-
-    y = (z * 10486 >> 20) & 0x0000007f0000007fu;
-    z = (z - y * 100) << 16 | y;
-    y = (z * 103 >> 10) & 0x000f000f000f000fu;
-    z = (z - y * 10) << 8 | y;
-    return z | ZERO_CHARS;
-}
-
-/* w with the byte '.' put in before its byte j (0 <= j < 8), the bytes
- * from there on moved up one and the top one lost. */
-static uint64_t insert_point(uint64_t w, int j)
-{
-    uint64_t before = ((uint64_t)1 << 8 * j) - 1;
-
-    return (w & before) | (uint64_t)'.' << 8 * j | (w << 8 & ~(before << 8 | 0xff));
-}
-
-/* The 17 characters h, w1 and w2 at p. */
-static void store_digits(char *p, char h, uint64_t w1, uint64_t w2)
-{
-    p[0] = h;
-    store_word(p + 1, w1);
-    store_word(p + 9, w2);
-}
-
-/* Writes repr(x) at p and returns its end. It is at most 24 bytes, but
- * the digits go in whole words, so up to 24 bytes from p may be
- * overwritten. */
+/* Writes repr(x) at p, at most 24 bytes, and returns its end. */
 static char *put_double(char *p, double x)
 {
-    uint64_t bits, c, f, high, w1, w2, nonzero;
-    int64_t q, e, point, end;
-    int exponent, n;
-    char h;
+    uint64_t bits, c, f;
+    uint32_t high, low;
+    int64_t q, e, point;
+    int exponent, n, i;
+    char d[17];
 
     memcpy(&bits, &x, sizeof bits);
     exponent = (int)(bits >> 52 & 0x7ff);
@@ -1630,28 +1544,29 @@ static char *put_double(char *p, double x)
     } else {
         f = shortest_decimal(c, q, &e);
     }
-    /* Scale f, below 10^17 here, to 17 digits and spell them as h, w1
-     * and w2. The n digits up to the last one not 0 are repr's, and
-     * x = 0.d1...dn 10^point. */
+    /* f, below 10^17 here, scaled to 17 digits d[0] ... d[16], of which
+     * repr's are those up to the last one not 0, d[n - 1], and
+     * x = 0.d[0]...d[n - 1] 10^point. The digits come from f's 32-bit
+     * halves, whose two chains of divisions run side by side. */
     for (; f < 10000000000000000u; e--)
         f *= 10;
-    high = f / 100000000;
-    h = (char)('0' + high / 100000000);
-    w1 = eight_digit_chars((uint32_t)(high % 100000000));
-    w2 = eight_digit_chars((uint32_t)(f % 100000000));
-    if ((nonzero = w2 ^ ZERO_CHARS) != 0)
-        n = 17 - leading_zeros(nonzero) / 8;
-    else if ((nonzero = w1 ^ ZERO_CHARS) != 0)
-        n = 9 - leading_zeros(nonzero) / 8;
-    else
-        n = 1;
+    high = (uint32_t)(f / 100000000);
+    low = (uint32_t)(f % 100000000);
+    for (i = 16; i > 8; i--, low /= 10)
+        d[i] = (char)('0' + low % 10);
+    for (; i >= 0; i--, high /= 10)
+        d[i] = (char)('0' + high % 10);
+    for (n = 17; d[n - 1] == '0'; n--)
+        ;
     point = e + 17;
     if (point <= -4 || point > 16) {
-        /* d1.d2...dne-XX, d1e+XX: the decimal exponent point - 1 */
-        store_digits(p + 1, h, w1, w2);
-        p[0] = h;
-        p[1] = '.';
-        p += n > 1 ? n + 1 : 1;
+        /* d0.d1...e-XX, d0e+XX: the decimal exponent point - 1 */
+        *p++ = d[0];
+        if (n > 1) {
+            *p++ = '.';
+            memcpy(p, d + 1, (size_t)n - 1);
+            p += n - 1;
+        }
         e = point - 1;
         *p++ = 'e';
         *p++ = e < 0 ? '-' : '+';
@@ -1662,32 +1577,23 @@ static char *put_double(char *p, double x)
         *p++ = (char)('0' + e % 10);
         return p;
     }
+    if (point <= 0) {
+        /* 0.0...0d0...: the point, then -point zeros */
+        memcpy(p, "0.000", (size_t)(2 - point));
+        p += 2 - point;
+        memcpy(p, d, (size_t)n);
+        return p + n;
+    }
     if (point >= n) {
-        /* d1...dn0...0.0, the digits past dn being '0' */
-        store_digits(p, h, w1, w2);
-        p[point] = '.';
-        p[point + 1] = '0';
+        /* d0...0.0, the digits past the last being '0' */
+        memcpy(p, d, (size_t)point);
+        memcpy(p + point, ".0", 2);
         return p + point + 2;
     }
-    if (point <= 0) {
-        /* 0.0...0d1...dn */
-        store_word(p, ZERO_POINT_CHARS);
-        p += 2 - point;
-        end = n;
-    } else {
-        /* d1...dk.d(k+1)...dn for k = point: the digits from d(k+1) on
-         * move up one byte */
-        p[17] = (char)(w2 >> 56);
-        if (point <= 8) {
-            w2 = w1 >> 56 | w2 << 8;
-            w1 = insert_point(w1, (int)point - 1);
-        } else {
-            w2 = insert_point(w2, (int)point - 9);
-        }
-        end = n + 1;
-    }
-    store_digits(p, h, w1, w2);
-    return p + end;
+    memcpy(p, d, (size_t)point);
+    p[point] = '.';
+    memcpy(p + point + 1, d + point, (size_t)(n - point));
+    return p + n + 1;
 }
 
 /* format_rows, the text of rows 0 .. rows - 1 of the row-major rows x
@@ -1696,7 +1602,7 @@ static char *put_double(char *p, double x)
  * '\n'. The prefixes must be exactly rows lines, each ended by '\n' and
  * holding no other, as parse_matrix_rows returns gene ids. Returns the
  * bytes written to out, -1 when out_size is below prefixes_size +
- * FORMAT_CELL_BYTES * rows * cols, the most the rows can take (nothing
+ * format_cell_bytes * rows * cols, the most the rows can take (nothing
  * is then written), or -2 when the prefixes are not rows lines. */
 int64_t format_rows(const double *values, int64_t rows, int64_t cols,
                     const char *prefixes, int64_t prefixes_size, char *out,
@@ -1706,7 +1612,7 @@ int64_t format_rows(const double *values, int64_t rows, int64_t cols,
     char *p = out;
     int64_t r, j;
 
-    if (out_size - prefixes_size < FORMAT_CELL_BYTES * rows * cols)
+    if (out_size - prefixes_size < format_cell_bytes * rows * cols)
         return -1;
     for (r = 0; r < rows; r++) {
         end = line < stop ? memchr(line, '\n', (size_t)(stop - line)) : NULL;

@@ -275,13 +275,11 @@ def write_rows(fh, prefixes, matrix):
         return
     n_rows, n_cols = matrix.shape
     step = max(1, _BLOCK_CELLS // max(1, n_cols))
-    out = np.empty(0, dtype=np.uint8)
+    out = None
     for lo in range(0, n_rows, step):
         block = ("\n".join(prefixes[lo : lo + step]) + "\n").encode()
-        size = len(block) + kernels.CELL_BYTES * n_cols * min(step, n_rows - lo)
-        if out.size < size:
-            out = np.empty(size, dtype=np.uint8)
-        fh.write(out[: kernels.format_rows(matrix[lo : lo + step], block, out)])
+        text, out = kernels.format_rows(matrix[lo : lo + step], block, out)
+        fh.write(text)
 
 
 def save_dataset(dataset: Dataset, matrix_path, labels_path, sample_ids=None):

@@ -46,7 +46,7 @@ float64 matrix, sized by the library's newline count (``count_lines``)
 so that no Python pass scans the text, and into a byte array that gets
 the gene ids, each followed by a newline, for one decode and split. The
 row writer takes row prefixes in that form, as bytes, and fills a uint8
-array that its caller sizes and reuses.
+array that it sizes, or that its caller passes back for reuse.
 The matrix text and the seeds' entropy go in as bytes (``c_char_p``);
 the entropy is each seed's little-endian uint32 words, which
 ``_seed_words`` makes.
@@ -268,44 +268,41 @@ def _bind_parse(lib):
     return parse_matrix_rows
 
 
-# The most bytes format_rows writes for one cell: a tab and
-# "-1.2345678901234567e-308" (_mamdani.c's FORMAT_CELL_BYTES).
-CELL_BYTES = 25
-
-
 def _bind_format(lib):
     fn = _declare(
         lib, "format_rows",
         _POINTER, _COUNT, _COUNT, ctypes.c_char_p, _COUNT, _POINTER, _COUNT,
     )
+    # The most bytes a cell's text and its tab take.
+    cell_bytes = ctypes.c_int64.in_dll(lib, "format_cell_bytes").value
 
-    def format_rows(values, prefixes, out):
-        """Write the rows of the 2-D ``values`` into the uint8 array
-        ``out`` as text, each as its prefix, a tab and ``repr`` of each
-        value, tab-separated, and a newline: returns the bytes written.
+    def format_rows(values, prefixes, out=None):
+        """The text of the rows of the 2-D ``values``, each as its prefix,
+        a tab and ``repr`` of each value, tab-separated, and a newline.
         ``prefixes`` (bytes) holds one line per row, each ended by a
-        newline, as ``parse_matrix_rows`` returns gene ids. ``out`` must
-        hold ``len(prefixes) + CELL_BYTES * values.size`` bytes, the most
-        the rows can take; a smaller one is refused before a byte is
-        written."""
+        newline, as ``parse_matrix_rows`` returns gene ids. Returns
+        ``(text, out)``: the text is a uint8 view of ``out``, the buffer
+        the rows were written to, which is the given one when it holds the
+        most the rows can take and a new one otherwise, so a caller that
+        passes it back reuses it."""
         values = np.ascontiguousarray(values, dtype=np.float64)
         if values.ndim != 2 or values.shape[1] < 1:
             raise ValueError("values must be 2-D with at least one column")
-        if out.dtype != np.uint8 or out.ndim != 1 or not out.flags.c_contiguous:
+        if out is not None and (
+            out.dtype != np.uint8 or out.ndim != 1 or not out.flags.c_contiguous
+        ):
             raise ValueError("out must be a contiguous 1-D uint8 array")
+        need = len(prefixes) + cell_bytes * values.size
+        if out is None or out.size < need:
+            out = np.empty(need, dtype=np.uint8)
         rows, cols = values.shape
         size = fn(
             values.ctypes.data, rows, cols, prefixes, len(prefixes), out.ctypes.data,
             out.size,
         )
-        if size == -1:
-            raise ValueError(
-                f"out holds {out.size} bytes, fewer than the "
-                f"{len(prefixes) + CELL_BYTES * values.size} the rows may take"
-            )
         if size < 0:
             raise ValueError(f"prefixes must hold one line per row, {rows} lines")
-        return size
+        return out[:size], out
 
     return format_rows
 

@@ -764,10 +764,9 @@ def test_quantile_normalized_round_trip(tmp_path, monkeypatch):
 
 
 @needs_writer
-@pytest.mark.parametrize("block_cells", [None, 12])
-def test_save_dataset_bytes_match_line_writer_without_library(tmp_path, monkeypatch, block_cells):
+def test_save_dataset_bytes_match_line_writer_without_library(tmp_path, monkeypatch):
     monkeypatch.setattr(kernels, "format_rows", None)
-    test_save_dataset_bytes_match_line_writer(tmp_path, monkeypatch, block_cells)
+    test_save_dataset_bytes_match_line_writer(tmp_path, monkeypatch, None)
 
 
 @needs_writer
@@ -798,9 +797,8 @@ def test_save_dataset_refuses_ids_a_row_cannot_hold(tmp_path, gene_ids, sample_i
 def _assert_formats_as_repr(values):
     """format_rows' text of ``values`` as a column is repr's, byte for byte."""
     values = np.asarray(values, dtype=np.float64).ravel()
-    out = np.empty(len(values) * (1 + kernels.CELL_BYTES), dtype=np.uint8)
-    size = kernels.format_rows(values[:, None], b"\n" * len(values), out)
-    lines = out[:size].tobytes().split(b"\n")
+    text, _ = kernels.format_rows(values[:, None], b"\n" * len(values))
+    lines = text.tobytes().split(b"\n")
     assert lines == [f"\t{v!r}".encode() for v in values.tolist()] + [b""]
 
 
@@ -876,27 +874,35 @@ def test_writer_rows_with_prefixes_match_repr():
     rng = np.random.default_rng(5)
     values = rng.normal(size=(6, 3))
     prefixes = ["", "g1", "gène\twith tab", "3", "x" * 70, "last"]
-    out = np.empty(200 + kernels.CELL_BYTES * values.size, dtype=np.uint8)
-    size = kernels.format_rows(values, ("\n".join(prefixes) + "\n").encode(), out)
+    text, _ = kernels.format_rows(values, ("\n".join(prefixes) + "\n").encode())
     want = "".join(
         p + "".join(f"\t{v!r}" for v in row) + "\n" for p, row in zip(prefixes, values.tolist())
     )
-    assert out[:size].tobytes() == want.encode()
+    assert text.tobytes() == want.encode()
 
 
 @needs_writer
 def test_writer_refuses_a_buffer_too_small():
+    # every cell takes the most a cell can, so the text fills the bound
     values = np.full((4, 3), -1.2345678901234567e-308)
     prefixes = b"a\nbb\n\nccc\n"
-    need = len(prefixes) + kernels.CELL_BYTES * values.size
-    guarded = np.full(need + 64, 0xAB, dtype=np.uint8)
-    with pytest.raises(ValueError, match="fewer than"):
-        kernels.format_rows(values, prefixes, guarded[: need - 1])
-    assert (guarded == 0xAB).all()
-    size = kernels.format_rows(values, prefixes, guarded[:need])
-    assert (guarded[need:] == 0xAB).all()
     want = "".join(p + "\t-1.2345678901234567e-308" * 3 + "\n" for p in ("a", "bb", "", "ccc"))
-    assert guarded[:size].tobytes() == want.encode()
+    need = len(want)
+    guarded = np.full(need + 64, 0xAB, dtype=np.uint8)
+    args = (values.ctypes.data, 4, 3, prefixes, len(prefixes), guarded.ctypes.data)
+    # the library refuses a buffer one byte short before writing a byte
+    assert kernels._LIB.format_rows(*args, need - 1) == -1
+    assert (guarded == 0xAB).all()
+    assert kernels._LIB.format_rows(*args, need) == need
+    assert guarded[:need].tobytes() == want.encode()
+    assert (guarded[need:] == 0xAB).all()
+    # the binding writes to a buffer given to it only when it is large enough
+    guarded[:] = 0xAB
+    text, out = kernels.format_rows(values, prefixes, guarded[: need - 1])
+    assert text.tobytes() == want.encode() and out.size == need
+    assert (guarded == 0xAB).all()
+    text, again = kernels.format_rows(values, prefixes, guarded[:need])
+    assert again.ctypes.data == guarded.ctypes.data and text.tobytes() == want.encode()
 
 
 @pytest.mark.parametrize("prefixes", [b"a\nb\n", b"a\nb\nc", b"a\nb\nc\nd\n"])
