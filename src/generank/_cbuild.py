@@ -1,7 +1,8 @@
 """Build rule for the plain-C code in ``_mamdani.c``: the fuzzy kernel,
 the pass over sorted rows that gives the rank-sum statistics, the SVM's
 grid of fits with its SMO loop, the perceptron's grid of fits with its
-SCG training loop, the expression-matrix reader and writer, and the port of NumPy's
+SCG training loop, the inner search of nested LOOCV for each of the two,
+the expression-matrix reader and writer, and the port of NumPy's
 ``SeedSequence`` and ``PCG64`` that draws the perceptron's seeds and
 starting weights. The port's 128-bit arithmetic is done in 64-bit
 halves, so the source needs no compiler extension.

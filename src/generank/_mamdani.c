@@ -1,7 +1,7 @@
 /* Three compiled solvers that mirror Python code expression for
- * expression, a pass over the tie runs of sorted rows, a reader and a
- * writer of the expression matrix's text, and NumPy's seeding and
- * uniform draws:
+ * expression, the inner searches of nested LOOCV built on two of them, a
+ * pass over the tie runs of sorted rows, a reader and a writer of the
+ * expression matrix's text, and NumPy's seeding and uniform draws:
  *
  * mamdani_scores, the batch fuzzy-inference kernel, a plain-C port of
  * generank._mamdani_py. The centroid accumulates in ascending grid
@@ -54,6 +54,13 @@
  * laid out in repr's fixed or exponent form. Each row starts with its line of a block of prefixes
  * (gene ids), and the caller's buffer is checked against the most the
  * rows can take before a byte is written.
+ *
+ * svm_fold_search and mlp_fold_search, the inner search of nested LOOCV
+ * for the SVM and the perceptron: every fold of a fold assignment
+ * gathered, standardized in NumPy's summation order and fitted by
+ * svm_grid_solve or mlp_grid_solve, in one call, a port of the Python
+ * fold loop of generank.crossval._fold_counts. A fold that loop would
+ * reject is left to it.
  *
  * derived_seed and initial_weights, ports of NumPy's SeedSequence and
  * PCG64 that give generank.crossval._derived_seed's seeds and
@@ -327,7 +334,8 @@ static double dot(const double *a, const double *b, int64_t m)
  * until the violation gap drops below tol. alpha and grad = Q alpha - 1
  * are updated in place, and *gap_out receives the gap of the last scan,
  * which follows the last update even when max_iter ran out. Returns the
- * number of updates made, -1 if max_iter updates did not reach tol, or
+ * number of updates made, -1 if max_iter updates did not reach tol (a
+ * fit whose last allowed update reached it converged), or
  * -2 if alpha or grad ended up not finite. Which NaN an operation on two
  * NaNs returns depends on the order in which the compiler placed its
  * operands, here and in NumPy alike, so a result that overflowed can
@@ -435,7 +443,7 @@ static int64_t smo_loop(const double *Q, const double *y, double c, int64_t n,
     for (k = 0; k < n; k++)
         if (!isfinite(alpha[k]) || !isfinite(grad[k]))
             return -2;
-    return it < max_iter ? it : -1;
+    return gap < tol ? it : -1;
 }
 
 /* One linear SVM per box bound cs[r], r < n_c, on the samples X (n x d,
@@ -1791,4 +1799,279 @@ int64_t initial_weights(int64_t d, const int64_t *hs, int64_t n_h,
         *w++ = 0.0;
     }
     return 0;
+}
+
+/* svm_fold_search and mlp_fold_search, the inner search of nested LOOCV
+ * for the SVM and the perceptron in one call per fold assignment: for
+ * each fold, what the Python loop of generank.crossval._fold_counts does
+ * with _scaled and svm_grid_labels or mlp_grid_labels, the fits by
+ * svm_grid_solve and mlp_grid_solve. A fold's rows are gathered and
+ * standardized by fold_blocks; every candidate is fitted on the training
+ * rows and labels the test rows, and its hits are counted.
+ *
+ * The Python loop validates its blocks and raises on anything wrong;
+ * these calls only detect such a fold and return 1 without a count, and
+ * the Python loop, run again, raises its own error. That covers a label
+ * other than 0 or 1, a training block with no row of a class, a
+ * standardized value that is not finite and, for the SVM, a fit that
+ * stalled or overflowed. */
+
+/* generank.dataio.VARIANCE_FLOOR, to which a zero variance is raised. */
+#define VARIANCE_FLOOR 1e-8
+
+/* 0.0 plus the n values x[0], x[stride], ... summed in NumPy's pairwise
+ * order (pairwise_sum in its loops_utils.h.src): left to right below 8
+ * values, 8 interleaved accumulators up to 128, then halves split at
+ * n / 2 rounded down to a multiple of 8. A reduction over the only axis
+ * of the values runs it, and the 0.0 is the identity it starts from. */
+static double pairwise_sum(const double *x, int64_t n, int64_t stride)
+{
+    double r[8], res = 0.0;
+    int64_t i, j, half;
+
+    if (n < 8) {
+        for (i = 0; i < n; i++)
+            res += x[i * stride];
+        return res;
+    }
+    if (n <= 128) {
+        for (j = 0; j < 8; j++)
+            r[j] = x[j * stride];
+        for (i = 8; i < n - n % 8; i += 8)
+            for (j = 0; j < 8; j++)
+                r[j] += x[(i + j) * stride];
+        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; i++)
+            res += x[i * stride];
+        return res;
+    }
+    half = n / 2;
+    half -= half % 8;
+    return pairwise_sum(x, half, stride) + pairwise_sum(x + half * stride, n - half, stride);
+}
+
+/* The sum of the n values x[0], x[stride], ..., a column of a row-major
+ * block of d columns, in the order of NumPy's sum over the rows of a
+ * C-contiguous block, which boolean indexing always gives: with d >= 2
+ * the reduction adds whole rows, so each column adds left to right from
+ * 0.0; with d == 1 the column is the contiguous axis, summed pairwise. */
+static double column_sum(const double *x, int64_t n, int64_t stride, int64_t d)
+{
+    double acc = 0.0;
+    int64_t i;
+
+    if (d == 1)
+        return 0.0 + pairwise_sum(x, n, stride);
+    for (i = 0; i < n; i++)
+        acc = acc + x[i * stride];
+    return acc;
+}
+
+/* Fold f of the sample rows of X (n x d, row-major): the training rows,
+ * those with folds[i] != f, into T and the test rows into E, each
+ * row-major in sample order, with their labels in t_labels and e_labels,
+ * as features[~test] and features[test] take them. Both blocks are then
+ * standardized by T's columns as dataio.floored_scale and
+ * crossval._scaled do it: mean = sum / n_t, var = sum of (x - mean)^2 /
+ * (n_t - 1), a zero variance raised to VARIANCE_FLOOR, x -> (x - mean) /
+ * sqrt(var); the squares are summed in the order of their block, T's. sq
+ * holds n values. Returns 0, or 1 when the Python loop must decide: a
+ * class with no training row or a standardized value not finite. *n_t
+ * and *n_e receive the row counts. It is exported so that tests can
+ * compare its blocks with crossval._scaled's bit for bit. */
+int64_t fold_blocks(const double *X, int64_t n, int64_t d, const int64_t *labels,
+                    const int64_t *folds, int64_t f, double *T, int64_t *t_labels,
+                    int64_t *n_t, double *E, int64_t *e_labels, int64_t *n_e,
+                    double *sq)
+{
+    int64_t i, j, nt = 0, ne = 0, ones = 0;
+    size_t row = sizeof(double) * (size_t)d;
+    double mean, var, sd, diff;
+
+    for (i = 0; i < n; i++) {
+        if (folds[i] == f) {
+            memcpy(E + ne * d, X + i * d, row);
+            e_labels[ne++] = labels[i];
+        } else {
+            memcpy(T + nt * d, X + i * d, row);
+            ones += labels[i] == 1;
+            t_labels[nt++] = labels[i];
+        }
+    }
+    *n_t = nt;
+    *n_e = ne;
+    if (ones == 0 || ones == nt)
+        return 1;
+    for (j = 0; j < d; j++) {
+        mean = column_sum(T + j, nt, d, d) / (double)nt;
+        for (i = 0; i < nt; i++) {
+            diff = T[i * d + j] - mean;
+            sq[i] = diff * diff;
+        }
+        var = column_sum(sq, nt, 1, d) / (double)(nt - 1);
+        var = var > 0.0 ? var : var + VARIANCE_FLOOR;
+        sd = sqrt(var);
+        for (i = 0; i < nt; i++) {
+            T[i * d + j] = (T[i * d + j] - mean) / sd;
+            if (!isfinite(T[i * d + j]))
+                return 1;
+        }
+        for (i = 0; i < ne; i++) {
+            E[i * d + j] = (E[i * d + j] - mean) / sd;
+            if (!isfinite(E[i * d + j]))
+                return 1;
+        }
+    }
+    return 0;
+}
+
+/* Whether every label is 0 or 1. */
+static int binary_labels(const int64_t *labels, int64_t n)
+{
+    int64_t i;
+
+    for (i = 0; i < n; i++)
+        if (labels[i] != 0 && labels[i] != 1)
+            return 0;
+    return 1;
+}
+
+/* The SVM's inner search over the folds 0 .. n_folds - 1 of folds: for
+ * each, fold_blocks, then svm_grid_solve of every box bound cs[r] on the
+ * training rows (class 1 as +1, class 0 as -1), and correct[r] counts
+ * the test rows whose label is decision > 0. Returns 0, 1 when the
+ * Python loop must decide (see above), or -1 if the work arrays could
+ * not be allocated. */
+int64_t svm_fold_search(const double *X, int64_t n, int64_t d, const int64_t *labels,
+                        const int64_t *folds, int64_t n_folds, const double *cs,
+                        int64_t n_c, int64_t max_iter, double tol, double sv_tol,
+                        int64_t *correct)
+{
+    double *T, *E, *y, *sq, *alpha, *weights, *bias, *gaps, *decisions;
+    int64_t *t_labels, *e_labels, *updates, f, r, i, n_t, n_e;
+    int64_t status = 0;
+
+    if (!binary_labels(labels, n))
+        return 1;
+    T = malloc(sizeof(double) * (size_t)(2 * n * d + 2 * n + n_c * (2 * n + d + 2)));
+    t_labels = malloc(sizeof(int64_t) * (size_t)(2 * n + n_c));
+    if (T == NULL || t_labels == NULL) {
+        free(T);
+        free(t_labels);
+        return -1;
+    }
+    E = T + n * d;
+    y = E + n * d;
+    sq = y + n;
+    alpha = sq + n;
+    decisions = alpha + n_c * n;
+    weights = decisions + n_c * n;
+    bias = weights + n_c * d;
+    gaps = bias + n_c;
+    e_labels = t_labels + n;
+    updates = e_labels + n;
+    for (r = 0; r < n_c; r++)
+        correct[r] = 0;
+    for (f = 0; f < n_folds && status == 0; f++) {
+        status = fold_blocks(X, n, d, labels, folds, f, T, t_labels, &n_t, E, e_labels,
+                             &n_e, sq);
+        if (status != 0)
+            break;
+        for (i = 0; i < n_t; i++)
+            y[i] = t_labels[i] == 1 ? 1.0 : -1.0;
+        if (svm_grid_solve(T, y, n_t, d, cs, n_c, E, n_e, max_iter, tol, sv_tol, alpha,
+                           weights, bias, gaps, updates, decisions) < 0)
+            status = -1;
+        for (r = 0; r < n_c && status == 0; r++) {
+            status = updates[r] < 0;
+            for (i = 0; i < n_e; i++)
+                correct[r] += (decisions[r * n_e + i] > 0.0) == e_labels[i];
+        }
+    }
+    free(T);
+    free(t_labels);
+    return status;
+}
+
+/* The perceptron's inner search over the folds 0 .. n_folds - 1 of
+ * folds: for each, fold_blocks, then mlp_grid_solve of every hidden width
+ * hs[p] on the training rows (ridge, max_iter and tol as there), and
+ * correct[p] counts the test rows whose label is probability > 0.5. Fit
+ * p of fold f starts from initial_weights' draw for the seed derived_seed
+ * gives the entropy words, n_words of them, followed, when by_fit is
+ * set, by the words of f and of p: generank.crossval._derived_seed(*parts,
+ * f, p), or _derived_seed(*parts) for every fit otherwise. Returns 0, 1
+ * when the Python loop must decide (see above), or -1 if the work arrays
+ * could not be allocated. */
+int64_t mlp_fold_search(const double *X, int64_t n, int64_t d, const int64_t *labels,
+                        const int64_t *folds, int64_t n_folds, const int64_t *hs,
+                        int64_t n_h, double ridge, int64_t max_iter, double tol,
+                        const unsigned char *entropy, int64_t n_words, int64_t by_fit,
+                        int64_t *correct)
+{
+    double *T, *E, *t, *sq, *w, *traces, *probabilities;
+    int64_t *t_labels, *e_labels, *lens, *steps, f, p, i, n_t, n_e, size = 0;
+    int64_t status = 0, one = 1;
+    unsigned char *words, seed_bytes[4];
+    uint32_t seed;
+
+    if (!binary_labels(labels, n))
+        return 1;
+    for (p = 0; p < n_h; p++)
+        size += (d + 2) * hs[p] + 1;
+    T = malloc(sizeof(double) * (size_t)(2 * n * d + 2 * n + size
+                                         + n_h * (max_iter + 1 + n)));
+    t_labels = malloc(sizeof(int64_t) * (size_t)(2 * n + 2 * n_h));
+    words = malloc((size_t)(4 * (n_words + 2)));
+    if (T == NULL || t_labels == NULL || words == NULL) {
+        free(T);
+        free(t_labels);
+        free(words);
+        return -1;
+    }
+    E = T + n * d;
+    t = E + n * d;
+    sq = t + n;
+    w = sq + n;
+    traces = w + size;
+    probabilities = traces + n_h * (max_iter + 1);
+    e_labels = t_labels + n;
+    lens = e_labels + n;
+    steps = lens + n_h;
+    memcpy(words, entropy, (size_t)(4 * n_words));
+    for (p = 0; p < n_h; p++)
+        correct[p] = 0;
+    for (f = 0; f < n_folds; f++) {
+        status = fold_blocks(X, n, d, labels, folds, f, T, t_labels, &n_t, E, e_labels,
+                             &n_e, sq);
+        if (status != 0)
+            break;
+        for (i = 0; i < n_t; i++)
+            t[i] = (double)t_labels[i];
+        for (p = 0, size = 0; p < n_h; p++) {
+            if (by_fit) {
+                for (i = 0; i < 4; i++) {
+                    words[4 * n_words + i] = (unsigned char)(f >> (8 * i));
+                    words[4 * n_words + 4 + i] = (unsigned char)(p >> (8 * i));
+                }
+            }
+            seed = (uint32_t)derived_seed(words, n_words + (by_fit ? 2 : 0));
+            for (i = 0; i < 4; i++)
+                seed_bytes[i] = (unsigned char)(seed >> (8 * i));
+            initial_weights(d, hs + p, 1, seed_bytes, &one, w + size);
+            size += (d + 2) * hs[p] + 1;
+        }
+        if (mlp_grid_solve(T, t, n_t, d, hs, n_h, ridge, w, E, n_e, max_iter, tol,
+                           traces, lens, steps, probabilities) < 0) {
+            status = -1;
+            break;
+        }
+        for (p = 0; p < n_h; p++)
+            for (i = 0; i < n_e; i++)
+                correct[p] += (probabilities[p * n_e + i] > 0.5) == e_labels[i];
+    }
+    free(T);
+    free(t_labels);
+    free(words);
+    return status;
 }

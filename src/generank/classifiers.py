@@ -157,7 +157,8 @@ def _smo_loop(Q, y, c, alpha, max_iter, tol):
     """Pairwise updates of the dual variables ``alpha``, in place, until
     the violation gap drops below ``tol``: each update optimizes the
     maximally violating pair. Returns ``(updates, gap)``: the number of
-    updates made, -1 when ``max_iter`` updates did not reach ``tol``, or
+    updates made, -1 when ``max_iter`` updates did not reach ``tol`` (a
+    fit whose last allowed update reached it converged), or
     ``_SVM_OVERFLOWED`` when ``alpha`` or the gradient ``Q @ alpha - 1``
     ended up not finite, and the gap of the last scan, which follows the
     last update even when ``max_iter`` ran out. :func:`_svm_grid_loop`
@@ -222,7 +223,7 @@ def _smo_loop(Q, y, c, alpha, max_iter, tol):
         grad += Q[:, i] * (alpha[i] - old_i) + Q[:, j] * (alpha[j] - old_j)
     if not (np.isfinite(alpha).all() and np.isfinite(grad).all()):
         return _SVM_OVERFLOWED, gap
-    return (it if it < max_iter else -1), gap
+    return (it if gap < tol else -1), gap
 
 
 def _sum(a, axis=0):
@@ -528,6 +529,7 @@ class MlpModel:
 
 _MLP_GRAD_TOL = 1e-5
 _MLP_MAX_ITER = 500
+_MLP_RIDGE = 0.01
 _SCG_SIGMA0 = 1e-4
 
 
@@ -763,7 +765,7 @@ def _checked_mlp_arguments(hidden_counts, ridge) -> list:
     return hs
 
 
-def mlp_grid_labels(train: TrainSet, hidden_counts, queries, seeds, ridge=0.01):
+def mlp_grid_labels(train: TrainSet, hidden_counts, queries, seeds, ridge=_MLP_RIDGE):
     """:func:`mlp_train` and :func:`mlp_predict` for every hidden width in
     ``hidden_counts`` and every row of ``queries`` at once: a
     (len(hidden_counts), n_queries) array of labels. The fit of width
@@ -781,7 +783,7 @@ def mlp_grid_labels(train: TrainSet, hidden_counts, queries, seeds, ridge=0.01):
 def mlp_train(
     train: TrainSet,
     hidden_count: int,
-    ridge: float = 0.01,
+    ridge: float = _MLP_RIDGE,
     seed: int = 0,
 ) -> MlpModel:
     """Fit by scaled conjugate gradients.

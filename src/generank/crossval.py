@@ -6,9 +6,11 @@ every gene count k the top-k genes become features and an inner
 stratified cross-validation picks the classifier's hyperparameter before
 the held-out sample is predicted. The inner loop is fold-major too, for
 all four classifiers: each inner fold scores every candidate value at
-once. Counting correct predictions per k yields accuracy-versus-gene-count
-curves; a one-way ANOVA compares the resulting accuracy groups across
-ranking methods.
+once. For the SVM and the perceptron the C library runs a whole inner
+search, and each held-out prediction, in one call, with the Python fold
+loop's bits. Counting correct predictions per k yields
+accuracy-versus-gene-count curves; a one-way ANOVA compares the
+resulting accuracy groups across ranking methods.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 from scipy.special import betainc
 
 from generank import fgf as fgf_mod
-from generank import gaopt, kernels
+from generank import classifiers, gaopt, kernels
 from generank.classifiers import (
     ConvergenceError,
     TrainSet,
@@ -157,18 +159,73 @@ def _grid_labels(classifier, grid, train, scaled, seed):
     return mlp_grid_labels(train, grid, scaled, [seed(p) for p in range(len(grid))])
 
 
+def _compiled_counts(classifier, grid, features, labels, folds, n_folds, parts, by_fit):
+    """:func:`_fold_counts` from the library's fold search, for the SVM
+    and the perceptron, or None: for the other classifiers, without the
+    library, for perceptron seed parts that are not all ints, and for a
+    block the Python loop rejects, since that loop raises the error."""
+    if classifier == "svm" and kernels.svm_fold_search is not None:
+        return kernels.svm_fold_search(
+            features, labels, folds, n_folds, grid, classifiers._SVM_MAX_ITER,
+            classifiers._SVM_STOP_TOL, classifiers._SVM_SV_TOL,
+        )
+    if (
+        classifier == "mlp" and kernels.mlp_fold_search is not None
+        and kernels.seed_ints(parts)
+    ):
+        return kernels.mlp_fold_search(
+            features, labels, folds, n_folds, grid, classifiers._MLP_RIDGE,
+            classifiers._MLP_MAX_ITER, classifiers._MLP_GRAD_TOL, parts, by_fit,
+        )
+    return None
+
+
+def _fold_counts(classifier, grid, features, labels, folds, n_folds, parts, by_fit):
+    """Each candidate's correct test labels over the folds ``0 ..
+    n_folds - 1`` of the fold assignment ``folds``.
+
+    Folds run in order, and each is standardized once and scores every
+    candidate in one :func:`_grid_labels` call. The perceptron fit of
+    candidate position ``p`` in fold ``f`` is seeded from ``(*parts, f,
+    p)`` when ``by_fit`` is set and from ``parts`` otherwise. An SVM fit
+    that fails raises the :class:`ConvergenceError` of the first failure
+    in candidate-outer, fold-inner order. The library runs the SVM and
+    the perceptron (:func:`_compiled_counts`) with the same bits; this
+    Python loop is its oracle, the path for the other classifiers and the
+    one that raises.
+    """
+    correct = _compiled_counts(classifier, grid, features, labels, folds, n_folds, parts, by_fit)
+    if correct is not None:
+        return correct
+    correct, failures = 0, []
+    for fold in range(n_folds):
+        test = folds == fold
+        train, scaled = _scaled(features[~test], labels[~test], features[test])
+        if by_fit:
+            fit_seed = partial(_derived_seed, *parts, fold)
+        else:
+            fit_seed = lambda _: _derived_seed(*parts)  # noqa: E731
+        try:
+            predicted = _grid_labels(classifier, grid, train, scaled, fit_seed)
+        except ConvergenceError as exc:
+            # a fold reports its first failing candidate
+            failures.append((exc.candidate, fold, exc))
+            continue
+        correct = correct + (predicted == labels[test]).sum(axis=1)
+    if failures:
+        raise min(failures, key=lambda failure: failure[:2])[2]
+    return correct
+
+
 def inner_search(features, labels, classifier: str, seed: int = 0):
     """Pick a hyperparameter by stratified cross-validation.
 
     Uses up to ten folds, degraded to the smaller class count; pooled
     accuracy decides, ties going to the simpler candidate (smaller k or
-    C, bandwidth multiplier nearest 1, fewer hidden nodes). Folds run in
-    order, and each is standardized once and scores every candidate in
-    one :func:`_grid_labels` call; the perceptron fit of candidate
-    position ``p`` in fold ``f`` is seeded from ``(seed, f, p)``. An SVM
-    fit that fails raises the :class:`ConvergenceError` of the first
-    failure in candidate-outer, fold-inner order. Returns ``(best_value,
-    best_accuracy)``.
+    C, bandwidth multiplier nearest 1, fewer hidden nodes). The folds are
+    scored by :func:`_fold_counts`; the perceptron fit of candidate
+    position ``p`` in fold ``f`` is seeded from ``(seed, f, p)``. Returns
+    ``(best_value, best_accuracy)``.
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
@@ -181,21 +238,7 @@ def inner_search(features, labels, classifier: str, seed: int = 0):
         return grid[0], float("nan")
 
     folds = stratified_folds(labels, n_folds, seed)
-    correct, failures = 0, []
-    for fold in range(n_folds):
-        test = folds == fold
-        train, scaled = _scaled(features[~test], labels[~test], features[test])
-        try:
-            predicted = _grid_labels(
-                classifier, grid, train, scaled, partial(_derived_seed, seed, fold)
-            )
-        except ConvergenceError as exc:
-            # a fold reports its first failing candidate
-            failures.append((exc.candidate, fold, exc))
-            continue
-        correct = correct + (predicted == labels[test]).sum(axis=1)
-    if failures:
-        raise min(failures, key=lambda failure: failure[:2])[2]
+    correct = _fold_counts(classifier, grid, features, labels, folds, n_folds, (seed,), True)
     # argmax takes the first best, the simplest candidate
     best = int(np.argmax(correct))
     return grid[best], int(correct[best]) / len(labels)
@@ -248,6 +291,7 @@ def _loocv_correct(
     correct = dict.fromkeys(counts, 0)
     for held_out in range(n):
         keep = np.arange(n) != held_out
+        alone = keep.astype(np.int64)
         key = "full" if rank_scope == "full" else held_out
         if key not in cache:
             data, params = dataset, fgf_params
@@ -267,15 +311,13 @@ def _loocv_correct(
             hyper, _ = inner_search(
                 features, fold_labels, classifier, _derived_seed(seed, held_out, k)
             )
-            train, scaled = _scaled(features, fold_labels, selected[:, [held_out]].T)
-            predicted = _grid_labels(
-                classifier,
-                [hyper],
-                train,
-                scaled,
-                lambda _: _derived_seed(seed, held_out, k, 1),
+            # the held-out prediction is a one-fold search, the held-out
+            # sample alone in fold 0, its fit seeded from (seed, held_out, k, 1)
+            hits = _fold_counts(
+                classifier, [hyper], selected.T, dataset.labels, alone, 1,
+                (seed, held_out, k, 1), False,
             )
-            correct[k] += int(predicted[0, 0] == dataset.labels[held_out])
+            correct[k] += int(hits[0])
     return correct
 
 

@@ -251,13 +251,14 @@ _BLOCK_CELLS = 8192
 
 
 def check_tsv_ids(kind, ids):
-    """Raise ValueError naming the first of the ``kind`` ids ``ids`` that
-    holds a tab, newline or carriage return: no TSV cell can hold one, and
-    the reader would split the row at it."""
+    """Raise ValueError naming the first of the strings ``ids``, each a
+    ``kind`` ("gene id", "class name" ...), that holds a tab, newline or
+    carriage return: no TSV cell can hold one, and the reader would split
+    the row at it."""
     text = "".join(ids)
     if "\t" in text or "\n" in text or "\r" in text:
         bad = next(i for i in ids if "\t" in i or "\n" in i or "\r" in i)
-        raise ValueError(f"{kind} id {bad!r} holds a tab, newline or carriage return")
+        raise ValueError(f"{kind} {bad!r} holds a tab, newline or carriage return")
 
 
 def write_rows(fh, prefixes, matrix):
@@ -287,13 +288,15 @@ def save_dataset(dataset: Dataset, matrix_path, labels_path, sample_ids=None):
 
     Values are written as ``repr`` writes them, with full round-trip
     precision, so that load -> save -> load reproduces bit-equal matrices
-    (see :func:`write_rows`). A sample or gene id that holds a tab,
-    newline or carriage return raises ValueError before a file is opened.
+    (see :func:`write_rows`). A sample or gene id or a class name that
+    holds a tab, newline or carriage return raises ValueError before a
+    file is opened.
     """
     if sample_ids is None:
         sample_ids = [f"s{i}" for i in range(dataset.n_samples)]
-    check_tsv_ids("sample", sample_ids)
-    check_tsv_ids("gene", dataset.gene_ids)
+    check_tsv_ids("sample id", sample_ids)
+    check_tsv_ids("gene id", dataset.gene_ids)
+    check_tsv_ids("class name", dataset.class_names)
     with open(matrix_path, "wb") as fh:
         fh.write(("gene_id\t" + "\t".join(sample_ids) + "\n").encode())
         write_rows(fh, dataset.gene_ids, dataset.matrix)
@@ -354,9 +357,14 @@ def quantile_normalize(matrix, use_median: bool = False) -> np.ndarray:
 def floored_scale(X: np.ndarray, axis: int):
     """``(mean, sd)`` of ``X`` along ``axis``, each keeping that axis with
     length 1: ``sd`` is the sample standard deviation, a zero variance
-    being raised to the variance floor."""
-    means = X.mean(axis=axis, keepdims=True)
-    var = X.var(axis=axis, ddof=1, keepdims=True)
+    being raised to the variance floor.
+
+    The block is summed once: these are the steps of NumPy's ``mean`` and
+    ``var(ddof=1)``, which both sum it, so the bits are theirs."""
+    n = X.shape[axis]
+    means = X.sum(axis=axis, keepdims=True) / n
+    centered = X - means
+    var = (centered * centered).sum(axis=axis, keepdims=True) / (n - 1)
     var = np.where(var > 0.0, var, var + VARIANCE_FLOOR)
     return means, np.sqrt(var)
 

@@ -5,10 +5,16 @@ as its oracle and fallback: the batch fuzzy-inference kernel
 (``_mamdani_py.mamdani_scores``), the SVM fits of a whole grid of box
 bounds, with their SMO update loop (``classifiers._svm_grid_loop``), and
 the perceptron fits of a whole grid of hidden widths, with their
-scaled-conjugate-gradient loop (``classifiers._mlp_grid_loop``). It also
-holds a pass over the tie runs of sorted rows that gives their rank-sum
-statistics and midranks (``rank_sums``, for ``rankers._rank_sums``,
-whose oracle and fallback is ``rankers._tie_ranks``), a reader of the
+scaled-conjugate-gradient loop (``classifiers._mlp_grid_loop``). Each of
+the two grids also runs a whole inner search of nested LOOCV in one call
+(``svm_fold_search``, ``mlp_fold_search``): every fold of a fold
+assignment gathered, standardized as ``dataio.floored_scale`` does it and
+fitted, whose oracle and fallback is ``crossval._fold_counts``' Python
+fold loop; a block that loop would reject is left to it, so that it
+raises its own error. It also holds a pass over the tie runs of sorted
+rows that gives their rank-sum statistics and midranks (``rank_sums``,
+for ``rankers._rank_sums``, whose oracle and fallback is
+``rankers._tie_ranks``), a reader of the
 expression matrix's rows, whose oracle and fallback is the line-by-line
 reader ``dataio._parse_matrix_lines``, a writer of rows of float64
 values as text (``format_rows``, for ``dataio.write_rows``), whose
@@ -28,11 +34,12 @@ is a function of the heights alone, and each is summed in the NumPy
 kernel's order, so the memo cannot change a bit (``_mamdani.c`` says
 why). ``BACKEND`` names the fuzzy
 kernel that runs, and ``rank_sums``, ``svm_grid_solve``,
-``mlp_grid_solve``, ``parse_matrix_rows``, ``format_rows``,
-``derived_seed`` and ``initial_weights`` are None when the library is not
-loaded. The one difference is which NaN an
-overflowed SVM fit holds, and ``classifiers.svm_train`` and
-``svm_grid_labels`` reject such a fit on either path.
+``mlp_grid_solve``, ``svm_fold_search``, ``mlp_fold_search``,
+``parse_matrix_rows``, ``format_rows``, ``derived_seed`` and
+``initial_weights`` are None when the library is not loaded. The one
+difference is which NaN an overflowed SVM fit holds, and
+``classifiers.svm_train`` and ``svm_grid_labels`` reject such a fit on
+either path.
 
 Every library function is declared by ``_declare`` with one calling
 convention: arrays go in as addresses (``c_void_p``), sizes as
@@ -47,8 +54,10 @@ so that no Python pass scans the text, and into a byte array that gets
 the gene ids, each followed by a newline, for one decode and split. The
 row writer takes row prefixes in that form, as bytes, and fills a uint8
 array that it sizes, or that its caller passes back for reuse.
-The matrix text and the seeds' entropy go in as bytes (``c_char_p``);
-the entropy is each seed's little-endian uint32 words, which
+The fold searches take their sample block, labels, fold assignment and
+candidates in one such buffer too, the int64 values as their bits. The
+matrix text and the seeds' entropy go in as bytes (``c_char_p``); the
+entropy is each seed's little-endian uint32 words, which
 ``_seed_words`` makes.
 """
 
@@ -232,6 +241,63 @@ def _bind_mlp_grid(lib):
     return mlp_grid_solve
 
 
+def _bind_fold_searches(lib):
+    block = (_POINTER, _COUNT, _COUNT, _POINTER, _POINTER, _COUNT, _POINTER, _COUNT)
+    svm_fn = _declare(lib, "svm_fold_search", *block, _COUNT, _REAL, _REAL, _POINTER)
+    mlp_fn = _declare(
+        lib, "mlp_fold_search",
+        *block, _REAL, _COUNT, _REAL, ctypes.c_char_p, _COUNT, _COUNT, _POINTER,
+    )
+
+    def search(fn, features, labels, folds, n_folds, grid, *rest):
+        """``fn`` on the sample block ``features`` with ``labels``, the
+        fold assignment ``folds`` and the candidates ``grid`` (float64
+        bits), then the arguments ``rest``: each candidate's count, or
+        None when the Python loop must decide."""
+        X = np.asarray(features, dtype=np.float64)
+        labels = np.asarray(labels, dtype=np.int64)
+        folds = np.asarray(folds, dtype=np.int64)
+        if X.ndim != 2 or min(X.shape) < 1 or not labels.shape == folds.shape == X.shape[:1]:
+            raise ValueError("features must be 2-D, labels and folds a value per row")
+        (n, d), m = X.shape, len(grid)
+        # labels and folds go in as int64 bits
+        (X_at, labels_at, folds_at, grid_at, correct_at), views = _pack(
+            (X, labels.view(np.float64), folds.view(np.float64), grid), (m,)
+        )
+        status = fn(X_at, n, d, labels_at, folds_at, n_folds, grid_at, m, *rest, correct_at)
+        if status < 0:
+            raise MemoryError(f"{fn.__name__} could not allocate its work arrays")
+        return None if status else views[-1].view(np.int64)
+
+    def svm_fold_search(features, labels, folds, n_folds, cs, max_iter, tol, sv_tol):
+        """The correct test labels of each box bound of ``cs`` over the
+        folds ``0 .. n_folds - 1`` of ``folds``, each fold's rows
+        standardized and fitted as ``crossval._fold_counts``' Python loop
+        does, computed in C; or None when that loop must decide, since it
+        raises for the block (``_mamdani.c`` says when)."""
+        cs = np.asarray(cs, dtype=np.float64)
+        return search(svm_fn, features, labels, folds, n_folds, cs, max_iter, tol, sv_tol)
+
+    def mlp_fold_search(
+        features, labels, folds, n_folds, hs, ridge, max_iter, tol, parts, by_fit
+    ):
+        """:func:`svm_fold_search` for the perceptron's hidden widths
+        ``hs``: the fit of position ``p`` in fold ``f`` is seeded with
+        ``crossval._derived_seed(*parts, f, p)`` when ``by_fit`` is set,
+        and with ``_derived_seed(*parts)`` otherwise, for non-negative int
+        ``parts``."""
+        hs = np.asarray(hs, dtype=np.int64)
+        if min(hs, default=0) < 1 or max_iter < 0:
+            raise ValueError("every h must be >= 1 and max_iter >= 0")
+        entropy = b"".join(map(_seed_words, parts))
+        return search(
+            mlp_fn, features, labels, folds, n_folds, hs.view(np.float64), ridge, max_iter,
+            tol, entropy, len(entropy) // 4, bool(by_fit),
+        )
+
+    return svm_fold_search, mlp_fold_search
+
+
 def _bind_parse(lib):
     fn = _declare(
         lib, "parse_matrix_rows",
@@ -368,6 +434,7 @@ if _LIB is not None:
     rank_sums = _bind_rank_sums(_LIB)
     svm_grid_solve = _bind_svm_grid(_LIB)
     mlp_grid_solve = _bind_mlp_grid(_LIB)
+    svm_fold_search, mlp_fold_search = _bind_fold_searches(_LIB)
     parse_matrix_rows = _bind_parse(_LIB)
     format_rows = _bind_format(_LIB)
     derived_seed, initial_weights = _bind_seeds(_LIB)
@@ -378,6 +445,7 @@ else:
     rank_sums = None
     svm_grid_solve = None
     mlp_grid_solve = None
+    svm_fold_search = mlp_fold_search = None
     parse_matrix_rows = None
     format_rows = None
     derived_seed = initial_weights = None

@@ -419,7 +419,7 @@ def save_ranking(ranking: GeneRanking, gene_ids, path):
     that holds a tab, newline or carriage return raises ValueError before
     the file is opened."""
     ids = [gene_ids[g] for g in ranking.order.tolist()]
-    check_tsv_ids("gene", ids)
+    check_tsv_ids("gene id", ids)
     with open(path, "wb") as fh:
         fh.write(b"rank\tgene_id\tscore\n")
         write_rows(

@@ -542,15 +542,35 @@ def test_svm_grid_labels_raises_for_the_first_failing_bound(monkeypatch, loop):
 def test_svm_budget_read_at_call_time(monkeypatch, loop):
     monkeypatch.setattr(classifiers, "_SVM_GRID", _loop(loop))
     train = _separable(np.random.default_rng(512), dim=2, margin=0.5)
-    updates = svm_train(train, 1.0).updates
+    free = svm_train(train, 1.0)
+    updates = free.updates
     assert updates > 1
-    # the budget counts updates: a gap below tol after the last one does
-    # not count
-    monkeypatch.setattr(classifiers, "_SVM_MAX_ITER", updates)
-    with pytest.raises(ConvergenceError, match=f"after {updates} updates"):
+    # the budget counts updates: one short of the fit's count stalls it
+    monkeypatch.setattr(classifiers, "_SVM_MAX_ITER", updates - 1)
+    with pytest.raises(ConvergenceError, match=f"after {updates - 1} updates"):
         svm_train(train, 1.0)
     monkeypatch.setattr(classifiers, "_SVM_MAX_ITER", updates + 1)
     assert svm_train(train, 1.0).updates == updates
+
+
+@both_loops
+def test_svm_fit_converging_on_its_last_allowed_update_converged(monkeypatch, loop):
+    # a budget of exactly the fit's update count: the gap after the last
+    # update is below tol, so the fit converged, with the bits of a fit
+    # under the full budget
+    monkeypatch.setattr(classifiers, "_SVM_GRID", _loop(loop))
+    rng = np.random.default_rng(515)
+    budget = classifiers._SVM_MAX_ITER
+    for _ in range(5):
+        train = _separable(rng, dim=3, margin=0.3)
+        monkeypatch.setattr(classifiers, "_SVM_MAX_ITER", budget)
+        free = svm_train(train, 1.0)
+        assert free.kkt_gap < classifiers._SVM_STOP_TOL
+        monkeypatch.setattr(classifiers, "_SVM_MAX_ITER", free.updates)
+        exact = svm_train(train, 1.0)
+        assert exact.updates == free.updates
+        for field in ("weights", "bias", "dual_coefficients", "kkt_gap"):
+            assert _same_bits([getattr(exact, field)], [getattr(free, field)]), field
 
 
 @both_loops

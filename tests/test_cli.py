@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from generank import classifiers, cli, crossval, gaopt
+from generank import classifiers, cli, crossval, gaopt, kernels
 from generank.dataio import load_dataset
 from generank.fgf import FgfParams, FuzzyRegion, load_params, save_params
 
@@ -492,8 +492,11 @@ def test_evaluate_fgf_without_anchors_tunes_them_on_the_full_data(tables, tmp_pa
 def test_evaluate_solver_failure_is_fatal(tables, tmp_path, capsys, monkeypatch):
     # one SVM fit failing inside the sweep aborts the whole evaluation,
     # and nothing is written: from the seventh grid of fits on, the
-    # solver's budget is one update, which no fit of two classes meets
+    # solver's budget is one update, which no fit of two classes meets;
+    # the Python fold loop runs, so that every grid of fits is counted
     _, matrix_path, labels_path = tables
+    monkeypatch.setattr(kernels, "svm_fold_search", None)
+    monkeypatch.setattr(kernels, "mlp_fold_search", None)
     calls = []
     solve = classifiers._SVM_GRID
 

@@ -77,6 +77,15 @@ def test_hyper_grids():
 # inner model selection
 
 
+@pytest.fixture
+def python_folds(monkeypatch):
+    """The Python fold loop for every classifier: tests that observe its
+    blocks, seeds and solver calls run with the library's fold searches
+    unbound."""
+    monkeypatch.setattr(kernels, "svm_fold_search", None)
+    monkeypatch.setattr(kernels, "mlp_fold_search", None)
+
+
 def test_inner_search_returns_grid_member():
     rng = np.random.default_rng(601)
     features = np.vstack(
@@ -118,7 +127,7 @@ def test_inner_search_prefers_first_best_on_ties():
     assert accuracy == 1.0
 
 
-def test_inner_search_scales_each_fold_once(monkeypatch):
+def test_inner_search_scales_each_fold_once(monkeypatch, python_folds):
     rng = np.random.default_rng(616)
     features = rng.normal(size=(16, 3))
     labels = np.array([0] * 8 + [1] * 8)
@@ -161,7 +170,7 @@ def test_derived_seed_errors_are_numpys_on_both_paths(monkeypatch, part, error):
         assert str(raised.value) == str(numpys.value)
 
 
-def test_inner_search_seeds_only_the_perceptron(monkeypatch):
+def test_inner_search_seeds_only_the_perceptron(monkeypatch, python_folds):
     rng = np.random.default_rng(617)
     features = rng.normal(size=(8, 2))
     labels = np.array([0] * 4 + [1] * 4)
@@ -251,7 +260,7 @@ def test_inner_search_tie_goes_to_the_simpler_candidate(classifier, data_seed):
     assert inner_search(features, labels, classifier, seed=data_seed) == (value, accuracy)
 
 
-def test_inner_search_raises_the_first_svm_failure_in_candidate_order(monkeypatch):
+def test_inner_search_raises_the_first_svm_failure_in_candidate_order(monkeypatch, python_folds):
     # fold 0's fit of the fourth C and fold 2's fit of the second get a
     # budget of one update and fail; a candidate-by-candidate search meets
     # fold 2's failure first, though fold 0 is scored first
@@ -294,6 +303,193 @@ def test_inner_search_raises_the_first_svm_failure_in_candidate_order(monkeypatc
         messages[fold] = str(alone.value)
     assert messages[0] != messages[2]
     assert str(caught.value) == messages[2]
+
+
+# ---------------------------------------------------------------------------
+# the library's fold searches against the Python fold loop
+
+
+needs_fold_search = pytest.mark.skipif(
+    kernels.svm_fold_search is None, reason="the C library is not loaded"
+)
+
+
+def _on_both_paths(monkeypatch, run):
+    """``run()`` with the library's fold searches, then with the Python
+    fold loop; the searches are bound again afterwards."""
+    compiled = run()
+    with monkeypatch.context() as python:
+        python.setattr(kernels, "svm_fold_search", None)
+        python.setattr(kernels, "mlp_fold_search", None)
+        return compiled, run()
+
+
+def _search_cases(classifier):
+    """(features, labels) blocks: one feature with 9 to 150 training rows
+    (past the pairwise-sum thresholds 8 and 128 for the SVM), several
+    features, a constant column, rounded values with distance ties and
+    signed zeros, and uneven class sizes."""
+    rng = np.random.default_rng(640)
+    sizes = [(5, 6), (9, 8), (12, 7)] + ([(70, 75)] if classifier == "svm" else [])
+    for n0, n1 in sizes:
+        for d in (1, 2, 4) if n0 < 70 else (1,):
+            features = rng.normal(size=(n0 + n1, d)) * 10.0 ** rng.uniform(-2.0, 2.0)
+            features[n0:] += rng.uniform(0.0, 1.0)
+            yield features, np.array([0] * n0 + [1] * n1)
+            tied = np.round(features * 2.0, 0) / 2.0
+            tied[::3] *= -0.0
+            yield tied, np.array([0] * n0 + [1] * n1)
+            if d > 1:
+                constant = features.copy()
+                constant[:, 1] = 3.25
+                yield constant, np.array([0] * n0 + [1] * n1)
+
+
+@needs_fold_search
+def test_fold_blocks_are_scaled_blocks_bit_for_bit():
+    # the library's gather and standardization of one fold against
+    # _scaled's: one feature (NumPy's pairwise sum) and several (row by
+    # row), 3 to 300 rows across the thresholds 8 and 128, with constant
+    # columns, signed zeros and large offsets
+    P, N = kernels._POINTER, kernels._COUNT
+    fold_blocks = kernels._declare(kernels._LIB, "fold_blocks", P, N, N, P, P, N, *(P,) * 7)
+    rng = np.random.default_rng(644)
+    for trial in range(1500):
+        n, d = int(rng.integers(3, 301)), int(rng.integers(1, 5))
+        X = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-4.0, 4.0, d)
+        X += rng.normal(size=d) * 10.0 ** rng.uniform(-2.0, 6.0)
+        if trial % 5 == 1:
+            X = np.round(X, 1)
+            X[rng.random(X.shape) < 0.3] *= -0.0
+        if trial % 5 == 2:
+            X[:, rng.integers(d)] = rng.choice([0.0, -0.0, 2.5])
+        labels = (np.arange(n) % 2).astype(np.int64)
+        folds = rng.integers(0, 3, n).astype(np.int64)
+        test = folds == 0
+        if len(set(labels[~test])) < 2:
+            continue
+        T, E, sq = np.empty((n, d)), np.empty((n, d)), np.empty(n)
+        t_labels, e_labels, counts = (np.empty(n, dtype=np.int64) for _ in range(3))
+        status = fold_blocks(
+            X.ctypes.data, n, d, labels.ctypes.data, folds.ctypes.data, 0,
+            T.ctypes.data, t_labels.ctypes.data, counts[:1].ctypes.data, E.ctypes.data,
+            e_labels.ctypes.data, counts[1:].ctypes.data, sq.ctypes.data,
+        )
+        train, scaled = crossval._scaled(X[~test], labels[~test], X[test])
+        n_t, n_e = counts[:2]
+        assert status == 0 and (n_t, n_e) == (len(train.labels), len(scaled))
+        assert T[:n_t].tobytes() == train.features.tobytes(), f"trial {trial}"
+        assert E[:n_e].tobytes() == scaled.tobytes(), f"trial {trial}"
+        assert t_labels[:n_t].tolist() == train.labels.tolist()
+        assert e_labels[:n_e].tolist() == labels[test].tolist()
+
+
+@needs_fold_search
+@pytest.mark.parametrize("classifier", ["svm", "mlp"])
+def test_fold_search_counts_equal_on_both_paths(monkeypatch, classifier):
+    # every candidate's count, then the pick, over each block's folds
+    for trial, (features, labels) in enumerate(_search_cases(classifier)):
+        n_folds = min(crossval.MAX_INNER_FOLDS, int(np.bincount(labels).min()))
+        folds = stratified_folds(labels, n_folds, trial)
+        grid = _hyper_grid(classifier, features.shape[1])
+        arguments = (classifier, grid, features, labels, folds, n_folds, (trial,), True)
+        assert crossval._compiled_counts(*arguments) is not None
+        compiled, python = _on_both_paths(
+            monkeypatch, lambda: crossval._fold_counts(*arguments).tolist()
+        )
+        assert compiled == python, f"trial {trial}"
+        compiled, python = _on_both_paths(
+            monkeypatch, lambda: inner_search(features, labels, classifier, seed=trial)
+        )
+        assert compiled == python, f"trial {trial}"
+
+
+@needs_fold_search
+@pytest.mark.parametrize("classifier, n0, n1, k_max", [("svm", 6, 7, 3), ("mlp", 5, 5, 2)])
+def test_sweep_equal_on_both_paths(monkeypatch, classifier, n0, n1, k_max):
+    # the held-out fits go through the library as one-fold searches; k = 1
+    # standardizes 9 or more training rows pairwise
+    dataset = planted_dataset(20, 4, n0, n1, 1.0, seed=641)
+    dataset.matrix[5] = 7.0  # a constant gene
+
+    def python_loop(*args):
+        raise AssertionError("a fold went through the Python loop")
+
+    with monkeypatch.context() as library_only:
+        library_only.setattr(crossval, "_scaled", python_loop)
+        sweep_gene_counts(dataset, "ttest", classifier, k_max, seed=2)
+    compiled, python = _on_both_paths(
+        monkeypatch, lambda: sweep_gene_counts(dataset, "ttest", classifier, k_max, seed=2)
+    )
+    assert compiled == python
+    compiled, python = _on_both_paths(
+        monkeypatch,
+        lambda: sweep_gene_counts(
+            dataset, "wilcoxon", classifier, k_max, rank_scope="full", seed=3
+        ),
+    )
+    assert compiled == python
+
+
+def _raised(run):
+    with pytest.raises(Exception) as caught:
+        run()
+    return type(caught.value), str(caught.value)
+
+
+@needs_fold_search
+def test_svm_budget_stall_raises_the_same_error_on_both_paths(monkeypatch):
+    # no fit of these folds converges in one update: the library leaves
+    # the block to the Python loop, which raises its first failure
+    rng = np.random.default_rng(642)
+    features = rng.normal(size=(16, 3))
+    features[8:] += 0.8
+    labels = np.array([0] * 8 + [1] * 8)
+    monkeypatch.setattr(classifiers, "_SVM_MAX_ITER", 1)
+    folds = stratified_folds(labels, 8, 4)
+    assert crossval._compiled_counts(
+        "svm", list(SVM_GRID), features, labels, folds, 8, (4,), True
+    ) is None
+    compiled, python = _on_both_paths(
+        monkeypatch, lambda: _raised(lambda: inner_search(features, labels, "svm", seed=4))
+    )
+    assert compiled == python
+    assert compiled[0] is ConvergenceError
+    assert compiled[1].startswith("dual optimization stalled") and "after 1 updates" in compiled[1]
+
+
+@needs_fold_search
+@pytest.mark.parametrize("classifier", ["svm", "mlp"])
+@pytest.mark.parametrize("fault", ["label", "nan", "inf", "held_out_nan", "one_class"])
+def test_rejected_blocks_raise_the_same_error_on_both_paths(monkeypatch, classifier, fault):
+    # an inner search, or a one-fold search that predicts sample 0 alone:
+    # the library leaves each faulty block to the Python loop, which
+    # raises its own error
+    rng = np.random.default_rng(643)
+    features = rng.normal(size=(12, 2))
+    labels = np.array([0] * 6 + [1] * 6)
+    if fault == "label":
+        labels = np.array([0] * 4 + [1] * 5 + [2] * 3)
+    elif fault == "held_out_nan":
+        # the training rows are valid, the held-out query is not
+        features[0, 1] = np.nan
+    elif fault == "one_class":
+        labels = np.array([1] + [0] * 11)
+    else:
+        features[3, 0] = np.nan if fault == "nan" else np.inf
+    grid = _hyper_grid(classifier, 2)
+    alone = (np.arange(12) != 0).astype(np.int64)
+
+    def search():
+        if fault in ("held_out_nan", "one_class"):
+            return crossval._fold_counts(
+                classifier, grid, features, labels, alone, 1, (1, 0, 2, 1), False
+            )
+        return inner_search(features, labels, classifier, seed=1)
+
+    compiled, python = _on_both_paths(monkeypatch, lambda: _raised(search))
+    assert compiled == python
+    assert compiled[0] is ValueError
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +550,7 @@ def test_loocv_rank_scope_full_ranks_once(monkeypatch):
     assert calls == [dataset.n_samples]
 
 
-def test_loocv_final_fit_seed_per_held_out_sample(monkeypatch):
+def test_loocv_final_fit_seed_per_held_out_sample(monkeypatch, python_folds):
     dataset = planted_dataset(6, 2, 4, 4, 1.0, seed=618)
     seeds = []
     mlp_grid_labels = crossval.mlp_grid_labels

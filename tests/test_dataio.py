@@ -790,6 +790,20 @@ def test_save_dataset_refuses_ids_a_row_cannot_hold(tmp_path, gene_ids, sample_i
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("class_names, named", [
+    (("a\tb", "c"), "class name 'a\\tb'"),
+    (("a", "c\n"), "class name 'c\\n'"),
+    (("a\r", "c\r"), "class name 'a\\r'"),
+])
+def test_save_dataset_refuses_class_names_a_row_cannot_hold(tmp_path, class_names, named):
+    # the labels file holds sample_id<TAB>class_name rows, which the reader
+    # would split at the name's tab or newline
+    dataset = Dataset(np.ones((3, 4)), ["g0", "g1", "g2"], np.array([0, 0, 1, 1]), class_names)
+    with pytest.raises(ValueError, match=re.escape(named)):
+        save_dataset(dataset, tmp_path / "m.tsv", tmp_path / "l.tsv")
+    assert list(tmp_path.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # the C row writer against repr
 
@@ -1074,6 +1088,30 @@ def test_standardize_genes_zero_mean_unit_variance():
     out = standardize_genes(matrix)
     np.testing.assert_allclose(out.mean(axis=1), 0.0, atol=1e-12)
     np.testing.assert_allclose(out.std(axis=1, ddof=1), 1.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_floored_scale_has_the_bits_of_numpys_mean_and_var(axis):
+    # one sum of the block for each statistic, in the steps of NumPy's
+    # mean and var(ddof=1): their bits at every length from 2 to 300,
+    # across the pairwise-sum thresholds 8 and 128, for one lane (summed
+    # pairwise) and several (summed lane by lane), in C and Fortran order,
+    # with a constant lane among them
+    rng = np.random.default_rng(1101)
+    for n in range(2, 301):
+        for lanes in (1, 2, 5):
+            X = rng.normal(size=(n, lanes)) * 10.0 ** rng.uniform(-3.0, 3.0)
+            X += rng.normal() * 100.0
+            if lanes == 5:
+                X[:, 2] = X[0, 2]
+            if axis == 1:
+                X = X.T
+            for block in (np.ascontiguousarray(X), np.asfortranarray(X)):
+                means, sd = dataio.floored_scale(block, axis)
+                var = block.var(axis=axis, ddof=1, keepdims=True)
+                floored = np.where(var > 0.0, var, var + dataio.VARIANCE_FLOOR)
+                assert means.tobytes() == block.mean(axis=axis, keepdims=True).tobytes()
+                assert sd.tobytes() == np.sqrt(floored).tobytes()
 
 
 def test_standardize_genes_constant_row_becomes_zero():
