@@ -13,6 +13,9 @@ several features, constant columns, values rounded so that distances tie,
 and signed zeros. On each it compares every candidate's count of correct
 test labels on both paths, for the inner search and for the one-fold
 search that predicts a held-out sample, and exits 1 on any difference.
+The blocks' seeds take one, two and three uint32 words in turn, so that
+the library's port of NumPy's ``SeedSequence`` hashes seeds of every
+length that the perceptron's fits derive from.
 Then it reports the median time of one ``inner_search`` call on each
 path at the shapes of a nested LOOCV of 10 and of 40 samples. Invoke from
 the repository root:
@@ -62,6 +65,13 @@ def block(rng, n, d):
     elif kind == 2:
         features[:, rng.integers(d)] = rng.normal()
     return features, labels
+
+
+def block_seed(trial):
+    """The seed of block ``trial``: ``trial`` itself, one uint32 word, for
+    every third block, and an int of two or of three words, its top word
+    ``trial + 1``, for the others."""
+    return trial + (0, 2**32, 2**64)[trial % 3] * (trial + 1)
 
 
 def compare(classifier, features, labels, seed):
@@ -114,7 +124,7 @@ def main(argv=None):
             for trial in range(args.blocks):
                 n, d = SHAPES[trial % len(SHAPES)]
                 features, labels = block(rng, n, d)
-                differs = compare(classifier, features, labels, trial)
+                differs = compare(classifier, features, labels, block_seed(trial))
                 if differs == "deferred":
                     deferred += 1
                 elif differs:

@@ -1,8 +1,8 @@
-"""Build script: compiles the plain-C fuzzy-inference kernel.
+"""Build script: compiles the package's C library (``_mamdani.c``).
 
 The library is built by the same rule that the package applies on first
-import (``src/generank/_cbuild.py``). The package works without it (a
-NumPy fallback is selected at import time), so a missing compiler or a
+import (``src/generank/_cbuild.py``). The package works without it (its
+Python code is selected at import time), so a missing compiler or a
 failed build only warns.
 """
 
@@ -20,12 +20,12 @@ _spec.loader.exec_module(_cbuild)
 
 
 class BuildPyWithKernel(build_py):
-    """``build_py`` that also compiles the C kernel into the package."""
+    """``build_py`` that also compiles the C library into the package."""
 
     def run(self):
         super().run()
         if not _cbuild.compiler_present():
-            self.warn("no C compiler on PATH; the NumPy fallback kernel will run")
+            self.warn("no C compiler on PATH; the Python fallbacks will run")
             return
         if self.editable_mode:
             directory = os.path.dirname(_cbuild.SOURCE)
@@ -34,7 +34,7 @@ class BuildPyWithKernel(build_py):
         try:
             _cbuild.build(directory)
         except (_cbuild.BuildError, OSError) as exc:
-            self.warn(f"C kernel not built; the NumPy fallback will run: {exc}")
+            self.warn(f"C library not built; the Python fallbacks will run: {exc}")
 
 
 setup(cmdclass={"build_py": BuildPyWithKernel})

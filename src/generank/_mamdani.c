@@ -1,7 +1,8 @@
 /* Three compiled solvers that mirror Python code expression for
  * expression, the inner searches of nested LOOCV built on two of them, a
  * pass over the tie runs of sorted rows, a reader and a writer of the
- * expression matrix's text, and NumPy's seeding and uniform draws:
+ * expression matrix's text, and NumPy's seeding and uniform draws for
+ * the perceptron's inner search:
  *
  * mamdani_scores, the batch fuzzy-inference kernel, a plain-C port of
  * generank._mamdani_py. The centroid accumulates in ascending grid
@@ -63,9 +64,11 @@
  * reject is left to it.
  *
  * derived_seed and initial_weights, ports of NumPy's SeedSequence and
- * PCG64 that give generank.crossval._derived_seed's seeds and
- * generank.classifiers._initial_weights' starting weights with
- * numpy.random's bits. The 128-bit LCG step multiplies 64-bit halves
+ * PCG64 that mlp_fold_search calls for each fit: the seed
+ * generank.crossval._derived_seed derives from the fit's coordinates and
+ * the starting weights generank.classifiers._initial_weights draws from
+ * it, with numpy.random's bits. Python draws its own seeds and weights
+ * with numpy.random. The 128-bit LCG step multiplies 64-bit halves
  * (multiply_128), so no compiler's 128-bit type is needed.
  *
  * The library is built with -ffp-contract=off, so no loop fuses a
@@ -1638,10 +1641,11 @@ int64_t format_rows(const double *values, int64_t rows, int64_t cols,
     return line == stop ? p - out : -2;
 }
 
-/* NumPy's SeedSequence (pool size 4) and PCG64, bit for bit, so that the
- * perceptron's seeds and starting weights are drawn here instead of by
- * numpy.random. Entropy comes in as little-endian uint32 words packed in
- * bytes, the words NumPy's _int_to_uint32_array makes of each int. The
+/* NumPy's SeedSequence (pool size 4) and PCG64, bit for bit, so that
+ * mlp_fold_search derives each fit's seed and draws its starting weights
+ * as numpy.random does. Entropy comes in as little-endian uint32 words
+ * packed in bytes, the words NumPy's _int_to_uint32_array makes of each
+ * int; a fit's weights come from its one-word seed. The
  * constants and the order of every step are those of NumPy's
  * bit_generator.pyx and pcg64.h. */
 
@@ -1722,16 +1726,20 @@ static void pcg_step(pcg128 *state, pcg128 inc)
     state->high = high + inc.high + (state->low < low);
 }
 
-/* PCG64(seed)'s state and increment for a seed of n entropy words: the
+/* PCG64(seed)'s state and increment for a seed of one entropy word: the
  * four uint64 of generate_state(4, uint64) are the initial state's high
  * and low halves, then the stream's, as pcg64_set_seed reads them. */
-static void pcg_seed(const unsigned char *entropy, int64_t n, pcg128 *state, pcg128 *inc)
+static void pcg_seed(uint32_t seed, pcg128 *state, pcg128 *inc)
 {
+    const unsigned char entropy[4] = {
+        (unsigned char)seed, (unsigned char)(seed >> 8), (unsigned char)(seed >> 16),
+        (unsigned char)(seed >> 24),
+    };
     uint32_t pool[4], words[8];
     uint64_t v[4];
     int64_t k;
 
-    seed_pool(entropy, n, pool);
+    seed_pool(entropy, 1, pool);
     seed_state(pool, 8, words);
     for (k = 0; k < 4; k++)
         v[k] = (uint64_t)words[2 * k] | (uint64_t)words[2 * k + 1] << 32;
@@ -1770,34 +1778,27 @@ int64_t derived_seed(const unsigned char *entropy, int64_t n)
     return state;
 }
 
-/* Every hidden width's starting weights, as generank.classifiers.
- * _initial_weights draws them from default_rng(seed): fit r, of width
- * hs[r], takes the next n_words[r] words of entropy as its seed, and
- * writes its d * h + 2 * h + 1 packed values after the previous fit's.
- * w1 is d * h draws of uniform(-0.5, 0.5) over sqrt(d) in row-major
- * order, then h zero biases, then w2, h draws over sqrt(h), then a zero
- * bias. Returns 0. */
-int64_t initial_weights(int64_t d, const int64_t *hs, int64_t n_h,
-                        const unsigned char *entropy, const int64_t *n_words, double *w)
+/* A fit's starting weights, as generank.classifiers._initial_weights
+ * draws them from default_rng(seed) for a seed below 2^32: the d * h
+ * + 2 * h + 1 packed values, w1 as d * h draws of uniform(-0.5, 0.5)
+ * over sqrt(d) in row-major order, then h zero biases, then w2, h draws
+ * over sqrt(h), then a zero bias. Returns 0. */
+int64_t initial_weights(int64_t d, int64_t h, uint32_t seed, double *w)
 {
     pcg128 state, inc;
     double scale;
-    int64_t r, h, i;
+    int64_t i;
 
-    for (r = 0; r < n_h; r++) {
-        h = hs[r];
-        pcg_seed(entropy, n_words[r], &state, &inc);
-        entropy += 4 * n_words[r];
-        scale = sqrt((double)d);
-        for (i = 0; i < d * h; i++)
-            *w++ = pcg_uniform(&state, inc, -0.5, 1.0) / scale;
-        for (i = 0; i < h; i++)
-            *w++ = 0.0;
-        scale = sqrt((double)h);
-        for (i = 0; i < h; i++)
-            *w++ = pcg_uniform(&state, inc, -0.5, 1.0) / scale;
+    pcg_seed(seed, &state, &inc);
+    scale = sqrt((double)d);
+    for (i = 0; i < d * h; i++)
+        *w++ = pcg_uniform(&state, inc, -0.5, 1.0) / scale;
+    for (i = 0; i < h; i++)
         *w++ = 0.0;
-    }
+    scale = sqrt((double)h);
+    for (i = 0; i < h; i++)
+        *w++ = pcg_uniform(&state, inc, -0.5, 1.0) / scale;
+    *w = 0.0;
     return 0;
 }
 
@@ -2011,9 +2012,8 @@ int64_t mlp_fold_search(const double *X, int64_t n, int64_t d, const int64_t *la
 {
     double *T, *E, *t, *sq, *w, *traces, *probabilities;
     int64_t *t_labels, *e_labels, *lens, *steps, f, p, i, n_t, n_e, size = 0;
-    int64_t status = 0, one = 1;
-    unsigned char *words, seed_bytes[4];
-    uint32_t seed;
+    int64_t status = 0;
+    unsigned char *words;
 
     if (!binary_labels(labels, n))
         return 1;
@@ -2055,10 +2055,9 @@ int64_t mlp_fold_search(const double *X, int64_t n, int64_t d, const int64_t *la
                     words[4 * n_words + 4 + i] = (unsigned char)(p >> (8 * i));
                 }
             }
-            seed = (uint32_t)derived_seed(words, n_words + (by_fit ? 2 : 0));
-            for (i = 0; i < 4; i++)
-                seed_bytes[i] = (unsigned char)(seed >> (8 * i));
-            initial_weights(d, hs + p, 1, seed_bytes, &one, w + size);
+            initial_weights(d, hs[p],
+                            (uint32_t)derived_seed(words, n_words + (by_fit ? 2 : 0)),
+                            w + size);
             size += (d + 2) * hs[p] + 1;
         }
         if (mlp_grid_solve(T, t, n_t, d, hs, n_h, ridge, w, E, n_e, max_iter, tol,

@@ -33,6 +33,22 @@ class ConvergenceError(RuntimeError):
         self.candidate = candidate
 
 
+def checked_samples(features, labels):
+    """``(features, labels)`` as a 2-D float64 array and an int64 array of
+    one 0 or 1 per row, or a ``ValueError`` naming the one that is not:
+    :class:`TrainSet`'s checks of a block's shape and labels, which
+    ``crossval.inner_search`` makes before it counts the classes."""
+    features = np.asarray(features, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
+    if features.ndim != 2:
+        raise ValueError("features must be 2-D")
+    if labels.shape != features.shape[:1]:
+        raise ValueError("labels must align with feature rows")
+    if not ((labels == 0) | (labels == 1)).all():
+        raise ValueError("labels must be 0 or 1")
+    return features, labels
+
+
 @dataclass
 class TrainSet:
     """Validated training data: ``features`` is (n_samples, n_features)."""
@@ -41,17 +57,9 @@ class TrainSet:
     labels: np.ndarray
 
     def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
-        if self.features.ndim != 2:
-            raise ValueError("features must be 2-D")
-        n = self.features.shape[0]
-        if self.labels.shape != (n,):
-            raise ValueError("labels must align with feature rows")
+        self.features, self.labels = checked_samples(self.features, self.labels)
         if not np.isfinite(self.features).all():
             raise ValueError("features contain non-finite values")
-        if not ((self.labels == 0) | (self.labels == 1)).all():
-            raise ValueError("labels must be 0 or 1")
         for cls in (0, 1):
             if not (self.labels == cls).any():
                 raise ValueError(f"class {cls} has no training samples")
@@ -726,9 +734,8 @@ _MLP_GRID = kernels.mlp_grid_solve or _mlp_grid_loop
 def _initial_weights(d: int, h: int, seed: int) -> np.ndarray:
     """A fit's packed starting weights, drawn from its own seed: both
     weight layers uniform in +-0.5 over the root of their fan-in, the
-    biases 0. ``kernels.initial_weights`` is its compiled port, which
-    draws a whole grid's weights in one call; this is its oracle and the
-    path without a compiler."""
+    biases 0. The library's perceptron fold search draws them with its
+    port of ``PCG64``, whose oracle this is."""
     rng = np.random.default_rng(seed)
     w1 = rng.uniform(-0.5, 0.5, (d, h)) / math.sqrt(d)
     w2 = rng.uniform(-0.5, 0.5, h) / math.sqrt(h)
@@ -738,15 +745,9 @@ def _initial_weights(d: int, h: int, seed: int) -> np.ndarray:
 def _mlp_grid(train: TrainSet, hs: list, queries: np.ndarray, seeds, ridge: float):
     """Unchecked core of :func:`mlp_grid_labels` and :func:`mlp_train`:
     :func:`_mlp_grid_loop`'s results through ``_MLP_GRID``, each width
-    started from the weights its seed draws. The library draws every
-    width's weights in one call when it is loaded and the seeds are ints
-    (``kernels.initial_weights``); :func:`_initial_weights`, its oracle,
-    draws them otherwise, with the same bits."""
+    started from the weights its seed draws (:func:`_initial_weights`)."""
     d = train.n_features
-    if kernels.initial_weights is not None and kernels.seed_ints(seeds):
-        w = kernels.initial_weights(d, hs, seeds)
-    else:
-        w = np.concatenate([_initial_weights(d, h, s) for h, s in zip(hs, seeds)])
+    w = np.concatenate([_initial_weights(d, h, s) for h, s in zip(hs, seeds)])
     t = train.labels.astype(np.float64)
     return _MLP_GRID(
         train.features, t, hs, ridge, w, queries, _MLP_MAX_ITER, _MLP_GRAD_TOL

@@ -27,6 +27,7 @@ from generank import classifiers, gaopt, kernels
 from generank.classifiers import (
     ConvergenceError,
     TrainSet,
+    checked_samples,
     knn_grid_labels,
     mlp_grid_labels,
     nbc_grid_labels,
@@ -81,11 +82,8 @@ class AnovaResult:
 def _derived_seed(*parts) -> int:
     """Independent child stream for one (seed, fold, ...) coordinate: the
     first 32-bit word of NumPy's ``SeedSequence(parts)`` state. The
-    library's port (``kernels.derived_seed``) computes it when it is
-    loaded and every part is an int; ``SeedSequence``, its oracle, does
-    otherwise, so a part it rejects raises its own error."""
-    if kernels.derived_seed is not None and kernels.seed_ints(parts):
-        return kernels.derived_seed(parts)
+    library's perceptron fold search derives the same seeds with its port
+    of ``SeedSequence``."""
     return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
 
 
@@ -132,11 +130,15 @@ def _scaled(train_x, train_y, queries):
 
     Returns ``(train, scaled_queries)``: the validated :class:`TrainSet`
     and the queries on the same scale. The scaling comes from the
-    training block only, so held-out samples never influence it.
+    training block only, so held-out samples never influence it. A value
+    that is not finite turns others into NaN without a warning, and
+    :class:`TrainSet` or the classifier's query check reports it.
     """
-    mu, sd = floored_scale(train_x, axis=0)
-    train = TrainSet((train_x - mu) / sd, train_y)
-    return train, (np.asarray(queries, dtype=np.float64) - mu) / sd
+    with np.errstate(invalid="ignore"):
+        mu, sd = floored_scale(train_x, axis=0)
+        train_x = (train_x - mu) / sd
+        queries = (np.asarray(queries, dtype=np.float64) - mu) / sd
+    return TrainSet(train_x, train_y), queries
 
 
 def _grid_labels(classifier, grid, train, scaled, seed):
@@ -225,10 +227,11 @@ def inner_search(features, labels, classifier: str, seed: int = 0):
     C, bandwidth multiplier nearest 1, fewer hidden nodes). The folds are
     scored by :func:`_fold_counts`; the perceptron fit of candidate
     position ``p`` in fold ``f`` is seeded from ``(seed, f, p)``. Returns
-    ``(best_value, best_accuracy)``.
+    ``(best_value, best_accuracy)``; features that are not 2-D, labels
+    that are not one 0 or 1 per row raise :class:`TrainSet`'s
+    ``ValueError``.
     """
-    features = np.asarray(features, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
+    features, labels = checked_samples(features, labels)
     grid = _hyper_grid(classifier, features.shape[1])
     min_count = int(np.bincount(labels, minlength=2).min())
     n_folds = min(MAX_INNER_FOLDS, min_count)

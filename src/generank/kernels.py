@@ -11,18 +11,19 @@ the two grids also runs a whole inner search of nested LOOCV in one call
 assignment gathered, standardized as ``dataio.floored_scale`` does it and
 fitted, whose oracle and fallback is ``crossval._fold_counts``' Python
 fold loop; a block that loop would reject is left to it, so that it
-raises its own error. It also holds a pass over the tie runs of sorted
-rows that gives their rank-sum statistics and midranks (``rank_sums``,
-for ``rankers._rank_sums``, whose oracle and fallback is
-``rankers._tie_ranks``), a reader of the
-expression matrix's rows, whose oracle and fallback is the line-by-line
-reader ``dataio._parse_matrix_lines``, a writer of rows of float64
-values as text (``format_rows``, for ``dataio.write_rows``), whose
-oracle and fallback is ``repr``, and a bit-exact port of NumPy's
-``SeedSequence`` and ``PCG64`` that draws the perceptron's seeds
-(``derived_seed``, for ``crossval._derived_seed``) and starting weights
-(``initial_weights``, for ``classifiers._initial_weights``), whose
-oracle and fallback is ``numpy.random``. It is loaded through ctypes
+raises its own error. The perceptron's search derives each fit's seed
+and draws its starting weights with the library's bit-exact port of
+NumPy's ``SeedSequence`` and ``PCG64``, whose oracle is
+``crossval._derived_seed`` and ``classifiers._initial_weights``; Python
+code draws its seeds and weights with ``numpy.random`` alone. The
+library also holds a pass over the tie runs of sorted rows that gives
+their rank-sum statistics and midranks (``rank_sums``, for
+``rankers._rank_sums``, whose oracle and fallback is
+``rankers._tie_ranks``), a reader of the expression matrix's rows, whose
+oracle and fallback is the line-by-line reader
+``dataio._parse_matrix_lines``, and a writer of rows of float64 values
+as text (``format_rows``, for ``dataio.write_rows``), whose oracle and
+fallback is ``repr``. It is loaded through ctypes
 and preferred. On first import it is compiled when no build of the
 current source exists and a C compiler (``cc``) is on ``PATH``; see
 ``_cbuild``. Without a compiler,
@@ -32,12 +33,9 @@ choice only affects speed. The C fuzzy kernel remembers, within one call,
 the score of each distinct tuple of class heights it meets; a centroid
 is a function of the heights alone, and each is summed in the NumPy
 kernel's order, so the memo cannot change a bit (``_mamdani.c`` says
-why). ``BACKEND`` names the fuzzy
-kernel that runs, and ``rank_sums``, ``svm_grid_solve``,
-``mlp_grid_solve``, ``svm_fold_search``, ``mlp_fold_search``,
-``parse_matrix_rows``, ``format_rows``, ``derived_seed`` and
-``initial_weights`` are None when the library is not loaded. The one
-difference is which NaN an overflowed SVM fit holds, and
+why). ``BACKEND`` names the fuzzy kernel that runs, and ``COMPILED``
+names the other bindings, each None when the library is not loaded. The
+one difference is which NaN an overflowed SVM fit holds, and
 ``classifiers.svm_train`` and ``svm_grid_labels`` reject such a fit on
 either path.
 
@@ -56,9 +54,9 @@ row writer takes row prefixes in that form, as bytes, and fills a uint8
 array that it sizes, or that its caller passes back for reuse.
 The fold searches take their sample block, labels, fold assignment and
 candidates in one such buffer too, the int64 values as their bits. The
-matrix text and the seeds' entropy go in as bytes (``c_char_p``); the
-entropy is each seed's little-endian uint32 words, which
-``_seed_words`` makes.
+matrix text and the perceptron's seed entropy go in as bytes
+(``c_char_p``); the entropy is each seed part's little-endian uint32
+words, which ``_seed_words`` makes.
 """
 
 from __future__ import annotations
@@ -208,8 +206,8 @@ def _bind_mlp_grid(lib):
         call's buffer, and leaves ``w`` as given. It takes starting weights
         rather than seeds, so that it can be started from any point, such
         as the saturated and overflowing ones no seed draws that its tests
-        compare with the Python loop; ``initial_weights`` draws the seeded
-        ones."""
+        compare with the Python loop; ``classifiers._initial_weights``
+        draws the seeded ones."""
         X, t, w, queries = np.asarray(X), np.asarray(t), np.asarray(w), np.asarray(queries)
         hs = np.asarray(hs, dtype=np.int64)
         if X.ndim != 2 or queries.ndim != 2 or hs.ndim != 1:
@@ -374,10 +372,10 @@ def _bind_format(lib):
 
 
 def seed_ints(values) -> bool:
-    """Whether every value is an int or a NumPy integer, the seeds that
-    ``derived_seed`` and ``initial_weights`` take. NumPy's
-    ``SeedSequence``, their oracle, takes every other seed, and raises its
-    own error for one it rejects."""
+    """Whether every value is an int or a NumPy integer, the seed parts
+    that ``mlp_fold_search`` takes. NumPy's ``SeedSequence``, its oracle,
+    takes every other seed, and raises its own error for one it
+    rejects."""
     return all(isinstance(v, (int, np.integer)) for v in values)
 
 
@@ -391,42 +389,19 @@ def _seed_words(n) -> bytes:
     return n.to_bytes(4 * max(1, -(-n.bit_length() // 32)), "little")
 
 
-def _bind_seeds(lib):
-    seed_fn = _declare(lib, "derived_seed", ctypes.c_char_p, _COUNT)
-    weights_fn = _declare(
-        lib, "initial_weights", _COUNT, _POINTER, _COUNT, ctypes.c_char_p, _POINTER, _POINTER
-    )
-
-    def derived_seed(parts):
-        """``int(SeedSequence(list(parts)).generate_state(1)[0])`` for
-        non-negative int ``parts``, computed in C."""
-        entropy = b"".join(map(_seed_words, parts))
-        return seed_fn(entropy, len(entropy) // 4)
-
-    def initial_weights(d, hs, seeds):
-        """``classifiers._initial_weights(d, h, seed)`` for each width of
-        ``hs`` and its non-negative int seed, concatenated, drawn in C."""
-        if len(hs) != len(seeds) or d < 0 or min(hs, default=0) < 0:
-            raise ValueError("initial_weights needs d >= 0 and one seed per width h >= 0")
-        # a handful of small ints each: ctypes arrays cost less than _pack
-        entropy = [_seed_words(s) for s in seeds]
-        m = len(entropy)
-        counts = (ctypes.c_int64 * m)(*(len(words) // 4 for words in entropy))
-        w = np.empty(sum((d + 2) * h + 1 for h in hs))
-        weights_fn(
-            d, (ctypes.c_int64 * m)(*hs), m, b"".join(entropy), counts, w.ctypes.data
-        )
-        return w
-
-    return derived_seed, initial_weights
-
-
 def _load_c_kernel():
     """The C fuzzy kernel's raw callable from a fresh load of the
     library, or None; see :func:`_load_library`."""
     lib = _load_library()
     return None if lib is None else _bind_mamdani(lib)
 
+
+# The bindings of the library besides the fuzzy kernel, each None when
+# the library is not loaded.
+COMPILED = (
+    "rank_sums", "svm_grid_solve", "mlp_grid_solve", "svm_fold_search", "mlp_fold_search",
+    "parse_matrix_rows", "format_rows",
+)
 
 _LIB = _load_library()
 if _LIB is not None:
@@ -437,18 +412,13 @@ if _LIB is not None:
     svm_fold_search, mlp_fold_search = _bind_fold_searches(_LIB)
     parse_matrix_rows = _bind_parse(_LIB)
     format_rows = _bind_format(_LIB)
-    derived_seed, initial_weights = _bind_seeds(_LIB)
     _IMPL = _c_scores
     BACKEND = "c"
 else:
     _c_scores = None
-    rank_sums = None
-    svm_grid_solve = None
-    mlp_grid_solve = None
+    rank_sums = svm_grid_solve = mlp_grid_solve = None
     svm_fold_search = mlp_fold_search = None
-    parse_matrix_rows = None
-    format_rows = None
-    derived_seed = initial_weights = None
+    parse_matrix_rows = format_rows = None
     _IMPL = _mamdani_py.mamdani_scores
     BACKEND = "numpy"
 

@@ -1189,27 +1189,29 @@ def test_mlp_rejects_a_width_that_is_not_a_whole_number(monkeypatch, loop):
 
 
 @pytest.mark.parametrize("seed", [0, 7, 2**32 - 1, 2**32, 2**64 + 5, np.int64(9)])
-def test_mlp_train_same_model_from_either_weight_draw(monkeypatch, seed):
+def test_mlp_train_same_model_from_either_weight_draw(seed):
+    # numpy.random draws the weights of every seed, as the Python loop
+    # trained from _initial_weights' draw shows
     train = _separable(np.random.default_rng(549), n_per_class=5, dim=3)
-    models = []
-    for port in (kernels.initial_weights, None):
-        monkeypatch.setattr(kernels, "initial_weights", port)
-        models.append(mlp_train(train, 4, seed=seed))
-    ported, oracle = models
-    for field in ("w1", "b1", "w2", "b2", "loss_trace"):
-        assert _same_bits([getattr(ported, field)], [getattr(oracle, field)]), field
+    model = mlp_train(train, 4, seed=seed)
+    w, traces, steps, _ = classifiers._mlp_grid_loop(
+        train.features, train.labels.astype(np.float64), [4], classifiers._MLP_RIDGE,
+        classifiers._initial_weights(3, 4, int(seed)), np.empty((0, 3)),
+        classifiers._MLP_MAX_ITER, classifiers._MLP_GRAD_TOL,
+    )
+    assert _same_bits([np.concatenate([model.w1.ravel(), model.b1, model.w2, [model.b2]])], [w])
+    assert _same_bits([model.loss_trace], [traces[0]])
+    assert model.steps == steps[0]
 
 
 @pytest.mark.parametrize("seed, error", [(-1, ValueError), (1.5, TypeError)])
-def test_mlp_seed_errors_are_numpys_on_both_paths(monkeypatch, seed, error):
+def test_mlp_seed_errors_are_numpys_on_both_paths(seed, error):
     train = _separable(np.random.default_rng(550), n_per_class=3, dim=2)
     with pytest.raises(error) as numpys:
         np.random.default_rng(seed)
-    for port in (kernels.initial_weights, None):
-        monkeypatch.setattr(kernels, "initial_weights", port)
-        with pytest.raises(error) as raised:
-            mlp_train(train, 2, seed=seed)
-        assert str(raised.value) == str(numpys.value)
+    with pytest.raises(error) as raised:
+        mlp_train(train, 2, seed=seed)
+    assert str(raised.value) == str(numpys.value)
 
 
 def test_mlp_model_bits_are_the_same_on_every_host():

@@ -150,24 +150,22 @@ def _child_seed(*parts):
     return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
 
 
-def test_derived_seed_same_on_both_paths(monkeypatch):
+def test_derived_seed_same_on_both_paths():
+    # the library's fold search derives the same seeds with its port of
+    # SeedSequence (test_kernels checks it); Python has this one path
     coordinates = [(), (0,), (5, 0, 1), (3, 2**32 - 1, 7, 1), (2**40, 3), (np.int64(4), 2)]
-    values = []
-    for port in (kernels.derived_seed, None):
-        monkeypatch.setattr(kernels, "derived_seed", port)
-        values.append([crossval._derived_seed(*parts) for parts in coordinates])
-    assert values[0] == values[1] == [_child_seed(*parts) for parts in coordinates]
+    values = [crossval._derived_seed(*parts) for parts in coordinates]
+    assert values == [_child_seed(*parts) for parts in coordinates]
+    assert all(type(value) is int for value in values)
 
 
 @pytest.mark.parametrize("part, error", [(-1, ValueError), (1.5, TypeError)])
-def test_derived_seed_errors_are_numpys_on_both_paths(monkeypatch, part, error):
+def test_derived_seed_errors_are_numpys_on_both_paths(part, error):
     with pytest.raises(error) as numpys:
         np.random.SeedSequence([3, part])
-    for port in (kernels.derived_seed, None):
-        monkeypatch.setattr(kernels, "derived_seed", port)
-        with pytest.raises(error) as raised:
-            crossval._derived_seed(3, part)
-        assert str(raised.value) == str(numpys.value)
+    with pytest.raises(error) as raised:
+        crossval._derived_seed(3, part)
+    assert str(raised.value) == str(numpys.value)
 
 
 def test_inner_search_seeds_only_the_perceptron(monkeypatch, python_folds):
@@ -459,6 +457,7 @@ def test_svm_budget_stall_raises_the_same_error_on_both_paths(monkeypatch):
 
 
 @needs_fold_search
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("classifier", ["svm", "mlp"])
 @pytest.mark.parametrize("fault", ["label", "nan", "inf", "held_out_nan", "one_class"])
 def test_rejected_blocks_raise_the_same_error_on_both_paths(monkeypatch, classifier, fault):
@@ -490,6 +489,85 @@ def test_rejected_blocks_raise_the_same_error_on_both_paths(monkeypatch, classif
     compiled, python = _on_both_paths(monkeypatch, lambda: _raised(search))
     assert compiled == python
     assert compiled[0] is ValueError
+
+
+@pytest.mark.parametrize("classifier", CLASSIFIERS)
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        ("labels_1_2", "labels must be 0 or 1"),
+        ("labels_0_3", "labels must be 0 or 1"),
+        ("labels_negative", "labels must be 0 or 1"),
+        ("labels_short", "labels must align with feature rows"),
+        ("labels_2d", "labels must align with feature rows"),
+        ("features_1d", "features must be 2-D"),
+    ],
+)
+def test_inner_search_rejects_bad_samples_on_both_paths(monkeypatch, classifier, fault, message):
+    # checked before the classes are counted, with TrainSet's messages,
+    # whichever path would score the folds
+    rng = np.random.default_rng(645)
+    features = rng.normal(size=(12, 2))
+    labels = np.array([0] * 6 + [1] * 6)
+    if fault == "labels_1_2":
+        labels = labels + 1
+    elif fault == "labels_0_3":
+        labels = labels * 3
+    elif fault == "labels_negative":
+        labels = labels * 2 - 1
+    elif fault == "labels_short":
+        labels = labels[:-1]
+    elif fault == "labels_2d":
+        labels = labels[:, None]
+    else:
+        features = features[:, 0]
+    compiled, python = _on_both_paths(
+        monkeypatch, lambda: _raised(lambda: inner_search(features, labels, classifier, seed=1))
+    )
+    assert compiled == python == (ValueError, message)
+    with pytest.raises(ValueError, match=message):
+        classifiers.TrainSet(features, labels)
+
+
+@needs_fold_search
+@pytest.mark.parametrize("seed", [2**32 - 1, 2**32, 2**64 + 5])
+def test_mlp_fold_search_takes_seeds_of_several_words(monkeypatch, seed):
+    # the library hashes the seed's words with each fit's fold and position
+    rng = np.random.default_rng(646)
+    features = rng.normal(size=(12, 3))
+    features[6:] += 0.7
+    labels = np.array([0] * 6 + [1] * 6)
+    folds = stratified_folds(labels, 6, seed)
+    grid = _hyper_grid("mlp", 3)
+    arguments = ("mlp", grid, features, labels, folds, 6, (seed,), True)
+    assert crossval._compiled_counts(*arguments) is not None
+    compiled, python = _on_both_paths(
+        monkeypatch, lambda: crossval._fold_counts(*arguments).tolist()
+    )
+    assert compiled == python
+    compiled, python = _on_both_paths(
+        monkeypatch, lambda: inner_search(features, labels, "mlp", seed=seed)
+    )
+    assert compiled == python
+
+
+@needs_fold_search
+def test_held_out_search_takes_seed_parts_of_several_words(monkeypatch):
+    # one-fold searches that predict each sample alone, their fits seeded
+    # from (2**40, 3, 2, 1): five words of entropy. The classes overlap,
+    # so that a fit's label depends on its starting weights.
+    rng = np.random.default_rng(647)
+    features = rng.normal(size=(12, 2))
+    labels = np.array([0, 1] * 6)
+    grid = _hyper_grid("mlp", 2)
+    for held_out in range(12):
+        alone = (np.arange(12) != held_out).astype(np.int64)
+        arguments = ("mlp", grid, features, labels, alone, 1, (2**40, 3, 2, 1), False)
+        assert crossval._compiled_counts(*arguments) is not None
+        compiled, python = _on_both_paths(
+            monkeypatch, lambda: crossval._fold_counts(*arguments).tolist()
+        )
+        assert compiled == python, held_out
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Backend dispatch and parity tests for the fuzzy-inference kernel."""
 
+import ctypes
 import re
 import sys
 import threading
@@ -34,6 +35,22 @@ def test_compiled_backend_present():
     # with a compiler or a built library the compiled kernel runs; this
     # guards against silently falling back to the slow path
     assert kernels.BACKEND == "c"
+
+
+def test_compiled_names_every_binding_of_the_library():
+    # each listed binding is callable exactly when the library is loaded
+    # and None otherwise, and no other public name holds a library function
+    loaded = kernels._LIB is not None
+    for name in kernels.COMPILED:
+        binding = getattr(kernels, name)
+        assert (callable(binding) if loaded else binding is None), name
+    bound = {
+        name for name, value in vars(kernels).items()
+        if not name.startswith("_") and callable(value)
+        and getattr(value, "__module__", None) == kernels.__name__
+        and value.__qualname__.startswith("_bind_")
+    }
+    assert bound == (set(kernels.COMPILED) if loaded else set())
 
 
 def test_backends_bit_identical():
@@ -341,6 +358,14 @@ def _random_seed(rng, words):
 
 @needs_library
 def test_derived_seed_port_matches_numpy_seed_sequence():
+    # the perceptron's fold search derives each fit's seed with this port,
+    # from the seed parts' words as _seed_words packs them
+    derived_seed = kernels._declare(kernels._LIB, "derived_seed", ctypes.c_char_p, kernels._COUNT)
+
+    def port(parts):
+        entropy = b"".join(map(kernels._seed_words, parts))
+        return derived_seed(entropy, len(entropy) // 4)
+
     rng = np.random.default_rng(210)
     cases = [(), (0,), (2**32 - 1,), (2**32,), (2**64,), (0, 0, 0, 0, 0, 0)]
     while len(cases) < 20_000:
@@ -352,30 +377,30 @@ def test_derived_seed_port_matches_numpy_seed_sequence():
         cases.append(tuple(parts))
     for parts in cases:
         want = int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
-        assert kernels.derived_seed(parts) == want, parts
+        assert port(parts) == want, parts
     # NumPy integers are the same entropy as ints of their value
-    assert kernels.derived_seed((np.int64(5), np.uint64(2**63), 7)) == int(
+    assert port((np.int64(5), np.uint64(2**63), 7)) == int(
         np.random.SeedSequence([5, 2**63, 7]).generate_state(1)[0]
     )
 
 
 @needs_library
 def test_initial_weights_port_matches_numpy_default_rng():
+    # one fit from one uint32 seed, the form the fold search draws
+    initial_weights = kernels._declare(
+        kernels._LIB, "initial_weights", kernels._COUNT, kernels._COUNT, ctypes.c_uint32,
+        kernels._POINTER,
+    )
     rng = np.random.default_rng(211)
-    fits = 0
-    while fits < 2_000:
-        d = int(rng.integers(1, 60))
-        hs = [int(h) for h in rng.integers(1, 120, int(rng.integers(1, 5)))]
-        seeds = [_random_seed(rng, int(rng.choice([1, 1, 1, 2, 3]))) for _ in hs]
-        want = np.concatenate(
-            [classifiers._initial_weights(d, h, s) for h, s in zip(hs, seeds)]
-        )
-        got = kernels.initial_weights(d, hs, seeds)
-        assert got.tobytes() == want.tobytes(), (d, hs, seeds)
-        fits += len(hs)
-    assert kernels.initial_weights(3, [], []).shape == (0,)
-    with pytest.raises(ValueError):
-        kernels.initial_weights(3, [2, 4], [1])
+    for fit in range(2_000):
+        d, h = int(rng.integers(1, 60)), int(rng.integers(1, 120))
+        seed = _random_seed(rng, 1)
+        want = classifiers._initial_weights(d, h, seed)
+        got = np.full(want.size + 1, np.nan)
+        assert initial_weights(d, h, seed, got.ctypes.data) == 0
+        assert got[:-1].tobytes() == want.tobytes(), (d, h, seed)
+        # nothing is written past the fit's values
+        assert np.isnan(got[-1]), fit
 
 
 def test_seed_ints_takes_ints_only():
