@@ -1,12 +1,14 @@
 """Check the inner search's compiled and Python paths against each other and time them.
 
-Nested LOOCV picks the SVM's box bound and the perceptron's hidden width
-by ``crossval.inner_search``, a stratified cross-validation. When the C
-library is loaded, each fold assignment is scored in one library call
-(``kernels.svm_fold_search``, ``kernels.mlp_fold_search``): every fold
-gathered, standardized and fitted in C. Otherwise the Python fold loop
-does it (``crossval._scaled``, then the grid of fits through
-``classifiers.svm_grid_labels`` or ``mlp_grid_labels``). This script
+Nested LOOCV picks the nearest-neighbour voter's k, the SVM's box bound
+and the perceptron's hidden width by ``crossval.inner_search``, a
+stratified cross-validation. When the C library is loaded, each fold
+assignment is scored in one library call (``kernels.knn_fold_search``,
+``kernels.svm_fold_search``, ``kernels.mlp_fold_search``): every fold
+gathered, standardized and voted on or fitted in C. Otherwise the Python
+fold loop does it (``crossval._scaled``, then the grid through
+``classifiers.knn_grid_labels``, ``svm_grid_labels`` or
+``mlp_grid_labels``). This script
 draws seeded blocks of samples x features with 0/1 labels, among them one
 feature (standardized by NumPy's pairwise sum) with 8 to 150 rows,
 several features, constant columns, values rounded so that distances tie,
@@ -32,7 +34,9 @@ import numpy as np
 
 from generank import crossval, kernels
 
-CLASSIFIERS = ("svm", "mlp")
+CLASSIFIERS = ("knn", "svm", "mlp")
+# the library's fold searches, one per compiled classifier
+FOLD_SEARCHES = [name for name in kernels.COMPILED if name.endswith("_fold_search")]
 # (training samples, features) of the blocks compared
 SHAPES = ((9, 1), (9, 2), (16, 1), (19, 3), (39, 5), (60, 2), (150, 1))
 # (training samples, features) of the blocks timed: the inner searches of
@@ -42,12 +46,14 @@ TIMED = ((9, 1), (9, 2), (39, 5))
 
 def python_path(run):
     """``run()`` with the library's fold searches unbound."""
-    bound = kernels.svm_fold_search, kernels.mlp_fold_search
-    kernels.svm_fold_search = kernels.mlp_fold_search = None
+    bound = {name: getattr(kernels, name) for name in FOLD_SEARCHES}
+    for name in bound:
+        setattr(kernels, name, None)
     try:
         return run()
     finally:
-        kernels.svm_fold_search, kernels.mlp_fold_search = bound
+        for name, search in bound.items():
+            setattr(kernels, name, search)
 
 
 def block(rng, n, d):

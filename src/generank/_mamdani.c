@@ -1,8 +1,8 @@
 /* Three compiled solvers that mirror Python code expression for
- * expression, the inner searches of nested LOOCV built on two of them, a
- * pass over the tie runs of sorted rows, a reader and a writer of the
- * expression matrix's text, and NumPy's seeding and uniform draws for
- * the perceptron's inner search:
+ * expression, the inner searches of nested LOOCV built on two of them and
+ * on the nearest-neighbour vote, a pass over the tie runs of sorted rows,
+ * a reader and a writer of the expression matrix's text, and NumPy's
+ * seeding and uniform draws for the perceptron's inner search:
  *
  * mamdani_scores, the batch fuzzy-inference kernel, a plain-C port of
  * generank._mamdani_py. The centroid accumulates in ascending grid
@@ -56,12 +56,13 @@
  * (gene ids), and the caller's buffer is checked against the most the
  * rows can take before a byte is written.
  *
- * svm_fold_search and mlp_fold_search, the inner search of nested LOOCV
- * for the SVM and the perceptron: every fold of a fold assignment
- * gathered, standardized in NumPy's summation order and fitted by
- * svm_grid_solve or mlp_grid_solve, in one call, a port of the Python
- * fold loop of generank.crossval._fold_counts. A fold that loop would
- * reject is left to it.
+ * svm_fold_search, mlp_fold_search and knn_fold_search, the inner search
+ * of nested LOOCV for the SVM, the perceptron and the nearest-neighbour
+ * voter: every fold of a fold assignment gathered, standardized in
+ * NumPy's summation order and fitted by svm_grid_solve or mlp_grid_solve,
+ * or voted on as generank.classifiers._knn_labels votes, in one call, a
+ * port of the Python fold loop of generank.crossval._fold_counts. A fold
+ * that loop would reject is left to it.
  *
  * derived_seed and initial_weights, ports of NumPy's SeedSequence and
  * PCG64 that mlp_fold_search calls for each fit: the seed
@@ -1802,20 +1803,22 @@ int64_t initial_weights(int64_t d, int64_t h, uint32_t seed, double *w)
     return 0;
 }
 
-/* svm_fold_search and mlp_fold_search, the inner search of nested LOOCV
- * for the SVM and the perceptron in one call per fold assignment: for
- * each fold, what the Python loop of generank.crossval._fold_counts does
- * with _scaled and svm_grid_labels or mlp_grid_labels, the fits by
+/* svm_fold_search, mlp_fold_search and knn_fold_search, the inner search
+ * of nested LOOCV for the SVM, the perceptron and the nearest-neighbour
+ * voter in one call per fold assignment: for each fold, what the Python
+ * loop of generank.crossval._fold_counts does with _scaled and
+ * svm_grid_labels, mlp_grid_labels or knn_grid_labels, the fits by
  * svm_grid_solve and mlp_grid_solve. A fold's rows are gathered and
  * standardized by fold_blocks; every candidate is fitted on the training
- * rows and labels the test rows, and its hits are counted.
+ * rows, or votes with them, and labels the test rows, and its hits are
+ * counted.
  *
  * The Python loop validates its blocks and raises on anything wrong;
  * these calls only detect such a fold and return 1 without a count, and
  * the Python loop, run again, raises its own error. That covers a label
  * other than 0 or 1, a training block with no row of a class, a
- * standardized value that is not finite and, for the SVM, a fit that
- * stalled or overflowed. */
+ * variance or a standardized value that is not finite and, for the SVM, a
+ * fit that stalled or overflowed. */
 
 /* generank.dataio.VARIANCE_FLOOR, to which a zero variance is raised. */
 #define VARIANCE_FLOOR 1e-8
@@ -1877,9 +1880,9 @@ static double column_sum(const double *x, int64_t n, int64_t stride, int64_t d)
  * (n_t - 1), a zero variance raised to VARIANCE_FLOOR, x -> (x - mean) /
  * sqrt(var); the squares are summed in the order of their block, T's. sq
  * holds n values. Returns 0, or 1 when the Python loop must decide: a
- * class with no training row or a standardized value not finite. *n_t
- * and *n_e receive the row counts. It is exported so that tests can
- * compare its blocks with crossval._scaled's bit for bit. */
+ * class with no training row, or a variance or a standardized value not
+ * finite. *n_t and *n_e receive the row counts. It is exported so that
+ * tests can compare its blocks with crossval._scaled's bit for bit. */
 int64_t fold_blocks(const double *X, int64_t n, int64_t d, const int64_t *labels,
                     const int64_t *folds, int64_t f, double *T, int64_t *t_labels,
                     int64_t *n_t, double *E, int64_t *e_labels, int64_t *n_e,
@@ -1911,6 +1914,8 @@ int64_t fold_blocks(const double *X, int64_t n, int64_t d, const int64_t *labels
         }
         var = column_sum(sq, nt, 1, d) / (double)(nt - 1);
         var = var > 0.0 ? var : var + VARIANCE_FLOOR;
+        if (!isfinite(var))
+            return 1;
         sd = sqrt(var);
         for (i = 0; i < nt; i++) {
             T[i * d + j] = (T[i * d + j] - mean) / sd;
@@ -2072,5 +2077,91 @@ int64_t mlp_fold_search(const double *X, int64_t n, int64_t d, const int64_t *la
     free(T);
     free(t_labels);
     free(words);
+    return status;
+}
+
+/* The k-nearest-neighbour voter's inner search over the folds 0 ..
+ * n_folds - 1 of folds: for each, fold_blocks, then every test row is
+ * labelled as generank.classifiers._knn_labels labels it for each k of ks,
+ * capped at the training row count, and correct[r] counts the rows whose
+ * label is right. A training row's distance is sqrt of its squared
+ * differences from the test row, summed in NumPy's order (pairwise_sum);
+ * the nearest max(k) rows are kept in stable order, a tie going to the
+ * smaller training index, as the first max(k) of a stable argsort. A k's
+ * vote goes to the class with more of its k nearest rows and a split
+ * vote to the class whose distances, added left to right in neighbour
+ * order, sum smaller, class 0 on equal sums. Every step is one IEEE
+ * operation on each side, so the counts are the Python loop's. Returns
+ * 0, 1 when the Python loop must decide (see above, and a k below 1), or
+ * -1 if the work arrays could not be allocated. */
+int64_t knn_fold_search(const double *X, int64_t n, int64_t d, const int64_t *labels,
+                        const int64_t *folds, int64_t n_folds, const int64_t *ks,
+                        int64_t n_k, int64_t *correct)
+{
+    double *T, *E, *sq, *dist, *diff, sums[2];
+    const double *q;
+    int64_t *t_labels, *e_labels, *near, f, r, i, j, a, k, k_max, kept, n_t, n_e, votes[2];
+    int64_t status = 0;
+
+    if (!binary_labels(labels, n))
+        return 1;
+    for (r = 0; r < n_k; r++)
+        if (ks[r] < 1)
+            return 1;
+    T = malloc(sizeof(double) * (size_t)(2 * n * d + 2 * n + d));
+    t_labels = malloc(sizeof(int64_t) * (size_t)(3 * n));
+    if (T == NULL || t_labels == NULL) {
+        free(T);
+        free(t_labels);
+        return -1;
+    }
+    E = T + n * d;
+    sq = E + n * d;
+    dist = sq + n;
+    diff = dist + n;
+    e_labels = t_labels + n;
+    near = e_labels + n;
+    for (r = 0; r < n_k; r++)
+        correct[r] = 0;
+    for (f = 0; f < n_folds; f++) {
+        status = fold_blocks(X, n, d, labels, folds, f, T, t_labels, &n_t, E, e_labels,
+                             &n_e, sq);
+        if (status != 0)
+            break;
+        for (r = 0, k_max = 0; r < n_k; r++)
+            k_max = ks[r] < k_max ? k_max : ks[r];
+        k_max = k_max < n_t ? k_max : n_t;
+        for (i = 0; i < n_e; i++) {
+            q = E + i * d;
+            for (j = 0, kept = 0; j < n_t; j++) {
+                for (a = 0; a < d; a++) {
+                    diff[a] = T[j * d + a] - q[a];
+                    diff[a] = diff[a] * diff[a];
+                }
+                dist[j] = sqrt(pairwise_sum(diff, d, 1));
+                /* j goes after every kept row at most as far; once k_max
+                 * rows are kept, the farthest drops out */
+                a = kept < k_max ? kept++ : k_max;
+                for (; a > 0 && dist[near[a - 1]] > dist[j]; a--)
+                    if (a < k_max)
+                        near[a] = near[a - 1];
+                if (a < k_max)
+                    near[a] = j;
+            }
+            for (r = 0; r < n_k; r++) {
+                k = ks[r] < n_t ? ks[r] : n_t;
+                votes[0] = votes[1] = 0;
+                sums[0] = sums[1] = 0.0;
+                for (a = 0; a < k; a++) {
+                    votes[t_labels[near[a]]]++;
+                    sums[t_labels[near[a]]] += dist[near[a]];
+                }
+                correct[r] += (votes[1] != votes[0] ? votes[1] > votes[0] : sums[1] < sums[0])
+                              == e_labels[i];
+            }
+        }
+    }
+    free(T);
+    free(t_labels);
     return status;
 }

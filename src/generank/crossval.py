@@ -6,11 +6,12 @@ every gene count k the top-k genes become features and an inner
 stratified cross-validation picks the classifier's hyperparameter before
 the held-out sample is predicted. The inner loop is fold-major too, for
 all four classifiers: each inner fold scores every candidate value at
-once. For the SVM and the perceptron the C library runs a whole inner
-search, and each held-out prediction, in one call, with the Python fold
-loop's bits. Counting correct predictions per k yields
-accuracy-versus-gene-count curves; a one-way ANOVA compares the
-resulting accuracy groups across ranking methods.
+once. For the nearest-neighbour voter, the SVM and the perceptron the C
+library runs a whole inner search, and each held-out prediction, in one
+call (``kernels.knn_fold_search``, ``svm_fold_search``,
+``mlp_fold_search``), with the Python fold loop's bits. Counting correct
+predictions per k yields accuracy-versus-gene-count curves; a one-way
+ANOVA compares the resulting accuracy groups across ranking methods.
 """
 
 from __future__ import annotations
@@ -132,10 +133,14 @@ def _scaled(train_x, train_y, queries):
     and the queries on the same scale. The scaling comes from the
     training block only, so held-out samples never influence it. A value
     that is not finite turns others into NaN without a warning, and
-    :class:`TrainSet` or the classifier's query check reports it.
+    :class:`TrainSet` or the classifier's query check reports it; finite
+    values whose standard deviation overflows raise a ``ValueError``
+    rather than all standardize to 0.
     """
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore", over="ignore"):
         mu, sd = floored_scale(train_x, axis=0)
+        if not np.isfinite(sd).all() and np.isfinite(train_x).all():
+            raise ValueError("features too large to standardize: a standard deviation overflows")
         train_x = (train_x - mu) / sd
         queries = (np.asarray(queries, dtype=np.float64) - mu) / sd
     return TrainSet(train_x, train_y), queries
@@ -162,10 +167,13 @@ def _grid_labels(classifier, grid, train, scaled, seed):
 
 
 def _compiled_counts(classifier, grid, features, labels, folds, n_folds, parts, by_fit):
-    """:func:`_fold_counts` from the library's fold search, for the SVM
-    and the perceptron, or None: for the other classifiers, without the
-    library, for perceptron seed parts that are not all ints, and for a
-    block the Python loop rejects, since that loop raises the error."""
+    """:func:`_fold_counts` from the library's fold search, for the
+    nearest-neighbour voter, the SVM and the perceptron, or None: for the
+    naive Bayes classifier, without the library, for perceptron seed parts
+    that are not all ints, and for a block the Python loop rejects, since
+    that loop raises the error."""
+    if classifier == "knn" and kernels.knn_fold_search is not None:
+        return kernels.knn_fold_search(features, labels, folds, n_folds, grid)
     if classifier == "svm" and kernels.svm_fold_search is not None:
         return kernels.svm_fold_search(
             features, labels, folds, n_folds, grid, classifiers._SVM_MAX_ITER,
@@ -191,10 +199,11 @@ def _fold_counts(classifier, grid, features, labels, folds, n_folds, parts, by_f
     candidate position ``p`` in fold ``f`` is seeded from ``(*parts, f,
     p)`` when ``by_fit`` is set and from ``parts`` otherwise. An SVM fit
     that fails raises the :class:`ConvergenceError` of the first failure
-    in candidate-outer, fold-inner order. The library runs the SVM and
-    the perceptron (:func:`_compiled_counts`) with the same bits; this
-    Python loop is its oracle, the path for the other classifiers and the
-    one that raises.
+    in candidate-outer, fold-inner order. The library runs the
+    nearest-neighbour voter, the SVM and the perceptron
+    (:func:`_compiled_counts`) with the same bits; this Python loop is its
+    oracle, the path for the naive Bayes classifier and for every
+    classifier without a compiler, and the one that raises.
     """
     correct = _compiled_counts(classifier, grid, features, labels, folds, n_folds, parts, by_fit)
     if correct is not None:

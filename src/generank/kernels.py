@@ -7,11 +7,13 @@ bounds, with their SMO update loop (``classifiers._svm_grid_loop``), and
 the perceptron fits of a whole grid of hidden widths, with their
 scaled-conjugate-gradient loop (``classifiers._mlp_grid_loop``). Each of
 the two grids also runs a whole inner search of nested LOOCV in one call
-(``svm_fold_search``, ``mlp_fold_search``): every fold of a fold
-assignment gathered, standardized as ``dataio.floored_scale`` does it and
-fitted, whose oracle and fallback is ``crossval._fold_counts``' Python
-fold loop; a block that loop would reject is left to it, so that it
-raises its own error. The perceptron's search derives each fit's seed
+(``svm_fold_search``, ``mlp_fold_search``), and so does the
+nearest-neighbour voter's grid of k (``knn_fold_search``, a port of
+``classifiers._knn_labels``): every fold of a fold assignment gathered,
+standardized as ``dataio.floored_scale`` does it and fitted or voted on,
+whose oracle and fallback is ``crossval._fold_counts``' Python fold loop;
+a block that loop would reject is left to it, so that it raises its own
+error. The perceptron's search derives each fit's seed
 and draws its starting weights with the library's bit-exact port of
 NumPy's ``SeedSequence`` and ``PCG64``, whose oracle is
 ``crossval._derived_seed`` and ``classifiers._initial_weights``; Python
@@ -246,6 +248,7 @@ def _bind_fold_searches(lib):
         lib, "mlp_fold_search",
         *block, _REAL, _COUNT, _REAL, ctypes.c_char_p, _COUNT, _COUNT, _POINTER,
     )
+    knn_fn = _declare(lib, "knn_fold_search", *block, _POINTER)
 
     def search(fn, features, labels, folds, n_folds, grid, *rest):
         """``fn`` on the sample block ``features`` with ``labels``, the
@@ -293,7 +296,14 @@ def _bind_fold_searches(lib):
             tol, entropy, len(entropy) // 4, bool(by_fit),
         )
 
-    return svm_fold_search, mlp_fold_search
+    def knn_fold_search(features, labels, folds, n_folds, ks):
+        """:func:`svm_fold_search` for the nearest-neighbour voter's
+        neighbour counts ``ks``, each capped at a fold's training row
+        count."""
+        ks = np.asarray(ks, dtype=np.int64)
+        return search(knn_fn, features, labels, folds, n_folds, ks.view(np.float64))
+
+    return svm_fold_search, mlp_fold_search, knn_fold_search
 
 
 def _bind_parse(lib):
@@ -400,7 +410,7 @@ def _load_c_kernel():
 # the library is not loaded.
 COMPILED = (
     "rank_sums", "svm_grid_solve", "mlp_grid_solve", "svm_fold_search", "mlp_fold_search",
-    "parse_matrix_rows", "format_rows",
+    "knn_fold_search", "parse_matrix_rows", "format_rows",
 )
 
 _LIB = _load_library()
@@ -409,7 +419,7 @@ if _LIB is not None:
     rank_sums = _bind_rank_sums(_LIB)
     svm_grid_solve = _bind_svm_grid(_LIB)
     mlp_grid_solve = _bind_mlp_grid(_LIB)
-    svm_fold_search, mlp_fold_search = _bind_fold_searches(_LIB)
+    svm_fold_search, mlp_fold_search, knn_fold_search = _bind_fold_searches(_LIB)
     parse_matrix_rows = _bind_parse(_LIB)
     format_rows = _bind_format(_LIB)
     _IMPL = _c_scores
@@ -417,7 +427,7 @@ if _LIB is not None:
 else:
     _c_scores = None
     rank_sums = svm_grid_solve = mlp_grid_solve = None
-    svm_fold_search = mlp_fold_search = None
+    svm_fold_search = mlp_fold_search = knn_fold_search = None
     parse_matrix_rows = format_rows = None
     _IMPL = _mamdani_py.mamdani_scores
     BACKEND = "numpy"

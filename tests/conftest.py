@@ -2,7 +2,17 @@
 
 import numpy as np
 
+from generank import kernels
 from generank.dataio import Dataset, save_dataset
+
+
+def unbind_fold_searches(monkeypatch):
+    """Unbind the library's fold searches, each ``*_fold_search`` name of
+    ``kernels.COMPILED``, so that the Python fold loop scores the folds
+    of every classifier."""
+    for name in kernels.COMPILED:
+        if name.endswith("_fold_search"):
+            monkeypatch.setattr(kernels, name, None)
 
 
 def planted_dataset(n_genes, n_info, n0, n1, shift, seed):

@@ -8,11 +8,11 @@ import sys
 import numpy as np
 import pytest
 
-from generank import classifiers, cli, crossval, gaopt, kernels
+from generank import classifiers, cli, crossval, gaopt
 from generank.dataio import load_dataset
 from generank.fgf import FgfParams, FuzzyRegion, load_params, save_params
 
-from conftest import planted_dataset, write_tables
+from conftest import planted_dataset, unbind_fold_searches, write_tables
 
 
 @pytest.fixture()
@@ -495,8 +495,7 @@ def test_evaluate_solver_failure_is_fatal(tables, tmp_path, capsys, monkeypatch)
     # solver's budget is one update, which no fit of two classes meets;
     # the Python fold loop runs, so that every grid of fits is counted
     _, matrix_path, labels_path = tables
-    monkeypatch.setattr(kernels, "svm_fold_search", None)
-    monkeypatch.setattr(kernels, "mlp_fold_search", None)
+    unbind_fold_searches(monkeypatch)
     calls = []
     solve = classifiers._SVM_GRID
 

@@ -23,7 +23,7 @@ from generank.fgf import default_params, fgf_rank
 from generank.gaopt import GaConfig
 from generank.rankers import rank_genes
 
-from conftest import planted_dataset
+from conftest import planted_dataset, unbind_fold_searches
 
 
 # ---------------------------------------------------------------------------
@@ -82,8 +82,7 @@ def python_folds(monkeypatch):
     """The Python fold loop for every classifier: tests that observe its
     blocks, seeds and solver calls run with the library's fold searches
     unbound."""
-    monkeypatch.setattr(kernels, "svm_fold_search", None)
-    monkeypatch.setattr(kernels, "mlp_fold_search", None)
+    unbind_fold_searches(monkeypatch)
 
 
 def test_inner_search_returns_grid_member():
@@ -317,8 +316,7 @@ def _on_both_paths(monkeypatch, run):
     fold loop; the searches are bound again afterwards."""
     compiled = run()
     with monkeypatch.context() as python:
-        python.setattr(kernels, "svm_fold_search", None)
-        python.setattr(kernels, "mlp_fold_search", None)
+        unbind_fold_searches(python)
         return compiled, run()
 
 
@@ -326,21 +324,34 @@ def _search_cases(classifier):
     """(features, labels) blocks: one feature with 9 to 150 training rows
     (past the pairwise-sum thresholds 8 and 128 for the SVM), several
     features, a constant column, rounded values with distance ties and
-    signed zeros, and uneven class sizes."""
+    signed zeros, and uneven class sizes. The nearest-neighbour voter's
+    blocks have 1, 7, 8, 9 and 130 features, across the thresholds of its
+    distances' pairwise sums, training folds of 4 and 8 rows, where k = 5,
+    7 and 9 are capped to an even count and split votes fall to the
+    distance sums, and duplicated rows, whose distances tie exactly."""
     rng = np.random.default_rng(640)
-    sizes = [(5, 6), (9, 8), (12, 7)] + ([(70, 75)] if classifier == "svm" else [])
+    if classifier == "knn":
+        sizes, widths = [(3, 3), (5, 5), (9, 8), (12, 7)], (1, 7, 8, 9, 130)
+    else:
+        sizes = [(5, 6), (9, 8), (12, 7)] + ([(70, 75)] if classifier == "svm" else [])
+        widths = (1, 2, 4)
     for n0, n1 in sizes:
-        for d in (1, 2, 4) if n0 < 70 else (1,):
+        labels = np.array([0] * n0 + [1] * n1)
+        for d in widths if n0 < 70 else (1,):
             features = rng.normal(size=(n0 + n1, d)) * 10.0 ** rng.uniform(-2.0, 2.0)
             features[n0:] += rng.uniform(0.0, 1.0)
-            yield features, np.array([0] * n0 + [1] * n1)
+            yield features, labels
             tied = np.round(features * 2.0, 0) / 2.0
             tied[::3] *= -0.0
-            yield tied, np.array([0] * n0 + [1] * n1)
+            yield tied, labels
             if d > 1:
                 constant = features.copy()
                 constant[:, 1] = 3.25
-                yield constant, np.array([0] * n0 + [1] * n1)
+                yield constant, labels
+            if classifier == "knn":
+                duplicated = features.copy()
+                duplicated[1::3] = features[::3][: len(duplicated[1::3])]
+                yield duplicated, labels
 
 
 @needs_fold_search
@@ -383,7 +394,7 @@ def test_fold_blocks_are_scaled_blocks_bit_for_bit():
 
 
 @needs_fold_search
-@pytest.mark.parametrize("classifier", ["svm", "mlp"])
+@pytest.mark.parametrize("classifier", ["knn", "svm", "mlp"])
 def test_fold_search_counts_equal_on_both_paths(monkeypatch, classifier):
     # every candidate's count, then the pick, over each block's folds
     for trial, (features, labels) in enumerate(_search_cases(classifier)):
@@ -403,7 +414,27 @@ def test_fold_search_counts_equal_on_both_paths(monkeypatch, classifier):
 
 
 @needs_fold_search
-@pytest.mark.parametrize("classifier, n0, n1, k_max", [("svm", 6, 7, 3), ("mlp", 5, 5, 2)])
+@pytest.mark.parametrize("n, d, seed", [(12, 9, 60), (12, 9, 93), (19, 9, 104), (19, 16, 29)])
+def test_knn_fold_search_sums_distances_in_numpys_order(monkeypatch, n, d, seed):
+    # features rounded to a few values a column: some distances from a
+    # test row differ in their last bits only, by the order their squares
+    # are added, and these blocks' counts change if the library adds them
+    # left to right rather than in NumPy's pairwise order
+    rng = np.random.default_rng(seed)
+    features = np.round(rng.normal(size=(n, d)) * rng.uniform(0.3, 1.5), 0)
+    labels = np.array([0] * (n // 2) + [1] * (n - n // 2))
+    folds = stratified_folds(labels, min(10, n // 2), seed)
+    arguments = ("knn", list(KNN_GRID), features, labels, folds, min(10, n // 2), (0,), True)
+    compiled, python = _on_both_paths(
+        monkeypatch, lambda: crossval._fold_counts(*arguments).tolist()
+    )
+    assert compiled == python
+
+
+@needs_fold_search
+@pytest.mark.parametrize(
+    "classifier, n0, n1, k_max", [("knn", 6, 5, 3), ("svm", 6, 7, 3), ("mlp", 5, 5, 2)]
+)
 def test_sweep_equal_on_both_paths(monkeypatch, classifier, n0, n1, k_max):
     # the held-out fits go through the library as one-fold searches; k = 1
     # standardizes 9 or more training rows pairwise
@@ -458,7 +489,7 @@ def test_svm_budget_stall_raises_the_same_error_on_both_paths(monkeypatch):
 
 @needs_fold_search
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("classifier", ["svm", "mlp"])
+@pytest.mark.parametrize("classifier", ["knn", "svm", "mlp"])
 @pytest.mark.parametrize("fault", ["label", "nan", "inf", "held_out_nan", "one_class"])
 def test_rejected_blocks_raise_the_same_error_on_both_paths(monkeypatch, classifier, fault):
     # an inner search, or a one-fold search that predicts sample 0 alone:
@@ -489,6 +520,28 @@ def test_rejected_blocks_raise_the_same_error_on_both_paths(monkeypatch, classif
     compiled, python = _on_both_paths(monkeypatch, lambda: _raised(search))
     assert compiled == python
     assert compiled[0] is ValueError
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("classifier", CLASSIFIERS)
+@pytest.mark.parametrize("scale", [1e200, 1e307])
+def test_overflowing_scale_raises_on_both_paths(monkeypatch, classifier, scale):
+    # the variance of values near 1e154 or more overflows: standardized by
+    # it, every value would be 0 and every candidate would score chance
+    rng = np.random.default_rng(648)
+    features = rng.normal(size=(12, 2)) * scale
+    labels = np.array([0] * 6 + [1] * 6)
+    if classifier != "nbc" and kernels.svm_fold_search is not None:
+        folds = stratified_folds(labels, 6, 1)
+        grid = _hyper_grid(classifier, 2)
+        arguments = (classifier, grid, features, labels, folds, 6, (1,), True)
+        assert crossval._compiled_counts(*arguments) is None
+    compiled, python = _on_both_paths(
+        monkeypatch, lambda: _raised(lambda: inner_search(features, labels, classifier, seed=1))
+    )
+    assert compiled == python == (
+        ValueError, "features too large to standardize: a standard deviation overflows"
+    )
 
 
 @pytest.mark.parametrize("classifier", CLASSIFIERS)
