@@ -3,10 +3,10 @@
 Nested LOOCV picks the nearest-neighbour voter's k, the SVM's box bound
 and the perceptron's hidden width by ``crossval.inner_search``, a
 stratified cross-validation. When the C library is loaded, each fold
-assignment is scored in one library call (``kernels.knn_fold_search``,
-``kernels.svm_fold_search``, ``kernels.mlp_fold_search``): every fold
-gathered, standardized and voted on or fitted in C. Otherwise the Python
-fold loop does it (``crossval._scaled``, then the grid through
+assignment is scored in one library call (``kernels.fold_search``, with
+one scorer per classifier): every fold gathered, standardized and voted
+on or fitted in C. Otherwise the Python fold loop does it
+(``crossval._scaled``, then the grid through
 ``classifiers.knn_grid_labels``, ``svm_grid_labels`` or
 ``mlp_grid_labels``). This script
 draws seeded blocks of samples x features with 0/1 labels, among them one
@@ -35,8 +35,6 @@ import numpy as np
 from generank import crossval, kernels
 
 CLASSIFIERS = ("knn", "svm", "mlp")
-# the library's fold searches, one per compiled classifier
-FOLD_SEARCHES = [name for name in kernels.COMPILED if name.endswith("_fold_search")]
 # (training samples, features) of the blocks compared
 SHAPES = ((9, 1), (9, 2), (16, 1), (19, 3), (39, 5), (60, 2), (150, 1))
 # (training samples, features) of the blocks timed: the inner searches of
@@ -45,15 +43,12 @@ TIMED = ((9, 1), (9, 2), (39, 5))
 
 
 def python_path(run):
-    """``run()`` with the library's fold searches unbound."""
-    bound = {name: getattr(kernels, name) for name in FOLD_SEARCHES}
-    for name in bound:
-        setattr(kernels, name, None)
+    """``run()`` with the library's fold search unbound."""
+    bound, kernels.fold_search = kernels.fold_search, None
     try:
         return run()
     finally:
-        for name, search in bound.items():
-            setattr(kernels, name, search)
+        kernels.fold_search = bound
 
 
 def block(rng, n, d):
@@ -121,7 +116,7 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, default=28)
     args = parser.parse_args(argv)
 
-    if kernels.svm_fold_search is None:
+    if kernels.fold_search is None:
         print("the C library is not loaded: only the Python fold loop runs, nothing to compare")
     else:
         rng = np.random.default_rng(args.seed)
@@ -155,7 +150,7 @@ def main(argv=None):
             python = median_time(lambda: python_path(search), args.repeats)
             compiled = (
                 f"{median_time(search, args.repeats) * 1e3:>15.3f}"
-                if kernels.svm_fold_search is not None else f"{'-':>15}"
+                if kernels.fold_search is not None else f"{'-':>15}"
             )
             print(f"{classifier:>12}{f'{n}x{d}':>8}{python * 1e3:>14.3f}{compiled}")
 

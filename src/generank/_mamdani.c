@@ -1,5 +1,5 @@
 /* Three compiled solvers that mirror Python code expression for
- * expression, the inner searches of nested LOOCV built on two of them and
+ * expression, the inner search of nested LOOCV built on two of them and
  * on the nearest-neighbour vote, a pass over the tie runs of sorted rows,
  * a reader and a writer of the expression matrix's text, and NumPy's
  * seeding and uniform draws for the perceptron's inner search:
@@ -56,16 +56,17 @@
  * (gene ids), and the caller's buffer is checked against the most the
  * rows can take before a byte is written.
  *
- * svm_fold_search, mlp_fold_search and knn_fold_search, the inner search
- * of nested LOOCV for the SVM, the perceptron and the nearest-neighbour
- * voter: every fold of a fold assignment gathered, standardized in
- * NumPy's summation order and fitted by svm_grid_solve or mlp_grid_solve,
- * or voted on as generank.classifiers._knn_labels votes, in one call, a
- * port of the Python fold loop of generank.crossval._fold_counts. A fold
- * that loop would reject is left to it.
+ * fold_search, the inner search of nested LOOCV for the
+ * nearest-neighbour voter, the SVM and the perceptron: every fold of a
+ * fold assignment gathered, standardized in NumPy's summation order and
+ * handed to the classifier's scorer, which votes as
+ * generank.classifiers._knn_labels votes or fits by svm_grid_solve or
+ * mlp_grid_solve, in one call, a port of the Python fold loop of
+ * generank.crossval._fold_counts. A fold or candidate that loop would
+ * reject is left to it.
  *
  * derived_seed and initial_weights, ports of NumPy's SeedSequence and
- * PCG64 that mlp_fold_search calls for each fit: the seed
+ * PCG64 that fold_search calls for each perceptron fit: the seed
  * generank.crossval._derived_seed derives from the fit's coordinates and
  * the starting weights generank.classifiers._initial_weights draws from
  * it, with numpy.random's bits. Python draws its own seeds and weights
@@ -1643,12 +1644,12 @@ int64_t format_rows(const double *values, int64_t rows, int64_t cols,
 }
 
 /* NumPy's SeedSequence (pool size 4) and PCG64, bit for bit, so that
- * mlp_fold_search derives each fit's seed and draws its starting weights
- * as numpy.random does. Entropy comes in as little-endian uint32 words
- * packed in bytes, the words NumPy's _int_to_uint32_array makes of each
- * int; a fit's weights come from its one-word seed. The
- * constants and the order of every step are those of NumPy's
- * bit_generator.pyx and pcg64.h. */
+ * fold_search derives each perceptron fit's seed and draws its starting
+ * weights as numpy.random does. Entropy comes in as little-endian uint32
+ * words packed in bytes, the words NumPy's _int_to_uint32_array makes of
+ * each int; a fit's weights come from its one-word seed. The constants
+ * and the order of every step are those of NumPy's bit_generator.pyx and
+ * pcg64.h. */
 
 static const uint32_t INIT_A = 0x43b0d7e5u, MULT_A = 0x931e8875u;
 static const uint32_t INIT_B = 0x8b51f9ddu, MULT_B = 0x58f38dedu;
@@ -1803,22 +1804,20 @@ int64_t initial_weights(int64_t d, int64_t h, uint32_t seed, double *w)
     return 0;
 }
 
-/* svm_fold_search, mlp_fold_search and knn_fold_search, the inner search
- * of nested LOOCV for the SVM, the perceptron and the nearest-neighbour
- * voter in one call per fold assignment: for each fold, what the Python
- * loop of generank.crossval._fold_counts does with _scaled and
- * svm_grid_labels, mlp_grid_labels or knn_grid_labels, the fits by
- * svm_grid_solve and mlp_grid_solve. A fold's rows are gathered and
- * standardized by fold_blocks; every candidate is fitted on the training
- * rows, or votes with them, and labels the test rows, and its hits are
- * counted.
+/* fold_search, the inner search of nested LOOCV in one call per fold
+ * assignment: for each fold, what the Python loop of
+ * generank.crossval._fold_counts does with _scaled and _grid_labels.
+ * fold_blocks gathers and standardizes the fold's rows, the classifier's
+ * scorer from SCORERS labels its test rows with every candidate, and
+ * fold_search counts the hits.
  *
- * The Python loop validates its blocks and raises on anything wrong;
- * these calls only detect such a fold and return 1 without a count, and
- * the Python loop, run again, raises its own error. That covers a label
- * other than 0 or 1, a training block with no row of a class, a
- * variance or a standardized value that is not finite and, for the SVM, a
- * fit that stalled or overflowed. */
+ * The Python loop validates its blocks and candidates and raises on
+ * anything wrong; fold_search only detects such a block or candidate and
+ * returns 1 without a count, and the Python loop, run again, raises its
+ * own error. That covers a label other than 0 or 1, a training block
+ * with no row of a class, a variance or a standardized value that is not
+ * finite, a candidate or setting that a scorer's work function rejects
+ * and, for the SVM, a fit that stalled or overflowed. */
 
 /* generank.dataio.VARIANCE_FLOOR, to which a zero variance is raised. */
 #define VARIANCE_FLOOR 1e-8
@@ -1942,226 +1941,233 @@ static int binary_labels(const int64_t *labels, int64_t n)
     return 1;
 }
 
-/* The SVM's inner search over the folds 0 .. n_folds - 1 of folds: for
- * each, fold_blocks, then svm_grid_solve of every box bound cs[r] on the
- * training rows (class 1 as +1, class 0 as -1), and correct[r] counts
- * the test rows whose label is decision > 0. Returns 0, 1 when the
- * Python loop must decide (see above), or -1 if the work arrays could
- * not be allocated. */
-int64_t svm_fold_search(const double *X, int64_t n, int64_t d, const int64_t *labels,
-                        const int64_t *folds, int64_t n_folds, const double *cs,
-                        int64_t n_c, int64_t max_iter, double tol, double sv_tol,
-                        int64_t *correct)
-{
-    double *T, *E, *y, *sq, *alpha, *weights, *bias, *gaps, *decisions;
-    int64_t *t_labels, *e_labels, *updates, f, r, i, n_t, n_e;
-    int64_t status = 0;
+/* A fold_search call's candidates, solver settings and perceptron seed
+ * entropy (n_words uint32 words), and fold f: its n_t standardized
+ * training rows T with their labels and its n_e test rows E, of d
+ * features each. */
+typedef struct {
+    const double *grid, *T, *E;
+    const int64_t *t_labels;
+    const unsigned char *entropy;
+    int64_t n, d, n_c, svm_max_iter, mlp_max_iter, n_words, by_fit, f, n_t, n_e;
+    double svm_tol, sv_tol, ridge, mlp_tol;
+} search;
 
-    if (!binary_labels(labels, n))
-        return 1;
-    T = malloc(sizeof(double) * (size_t)(2 * n * d + 2 * n + n_c * (2 * n + d + 2)));
-    t_labels = malloc(sizeof(int64_t) * (size_t)(2 * n + n_c));
-    if (T == NULL || t_labels == NULL) {
-        free(T);
-        free(t_labels);
-        return -1;
+/* A classifier's part of fold_search: work gives the 8-byte values its
+ * label function needs, or -1 for a candidate or setting the Python loop
+ * rejects; label writes test row i's label by candidate r to
+ * predicted[r * n_e + i] and returns 0, 1 to defer, or -1 if out of memory. */
+typedef struct {
+    int64_t (*work)(const search *s);
+    int64_t (*label)(const search *s, double *work, int64_t *predicted);
+} scorer;
+
+/* The vote takes a finite k >= 1, so that int(k) >= 1; its work is the
+ * distances, one row's squared differences and the nearest rows. */
+static int64_t knn_work(const search *s)
+{
+    int64_t r;
+
+    for (r = 0; r < s->n_c; r++)
+        if (!(s->grid[r] >= 1.0 && isfinite(s->grid[r])))
+            return -1;
+    return 2 * s->n + s->d;
+}
+
+/* Each test row labelled as generank.classifiers._knn_labels labels it
+ * for each k, as min(int(k), n_t). A training row's distance is sqrt of
+ * its squared differences from the test row, summed in NumPy's order
+ * (pairwise_sum); the nearest max(k) rows are kept in stable order, a tie
+ * going to the smaller training index, as the first max(k) of a stable
+ * argsort. A k's vote goes to the class with more of its k nearest rows
+ * and a split vote to the class whose distances, added left to right in
+ * neighbour order, sum smaller, class 0 on equal sums. Every step is one
+ * IEEE operation on each side, so the labels are the Python loop's. */
+static int64_t knn_label(const search *s, double *work, int64_t *predicted)
+{
+    const double *T = s->T, *q;
+    int64_t d = s->d, n_t = s->n_t, i, j, a, r, k, k_max = 0, kept, votes[2];
+    double *dist = work, *diff = dist + s->n, sums[2];
+    int64_t *near = (int64_t *)(diff + d);
+
+    for (r = 0; r < s->n_c; r++) {
+        k = s->grid[r] < n_t ? (int64_t)s->grid[r] : n_t;
+        k_max = k < k_max ? k_max : k;
     }
-    E = T + n * d;
-    y = E + n * d;
-    sq = y + n;
-    alpha = sq + n;
-    decisions = alpha + n_c * n;
-    weights = decisions + n_c * n;
-    bias = weights + n_c * d;
-    gaps = bias + n_c;
+    for (i = 0; i < s->n_e; i++) {
+        q = s->E + i * d;
+        for (j = 0, kept = 0; j < n_t; j++) {
+            for (a = 0; a < d; a++) {
+                diff[a] = T[j * d + a] - q[a];
+                diff[a] = diff[a] * diff[a];
+            }
+            dist[j] = sqrt(pairwise_sum(diff, d, 1));
+            /* j goes after every kept row at most as far; once k_max
+             * rows are kept, the farthest drops out */
+            a = kept < k_max ? kept++ : k_max;
+            for (; a > 0 && dist[near[a - 1]] > dist[j]; a--)
+                if (a < k_max)
+                    near[a] = near[a - 1];
+            if (a < k_max)
+                near[a] = j;
+        }
+        for (r = 0; r < s->n_c; r++) {
+            k = s->grid[r] < n_t ? (int64_t)s->grid[r] : n_t;
+            votes[0] = votes[1] = 0;
+            sums[0] = sums[1] = 0.0;
+            for (a = 0; a < k; a++) {
+                votes[s->t_labels[near[a]]]++;
+                sums[s->t_labels[near[a]]] += dist[near[a]];
+            }
+            predicted[r * s->n_e + i] =
+                votes[1] != votes[0] ? votes[1] > votes[0] : sums[1] < sums[0];
+        }
+    }
+    return 0;
+}
+
+/* The SVM takes a positive box bound, as classifiers._checked_positive
+ * does; its work is the targets and svm_grid_solve's outputs. */
+static int64_t svm_work(const search *s)
+{
+    int64_t r;
+
+    for (r = 0; r < s->n_c; r++)
+        if (!(s->grid[r] > 0.0))
+            return -1;
+    return s->n + s->n_c * (2 * s->n + s->d + 3);
+}
+
+/* svm_grid_solve of every box bound, class 1 as +1; a label is
+ * decision > 0. A fit that stalled or overflowed defers, for the Python
+ * loop's ConvergenceError. */
+static int64_t svm_label(const search *s, double *work, int64_t *predicted)
+{
+    double *y = work, *alpha = y + s->n, *decisions = alpha + s->n_c * s->n;
+    double *weights = decisions + s->n_c * s->n, *bias = weights + s->n_c * s->d;
+    double *gaps = bias + s->n_c;
+    int64_t *updates = (int64_t *)(gaps + s->n_c), i;
+
+    for (i = 0; i < s->n_t; i++)
+        y[i] = s->t_labels[i] == 1 ? 1.0 : -1.0;
+    if (svm_grid_solve(s->T, y, s->n_t, s->d, s->grid, s->n_c, s->E, s->n_e,
+                       s->svm_max_iter, s->svm_tol, s->sv_tol, alpha, weights, bias, gaps,
+                       updates, decisions) < 0)
+        return -1;
+    for (i = 0; i < s->n_c; i++)
+        if (updates[i] < 0)
+            return 1;
+    for (i = 0; i < s->n_c * s->n_e; i++)
+        predicted[i] = decisions[i] > 0.0;
+    return 0;
+}
+
+/* The perceptron takes a whole width h >= 1, as
+ * classifiers._checked_mlp_arguments does, below 2^31 so that sizes fit,
+ * and a ridge and mlp_max_iter >= 0; its work is mlp_label's arrays. */
+static int64_t mlp_work(const search *s)
+{
+    int64_t r, size = 0;
+
+    if (!(s->ridge >= 0.0 && s->mlp_max_iter >= 0))
+        return -1;
+    for (r = 0; r < s->n_c; r++) {
+        if (!(s->grid[r] >= 1.0 && s->grid[r] < 2147483648.0
+              && s->grid[r] == floor(s->grid[r])))
+            return -1;
+        size += (s->d + 2) * (int64_t)s->grid[r] + 1;
+    }
+    return s->n + s->n_c * (s->mlp_max_iter + 4 + s->n) + s->n_words / 2 + 2 + size;
+}
+
+/* mlp_grid_solve of every hidden width, targets 0 and 1; a label is
+ * probability > 0.5.
+ * Fit p starts from initial_weights' draw for the seed derived_seed gives
+ * the entropy words, then, when by_fit is set, the words of f and p:
+ * crossval._derived_seed(*parts, f, p), or _derived_seed(*parts). */
+static int64_t mlp_label(const search *s, double *work, int64_t *predicted)
+{
+    int64_t max_iter = s->mlp_max_iter, n_c = s->n_c, i, p, size = 0;
+    double *t = work, *traces = t + s->n, *probabilities = traces + n_c * (max_iter + 1);
+    double *w = probabilities + n_c * s->n + 3 * n_c + s->n_words / 2 + 2;
+    int64_t *hs = (int64_t *)(probabilities + n_c * s->n), *lens = hs + n_c, *steps = lens + n_c;
+    unsigned char *words = (unsigned char *)(steps + n_c);
+
+    for (i = 0; i < s->n_t; i++)
+        t[i] = (double)s->t_labels[i];
+    memcpy(words, s->entropy, (size_t)(4 * s->n_words));
+    for (p = 0; p < n_c; p++) {
+        if (s->by_fit) {
+            for (i = 0; i < 4; i++) {
+                words[4 * s->n_words + i] = (unsigned char)(s->f >> (8 * i));
+                words[4 * s->n_words + 4 + i] = (unsigned char)(p >> (8 * i));
+            }
+        }
+        hs[p] = (int64_t)s->grid[p];
+        initial_weights(s->d, hs[p],
+                        (uint32_t)derived_seed(words, s->n_words + (s->by_fit ? 2 : 0)),
+                        w + size);
+        size += (s->d + 2) * hs[p] + 1;
+    }
+    if (mlp_grid_solve(s->T, t, s->n_t, s->d, hs, n_c, s->ridge, w, s->E, s->n_e, max_iter,
+                       s->mlp_tol, traces, lens, steps, probabilities) < 0)
+        return -1;
+    for (i = 0; i < n_c * s->n_e; i++)
+        predicted[i] = probabilities[i] > 0.5;
+    return 0;
+}
+
+/* The scorers by classifier code, as generank.kernels.FOLD_SCORERS. */
+static const scorer SCORERS[] = {
+    {knn_work, knn_label}, {svm_work, svm_label}, {mlp_work, mlp_label},
+};
+
+/* The inner search over the folds 0 .. n_folds - 1 of folds of the
+ * samples X (n x d, row-major) with labels, by the scorer
+ * SCORERS[classifier]: correct[r] counts the test rows candidate grid[r]
+ * labels right. svm_grid_solve and mlp_grid_solve take the settings of
+ * the same names. Returns 0, 1 when the Python loop must decide (also
+ * for no candidate), or -1 if out of memory. */
+int64_t fold_search(int64_t classifier, const double *X, int64_t n, int64_t d,
+                    const int64_t *labels, const int64_t *folds, int64_t n_folds,
+                    const double *grid, int64_t n_c, int64_t svm_max_iter, double svm_tol,
+                    double sv_tol, double ridge, int64_t mlp_max_iter, double mlp_tol,
+                    const unsigned char *entropy, int64_t n_words, int64_t by_fit,
+                    int64_t *correct)
+{
+    search s = {.grid = grid, .entropy = entropy, .n = n, .d = d, .n_c = n_c,
+                .svm_max_iter = svm_max_iter, .mlp_max_iter = mlp_max_iter,
+                .n_words = n_words, .by_fit = by_fit, .svm_tol = svm_tol, .sv_tol = sv_tol,
+                .ridge = ridge, .mlp_tol = mlp_tol};
+    double *T, *E, *sq;
+    int64_t *t_labels, *e_labels, *predicted, size, r, i, status = 0;
+
+    if (classifier < 0 || classifier >= (int64_t)(sizeof SCORERS / sizeof *SCORERS) || n_c < 1
+        || !binary_labels(labels, n))
+        return 1;
+    size = SCORERS[classifier].work(&s);
+    if (size < 0)
+        return 1;
+    T = malloc(sizeof(double) * (size_t)(2 * n * d + 3 * n + n_c * n + size));
+    if (T == NULL)
+        return -1;
+    s.T = T;
+    s.E = E = T + n * d;
+    sq = E + n * d;
+    s.t_labels = t_labels = (int64_t *)(sq + n);
     e_labels = t_labels + n;
-    updates = e_labels + n;
+    predicted = e_labels + n;
     for (r = 0; r < n_c; r++)
         correct[r] = 0;
-    for (f = 0; f < n_folds && status == 0; f++) {
-        status = fold_blocks(X, n, d, labels, folds, f, T, t_labels, &n_t, E, e_labels,
-                             &n_e, sq);
-        if (status != 0)
-            break;
-        for (i = 0; i < n_t; i++)
-            y[i] = t_labels[i] == 1 ? 1.0 : -1.0;
-        if (svm_grid_solve(T, y, n_t, d, cs, n_c, E, n_e, max_iter, tol, sv_tol, alpha,
-                           weights, bias, gaps, updates, decisions) < 0)
-            status = -1;
-        for (r = 0; r < n_c && status == 0; r++) {
-            status = updates[r] < 0;
-            for (i = 0; i < n_e; i++)
-                correct[r] += (decisions[r * n_e + i] > 0.0) == e_labels[i];
-        }
+    for (s.f = 0; s.f < n_folds && status == 0; s.f++) {
+        status = fold_blocks(X, n, d, labels, folds, s.f, T, t_labels, &s.n_t, E, e_labels,
+                             &s.n_e, sq);
+        if (status == 0)
+            status = SCORERS[classifier].label(&s, (double *)(predicted + n_c * n), predicted);
+        for (r = 0; r < n_c && status == 0; r++)
+            for (i = 0; i < s.n_e; i++)
+                correct[r] += predicted[r * s.n_e + i] == e_labels[i];
     }
     free(T);
-    free(t_labels);
-    return status;
-}
-
-/* The perceptron's inner search over the folds 0 .. n_folds - 1 of
- * folds: for each, fold_blocks, then mlp_grid_solve of every hidden width
- * hs[p] on the training rows (ridge, max_iter and tol as there), and
- * correct[p] counts the test rows whose label is probability > 0.5. Fit
- * p of fold f starts from initial_weights' draw for the seed derived_seed
- * gives the entropy words, n_words of them, followed, when by_fit is
- * set, by the words of f and of p: generank.crossval._derived_seed(*parts,
- * f, p), or _derived_seed(*parts) for every fit otherwise. Returns 0, 1
- * when the Python loop must decide (see above), or -1 if the work arrays
- * could not be allocated. */
-int64_t mlp_fold_search(const double *X, int64_t n, int64_t d, const int64_t *labels,
-                        const int64_t *folds, int64_t n_folds, const int64_t *hs,
-                        int64_t n_h, double ridge, int64_t max_iter, double tol,
-                        const unsigned char *entropy, int64_t n_words, int64_t by_fit,
-                        int64_t *correct)
-{
-    double *T, *E, *t, *sq, *w, *traces, *probabilities;
-    int64_t *t_labels, *e_labels, *lens, *steps, f, p, i, n_t, n_e, size = 0;
-    int64_t status = 0;
-    unsigned char *words;
-
-    if (!binary_labels(labels, n))
-        return 1;
-    for (p = 0; p < n_h; p++)
-        size += (d + 2) * hs[p] + 1;
-    T = malloc(sizeof(double) * (size_t)(2 * n * d + 2 * n + size
-                                         + n_h * (max_iter + 1 + n)));
-    t_labels = malloc(sizeof(int64_t) * (size_t)(2 * n + 2 * n_h));
-    words = malloc((size_t)(4 * (n_words + 2)));
-    if (T == NULL || t_labels == NULL || words == NULL) {
-        free(T);
-        free(t_labels);
-        free(words);
-        return -1;
-    }
-    E = T + n * d;
-    t = E + n * d;
-    sq = t + n;
-    w = sq + n;
-    traces = w + size;
-    probabilities = traces + n_h * (max_iter + 1);
-    e_labels = t_labels + n;
-    lens = e_labels + n;
-    steps = lens + n_h;
-    memcpy(words, entropy, (size_t)(4 * n_words));
-    for (p = 0; p < n_h; p++)
-        correct[p] = 0;
-    for (f = 0; f < n_folds; f++) {
-        status = fold_blocks(X, n, d, labels, folds, f, T, t_labels, &n_t, E, e_labels,
-                             &n_e, sq);
-        if (status != 0)
-            break;
-        for (i = 0; i < n_t; i++)
-            t[i] = (double)t_labels[i];
-        for (p = 0, size = 0; p < n_h; p++) {
-            if (by_fit) {
-                for (i = 0; i < 4; i++) {
-                    words[4 * n_words + i] = (unsigned char)(f >> (8 * i));
-                    words[4 * n_words + 4 + i] = (unsigned char)(p >> (8 * i));
-                }
-            }
-            initial_weights(d, hs[p],
-                            (uint32_t)derived_seed(words, n_words + (by_fit ? 2 : 0)),
-                            w + size);
-            size += (d + 2) * hs[p] + 1;
-        }
-        if (mlp_grid_solve(T, t, n_t, d, hs, n_h, ridge, w, E, n_e, max_iter, tol,
-                           traces, lens, steps, probabilities) < 0) {
-            status = -1;
-            break;
-        }
-        for (p = 0; p < n_h; p++)
-            for (i = 0; i < n_e; i++)
-                correct[p] += (probabilities[p * n_e + i] > 0.5) == e_labels[i];
-    }
-    free(T);
-    free(t_labels);
-    free(words);
-    return status;
-}
-
-/* The k-nearest-neighbour voter's inner search over the folds 0 ..
- * n_folds - 1 of folds: for each, fold_blocks, then every test row is
- * labelled as generank.classifiers._knn_labels labels it for each k of ks,
- * capped at the training row count, and correct[r] counts the rows whose
- * label is right. A training row's distance is sqrt of its squared
- * differences from the test row, summed in NumPy's order (pairwise_sum);
- * the nearest max(k) rows are kept in stable order, a tie going to the
- * smaller training index, as the first max(k) of a stable argsort. A k's
- * vote goes to the class with more of its k nearest rows and a split
- * vote to the class whose distances, added left to right in neighbour
- * order, sum smaller, class 0 on equal sums. Every step is one IEEE
- * operation on each side, so the counts are the Python loop's. Returns
- * 0, 1 when the Python loop must decide (see above, and a k below 1), or
- * -1 if the work arrays could not be allocated. */
-int64_t knn_fold_search(const double *X, int64_t n, int64_t d, const int64_t *labels,
-                        const int64_t *folds, int64_t n_folds, const int64_t *ks,
-                        int64_t n_k, int64_t *correct)
-{
-    double *T, *E, *sq, *dist, *diff, sums[2];
-    const double *q;
-    int64_t *t_labels, *e_labels, *near, f, r, i, j, a, k, k_max, kept, n_t, n_e, votes[2];
-    int64_t status = 0;
-
-    if (!binary_labels(labels, n))
-        return 1;
-    for (r = 0; r < n_k; r++)
-        if (ks[r] < 1)
-            return 1;
-    T = malloc(sizeof(double) * (size_t)(2 * n * d + 2 * n + d));
-    t_labels = malloc(sizeof(int64_t) * (size_t)(3 * n));
-    if (T == NULL || t_labels == NULL) {
-        free(T);
-        free(t_labels);
-        return -1;
-    }
-    E = T + n * d;
-    sq = E + n * d;
-    dist = sq + n;
-    diff = dist + n;
-    e_labels = t_labels + n;
-    near = e_labels + n;
-    for (r = 0; r < n_k; r++)
-        correct[r] = 0;
-    for (f = 0; f < n_folds; f++) {
-        status = fold_blocks(X, n, d, labels, folds, f, T, t_labels, &n_t, E, e_labels,
-                             &n_e, sq);
-        if (status != 0)
-            break;
-        for (r = 0, k_max = 0; r < n_k; r++)
-            k_max = ks[r] < k_max ? k_max : ks[r];
-        k_max = k_max < n_t ? k_max : n_t;
-        for (i = 0; i < n_e; i++) {
-            q = E + i * d;
-            for (j = 0, kept = 0; j < n_t; j++) {
-                for (a = 0; a < d; a++) {
-                    diff[a] = T[j * d + a] - q[a];
-                    diff[a] = diff[a] * diff[a];
-                }
-                dist[j] = sqrt(pairwise_sum(diff, d, 1));
-                /* j goes after every kept row at most as far; once k_max
-                 * rows are kept, the farthest drops out */
-                a = kept < k_max ? kept++ : k_max;
-                for (; a > 0 && dist[near[a - 1]] > dist[j]; a--)
-                    if (a < k_max)
-                        near[a] = near[a - 1];
-                if (a < k_max)
-                    near[a] = j;
-            }
-            for (r = 0; r < n_k; r++) {
-                k = ks[r] < n_t ? ks[r] : n_t;
-                votes[0] = votes[1] = 0;
-                sums[0] = sums[1] = 0.0;
-                for (a = 0; a < k; a++) {
-                    votes[t_labels[near[a]]]++;
-                    sums[t_labels[near[a]]] += dist[near[a]];
-                }
-                correct[r] += (votes[1] != votes[0] ? votes[1] > votes[0] : sums[1] < sums[0])
-                              == e_labels[i];
-            }
-        }
-    }
-    free(T);
-    free(t_labels);
     return status;
 }

@@ -8,10 +8,10 @@ the held-out sample is predicted. The inner loop is fold-major too, for
 all four classifiers: each inner fold scores every candidate value at
 once. For the nearest-neighbour voter, the SVM and the perceptron the C
 library runs a whole inner search, and each held-out prediction, in one
-call (``kernels.knn_fold_search``, ``svm_fold_search``,
-``mlp_fold_search``), with the Python fold loop's bits. Counting correct
-predictions per k yields accuracy-versus-gene-count curves; a one-way
-ANOVA compares the resulting accuracy groups across ranking methods.
+call (``kernels.fold_search``), with the Python fold loop's bits.
+Counting correct predictions per k yields accuracy-versus-gene-count
+curves; a one-way ANOVA compares the resulting accuracy groups across
+ranking methods.
 """
 
 from __future__ import annotations
@@ -134,13 +134,11 @@ def _scaled(train_x, train_y, queries):
     training block only, so held-out samples never influence it. A value
     that is not finite turns others into NaN without a warning, and
     :class:`TrainSet` or the classifier's query check reports it; finite
-    values whose standard deviation overflows raise a ``ValueError``
-    rather than all standardize to 0.
+    values whose standard deviation overflows raise
+    :func:`floored_scale`'s ``ValueError``.
     """
     with np.errstate(invalid="ignore", over="ignore"):
         mu, sd = floored_scale(train_x, axis=0)
-        if not np.isfinite(sd).all() and np.isfinite(train_x).all():
-            raise ValueError("features too large to standardize: a standard deviation overflows")
         train_x = (train_x - mu) / sd
         queries = (np.asarray(queries, dtype=np.float64) - mu) / sd
     return TrainSet(train_x, train_y), queries
@@ -167,27 +165,23 @@ def _grid_labels(classifier, grid, train, scaled, seed):
 
 
 def _compiled_counts(classifier, grid, features, labels, folds, n_folds, parts, by_fit):
-    """:func:`_fold_counts` from the library's fold search, for the
-    nearest-neighbour voter, the SVM and the perceptron, or None: for the
-    naive Bayes classifier, without the library, for perceptron seed parts
-    that are not all ints, and for a block the Python loop rejects, since
-    that loop raises the error."""
-    if classifier == "knn" and kernels.knn_fold_search is not None:
-        return kernels.knn_fold_search(features, labels, folds, n_folds, grid)
-    if classifier == "svm" and kernels.svm_fold_search is not None:
-        return kernels.svm_fold_search(
-            features, labels, folds, n_folds, grid, classifiers._SVM_MAX_ITER,
-            classifiers._SVM_STOP_TOL, classifiers._SVM_SV_TOL,
-        )
+    """:func:`_fold_counts` from the library's fold search, or None: for a
+    classifier it has no scorer for (the naive Bayes classifier), without
+    the library, for seed parts that are not all non-negative ints, and
+    for a block or candidate the Python loop rejects, since that loop
+    raises the error."""
     if (
-        classifier == "mlp" and kernels.mlp_fold_search is not None
-        and kernels.seed_ints(parts)
+        classifier not in kernels.FOLD_SCORERS or kernels.fold_search is None
+        or not kernels.seed_ints(parts)
     ):
-        return kernels.mlp_fold_search(
-            features, labels, folds, n_folds, grid, classifiers._MLP_RIDGE,
-            classifiers._MLP_MAX_ITER, classifiers._MLP_GRAD_TOL, parts, by_fit,
-        )
-    return None
+        return None
+    settings = (
+        classifiers._SVM_MAX_ITER, classifiers._SVM_STOP_TOL, classifiers._SVM_SV_TOL,
+        classifiers._MLP_RIDGE, classifiers._MLP_MAX_ITER, classifiers._MLP_GRAD_TOL,
+    )
+    return kernels.fold_search(
+        classifier, features, labels, folds, n_folds, grid, settings, parts, by_fit
+    )
 
 
 def _fold_counts(classifier, grid, features, labels, folds, n_folds, parts, by_fit):
@@ -199,8 +193,8 @@ def _fold_counts(classifier, grid, features, labels, folds, n_folds, parts, by_f
     candidate position ``p`` in fold ``f`` is seeded from ``(*parts, f,
     p)`` when ``by_fit`` is set and from ``parts`` otherwise. An SVM fit
     that fails raises the :class:`ConvergenceError` of the first failure
-    in candidate-outer, fold-inner order. The library runs the
-    nearest-neighbour voter, the SVM and the perceptron
+    in candidate-outer, fold-inner order. The library's fold search runs
+    the nearest-neighbour voter, the SVM and the perceptron
     (:func:`_compiled_counts`) with the same bits; this Python loop is its
     oracle, the path for the naive Bayes classifier and for every
     classifier without a compiler, and the one that raises.

@@ -360,19 +360,28 @@ def floored_scale(X: np.ndarray, axis: int):
     being raised to the variance floor.
 
     The block is summed once: these are the steps of NumPy's ``mean`` and
-    ``var(ddof=1)``, which both sum it, so the bits are theirs."""
+    ``var(ddof=1)``, which both sum it, so the bits are theirs. Finite
+    values whose standard deviation overflows raise a ``ValueError``
+    rather than all standardize to 0; a block holding a value that is not
+    finite gets the NaN or infinite scale it comes to, for the caller to
+    report. Neither warns."""
     n = X.shape[axis]
-    means = X.sum(axis=axis, keepdims=True) / n
-    centered = X - means
-    var = (centered * centered).sum(axis=axis, keepdims=True) / (n - 1)
-    var = np.where(var > 0.0, var, var + VARIANCE_FLOOR)
-    return means, np.sqrt(var)
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = X.sum(axis=axis, keepdims=True) / n
+        centered = X - means
+        var = (centered * centered).sum(axis=axis, keepdims=True) / (n - 1)
+        sd = np.sqrt(np.where(var > 0.0, var, var + VARIANCE_FLOOR))
+    if not np.isfinite(sd).all() and np.isfinite(X).all():
+        raise ValueError("features too large to standardize: a standard deviation overflows")
+    return means, sd
 
 
 def standardize_genes(matrix) -> np.ndarray:
     """Scale every row to mean 0 and unit sample standard deviation.
 
-    Rows with zero variance get the variance floor and come out all-zero.
+    Rows with zero variance get the variance floor and come out all-zero;
+    finite rows whose standard deviation overflows raise a ``ValueError``
+    (see :func:`floored_scale`).
     """
     X = np.asarray(matrix, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] < 2:

@@ -164,6 +164,9 @@ def compute_fuzzy_inputs(dataset: Dataset) -> FuzzyInputs:
     labels = dataset.labels
     mask0 = labels == 0
     mask1 = labels == 1
+    # first, so that values too large to standardize raise its error
+    # before another statistic overflows
+    Z = standardize_genes(X)
 
     shift = 1e-6 * float(np.abs(X).mean())
     m0 = X[:, mask0].mean(axis=1)
@@ -172,7 +175,6 @@ def compute_fuzzy_inputs(dataset: Dataset) -> FuzzyInputs:
     den = np.maximum(m1 + shift, _MIN_RATIO_ARG)
     raw_fc = np.abs(np.log2(num / den))
 
-    Z = standardize_genes(X)
     n0 = int(mask0.sum())
     n1 = int(mask1.sum())
     s0 = Z[:, mask0].var(axis=1, ddof=1)

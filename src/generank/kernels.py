@@ -5,15 +5,15 @@ as its oracle and fallback: the batch fuzzy-inference kernel
 (``_mamdani_py.mamdani_scores``), the SVM fits of a whole grid of box
 bounds, with their SMO update loop (``classifiers._svm_grid_loop``), and
 the perceptron fits of a whole grid of hidden widths, with their
-scaled-conjugate-gradient loop (``classifiers._mlp_grid_loop``). Each of
-the two grids also runs a whole inner search of nested LOOCV in one call
-(``svm_fold_search``, ``mlp_fold_search``), and so does the
-nearest-neighbour voter's grid of k (``knn_fold_search``, a port of
-``classifiers._knn_labels``): every fold of a fold assignment gathered,
-standardized as ``dataio.floored_scale`` does it and fitted or voted on,
-whose oracle and fallback is ``crossval._fold_counts``' Python fold loop;
-a block that loop would reject is left to it, so that it raises its own
-error. The perceptron's search derives each fit's seed
+scaled-conjugate-gradient loop (``classifiers._mlp_grid_loop``). One
+call of ``fold_search`` runs a whole inner search of nested LOOCV for the
+nearest-neighbour voter, the SVM or the perceptron (``FOLD_SCORERS``):
+every fold of a fold assignment gathered, standardized as
+``dataio.floored_scale`` does it, then voted on (a port of
+``classifiers._knn_labels``) or fitted by one of the two grids; its
+oracle and fallback is ``crossval._fold_counts``' Python fold loop, and
+a block or candidate that loop would reject is left to it, so that it
+raises its own error. The perceptron's search derives each fit's seed
 and draws its starting weights with the library's bit-exact port of
 NumPy's ``SeedSequence`` and ``PCG64``, whose oracle is
 ``crossval._derived_seed`` and ``classifiers._initial_weights``; Python
@@ -54,7 +54,7 @@ so that no Python pass scans the text, and into a byte array that gets
 the gene ids, each followed by a newline, for one decode and split. The
 row writer takes row prefixes in that form, as bytes, and fills a uint8
 array that it sizes, or that its caller passes back for reuse.
-The fold searches take their sample block, labels, fold assignment and
+The fold search takes its sample block, labels, fold assignment and
 candidates in one such buffer too, the int64 values as their bits. The
 matrix text and the perceptron's seed entropy go in as bytes
 (``c_char_p``); the entropy is each seed part's little-endian uint32
@@ -241,69 +241,46 @@ def _bind_mlp_grid(lib):
     return mlp_grid_solve
 
 
-def _bind_fold_searches(lib):
-    block = (_POINTER, _COUNT, _COUNT, _POINTER, _POINTER, _COUNT, _POINTER, _COUNT)
-    svm_fn = _declare(lib, "svm_fold_search", *block, _COUNT, _REAL, _REAL, _POINTER)
-    mlp_fn = _declare(
-        lib, "mlp_fold_search",
-        *block, _REAL, _COUNT, _REAL, ctypes.c_char_p, _COUNT, _COUNT, _POINTER,
+def _bind_fold_search(lib):
+    fn = _declare(
+        lib, "fold_search",
+        _COUNT, _POINTER, _COUNT, _COUNT, _POINTER, _POINTER, _COUNT, _POINTER, _COUNT,
+        _COUNT, _REAL, _REAL, _REAL, _COUNT, _REAL, ctypes.c_char_p, _COUNT, _COUNT, _POINTER,
     )
-    knn_fn = _declare(lib, "knn_fold_search", *block, _POINTER)
 
-    def search(fn, features, labels, folds, n_folds, grid, *rest):
-        """``fn`` on the sample block ``features`` with ``labels``, the
-        fold assignment ``folds`` and the candidates ``grid`` (float64
-        bits), then the arguments ``rest``: each candidate's count, or
-        None when the Python loop must decide."""
+    def fold_search(classifier, features, labels, folds, n_folds, grid, settings, parts, by_fit):
+        """Each candidate's correct test labels over the folds ``0 ..
+        n_folds - 1`` of ``folds``, as ``crossval._fold_counts``' Python
+        loop counts them for ``classifier``, one of ``FOLD_SCORERS``,
+        computed in C; or None when that loop must decide, since it raises
+        for the block or a candidate (``_mamdani.c`` says when).
+        ``settings`` holds the SVM's update budget, stopping tolerance and
+        support-vector tolerance, then the perceptron's ridge, step budget
+        and gradient tolerance. The perceptron fit of position ``p`` in
+        fold ``f`` is seeded with ``crossval._derived_seed(*parts, f, p)``
+        when ``by_fit`` is set, and with ``_derived_seed(*parts)``
+        otherwise, for non-negative int ``parts``."""
         X = np.asarray(features, dtype=np.float64)
         labels = np.asarray(labels, dtype=np.int64)
         folds = np.asarray(folds, dtype=np.int64)
+        grid = np.asarray(grid, dtype=np.float64)
         if X.ndim != 2 or min(X.shape) < 1 or not labels.shape == folds.shape == X.shape[:1]:
             raise ValueError("features must be 2-D, labels and folds a value per row")
-        (n, d), m = X.shape, len(grid)
+        (n, d), m = X.shape, grid.size
+        entropy = b"".join(map(_seed_words, parts))
         # labels and folds go in as int64 bits
         (X_at, labels_at, folds_at, grid_at, correct_at), views = _pack(
             (X, labels.view(np.float64), folds.view(np.float64), grid), (m,)
         )
-        status = fn(X_at, n, d, labels_at, folds_at, n_folds, grid_at, m, *rest, correct_at)
+        status = fn(
+            FOLD_SCORERS.index(classifier), X_at, n, d, labels_at, folds_at, n_folds, grid_at,
+            m, *settings, entropy, len(entropy) // 4, bool(by_fit), correct_at,
+        )
         if status < 0:
-            raise MemoryError(f"{fn.__name__} could not allocate its work arrays")
+            raise MemoryError("fold_search could not allocate its work arrays")
         return None if status else views[-1].view(np.int64)
 
-    def svm_fold_search(features, labels, folds, n_folds, cs, max_iter, tol, sv_tol):
-        """The correct test labels of each box bound of ``cs`` over the
-        folds ``0 .. n_folds - 1`` of ``folds``, each fold's rows
-        standardized and fitted as ``crossval._fold_counts``' Python loop
-        does, computed in C; or None when that loop must decide, since it
-        raises for the block (``_mamdani.c`` says when)."""
-        cs = np.asarray(cs, dtype=np.float64)
-        return search(svm_fn, features, labels, folds, n_folds, cs, max_iter, tol, sv_tol)
-
-    def mlp_fold_search(
-        features, labels, folds, n_folds, hs, ridge, max_iter, tol, parts, by_fit
-    ):
-        """:func:`svm_fold_search` for the perceptron's hidden widths
-        ``hs``: the fit of position ``p`` in fold ``f`` is seeded with
-        ``crossval._derived_seed(*parts, f, p)`` when ``by_fit`` is set,
-        and with ``_derived_seed(*parts)`` otherwise, for non-negative int
-        ``parts``."""
-        hs = np.asarray(hs, dtype=np.int64)
-        if min(hs, default=0) < 1 or max_iter < 0:
-            raise ValueError("every h must be >= 1 and max_iter >= 0")
-        entropy = b"".join(map(_seed_words, parts))
-        return search(
-            mlp_fn, features, labels, folds, n_folds, hs.view(np.float64), ridge, max_iter,
-            tol, entropy, len(entropy) // 4, bool(by_fit),
-        )
-
-    def knn_fold_search(features, labels, folds, n_folds, ks):
-        """:func:`svm_fold_search` for the nearest-neighbour voter's
-        neighbour counts ``ks``, each capped at a fold's training row
-        count."""
-        ks = np.asarray(ks, dtype=np.int64)
-        return search(knn_fn, features, labels, folds, n_folds, ks.view(np.float64))
-
-    return svm_fold_search, mlp_fold_search, knn_fold_search
+    return fold_search
 
 
 def _bind_parse(lib):
@@ -382,20 +359,18 @@ def _bind_format(lib):
 
 
 def seed_ints(values) -> bool:
-    """Whether every value is an int or a NumPy integer, the seed parts
-    that ``mlp_fold_search`` takes. NumPy's ``SeedSequence``, its oracle,
-    takes every other seed, and raises its own error for one it
+    """Whether every value is a non-negative int or NumPy integer, the
+    seed parts that ``fold_search`` takes. NumPy's ``SeedSequence``, its
+    oracle, takes every other seed, and raises its own error for one it
     rejects."""
-    return all(isinstance(v, (int, np.integer)) for v in values)
+    return all(isinstance(v, (int, np.integer)) and v >= 0 for v in values)
 
 
 def _seed_words(n) -> bytes:
     """The non-negative int ``n`` as little-endian uint32 words, in bytes:
     the words NumPy's ``_int_to_uint32_array`` makes of a seed (one word
-    for 0), with its error for a negative one."""
+    for 0)."""
     n = int(n)
-    if n < 0:
-        raise ValueError("expected non-negative integer")
     return n.to_bytes(4 * max(1, -(-n.bit_length() // 32)), "little")
 
 
@@ -409,9 +384,12 @@ def _load_c_kernel():
 # The bindings of the library besides the fuzzy kernel, each None when
 # the library is not loaded.
 COMPILED = (
-    "rank_sums", "svm_grid_solve", "mlp_grid_solve", "svm_fold_search", "mlp_fold_search",
-    "knn_fold_search", "parse_matrix_rows", "format_rows",
+    "rank_sums", "svm_grid_solve", "mlp_grid_solve", "fold_search", "parse_matrix_rows",
+    "format_rows",
 )
+# The classifiers that fold_search scores, each at the position of its
+# code in the library's table of scorers.
+FOLD_SCORERS = ("knn", "svm", "mlp")
 
 _LIB = _load_library()
 if _LIB is not None:
@@ -419,15 +397,14 @@ if _LIB is not None:
     rank_sums = _bind_rank_sums(_LIB)
     svm_grid_solve = _bind_svm_grid(_LIB)
     mlp_grid_solve = _bind_mlp_grid(_LIB)
-    svm_fold_search, mlp_fold_search, knn_fold_search = _bind_fold_searches(_LIB)
+    fold_search = _bind_fold_search(_LIB)
     parse_matrix_rows = _bind_parse(_LIB)
     format_rows = _bind_format(_LIB)
     _IMPL = _c_scores
     BACKEND = "c"
 else:
     _c_scores = None
-    rank_sums = svm_grid_solve = mlp_grid_solve = None
-    svm_fold_search = mlp_fold_search = knn_fold_search = None
+    rank_sums = svm_grid_solve = mlp_grid_solve = fold_search = None
     parse_matrix_rows = format_rows = None
     _IMPL = _mamdani_py.mamdani_scores
     BACKEND = "numpy"

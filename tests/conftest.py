@@ -6,13 +6,10 @@ from generank import kernels
 from generank.dataio import Dataset, save_dataset
 
 
-def unbind_fold_searches(monkeypatch):
-    """Unbind the library's fold searches, each ``*_fold_search`` name of
-    ``kernels.COMPILED``, so that the Python fold loop scores the folds
-    of every classifier."""
-    for name in kernels.COMPILED:
-        if name.endswith("_fold_search"):
-            monkeypatch.setattr(kernels, name, None)
+def unbind_fold_search(monkeypatch):
+    """Unbind the library's fold search, ``kernels.fold_search``, so that
+    the Python fold loop scores the folds of every classifier."""
+    monkeypatch.setattr(kernels, "fold_search", None)
 
 
 def planted_dataset(n_genes, n_info, n0, n1, shift, seed):

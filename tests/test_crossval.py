@@ -23,7 +23,7 @@ from generank.fgf import default_params, fgf_rank
 from generank.gaopt import GaConfig
 from generank.rankers import rank_genes
 
-from conftest import planted_dataset, unbind_fold_searches
+from conftest import planted_dataset, unbind_fold_search
 
 
 # ---------------------------------------------------------------------------
@@ -80,9 +80,9 @@ def test_hyper_grids():
 @pytest.fixture
 def python_folds(monkeypatch):
     """The Python fold loop for every classifier: tests that observe its
-    blocks, seeds and solver calls run with the library's fold searches
+    blocks, seeds and solver calls run with the library's fold search
     unbound."""
-    unbind_fold_searches(monkeypatch)
+    unbind_fold_search(monkeypatch)
 
 
 def test_inner_search_returns_grid_member():
@@ -303,20 +303,20 @@ def test_inner_search_raises_the_first_svm_failure_in_candidate_order(monkeypatc
 
 
 # ---------------------------------------------------------------------------
-# the library's fold searches against the Python fold loop
+# the library's fold search against the Python fold loop
 
 
 needs_fold_search = pytest.mark.skipif(
-    kernels.svm_fold_search is None, reason="the C library is not loaded"
+    kernels.fold_search is None, reason="the C library is not loaded"
 )
 
 
 def _on_both_paths(monkeypatch, run):
-    """``run()`` with the library's fold searches, then with the Python
-    fold loop; the searches are bound again afterwards."""
+    """``run()`` with the library's fold search, then with the Python fold
+    loop; the search is bound again afterwards."""
     compiled = run()
     with monkeypatch.context() as python:
-        unbind_fold_searches(python)
+        unbind_fold_search(python)
         return compiled, run()
 
 
@@ -415,7 +415,7 @@ def test_fold_search_counts_equal_on_both_paths(monkeypatch, classifier):
 
 @needs_fold_search
 @pytest.mark.parametrize("n, d, seed", [(12, 9, 60), (12, 9, 93), (19, 9, 104), (19, 16, 29)])
-def test_knn_fold_search_sums_distances_in_numpys_order(monkeypatch, n, d, seed):
+def test_fold_search_sums_knn_distances_in_numpys_order(monkeypatch, n, d, seed):
     # features rounded to a few values a column: some distances from a
     # test row differ in their last bits only, by the order their squares
     # are added, and these blocks' counts change if the library adds them
@@ -490,11 +490,14 @@ def test_svm_budget_stall_raises_the_same_error_on_both_paths(monkeypatch):
 @needs_fold_search
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("classifier", ["knn", "svm", "mlp"])
-@pytest.mark.parametrize("fault", ["label", "nan", "inf", "held_out_nan", "one_class"])
+@pytest.mark.parametrize(
+    "fault", ["label", "nan", "inf", "held_out_nan", "one_class", "candidate"]
+)
 def test_rejected_blocks_raise_the_same_error_on_both_paths(monkeypatch, classifier, fault):
-    # an inner search, or a one-fold search that predicts sample 0 alone:
-    # the library leaves each faulty block to the Python loop, which
-    # raises its own error
+    # an inner search, a one-fold search that predicts sample 0 alone, or
+    # an inner search over a grid holding a candidate the classifier's
+    # Python check rejects: the library leaves each to the Python loop,
+    # which raises its own error
     rng = np.random.default_rng(643)
     features = rng.normal(size=(12, 2))
     labels = np.array([0] * 6 + [1] * 6)
@@ -505,21 +508,33 @@ def test_rejected_blocks_raise_the_same_error_on_both_paths(monkeypatch, classif
         features[0, 1] = np.nan
     elif fault == "one_class":
         labels = np.array([1] + [0] * 11)
-    else:
+    elif fault in ("nan", "inf"):
         features[3, 0] = np.nan if fault == "nan" else np.inf
-    grid = _hyper_grid(classifier, 2)
+    grids = [_hyper_grid(classifier, 2)]
+    if fault == "candidate":
+        grids = {"knn": [[0]], "svm": [[0.0], [np.nan]], "mlp": [[0]]}[classifier]
     alone = (np.arange(12) != 0).astype(np.int64)
+    folds = stratified_folds(labels, 6, 1)
 
-    def search():
-        if fault in ("held_out_nan", "one_class"):
-            return crossval._fold_counts(
-                classifier, grid, features, labels, alone, 1, (1, 0, 2, 1), False
-            )
-        return inner_search(features, labels, classifier, seed=1)
+    for grid in grids:
 
-    compiled, python = _on_both_paths(monkeypatch, lambda: _raised(search))
-    assert compiled == python
-    assert compiled[0] is ValueError
+        def search():
+            if fault == "candidate":
+                return crossval._fold_counts(
+                    classifier, grid, features, labels, folds, 6, (1,), True
+                )
+            if fault in ("held_out_nan", "one_class"):
+                return crossval._fold_counts(
+                    classifier, grid, features, labels, alone, 1, (1, 0, 2, 1), False
+                )
+            return inner_search(features, labels, classifier, seed=1)
+
+        if fault == "candidate":
+            arguments = (classifier, grid, features, labels, folds, 6, (1,), True)
+            assert crossval._compiled_counts(*arguments) is None, grid
+        compiled, python = _on_both_paths(monkeypatch, lambda: _raised(search))
+        assert compiled == python, grid
+        assert compiled[0] is ValueError
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -531,7 +546,7 @@ def test_overflowing_scale_raises_on_both_paths(monkeypatch, classifier, scale):
     rng = np.random.default_rng(648)
     features = rng.normal(size=(12, 2)) * scale
     labels = np.array([0] * 6 + [1] * 6)
-    if classifier != "nbc" and kernels.svm_fold_search is not None:
+    if classifier != "nbc" and kernels.fold_search is not None:
         folds = stratified_folds(labels, 6, 1)
         grid = _hyper_grid(classifier, 2)
         arguments = (classifier, grid, features, labels, folds, 6, (1,), True)
@@ -584,7 +599,7 @@ def test_inner_search_rejects_bad_samples_on_both_paths(monkeypatch, classifier,
 
 @needs_fold_search
 @pytest.mark.parametrize("seed", [2**32 - 1, 2**32, 2**64 + 5])
-def test_mlp_fold_search_takes_seeds_of_several_words(monkeypatch, seed):
+def test_fold_search_takes_mlp_seeds_of_several_words(monkeypatch, seed):
     # the library hashes the seed's words with each fit's fold and position
     rng = np.random.default_rng(646)
     features = rng.normal(size=(12, 3))

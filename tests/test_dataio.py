@@ -1119,3 +1119,20 @@ def test_standardize_genes_constant_row_becomes_zero():
     out = standardize_genes(matrix)
     np.testing.assert_array_equal(out[0], np.zeros(6))
     assert out[1].std(ddof=1) == pytest.approx(1.0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scale", [1e200, 1e307])
+def test_standardize_genes_raises_when_a_standard_deviation_overflows(scale):
+    # the variance of values near 1e154 or more overflows: standardized by
+    # it, the row would be all zeros; the nested LOOCV's blocks raise the
+    # same error (crossval._scaled)
+    matrix = np.random.default_rng(1102).normal(size=(2, 12))
+    matrix[1] *= scale
+    with pytest.raises(ValueError, match="a standard deviation overflows"):
+        standardize_genes(matrix)
+    with pytest.raises(ValueError, match="a standard deviation overflows"):
+        dataio.floored_scale(matrix.T, 0)
+    # a row that is not finite is left to the caller to report
+    matrix[1, 3] = np.inf
+    assert not np.isfinite(dataio.floored_scale(matrix, 1)[1][1]).all()

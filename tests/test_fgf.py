@@ -290,6 +290,21 @@ def test_fgf_rank_duplicate_genes_stay_in_index_order():
     assert posA < posB
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scale", [1e200, 1e307])
+def test_fgf_rank_raises_when_a_standard_deviation_overflows(scale):
+    # scaled by 1e200, every gene's variance overflows: standardized by it,
+    # each would be all zeros and the ranking would follow the other two
+    # inputs alone; standardize_genes raises before another statistic
+    # overflows, with no warning
+    dataset = planted_dataset(50, 5, 6, 6, 2.0, seed=311)
+    scaled = Dataset(
+        dataset.matrix * scale, dataset.gene_ids, dataset.labels, dataset.class_names
+    )
+    with pytest.raises(ValueError, match="a standard deviation overflows"):
+        fgf_rank(scaled)
+
+
 def test_fgf_rank_constant_matrix_degrades_gracefully():
     # all fuzzy inputs collapse to zero: every gene gets the same score
     # and the t-test tie-break (all ties too) leaves index order

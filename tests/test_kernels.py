@@ -406,5 +406,6 @@ def test_initial_weights_port_matches_numpy_default_rng():
 def test_seed_ints_takes_ints_only():
     assert kernels.seed_ints([0, 2**70, True, np.int64(3), np.uint32(4)])
     assert kernels.seed_ints([])
-    for other in (1.5, np.float64(2.0), "3", None, [1], np.array(5)):
+    # a negative seed is left to NumPy, which raises its own error
+    for other in (1.5, np.float64(2.0), "3", None, [1], np.array(5), -1, np.int64(-2)):
         assert not kernels.seed_ints([1, other])
