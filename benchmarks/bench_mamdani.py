@@ -1,8 +1,8 @@
-"""Benchmark the batch fuzzy-inference kernel across backends.
+"""Benchmark the batch fuzzy-inference kernel, NumPy against C.
 
-Runs every importable backend on identical batches of two kinds, checks
-that the scores agree bit for bit, and reports per-call wall time plus
-throughput. A ``random`` batch draws every input from U(0, 1), so nearly
+Runs the NumPy kernel and, when the library is loaded, the C kernel on
+identical batches of two kinds, checks that the scores agree bit for
+bit, and reports per-call wall time plus throughput. A ``random`` batch draws every input from U(0, 1), so nearly
 every gene has its own class heights. A ``plateau`` batch puts most
 inputs on a few levels, below 0, above 1 and on either side of the
 anchors, so that many genes share their class heights and the C
@@ -17,7 +17,7 @@ import time
 
 import numpy as np
 
-from generank.kernels import BACKEND, available_backends
+from generank import _mamdani_py, kernels
 
 
 PARAMS = np.array([0.2, 0.8, 0.25, 0.75, 0.15, 0.85])
@@ -68,9 +68,11 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, default=42)
     args = parser.parse_args(argv)
 
-    impls = available_backends()
+    impls = {"numpy": _mamdani_py.mamdani_scores}
+    if kernels.mamdani_kernel is not None:
+        impls["c"] = kernels.mamdani_kernel
     rng = np.random.default_rng(args.seed)
-    print(f"active backend: {BACKEND}; available: {', '.join(impls)}")
+    print(f"active backend: {kernels.BACKEND}; available: {', '.join(impls)}")
     compiled = [name for name in impls if name != "numpy"]
     header = f"{'size':>8} {'batch':>8}  " + "".join(f"{name + ' (ms)':>16}" for name in impls)
     header += "".join(f"{name + ' speedup':>14}" for name in compiled)

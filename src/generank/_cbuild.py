@@ -1,12 +1,6 @@
-"""Build rule for the plain-C library in ``_mamdani.c``: the fuzzy
-kernel, the pass over sorted rows that gives the rank-sum statistics, the
-SVM's grid of fits with its SMO loop, the perceptron's grid of fits with
-its SCG training loop, the inner search of nested LOOCV for the
-nearest-neighbour voter and for each of the two in one function
-(``fold_search``, the perceptron's fits seeded by a port of NumPy's
-``SeedSequence`` and ``PCG64``), and the expression-matrix reader and
-writer. The port's 128-bit arithmetic is
-done in 64-bit halves, so the source needs no compiler extension.
+"""Build rule for the plain-C library in ``_mamdani.c``, whose header
+lists its routines. The source is strict C99 and needs no compiler
+extension.
 
 The source is compiled into a shared library whose file name carries a
 hash of the source, the compile command and the platform, so an edit to

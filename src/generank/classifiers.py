@@ -745,8 +745,12 @@ def _initial_weights(d: int, h: int, seed: int) -> np.ndarray:
 def _mlp_grid(train: TrainSet, hs: list, queries: np.ndarray, seeds, ridge: float):
     """Unchecked core of :func:`mlp_grid_labels` and :func:`mlp_train`:
     :func:`_mlp_grid_loop`'s results through ``_MLP_GRID``, each width
-    started from the weights its seed draws (:func:`_initial_weights`)."""
+    started from the weights its seed draws (:func:`_initial_weights`).
+    A block with no feature raises, on either loop, before a weight is
+    drawn."""
     d = train.n_features
+    if d < 1:
+        raise ValueError("the perceptron needs at least one feature")
     w = np.concatenate([_initial_weights(d, h, s) for h, s in zip(hs, seeds)])
     t = train.labels.astype(np.float64)
     return _MLP_GRID(

@@ -165,15 +165,11 @@ def _grid_labels(classifier, grid, train, scaled, seed):
 
 
 def _compiled_counts(classifier, grid, features, labels, folds, n_folds, parts, by_fit):
-    """:func:`_fold_counts` from the library's fold search, or None: for a
-    classifier it has no scorer for (the naive Bayes classifier), without
-    the library, for seed parts that are not all non-negative ints, and
-    for a block or candidate the Python loop rejects, since that loop
-    raises the error."""
-    if (
-        classifier not in kernels.FOLD_SCORERS or kernels.fold_search is None
-        or not kernels.seed_ints(parts)
-    ):
+    """:func:`_fold_counts` from the library's fold search, or None without
+    the library and wherever the search leaves the folds to the Python
+    loop (``kernels.fold_search`` says when). The solver settings are read
+    at each call."""
+    if kernels.fold_search is None:
         return None
     settings = (
         classifiers._SVM_MAX_ITER, classifiers._SVM_STOP_TOL, classifiers._SVM_SV_TOL,

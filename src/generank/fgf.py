@@ -205,19 +205,18 @@ def _fuzzy_order(inputs: FuzzyInputs, vector, tie_p, top_n=None):
     p-value ``tie_p``, then gene index, so equal scores (common once
     inputs saturate a plateau) stay deterministic. :func:`fgf_rank` and
     the genetic search's fitness both rank this way; with ``top_n`` the
-    order holds only its first ``top_n`` genes, which are found by
-    sorting only the genes scored at or above the ``top_n``-th largest
-    score. Those genes, kept in index order, include every gene of the
-    full order's first ``top_n``, and the stable sort leaves the rest of
-    each tie in index order, so the two agree gene for gene.
+    order holds only its first ``top_n`` genes (all of them by default),
+    which are found by sorting only the genes scored at or above the
+    ``top_n``-th largest score. Those genes, kept in index order, include
+    every gene of the full order's first ``top_n``, and the stable sort
+    leaves the rest of each tie in index order, so the two agree gene for
+    gene; for every gene the cut is the least score and keeps them all.
     """
     scores, clamped = kernels.mamdani_scores(
         inputs.fold_change, inputs.variance, inputs.rank_sum, vector
     )
-    if top_n is None or top_n >= len(scores):
-        return scores, clamped, np.lexsort((tie_p, -scores))[:top_n]
-    cut = np.partition(scores, len(scores) - top_n)[len(scores) - top_n]
-    kept = np.flatnonzero(scores >= cut)
+    cut = len(scores) - (len(scores) if top_n is None else min(top_n, len(scores)))
+    kept = np.flatnonzero(scores >= np.partition(scores, cut)[cut])
     order = kept[np.lexsort((tie_p[kept], -scores[kept]))]
     return scores, clamped, order[:top_n]
 

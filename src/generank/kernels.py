@@ -1,64 +1,37 @@
-"""Backend dispatch for the compiled code in ``_mamdani.c``.
+"""ctypes bindings of the compiled library ``_mamdani.c``, whose header
+lists its routines and the Python code each one ports.
 
-The library holds three solvers, each a port of Python code that stays
-as its oracle and fallback: the batch fuzzy-inference kernel
-(``_mamdani_py.mamdani_scores``), the SVM fits of a whole grid of box
-bounds, with their SMO update loop (``classifiers._svm_grid_loop``), and
-the perceptron fits of a whole grid of hidden widths, with their
-scaled-conjugate-gradient loop (``classifiers._mlp_grid_loop``). One
-call of ``fold_search`` runs a whole inner search of nested LOOCV for the
-nearest-neighbour voter, the SVM or the perceptron (``FOLD_SCORERS``):
-every fold of a fold assignment gathered, standardized as
-``dataio.floored_scale`` does it, then voted on (a port of
-``classifiers._knn_labels``) or fitted by one of the two grids; its
-oracle and fallback is ``crossval._fold_counts``' Python fold loop, and
-a block or candidate that loop would reject is left to it, so that it
-raises its own error. The perceptron's search derives each fit's seed
-and draws its starting weights with the library's bit-exact port of
-NumPy's ``SeedSequence`` and ``PCG64``, whose oracle is
-``crossval._derived_seed`` and ``classifiers._initial_weights``; Python
-code draws its seeds and weights with ``numpy.random`` alone. The
-library also holds a pass over the tie runs of sorted rows that gives
-their rank-sum statistics and midranks (``rank_sums``, for
-``rankers._rank_sums``, whose oracle and fallback is
-``rankers._tie_ranks``), a reader of the expression matrix's rows, whose
-oracle and fallback is the line-by-line reader
-``dataio._parse_matrix_lines``, and a writer of rows of float64 values
-as text (``format_rows``, for ``dataio.write_rows``), whose oracle and
-fallback is ``repr``. It is loaded through ctypes
-and preferred. On first import it is compiled when no build of the
-current source exists and a C compiler (``cc``) is on ``PATH``; see
-``_cbuild``. Without a compiler,
-or if the build fails (which warns with the compiler's output), the
-Python code takes over. Both produce bit-identical results, so the
-choice only affects speed. The C fuzzy kernel remembers, within one call,
-the score of each distinct tuple of class heights it meets; a centroid
-is a function of the heights alone, and each is summed in the NumPy
-kernel's order, so the memo cannot change a bit (``_mamdani.c`` says
-why). ``BACKEND`` names the fuzzy kernel that runs, and ``COMPILED``
-names the other bindings, each None when the library is not loaded. The
-one difference is which NaN an overflowed SVM fit holds, and
+On first import the library is compiled when no build of the current
+source exists and a C compiler (``cc``) is on ``PATH``; see ``_cbuild``.
+Without a compiler, or if the build fails (which warns with the
+compiler's output), the Python code runs in the library's place. Both
+give the same bits, so the choice affects speed alone. The one
+difference is which NaN an overflowed SVM fit holds, and
 ``classifiers.svm_train`` and ``svm_grid_labels`` reject such a fit on
 either path.
+
+``COMPILED`` names the bindings, each None when the library is not
+loaded, so that a caller runs ``binding or`` its Python code.
+``BACKEND`` is ``"c"`` exactly when the library is loaded.
+``mamdani_scores`` is the validated entry to the fuzzy kernel, which
+runs ``mamdani_kernel`` or ``_mamdani_py.mamdani_scores``.
 
 Every library function is declared by ``_declare`` with one calling
 convention: arrays go in as addresses (``c_void_p``), sizes as
 ``c_int64`` and reals as ``c_double``, and an int64 comes back. The
-fuzzy kernel and the two grid solvers get their inputs and their results
-in one float64 buffer that ``_pack`` lays out in the order of the C
-arguments, so a call allocates once and its results are views of that
-buffer. The rank-sum pass reads its matrix, order and class flags in
-place and writes arrays of its own, as the matrix reader writes into a
-float64 matrix, sized by the library's newline count (``count_lines``)
-so that no Python pass scans the text, and into a byte array that gets
-the gene ids, each followed by a newline, for one decode and split. The
-row writer takes row prefixes in that form, as bytes, and fills a uint8
-array that it sizes, or that its caller passes back for reuse.
-The fold search takes its sample block, labels, fold assignment and
-candidates in one such buffer too, the int64 values as their bits. The
-matrix text and the perceptron's seed entropy go in as bytes
+fuzzy kernel, the two grid solvers and the fold search get their inputs
+and their results in one float64 buffer that ``_pack`` lays out in the
+order of the C arguments, int64 values as their bits, so that a call
+allocates once and its results are views of that buffer. The rank-sum
+pass, the matrix reader and the row writer read their arrays in place
+and write into arrays of their own, or into a buffer their caller passes
+back for reuse. Text and the perceptron's seed entropy go in as bytes
 (``c_char_p``); the entropy is each seed part's little-endian uint32
-words, which ``_seed_words`` makes.
+words (``_seed_words``). A binding returns None where the Python code
+must decide: for text outside the matrix reader's strict form, and for a
+fold search whose block, candidates or seed parts that code would reject
+or that the library has no scorer for, so that the Python code gives its
+own result or raises its own error.
 """
 
 from __future__ import annotations
@@ -122,8 +95,8 @@ def _pack(inputs, out_sizes):
 def _bind_mamdani(lib):
     fn = _declare(lib, "mamdani_scores", *(_POINTER,) * 4, _COUNT, _POINTER)
 
-    def mamdani_scores(fc, var, rs, params):
-        """Same contract as the NumPy fallback, computed in C."""
+    def mamdani_kernel(fc, var, rs, params):
+        """``_mamdani_py.mamdani_scores`` computed in C."""
         if fc.ndim != 1 or not var.shape == fc.shape == rs.shape or params.shape != (6,):
             raise ValueError("fc, var and rs need equal length, params six values")
         n = len(fc)
@@ -131,7 +104,7 @@ def _bind_mamdani(lib):
         clamped = fn(*addresses[:4], n, addresses[4])
         return views[4], clamped
 
-    return mamdani_scores
+    return mamdani_kernel
 
 
 def _bind_rank_sums(lib):
@@ -251,23 +224,32 @@ def _bind_fold_search(lib):
     def fold_search(classifier, features, labels, folds, n_folds, grid, settings, parts, by_fit):
         """Each candidate's correct test labels over the folds ``0 ..
         n_folds - 1`` of ``folds``, as ``crossval._fold_counts``' Python
-        loop counts them for ``classifier``, one of ``FOLD_SCORERS``,
-        computed in C; or None when that loop must decide, since it raises
-        for the block or a candidate (``_mamdani.c`` says when).
-        ``settings`` holds the SVM's update budget, stopping tolerance and
-        support-vector tolerance, then the perceptron's ridge, step budget
-        and gradient tolerance. The perceptron fit of position ``p`` in
-        fold ``f`` is seeded with ``crossval._derived_seed(*parts, f, p)``
-        when ``by_fit`` is set, and with ``_derived_seed(*parts)``
-        otherwise, for non-negative int ``parts``."""
+        loop counts them for ``classifier``, computed in C; or None when
+        that loop must decide: for a classifier outside ``FOLD_SCORERS``,
+        a block with no rows or no columns, perceptron seed parts that are
+        not all non-negative ints (``seed_ints``), and a block or
+        candidate that the loop rejects (``_mamdani.c`` says when), so
+        that it gives its own result or raises its own error. Only arrays
+        of the wrong shape raise. ``settings`` holds the SVM's update
+        budget, stopping tolerance and support-vector tolerance, then the
+        perceptron's ridge, step budget and gradient tolerance. The
+        perceptron fit of position ``p`` in fold ``f`` is seeded with
+        ``crossval._derived_seed(*parts, f, p)`` when ``by_fit`` is set,
+        and with ``_derived_seed(*parts)`` otherwise."""
+        if classifier not in FOLD_SCORERS:
+            return None
         X = np.asarray(features, dtype=np.float64)
         labels = np.asarray(labels, dtype=np.int64)
         folds = np.asarray(folds, dtype=np.int64)
         grid = np.asarray(grid, dtype=np.float64)
-        if X.ndim != 2 or min(X.shape) < 1 or not labels.shape == folds.shape == X.shape[:1]:
+        if X.ndim != 2 or not labels.shape == folds.shape == X.shape[:1]:
             raise ValueError("features must be 2-D, labels and folds a value per row")
+        # only the perceptron's scorer reads the seed parts
+        seeded = classifier == "mlp"
+        if min(X.shape) < 1 or seeded and not seed_ints(parts):
+            return None
         (n, d), m = X.shape, grid.size
-        entropy = b"".join(map(_seed_words, parts))
+        entropy = b"".join(map(_seed_words, parts)) if seeded else b""
         # labels and folds go in as int64 bits
         (X_at, labels_at, folds_at, grid_at, correct_at), views = _pack(
             (X, labels.view(np.float64), folds.view(np.float64), grid), (m,)
@@ -360,9 +342,9 @@ def _bind_format(lib):
 
 def seed_ints(values) -> bool:
     """Whether every value is a non-negative int or NumPy integer, the
-    seed parts that ``fold_search`` takes. NumPy's ``SeedSequence``, its
-    oracle, takes every other seed, and raises its own error for one it
-    rejects."""
+    perceptron seed parts that ``fold_search`` takes. It leaves any other
+    to NumPy's ``SeedSequence``, its oracle, which takes some and raises
+    its own error for the rest."""
     return all(isinstance(v, (int, np.integer)) and v >= 0 for v in values)
 
 
@@ -374,18 +356,10 @@ def _seed_words(n) -> bytes:
     return n.to_bytes(4 * max(1, -(-n.bit_length() // 32)), "little")
 
 
-def _load_c_kernel():
-    """The C fuzzy kernel's raw callable from a fresh load of the
-    library, or None; see :func:`_load_library`."""
-    lib = _load_library()
-    return None if lib is None else _bind_mamdani(lib)
-
-
-# The bindings of the library besides the fuzzy kernel, each None when
-# the library is not loaded.
+# The bindings of the library, each None when the library is not loaded.
 COMPILED = (
-    "rank_sums", "svm_grid_solve", "mlp_grid_solve", "fold_search", "parse_matrix_rows",
-    "format_rows",
+    "mamdani_kernel", "rank_sums", "svm_grid_solve", "mlp_grid_solve", "fold_search",
+    "parse_matrix_rows", "format_rows",
 )
 # The classifiers that fold_search scores, each at the position of its
 # code in the library's table of scorers.
@@ -393,29 +367,17 @@ FOLD_SCORERS = ("knn", "svm", "mlp")
 
 _LIB = _load_library()
 if _LIB is not None:
-    _c_scores = _bind_mamdani(_LIB)
+    mamdani_kernel = _bind_mamdani(_LIB)
     rank_sums = _bind_rank_sums(_LIB)
     svm_grid_solve = _bind_svm_grid(_LIB)
     mlp_grid_solve = _bind_mlp_grid(_LIB)
     fold_search = _bind_fold_search(_LIB)
     parse_matrix_rows = _bind_parse(_LIB)
     format_rows = _bind_format(_LIB)
-    _IMPL = _c_scores
-    BACKEND = "c"
 else:
-    _c_scores = None
-    rank_sums = svm_grid_solve = mlp_grid_solve = fold_search = None
+    mamdani_kernel = rank_sums = svm_grid_solve = mlp_grid_solve = fold_search = None
     parse_matrix_rows = format_rows = None
-    _IMPL = _mamdani_py.mamdani_scores
-    BACKEND = "numpy"
-
-
-def available_backends() -> dict:
-    """Loadable backend name -> raw kernel callable."""
-    impls = {"numpy": _mamdani_py.mamdani_scores}
-    if _c_scores is not None:
-        impls["c"] = _c_scores
-    return impls
+BACKEND = "numpy" if _LIB is None else "c"
 
 
 def _as_input(name, values) -> np.ndarray:
@@ -428,7 +390,9 @@ def _as_input(name, values) -> np.ndarray:
 
 
 def mamdani_scores(fc, var, rs, params):
-    """Validated entry point; returns ``(scores, n_clamped)``.
+    """Validated entry point; returns ``(scores, n_clamped)`` from the C
+    kernel (``mamdani_kernel``), or from the NumPy kernel without the
+    library, with the same bits.
 
     ``params`` must hold six values forming three (alpha, beta) pairs
     with ``0 < alpha < beta < 1``.
@@ -446,5 +410,5 @@ def mamdani_scores(fc, var, rs, params):
     for k in range(0, 6, 2):
         if not 0.0 < p[k] < p[k + 1] < 1.0:
             raise ValueError("each (alpha, beta) pair needs 0 < alpha < beta < 1")
-    scores, clamped = _IMPL(fc, var, rs, p)
+    scores, clamped = (mamdani_kernel or _mamdani_py.mamdani_scores)(fc, var, rs, p)
     return scores, int(clamped)

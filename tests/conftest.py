@@ -6,10 +6,15 @@ from generank import kernels
 from generank.dataio import Dataset, save_dataset
 
 
-def unbind_fold_search(monkeypatch):
-    """Unbind the library's fold search, ``kernels.fold_search``, so that
-    the Python fold loop scores the folds of every classifier."""
-    monkeypatch.setattr(kernels, "fold_search", None)
+def unbind(monkeypatch, *names):
+    """Unbind the library's bindings ``names``, each named in
+    ``kernels.COMPILED``, for the rest of the test, so that the Python
+    code their callers fall back to runs. ``svm_grid_solve`` and
+    ``mlp_grid_solve`` are read at import, as ``classifiers._SVM_GRID``
+    and ``_MLP_GRID``, which tests patch instead."""
+    for name in names:
+        assert name in kernels.COMPILED, name
+        monkeypatch.setattr(kernels, name, None)
 
 
 def planted_dataset(n_genes, n_info, n0, n1, shift, seed):

@@ -1188,6 +1188,17 @@ def test_mlp_rejects_a_width_that_is_not_a_whole_number(monkeypatch, loop):
     assert _same_bits([whole.w1, whole.w2], [int_width.w1, int_width.w2])
 
 
+@both_mlp_loops
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_mlp_without_features_raises_one_error(monkeypatch, loop):
+    # the same error on either loop, raised before a weight is drawn
+    monkeypatch.setattr(classifiers, "_MLP_GRID", _loop(loop))
+    train = TrainSet(np.zeros((6, 0)), [0, 0, 0, 1, 1, 1])
+    with pytest.raises(ValueError, match="^the perceptron needs at least one feature$"):
+        mlp_train(train, 1)
+    with pytest.raises(ValueError, match="^the perceptron needs at least one feature$"):
+        mlp_grid_labels(train, [1, 2], np.zeros((2, 0)), [0, 1])
+
 @pytest.mark.parametrize("seed", [0, 7, 2**32 - 1, 2**32, 2**64 + 5, np.int64(9)])
 def test_mlp_train_same_model_from_either_weight_draw(seed):
     # numpy.random draws the weights of every seed, as the Python loop

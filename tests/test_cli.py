@@ -12,7 +12,7 @@ from generank import classifiers, cli, crossval, gaopt
 from generank.dataio import load_dataset
 from generank.fgf import FgfParams, FuzzyRegion, load_params, save_params
 
-from conftest import planted_dataset, unbind_fold_search, write_tables
+from conftest import planted_dataset, unbind, write_tables
 
 
 @pytest.fixture()
@@ -495,7 +495,7 @@ def test_evaluate_solver_failure_is_fatal(tables, tmp_path, capsys, monkeypatch)
     # solver's budget is one update, which no fit of two classes meets;
     # the Python fold loop runs, so that every grid of fits is counted
     _, matrix_path, labels_path = tables
-    unbind_fold_search(monkeypatch)
+    unbind(monkeypatch, "fold_search")
     calls = []
     solve = classifiers._SVM_GRID
 

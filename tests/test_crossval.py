@@ -23,7 +23,7 @@ from generank.fgf import default_params, fgf_rank
 from generank.gaopt import GaConfig
 from generank.rankers import rank_genes
 
-from conftest import planted_dataset, unbind_fold_search
+from conftest import planted_dataset, unbind
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +82,7 @@ def python_folds(monkeypatch):
     """The Python fold loop for every classifier: tests that observe its
     blocks, seeds and solver calls run with the library's fold search
     unbound."""
-    unbind_fold_search(monkeypatch)
+    unbind(monkeypatch, "fold_search")
 
 
 def test_inner_search_returns_grid_member():
@@ -316,7 +316,7 @@ def _on_both_paths(monkeypatch, run):
     loop; the search is bound again afterwards."""
     compiled = run()
     with monkeypatch.context() as python:
-        unbind_fold_search(python)
+        unbind(python, "fold_search")
         return compiled, run()
 
 
@@ -557,6 +557,88 @@ def test_overflowing_scale_raises_on_both_paths(monkeypatch, classifier, scale):
     assert compiled == python == (
         ValueError, "features too large to standardize: a standard deviation overflows"
     )
+
+
+def _outcome(run):
+    """``run()``'s result, or the type and message of the error it raises."""
+    try:
+        return run()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize(
+    "classifier, expected",
+    [
+        ("knn", (1, 0.5)),
+        ("svm", (0.01, 0.5)),
+        ("nbc", (1.0, 0.5)),
+        ("mlp", (ValueError, "hidden_count must be a whole number >= 1")),
+    ],
+)
+def test_block_without_features_gets_the_same_outcome_on_both_paths(
+    monkeypatch, classifier, expected
+):
+    # the library leaves a block with no feature to the Python loop: the
+    # voter, the SVM and the naive Bayes classifier score chance with their
+    # first candidate, the perceptron's grid holds a width of 0, and its
+    # held-out fit of width 1 has no feature to weigh
+    features, labels = np.zeros((10, 0)), np.array([0] * 5 + [1] * 5)
+    compiled, python = _on_both_paths(
+        monkeypatch, lambda: _outcome(lambda: inner_search(features, labels, classifier, seed=1))
+    )
+    assert compiled == python == expected
+    alone = (np.arange(10) != 0).astype(np.int64)
+    grid = _hyper_grid(classifier, 1)[:1]
+    arguments = (classifier, grid, features, labels, alone, 1, (1, 0, 2, 1), False)
+    if kernels.fold_search is not None:
+        assert crossval._compiled_counts(*arguments) is None
+    compiled, python = _on_both_paths(
+        monkeypatch, lambda: _outcome(lambda: crossval._fold_counts(*arguments).tolist())
+    )
+    assert compiled == python
+    if classifier == "mlp":
+        assert compiled == (ValueError, "the perceptron needs at least one feature")
+
+
+@needs_fold_search
+def test_fold_search_leaves_to_the_python_loop_what_it_does_not_score(monkeypatch):
+    # the naive Bayes classifier, a block with no rows or no columns, and
+    # perceptron seed parts that are not non-negative ints; the voter and
+    # the SVM never read the seed parts, on either path. Only arrays of the
+    # wrong shape raise.
+    rng = np.random.default_rng(649)
+    features = rng.normal(size=(12, 2))
+    features[6:] += 0.7
+    labels = np.array([0] * 6 + [1] * 6)
+    folds = stratified_folds(labels, 6, 1)
+
+    def counts(classifier, parts=(1,), X=features, y=labels, f=folds):
+        grid = _hyper_grid(classifier, 2)
+        return crossval._compiled_counts(classifier, grid, X, y, f, 6, parts, True)
+
+    assert counts("nbc") is None
+    assert counts("knn", X=features[:, :0]) is None
+    assert counts("svm", X=features[:0], y=labels[:0], f=folds[:0]) is None
+    for parts in ((-1,), (1, np.int64(-2)), (1.5,), (np.float64(2.0),), ("3",), (None,)):
+        assert counts("mlp", parts) is None, parts
+        for classifier in ("knn", "svm"):
+            got = counts(classifier, parts)
+            assert got.tolist() == counts(classifier).tolist(), parts
+            compiled, python = _on_both_paths(
+                monkeypatch,
+                lambda: crossval._fold_counts(
+                    classifier, _hyper_grid(classifier, 2), features, labels, folds, 6, parts,
+                    True,
+                ).tolist(),
+            )
+            assert compiled == python == got.tolist(), parts
+    for bad in (
+        dict(X=features[:, 0]), dict(y=labels[:-1]), dict(f=folds[:, None]),
+        dict(y=labels[:, None]),
+    ):
+        with pytest.raises(ValueError, match="features must be 2-D"):
+            counts("knn", **bad)
 
 
 @pytest.mark.parametrize("classifier", CLASSIFIERS)

@@ -23,7 +23,7 @@ from generank.dataio import (
     standardize_genes,
 )
 
-from conftest import planted_dataset, write_tables
+from conftest import planted_dataset, unbind, write_tables
 
 
 def _write(path, text):
@@ -119,7 +119,7 @@ def _parse_both(path, monkeypatch):
     """``_parse_matrix`` with the C reader, then with the line reader alone."""
     fast = dataio._parse_matrix(path)
     with monkeypatch.context() as patch:
-        patch.setattr(kernels, "parse_matrix_rows", None)
+        unbind(patch, "parse_matrix_rows")
         slow = dataio._parse_matrix(path)
     return fast, slow
 
@@ -407,7 +407,7 @@ def test_c_reader_rejects_non_digits_in_digit_runs(tmp_path, monkeypatch):
                     path.write_bytes(b"gene_id\ts0\ts1\n" + text)
                     fast = _error_of(path)
                     with monkeypatch.context() as patch:
-                        patch.setattr(kernels, "parse_matrix_rows", None)
+                        unbind(patch, "parse_matrix_rows")
                         assert _error_of(path) == fast, text
 
 
@@ -556,7 +556,7 @@ def test_reader_errors_match_line_reader(tmp_path, monkeypatch, name):
     path.write_bytes(_ERROR_CASES[name])
     fast = _error_of(path)
     with monkeypatch.context() as patch:
-        patch.setattr(kernels, "parse_matrix_rows", None)
+        unbind(patch, "parse_matrix_rows")
         slow = _error_of(path)
     assert fast == slow
 
@@ -765,13 +765,13 @@ def test_quantile_normalized_round_trip(tmp_path, monkeypatch):
 
 @needs_writer
 def test_save_dataset_bytes_match_line_writer_without_library(tmp_path, monkeypatch):
-    monkeypatch.setattr(kernels, "format_rows", None)
+    unbind(monkeypatch, "format_rows")
     test_save_dataset_bytes_match_line_writer(tmp_path, monkeypatch, None)
 
 
 @needs_writer
 def test_quantile_normalized_round_trip_without_library(tmp_path, monkeypatch):
-    monkeypatch.setattr(kernels, "format_rows", None)
+    unbind(monkeypatch, "format_rows")
     test_quantile_normalized_round_trip(tmp_path, monkeypatch)
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from generank import kernels
 from generank.dataio import Dataset
+from generank.gaopt import GaConfig, optimize_fgf
 from generank.fgf import (
     FgfParams,
     FuzzyInputs,
@@ -22,7 +23,7 @@ from generank.fgf import (
 )
 from generank.rankers import welch_t_test
 
-from conftest import planted_dataset
+from conftest import planted_dataset, unbind
 
 
 def _random_params(rng):
@@ -334,7 +335,8 @@ def test_top_n_order_is_the_full_orders_head_across_plateaus():
     # inputs on a few levels give runs of equal scores, and p-values on a
     # few levels ties within them, so the cut at top_n falls inside runs
     # that only the gene index orders; the top-n order must still be the
-    # full order's first top_n genes
+    # full order's first top_n genes, and the order of every gene the full
+    # lexsort
     rng = np.random.default_rng(310)
     cut_in_a_run = 0
     for trial in range(60):
@@ -345,12 +347,44 @@ def test_top_n_order_is_the_full_orders_head_across_plateaus():
         inputs = FuzzyInputs(*levels)
         tie_p = rng.choice([0.01, 0.2, 0.7], size=n)
         vec = _random_params(rng).to_vector()
-        scores, _, full = _fuzzy_order(inputs, vec, tie_p)
+        scores, _ = kernels.mamdani_scores(*levels, vec)
+        full = np.lexsort((tie_p, -scores))
         counts = {1, 2, n // 3, n - 1, n, n + 4, *rng.integers(1, n + 1, 5).tolist()}
-        for top_n in sorted(c for c in counts if c >= 1):
+        for top_n in [None, *sorted(c for c in counts if c >= 1)]:
             top_scores, _, top = _fuzzy_order(inputs, vec, tie_p, top_n)
             assert top_scores.tobytes() == scores.tobytes()
             assert top.tolist() == full[:top_n].tolist(), (trial, top_n)
-            if top_n < n and scores[full[top_n - 1]] == scores[full[top_n]]:
+            if top_n and top_n < n and scores[full[top_n - 1]] == scores[full[top_n]]:
                 cut_in_a_run += 1
     assert cut_in_a_run > 100
+
+
+def test_fuzzy_filter_and_search_same_with_and_without_the_c_kernel(monkeypatch):
+    # the validated entry, the fuzzy filter and the genetic search run the
+    # C kernel when the library is loaded and the NumPy kernel unbound, with
+    # the same score bits, clamp counts and search trace
+    rng = np.random.default_rng(334)
+    levels = rng.choice([-0.1, 0.0, 0.25, 0.5, 0.75, 1.0, 1.2], size=(3, 400))
+    drawn = rng.random((3, 400)) < 0.3
+    levels[drawn] = rng.uniform(-0.2, 1.2, int(drawn.sum()))
+    vec = _random_params(rng).to_vector()
+    dataset = planted_dataset(150, 8, 7, 8, 1.0, seed=335)
+    config = GaConfig(population_size=8, generations=3, top_n_genes=10, seed=6)
+
+    def run():
+        reset_clamp_count()
+        scores, clamped = kernels.mamdani_scores(*levels, vec)
+        one = mamdani_infer((1.3, -0.2, 0.5), default_params())
+        ranking = fgf_rank(dataset, FgfParams.from_vector(vec))
+        best, trace = optimize_fgf(dataset, config)
+        return (
+            scores.tobytes(), clamped, one, ranking.order.tobytes(), ranking.scores.tobytes(),
+            clamp_count(), best, trace,
+        )
+
+    compiled = run()
+    with monkeypatch.context() as numpy_kernel:
+        unbind(numpy_kernel, "mamdani_kernel")
+        assert run() == compiled
+    assert compiled[1] > 0 and compiled[5] == 2
+    assert compiled[-1].evaluations > config.population_size

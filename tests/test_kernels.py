@@ -1,4 +1,5 @@
-"""Backend dispatch and parity tests for the fuzzy-inference kernel."""
+"""The library's bindings: the fuzzy kernel's parity with the NumPy
+kernel, the build rule, and the seeding ports."""
 
 import ctypes
 import re
@@ -20,11 +21,15 @@ def _random_params(rng):
     return np.clip(pairs, 0.01, 0.99).ravel()
 
 
+needs_kernel = pytest.mark.skipif(
+    kernels.mamdani_kernel is None, reason="the C library is not loaded"
+)
+
+
 def test_backend_is_declared():
-    assert kernels.BACKEND in ("c", "numpy")
-    impls = kernels.available_backends()
-    assert "numpy" in impls
-    assert kernels.BACKEND in impls
+    # "c" exactly when the library, and with it the fuzzy kernel, is loaded
+    assert kernels.BACKEND == ("numpy" if kernels._LIB is None else "c")
+    assert (kernels.mamdani_kernel is None) == (kernels._LIB is None)
 
 
 @pytest.mark.skipif(
@@ -53,10 +58,8 @@ def test_compiled_names_every_binding_of_the_library():
     assert bound == (set(kernels.COMPILED) if loaded else set())
 
 
+@needs_kernel
 def test_backends_bit_identical():
-    impls = kernels.available_backends()
-    if len(impls) < 2:
-        pytest.skip("only one backend importable")
     rng = np.random.default_rng(200)
     for trial in range(50):
         n = int(rng.integers(1, 400))
@@ -64,23 +67,15 @@ def test_backends_bit_identical():
         var = rng.random(n)
         rs = rng.random(n)
         params = _random_params(rng)
-        outputs = {}
-        for name, impl in impls.items():
-            scores, clamped = impl(fc, var, rs, params)
-            outputs[name] = (np.asarray(scores), int(clamped))
-        base_scores, base_clamped = outputs["numpy"]
-        for name, (scores, clamped) in outputs.items():
-            np.testing.assert_array_equal(
-                scores, base_scores, err_msg=f"{name} diverged on trial {trial}"
-            )
-            assert clamped == base_clamped
+        want_scores, want_clamped = _mamdani_py.mamdani_scores(fc, var, rs, params)
+        scores, clamped = kernels.mamdani_kernel(fc, var, rs, params)
+        assert scores.tobytes() == want_scores.tobytes(), f"trial {trial}"
+        assert int(clamped) == int(want_clamped)
 
 
+@needs_kernel
 def test_raw_c_kernel_copies_strided_inputs_and_checks_shapes():
-    impls = kernels.available_backends()
-    if "c" not in impls:
-        pytest.skip("the C kernel is not loaded")
-    c_scores = impls["c"]
+    c_scores = kernels.mamdani_kernel
     rng = np.random.default_rng(202)
     fc, var, rs = rng.random((3, 2 * 150))
     params = np.repeat(_random_params(rng), 2)[::2]
@@ -137,14 +132,12 @@ def test_kernel_is_reentrant():
             assert clamped == want_clamped
 
 
+@needs_kernel
 def test_c_kernel_memo_hits_and_full_table_agree_with_numpy():
     # more distinct tuples of class heights than the memo's table has
     # slots, between plateau genes that repeat tuples before and after the
     # table fills: remembered, computed and unremembered scores must all
     # be the NumPy kernel's
-    impls = kernels.available_backends()
-    if "c" not in impls:
-        pytest.skip("the C kernel is not loaded")
     with open(_cbuild.SOURCE, encoding="utf-8") as fh:
         entries = int(re.search(r"#define MEMO_ENTRIES (\d+)", fh.read()).group(1))
     slots = 1 << (2 * entries - 1).bit_length()
@@ -155,7 +148,7 @@ def test_c_kernel_memo_hits_and_full_table_agree_with_numpy():
     fc, var, rs = np.concatenate([plateaus[:, :2000], ramps, plateaus[:, 2000:]], axis=1)
     want_scores, want_clamped = _mamdani_py.mamdani_scores(fc, var, rs, DEFAULT)
     assert np.unique(want_scores).size > slots
-    scores, clamped = impls["c"](fc, var, rs, DEFAULT)
+    scores, clamped = kernels.mamdani_kernel(fc, var, rs, DEFAULT)
     assert scores.tobytes() == want_scores.tobytes()
     assert int(clamped) == int(want_clamped)
 
@@ -297,7 +290,7 @@ def _isolate_build(monkeypatch, tmp_path, source_text):
 def test_build_failure_warns_with_compiler_output(monkeypatch, tmp_path):
     source = _isolate_build(monkeypatch, tmp_path, "int broken(void) { return }\n")
     with pytest.warns(RuntimeWarning, match="NumPy fallback(.|\n)*error"):
-        assert kernels._load_c_kernel() is None
+        assert kernels._load_library() is None
     assert sorted(p.name for p in source.parent.iterdir()) == ["_mamdani.c"]
 
 
@@ -306,14 +299,15 @@ def test_build_is_keyed_on_source_hash(monkeypatch, tmp_path):
     with open(_cbuild.SOURCE, encoding="utf-8") as fh:
         text = fh.read()
     source = _isolate_build(monkeypatch, tmp_path, text)
-    first = kernels._load_c_kernel()
-    assert first is not None
+    lib = kernels._load_library()
+    assert lib is not None
+    first = kernels._bind_mamdani(lib)
     built = {p.name for p in source.parent.glob("*.so")}
     assert built == {_cbuild.library_name()}
     # an edit names a new library, which the next load builds
     source.write_text(text + "/* edited */\n")
     assert _cbuild.find_library() is None
-    assert kernels._load_c_kernel() is not None
+    assert kernels._load_library() is not None
     # and the stale library is deleted
     assert {p.name for p in source.parent.glob("*.so")} == {_cbuild.library_name()}
     assert not [p for p in source.parent.iterdir() if p.name.startswith(".")]

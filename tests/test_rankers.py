@@ -23,7 +23,7 @@ from generank.rankers import (
     wilcoxon_test,
 )
 
-from conftest import planted_dataset
+from conftest import planted_dataset, unbind
 
 
 # ---------------------------------------------------------------------------
@@ -68,7 +68,7 @@ def test_midranks_bit_identical_to_scipy():
 
 
 def test_midranks_bit_identical_to_scipy_without_the_library(monkeypatch):
-    monkeypatch.setattr(kernels, "rank_sums", None)
+    unbind(monkeypatch, "rank_sums")
     test_midranks_bit_identical_to_scipy()
 
 
@@ -102,7 +102,7 @@ def _reference_rank_sums(values, in_class):
 @pytest.mark.parametrize("backend", ["c", "numpy"])
 def test_rank_sums_bit_identical_to_scipy(backend, monkeypatch):
     if backend == "numpy":
-        monkeypatch.setattr(kernels, "rank_sums", None)
+        unbind(monkeypatch, "rank_sums")
     elif kernels.rank_sums is None:
         pytest.skip("the C library is not loaded")
     rng = np.random.default_rng(240)
@@ -452,7 +452,7 @@ def test_save_ranking_writes_each_scores_repr(tmp_path):
 
 @pytest.mark.skipif(kernels.format_rows is None, reason="C library not loaded")
 def test_save_ranking_writes_each_scores_repr_without_library(tmp_path, monkeypatch):
-    monkeypatch.setattr(kernels, "format_rows", None)
+    unbind(monkeypatch, "format_rows")
     test_save_ranking_writes_each_scores_repr(tmp_path)
 
 
@@ -546,7 +546,7 @@ def test_rank_sum_rankers_same_bits_without_the_library(n0, n1, monkeypatch):
 
     compiled = rankings()
     inputs = compute_fuzzy_inputs(dataset)
-    monkeypatch.setattr(kernels, "rank_sums", None)
+    unbind(monkeypatch, "rank_sums")
     fallback = rankings()
     for c_ranking, numpy_ranking in zip(compiled, fallback):
         assert c_ranking.order.tobytes() == numpy_ranking.order.tobytes()
