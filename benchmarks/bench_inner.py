@@ -1,14 +1,15 @@
 """Check the inner search's compiled and Python paths against each other and time them.
 
-Nested LOOCV picks the nearest-neighbour voter's k, the SVM's box bound
-and the perceptron's hidden width by ``crossval.inner_search``, a
-stratified cross-validation. When the C library is loaded, each fold
-assignment is scored in one library call (``kernels.fold_search``, with
-one scorer per classifier): every fold gathered, standardized and voted
-on or fitted in C. Otherwise the Python fold loop does it
-(``crossval._scaled``, then the grid through
-``classifiers.knn_grid_labels``, ``svm_grid_labels`` or
-``mlp_grid_labels``). This script
+Nested LOOCV picks the nearest-neighbour voter's k, the SVM's box bound,
+the naive Bayes bandwidth multiplier and the perceptron's hidden width
+by ``crossval.inner_search``, a stratified cross-validation. When the C
+library is loaded, each fold assignment is scored in one library call
+(``kernels.fold_search``, with one scorer per classifier): every fold
+gathered, standardized and voted on, fitted or scored in C, the naive
+Bayes exp, log and log1p called back from NumPy. Otherwise the Python
+fold loop does it (``crossval._scaled``, then the grid through
+``classifiers.knn_grid_labels``, ``svm_grid_labels``,
+``nbc_grid_labels`` or ``mlp_grid_labels``). This script
 draws seeded blocks of samples x features with 0/1 labels, among them one
 feature (standardized by NumPy's pairwise sum) with 8 to 150 rows,
 several features, constant columns, values rounded so that distances tie,
@@ -34,7 +35,7 @@ import numpy as np
 
 from generank import crossval, kernels
 
-CLASSIFIERS = ("knn", "svm", "mlp")
+CLASSIFIERS = ("knn", "svm", "nbc", "mlp")
 # (training samples, features) of the blocks compared
 SHAPES = ((9, 1), (9, 2), (16, 1), (19, 3), (39, 5), (60, 2), (150, 1))
 # (training samples, features) of the blocks timed: the inner searches of

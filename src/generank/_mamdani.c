@@ -56,14 +56,20 @@
  * (gene ids), and the caller's buffer is checked against the most the
  * rows can take before a byte is written.
  *
- * fold_search, the inner search of nested LOOCV for the
- * nearest-neighbour voter, the SVM and the perceptron: every fold of a
- * fold assignment gathered, standardized in NumPy's summation order and
- * handed to the classifier's scorer, which votes as
- * generank.classifiers._knn_labels votes or fits by svm_grid_solve or
- * mlp_grid_solve, in one call, a port of the Python fold loop of
+ * fold_search, the inner search of nested LOOCV for all four
+ * classifiers: every fold of a fold assignment gathered, standardized in
+ * NumPy's summation order (fold_blocks) and handed to the classifier's
+ * scorer, which votes as generank.classifiers._knn_labels votes, fits by
+ * svm_grid_solve or mlp_grid_solve, or scores the naive Bayes posteriors
+ * by nbc_posteriors, in one call, a port of the Python fold loop of
  * generank.crossval._fold_counts. A fold or candidate that loop would
- * reject is left to it.
+ * reject is left to it. nbc_posteriors, a port of
+ * generank.classifiers._nbc_fit and _nbc_posteriors, takes only pow, log
+ * and sqrt from the C library, where Python takes them from it too; every
+ * exp, log and log1p that Python takes from NumPy it gets from NumPy, by a
+ * callback (ufunc_fn) that applies NumPy's own function to a buffer of
+ * values, so that its bits follow whichever SIMD or libm loop NumPy
+ * dispatches on the host, as the Python loop's do.
  *
  * derived_seed and initial_weights, ports of NumPy's SeedSequence and
  * PCG64 that fold_search calls for each perceptron fit: the seed
@@ -1816,8 +1822,9 @@ int64_t initial_weights(int64_t d, int64_t h, uint32_t seed, double *w)
  * returns 1 without a count, and the Python loop, run again, raises its
  * own error. That covers a label other than 0 or 1, a training block
  * with no row of a class, a variance or a standardized value that is not
- * finite, a candidate or setting that a scorer's work function rejects
- * and, for the SVM, a fit that stalled or overflowed. */
+ * finite, a candidate or setting that a scorer's work function rejects,
+ * for the SVM a fit that stalled or overflowed and, for the naive Bayes
+ * classifier, the posteriors nbc_posteriors leaves to Python. */
 
 /* generank.dataio.VARIANCE_FLOOR, to which a zero variance is raised. */
 #define VARIANCE_FLOOR 1e-8
@@ -1941,14 +1948,232 @@ static int binary_labels(const int64_t *labels, int64_t n)
     return 1;
 }
 
-/* A fold_search call's candidates, solver settings and perceptron seed
- * entropy (n_words uint32 words), and fold f: its n_t standardized
- * training rows T with their labels and its n_e test rows E, of d
- * features each. */
+/* The NumPy functions that nbc_posteriors calls back for, by code:
+ * generank.kernels applies (np.exp, np.log, np.log1p)[op] to the n
+ * contiguous values at in and writes the results to out, which does not
+ * overlap in, as the Python loop applies them to arrays of its own. It
+ * returns 1, or anything else when it failed. */
+typedef int64_t (*ufunc_fn)(int64_t op, const double *in, double *out, int64_t n);
+enum { UFUNC_EXP, UFUNC_LOG, UFUNC_LOG1P };
+
+/* Python's 2.0 * math.pi. */
+#define TWO_PI (2.0 * 3.141592653589793)
+
+/* The maximum of the n values x[0], x[stride], ..., NaN if one is NaN. */
+static double maximum(const double *x, int64_t n, int64_t stride)
+{
+    double top = -INFINITY;
+    int64_t j;
+
+    for (j = 0; j < n && !isnan(top); j++)
+        if (!(x[j * stride] <= top))
+            top = x[j * stride];
+    return top;
+}
+
+/* nbc_posteriors' steps, on the rows V of its training block, class 0's
+ * rows[0] rows then class 1's rows[1], and a work area of the size it
+ * allocates; returns 0, or 1 when the Python loop must decide. */
+static int64_t nbc_steps(const double *V, const int64_t rows[2], int64_t d, const double *grid,
+                         int64_t n_c, const double *E, int64_t n_e, ufunc_fn ufunc,
+                         double *work, double *posteriors)
+{
+    int64_t n_t = rows[0] + rows[1], pairs = n_c * n_e, slots = pairs * d;
+    int64_t terms = pairs * n_t * d, logs = 2 + 2 * n_c * d + n_t;
+    int64_t cls, r, i, j, a, k, slot;
+    double *sq = work, *h = sq + n_t, *arg = h + 2 * n_c * d, *ex = arg + terms;
+    double *log_in = ex + terms, *log_out = log_in + logs, *top = log_out + logs;
+    double *count = top + 2 * slots, *s = count + 2 * slots, *s_log1p = s + 2 * slots;
+    double *joint = s_log1p + 2 * slots, *x;
+    const double *log_count = log_out + 2 * n_c * d + 1, *y;
+    double pw, mean, diff, var, sigma, z, out, log_rows;
+
+    /* _nbc_fit: in log_in the priors, bandwidth (cls * n_c + r) * d + a
+     * of class cls, candidate r and feature a times sqrt(2 pi) (h holds
+     * the bandwidth itself), and the counts 1 .. n_t */
+    for (cls = 0; cls < 2; cls++) {
+        log_in[cls] = (double)rows[cls] / (double)n_t;
+        y = V + cls * rows[0] * d;
+        pw = pow((double)rows[cls], -0.2);
+        for (a = 0; a < d; a++) {
+            var = 0.0;
+            if (rows[cls] > 1) {
+                mean = column_sum(y + a, rows[cls], d, d) / (double)rows[cls];
+                for (j = 0; j < rows[cls]; j++) {
+                    diff = y[j * d + a] - mean;
+                    sq[j] = diff * diff;
+                }
+                var = column_sum(sq, rows[cls], 1, d) / (double)(rows[cls] - 1);
+            }
+            sigma = sqrt(var < VARIANCE_FLOOR ? VARIANCE_FLOOR : var);
+            for (r = 0; r < n_c; r++) {
+                k = (cls * n_c + r) * d + a;
+                h[k] = grid[r] * 1.06 * sigma * pw;
+                log_in[2 + k] = h[k] * sqrt(TWO_PI);
+                if (h[k] == 0.0)
+                    return 1;
+            }
+        }
+    }
+    for (j = 0; j < n_t; j++)
+        log_in[2 + 2 * n_c * d + j] = (double)(j + 1);
+
+    /* The kernel terms -0.5 z^2 of class cls, candidate r, test row i,
+     * the class's row j and feature a, at cls * rows[0] * pairs * d + ((r
+     * * n_e + i) * rows[cls] + j) * d + a, their maximum over j and its
+     * count at slot ((cls * n_c + r) * n_e + i) * d + a; then in each
+     * term's place its exponent, where(at_max, -inf, term) - maximum. */
+    for (cls = 0; cls < 2; cls++) {
+        y = V + cls * rows[0] * d;
+        for (k = 0; k < pairs; k++) {
+            r = k / n_e;
+            i = k % n_e;
+            x = arg + (cls * rows[0] * pairs + k * rows[cls]) * d;
+            for (j = 0; j < rows[cls]; j++) {
+                for (a = 0; a < d; a++) {
+                    z = (E[i * d + a] - y[j * d + a]) / h[(cls * n_c + r) * d + a];
+                    x[j * d + a] = -0.5 * z * z;
+                }
+            }
+            for (a = 0; a < d; a++) {
+                slot = (cls * pairs + k) * d + a;
+                top[slot] = maximum(x + a, rows[cls], d);
+                if (!isfinite(top[slot]))
+                    return 1;
+                count[slot] = 0.0;
+                for (j = 0; j < rows[cls]; j++) {
+                    count[slot] += x[j * d + a] == top[slot];
+                    x[j * d + a] =
+                        (x[j * d + a] == top[slot] ? -INFINITY : x[j * d + a]) - top[slot];
+                }
+            }
+        }
+    }
+    if (ufunc(UFUNC_EXP, arg, ex, terms) != 1 || ufunc(UFUNC_LOG, log_in, log_out, logs) != 1)
+        return 1;
+    /* the sums of the exponentials over each class's rows, over the count */
+    for (cls = 0; cls < 2; cls++) {
+        for (k = 0; k < pairs; k++) {
+            x = ex + (cls * rows[0] * pairs + k * rows[cls]) * d;
+            for (a = 0; a < d; a++) {
+                slot = (cls * pairs + k) * d + a;
+                s[slot] = column_sum(x + a, rows[cls], d, d);
+                s[slot] = s[slot] == 0.0 ? s[slot] : s[slot] / count[slot];
+            }
+        }
+    }
+    if (ufunc(UFUNC_LOG1P, s, s_log1p, 2 * slots) != 1)
+        return 1;
+    /* the log kernel densities, in s's place, and the log joint of class
+     * cls for candidate r and test row i at 2 * (r * n_e + i) + cls */
+    for (cls = 0; cls < 2; cls++) {
+        log_rows = log((double)rows[cls]);
+        for (k = 0; k < pairs; k++) {
+            slot = (cls * pairs + k) * d;
+            for (a = 0; a < d; a++) {
+                out = s_log1p[slot + a] + log_count[(int64_t)count[slot + a]] + top[slot + a];
+                s[slot + a] = out - (log_rows + log_out[2 + (cls * n_c + k / n_e) * d + a]);
+            }
+            joint[2 * k + cls] = log_out[cls] + (0.0 + pairwise_sum(s + slot, d, 1));
+        }
+    }
+    /* the second _logsumexp, over each pair of log joints, then the
+     * posteriors exp(joint - logsumexp) over their sum */
+    for (k = 0; k < pairs; k++) {
+        top[k] = maximum(joint + 2 * k, 2, 1);
+        if (!isfinite(top[k]))
+            return 1;
+        count[k] = (double)(joint[2 * k] == top[k]) + (double)(joint[2 * k + 1] == top[k]);
+        for (cls = 0; cls < 2; cls++)
+            arg[2 * k + cls] =
+                (joint[2 * k + cls] == top[k] ? -INFINITY : joint[2 * k + cls]) - top[k];
+    }
+    if (ufunc(UFUNC_EXP, arg, ex, 2 * pairs) != 1)
+        return 1;
+    for (k = 0; k < pairs; k++) {
+        s[k] = 0.0 + pairwise_sum(ex + 2 * k, 2, 1);
+        s[k] = s[k] == 0.0 ? s[k] : s[k] / count[k];
+    }
+    if (ufunc(UFUNC_LOG1P, s, s_log1p, pairs) != 1)
+        return 1;
+    for (k = 0; k < pairs; k++) {
+        out = s_log1p[k] + log_count[(int64_t)count[k]] + top[k];
+        for (cls = 0; cls < 2; cls++)
+            arg[2 * k + cls] = joint[2 * k + cls] - out;
+    }
+    if (ufunc(UFUNC_EXP, arg, posteriors, 2 * pairs) != 1)
+        return 1;
+    for (k = 0; k < pairs; k++) {
+        out = 0.0 + pairwise_sum(posteriors + 2 * k, 2, 1);
+        posteriors[2 * k] /= out;
+        posteriors[2 * k + 1] /= out;
+    }
+    return 0;
+}
+
+/* The (n_c x n_e x 2) posteriors of the test rows E (n_e x d) by the
+ * naive Bayes classifier fitted to the training rows T (n_t x d, labels
+ * t_labels of 0 and 1) with each bandwidth multiplier of grid, step for
+ * step as generank.classifiers._nbc_fit and _nbc_posteriors compute them.
+ *
+ * The fit: each class's rows in sample order, its variances by
+ * column_sum as NumPy's var sums them (zero for a single row), the
+ * bandwidths multiplier * 1.06 * sqrt(max(var, VARIANCE_FLOOR)) *
+ * pow(n_c, -0.2) and the log priors. The posteriors: each class's kernel
+ * terms -0.5 z^2 go through _logsumexp over the class's rows (maxima taken
+ * out, the rest summed by column_sum, log1p of that over the maxima's
+ * count plus log of the count plus the maximum), less log(n_c) and the
+ * log of each bandwidth times sqrt(2 pi); the features' terms are summed
+ * pairwise onto the log prior, and the two log joints of each row and
+ * candidate are normalized by a second _logsumexp, exp and a division by
+ * their sum. ufunc applies every exp, log and log1p, one call to all the
+ * values of a step (six calls), the logs of the counts 1 .. n_t in the
+ * call that takes the log priors and bandwidths.
+ *
+ * Returns 0, -1 if out of memory, or 1 when the Python loop must decide:
+ * a class with no row, a bandwidth that underflowed to 0 (whose log NumPy
+ * warns about), a _logsumexp whose maximum is not finite, and a ufunc
+ * call that failed. The maximum decides alone, since the exponentials it
+ * scales sum to a finite value: one that is not finite is where
+ * _logsumexp takes SciPy's result over kernel terms, and where
+ * _nbc_posteriors takes the priors over log joints (both -inf). A single
+ * log joint of -inf is scored as Python scores it. It is exported so that
+ * tests can compare its posteriors with _nbc_posteriors' bit for bit. */
+int64_t nbc_posteriors(const double *T, const int64_t *t_labels, int64_t n_t, int64_t d,
+                       const double *grid, int64_t n_c, const double *E, int64_t n_e,
+                       ufunc_fn ufunc, double *posteriors)
+{
+    int64_t rows[2] = {0, 0}, at[2], slots = n_c * n_e * d, j, status;
+    double *V;
+
+    for (j = 0; j < n_t; j++)
+        rows[t_labels[j]]++;
+    if (rows[0] == 0 || rows[1] == 0)
+        return 1;
+    V = malloc(sizeof(double) * (size_t)(n_t * d + n_t + 2 * n_c * d + 2 * slots * n_t
+                                         + 2 * (2 + 2 * n_c * d + n_t) + 8 * slots
+                                         + 2 * n_c * n_e));
+    if (V == NULL)
+        return -1;
+    /* train.features[train.labels == cls], class 0's rows first */
+    at[0] = 0;
+    at[1] = rows[0];
+    for (j = 0; j < n_t; j++)
+        memcpy(V + at[t_labels[j]]++ * d, T + j * d, sizeof(double) * (size_t)d);
+    status = nbc_steps(V, rows, d, grid, n_c, E, n_e, ufunc, V + n_t * d, posteriors);
+    free(V);
+    return status;
+}
+
+/* A fold_search call's candidates, solver settings, perceptron seed
+ * entropy (n_words uint32 words) and NumPy callback, and fold f: its n_t
+ * standardized training rows T with their labels and its n_e test rows
+ * E, of d features each. */
 typedef struct {
     const double *grid, *T, *E;
     const int64_t *t_labels;
     const unsigned char *entropy;
+    ufunc_fn ufunc;
     int64_t n, d, n_c, svm_max_iter, mlp_max_iter, n_words, by_fit, f, n_t, n_e;
     double svm_tol, sv_tol, ridge, mlp_tol;
 } search;
@@ -2117,25 +2342,53 @@ static int64_t mlp_label(const search *s, double *work, int64_t *predicted)
     return 0;
 }
 
+/* The naive Bayes classifier takes a positive multiplier, as
+ * classifiers._checked_positive does, and a finite one: an infinite one
+ * makes every log joint -inf, where _nbc_posteriors takes the priors. Its
+ * work is the posteriors. */
+static int64_t nbc_work(const search *s)
+{
+    int64_t r;
+
+    for (r = 0; r < s->n_c; r++)
+        if (!(s->grid[r] > 0.0 && isfinite(s->grid[r])))
+            return -1;
+    return 2 * s->n_c * s->n;
+}
+
+/* nbc_posteriors of every multiplier; a label is posterior 1 > posterior
+ * 0, a tie going to class 0. */
+static int64_t nbc_label(const search *s, double *work, int64_t *predicted)
+{
+    int64_t i, status = nbc_posteriors(s->T, s->t_labels, s->n_t, s->d, s->grid, s->n_c, s->E,
+                                       s->n_e, s->ufunc, work);
+
+    for (i = 0; i < s->n_c * s->n_e && status == 0; i++)
+        predicted[i] = work[2 * i + 1] > work[2 * i];
+    return status;
+}
+
 /* The scorers by classifier code, as generank.kernels.FOLD_SCORERS. */
 static const scorer SCORERS[] = {
-    {knn_work, knn_label}, {svm_work, svm_label}, {mlp_work, mlp_label},
+    {knn_work, knn_label}, {svm_work, svm_label}, {nbc_work, nbc_label},
+    {mlp_work, mlp_label},
 };
 
 /* The inner search over the folds 0 .. n_folds - 1 of folds of the
  * samples X (n x d, row-major) with labels, by the scorer
  * SCORERS[classifier]: correct[r] counts the test rows candidate grid[r]
  * labels right. svm_grid_solve and mlp_grid_solve take the settings of
- * the same names. Returns 0, 1 when the Python loop must decide (also
- * for no candidate), or -1 if out of memory. */
+ * the same names, and nbc_posteriors the NumPy callback ufunc. Returns 0,
+ * 1 when the Python loop must decide (also for no candidate), or -1 if
+ * out of memory. */
 int64_t fold_search(int64_t classifier, const double *X, int64_t n, int64_t d,
                     const int64_t *labels, const int64_t *folds, int64_t n_folds,
                     const double *grid, int64_t n_c, int64_t svm_max_iter, double svm_tol,
                     double sv_tol, double ridge, int64_t mlp_max_iter, double mlp_tol,
                     const unsigned char *entropy, int64_t n_words, int64_t by_fit,
-                    int64_t *correct)
+                    ufunc_fn ufunc, int64_t *correct)
 {
-    search s = {.grid = grid, .entropy = entropy, .n = n, .d = d, .n_c = n_c,
+    search s = {.grid = grid, .entropy = entropy, .ufunc = ufunc, .n = n, .d = d, .n_c = n_c,
                 .svm_max_iter = svm_max_iter, .mlp_max_iter = mlp_max_iter,
                 .n_words = n_words, .by_fit = by_fit, .svm_tol = svm_tol, .sv_tol = sv_tol,
                 .ridge = ridge, .mlp_tol = mlp_tol};

@@ -6,9 +6,10 @@ every gene count k the top-k genes become features and an inner
 stratified cross-validation picks the classifier's hyperparameter before
 the held-out sample is predicted. The inner loop is fold-major too, for
 all four classifiers: each inner fold scores every candidate value at
-once. For the nearest-neighbour voter, the SVM and the perceptron the C
-library runs a whole inner search, and each held-out prediction, in one
-call (``kernels.fold_search``), with the Python fold loop's bits.
+once. For every classifier the C library runs a whole inner search, and
+each held-out prediction, in one call (``kernels.fold_search``), with
+the Python fold loop's bits; the naive Bayes classifier's exp, log and
+log1p are NumPy's own there too, called back from C.
 Counting correct predictions per k yields accuracy-versus-gene-count
 curves; a one-way ANOVA compares the resulting accuracy groups across
 ranking methods.
@@ -190,10 +191,9 @@ def _fold_counts(classifier, grid, features, labels, folds, n_folds, parts, by_f
     p)`` when ``by_fit`` is set and from ``parts`` otherwise. An SVM fit
     that fails raises the :class:`ConvergenceError` of the first failure
     in candidate-outer, fold-inner order. The library's fold search runs
-    the nearest-neighbour voter, the SVM and the perceptron
-    (:func:`_compiled_counts`) with the same bits; this Python loop is its
-    oracle, the path for the naive Bayes classifier and for every
-    classifier without a compiler, and the one that raises.
+    every classifier (:func:`_compiled_counts`) with the same bits; this
+    Python loop is its oracle, the path without a compiler and for what
+    the library leaves to it, and the one that raises.
     """
     correct = _compiled_counts(classifier, grid, features, labels, folds, n_folds, parts, by_fit)
     if correct is not None:

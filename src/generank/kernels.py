@@ -27,11 +27,14 @@ pass, the matrix reader and the row writer read their arrays in place
 and write into arrays of their own, or into a buffer their caller passes
 back for reuse. Text and the perceptron's seed entropy go in as bytes
 (``c_char_p``); the entropy is each seed part's little-endian uint32
-words (``_seed_words``). A binding returns None where the Python code
+words (``_seed_words``). The fold search also takes ``_apply_ufunc``, a
+ctypes callback through which its naive Bayes scorer gets every exp, log
+and log1p from NumPy, so that their bits are the ones NumPy gives the
+Python code on the same host. A binding returns None where the Python code
 must decide: for text outside the matrix reader's strict form, and for a
 fold search whose block, candidates or seed parts that code would reject
-or that the library has no scorer for, so that the Python code gives its
-own result or raises its own error.
+or that the library does not score as that code does, so that the Python
+code gives its own result or raises its own error.
 """
 
 from __future__ import annotations
@@ -214,30 +217,57 @@ def _bind_mlp_grid(lib):
     return mlp_grid_solve
 
 
+# The NumPy functions that the naive Bayes scorer calls back for, at the
+# positions of their codes in _mamdani.c's ufunc_fn.
+_UFUNCS = (np.exp, np.log, np.log1p)
+
+
+@ctypes.CFUNCTYPE(_COUNT, _COUNT, _POINTER, _POINTER, _COUNT)
+def _apply_ufunc(op, source, target, n):
+    """``_UFUNCS[op]`` of the ``n`` float64 values at address ``source``,
+    written to the ``n`` at ``target``: the same function on the same kind
+    of array (contiguous, its output apart from its input) as the Python
+    loop's, so with the same bits. Returns 1, or 0 when anything was
+    raised, which leaves the search to the Python loop. Nothing raised
+    here can reach the caller: ctypes prints an exception that leaves a
+    callback, drops it, and returns whatever the return slot last held,
+    which may be an earlier call's 1; so every exception, an interrupt too,
+    is caught and becomes a 0."""
+    values = _REAL * n
+    try:
+        _UFUNCS[op](
+            np.frombuffer(values.from_address(source)),
+            out=np.frombuffer(values.from_address(target)),
+        )
+    except BaseException:
+        return 0
+    return 1
+
+
 def _bind_fold_search(lib):
     fn = _declare(
         lib, "fold_search",
         _COUNT, _POINTER, _COUNT, _COUNT, _POINTER, _POINTER, _COUNT, _POINTER, _COUNT,
-        _COUNT, _REAL, _REAL, _REAL, _COUNT, _REAL, ctypes.c_char_p, _COUNT, _COUNT, _POINTER,
+        _COUNT, _REAL, _REAL, _REAL, _COUNT, _REAL, ctypes.c_char_p, _COUNT, _COUNT,
+        type(_apply_ufunc), _POINTER,
     )
 
     def fold_search(classifier, features, labels, folds, n_folds, grid, settings, parts, by_fit):
         """Each candidate's correct test labels over the folds ``0 ..
         n_folds - 1`` of ``folds``, as ``crossval._fold_counts``' Python
-        loop counts them for ``classifier``, computed in C; or None when
-        that loop must decide: for a classifier outside ``FOLD_SCORERS``,
-        a block with no rows or no columns, perceptron seed parts that are
-        not all non-negative ints (``seed_ints``), and a block or
-        candidate that the loop rejects (``_mamdani.c`` says when), so
-        that it gives its own result or raises its own error. Only arrays
-        of the wrong shape raise. ``settings`` holds the SVM's update
-        budget, stopping tolerance and support-vector tolerance, then the
-        perceptron's ridge, step budget and gradient tolerance. The
-        perceptron fit of position ``p`` in fold ``f`` is seeded with
-        ``crossval._derived_seed(*parts, f, p)`` when ``by_fit`` is set,
-        and with ``_derived_seed(*parts)`` otherwise."""
-        if classifier not in FOLD_SCORERS:
-            return None
+        loop counts them for ``classifier``, one of ``FOLD_SCORERS``,
+        computed in C; or None when that loop must decide: for a block with
+        no rows or no columns, perceptron seed parts that are not all
+        non-negative ints (``seed_ints``), and a block or candidate that
+        the loop rejects or scores with code the library does not repeat
+        (``_mamdani.c`` says when), so that it gives its own result or
+        raises its own error. Only arrays of the wrong shape raise.
+        ``settings`` holds the SVM's update budget, stopping tolerance and
+        support-vector tolerance, then the perceptron's ridge, step budget
+        and gradient tolerance. The perceptron fit of position ``p`` in
+        fold ``f`` is seeded with ``crossval._derived_seed(*parts, f, p)``
+        when ``by_fit`` is set, and with ``_derived_seed(*parts)``
+        otherwise."""
         X = np.asarray(features, dtype=np.float64)
         labels = np.asarray(labels, dtype=np.int64)
         folds = np.asarray(folds, dtype=np.int64)
@@ -256,7 +286,7 @@ def _bind_fold_search(lib):
         )
         status = fn(
             FOLD_SCORERS.index(classifier), X_at, n, d, labels_at, folds_at, n_folds, grid_at,
-            m, *settings, entropy, len(entropy) // 4, bool(by_fit), correct_at,
+            m, *settings, entropy, len(entropy) // 4, bool(by_fit), _apply_ufunc, correct_at,
         )
         if status < 0:
             raise MemoryError("fold_search could not allocate its work arrays")
@@ -363,7 +393,7 @@ COMPILED = (
 )
 # The classifiers that fold_search scores, each at the position of its
 # code in the library's table of scorers.
-FOLD_SCORERS = ("knn", "svm", "mlp")
+FOLD_SCORERS = ("knn", "svm", "nbc", "mlp")
 
 _LIB = _load_library()
 if _LIB is not None:

@@ -283,6 +283,109 @@ def test_nbc_grid_labels_validates():
         nbc_grid_labels(train, [1.0], np.array([[np.nan, 0.0]]))
 
 
+needs_library = pytest.mark.skipif(kernels.fold_search is None, reason="C library not loaded")
+
+
+def _library_posteriors(train, multipliers, queries):
+    """``(status, posteriors)`` of the library's ``nbc_posteriors``, the
+    naive Bayes scorer of its fold search, for ``train`` fitted with each
+    multiplier: status 0, or 1 where it leaves the queries to Python."""
+    P, N = kernels._POINTER, kernels._COUNT
+    posteriors_fn = kernels._declare(
+        kernels._LIB, "nbc_posteriors", P, P, N, N, P, N, P, N, type(kernels._apply_ufunc), P
+    )
+    features = np.ascontiguousarray(train.features)
+    labels = np.ascontiguousarray(train.labels, dtype=np.int64)
+    grid = np.asarray(multipliers, dtype=np.float64)
+    queries = np.ascontiguousarray(queries, dtype=np.float64)
+    posteriors = np.empty((len(grid), len(queries), 2))
+    status = posteriors_fn(
+        features.ctypes.data, labels.ctypes.data, *features.shape, grid.ctypes.data, len(grid),
+        queries.ctypes.data, len(queries), kernels._apply_ufunc, posteriors.ctypes.data,
+    )
+    return status, posteriors
+
+
+@needs_library
+def test_library_nbc_posteriors_are_the_python_posteriors_bit_for_bit():
+    # the core cases, then seeded blocks: classes of 1 to 19 rows, 1 to 130
+    # features, across the thresholds 8 and 128 of the pairwise sum over
+    # features, scales from 1e-3 to 1e3, rounded values with signed zeros,
+    # constant columns and test folds of no row
+    cases = [(train, queries, [1.0, 0.5, 2.0, 0.25, 4.0]) for train, queries in _core_cases()]
+    rng = np.random.default_rng(533)
+    for trial in range(400):
+        n0, n1 = (int(v) for v in rng.integers(1, 20, 2))
+        d = int(rng.choice([1, 2, 7, 8, 9, 17, 130]))
+        features = rng.normal(size=(n0 + n1, d)) * 10.0 ** rng.uniform(-3.0, 3.0)
+        if trial % 4 == 1:
+            features = np.round(features, 0)
+            features[::3] *= -0.0
+        elif trial % 4 == 2:
+            features[:, 0] = 1.5
+        labels = rng.permutation(np.array([0] * n0 + [1] * n1))
+        queries = rng.normal(size=(int(rng.integers(0, 4)), d)) * 10.0 ** rng.uniform(-3.0, 3.0)
+        multipliers = rng.uniform(0.1, 5.0, int(rng.integers(1, 6)))
+        cases.append((TrainSet(features, labels), queries, multipliers))
+    for case, (train, queries, multipliers) in enumerate(cases):
+        status, posteriors = _library_posteriors(train, multipliers, queries)
+        fit = classifiers._nbc_fit(train, np.asarray(multipliers))
+        assert status == 0, f"case {case}"
+        assert posteriors.tobytes() == classifiers._nbc_posteriors(*fit, queries).tobytes(), (
+            f"case {case}"
+        )
+
+
+@needs_library
+def test_library_nbc_posteriors_leave_far_queries_to_python(monkeypatch):
+    # A query 1.4e154 of class 0's bandwidths out on both features makes
+    # each of class 0's kernel terms about -1e308: its kernel sums are
+    # finite and its two features sum to -inf. With class 1 spread twice as
+    # wide, class 1's log joint stays finite, and both paths score the
+    # query alike; with class 1 spread as wide, both log joints are -inf,
+    # where Python takes the priors. At 1e200 the kernel terms are -inf,
+    # where _logsumexp takes SciPy's. The library leaves the last two to
+    # Python.
+    fallbacks = []
+    scipy_logsumexp = classifiers.logsumexp
+
+    def counting(*args, **kwargs):
+        fallbacks.append(args[0].shape)
+        return scipy_logsumexp(*args, **kwargs)
+
+    monkeypatch.setattr(classifiers, "logsumexp", counting)
+    base = np.random.default_rng(534).normal(size=(5, 2))
+    labels = np.array([0] * 5 + [1] * 5)
+    for spread in (2.0, 1.0):
+        train = TrainSet(np.vstack([base, spread * base + 1.0]), labels)
+        fit = classifiers._nbc_fit(train, np.array([1.0]))
+        queries = np.array([[0.5, 0.25], 1.4e154 * fit[1][0, 0]])
+        status, posteriors = _library_posteriors(train, [1.0], queries)
+        with np.errstate(over="ignore"):
+            expected = classifiers._nbc_posteriors(*fit, queries)
+        assert not fallbacks
+        if spread == 2.0:
+            assert status == 0
+            assert posteriors.tobytes() == expected.tobytes()
+            assert expected[0, 1].tolist() == [0.0, 1.0]
+        else:
+            assert status == 1
+            assert expected[0, 1].tolist() == [0.5, 0.5]
+    far = np.array([[0.5, 0.25], [1e200, 0.0]])
+    with np.errstate(over="ignore"):
+        expected = classifiers._nbc_posteriors(*fit, far)
+    assert fallbacks and expected[0, 1].tolist() == [0.5, 0.5]
+    assert _library_posteriors(train, [1.0], far)[0] == 1
+    # a multiplier of 5e-324 underflows the bandwidth of a constant column
+    # to 0, whose log NumPy warns about: left to Python with no query too
+    constant = TrainSet(np.column_stack([base[:, 0], np.ones(5)]).repeat(2, axis=0), labels)
+    fit = classifiers._nbc_fit(constant, np.array([5e-324]))
+    assert fit[1][0, 0, 1] == 0.0
+    with pytest.warns(RuntimeWarning, match="divide by zero encountered in log"):
+        classifiers._nbc_posteriors(*fit, np.empty((0, 2)))
+    assert _library_posteriors(constant, [5e-324], np.empty((0, 2)))[0] == 1
+
+
 # ---------------------------------------------------------------------------
 # linear SVM
 

@@ -328,10 +328,17 @@ def _search_cases(classifier):
     blocks have 1, 7, 8, 9 and 130 features, across the thresholds of its
     distances' pairwise sums, training folds of 4 and 8 rows, where k = 5,
     7 and 9 are capped to an even count and split votes fall to the
-    distance sums, and duplicated rows, whose distances tie exactly."""
+    distance sums, and duplicated rows, whose distances tie exactly. The
+    naive Bayes classifier's have 1, 2, 8 and 9 features, across the
+    thresholds of the pairwise sum over features, a class of two samples,
+    which leaves one training row of zero variance, and classes of 9 or
+    more training rows, whose kernel sums over samples are pairwise when
+    there is one feature."""
     rng = np.random.default_rng(640)
     if classifier == "knn":
         sizes, widths = [(3, 3), (5, 5), (9, 8), (12, 7)], (1, 7, 8, 9, 130)
+    elif classifier == "nbc":
+        sizes, widths = [(2, 7), (5, 6), (9, 8), (12, 11)], (1, 2, 8, 9)
     else:
         sizes = [(5, 6), (9, 8), (12, 7)] + ([(70, 75)] if classifier == "svm" else [])
         widths = (1, 2, 4)
@@ -394,7 +401,7 @@ def test_fold_blocks_are_scaled_blocks_bit_for_bit():
 
 
 @needs_fold_search
-@pytest.mark.parametrize("classifier", ["knn", "svm", "mlp"])
+@pytest.mark.parametrize("classifier", CLASSIFIERS)
 def test_fold_search_counts_equal_on_both_paths(monkeypatch, classifier):
     # every candidate's count, then the pick, over each block's folds
     for trial, (features, labels) in enumerate(_search_cases(classifier)):
@@ -433,7 +440,8 @@ def test_fold_search_sums_knn_distances_in_numpys_order(monkeypatch, n, d, seed)
 
 @needs_fold_search
 @pytest.mark.parametrize(
-    "classifier, n0, n1, k_max", [("knn", 6, 5, 3), ("svm", 6, 7, 3), ("mlp", 5, 5, 2)]
+    "classifier, n0, n1, k_max",
+    [("knn", 6, 5, 3), ("svm", 6, 7, 3), ("nbc", 7, 6, 3), ("mlp", 5, 5, 2)],
 )
 def test_sweep_equal_on_both_paths(monkeypatch, classifier, n0, n1, k_max):
     # the held-out fits go through the library as one-fold searches; k = 1
@@ -489,7 +497,7 @@ def test_svm_budget_stall_raises_the_same_error_on_both_paths(monkeypatch):
 
 @needs_fold_search
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("classifier", ["knn", "svm", "mlp"])
+@pytest.mark.parametrize("classifier", CLASSIFIERS)
 @pytest.mark.parametrize(
     "fault", ["label", "nan", "inf", "held_out_nan", "one_class", "candidate"]
 )
@@ -512,7 +520,10 @@ def test_rejected_blocks_raise_the_same_error_on_both_paths(monkeypatch, classif
         features[3, 0] = np.nan if fault == "nan" else np.inf
     grids = [_hyper_grid(classifier, 2)]
     if fault == "candidate":
-        grids = {"knn": [[0]], "svm": [[0.0], [np.nan]], "mlp": [[0]]}[classifier]
+        grids = {
+            "knn": [[0]], "svm": [[0.0], [np.nan]], "nbc": [[0.0], [np.nan], [-1.0]],
+            "mlp": [[0]],
+        }[classifier]
     alone = (np.arange(12) != 0).astype(np.int64)
     folds = stratified_folds(labels, 6, 1)
 
@@ -546,7 +557,7 @@ def test_overflowing_scale_raises_on_both_paths(monkeypatch, classifier, scale):
     rng = np.random.default_rng(648)
     features = rng.normal(size=(12, 2)) * scale
     labels = np.array([0] * 6 + [1] * 6)
-    if classifier != "nbc" and kernels.fold_search is not None:
+    if kernels.fold_search is not None:
         folds = stratified_folds(labels, 6, 1)
         grid = _hyper_grid(classifier, 2)
         arguments = (classifier, grid, features, labels, folds, 6, (1,), True)
@@ -603,26 +614,35 @@ def test_block_without_features_gets_the_same_outcome_on_both_paths(
 
 @needs_fold_search
 def test_fold_search_leaves_to_the_python_loop_what_it_does_not_score(monkeypatch):
-    # the naive Bayes classifier, a block with no rows or no columns, and
-    # perceptron seed parts that are not non-negative ints; the voter and
-    # the SVM never read the seed parts, on either path. Only arrays of the
-    # wrong shape raise.
+    # a block with no rows or no columns, perceptron seed parts that are not
+    # non-negative ints and an infinite naive Bayes multiplier, which
+    # _checked_positive takes; the voter, the SVM and the naive Bayes
+    # classifier never read the seed parts, on either path. Only arrays of
+    # the wrong shape raise.
     rng = np.random.default_rng(649)
     features = rng.normal(size=(12, 2))
     features[6:] += 0.7
     labels = np.array([0] * 6 + [1] * 6)
     folds = stratified_folds(labels, 6, 1)
 
-    def counts(classifier, parts=(1,), X=features, y=labels, f=folds):
-        grid = _hyper_grid(classifier, 2)
+    def counts(classifier, parts=(1,), X=features, y=labels, f=folds, grid=None):
+        grid = _hyper_grid(classifier, 2) if grid is None else grid
         return crossval._compiled_counts(classifier, grid, X, y, f, 6, parts, True)
 
-    assert counts("nbc") is None
     assert counts("knn", X=features[:, :0]) is None
     assert counts("svm", X=features[:0], y=labels[:0], f=folds[:0]) is None
+    infinite = [1.0, np.inf]
+    assert counts("nbc", grid=infinite) is None
+    compiled, python = _on_both_paths(
+        monkeypatch,
+        lambda: crossval._fold_counts(
+            "nbc", infinite, features, labels, folds, 6, (1,), True
+        ).tolist(),
+    )
+    assert compiled == python
     for parts in ((-1,), (1, np.int64(-2)), (1.5,), (np.float64(2.0),), ("3",), (None,)):
         assert counts("mlp", parts) is None, parts
-        for classifier in ("knn", "svm"):
+        for classifier in ("knn", "svm", "nbc"):
             got = counts(classifier, parts)
             assert got.tolist() == counts(classifier).tolist(), parts
             compiled, python = _on_both_paths(
@@ -639,6 +659,31 @@ def test_fold_search_leaves_to_the_python_loop_what_it_does_not_score(monkeypatc
     ):
         with pytest.raises(ValueError, match="features must be 2-D"):
             counts("knn", **bad)
+
+
+@needs_fold_search
+def test_failed_numpy_callback_leaves_the_search_to_the_python_loop(monkeypatch):
+    # the naive Bayes scorer's exp, log and log1p come from kernels._UFUNCS
+    # through a callback; one that raises leaves the search to the Python
+    # loop, which picks as it does without the library
+    rng = np.random.default_rng(650)
+    features = rng.normal(size=(12, 2))
+    features[6:] += 0.7
+    labels = np.array([0] * 6 + [1] * 6)
+    folds = stratified_folds(labels, 6, 1)
+    arguments = ("nbc", _hyper_grid("nbc", 2), features, labels, folds, 6, (1,), True)
+    assert crossval._compiled_counts(*arguments) is not None
+    expected = _on_both_paths(monkeypatch, lambda: inner_search(features, labels, "nbc", seed=1))
+    calls = []
+
+    def raising(*args, **kwargs):
+        calls.append(args)
+        raise RuntimeError("no NumPy function")
+
+    monkeypatch.setattr(kernels, "_UFUNCS", (raising,) * 3)
+    assert crossval._compiled_counts(*arguments) is None
+    assert calls
+    assert inner_search(features, labels, "nbc", seed=1) == expected[1] == expected[0]
 
 
 @pytest.mark.parametrize("classifier", CLASSIFIERS)
