@@ -20,10 +20,22 @@ The blocks' seeds take one, two and three uint32 words in turn, so that
 the library's port of NumPy's ``SeedSequence`` hashes seeds of every
 length that the perceptron's fits derive from.
 Then it reports the median time of one ``inner_search`` call on each
-path at the shapes of a nested LOOCV of 10 and of 40 samples. Invoke from
-the repository root:
+path at the shapes of a nested LOOCV of 10 and of 40 samples.
 
-    PYTHONPATH=src python3 benchmarks/bench_inner.py --blocks 200
+With ``--sweeps N`` it also runs N seeded gene-count sweeps per
+classifier (``crossval.sweep_gene_counts``) on each path: with the
+library, each held-out sample takes one ``kernels.held_out_search`` call
+(its fold draws, every count's inner search and its prediction in C),
+and without it the per-count Python loop (``crossval._held_out_hits``)
+runs with the fold loop in Python. The sweeps' datasets vary the class
+sizes (two to twelve samples, so that some inner searches fall back to
+the first candidate), the ranking method and scope and the seed's word
+count; the script exits 1 on any count that differs, and reports the
+median time of one held-out sample on each path at the shapes of a
+nested LOOCV of 10 samples (k up to 2) and of 40 (k up to 5). Invoke
+from the repository root:
+
+    PYTHONPATH=src python3 benchmarks/bench_inner.py --blocks 200 --sweeps 20
 """
 
 import argparse
@@ -34,6 +46,7 @@ import time
 import numpy as np
 
 from generank import crossval, kernels
+from generank.dataio import Dataset
 
 CLASSIFIERS = ("knn", "svm", "nbc", "mlp")
 # (training samples, features) of the blocks compared
@@ -43,13 +56,21 @@ SHAPES = ((9, 1), (9, 2), (16, 1), (19, 3), (39, 5), (60, 2), (150, 1))
 TIMED = ((9, 1), (9, 2), (39, 5))
 
 
-def python_path(run):
-    """``run()`` with the library's fold search unbound."""
-    bound, kernels.fold_search = kernels.fold_search, None
+# (samples, genes, largest gene count) of the held-out samples timed: a
+# nested LOOCV of 10 samples at k = 1 and 2, and of 40 at k = 1 to 5
+SWEEP_TIMED = ((10, 200, 2), (40, 200, 5))
+
+
+def python_path(run, names=("fold_search",)):
+    """``run()`` with the library's bindings ``names`` unbound."""
+    bound = [getattr(kernels, name) for name in names]
+    for name in names:
+        setattr(kernels, name, None)
     try:
         return run()
     finally:
-        kernels.fold_search = bound
+        for name, binding in zip(names, bound):
+            setattr(kernels, name, binding)
 
 
 def block(rng, n, d):
@@ -101,6 +122,76 @@ def compare(classifier, features, labels, seed):
     return None
 
 
+def sweep_dataset(rng, trial):
+    """A seeded dataset of 20 to 60 genes, the first five shifted in class
+    1, with 2 to 12 samples a class (3 or more for a training-fold
+    ranking, on odd trials), and the ``sweep_gene_counts`` arguments it is
+    swept with."""
+    rank_scope = ("full", "train")[trial % 2]
+    n0, n1 = (int(v) for v in rng.integers(2 + trial % 2, 13, 2))
+    n_genes = int(rng.integers(20, 61))
+    matrix = rng.normal(size=(n_genes, n0 + n1))
+    matrix[:5, n0:] += rng.uniform(0.3, 1.5)
+    labels = rng.permutation(np.array([0] * n0 + [1] * n1))
+    dataset = Dataset(matrix, [f"g{i}" for i in range(n_genes)], labels, ("a", "b"))
+    method = ("ttest", "wilcoxon", "roc")[trial % 3]
+    return dataset, method, dict(k_max=int(rng.integers(1, 5)), rank_scope=rank_scope,
+                                 seed=block_seed(trial))
+
+
+def compare_sweep(classifier, dataset, method, options):
+    """Whether the sweep's counts are equal on both paths, and how many
+    held-out samples the library left to the per-count loop."""
+    deferred = []
+    loop = crossval._held_out_hits
+
+    def counting(*args):
+        deferred.append(args[3])
+        return loop(*args)
+
+    crossval._held_out_hits = counting
+    try:
+        compiled = crossval.sweep_gene_counts(dataset, method, classifier, **options)
+    finally:
+        crossval._held_out_hits = loop
+    python = python_path(
+        lambda: crossval.sweep_gene_counts(dataset, method, classifier, **options),
+        ("fold_search", "held_out_search"),
+    )
+    return compiled == python, len(deferred)
+
+
+def held_out_times(classifier, n, n_genes, k_max, repeats):
+    """Median seconds of one held-out sample on a seeded dataset of ``n``
+    samples and ``n_genes`` genes: the per-count loop (the fold searches
+    in C, one call each), then one ``held_out_search`` call, or None
+    without the library."""
+    rng = np.random.default_rng(n)
+    matrix = rng.normal(size=(n_genes, n))
+    matrix[:10, n // 2:] += 1.5
+    labels = [0] * (n // 2) + [1] * (n - n // 2)
+    dataset = Dataset(matrix, [f"g{i}" for i in range(n_genes)], labels, ("a", "b"))
+    order = crossval.rank(dataset, "ttest").order
+    counts = list(range(1, k_max + 1))
+    grids = [crossval._hyper_grid(classifier, k) for k in counts]
+
+    def loop():
+        return crossval._held_out_hits(dataset, classifier, order, 0, counts, 3)
+
+    def call():
+        return kernels.held_out_search(
+            classifier, dataset.matrix[order[:k_max]], order[:k_max], dataset.labels, 0,
+            counts, grids, crossval.MAX_INNER_FOLDS, crossval._solver_settings(), 3,
+        )
+
+    compiled = None
+    if kernels.held_out_search is not None:
+        if call() is None:
+            sys.exit(f"{classifier} {n} samples: the timed held-out sample was left to Python")
+        compiled = median_time(call, repeats)
+    return median_time(loop, repeats), compiled
+
+
 def median_time(run, repeats):
     times = []
     for _ in range(repeats):
@@ -115,6 +206,9 @@ def main(argv=None):
     parser.add_argument("--blocks", type=int, default=200, help="blocks compared per classifier")
     parser.add_argument("--repeats", type=int, default=40, help="timed calls per path and shape")
     parser.add_argument("--seed", type=int, default=28)
+    parser.add_argument(
+        "--sweeps", type=int, default=0, help="gene-count sweeps compared per classifier"
+    )
     args = parser.parse_args(argv)
 
     if kernels.fold_search is None:
@@ -154,6 +248,36 @@ def main(argv=None):
                 if kernels.fold_search is not None else f"{'-':>15}"
             )
             print(f"{classifier:>12}{f'{n}x{d}':>8}{python * 1e3:>14.3f}{compiled}")
+
+    if args.sweeps < 1:
+        return
+    if kernels.held_out_search is None:
+        print("the C library is not loaded: only the per-count loop runs, nothing to compare")
+    else:
+        rng = np.random.default_rng(args.seed + 2)
+        for classifier in CLASSIFIERS:
+            deferred = 0
+            for trial in range(args.sweeps):
+                dataset, method, options = sweep_dataset(rng, trial)
+                same, left = compare_sweep(classifier, dataset, method, options)
+                if not same:
+                    sys.exit(
+                        f"{classifier} sweep {trial} ({method}, {dataset.n_genes} genes x "
+                        f"{dataset.n_samples} samples, {options}): the counts differ between "
+                        "the compiled and Python paths"
+                    )
+                deferred += left
+            print(
+                f"{classifier}: {args.sweeps} sweeps agree on both paths, {deferred} held-out "
+                "samples left to the per-count loop"
+            )
+
+    print(f"{'held out':>12}{'shape':>12}{'loop (ms)':>12}{'one call (ms)':>15}")
+    for classifier in CLASSIFIERS:
+        for n, n_genes, k_max in SWEEP_TIMED:
+            loop, call = held_out_times(classifier, n, n_genes, k_max, args.repeats)
+            call = f"{call * 1e3:>15.3f}" if call is not None else f"{'-':>15}"
+            print(f"{classifier:>12}{f'{n}, k<={k_max}':>12}{loop * 1e3:>12.3f}{call}")
 
 
 if __name__ == "__main__":

@@ -1,8 +1,9 @@
 /* Three compiled solvers that mirror Python code expression for
- * expression, the inner search of nested LOOCV built on two of them and
- * on the nearest-neighbour vote, a pass over the tie runs of sorted rows,
- * a reader and a writer of the expression matrix's text, and NumPy's
- * seeding and uniform draws for the perceptron's inner search:
+ * expression, the inner search of nested LOOCV and each held-out
+ * sample's part of it built on two of them and on the nearest-neighbour
+ * vote, a pass over the tie runs of sorted rows, a reader and a writer of
+ * the expression matrix's text, and NumPy's seeding, uniform draws and
+ * shuffle for the inner searches:
  *
  * mamdani_scores, the batch fuzzy-inference kernel, a plain-C port of
  * generank._mamdani_py. The centroid accumulates in ascending grid
@@ -63,7 +64,17 @@
  * svm_grid_solve or mlp_grid_solve, or scores the naive Bayes posteriors
  * by nbc_posteriors, in one call, a port of the Python fold loop of
  * generank.crossval._fold_counts. A fold or candidate that loop would
- * reject is left to it. nbc_posteriors, a port of
+ * reject is left to it.
+ *
+ * held_out_search, everything nested LOOCV does for one held-out sample
+ * after its training fold is ranked, at every gene count, in one call: a
+ * port of the per-count loop of generank.crossval._held_out_hits. For
+ * each count it takes the top genes in gene-index order, derives the
+ * inner seed, draws the inner folds (stratified_folds), runs the inner
+ * search and then the held-out prediction through fold_loop, the one fold
+ * loop that fold_search runs too, and records a hit or a miss. Wherever a
+ * search would leave the folds to Python, the whole held-out sample is
+ * left to the Python loop. nbc_posteriors, a port of
  * generank.classifiers._nbc_fit and _nbc_posteriors, takes only pow, log
  * and sqrt from the C library, where Python takes them from it too; every
  * exp, log and log1p that Python takes from NumPy it gets from NumPy, by a
@@ -75,8 +86,12 @@
  * PCG64 that fold_search calls for each perceptron fit: the seed
  * generank.crossval._derived_seed derives from the fit's coordinates and
  * the starting weights generank.classifiers._initial_weights draws from
- * it, with numpy.random's bits. Python draws its own seeds and weights
- * with numpy.random. The 128-bit LCG step multiplies 64-bit halves
+ * it, with numpy.random's bits. stratified_folds, a port of
+ * generank.crossval.stratified_folds on the same PCG64, which
+ * held_out_search calls for each inner search: NumPy's buffered 32-bit
+ * draws, random_interval's masked rejection and Generator.shuffle's
+ * Fisher-Yates pass. Python draws its own seeds, weights and folds with
+ * numpy.random. The 128-bit LCG step multiplies 64-bit halves
  * (multiply_128), so no compiler's 128-bit type is needed.
  *
  * The library is built with -ffp-contract=off, so no loop fuses a
@@ -1651,7 +1666,8 @@ int64_t format_rows(const double *values, int64_t rows, int64_t cols,
 
 /* NumPy's SeedSequence (pool size 4) and PCG64, bit for bit, so that
  * fold_search derives each perceptron fit's seed and draws its starting
- * weights as numpy.random does. Entropy comes in as little-endian uint32
+ * weights, and held_out_search draws each inner fold assignment, as
+ * numpy.random does. Entropy comes in as little-endian uint32
  * words packed in bytes, the words NumPy's _int_to_uint32_array makes of
  * each int; a fit's weights come from its one-word seed. The constants
  * and the order of every step are those of NumPy's bit_generator.pyx and
@@ -1760,10 +1776,8 @@ static void pcg_seed(uint32_t seed, pcg128 *state, pcg128 *inc)
     pcg_step(state, *inc);
 }
 
-/* Generator.uniform(low, low + range)'s next value: PCG64's next 64 bits
- * (XSL-RR output of the stepped state), their top 53 as a double in
- * [0, 1), then low + range * that. */
-static double pcg_uniform(pcg128 *state, pcg128 inc, double low, double range)
+/* PCG64's next 64 bits: the XSL-RR output of the stepped state. */
+static uint64_t pcg_next64(pcg128 *state, pcg128 inc)
 {
     uint64_t x;
     unsigned rot;
@@ -1771,8 +1785,14 @@ static double pcg_uniform(pcg128 *state, pcg128 inc, double low, double range)
     pcg_step(state, inc);
     x = state->high ^ state->low;
     rot = (unsigned)(state->high >> 58);
-    x = x >> rot | x << ((64 - rot) & 63);
-    return low + range * ((double)(x >> 11) * (1.0 / 9007199254740992.0));
+    return x >> rot | x << ((64 - rot) & 63);
+}
+
+/* Generator.uniform(low, low + range)'s next value: the top 53 of PCG64's
+ * next 64 bits as a double in [0, 1), then low + range * that. */
+static double pcg_uniform(pcg128 *state, pcg128 inc, double low, double range)
+{
+    return low + range * ((double)(pcg_next64(state, inc) >> 11) * (1.0 / 9007199254740992.0));
 }
 
 /* SeedSequence(entropy).generate_state(1)[0] for n little-endian words
@@ -1807,6 +1827,87 @@ int64_t initial_weights(int64_t d, int64_t h, uint32_t seed, double *w)
     for (i = 0; i < h; i++)
         *w++ = pcg_uniform(&state, inc, -0.5, 1.0) / scale;
     *w = 0.0;
+    return 0;
+}
+
+/* A PCG64 generator with the 32-bit buffer of NumPy's pcg64_next32: a
+ * 32-bit draw takes the low half of a 64-bit one and keeps the high half
+ * for the next. */
+typedef struct {
+    pcg128 state, inc;
+    int has_uint32;
+    uint32_t uinteger;
+} pcg_stream;
+
+static uint32_t pcg_next32(pcg_stream *g)
+{
+    uint64_t next;
+
+    if (g->has_uint32) {
+        g->has_uint32 = 0;
+        return g->uinteger;
+    }
+    next = pcg_next64(&g->state, g->inc);
+    g->has_uint32 = 1;
+    g->uinteger = (uint32_t)(next >> 32);
+    return (uint32_t)next;
+}
+
+/* NumPy's random_interval: a value in [0, max], drawn by masking each
+ * draw to max's bit length and rejecting those above max; 32-bit draws
+ * for a max below 2^32, 64-bit ones (which leave the buffer alone)
+ * above. */
+static uint64_t random_interval(pcg_stream *g, uint64_t max)
+{
+    uint64_t mask = max, value;
+
+    if (max == 0)
+        return 0;
+    mask |= mask >> 1;
+    mask |= mask >> 2;
+    mask |= mask >> 4;
+    mask |= mask >> 8;
+    mask |= mask >> 16;
+    mask |= mask >> 32;
+    if (max <= 0xffffffffu)
+        while ((value = (pcg_next32(g) & mask)) > max)
+            ;
+    else
+        while ((value = (pcg_next64(&g->state, g->inc) & mask)) > max)
+            ;
+    return value;
+}
+
+/* generank.crossval.stratified_folds(labels, n_folds, seed) for n labels,
+ * each 0 or 1, into assignment, with work holding n values: each class's
+ * sample indices in ascending order, class 0 first, shuffled as
+ * default_rng(seed).shuffle does (Fisher-Yates from the last index down,
+ * swapping index i with random_interval(i)), then dealt to folds round
+ * robin, the deal position carrying over from class 0 to class 1. Both
+ * classes draw from one generator, so class 1's first draw may be the
+ * high half that class 0's last left in the buffer. Returns 0. */
+int64_t stratified_folds(const int64_t *labels, int64_t n, int64_t n_folds, uint32_t seed,
+                         int64_t *work, int64_t *assignment)
+{
+    pcg_stream g = {.has_uint32 = 0};
+    int64_t cls, size, i, j, swap, *members = work, offset = 0;
+
+    pcg_seed(seed, &g.state, &g.inc);
+    for (cls = 0; cls < 2; cls++) {
+        for (i = 0, size = 0; i < n; i++)
+            if (labels[i] == cls)
+                members[size++] = i;
+        for (i = size - 1; i > 0; i--) {
+            j = (int64_t)random_interval(&g, (uint64_t)i);
+            swap = members[j];
+            members[j] = members[i];
+            members[i] = swap;
+        }
+        for (i = 0; i < size; i++)
+            assignment[members[i]] = (offset + i) % n_folds;
+        offset = (offset + size) % n_folds;
+        members += size;
+    }
     return 0;
 }
 
@@ -2374,13 +2475,56 @@ static const scorer SCORERS[] = {
     {mlp_work, mlp_label},
 };
 
+/* The fold loop of fold_search and held_out_search: the inner search
+ * over the folds 0 .. n_folds - 1 of folds of the samples X (s->n x s->d,
+ * row-major) with labels, by the scorer SCORERS[classifier]: correct[r]
+ * counts the test rows candidate s->grid[r] labels right. s holds the
+ * candidates, the solver settings, the seed entropy and the callback; the
+ * loop fills in each fold's blocks. Returns 0, 1 when the Python loop
+ * must decide (also for no candidate), or -1 if out of memory. */
+static int64_t fold_loop(int64_t classifier, search *s, const double *X, const int64_t *labels,
+                         const int64_t *folds, int64_t n_folds, int64_t *correct)
+{
+    int64_t n = s->n, d = s->d, n_c = s->n_c;
+    double *T, *E, *sq;
+    int64_t *t_labels, *e_labels, *predicted, size, r, i, status = 0;
+
+    if (classifier < 0 || classifier >= (int64_t)(sizeof SCORERS / sizeof *SCORERS) || n_c < 1
+        || !binary_labels(labels, n))
+        return 1;
+    size = SCORERS[classifier].work(s);
+    if (size < 0)
+        return 1;
+    T = malloc(sizeof(double) * (size_t)(2 * n * d + 3 * n + n_c * n + size));
+    if (T == NULL)
+        return -1;
+    s->T = T;
+    s->E = E = T + n * d;
+    sq = E + n * d;
+    s->t_labels = t_labels = (int64_t *)(sq + n);
+    e_labels = t_labels + n;
+    predicted = e_labels + n;
+    for (r = 0; r < n_c; r++)
+        correct[r] = 0;
+    for (s->f = 0; s->f < n_folds && status == 0; s->f++) {
+        status = fold_blocks(X, n, d, labels, folds, s->f, T, t_labels, &s->n_t, E, e_labels,
+                             &s->n_e, sq);
+        if (status == 0)
+            status = SCORERS[classifier].label(s, (double *)(predicted + n_c * n), predicted);
+        for (r = 0; r < n_c && status == 0; r++)
+            for (i = 0; i < s->n_e; i++)
+                correct[r] += predicted[r * s->n_e + i] == e_labels[i];
+    }
+    free(T);
+    return status;
+}
+
 /* The inner search over the folds 0 .. n_folds - 1 of folds of the
  * samples X (n x d, row-major) with labels, by the scorer
- * SCORERS[classifier]: correct[r] counts the test rows candidate grid[r]
- * labels right. svm_grid_solve and mlp_grid_solve take the settings of
- * the same names, and nbc_posteriors the NumPy callback ufunc. Returns 0,
- * 1 when the Python loop must decide (also for no candidate), or -1 if
- * out of memory. */
+ * SCORERS[classifier]: fold_loop's counts. svm_grid_solve and
+ * mlp_grid_solve take the settings of the same names, and nbc_posteriors
+ * the NumPy callback ufunc. Returns 0, 1 when the Python loop must decide
+ * (also for no candidate), or -1 if out of memory. */
 int64_t fold_search(int64_t classifier, const double *X, int64_t n, int64_t d,
                     const int64_t *labels, const int64_t *folds, int64_t n_folds,
                     const double *grid, int64_t n_c, int64_t svm_max_iter, double svm_tol,
@@ -2392,35 +2536,134 @@ int64_t fold_search(int64_t classifier, const double *X, int64_t n, int64_t d,
                 .svm_max_iter = svm_max_iter, .mlp_max_iter = mlp_max_iter,
                 .n_words = n_words, .by_fit = by_fit, .svm_tol = svm_tol, .sv_tol = sv_tol,
                 .ridge = ridge, .mlp_tol = mlp_tol};
-    double *T, *E, *sq;
-    int64_t *t_labels, *e_labels, *predicted, size, r, i, status = 0;
 
-    if (classifier < 0 || classifier >= (int64_t)(sizeof SCORERS / sizeof *SCORERS) || n_c < 1
-        || !binary_labels(labels, n))
+    return fold_loop(classifier, &s, X, labels, folds, n_folds, correct);
+}
+
+/* held_out_search, all the work of nested LOOCV for one held-out sample
+ * once its training fold is ranked, at every gene count: a port of the
+ * per-count loop of generank.crossval._held_out_hits, inner_search and
+ * then the one-fold search that predicts the held-out sample, in one
+ * call.
+ *
+ * rows holds the rows of the k_max top-ranked genes (k_max x n,
+ * row-major, in rank order), genes their gene indices and labels the
+ * labels of the n samples, of which held_out is held out. For count
+ * k = counts[t], the features are the first k rows taken in gene-index
+ * order (np.sort(order[:k])), sample by sample, and the candidates are
+ * the grid_sizes[t] values of grids that follow those of the counts
+ * before it. The inner search on the other n - 1 samples takes
+ * min(max_folds, smaller class) folds, drawn by stratified_folds from the
+ * seed _derived_seed(*seed, held_out, k), and fold_loop seeds the fit of
+ * position p in fold f from (inner seed, f, p); the first best candidate
+ * wins, or the first candidate when there are fewer than two folds. The
+ * held-out sample alone in fold 0 is then predicted by fold_loop with the
+ * winner, its fit seeded from (*seed, held_out, k, 1); hits[t] receives
+ * 1 if the prediction is right and 0 if not. The seed comes as n_words
+ * little-endian uint32 words in entropy; held_out and each count take
+ * one word, as no array of 2^32 values is passed here. Returns 0, 1 when
+ * the Python loop must decide (for a count outside 1 .. k_max, a count
+ * without candidates, a label other than 0 or 1, and wherever fold_loop
+ * defers), or -1 if out of memory. */
+int64_t held_out_search(int64_t classifier, const double *rows, int64_t k_max, int64_t n,
+                        const int64_t *genes, const int64_t *labels, int64_t held_out,
+                        const int64_t *counts, int64_t n_k, const double *grids,
+                        const int64_t *grid_sizes, int64_t max_folds, int64_t svm_max_iter,
+                        double svm_tol, double sv_tol, double ridge, int64_t mlp_max_iter,
+                        double mlp_tol, const unsigned char *entropy, int64_t n_words,
+                        ufunc_fn ufunc, int64_t *hits)
+{
+    search s = {.ufunc = ufunc, .svm_max_iter = svm_max_iter, .mlp_max_iter = mlp_max_iter,
+                .svm_tol = svm_tol, .sv_tol = sv_tol, .ridge = ridge, .mlp_tol = mlp_tol};
+    const double *grid = grids;
+    double *X, *inner_X;
+    int64_t *inner_labels, *folds, *alone, *work, *sel, *correct, n_c_max = 1, ones = 0;
+    int64_t n_folds, have = 0, t, k, i, j, a, best, status = 0;
+    unsigned char *words, inner_word[4];
+    uint32_t inner_seed;
+
+    if (k_max < 1 || n < 2 || held_out < 0 || held_out >= n || !binary_labels(labels, n))
         return 1;
-    size = SCORERS[classifier].work(&s);
-    if (size < 0)
-        return 1;
-    T = malloc(sizeof(double) * (size_t)(2 * n * d + 3 * n + n_c * n + size));
-    if (T == NULL)
+    for (t = 0; t < n_k; t++)
+        n_c_max = grid_sizes[t] > n_c_max ? grid_sizes[t] : n_c_max;
+    X = malloc(sizeof(double) * (size_t)((2 * n - 1) * k_max + 4 * n + k_max + n_c_max
+                                         + n_words / 2 + 2));
+    if (X == NULL)
         return -1;
-    s.T = T;
-    s.E = E = T + n * d;
-    sq = E + n * d;
-    s.t_labels = t_labels = (int64_t *)(sq + n);
-    e_labels = t_labels + n;
-    predicted = e_labels + n;
-    for (r = 0; r < n_c; r++)
-        correct[r] = 0;
-    for (s.f = 0; s.f < n_folds && status == 0; s.f++) {
-        status = fold_blocks(X, n, d, labels, folds, s.f, T, t_labels, &s.n_t, E, e_labels,
-                             &s.n_e, sq);
-        if (status == 0)
-            status = SCORERS[classifier].label(&s, (double *)(predicted + n_c * n), predicted);
-        for (r = 0; r < n_c && status == 0; r++)
-            for (i = 0; i < s.n_e; i++)
-                correct[r] += predicted[r * s.n_e + i] == e_labels[i];
+    inner_X = X + n * k_max;
+    inner_labels = (int64_t *)(inner_X + (n - 1) * k_max);
+    folds = inner_labels + n - 1;
+    alone = folds + n - 1;
+    work = alone + n;
+    sel = work + n;
+    correct = sel + k_max;
+    words = (unsigned char *)(correct + n_c_max);
+    for (i = 0, j = 0; i < n; i++) {
+        alone[i] = i != held_out;
+        if (i != held_out) {
+            inner_labels[j++] = labels[i];
+            ones += labels[i] == 1;
+        }
     }
-    free(T);
+    n_folds = ones < n - 1 - ones ? ones : n - 1 - ones;
+    n_folds = n_folds < max_folds ? n_folds : max_folds;
+    /* the seed's words, then held_out's, k's (each count's in turn) and 1's */
+    memcpy(words, entropy, (size_t)(4 * n_words));
+    for (i = 0; i < 4; i++) {
+        words[4 * n_words + i] = (unsigned char)(held_out >> (8 * i));
+        words[4 * n_words + 8 + i] = i == 0;
+    }
+    for (t = 0; t < n_k && status == 0; grid += grid_sizes[t++]) {
+        k = counts[t];
+        if (k < 1 || k > k_max || grid_sizes[t] < 1) {
+            status = 1;
+            break;
+        }
+        /* the first k genes in gene-index order, kept from the count before
+         * when the counts ascend */
+        if (k < have)
+            have = 0;
+        for (; have < k; have++) {
+            for (a = have; a > 0 && genes[sel[a - 1]] > genes[have]; a--)
+                sel[a] = sel[a - 1];
+            sel[a] = have;
+        }
+        for (i = 0; i < n; i++)
+            for (j = 0; j < k; j++)
+                X[i * k + j] = rows[sel[j] * n + i];
+        memcpy(inner_X, X, sizeof(double) * (size_t)(held_out * k));
+        memcpy(inner_X + held_out * k, X + (held_out + 1) * k,
+               sizeof(double) * (size_t)((n - 1 - held_out) * k));
+        for (i = 0; i < 4; i++)
+            words[4 * n_words + 4 + i] = (unsigned char)(k >> (8 * i));
+        s.grid = grid;
+        s.n_c = grid_sizes[t];
+        s.d = k;
+        best = 0;
+        if (n_folds >= 2) {
+            inner_seed = (uint32_t)derived_seed(words, n_words + 2);
+            stratified_folds(inner_labels, n - 1, n_folds, inner_seed, work, folds);
+            for (i = 0; i < 4; i++)
+                inner_word[i] = (unsigned char)(inner_seed >> (8 * i));
+            s.entropy = inner_word;
+            s.n_words = 1;
+            s.by_fit = 1;
+            s.n = n - 1;
+            status = fold_loop(classifier, &s, inner_X, inner_labels, folds, n_folds, correct);
+            for (j = 1; j < s.n_c && status == 0; j++)
+                best = correct[j] > correct[best] ? j : best;
+        }
+        if (status == 0) {
+            s.grid = grid + best;
+            s.n_c = 1;
+            s.entropy = words;
+            s.n_words = n_words + 3;
+            s.by_fit = 0;
+            s.n = n;
+            status = fold_loop(classifier, &s, X, labels, alone, 1, correct);
+            hits[t] = correct[0];
+        }
+    }
+    free(X);
     return status;
 }

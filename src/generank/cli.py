@@ -30,6 +30,7 @@ from generank.classifiers import ConvergenceError
 from generank.dataio import (
     DataFormatError,
     Dataset,
+    check_tsv_ids,
     load_tables,
     quantile_normalize,
     save_dataset,
@@ -259,6 +260,12 @@ def _load_evaluations(paths):
                 raise ValueError(f"{path}: missing key {key!r}")
             if not valid(data[key]):
                 raise ValueError(f"{path}: {key!r} must be {what}, got {data[key]!r}")
+        # the names become cells of report's TSV files
+        for key in ("method", "classifier"):
+            try:
+                check_tsv_ids(key, [data[key]])
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from None
         evaluations.append(data)
     return evaluations
 

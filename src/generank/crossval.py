@@ -6,10 +6,15 @@ every gene count k the top-k genes become features and an inner
 stratified cross-validation picks the classifier's hyperparameter before
 the held-out sample is predicted. The inner loop is fold-major too, for
 all four classifiers: each inner fold scores every candidate value at
-once. For every classifier the C library runs a whole inner search, and
-each held-out prediction, in one call (``kernels.fold_search``), with
-the Python fold loop's bits; the naive Bayes classifier's exp, log and
-log1p are NumPy's own there too, called back from C.
+once. For every classifier the C library does all of a held-out
+sample's work after its ranking in one call (``kernels.held_out_search``):
+at every count it draws the inner folds with a port of
+:func:`stratified_folds`, runs the inner search and predicts the
+held-out sample, with the bits of the per-count Python loop
+(:func:`_held_out_hits`); a standalone :func:`inner_search` runs its
+folds in one call too (``kernels.fold_search``). The naive Bayes
+classifier's exp, log and log1p are NumPy's own there, called back from
+C.
 Counting correct predictions per k yields accuracy-versus-gene-count
 curves; a one-way ANOVA compares the resulting accuracy groups across
 ranking methods.
@@ -84,8 +89,9 @@ class AnovaResult:
 def _derived_seed(*parts) -> int:
     """Independent child stream for one (seed, fold, ...) coordinate: the
     first 32-bit word of NumPy's ``SeedSequence(parts)`` state. The
-    library's perceptron fold search derives the same seeds with its port
-    of ``SeedSequence``."""
+    library's fold search derives the same perceptron seeds, and its
+    held-out search the same inner seeds, with its port of
+    ``SeedSequence``."""
     return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
 
 
@@ -95,7 +101,9 @@ def stratified_folds(labels, n_folds: int, seed: int) -> np.ndarray:
     The deal position carries over from one class to the next, so both
     the per-class and the overall fold sizes differ by at most one. With
     ``n_folds`` at most the smaller class count, every fold holds at
-    least one sample of each class.
+    least one sample of each class. The library's held-out search draws
+    the same assignment for 0/1 labels with its port of ``PCG64`` and of
+    ``Generator.shuffle``.
     """
     labels = np.asarray(labels)
     if n_folds < 2:
@@ -165,19 +173,25 @@ def _grid_labels(classifier, grid, train, scaled, seed):
     return mlp_grid_labels(train, grid, scaled, [seed(p) for p in range(len(grid))])
 
 
-def _compiled_counts(classifier, grid, features, labels, folds, n_folds, parts, by_fit):
-    """:func:`_fold_counts` from the library's fold search, or None without
-    the library and wherever the search leaves the folds to the Python
-    loop (``kernels.fold_search`` says when). The solver settings are read
-    at each call."""
-    if kernels.fold_search is None:
-        return None
-    settings = (
+def _solver_settings():
+    """The SVM's update budget, stopping tolerance and support-vector
+    tolerance, then the perceptron's ridge, step budget and gradient
+    tolerance, as the library's searches take them: read at each call, so
+    that a changed setting holds on both paths."""
+    return (
         classifiers._SVM_MAX_ITER, classifiers._SVM_STOP_TOL, classifiers._SVM_SV_TOL,
         classifiers._MLP_RIDGE, classifiers._MLP_MAX_ITER, classifiers._MLP_GRAD_TOL,
     )
+
+
+def _compiled_counts(classifier, grid, features, labels, folds, n_folds, parts, by_fit):
+    """:func:`_fold_counts` from the library's fold search, or None without
+    the library and wherever the search leaves the folds to the Python
+    loop (``kernels.fold_search`` says when)."""
+    if kernels.fold_search is None:
+        return None
     return kernels.fold_search(
-        classifier, features, labels, folds, n_folds, grid, settings, parts, by_fit
+        classifier, features, labels, folds, n_folds, grid, _solver_settings(), parts, by_fit
     )
 
 
@@ -267,7 +281,14 @@ def _loocv_correct(
     Fold-major: a held-out sample's training fold is ranked once (or the
     full data once, with ``rank_scope="full"``), and every count is
     scored on that ranking before the next sample is held out. Rankings
-    are stored in ``cache`` under the held-out index, or ``"full"``.
+    are stored in ``cache`` under the held-out index, or ``"full"``. Each
+    held-out sample then takes one library call
+    (``kernels.held_out_search``), given the rows of its top ``max(counts)``
+    genes and each count's candidates, which draws every count's inner
+    folds, searches them and predicts the sample, with the bits of
+    :func:`_held_out_hits`. That per-count loop runs the sample instead
+    without the library and wherever the call returns None, so that it
+    gives its own counts or raises its own error at the same count.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}, expected one of {', '.join(METHODS)}")
@@ -291,9 +312,11 @@ def _loocv_correct(
 
     n = dataset.n_samples
     correct = dict.fromkeys(counts, 0)
+    counts = list(correct)
+    k_max = max(counts)
+    grids = [_hyper_grid(classifier, k) for k in counts]
     for held_out in range(n):
         keep = np.arange(n) != held_out
-        alone = keep.astype(np.int64)
         key = "full" if rank_scope == "full" else held_out
         if key not in cache:
             data, params = dataset, fgf_params
@@ -306,21 +329,44 @@ def _loocv_correct(
                     params, _ = gaopt.optimize_fgf(data, fold_config)
             cache[key] = rank(data, method, params)
         order = cache[key].order
-        fold_labels = dataset.labels[keep]
-        for k in correct:
-            selected = dataset.matrix[np.sort(order[:k])]
-            features = selected[:, keep].T
-            hyper, _ = inner_search(
-                features, fold_labels, classifier, _derived_seed(seed, held_out, k)
+        hits = None
+        if kernels.held_out_search is not None:
+            hits = kernels.held_out_search(
+                classifier, dataset.matrix[order[:k_max]], order[:k_max], dataset.labels,
+                held_out, counts, grids, MAX_INNER_FOLDS, _solver_settings(), seed,
             )
-            # the held-out prediction is a one-fold search, the held-out
-            # sample alone in fold 0, its fit seeded from (seed, held_out, k, 1)
-            hits = _fold_counts(
-                classifier, [hyper], selected.T, dataset.labels, alone, 1,
-                (seed, held_out, k, 1), False,
-            )
-            correct[k] += int(hits[0])
+        if hits is None:
+            hits = _held_out_hits(dataset, classifier, order, held_out, counts, seed)
+        for k, hit in zip(counts, hits):
+            correct[k] += int(hit)
     return correct
+
+
+def _held_out_hits(dataset, classifier, order, held_out, counts, seed):
+    """Whether the sample ``held_out`` is predicted right (1 or 0) at each
+    gene count of ``counts``, its training fold ranked by ``order``: for
+    each count, :func:`inner_search` on the training fold picks the
+    candidate, seeded from ``(seed, held_out, k)``, and a one-fold search
+    with the held-out sample alone in fold 0 predicts it, its fit seeded
+    from ``(seed, held_out, k, 1)``. The library's ``held_out_search``
+    does all of it in one call with the same bits; this loop is its oracle,
+    the path without a compiler and for what the library leaves to it, and
+    the one that raises."""
+    keep = np.arange(dataset.n_samples) != held_out
+    alone = keep.astype(np.int64)
+    fold_labels = dataset.labels[keep]
+    hits = []
+    for k in counts:
+        selected = dataset.matrix[np.sort(order[:k])]
+        hyper, _ = inner_search(
+            selected[:, keep].T, fold_labels, classifier, _derived_seed(seed, held_out, k)
+        )
+        correct = _fold_counts(
+            classifier, [hyper], selected.T, dataset.labels, alone, 1, (seed, held_out, k, 1),
+            False,
+        )
+        hits.append(int(correct[0]))
+    return hits
 
 
 def loocv_accuracy(

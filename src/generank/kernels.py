@@ -23,18 +23,22 @@ fuzzy kernel, the two grid solvers and the fold search get their inputs
 and their results in one float64 buffer that ``_pack`` lays out in the
 order of the C arguments, int64 values as their bits, so that a call
 allocates once and its results are views of that buffer. The rank-sum
-pass, the matrix reader and the row writer read their arrays in place
-and write into arrays of their own, or into a buffer their caller passes
-back for reuse. Text and the perceptron's seed entropy go in as bytes
-(``c_char_p``); the entropy is each seed part's little-endian uint32
-words (``_seed_words``). The fold search also takes ``_apply_ufunc``, a
-ctypes callback through which its naive Bayes scorer gets every exp, log
+pass, the matrix reader, the row writer and the held-out search read
+their arrays in place and write into arrays of their own, or into a
+buffer their caller passes back for reuse; the held-out search, one call
+per held-out sample of a nested LOOCV, takes the rows of the top-ranked
+genes that its caller gathers once, so that the whole matrix is never
+copied. Text and the seed entropy go in as bytes (``c_char_p``); the
+entropy is each seed part's little-endian uint32 words (``_seed_words``).
+The fold search and the held-out search also take ``_apply_ufunc``, a
+ctypes callback through which the naive Bayes scorer gets every exp, log
 and log1p from NumPy, so that their bits are the ones NumPy gives the
 Python code on the same host. A binding returns None where the Python code
 must decide: for text outside the matrix reader's strict form, and for a
-fold search whose block, candidates or seed parts that code would reject
-or that the library does not score as that code does, so that the Python
-code gives its own result or raises its own error.
+fold search or a held-out search whose block, candidates or seed parts
+that code would reject or that the library does not score as that code
+does, so that the Python code gives its own result or raises its own
+error.
 """
 
 from __future__ import annotations
@@ -295,6 +299,60 @@ def _bind_fold_search(lib):
     return fold_search
 
 
+def _bind_held_out_search(lib):
+    fn = _declare(
+        lib, "held_out_search",
+        _COUNT, _POINTER, _COUNT, _COUNT, _POINTER, _POINTER, _COUNT, _POINTER, _COUNT,
+        _POINTER, _POINTER, _COUNT, _COUNT, _REAL, _REAL, _REAL, _COUNT, _REAL,
+        ctypes.c_char_p, _COUNT, type(_apply_ufunc), _POINTER,
+    )
+
+    def held_out_search(
+        classifier, rows, genes, labels, held_out, counts, grids, max_folds, settings, seed
+    ):
+        """One hit (1 or 0) per gene count of ``counts`` for the held-out
+        sample ``held_out``, as the per-count loop
+        ``crossval._held_out_hits`` scores it for ``classifier``, one of
+        ``FOLD_SCORERS``: the
+        inner search (``inner_search`` with ``max_folds`` folds at most and
+        the seed ``crossval._derived_seed(seed, held_out, k)``), then the
+        one-fold search that predicts the held-out sample, its fit seeded
+        from ``(seed, held_out, k, 1)``, all computed in C. ``rows`` holds
+        the rows of the top-ranked genes, ``genes`` their gene indices in
+        rank order, ``labels`` a label per column of ``rows``; ``grids``
+        holds each count's candidates and ``settings`` those of
+        ``fold_search``. Returns None where that loop must decide, for a
+        seed that ``seed_ints`` rejects and wherever a search in it would
+        leave ``fold_search`` to the Python loop, so that the loop gives its
+        own counts or raises its own error. Only arrays of the wrong shape
+        raise."""
+        rows = np.ascontiguousarray(rows, dtype=np.float64)
+        genes = np.ascontiguousarray(genes, dtype=np.int64)
+        labels = np.ascontiguousarray(labels, dtype=np.int64)
+        counts = np.ascontiguousarray(counts, dtype=np.int64)
+        if rows.ndim != 2 or genes.shape != rows.shape[:1] or labels.shape != rows.shape[1:]:
+            raise ValueError("rows must be 2-D, genes a value per row, labels one per column")
+        if counts.ndim != 1 or len(grids) != len(counts):
+            raise ValueError("counts must be 1-D, with one grid per count")
+        if not seed_ints((seed,)):
+            return None
+        sizes = np.array([len(grid) for grid in grids], dtype=np.int64)
+        values = np.fromiter(itertools.chain.from_iterable(grids), np.float64, sizes.sum())
+        entropy = _seed_words(seed)
+        hits = np.empty(len(counts), dtype=np.int64)
+        status = fn(
+            FOLD_SCORERS.index(classifier), rows.ctypes.data, *rows.shape, genes.ctypes.data,
+            labels.ctypes.data, held_out, counts.ctypes.data, len(counts), values.ctypes.data,
+            sizes.ctypes.data, max_folds, *settings, entropy, len(entropy) // 4, _apply_ufunc,
+            hits.ctypes.data,
+        )
+        if status < 0:
+            raise MemoryError("held_out_search could not allocate its work arrays")
+        return None if status else hits
+
+    return held_out_search
+
+
 def _bind_parse(lib):
     fn = _declare(
         lib, "parse_matrix_rows",
@@ -389,7 +447,7 @@ def _seed_words(n) -> bytes:
 # The bindings of the library, each None when the library is not loaded.
 COMPILED = (
     "mamdani_kernel", "rank_sums", "svm_grid_solve", "mlp_grid_solve", "fold_search",
-    "parse_matrix_rows", "format_rows",
+    "held_out_search", "parse_matrix_rows", "format_rows",
 )
 # The classifiers that fold_search scores, each at the position of its
 # code in the library's table of scorers.
@@ -402,11 +460,12 @@ if _LIB is not None:
     svm_grid_solve = _bind_svm_grid(_LIB)
     mlp_grid_solve = _bind_mlp_grid(_LIB)
     fold_search = _bind_fold_search(_LIB)
+    held_out_search = _bind_held_out_search(_LIB)
     parse_matrix_rows = _bind_parse(_LIB)
     format_rows = _bind_format(_LIB)
 else:
     mamdani_kernel = rank_sums = svm_grid_solve = mlp_grid_solve = fold_search = None
-    parse_matrix_rows = format_rows = None
+    held_out_search = parse_matrix_rows = format_rows = None
 BACKEND = "numpy" if _LIB is None else "c"
 
 

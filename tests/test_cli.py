@@ -495,7 +495,7 @@ def test_evaluate_solver_failure_is_fatal(tables, tmp_path, capsys, monkeypatch)
     # solver's budget is one update, which no fit of two classes meets;
     # the Python fold loop runs, so that every grid of fits is counted
     _, matrix_path, labels_path = tables
-    unbind(monkeypatch, "fold_search")
+    unbind(monkeypatch, "fold_search", "held_out_search")
     calls = []
     solve = classifiers._SVM_GRID
 
@@ -644,6 +644,30 @@ def test_invalid_evaluation_value_exits_one(tmp_path, capsys, command, key, valu
     code = cli.main([command, "--evaluations", *paths, str(bad), "--out", str(out)])
     assert code == 1
     assert f"error: {bad}: {key!r} must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["compare", "report"])
+@pytest.mark.parametrize(
+    "key, value",
+    [("method", "tt\nest"), ("classifier", "kn\tn"), ("method", "fgf\r"), ("classifier", "\t")],
+)
+def test_name_holding_a_tsv_separator_exits_one(tmp_path, capsys, command, key, value):
+    # the names become cells of summary.tsv and boxplot_data.tsv, which no
+    # tab, newline or carriage return may split
+    payload = {"method": "fgf", "classifier": "knn", "best_k": 9, "best_accuracy": 0.9}
+    payload[key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload), encoding="utf-8")
+    paths = [
+        _fake_evaluation(tmp_path / "e1.json", "ttest", "knn", 20, 0.931),
+        _fake_evaluation(tmp_path / "e2.json", "ttest", "svm", 25, 0.941),
+    ]
+    out = tmp_path / "out"
+    code = cli.main([command, "--evaluations", *paths, str(bad), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"error: {bad}: {key} {value!r} holds a tab, newline or carriage return" in err
     assert not out.exists()
 
 

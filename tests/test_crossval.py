@@ -1,5 +1,7 @@
 """Tests for fold construction, nested model selection and the gene-count sweep."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -80,9 +82,9 @@ def test_hyper_grids():
 @pytest.fixture
 def python_folds(monkeypatch):
     """The Python fold loop for every classifier: tests that observe its
-    blocks, seeds and solver calls run with the library's fold search
-    unbound."""
-    unbind(monkeypatch, "fold_search")
+    blocks, seeds and solver calls, or the per-count loop of the nested
+    LOOCV, run with both of the library's searches unbound."""
+    unbind(monkeypatch, "fold_search", "held_out_search")
 
 
 def test_inner_search_returns_grid_member():
@@ -312,11 +314,11 @@ needs_fold_search = pytest.mark.skipif(
 
 
 def _on_both_paths(monkeypatch, run):
-    """``run()`` with the library's fold search, then with the Python fold
-    loop; the search is bound again afterwards."""
+    """``run()`` with the library's searches, then with the Python loops;
+    the searches are bound again afterwards."""
     compiled = run()
     with monkeypatch.context() as python:
-        unbind(python, "fold_search")
+        unbind(python, "fold_search", "held_out_search")
         return compiled, run()
 
 
@@ -450,13 +452,19 @@ def test_sweep_equal_on_both_paths(monkeypatch, classifier, n0, n1, k_max):
     dataset.matrix[5] = 7.0  # a constant gene
 
     def python_loop(*args):
-        raise AssertionError("a fold went through the Python loop")
+        raise AssertionError("a fold or a held-out sample went through the Python loop")
 
     with monkeypatch.context() as library_only:
         library_only.setattr(crossval, "_scaled", python_loop)
+        library_only.setattr(crossval, "inner_search", python_loop)
         sweep_gene_counts(dataset, "ttest", classifier, k_max, seed=2)
+        loocv_accuracy(dataset, "roc", classifier, k_max, seed=2**40 + 1)
     compiled, python = _on_both_paths(
         monkeypatch, lambda: sweep_gene_counts(dataset, "ttest", classifier, k_max, seed=2)
+    )
+    assert compiled == python
+    compiled, python = _on_both_paths(
+        monkeypatch, lambda: loocv_accuracy(dataset, "roc", classifier, k_max, seed=2**40 + 1)
     )
     assert compiled == python
     compiled, python = _on_both_paths(
@@ -466,6 +474,88 @@ def test_sweep_equal_on_both_paths(monkeypatch, classifier, n0, n1, k_max):
         ),
     )
     assert compiled == python
+
+
+def _held_out_pairs(monkeypatch, dataset, classifier, counts, rank_scope, seed):
+    """Each held-out sample's hits from the library's held-out search, then
+    from the per-count Python loop with both searches unbound."""
+    n, k_max = dataset.n_samples, max(counts)
+    grids = [_hyper_grid(classifier, k) for k in counts]
+    for held_out in range(n):
+        keep = np.arange(n) != held_out
+        data = dataset
+        if rank_scope == "train":
+            data = replace(dataset, matrix=dataset.matrix[:, keep], labels=dataset.labels[keep])
+        order = rank_genes(data, "ttest").order
+        compiled = kernels.held_out_search(
+            classifier, dataset.matrix[order[:k_max]], order[:k_max], dataset.labels, held_out,
+            counts, grids, crossval.MAX_INNER_FOLDS, crossval._solver_settings(), seed,
+        )
+        with monkeypatch.context() as python:
+            unbind(python, "fold_search", "held_out_search")
+            expected = crossval._held_out_hits(dataset, classifier, order, held_out, counts, seed)
+        yield held_out, compiled, expected
+
+
+@needs_fold_search
+@pytest.mark.parametrize("classifier", CLASSIFIERS)
+def test_held_out_search_equals_the_per_count_loop(monkeypatch, classifier):
+    # one library call per held-out sample against the per-count Python
+    # loop: on training-fold and full-data rankings, on a sweep's counts
+    # and on loocv_accuracy's single count, with seeds of one, two and
+    # three uint32 words; weak effects, so that hits and misses both occur
+    dataset = planted_dataset(24, 4, 6, 7, 0.8, seed=651)
+    cases = [
+        ("train", [1, 2, 3, 4], 5), ("full", [1, 2, 3, 4], 2**32 + 7),
+        ("train", [3], 2**64 + 2**40 + 9), ("full", [4], 0),
+    ]
+    hits = set()
+    for rank_scope, counts, seed in cases:
+        for held_out, compiled, expected in _held_out_pairs(
+            monkeypatch, dataset, classifier, counts, rank_scope, seed
+        ):
+            assert compiled is not None, (rank_scope, seed, held_out)
+            assert compiled.tolist() == expected, (rank_scope, seed, held_out)
+            hits.update(expected)
+    assert hits == {0, 1}
+
+
+@needs_fold_search
+@pytest.mark.parametrize("classifier", CLASSIFIERS)
+def test_held_out_search_takes_the_first_candidate_below_two_inner_folds(
+    monkeypatch, classifier
+):
+    # a class of two samples: holding one out leaves one, too few to
+    # cross-validate, and the inner search falls back to the first candidate
+    dataset = planted_dataset(12, 3, 2, 7, 1.0, seed=652)
+    for held_out, compiled, expected in _held_out_pairs(
+        monkeypatch, dataset, classifier, [1, 2, 3], "full", 11
+    ):
+        assert compiled is not None and compiled.tolist() == expected, held_out
+    compiled, python = _on_both_paths(
+        monkeypatch,
+        lambda: sweep_gene_counts(dataset, "ttest", classifier, 3, rank_scope="full", seed=11),
+    )
+    assert compiled == python
+
+
+@needs_fold_search
+def test_held_out_search_leaves_an_svm_stall_to_the_python_loop(monkeypatch):
+    # with a budget of one update no fit converges: the library leaves the
+    # held-out sample to the per-count loop, which raises the first failure
+    dataset = planted_dataset(12, 3, 6, 6, 1.0, seed=653)
+    monkeypatch.setattr(classifiers, "_SVM_MAX_ITER", 1)
+    order = rank_genes(dataset, "ttest").order
+    assert kernels.held_out_search(
+        "svm", dataset.matrix[order[:2]], order[:2], dataset.labels, 0, [1, 2],
+        [list(SVM_GRID)] * 2, crossval.MAX_INNER_FOLDS, crossval._solver_settings(), 3,
+    ) is None
+    compiled, python = _on_both_paths(
+        monkeypatch,
+        lambda: _raised(lambda: sweep_gene_counts(dataset, "ttest", "svm", 2, seed=3)),
+    )
+    assert compiled == python
+    assert compiled[0] is ConvergenceError and "after 1 updates" in compiled[1]
 
 
 def _raised(run):
@@ -988,7 +1078,7 @@ def test_sweep_matches_individual_calls():
         assert alone == accuracy
 
 
-def test_sweep_is_fold_major(monkeypatch):
+def test_sweep_is_fold_major(monkeypatch, python_folds):
     # each held-out sample is scored at every gene count before the next
     dataset = planted_dataset(8, 2, 4, 4, 2.0, seed=621)
     seeds = []

@@ -9,7 +9,7 @@ import threading
 import numpy as np
 import pytest
 
-from generank import _cbuild, _mamdani_py, classifiers, kernels, rankers
+from generank import _cbuild, _mamdani_py, classifiers, crossval, kernels, rankers
 
 
 DEFAULT = np.array([0.25, 0.75, 0.25, 0.75, 0.25, 0.75])
@@ -395,6 +395,35 @@ def test_initial_weights_port_matches_numpy_default_rng():
         assert got[:-1].tobytes() == want.tobytes(), (d, h, seed)
         # nothing is written past the fit's values
         assert np.isnan(got[-1]), fit
+
+
+@needs_library
+def test_stratified_folds_port_matches_numpy_shuffle():
+    # the held-out search draws each inner fold assignment with this port:
+    # PCG64's buffered 32-bit draws, random_interval's masked rejection and
+    # the shuffle's pass from the last index down, one generator for both
+    # classes. Classes of one sample draw nothing and of two one value;
+    # class 1 comes first, last or interleaved.
+    draw = kernels._declare(
+        kernels._LIB, "stratified_folds", kernels._POINTER, kernels._COUNT, kernels._COUNT,
+        ctypes.c_uint32, kernels._POINTER, kernels._POINTER,
+    )
+    rng = np.random.default_rng(212)
+    seeds = [0, 2**32 - 1, 1, 2**31, 2**31 - 1]
+    for trial in range(2_400):
+        sizes = rng.integers(2, 61, 2) if trial % 4 else rng.choice([1, 2, 3, 60], 2)
+        labels = np.repeat(np.array([0, 1]), sizes)
+        if trial % 3 == 1:
+            labels = labels[::-1].copy()
+        elif trial % 3 == 2:
+            rng.shuffle(labels)
+        n_folds = int(rng.integers(2, 11))
+        seed = seeds[trial] if trial < len(seeds) else _random_seed(rng, 1)
+        want = crossval.stratified_folds(labels, n_folds, seed)
+        work, got = np.empty(len(labels), dtype=np.int64), np.full(len(labels), -1, dtype=np.int64)
+        assert draw(labels.ctypes.data, len(labels), n_folds, seed, work.ctypes.data,
+                    got.ctypes.data) == 0
+        assert got.tolist() == want.tolist(), (trial, seed, n_folds)
 
 
 def test_seed_ints_takes_ints_only():
