@@ -24,8 +24,9 @@ path at the shapes of a nested LOOCV of 10 and of 40 samples.
 
 With ``--sweeps N`` it also runs N seeded gene-count sweeps per
 classifier (``crossval.sweep_gene_counts``) on each path: with the
-library, each held-out sample takes one ``kernels.held_out_search`` call
-(its fold draws, every count's inner search and its prediction in C),
+library, each sweep binds ``kernels.held_out_search`` once and each
+held-out sample takes one call of it (its fold draws, every count's
+inner search and its prediction in C),
 and without it the per-count Python loop (``crossval._held_out_hits``)
 runs with the fold loop in Python. The sweeps' datasets vary the class
 sizes (two to twelve samples, so that some inner searches fall back to
@@ -164,8 +165,9 @@ def compare_sweep(classifier, dataset, method, options):
 def held_out_times(classifier, n, n_genes, k_max, repeats):
     """Median seconds of one held-out sample on a seeded dataset of ``n``
     samples and ``n_genes`` genes: the per-count loop (the fold searches
-    in C, one call each), then one ``held_out_search`` call, or None
-    without the library."""
+    in C, one call each), then one call of the search that
+    ``held_out_search`` binds for the sweep, or None without the
+    library."""
     rng = np.random.default_rng(n)
     matrix = rng.normal(size=(n_genes, n))
     matrix[:10, n // 2:] += 1.5
@@ -178,14 +180,16 @@ def held_out_times(classifier, n, n_genes, k_max, repeats):
     def loop():
         return crossval._held_out_hits(dataset, classifier, order, 0, counts, 3)
 
-    def call():
-        return kernels.held_out_search(
-            classifier, dataset.matrix[order[:k_max]], order[:k_max], dataset.labels, 0,
-            counts, grids, crossval.MAX_INNER_FOLDS, crossval._solver_settings(), 3,
-        )
-
     compiled = None
     if kernels.held_out_search is not None:
+        search = kernels.held_out_search(
+            classifier, dataset.matrix, dataset.labels, counts, grids, crossval.MAX_INNER_FOLDS,
+            crossval._solver_settings(), 3,
+        )
+
+        def call():
+            return search(order[:k_max], 0)
+
         if call() is None:
             sys.exit(f"{classifier} {n} samples: the timed held-out sample was left to Python")
         compiled = median_time(call, repeats)

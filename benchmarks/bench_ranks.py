@@ -13,18 +13,30 @@ matrices whose values are rounded to 3 decimals, so that rows hold ties:
 
 Exits 1 on any bit that differs between the paths. Then reports the best
 time of each path for the rank sum and tie term, the statistics the
-Wilcoxon, ROC and fuzzy rankers take. Invoke from the repository root:
+Wilcoxon, ROC and fuzzy rankers take.
 
-    PYTHONPATH=src python3 benchmarks/bench_ranks.py --shapes 1000x100 12600x101
+With ``--folds N`` it also ranks the training folds of a leave-one-out
+loop, each sample held out in turn, on N seeded datasets of 2 to 15
+samples a class (interleaved labels, 40 genes with ties, constant rows
+and signed zeros), by ``rankers.rank_folds`` in one call and by
+``rankers.rank_genes`` on each fold, for the t-test, rank-sum and ROC
+rankers. A fold that keeps fewer than two samples of a class must make
+``rank_folds`` raise. It exits 1 on any order or p-value bit that
+differs, and reports the total time of each path per method. Invoke from
+the repository root:
+
+    PYTHONPATH=src python3 benchmarks/bench_ranks.py --shapes 1000x100 12600x101 --folds 40
 """
 
 import argparse
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
 from generank import kernels, rankers
+from generank.dataio import Dataset
 
 
 def stable_path(matrix, in_class, with_ranks=False):
@@ -61,6 +73,68 @@ def _best_time(path, matrix, in_class, repeats):
     return min(times)
 
 
+def fold_dataset(rng):
+    """A seeded dataset of 2 to 15 samples a class, the classes
+    interleaved, whose 40 genes hold ties, constant rows and signed
+    zeros."""
+    n0, n1 = (int(v) for v in rng.integers(2, 16, 2))
+    labels = rng.permutation(np.array([0] * n0 + [1] * n1))
+    matrix = np.round(rng.normal(6.0, 1.0, (40, n0 + n1)), int(rng.integers(0, 3)))
+    matrix[:5, labels == 1] += 1.0
+    matrix[5] = 2.5
+    matrix[6] = np.where(labels == 0, 0.0, -0.0)
+    return Dataset(matrix, [f"g{i}" for i in range(40)], labels, ("a", "b"))
+
+
+def per_fold(dataset, method, held_outs):
+    """rank_genes on each held-out sample's training fold."""
+    rankings = []
+    for held_out in held_outs:
+        keep = np.arange(dataset.n_samples) != held_out
+        fold = replace(dataset, matrix=dataset.matrix[:, keep], labels=dataset.labels[keep])
+        rankings.append(rankers.rank_genes(fold, method))
+    return rankings
+
+
+def compare_folds(n_sets, seed):
+    """Compare both fold paths on ``n_sets`` seeded datasets; returns the
+    total seconds of each path per method."""
+    rng = np.random.default_rng(seed)
+    times = {m: [0.0, 0.0] for m in rankers.RANKER_METHODS}
+    for trial in range(n_sets):
+        dataset = fold_dataset(rng)
+        sizes = np.bincount(dataset.labels)
+        # a fold keeps two samples of each class or is rejected
+        valid = sizes[dataset.labels] > 2
+        held_outs = np.flatnonzero(valid).tolist()
+        for method in rankers.RANKER_METHODS:
+            for held_out in np.flatnonzero(~valid).tolist():
+                try:
+                    rankers.rank_folds(dataset, method, [held_out])
+                except ValueError:
+                    continue
+                sys.exit(f"set {trial}: rank_folds ranked the too small fold of {held_out}")
+            # each path starts without the exact rank-sum nulls the other built
+            rankers._ranksum_null_counts.cache_clear()
+            start = time.perf_counter()
+            stacked = rankers.rank_folds(dataset, method, held_outs)
+            times[method][0] += time.perf_counter() - start
+            rankers._ranksum_null_counts.cache_clear()
+            start = time.perf_counter()
+            expected = per_fold(dataset, method, held_outs)
+            times[method][1] += time.perf_counter() - start
+            for held_out, got, want in zip(held_outs, stacked, expected):
+                if (
+                    got.order.tobytes() != want.order.tobytes()
+                    or got.scores.tobytes() != want.scores.tobytes()
+                ):
+                    sys.exit(
+                        f"set {trial} ({sizes[0]} + {sizes[1]} samples), {method}, sample "
+                        f"{held_out} held out: rank_folds differs from rank_genes on the fold"
+                    )
+    return times
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -72,6 +146,9 @@ def main(argv=None):
     )
     parser.add_argument("--repeats", type=int, default=7, help="timed calls per path")
     parser.add_argument("--seed", type=int, default=24)
+    parser.add_argument(
+        "--folds", type=int, default=0, help="seeded datasets whose folds are compared"
+    )
     args = parser.parse_args(argv)
 
     paths = {"stable": stable_path, "numpy": numpy_path}
@@ -97,6 +174,14 @@ def main(argv=None):
         print(f"{f'{rows}x{cols}':>12}" + "".join(f"{best[n] * 1e3:>14.3f}" for n in paths))
 
     print("rank sums, tie terms and midranks agree bit for bit across paths")
+
+    if args.folds < 1:
+        return
+    times = compare_folds(args.folds, args.seed + 1)
+    print(f"{'folds of':>12}{'rank_folds (ms)':>17}{'rank_genes (ms)':>17}")
+    for method, (stacked, alone) in times.items():
+        print(f"{method:>12}{stacked * 1e3:>17.3f}{alone * 1e3:>17.3f}")
+    print(f"the fold rankings of {args.folds} datasets agree bit for bit on both paths")
 
 
 if __name__ == "__main__":

@@ -4,10 +4,16 @@ The outer loop is leave-one-out and fold-major: each held-out sample's
 training fold is ranked once (or the full data once, if asked), then at
 every gene count k the top-k genes become features and an inner
 stratified cross-validation picks the classifier's hyperparameter before
-the held-out sample is predicted. The inner loop is fold-major too, for
+the held-out sample is predicted. The training folds of the classical
+tests are ranked in chunks of consecutive held-out samples, each chunk
+by one :func:`rankers.rank_folds` call that stacks its folds, with the
+bits of :func:`rankers.rank_genes` on each fold alone; a fold that cannot
+be ranked still raises when the loop reaches its own held-out sample.
+The inner loop is fold-major too, for
 all four classifiers: each inner fold scores every candidate value at
 once. For every classifier the C library does all of a held-out
-sample's work after its ranking in one call (``kernels.held_out_search``):
+sample's work after its ranking in one call of a search bound once per
+sweep (``kernels.held_out_search``):
 at every count it draws the inner folds with a port of
 :func:`stratified_folds`, runs the inner search and predicts the
 held-out sample, with the bits of the per-count Python loop
@@ -54,7 +60,7 @@ from generank.classifiers import (  # noqa: F401
     svm_train,
 )
 from generank.dataio import Dataset, floored_scale
-from generank.rankers import RANKER_METHODS, rank_genes
+from generank.rankers import RANKER_METHODS, rank_folds, rank_genes
 
 METHODS = (*RANKER_METHODS, "fgf")
 CLASSIFIERS = ("knn", "svm", "nbc", "mlp")
@@ -65,6 +71,11 @@ NBC_GRID = (0.25, 0.5, 1.0, 2.0, 4.0)
 
 MAX_INNER_FOLDS = 10
 DEFAULT_K_MAX = 50
+
+# The most cells (folds x genes x samples) that one rank_folds call of the
+# nested LOOCV stacks. One fold of the paper's 12,600 genes x 102 samples
+# already holds more, so each of those folds is ranked alone.
+RANK_STACK_CELLS = 1 << 18
 
 
 @dataclass
@@ -272,6 +283,29 @@ def rank(dataset: Dataset, method: str, fgf_params=None):
     return rank_genes(dataset, method)
 
 
+def _training_fold(dataset, held_out):
+    """``dataset`` without the sample ``held_out``."""
+    keep = np.arange(dataset.n_samples) != held_out
+    return replace(dataset, matrix=dataset.matrix[:, keep], labels=dataset.labels[keep])
+
+
+def _rank_folds_from(dataset, method, held_out, cache):
+    """Store in ``cache`` the rankings of the training folds of ``held_out``
+    and of the samples after it that ``cache`` lacks, by one
+    :func:`rankers.rank_folds` call on at most ``RANK_STACK_CELLS`` cells.
+    Where ``rank_folds`` rejects a fold of the chunk, ``held_out``'s fold
+    is ranked alone by :func:`rank` instead, so that a fold that cannot be
+    ranked raises :func:`rank`'s error when the loop reaches its own
+    held-out sample, and not before."""
+    n_genes, n = dataset.matrix.shape
+    size = max(1, RANK_STACK_CELLS // max(1, n_genes * (n - 1)))
+    chunk = [h for h in range(held_out, min(n, held_out + size)) if h not in cache]
+    try:
+        cache.update(zip(chunk, rank_folds(dataset, method, chunk)))
+    except ValueError:
+        cache[held_out] = rank(_training_fold(dataset, held_out), method)
+
+
 def _loocv_correct(
     dataset, method, classifier, counts, fgf_params, rank_scope, seed, reoptimize_fgf,
     ga_config, cache,
@@ -281,14 +315,18 @@ def _loocv_correct(
     Fold-major: a held-out sample's training fold is ranked once (or the
     full data once, with ``rank_scope="full"``), and every count is
     scored on that ranking before the next sample is held out. Rankings
-    are stored in ``cache`` under the held-out index, or ``"full"``. Each
-    held-out sample then takes one library call
-    (``kernels.held_out_search``), given the rows of its top ``max(counts)``
-    genes and each count's candidates, which draws every count's inner
-    folds, searches them and predicts the sample, with the bits of
-    :func:`_held_out_hits`. That per-count loop runs the sample instead
-    without the library and wherever the call returns None, so that it
-    gives its own counts or raises its own error at the same count.
+    are stored in ``cache`` under the held-out index, or ``"full"``. The
+    training folds of ``ttest``, ``wilcoxon`` and ``roc`` are ranked ahead,
+    in chunks of consecutive held-out samples (:func:`_rank_folds_from`);
+    the fuzzy filter's are ranked one by one by :func:`rank`. Each
+    held-out sample then takes one call of the library's search, bound
+    once per sweep with each count's candidates
+    (``kernels.held_out_search``), given its top ``max(counts)`` genes,
+    which draws every count's inner folds, searches them and predicts the
+    sample, with the bits of :func:`_held_out_hits`. That per-count loop
+    runs the sample instead without the library and wherever the call
+    returns None, so that it gives its own counts or raises its own error
+    at the same count.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}, expected one of {', '.join(METHODS)}")
@@ -306,6 +344,10 @@ def _loocv_correct(
         raise ValueError("reoptimize_fgf needs rank_scope='train'")
     if reoptimize_fgf and fgf_params is not None:
         raise ValueError("reoptimize_fgf and fgf_params exclude each other")
+    # rank's own check, made before any fold is ranked, since the folds of
+    # the classical tests are ranked without it
+    if fgf_params is not None and method != "fgf":
+        raise ValueError("fgf_params needs method 'fgf'")
     config = ga_config if ga_config is not None else gaopt.GaConfig()
     if method == "fgf" and fgf_params is None and not reoptimize_fgf:
         fgf_params, _ = gaopt.optimize_fgf(dataset, config)
@@ -314,27 +356,28 @@ def _loocv_correct(
     correct = dict.fromkeys(counts, 0)
     counts = list(correct)
     k_max = max(counts)
-    grids = [_hyper_grid(classifier, k) for k in counts]
+    search = None
+    if kernels.held_out_search is not None:
+        grids = [_hyper_grid(classifier, k) for k in counts]
+        search = kernels.held_out_search(
+            classifier, dataset.matrix, dataset.labels, counts, grids, MAX_INNER_FOLDS,
+            _solver_settings(), seed,
+        )
+    stacked = rank_scope == "train" and method in RANKER_METHODS
     for held_out in range(n):
-        keep = np.arange(n) != held_out
         key = "full" if rank_scope == "full" else held_out
-        if key not in cache:
+        if key not in cache and stacked:
+            _rank_folds_from(dataset, method, held_out, cache)
+        elif key not in cache:
             data, params = dataset, fgf_params
             if rank_scope == "train":
-                data = replace(
-                    dataset, matrix=dataset.matrix[:, keep], labels=dataset.labels[keep]
-                )
+                data = _training_fold(dataset, held_out)
                 if reoptimize_fgf:
                     fold_config = replace(config, seed=_derived_seed(config.seed, held_out))
                     params, _ = gaopt.optimize_fgf(data, fold_config)
             cache[key] = rank(data, method, params)
         order = cache[key].order
-        hits = None
-        if kernels.held_out_search is not None:
-            hits = kernels.held_out_search(
-                classifier, dataset.matrix[order[:k_max]], order[:k_max], dataset.labels,
-                held_out, counts, grids, MAX_INNER_FOLDS, _solver_settings(), seed,
-            )
+        hits = None if search is None else search(order[:k_max], held_out)
         if hits is None:
             hits = _held_out_hits(dataset, classifier, order, held_out, counts, seed)
         for k, hit in zip(counts, hits):

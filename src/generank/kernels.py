@@ -25,11 +25,13 @@ order of the C arguments, int64 values as their bits, so that a call
 allocates once and its results are views of that buffer. The rank-sum
 pass, the matrix reader, the row writer and the held-out search read
 their arrays in place and write into arrays of their own, or into a
-buffer their caller passes back for reuse; the held-out search, one call
-per held-out sample of a nested LOOCV, takes the rows of the top-ranked
-genes that its caller gathers once, so that the whole matrix is never
-copied. Text and the seed entropy go in as bytes (``c_char_p``); the
-entropy is each seed part's little-endian uint32 words (``_seed_words``).
+buffer their caller passes back for reuse. The held-out search is bound
+once per sweep of a nested LOOCV, which converts what the sweep's
+held-out samples share, and then called once per held-out sample, which
+gathers the rows of the top-ranked genes into a buffer of its own, so
+that the whole matrix is never copied. Text and the seed entropy go in
+as bytes (``c_char_p``); the entropy is each seed part's little-endian
+uint32 words (``_seed_words``).
 The fold search and the held-out search also take ``_apply_ufunc``, a
 ctypes callback through which the naive Bayes scorer gets every exp, log
 and log1p from NumPy, so that their bits are the ones NumPy gives the
@@ -308,47 +310,70 @@ def _bind_held_out_search(lib):
     )
 
     def held_out_search(
-        classifier, rows, genes, labels, held_out, counts, grids, max_folds, settings, seed
+        classifier, matrix, labels, counts, grids, max_folds, settings, seed
     ):
-        """One hit (1 or 0) per gene count of ``counts`` for the held-out
-        sample ``held_out``, as the per-count loop
-        ``crossval._held_out_hits`` scores it for ``classifier``, one of
-        ``FOLD_SCORERS``: the
-        inner search (``inner_search`` with ``max_folds`` folds at most and
-        the seed ``crossval._derived_seed(seed, held_out, k)``), then the
-        one-fold search that predicts the held-out sample, its fit seeded
-        from ``(seed, held_out, k, 1)``, all computed in C. ``rows`` holds
-        the rows of the top-ranked genes, ``genes`` their gene indices in
-        rank order, ``labels`` a label per column of ``rows``; ``grids``
-        holds each count's candidates and ``settings`` those of
-        ``fold_search``. Returns None where that loop must decide, for a
-        seed that ``seed_ints`` rejects and wherever a search in it would
-        leave ``fold_search`` to the Python loop, so that the loop gives its
-        own counts or raises its own error. Only arrays of the wrong shape
-        raise."""
-        rows = np.ascontiguousarray(rows, dtype=np.float64)
-        genes = np.ascontiguousarray(genes, dtype=np.int64)
+        """The nested LOOCV search of one sweep of ``matrix`` (genes x
+        samples) for ``classifier``, one of ``FOLD_SCORERS``: returns a
+        function ``search(genes, held_out)`` that gives one hit (1 or 0) per
+        gene count of ``counts`` for the held-out sample ``held_out``, its
+        training fold's genes ranked ``genes`` (their indices, best first,
+        ``max(counts)`` of them), as the per-count loop
+        ``crossval._held_out_hits`` scores it: the inner search
+        (``inner_search`` with ``max_folds`` folds at most and the seed
+        ``crossval._derived_seed(seed, held_out, k)``), then the one-fold
+        search that predicts the held-out sample, its fit seeded from
+        ``(seed, held_out, k, 1)``, all computed in C. ``labels`` holds a
+        label per column of ``matrix``, ``grids`` each count's candidates
+        and ``settings`` those of ``fold_search``.
+
+        What every held-out sample of the sweep shares is checked and
+        converted here, once; ``search`` gathers the rows of ``genes`` into
+        a buffer of its own that each call reuses, so that one sweep's
+        calls run one at a time. ``search`` returns None wherever that loop
+        would leave ``fold_search`` to the Python loop, and
+        ``held_out_search`` returns None for a seed that ``seed_ints``
+        rejects, so that the loop gives its own counts or raises its own
+        error. Only arrays of the wrong shape and gene indices outside
+        ``matrix`` raise."""
+        matrix = np.ascontiguousarray(matrix, dtype=np.float64)
         labels = np.ascontiguousarray(labels, dtype=np.int64)
         counts = np.ascontiguousarray(counts, dtype=np.int64)
-        if rows.ndim != 2 or genes.shape != rows.shape[:1] or labels.shape != rows.shape[1:]:
-            raise ValueError("rows must be 2-D, genes a value per row, labels one per column")
-        if counts.ndim != 1 or len(grids) != len(counts):
-            raise ValueError("counts must be 1-D, with one grid per count")
+        if matrix.ndim != 2 or labels.shape != matrix.shape[1:]:
+            raise ValueError("matrix must be 2-D, labels one per column")
+        if counts.ndim != 1 or len(counts) < 1 or len(grids) != len(counts):
+            raise ValueError("counts must be 1-D and non-empty, with one grid per count")
         if not seed_ints((seed,)):
             return None
+        k_max, n = int(counts.max()), matrix.shape[1]
         sizes = np.array([len(grid) for grid in grids], dtype=np.int64)
         values = np.fromiter(itertools.chain.from_iterable(grids), np.float64, sizes.sum())
         entropy = _seed_words(seed)
+        rows = np.empty((k_max, n))
+        ranked = np.empty(k_max, dtype=np.int64)
         hits = np.empty(len(counts), dtype=np.int64)
-        status = fn(
-            FOLD_SCORERS.index(classifier), rows.ctypes.data, *rows.shape, genes.ctypes.data,
-            labels.ctypes.data, held_out, counts.ctypes.data, len(counts), values.ctypes.data,
-            sizes.ctypes.data, max_folds, *settings, entropy, len(entropy) // 4, _apply_ufunc,
-            hits.ctypes.data,
-        )
-        if status < 0:
-            raise MemoryError("held_out_search could not allocate its work arrays")
-        return None if status else hits
+
+        def address(a):
+            # the pointer holds a reference to its array, so that the
+            # arguments keep every array they point into alive
+            return a.ctypes.data_as(_POINTER)
+
+        arguments = [
+            FOLD_SCORERS.index(classifier), address(rows), k_max, n, address(ranked),
+            address(labels), None, address(counts), len(counts), address(values),
+            address(sizes), max_folds, *settings, entropy, len(entropy) // 4, _apply_ufunc,
+            address(hits),
+        ]
+
+        def search(genes, held_out):
+            matrix.take(genes, axis=0, out=rows)
+            ranked[:] = genes
+            arguments[6] = held_out
+            status = fn(*arguments)
+            if status < 0:
+                raise MemoryError("held_out_search could not allocate its work arrays")
+            return None if status else hits.copy()
+
+        return search
 
     return held_out_search
 

@@ -285,17 +285,24 @@ def roc_test(x, y) -> TestResult:
     return TestResult(area, p, effect)
 
 
+def _check_genes(gene_ids, too_few: bool, finite: np.ndarray):
+    """Raise the error of the scalar tests for the first gene that fails
+    their checks: every gene does when a class holds fewer than two
+    samples (``too_few``), else the first whose row is not all finite
+    (``finite``, a flag per gene)."""
+    if too_few and len(gene_ids):
+        raise ValueError(f"gene {gene_ids[0]!r}: {_TOO_FEW}")
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise ValueError(f"gene {gene_ids[bad]!r}: {_NON_FINITE}")
+
+
 def _checked_matrix(dataset: Dataset) -> np.ndarray:
     """The expression matrix, after the checks the scalar tests make on
     each gene; a failure names the first gene that fails them."""
     matrix = dataset.matrix
     too_few = min((dataset.labels == 0).sum(), (dataset.labels == 1).sum()) < 2
-    if too_few and dataset.n_genes:
-        raise ValueError(f"gene {dataset.gene_ids[0]!r}: {_TOO_FEW}")
-    finite = np.isfinite(matrix).all(axis=1)
-    if not finite.all():
-        bad = int(np.argmin(finite))
-        raise ValueError(f"gene {dataset.gene_ids[bad]!r}: {_NON_FINITE}")
+    _check_genes(dataset.gene_ids, too_few, np.isfinite(matrix).all(axis=1))
     return matrix
 
 
@@ -393,6 +400,15 @@ _COLUMN_TESTS = {
 RANKER_METHODS = tuple(_COLUMN_TESTS)
 
 
+def _column_test(method: str):
+    try:
+        return _COLUMN_TESTS[method]
+    except KeyError:
+        raise ValueError(
+            f"unknown method {method!r}, expected one of {', '.join(RANKER_METHODS)}"
+        ) from None
+
+
 def rank_genes(dataset: Dataset, method: str) -> GeneRanking:
     """Order all genes by one test: ascending p, then descending effect,
     then gene index.
@@ -402,15 +418,72 @@ def rank_genes(dataset: Dataset, method: str) -> GeneRanking:
     the scalar test would reject raises ``ValueError`` naming the first
     such gene.
     """
-    try:
-        test = _COLUMN_TESTS[method]
-    except KeyError:
-        raise ValueError(
-            f"unknown method {method!r}, expected one of {', '.join(RANKER_METHODS)}"
-        ) from None
+    test = _column_test(method)
     p_values, effects = test(_checked_matrix(dataset), dataset.labels)
     order = np.lexsort((-effects, p_values))
     return GeneRanking(method, order, p_values)
+
+
+def _check_folds(dataset: Dataset, held_outs: np.ndarray):
+    """Raise the error :func:`rank_genes` raises on the training fold of
+    the first sample of ``held_outs`` whose fold it rejects."""
+    labels = dataset.labels
+    sizes = np.array([(labels == 0).sum(), (labels == 1).sum()])
+    own = labels[held_outs]
+    too_few = np.minimum(sizes[own] - 1, sizes[1 - own]) < 2
+    finite = np.isfinite(dataset.matrix)
+    if not too_few.any() and finite.all():
+        return
+    for held_out, fold_too_few in zip(held_outs.tolist(), too_few.tolist()):
+        fold_finite = np.delete(finite, held_out, axis=1).all(axis=1)
+        _check_genes(dataset.gene_ids, fold_too_few, fold_finite)
+
+
+def rank_folds(dataset: Dataset, method: str, held_outs) -> list:
+    """One :class:`GeneRanking` per sample index of ``held_outs``, the
+    bits of :func:`rank_genes` on that sample's training fold (every
+    sample but it).
+
+    Each fold's columns are put in class order, class 0's then class 1's,
+    each in dataset order, so that the folds holding out a sample of one
+    class share one label vector. Each such group is scored by one call of
+    the method's test on a stack with a row per (fold, gene), and ordered
+    by one ``np.lexsort`` over all its folds. The bits are those of each
+    fold alone: a Welch row holds the fold's values of each class in the
+    fold's own order, and is reduced as one contiguous row; rank sums, tie
+    terms and the exact null do not depend on the order of the columns;
+    and a stable sort has one result. A fold that :func:`rank_genes`
+    rejects raises its ``ValueError``, the first such fold's in
+    ``held_outs`` order, before any fold is scored.
+    """
+    test = _column_test(method)
+    held_outs = np.asarray(held_outs, dtype=np.int64)
+    n_genes, n = dataset.matrix.shape
+    if held_outs.ndim != 1 or not ((0 <= held_outs) & (held_outs < n)).all():
+        raise ValueError(f"held_outs must be a 1-D list of sample indices below {n}")
+    _check_folds(dataset, held_outs)
+    labels = dataset.labels
+    # class 0's columns, then class 1's, each in dataset order
+    columns = np.argsort(labels, kind="stable")
+    rankings = [None] * len(held_outs)
+    for cls in (0, 1):
+        at = np.flatnonzero(labels[held_outs] == cls)
+        if not len(at):
+            continue
+        stack = np.empty((len(at), n_genes, n - 1))
+        for fold, held_out in enumerate(held_outs[at].tolist()):
+            fold_columns = columns[columns != held_out]
+            # take writes C order, where a column index writes Fortran
+            # order; the columns are in range, and "clip" skips the buffer
+            # that "raise" copies through
+            dataset.matrix.take(fold_columns, axis=1, out=stack[fold], mode="clip")
+        # every fold of the group has these labels
+        p_values, effects = test(stack.reshape(-1, n - 1), labels[fold_columns])
+        p_values = p_values.reshape(len(at), n_genes)
+        orders = np.lexsort((-effects.reshape(p_values.shape), p_values), axis=-1)
+        for i, order, scores in zip(at.tolist(), orders, p_values):
+            rankings[i] = GeneRanking(method, order, scores)
+    return rankings
 
 
 def save_ranking(ranking: GeneRanking, gene_ids, path):

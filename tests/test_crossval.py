@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from generank import classifiers, crossval, kernels
+from generank import classifiers, crossval, kernels, rankers
 from generank.classifiers import ConvergenceError
 from generank.crossval import (
     CLASSIFIERS,
@@ -481,16 +481,17 @@ def _held_out_pairs(monkeypatch, dataset, classifier, counts, rank_scope, seed):
     from the per-count Python loop with both searches unbound."""
     n, k_max = dataset.n_samples, max(counts)
     grids = [_hyper_grid(classifier, k) for k in counts]
+    search = kernels.held_out_search(
+        classifier, dataset.matrix, dataset.labels, counts, grids, crossval.MAX_INNER_FOLDS,
+        crossval._solver_settings(), seed,
+    )
     for held_out in range(n):
         keep = np.arange(n) != held_out
         data = dataset
         if rank_scope == "train":
             data = replace(dataset, matrix=dataset.matrix[:, keep], labels=dataset.labels[keep])
         order = rank_genes(data, "ttest").order
-        compiled = kernels.held_out_search(
-            classifier, dataset.matrix[order[:k_max]], order[:k_max], dataset.labels, held_out,
-            counts, grids, crossval.MAX_INNER_FOLDS, crossval._solver_settings(), seed,
-        )
+        compiled = search(order[:k_max], held_out)
         with monkeypatch.context() as python:
             unbind(python, "fold_search", "held_out_search")
             expected = crossval._held_out_hits(dataset, classifier, order, held_out, counts, seed)
@@ -546,10 +547,11 @@ def test_held_out_search_leaves_an_svm_stall_to_the_python_loop(monkeypatch):
     dataset = planted_dataset(12, 3, 6, 6, 1.0, seed=653)
     monkeypatch.setattr(classifiers, "_SVM_MAX_ITER", 1)
     order = rank_genes(dataset, "ttest").order
-    assert kernels.held_out_search(
-        "svm", dataset.matrix[order[:2]], order[:2], dataset.labels, 0, [1, 2],
-        [list(SVM_GRID)] * 2, crossval.MAX_INNER_FOLDS, crossval._solver_settings(), 3,
-    ) is None
+    search = kernels.held_out_search(
+        "svm", dataset.matrix, dataset.labels, [1, 2], [list(SVM_GRID)] * 2,
+        crossval.MAX_INNER_FOLDS, crossval._solver_settings(), 3,
+    )
+    assert search(order[:2], 0) is None
     compiled, python = _on_both_paths(
         monkeypatch,
         lambda: _raised(lambda: sweep_gene_counts(dataset, "ttest", "svm", 2, seed=3)),
@@ -904,13 +906,117 @@ def test_loocv_rank_scope_full_ranks_once(monkeypatch):
     full = loocv_accuracy(dataset, "ttest", "knn", k_genes=3, rank_scope="full", seed=0)
     assert 0.0 <= full <= 1.0
     assert calls == [dataset.n_samples]
-    # per-fold rankings are shared across gene counts: one per held-out sample
+    # per-fold rankings are shared across gene counts: each held-out
+    # sample's fold is ranked once, on n - 1 samples, in the stacks of
+    # rank_folds, one per class with a row per (fold, gene)
+    held_outs, stacks = [], []
+    rank_folds, test = crossval.rank_folds, rankers._COLUMN_TESTS["ttest"]
+
+    def recording_folds(data, method, chunk):
+        held_outs.extend(chunk)
+        return rank_folds(data, method, chunk)
+
+    def recording_test(matrix, labels):
+        stacks.append(matrix.shape)
+        return test(matrix, labels)
+
+    monkeypatch.setattr(crossval, "rank_folds", recording_folds)
+    monkeypatch.setitem(rankers._COLUMN_TESTS, "ttest", recording_test)
     calls.clear()
     sweep_gene_counts(dataset, "ttest", "knn", k_max=3, rank_scope="train", seed=0)
-    assert calls == [dataset.n_samples - 1] * dataset.n_samples
+    n, per_class = dataset.n_samples, 4 * dataset.n_genes
+    assert calls == []
+    assert held_outs == list(range(n))
+    assert stacks == [(per_class, n - 1), (per_class, n - 1)]
     calls.clear()
     sweep_gene_counts(dataset, "ttest", "knn", k_max=3, rank_scope="full", seed=0)
     assert calls == [dataset.n_samples]
+
+
+def _rank_each_fold_alone(dataset, method, held_out, cache):
+    # the per-fold path: rank_genes on the held-out sample's training fold
+    keep = np.arange(dataset.n_samples) != held_out
+    fold = replace(dataset, matrix=dataset.matrix[:, keep], labels=dataset.labels[keep])
+    cache[held_out] = rank_genes(fold, method)
+
+
+@pytest.mark.parametrize("method", ["ttest", "wilcoxon", "roc"])
+def test_sweep_is_the_same_whatever_the_rank_chunks(monkeypatch, method):
+    # chunks of one fold, of three (which split class 0's folds, samples 0
+    # to 4, and mix the classes) and of all eleven, and each fold ranked
+    # alone by rank_genes, give the same sweeps
+    dataset = planted_dataset(20, 4, 5, 6, 0.8, seed=622)
+    cells = dataset.n_genes * (dataset.n_samples - 1)
+    chunks = []
+    rank_folds = crossval.rank_folds
+
+    def recording(data, ranker, held_outs):
+        chunks.append(held_outs)
+        return rank_folds(data, ranker, held_outs)
+
+    def sweeps():
+        return [
+            sweep_gene_counts(dataset, method, classifier, 3, seed=5)
+            for classifier in CLASSIFIERS
+        ]
+
+    expected = sweeps()
+    with monkeypatch.context() as per_fold:
+        per_fold.setattr(crossval, "_rank_folds_from", _rank_each_fold_alone)
+        assert sweeps() == expected
+    monkeypatch.setattr(crossval, "rank_folds", recording)
+    for size in (1, 3):
+        chunks.clear()
+        with monkeypatch.context() as capped:
+            capped.setattr(crossval, "RANK_STACK_CELLS", size * cells)
+            assert sweeps() == expected
+        chunk = [list(range(h, min(h + size, 11))) for h in range(0, 11, size)]
+        assert chunks == chunk * len(CLASSIFIERS)
+    chunks.clear()
+    sweeps()
+    assert chunks == [list(range(11))] * len(CLASSIFIERS)
+
+
+def _outcome_and_reached(monkeypatch, run):
+    """The error ``run()`` raises, and the held-out samples that the
+    per-count loop scored before it."""
+    reached = []
+    loop = crossval._held_out_hits
+
+    def recording(dataset, classifier, order, held_out, counts, seed):
+        reached.append(held_out)
+        return loop(dataset, classifier, order, held_out, counts, seed)
+
+    with monkeypatch.context() as recorded:
+        recorded.setattr(crossval, "_held_out_hits", recording)
+        outcome = _raised(run)
+    return outcome, reached
+
+
+@pytest.mark.parametrize("classifier", ["knn", "svm"])
+def test_a_fold_too_small_to_rank_fails_at_its_own_held_out_sample(
+    monkeypatch, python_folds, classifier
+):
+    # a class of two, samples 5 and 6: holding one out leaves a fold the
+    # dataset rejects. Samples 0 to 4 are scored first, on either ranking
+    # path; with an SVM budget of one update, sample 0 raises first.
+    dataset = planted_dataset(12, 3, 5, 2, 1.0, seed=623)
+    if classifier == "svm":
+        monkeypatch.setattr(classifiers, "_SVM_MAX_ITER", 1)
+
+    def run():
+        return sweep_gene_counts(dataset, "ttest", classifier, 2, seed=6)
+
+    stacked = _outcome_and_reached(monkeypatch, run)
+    with monkeypatch.context() as per_fold:
+        per_fold.setattr(crossval, "_rank_folds_from", _rank_each_fold_alone)
+        assert _outcome_and_reached(monkeypatch, run) == stacked
+    (error, message), reached = stacked
+    if classifier == "svm":
+        assert error is ConvergenceError and reached == [0]
+    else:
+        assert (error, message) == (ValueError, "class 'case' has 1 samples, need >= 2")
+        assert reached == [0, 1, 2, 3, 4]
 
 
 def test_loocv_final_fit_seed_per_held_out_sample(monkeypatch, python_folds):

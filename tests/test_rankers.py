@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from generank.rankers import (
     EXACT_RANKSUM_LIMIT,
     GeneRanking,
     midranks,
+    rank_folds,
     rank_genes,
     roc_test,
     save_ranking,
@@ -577,6 +579,85 @@ def test_rank_genes_without_genes():
     for method in ("ttest", "wilcoxon", "roc"):
         ranking = rank_genes(dataset, method)
         assert len(ranking.order) == 0 and len(ranking.scores) == 0
+
+
+def _fold_rankings(dataset, method, held_outs):
+    """rank_genes on the training fold of each sample of held_outs."""
+    rankings = []
+    for held_out in held_outs:
+        keep = np.arange(dataset.n_samples) != held_out
+        fold = replace(dataset, matrix=dataset.matrix[:, keep], labels=dataset.labels[keep])
+        rankings.append(rank_genes(fold, method))
+    return rankings
+
+
+# Folds of 5 to 25 samples take the exact rank-sum null, 26 and more its
+# normal approximation.
+@pytest.mark.parametrize("n0,n1", [(3, 3), (3, 5), (7, 4), (13, 13), (13, 14), (30, 17)])
+@pytest.mark.parametrize(
+    "method, compiled",
+    [("ttest", True), ("wilcoxon", True), ("wilcoxon", False), ("roc", True), ("roc", False)],
+)
+def test_rank_folds_equal_rank_genes_on_each_fold(monkeypatch, method, compiled, n0, n1):
+    # the t-test takes no rank sums, so it runs with or without the library
+    if not compiled:
+        unbind(monkeypatch, "rank_sums")
+    elif kernels.rank_sums is None and method != "ttest":
+        pytest.skip("the C library is not loaded")
+    dataset = _mixed_dataset(n0, n1, seed=131 + n0 * 1000 + n1)
+    # every sample, in shuffled order, then one repeated
+    held_outs = np.random.default_rng(n0 + n1).permutation(dataset.n_samples).tolist()
+    held_outs.append(held_outs[0])
+    stacked = rank_folds(dataset, method, held_outs)
+    assert len(stacked) == len(held_outs)
+    for held_out, ranking, expected in zip(
+        held_outs, stacked, _fold_rankings(dataset, method, held_outs)
+    ):
+        assert ranking.method == method
+        assert ranking.order.tobytes() == expected.order.tobytes(), held_out
+        assert ranking.scores.tobytes() == expected.scores.tobytes(), held_out
+
+
+def test_rank_folds_of_a_subset_and_of_none():
+    dataset = _mixed_dataset(4, 6, seed=132)
+    # samples of one class only, then of the other only
+    for cls in (0, 1):
+        held_outs = np.flatnonzero(dataset.labels == cls)[::-2].tolist()
+        for ranking, expected in zip(
+            rank_folds(dataset, "roc", held_outs), _fold_rankings(dataset, "roc", held_outs)
+        ):
+            assert ranking.order.tobytes() == expected.order.tobytes()
+            assert ranking.scores.tobytes() == expected.scores.tobytes()
+    assert rank_folds(dataset, "ttest", []) == []
+
+
+def test_rank_folds_raises_the_first_failing_folds_error():
+    # holding out sample 1 leaves gene 2's NaN, sample 6 gene 4's inf, and
+    # any other sample both; a fold is checked as rank_genes checks it
+    dataset = planted_dataset(6, 1, 4, 4, 1.0, seed=120)
+    dataset.matrix[4, 1] = np.inf
+    dataset.matrix[2, 6] = np.nan
+    for held_outs, gene in [([1], "g0002"), ([6], "g0004"), ([0, 6], "g0002"), ([6, 0], "g0004")]:
+        with pytest.raises(ValueError, match=f"gene '{gene}': samples contain non-finite"):
+            rank_folds(dataset, "wilcoxon", held_outs)
+    # a class of two: holding either out leaves one sample of it
+    dataset = planted_dataset(6, 1, 2, 5, 1.0, seed=133)
+    assert len(rank_folds(dataset, "ttest", [2, 6])) == 2
+    for held_outs in ([1], [3, 0, 4]):
+        with pytest.raises(ValueError, match="gene 'g0000': each sample needs at least two"):
+            rank_folds(dataset, "ttest", held_outs)
+    with pytest.raises(ValueError, match="unknown method"):
+        rank_folds(dataset, "anova", [0])
+    for held_outs in ([7], [-1], [[0]]):
+        with pytest.raises(ValueError, match="sample indices below 7"):
+            rank_folds(dataset, "ttest", held_outs)
+
+
+def test_rank_folds_without_genes():
+    dataset = Dataset(np.zeros((0, 8)), [], np.array([0, 1] * 4), ("a", "b"))
+    for method in ("ttest", "wilcoxon", "roc"):
+        rankings = rank_folds(dataset, method, range(8))
+        assert [len(r.order) + len(r.scores) for r in rankings] == [0] * 8
 
 
 def _unmemoized_exact_ranksum_p(doubled, n_w, dev2):
